@@ -11,14 +11,16 @@ Subcommands:
 * ``replay <report.json>``: re-verify every certificate in a report through
   the independent verifier.
 
-Seeds only steer instance generation; all mathematics is exact, so there are
-no tolerance flags.  Reports are deterministic given (scenario, seed).
+All mathematics is exact, so there are no tolerance flags, and reports are
+deterministic given the scenario.  The argument parser is built once per
+process, on the first call to :func:`main`, and reused by later calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -86,7 +88,8 @@ FINITE_SPACE = {
     "properties": {
         "points": {"type": "integer", "minimum": 1},
         "opens": {"type": "array",
-                  "items": {"type": "array", "items": {"type": "integer"}}},
+                  "items": {"type": "array", "uniqueItems": True,
+                            "items": {"type": "integer", "minimum": 0}}},
     },
     "required": ["points", "opens"],
     "additionalProperties": False,
@@ -196,7 +199,7 @@ def cmd_check(args) -> int:
     problems = _validate_scenario(data)
     if problems:
         for p in problems:
-            print(f"schema violation at {p}", file=sys.stderr)
+            print(f"input error: schema violation at {p}", file=sys.stderr)
         return 2
     depth = args.depth or data.get("depth", 32)
     try:
@@ -482,20 +485,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("scenario")
     p_check.add_argument("--out")
     p_check.add_argument("--depth", type=int)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=cmd_check)
 
     p_rep = sub.add_parser("reproduce", help="run a canned example")
     p_rep.add_argument("example_id")
     p_rep.add_argument("--out")
-    p_rep.add_argument("--depth", type=int)
-    p_rep.add_argument("--seed", type=int, default=0)
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_sur = sub.add_parser("survey", help="exhaustive finite-topology survey")
     p_sur.add_argument("--max-size", type=int, default=3)
     p_sur.add_argument("--out")
-    p_sur.add_argument("--seed", type=int, default=0)
     p_sur.set_defaults(func=cmd_survey)
 
     p_play = sub.add_parser("replay", help="re-verify certificates in a report")
@@ -506,8 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first call to main, not at import
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -218,11 +218,6 @@ def is_lsc(space: FiniteSpace, f: FiniteFunc) -> bool:
     return envelopes(space, f)[1] == f
 
 
-def is_continuous(space: FiniteSpace, f: FiniteFunc) -> bool:
-    up, lo = envelopes(space, f)
-    return up == f and lo == f
-
-
 def indicator(space: FiniteSpace, subset) -> FiniteFunc:
     """The 0/1 indicator of a point set (bitmask or iterable of points)."""
     mask = subset if isinstance(subset, int) else _mask(subset)

@@ -693,24 +693,32 @@ def countable_join_family(g: SeqFunc):
 def lindelof_extract(epsilon, family: Iterable[SeqFunc], budget: int = 1000):
     """Per-index witnesses from a family whose supremum exceeds epsilon.
 
-    For each natural k the stream is searched for a member exceeding
+    For each natural k the stream is searched in order for a member exceeding
     epsilon/2 at k; the emitted countable selection has join at least
-    epsilon/2.  The family is restarted per index (members are pure values).
-    Exhausting the budget raises, which the condition layer reports as an
-    unknown verdict at depth, never as a refutation.
+    epsilon/2.  The family stream is started once per extractor and each
+    member is realized once and reused across indices, so members must be
+    pure values.  Exhausting the budget raises, which the condition layer
+    reports as an unknown verdict at depth, never as a refutation.
     """
     eps = rat(epsilon)
     if eps <= 0:
         raise PreconditionViolation("epsilon must be positive")
-    family = family if callable(family) else (lambda fam: (lambda: iter(fam)))(list(family))
+    half = eps / 2
+    realized: list[SeqFunc] = [] if callable(family) else list(family)
+    source = None if callable(family) else iter(())
 
     def select(k: int):
-        for count, g in enumerate(family()):
-            val = g.at(k) if not g.has_omega else g.restrict_to_naturals().at(k)
-            if val > eps / 2:
-                return count, g
-            if count + 1 >= budget:
-                raise SearchBudgetExceeded(k, budget)
+        nonlocal source
+        for count in range(max(budget, 1)):  # the first member is always scanned
+            if count == len(realized):
+                if source is None:
+                    source = iter(family())
+                g = next(source, None)
+                if g is None:
+                    raise SearchBudgetExceeded(k, budget)
+                realized.append(g)
+            if realized[count].at(k) > half:  # k is natural: omega is never read
+                return count, realized[count]
         raise SearchBudgetExceeded(k, budget)
 
     def stream() -> Iterator[tuple[int, int, SeqFunc]]:

@@ -89,8 +89,12 @@ def parse_seq_func(data: dict) -> SeqFunc:
 
 
 def parse_finite_space(data: dict) -> FiniteSpace:
-    masks = frozenset(sum(1 << p for p in open_set) for open_set in data["opens"])
-    return FiniteSpace(data["points"], masks)
+    n = data["points"]
+    for open_set in data["opens"]:
+        for p in open_set:
+            if not 0 <= p < n:
+                raise PreconditionViolation(f"point index {p} outside the space of {n} points")
+    return FiniteSpace.from_sets(n, data["opens"])
 
 
 def parse_finite_func(data: dict) -> FiniteFunc:

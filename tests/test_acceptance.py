@@ -1,16 +1,19 @@
 """End-to-end acceptance criteria, one pass/fail line per criterion.
 
-Criteria 1-10 exercise the library at scale and append every emitted
-certificate to a shared pool; criterion 11 replays the whole pool through
-the independent verifier.  Run with ``pytest -s`` to see the lines live.
+Criteria 1-10 exercise the library at scale and record every certificate
+they emit; criterion 11 replays the whole pool through the independent
+verifier.  The pool fixture runs any criterion whose certificates are not
+recorded yet, so criterion 11 also passes when run alone or first.  Run with
+``pytest -s`` to see the lines live.
 """
 
-import functools
 import itertools
 import random
 import time
 from fractions import Fraction
 from functools import reduce
+
+import pytest
 
 from normlab.conditions import (
     FAILS,
@@ -52,27 +55,41 @@ from normlab.seq_model import (
 )
 from normlab.serialize import to_jsonable
 
-CERTS: list = []  # every payload emitted by criteria 1-10; replayed in 11
+BODIES: dict = {}  # criterion number -> body taking an ``emit`` callback
 
 
-def emit(payload) -> None:
-    CERTS.append(payload)
+@pytest.fixture(scope="module")
+def emitted() -> dict:
+    """Certificates recorded per criterion by the tests of this module."""
+    return {}
+
+
+def run_body(num, emitted) -> None:
+    payloads: list = []
+    BODIES[num](payloads.append)
+    emitted[num] = payloads
+
+
+def timed(num, label, budget, body) -> None:
+    start = time.perf_counter()
+    try:
+        body()
+    except BaseException:
+        print(f"\n[FAIL] criterion {num}: {label}")
+        raise
+    elapsed = time.perf_counter() - start
+    if budget is not None:
+        assert elapsed < budget, f"criterion {num} took {elapsed:.2f}s (budget {budget}s)"
+    print(f"\n[PASS] criterion {num}: {label} ({elapsed:.2f}s)")
 
 
 def criterion(num, label, budget=None):
+    """Register a criterion body and turn it into a test recording its certificates."""
     def deco(fn):
-        @functools.wraps(fn)
-        def run():
-            start = time.perf_counter()
-            try:
-                fn()
-            except BaseException:
-                print(f"\n[FAIL] criterion {num}: {label}")
-                raise
-            elapsed = time.perf_counter() - start
-            if budget is not None:
-                assert elapsed < budget, f"criterion {num} took {elapsed:.2f}s (budget {budget}s)"
-            print(f"\n[PASS] criterion {num}: {label} ({elapsed:.2f}s)")
+        BODIES[num] = fn
+
+        def run(emitted):
+            timed(num, label, budget, lambda: run_body(num, emitted))
         return run
     return deco
 
@@ -91,7 +108,7 @@ def random_space(rng: random.Random, n: int) -> FiniteSpace:
 
 
 @criterion(1, "merge valid on 200 random finite instances", budget=5.0)
-def test_criterion_1_merge_at_scale():
+def test_criterion_1_merge_at_scale(emit):
     rng = random.Random(101)
     for _ in range(200):
         space = random_space(rng, rng.randint(1, 6))
@@ -112,7 +129,7 @@ def test_criterion_1_merge_at_scale():
 
 
 @criterion(2, "iterative refinement rate on 50 feasible pairs", budget=10.0)
-def test_criterion_2_iteration_rate():
+def test_criterion_2_iteration_rate(emit):
     rng = random.Random(202)
     for _ in range(50):
         inst = random_feasible_x_pair(rng)
@@ -125,7 +142,7 @@ def test_criterion_2_iteration_rate():
 
 
 @criterion(3, "alternating indicator refutes convergent insertion", budget=1.0)
-def test_criterion_3_infeasible_pair():
+def test_criterion_3_infeasible_pair(emit):
     f = SeqFunc.periodic([1, 0])
     cert = insert_convergent(f, f)
     assert isinstance(cert, InfeasibleCert)
@@ -142,7 +159,7 @@ def test_criterion_3_infeasible_pair():
 
 
 @criterion(4, "subcover patching on 100 covers; every small subfamily defeated", budget=5.0)
-def test_criterion_4_compactness_machinery():
+def test_criterion_4_compactness_machinery(emit):
     rng = random.Random(404)
     for trial in range(100):
         bad = sorted(rng.sample(range(8), rng.randint(0, 4)))
@@ -177,7 +194,7 @@ def test_criterion_4_compactness_machinery():
 
 
 @criterion(5, "insertion decision agrees with brute-force oracle on 500 pairs", budget=10.0)
-def test_criterion_5_oracle_agreement():
+def test_criterion_5_oracle_agreement(emit):
     rng = random.Random(505)
     disagreements = 0
     for trial in range(500):
@@ -198,7 +215,7 @@ def test_criterion_5_oracle_agreement():
 
 
 @criterion(6, "compact-support ideal laws on 200 elements", budget=5.0)
-def test_criterion_6_ideal_laws():
+def test_criterion_6_ideal_laws(emit):
     rng = random.Random(606)
 
     def finite_support(rng):
@@ -229,7 +246,7 @@ def test_criterion_6_ideal_laws():
 
 
 @criterion(7, "truncation minorants, common zero set, radical maximality", budget=5.0)
-def test_criterion_7_local_compactness_and_radical():
+def test_criterion_7_local_compactness_and_radical(emit):
     rng = random.Random(707)
     for trial in range(100):
         limit = rand_rational(rng, 0, 3)
@@ -262,7 +279,7 @@ def test_criterion_7_local_compactness_and_radical():
 
 
 @criterion(8, "block indicators replay exactly on 100 generator sets", budget=10.0)
-def test_criterion_8_block_indicators():
+def test_criterion_8_block_indicators(emit):
     rng = random.Random(808)
     for trial in range(100):
         n = rng.randint(1, 6)
@@ -290,7 +307,7 @@ def test_criterion_8_block_indicators():
 
 
 @criterion(9, "compact-carrier insertion and open threshold separation", budget=10.0)
-def test_criterion_9_compact_carrier():
+def test_criterion_9_compact_carrier(emit):
     rng = random.Random(909)
     for trial in range(200):
         inst = random_usc_lsc_pair(rng)
@@ -318,7 +335,7 @@ def test_criterion_9_compact_carrier():
 
 
 @criterion(10, "survey of all topologies up to 4 points", budget=60.0)
-def test_criterion_10_survey():
+def test_criterion_10_survey(emit):
     from normlab.cli import survey_rows
 
     rows = survey_rows(4)
@@ -331,10 +348,22 @@ def test_criterion_10_survey():
     print(f"\n  converse (normal => always feasible) observed: {converse}")
 
 
-@criterion(11, "every emitted certificate replays through the independent verifier")
-def test_criterion_11_replay_everything():
-    assert len(CERTS) >= 280, "criteria 1-10 must run first and emit certificates"
-    result = verify_report(CERTS)
-    assert result["verified"] == len(CERTS)
-    bad = [c for c in result["checks"] if not c["ok"]]
-    assert result["ok"], bad
+@pytest.fixture
+def cert_pool(emitted) -> list:
+    """Every certificate of criteria 1-10, running those not yet run."""
+    for num in sorted(BODIES):
+        if num not in emitted:
+            run_body(num, emitted)
+    return [p for num in sorted(emitted) for p in emitted[num]]
+
+
+def test_criterion_11_replay_everything(cert_pool):
+    def replay_pool():
+        assert len(cert_pool) >= 280
+        result = verify_report(cert_pool)
+        assert result["verified"] == len(cert_pool)
+        bad = [c for c in result["checks"] if not c["ok"]]
+        assert result["ok"], bad
+
+    timed(11, "every emitted certificate replays through the independent verifier",
+          None, replay_pool)

@@ -131,3 +131,29 @@ def test_replay_detects_tampering(tmp_path, capsys):
     report["certificate"]["limsup_f"] = "2"  # forged certificate
     tampered = write(tmp_path, "tampered.json", report)
     assert main(["replay", tampered]) == 1
+
+
+@pytest.mark.parametrize("opens,named", [
+    ([[], [-1], [0, 1]], "/space/opens/1/0"),
+    ([[], [0, 0], [0, 1]], "/space/opens/1"),
+    ([[], [0, 5], [0, 1]], "point index 5"),
+])
+def test_check_bad_point_indices(tmp_path, capsys, opens, named):
+    payload = {
+        "model": "finite_full",
+        "space": {"points": 2, "opens": opens},
+        "condition": "N",
+        "instance": {},
+    }
+    path = write(tmp_path, "s.json", payload)
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and named in err
+
+
+def test_parser_reuse_keeps_no_options(tmp_path, capsys):
+    path = write(tmp_path, "s.json", SCENARIO_N_FAILS)
+    assert main(["check", path, "--depth", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["depth"] == 5
+    assert main(["check", path]) == 0
+    assert json.loads(capsys.readouterr().out)["depth"] == SCENARIO_N_FAILS["depth"]

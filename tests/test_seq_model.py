@@ -308,11 +308,83 @@ def test_lindelof_extract_and_budget():
     for k in range(10):
         idx, g = select(k)
         assert g.at(k) > Fraction(1, 2)
-    # a family that never covers index 0 exhausts its budget
+    # a family that never covers an index exhausts its budget there, and a
+    # finite family that runs out first reports the same index and budget
     bad = lambda: iter(SeqFunc.constant(0) for _ in range(100))
-    select_bad, _ = lindelof_extract(1, bad, budget=10)
-    with pytest.raises(SearchBudgetExceeded):
-        select_bad(0)
+    for family, k in ((bad, 0), (bad, 7), ([SeqFunc.constant(0)] * 3, 5)):
+        select_bad, _ = lindelof_extract(1, family, budget=10)
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            select_bad(k)
+        assert (exc.value.index, exc.value.budget) == (k, 10)
+
+
+def _restart_select(eps, family, k, budget):
+    """Reference selection: rescan the family from its start for index k."""
+    for count, g in enumerate(family()):
+        if g.restrict_to_naturals().at(k) > eps / 2:
+            return count, g
+        if count + 1 >= budget:
+            raise SearchBudgetExceeded(k, budget)
+    raise SearchBudgetExceeded(k, budget)
+
+
+def _outcome(select, k):
+    try:
+        return select(k)
+    except SearchBudgetExceeded as exc:
+        return ("exhausted", exc.index, exc.budget)
+
+
+@pytest.mark.parametrize("eps,delta", [(1, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 12))])
+def test_lindelof_extract_matches_restart_oracle(eps, delta):
+    member, stream, _ = noncompact_family(eps, delta)
+    # out of order, so picks vary in position and budget 8 runs out past index 70
+    scrambled = [member(n) for n in sorted(range(250), key=lambda n: (n % 10, n))]
+    cases = [(stream, stream, 1000), (scrambled, lambda: iter(scrambled), 8)]
+    for family, restart, budget in cases:
+        select, _ = lindelof_extract(eps, family, budget=budget)
+        oracle = lambda k: _restart_select(Fraction(eps), restart, k, budget)
+        for k in list(range(200)) + [150, 3, 0]:
+            assert _outcome(select, k) == _outcome(oracle, k)
+
+
+def test_lindelof_extract_starts_family_once():
+    _, stream, _ = noncompact_family(1, Fraction(1, 2))
+    starts = []
+
+    def family():
+        starts.append(1)
+        return stream()
+
+    select, picks = lindelof_extract(1, family, budget=50)
+    assert starts == []
+    for k in range(30):
+        select(k)
+    assert [k for k, _, _ in itertools.islice(picks(), 30)] == list(range(30))
+    assert starts == [1]
+
+
+@pytest.mark.parametrize("depth", [8, 64, 200])
+def test_l_route_realizes_linearly_many_members(depth, monkeypatch):
+    from normlab import conditions
+
+    realized = []
+
+    def counting_family(eps, delta):
+        member, stream, defeat = noncompact_family(eps, delta)
+
+        def counted():
+            for g in stream():
+                realized.append(g)
+                yield g
+
+        return member, counted, defeat
+
+    monkeypatch.setattr(conditions, "noncompact_family", counting_family)
+    report = conditions.check_condition(conditions.SeqXEndModel(), "L", {}, depth)
+    assert report.verdict == "holds"
+    assert len(report.certificate["picks"]) == depth
+    assert len(realized) <= depth + 1
 
 
 def test_restrict_and_with_omega_roundtrip():
