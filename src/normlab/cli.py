@@ -167,7 +167,15 @@ def _build_model(data):
     return SeqYEndModel()
 
 
-def _parse_instance(raw: dict) -> dict:
+# Conditions that read the pair f <= g on every model; (C) and (L) read a cover.
+PAIR_CONDITIONS = ("T", "BS", "S", "N", "D", "SL")
+
+
+def _parse_instance(raw: dict, condition: str) -> dict:
+    if condition in PAIR_CONDITIONS:
+        for key in ("f", "g"):
+            if key not in raw:
+                raise NormlabError(f"/instance/{key}: condition ({condition}) needs f and g")
     out = {}
     for key, value in raw.items():
         if key in ("f", "g"):
@@ -204,7 +212,7 @@ def cmd_check(args) -> int:
     depth = args.depth or data.get("depth", 32)
     try:
         model = _build_model(data)
-        instance = _parse_instance(data["instance"])
+        instance = _parse_instance(data["instance"], data["condition"])
         report = check_condition(model, data["condition"], instance, depth)
     except NormlabError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ model they are exercised at explicit truncation depth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -158,23 +159,24 @@ def midpoint_oracle(lower: AlgElement, upper: AlgElement, eps) -> AlgElement:
 def farey_fractions(q_max: int) -> list[Fraction]:
     """All fractions in [0, 1] with denominator at most q_max.
 
-    Enumerated by increasing denominator then numerator; duplicates removed
-    keeping first occurrence.  Consecutive values in sorted order differ by
-    at most 1/q_max.
+    Enumerated by increasing denominator then numerator, each value once, at
+    its reduced denominator (the order of first occurrence in the unreduced
+    enumeration); that is 1 + sum of phi(k) for k <= q_max values, built in
+    O(q_max^2) steps.  Consecutive values in sorted order differ by at most
+    1/q_max.
     """
     if q_max < 1:
         raise PreconditionViolation("denominator bound must be at least 1")
-    seen = []
-    for den in range(1, q_max + 1):
-        for num in range(den + 1):
-            v = Fraction(num, den)
-            if v not in seen:
-                seen.append(v)
-    return seen
+    return [Fraction(num, den) for den in range(1, q_max + 1)
+            for num in range(den + 1) if math.gcd(num, den) == 1]
 
 
 class FiniteUrysohnCarrier:
-    """Level sets and separation witnesses over a finite space."""
+    """Level sets and separation witnesses over a finite space.
+
+    Level sets are int bitmasks: hashable, and equal exactly when the sets
+    are, as :func:`urysohn_join_stream` requires of every carrier.
+    """
 
     def __init__(self, space: FiniteSpace):
         self.space = space
@@ -207,7 +209,12 @@ class FiniteUrysohnCarrier:
 
 
 class YUrysohnCarrier:
-    """Level sets and separation witnesses over the compactified naturals."""
+    """Level sets and separation witnesses over the compactified naturals.
+
+    Level sets are canonical 0/1 :class:`SeqFunc` indicators: hashable, and
+    equal exactly when the sets are, as :func:`urysohn_join_stream` requires
+    of every carrier.
+    """
 
     def check_pair(self, f: SeqFunc, g: SeqFunc):
         if not semicontinuity_on_y(f)["usc"]:
@@ -240,30 +247,47 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     takes a value of denominator at most q_max (at other points the Farey
     mesh only pins f down to its nearest grid values).  Results and
     certificate are reported in original coordinates.
+
+    Only distinct inputs do work: each level set is computed and hashed
+    once per grid value, the carrier separates each distinct (closed, open)
+    level pair once, and c_rs with its check c_rs <= g is formed once per
+    (level pair, r).  Carriers must therefore return hashable level sets
+    that compare equal exactly when the sets are equal.  The pair log still has one row
+    per pair r < s in scan order, so the certificate and the first error
+    raised are those of the plain per-pair loop.
     """
     carrier.check_pair(f, g)
     f1, g1, transform = rescale_to_unit(f, g)
     grid = farey_fractions(q_max)
     mesh = Fraction(1, q_max)
+    # Level sets are hashed once each, into small int ids that key the caches.
+    level_ids = {}
+    opens = [carrier.open_strict_superlevel(g1, r) for r in grid]
+    open_ids = [level_ids.setdefault(level, len(level_ids)) for level in opens]
+    separations = {}  # (closed id, open id) -> separation h
+    formed = set()  # (closed id, open id, index of r) whose c_rs is in parts
     parts = [f1.const_like(ZERO)]
     pair_log = []
     for s in grid:
-        for r in grid:
+        closed = carrier.closed_superlevel(f1, s)
+        closed_id = level_ids.setdefault(closed, len(level_ids))
+        for i, r in enumerate(grid):
             if not r < s:
                 continue
-            level_f = carrier.closed_superlevel(f1, s)
-            level_g = carrier.open_strict_superlevel(g1, r)
-            try:
-                h = carrier.urysohn(level_f, level_g)
-            except NormlabError as exc:
-                raise PreconditionViolation(
-                    f"urysohn oracle failed on pair (r={r}, s={s}): {exc}") from exc
-            c_rs = h * r
-            below_g = c_rs.le(g1)
-            pair_log.append({"r": r, "s": s, "c_below_g": below_g})
-            if not below_g:
-                raise PreconditionViolation(f"c_rs exceeds g on pair (r={r}, s={s})")
-            parts.append(c_rs)
+            key = (closed_id, open_ids[i])
+            if key not in separations:
+                try:
+                    separations[key] = carrier.urysohn(closed, opens[i])
+                except NormlabError as exc:
+                    raise PreconditionViolation(
+                        f"urysohn oracle failed on pair (r={r}, s={s}): {exc}") from exc
+            if (*key, i) not in formed:
+                c_rs = separations[key] * r
+                if not c_rs.le(g1):
+                    raise PreconditionViolation(f"c_rs exceeds g on pair (r={r}, s={s})")
+                parts.append(c_rs)
+                formed.add((*key, i))
+            pair_log.append({"r": r, "s": s, "c_below_g": True})
     joined = finite_join(parts)
     guarantee = []
     grid_set = set(grid)

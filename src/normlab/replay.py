@@ -318,7 +318,12 @@ def _verify_block_replay(payload, checks) -> None:
     """Rebuild block indicators from their traces with local arithmetic only."""
     gens = payload["generators"]
     n = gens[0]["space"]["points"]
-    for trace, ind in zip(payload["traces"], payload["indicators"]):
+    traces, indicators = payload["traces"], payload["indicators"]
+    points = sorted(x for trace in traces for x in trace["block"])
+    if not _check(checks, "block traces: one per indicator, blocks partition the points",
+                  len(traces) == len(indicators) and points == list(range(n))):
+        return
+    for trace, ind in zip(traces, indicators):
         values = [Fraction(1)] * n
         for ch in trace["choices"]:
             g = gens[ch["g_index"]]

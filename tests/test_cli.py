@@ -151,6 +151,19 @@ def test_check_bad_point_indices(tmp_path, capsys, opens, named):
     assert err.startswith("input error") and named in err
 
 
+@pytest.mark.parametrize("model", ["seq_x_end", "seq_y_end"])
+@pytest.mark.parametrize("cond", ["T", "BS", "S", "N", "D", "SL"])
+@pytest.mark.parametrize("present,missing", [((), "f"), (("f",), "g")])
+def test_check_missing_pair_is_input_error(tmp_path, capsys, model, cond, present, missing):
+    elem = {"cycle": ["1"], "omega": "1"} if model == "seq_y_end" else {"cycle": ["1"]}
+    payload = {"model": model, "condition": cond,
+               "instance": {key: elem for key in present}}
+    path = write(tmp_path, "s.json", payload)
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and f"/instance/{missing}" in err
+
+
 def test_parser_reuse_keeps_no_options(tmp_path, capsys):
     path = write(tmp_path, "s.json", SCENARIO_N_FAILS)
     assert main(["check", path, "--depth", "5"]) == 0

@@ -25,6 +25,8 @@ from normlab.finite_space import (
     separate,
     urysohn,
 )
+from normlab.replay import verify_report
+from normlab.serialize import to_jsonable
 
 SIERPINSKI = FiniteSpace.from_sets(2, [[], [0], [0, 1]])
 
@@ -169,6 +171,39 @@ def test_block_indicators_exact_partition():
             assert chi.values[x] == (1 if x in block else 0)
         rebuilt = replay_block_trace(space, gens, trace)
         assert rebuilt.eq_pointwise(chi)
+
+
+def _block_payload():
+    space = FiniteSpace.discrete(4)
+    gens = [FiniteFunc(space, [0, 1, 1, 2])]
+    indicators, traces = block_indicators(space, gens)
+    return {"block_replay": {"generators": to_jsonable(gens),
+                             "traces": to_jsonable(traces),
+                             "indicators": to_jsonable(indicators)}}
+
+
+def _drop_trace(p):
+    p["traces"].pop()
+
+
+def _drop_block(p):
+    p["traces"].pop()
+    p["indicators"].pop()
+
+
+def _repeat_block(p):
+    p["traces"].append(p["traces"][0])
+    p["indicators"].append(p["indicators"][0])
+
+
+@pytest.mark.parametrize("tamper", [_drop_trace, _drop_block, _repeat_block],
+                         ids=["drop-trace", "drop-block", "point-in-two-blocks"])
+def test_block_replay_tamper(tamper):
+    payload = _block_payload()
+    assert verify_report(payload)["ok"]
+    tamper(payload["block_replay"])
+    result = verify_report(payload)
+    assert result["verified"] == 1 and not result["ok"]
 
 
 def test_block_indicators_separating_gives_singletons():

@@ -1,17 +1,21 @@
 """Merge, iterative refinement, join streams, monotone approximation."""
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from normlab.conditions import random_finite_func, random_usc_lsc_pair
 from normlab.errors import (
     BoundViolation,
     EmptyFamily,
+    NormlabError,
     OracleContractViolation,
     PreconditionViolation,
 )
-from normlab.finite_space import FiniteFunc, FiniteSpace
+from normlab.finite_space import FiniteFunc, FiniteSpace, enumerate_spaces, envelopes
 from normlab.insertion_engine import (
     FiniteUrysohnCarrier,
     YUrysohnCarrier,
@@ -22,7 +26,10 @@ from normlab.insertion_engine import (
     tong_merge,
     urysohn_join_stream,
 )
+from normlab.lattice_core import finite_join, rescale_to_unit, unscale
+from normlab.rationals import ZERO
 from normlab.seq_model import SeqFunc
+from normlab.serialize import to_jsonable
 
 POINT = FiniteSpace.discrete(1)
 
@@ -138,6 +145,27 @@ def test_farey_enumeration():
     assert max(gaps) <= Fraction(1, 4)
 
 
+def _farey_by_list(q_max):
+    """The list-membership enumeration farey_fractions replaced."""
+    seen = []
+    for den in range(1, q_max + 1):
+        for num in range(den + 1):
+            v = Fraction(num, den)
+            if v not in seen:
+                seen.append(v)
+    return seen
+
+
+def test_farey_order_and_count():
+    for q in range(1, 13):
+        grid = farey_fractions(q)
+        assert grid == _farey_by_list(q)
+        phi = [sum(math.gcd(j, k) == 1 for j in range(1, k + 1)) for k in range(1, q + 1)]
+        assert len(grid) == 1 + sum(phi)
+    with pytest.raises(PreconditionViolation):
+        farey_fractions(0)
+
+
 def test_join_stream_continuous_pair_on_y():
     carrier = YUrysohnCarrier()
     f = SeqFunc([Fraction(1, 2)], (Fraction(3, 4),), Fraction(3, 4))
@@ -217,3 +245,171 @@ def test_increasing_approx_rejects_bad_bound():
     with pytest.raises(BoundViolation) as exc:
         increasing_approx(t, [const(0), const(1)], [0, Fraction(1, 2)])
     assert exc.value.step == 2
+
+
+def _per_pair_stream(carrier, f, g, q_max):
+    """The plain loop: level sets, separation and c_rs rebuilt for every pair."""
+    carrier.check_pair(f, g)
+    f1, g1, transform = rescale_to_unit(f, g)
+    grid = farey_fractions(q_max)
+    mesh = Fraction(1, q_max)
+    parts = [f1.const_like(ZERO)]
+    pair_log = []
+    for s in grid:
+        for r in grid:
+            if not r < s:
+                continue
+            level_f = carrier.closed_superlevel(f1, s)
+            level_g = carrier.open_strict_superlevel(g1, r)
+            try:
+                h = carrier.urysohn(level_f, level_g)
+            except NormlabError as exc:
+                raise PreconditionViolation(
+                    f"urysohn oracle failed on pair (r={r}, s={s}): {exc}") from exc
+            c_rs = h * r
+            below_g = c_rs.le(g1)
+            pair_log.append({"r": r, "s": s, "c_below_g": below_g})
+            if not below_g:
+                raise PreconditionViolation(f"c_rs exceeds g on pair (r={r}, s={s})")
+            parts.append(c_rs)
+    joined = finite_join(parts)
+    guarantee = []
+    grid_set = set(grid)
+    for p in f1.probe_points():
+        fv = f1.value_at(p)
+        if fv in grid_set:
+            ok = joined.value_at(p) >= fv - mesh
+            guarantee.append({"point": repr(p), "f_scaled": fv, "ok": ok})
+            if not ok:
+                raise BoundViolation(p, f"join below f - 1/{q_max}")
+    cert = {
+        "q_max": q_max,
+        "transform": transform,
+        "pairs": pair_log,
+        "guarantee_points": guarantee,
+        "join_below_g": joined.le(g1),
+    }
+    return unscale(joined, transform), cert
+
+
+def _outcome(stream, carrier, f, g, q):
+    """Serialized (joined, cert), or the error type and message."""
+    try:
+        return to_jsonable(stream(carrier, f, g, q))
+    except NormlabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_finite_cases(rng, count):
+    spaces = [s for n in range(1, 5) for s in enumerate_spaces(n)]
+    cases = []
+    while len(cases) < count:
+        space = rng.choice(spaces)
+        f, _ = envelopes(space, random_finite_func(space, rng, -2, 2, 4))
+        _, g = envelopes(space, random_finite_func(space, rng, -1, 3, 4))
+        if f.le(g):
+            cases.append((FiniteUrysohnCarrier(space), f, g))
+    return cases
+
+
+def _random_y_cases(rng, count):
+    return [(YUrysohnCarrier(), *random_usc_lsc_pair(rng).values()) for _ in range(count)]
+
+
+def test_join_stream_matches_per_pair_loop():
+    rng = random.Random(2024)
+    # a V-shaped space: closed points 0 and 1 share the open point 2
+    vee = FiniteSpace.from_sets(3, [[], [2], [0, 2], [1, 2], [0, 1, 2]])
+    infeasible = (FiniteUrysohnCarrier(vee), FiniteFunc(vee, [1, 0, 0]),
+                  FiniteFunc(vee, [1, 0, 1]))
+    cases = [infeasible] + _random_finite_cases(rng, 40) + _random_y_cases(rng, 25)
+    failures = 0
+    for carrier, f, g in cases:
+        q = rng.randint(1, 6)
+        expected = _outcome(_per_pair_stream, carrier, f, g, q)
+        assert _outcome(urysohn_join_stream, carrier, f, g, q) == expected
+        failures += isinstance(expected, tuple)
+    assert 0 < failures < len(cases)  # both the certificate and the error path ran
+
+
+def _y_func(prefix, cycle, omega):
+    return SeqFunc([Fraction(v) for v in prefix], [Fraction(v) for v in cycle], Fraction(omega))
+
+
+# The two fixed heavy-base pairs of the insertion benchmark's q = 12 jobs.
+HEAVY_Y_PAIRS = [
+    (_y_func(["3", "-1"], ["1/2", "3/4", "15/11"], "15/11"),
+     _y_func(["3"], ["27/7", "3", "25/6", "18/5"], "3")),
+    (_y_func(["-3", "-1/2"], ["0", "4/5", "7/4"], "7/4"),
+     _y_func(["89/28"], ["97/28", "37/12", "37/12", "15/4"], "7/4")),
+]
+
+
+def _counting(base):
+    class Counting(base):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls = Counter()
+            self.separated = Counter()
+
+        def closed_superlevel(self, f, s):
+            self.calls["closed"] += 1
+            return super().closed_superlevel(f, s)
+
+        def open_strict_superlevel(self, g, r):
+            self.calls["open"] += 1
+            return super().open_strict_superlevel(g, r)
+
+        def urysohn(self, closed_f, open_g):
+            self.separated[closed_f, open_g] += 1
+            return super().urysohn(closed_f, open_g)
+
+    return Counting
+
+
+def test_join_stream_separates_each_level_pair_once():
+    space = FiniteSpace.from_preorder(5, [17, 2, 4, 25, 16])
+    finite_f = FiniteFunc(space, [Fraction(-71, 40), Fraction(-8, 3), Fraction(-35, 22),
+                                  Fraction(-71, 40), Fraction(-46, 15)])
+    finite_g = FiniteFunc(space, [Fraction(7, 20), Fraction(-5, 3), Fraction(-1, 11),
+                                  Fraction(1, 10), Fraction(7, 20)])
+    cases = [(FiniteUrysohnCarrier, (space,), finite_f, finite_g),
+             (YUrysohnCarrier, (), *HEAVY_Y_PAIRS[0])]
+    for base, args, f, g in cases:
+        q = 8
+        grid = farey_fractions(q)
+        f1, g1, _ = rescale_to_unit(f, g)
+        plain = base(*args)
+        keys = {(plain.closed_superlevel(f1, s), plain.open_strict_superlevel(g1, r))
+                for s in grid for r in grid if r < s}
+        carrier = _counting(base)(*args)
+        _, cert = urysohn_join_stream(carrier, f, g, q)
+        assert carrier.calls == {"closed": len(grid), "open": len(grid)}
+        assert set(carrier.separated) == keys
+        assert set(carrier.separated.values()) == {1}
+        assert len(keys) < len(cert["pairs"])
+
+
+def test_join_stream_oracle_error_matches_per_pair_loop():
+    f, g = HEAVY_Y_PAIRS[1]
+    f1, g1, _ = rescale_to_unit(f, g)
+    grid = farey_fractions(6)
+    plain = YUrysohnCarrier()
+    order = []
+    for s in grid:
+        for r in grid:
+            key = (plain.closed_superlevel(f1, s), plain.open_strict_superlevel(g1, r))
+            if r < s and key not in order:
+                order.append(key)
+    assert len(order) > 3
+
+    class Refusing(YUrysohnCarrier):
+        def urysohn(self, closed_f, open_g):
+            if (closed_f, open_g) == order[3]:
+                raise PreconditionViolation("refused")
+            return super().urysohn(closed_f, open_g)
+
+    expected = _outcome(_per_pair_stream, Refusing(), f, g, 6)
+    assert expected[0] == "PreconditionViolation" and "refused" in expected[1]
+    assert _outcome(urysohn_join_stream, Refusing(), f, g, 6) == expected
+

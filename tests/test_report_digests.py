@@ -1,17 +1,23 @@
-"""Golden sha256 digests of CLI report bytes.
+"""Golden sha256 digests of CLI report bytes and of Urysohn join certificates.
 
 Every ``check``, ``replay`` and ``reproduce`` report must stay byte-identical
 across refactors and optimizations.  Each digest below is the sha256 of the
-command's stdout; a change to any of them is a change to the report format or
-to a verdict or certificate, and needs a deliberate update here.
+command's stdout, or of the serialized ``urysohn_join_stream`` output; a change
+to any of them is a change to the report format or to a verdict or
+certificate, and needs a deliberate update here.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from normlab.cli import CATALOG, main
+from normlab.finite_space import FiniteFunc, FiniteSpace
+from normlab.insertion_engine import FiniteUrysohnCarrier, YUrysohnCarrier, urysohn_join_stream
+from normlab.seq_model import SeqFunc
+from normlab.serialize import to_jsonable
 
 X_PAIR = {
     "f": {"prefix": ["0", "1/2"], "cycle": ["0", "1/3"]},
@@ -125,6 +131,46 @@ def test_reproduce_digests(example_id, capsys):
     assert _digest(capsys.readouterr().out) == REPRODUCE_DIGESTS[example_id]
 
 
+def _y_func(prefix, cycle, omega):
+    return SeqFunc([Fraction(v) for v in prefix], [Fraction(v) for v in cycle], Fraction(omega))
+
+
+def _finite_func(space, values):
+    return FiniteFunc(space, [Fraction(v) for v in values])
+
+
+_SPACE5 = FiniteSpace.from_preorder(5, [17, 2, 4, 25, 16])
+
+# Inputs of urysohn_join_stream at q_max = 12: the two heavy-base pairs of the
+# insertion benchmark's finest-mesh jobs and a 5-point finite pair.
+URYSOHN_CASES = {
+    "y-heavy-1": (YUrysohnCarrier(),
+                  _y_func(["3", "-1"], ["1/2", "3/4", "15/11"], "15/11"),
+                  _y_func(["3"], ["27/7", "3", "25/6", "18/5"], "3")),
+    "y-heavy-2": (YUrysohnCarrier(),
+                  _y_func(["-3", "-1/2"], ["0", "4/5", "7/4"], "7/4"),
+                  _y_func(["89/28"], ["97/28", "37/12", "37/12", "15/4"], "7/4")),
+    "finite-5pt": (FiniteUrysohnCarrier(_SPACE5),
+                   _finite_func(_SPACE5, ["-71/40", "-8/3", "-35/22", "-71/40", "-46/15"]),
+                   _finite_func(_SPACE5, ["7/20", "-5/3", "-1/11", "1/10", "7/20"])),
+}
+
+# sha256 of json.dumps(to_jsonable((joined, cert)), sort_keys=True)
+URYSOHN_DIGESTS = {
+    "y-heavy-1": "9bdbbff0ea6857e1af3e85f0c59e5ebd20bc5a52fe0a21614c4b08de951a29a1",
+    "y-heavy-2": "b7dd77c856fa0d842ac1b96615e14732d24d5d1d07a4766dd7dc77e9ba5753d8",
+    "finite-5pt": "8c5c1513f55bc4c0a2fee0dbb5e47f82b4645ed4303d6d252aa63213d9b02a03",
+}
+
+
+@pytest.mark.parametrize("name", sorted(URYSOHN_DIGESTS))
+def test_urysohn_join_stream_digests(name):
+    carrier, f, g = URYSOHN_CASES[name]
+    out = urysohn_join_stream(carrier, f, g, 12)
+    assert _digest(json.dumps(to_jsonable(out), sort_keys=True)) == URYSOHN_DIGESTS[name]
+
+
 def test_digest_tables_cover_every_case():
     assert set(CHECK_DIGESTS) == {(m, c, d) for m, c in INSTANCES for d in (8, 64)}
     assert set(REPRODUCE_DIGESTS) == set(CATALOG)
+    assert set(URYSOHN_DIGESTS) == set(URYSOHN_CASES)
