@@ -169,21 +169,36 @@ def _build_model(data):
 
 # Conditions that read the pair f <= g on every model; (C) and (L) read a cover.
 PAIR_CONDITIONS = ("T", "BS", "S", "N", "D", "SL")
+# Models whose (C) and (L) read epsilon whenever the instance gives a family.
+EPSILON_MODELS = ("finite_full", "seq_y_end")
 
 
-def _parse_instance(raw: dict, condition: str) -> dict:
+def _parse_instance(raw: dict, condition: str, model: str) -> dict:
     if condition in PAIR_CONDITIONS:
         for key in ("f", "g"):
             if key not in raw:
                 raise NormlabError(f"/instance/{key}: condition ({condition}) needs f and g")
+    if (condition in ("C", "L", "SL") and model in EPSILON_MODELS
+            and "family" in raw and "epsilon" not in raw):
+        raise NormlabError(
+            f"/instance/epsilon: condition ({condition}) on {model} needs epsilon with a family")
+    finite = model == "finite_full"
+
+    def element(value, pointer):
+        # the schema admits exactly one of the two encodings per element
+        if ("values" in value) != finite:
+            carrier = "finite functions" if finite else "sequences"
+            raise NormlabError(f"{pointer}: model {model} takes {carrier}")
+        return parse_element(value)
+
     out = {}
     for key, value in raw.items():
         if key in ("f", "g"):
-            out[key] = parse_element(value)
+            out[key] = element(value, f"/instance/{key}")
         elif key in ("epsilon", "delta"):
             out[key] = parse_rational(value)
         elif key == "family":
-            out[key] = [parse_element(v) for v in value]
+            out[key] = [element(v, f"/instance/family/{i}") for i, v in enumerate(value)]
         else:
             out[key] = value
     return out
@@ -212,7 +227,7 @@ def cmd_check(args) -> int:
     depth = args.depth or data.get("depth", 32)
     try:
         model = _build_model(data)
-        instance = _parse_instance(data["instance"], data["condition"])
+        instance = _parse_instance(data["instance"], data["condition"], data["model"])
         report = check_condition(model, data["condition"], instance, depth)
     except NormlabError as exc:
         print(f"input error: {exc}", file=sys.stderr)

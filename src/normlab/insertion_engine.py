@@ -108,8 +108,12 @@ def dieudonne_iterate(oracle: Oracle, f: AlgElement, g: AlgElement, steps: int) 
     (f - 1/2^{m+1}) v (a_m - 1/2^m) and g ^ (a_m + 1/2^m) at gap 1/2^{m+1}.
     Both loop invariants are checked exactly at every step:
     (1) f - 1/2^n <= a_n <= g, and (2) a_n - 1/2^n <= a_{n+1} <= a_n + 1/2^n;
-    the tail bound ||a_{n+p} - a_n|| <= 2^{1-n} is then verified for every
-    recorded pair.
+    the shifted elements each step needs are built once and serve both the
+    sandwich and the invariant checks.  The tail bound
+    ||a_{n+p} - a_n|| <= 2^{1-n} is then verified for every recorded pair,
+    through the suffix joins and meets of the sequence (see
+    :func:`_check_cauchy_tail`): the same predicate as the pairwise loop, in
+    O(steps) element operations.
     """
     if steps < 1:
         raise PreconditionViolation("at least one step is required")
@@ -120,13 +124,12 @@ def dieudonne_iterate(oracle: Oracle, f: AlgElement, g: AlgElement, steps: int) 
     bounds: list[Fraction] = []
     for m in range(1, steps + 1):
         eps = Fraction(1, 2 ** m)
+        f_lo = f - eps
         if m == 1:
-            lower, upper = f - eps, g
+            lower, upper = f_lo, g
         else:
-            prev = a_seq[-1]
-            prev_eps = bounds[-1]
-            lower = (f - eps).join(prev - prev_eps)
-            upper = g.meet(prev + prev_eps)
+            prev_lo, prev_hi = a_seq[-1] - bounds[-1], a_seq[-1] + bounds[-1]
+            lower, upper = f_lo.join(prev_lo), g.meet(prev_hi)
         gap_bad = (lower + eps).first_violation(upper)
         if gap_bad is not None:
             raise PreconditionViolation(
@@ -134,21 +137,37 @@ def dieudonne_iterate(oracle: Oracle, f: AlgElement, g: AlgElement, steps: int) 
         a = oracle(lower, upper, eps)
         if not lower.le(a) or not a.le(upper):
             raise OracleContractViolation(m, a, "witness outside its sandwich")
-        if not (f - eps).le(a) or not a.le(g):
+        if not f_lo.le(a) or not a.le(g):
             raise OracleContractViolation(m, a, "invariant (1) broken")
-        if a_seq:
-            prev = a_seq[-1]
-            if not (prev - bounds[-1]).le(a) or not a.le(prev + bounds[-1]):
-                raise OracleContractViolation(m, a, "invariant (2) broken")
+        if a_seq and (not prev_lo.le(a) or not a.le(prev_hi)):
+            raise OracleContractViolation(m, a, "invariant (2) broken")
         a_seq.append(a)
         bounds.append(eps)
-    for i in range(len(a_seq)):
+    _check_cauchy_tail(a_seq)
+    return IterationTrace(a_seq, bounds)
+
+
+def _check_cauchy_tail(a_seq: Sequence[AlgElement]) -> None:
+    """Raise BoundViolation at the first pair i < j with ||a_j - a_i|| > 2^{1-i}.
+
+    With hi_i and lo_i the join and meet of a_j over j > i (built once, from
+    the end), max_{j>i} ||a_j - a_i|| = ||(hi_i - a_i) v (a_i - lo_i)||
+    exactly, so each i costs a few element operations.  Only a failing i
+    scans its j in order, to report the pair the pairwise loop would.
+    """
+    spreads = []  # max over j > i of ||a_j - a_i||, for i from the end
+    hi = lo = a_seq[-1]
+    for a in reversed(a_seq[:-1]):
+        spreads.append(((hi - a).join(a - lo)).norm())
+        hi, lo = hi.join(a), lo.meet(a)
+    for i, spread in enumerate(reversed(spreads)):
         tail = Fraction(2, 2 ** (i + 1))
+        if spread <= tail:
+            continue
         for j in range(i + 1, len(a_seq)):
             delta = (a_seq[j] - a_seq[i]).norm()
             if delta > tail:
                 raise BoundViolation(i + 1, f"tail {delta} exceeds {tail}")
-    return IterationTrace(a_seq, bounds)
 
 
 def midpoint_oracle(lower: AlgElement, upper: AlgElement, eps) -> AlgElement:

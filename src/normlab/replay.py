@@ -5,6 +5,8 @@ reports, insertion certificates, block-indicator traces) from the JSON alone.
 The module deliberately shares no evaluation code with the checkers that
 produced the certificates: it carries its own tiny evaluators for the two
 carrier encodings, so a bug in a searcher cannot hide in its own replay.
+Merge and iteration traces parse each element once per payload into rows of
+values over the probe points, and every check then works on those rows.
 
 ``verify_report`` walks any JSON value, verifies every recognizable payload,
 and reports one line per check.
@@ -72,12 +74,36 @@ def _value(d, p) -> Fraction:
     raise ValueError("unknown element encoding")
 
 
+def _evaluator(d):
+    """Parse an element's values once; returns its point -> Fraction map."""
+    if _is_seq(d):
+        prefix = [_frac(v) for v in d.get("prefix", [])]
+        cycle = [_frac(v) for v in d["cycle"]]
+        omega = _seq_omega(d)
+
+        def at(p):
+            if p == "omega":
+                return omega
+            if p < len(prefix):
+                return prefix[p]
+            return cycle[(p - len(prefix)) % len(cycle)]
+        return at
+    if _is_finite_func(d):
+        return [_frac(v) for v in d["values"]].__getitem__
+    raise ValueError("unknown element encoding")
+
+
+def _rows(elems, pts) -> list[list[Fraction]]:
+    """Each element's values over the probe points, parsed once."""
+    return [[at(p) for p in pts] for at in map(_evaluator, elems)]
+
+
+def _row_le(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
 def _le(a, b, pts) -> bool:
     return all(_value(a, p) <= _value(b, p) for p in pts)
-
-
-def _eq(a, b, pts) -> bool:
-    return all(_value(a, p) == _value(b, p) for p in pts)
 
 
 def _seq_convergent(d) -> bool:
@@ -109,27 +135,28 @@ def _verify_merge(trace, checks) -> None:
     _check(checks, "merge: aligned sequence lengths", ok_shape)
     if not ok_shape:
         return
-    _check(checks, "merge: a nonincreasing", all(_le(a[i + 1], a[i], pts) for i in range(n - 1)))
-    _check(checks, "merge: b nondecreasing", all(_le(b[i], b[i + 1], pts) for i in range(n - 1)))
-    for p in pts:
+    a, b, u, v = (_rows(x, pts) for x in (a, b, u, v))
+    res = _rows([res], pts)[0]
+    _check(checks, "merge: a nonincreasing", all(_row_le(a[i + 1], a[i]) for i in range(n - 1)))
+    _check(checks, "merge: b nondecreasing", all(_row_le(b[i], b[i + 1]) for i in range(n - 1)))
+    for k in range(len(pts)):
         run = None
         for i in range(n):
-            term = min(_value(a[i], p), _value(b[i], p))
+            term = min(a[i][k], b[i][k])
             run = term if run is None else max(run, term)
-            if run != _value(u[i], p):
+            if run != u[i][k]:
                 _check(checks, f"merge: u_{i + 1} recomputed", False)
                 return
-            if max(run, _value(a[i], p)) != _value(v[i], p):
+            if max(run, a[i][k]) != v[i][k]:
                 _check(checks, f"merge: v_{i + 1} recomputed", False)
                 return
     _check(checks, "merge: u, v recomputed", True)
-    _check(checks, "merge: result = last u", _eq(res, u[-1], pts))
-    _check(checks, "merge: result = meet of v",
-           all(_value(res, p) == min(_value(vi, p) for vi in v) for p in pts))
+    _check(checks, "merge: result = last u", res == u[-1])
+    _check(checks, "merge: result = meet of v", res == [min(col) for col in zip(*v)])
     _check(checks, "merge: meet a <= result <= join b",
-           _le(a[-1], res, pts) and _le(res, b[-1], pts))
+           _row_le(a[-1], res) and _row_le(res, b[-1]))
     for i in range(n):
-        if not _le(u[-1], v[i], pts):
+        if not _row_le(u[-1], v[i]):
             _check(checks, f"merge: u <= v_{i + 1}", False)
             return
     _check(checks, "merge: u below every v_n", True)
@@ -139,29 +166,32 @@ def _verify_iteration(trace, checks) -> None:
     a = trace["a_seq"]
     bounds = [_frac(b) for b in trace["step_bounds"]]
     pts = _points(*a)
+    a_at = [_evaluator(d) for d in a]
+    rows = [[at(p) for p in pts] for at in a_at]
     _check(checks, "iteration: bounds are 1/2^n",
            all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
     ok = True
     for i in range(len(a) - 1):
-        for p in pts:
-            if abs(_value(a[i + 1], p) - _value(a[i], p)) > bounds[i]:
-                ok = False
+        if any(abs(y - x) > bounds[i] for x, y in zip(rows[i], rows[i + 1])):
+            ok = False
     _check(checks, "iteration: step bound |a_{n+1} - a_n| <= 1/2^n", ok)
+    # max over j > i of |a_j - a_i| at each point, from running suffix max/min
     ok = True
-    for i in range(len(a)):
+    hi = lo = rows[-1] if rows else None
+    for i in range(len(a) - 2, -1, -1):
         tail = Fraction(2, 2 ** (i + 1))
-        for j in range(i + 1, len(a)):
-            delta = max(abs(_value(a[j], p) - _value(a[i], p)) for p in pts)
-            if delta > tail:
-                ok = False
+        if any(h - x > tail or x - l > tail for x, h, l in zip(rows[i], hi, lo)):
+            ok = False
+        hi, lo = list(map(max, hi, rows[i])), list(map(min, lo, rows[i]))
     _check(checks, "iteration: Cauchy tail ||a_{n+p} - a_n|| <= 2^{1-n}", ok)
     f, g = trace.get("f"), trace.get("g")
     if f is not None and g is not None:
+        f_at, g_at = _evaluator(f), _evaluator(g)
         ok = True
         for i in range(len(a)):
             eps = bounds[i]
             for p in _points(f, g, a[i]):
-                if not _value(f, p) - eps <= _value(a[i], p) <= _value(g, p):
+                if not f_at(p) - eps <= a_at[i](p) <= g_at(p):
                     ok = False
         _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
 

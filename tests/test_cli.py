@@ -170,3 +170,60 @@ def test_parser_reuse_keeps_no_options(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["depth"] == 5
     assert main(["check", path]) == 0
     assert json.loads(capsys.readouterr().out)["depth"] == SCENARIO_N_FAILS["depth"]
+
+
+FINITE_SPACE_2 = {"points": 2, "opens": [[], [0], [0, 1]]}
+FINITE_ELEM = {"space": FINITE_SPACE_2, "values": ["1", "2"]}
+MODEL_ELEMS = {
+    "seq_x_end": {"cycle": ["1"]},
+    "seq_y_end": {"cycle": ["2"], "omega": "2"},
+    "finite_full": FINITE_ELEM,
+}
+
+
+def _scenario(model, cond, instance):
+    payload = {"model": model, "condition": cond, "instance": instance}
+    if model == "finite_full":
+        payload["space"] = FINITE_SPACE_2
+    return payload
+
+
+@pytest.mark.parametrize("model", ["seq_y_end", "finite_full"])
+@pytest.mark.parametrize("cond", ["C", "L", "SL"])
+def test_check_family_without_epsilon_is_input_error(tmp_path, capsys, model, cond):
+    elem = MODEL_ELEMS[model]
+    instance = {"family": [elem]}
+    if cond == "SL":
+        instance.update(f=elem, g=elem)
+    path = write(tmp_path, "s.json", _scenario(model, cond, instance))
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and "/instance/epsilon" in err
+    instance["epsilon"] = "1"
+    path = write(tmp_path, "s.json", _scenario(model, cond, instance))
+    assert main(["check", path]) == 0
+
+
+@pytest.mark.parametrize("model,alien", [
+    ("seq_x_end", FINITE_ELEM),
+    ("seq_y_end", FINITE_ELEM),
+    ("finite_full", {"cycle": ["1"]}),
+    ("finite_full", {"cycle": ["1"], "omega": "1"}),
+])
+@pytest.mark.parametrize("cond,key,named", [
+    ("N", "f", "/instance/f"),
+    ("T", "g", "/instance/g"),
+    ("C", "family", "/instance/family/3"),
+])
+def test_check_element_off_the_model_carrier_is_input_error(
+        tmp_path, capsys, model, alien, cond, key, named):
+    own = MODEL_ELEMS[model]
+    instance = {"f": own, "g": own, "epsilon": "1", "family": [own] * 4}
+    if key == "family":
+        instance["family"][3] = alien
+    else:
+        instance[key] = alien
+    path = write(tmp_path, "s.json", _scenario(model, cond, instance))
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error") and named in err

@@ -1,5 +1,6 @@
 """Merge, iterative refinement, join streams, monotone approximation."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from normlab.conditions import random_finite_func, random_usc_lsc_pair
+from normlab.conditions import random_finite_func, random_seq_func, random_usc_lsc_pair
 from normlab.errors import (
     BoundViolation,
     EmptyFamily,
@@ -18,7 +19,9 @@ from normlab.errors import (
 from normlab.finite_space import FiniteFunc, FiniteSpace, enumerate_spaces, envelopes
 from normlab.insertion_engine import (
     FiniteUrysohnCarrier,
+    IterationTrace,
     YUrysohnCarrier,
+    _check_cauchy_tail,
     dieudonne_iterate,
     farey_fractions,
     increasing_approx,
@@ -28,6 +31,16 @@ from normlab.insertion_engine import (
 )
 from normlab.lattice_core import finite_join, rescale_to_unit, unscale
 from normlab.rationals import ZERO
+from normlab.replay import (
+    _check,
+    _frac,
+    _le,
+    _points,
+    _value,
+    _verify_iteration,
+    _verify_merge,
+    verify_report,
+)
 from normlab.seq_model import SeqFunc
 from normlab.serialize import to_jsonable
 
@@ -413,3 +426,301 @@ def test_join_stream_oracle_error_matches_per_pair_loop():
     assert expected[0] == "PreconditionViolation" and "refused" in expected[1]
     assert _outcome(urysohn_join_stream, Refusing(), f, g, 6) == expected
 
+
+# -- Cauchy tail of the Dieudonné iteration ---------------------------------
+
+def _pairwise_tail(a_seq):
+    """The plain loop: every pair i < j, first failing pair raises."""
+    for i in range(len(a_seq)):
+        tail = Fraction(2, 2 ** (i + 1))
+        for j in range(i + 1, len(a_seq)):
+            delta = (a_seq[j] - a_seq[i]).norm()
+            if delta > tail:
+                raise BoundViolation(i + 1, f"tail {delta} exceeds {tail}")
+
+
+def _tail_outcome(check, a_seq):
+    try:
+        check(a_seq)
+    except BoundViolation as exc:
+        return exc.step, str(exc)
+    return None
+
+
+def _random_element(rng, carrier):
+    """A random element on the finite, sequence or compactified carrier."""
+    if carrier == "finite":
+        return random_finite_func(FiniteSpace.discrete(4), rng)
+    f = random_seq_func(rng)
+    return f.with_omega(f.cycle[0]) if carrier == "y" else f
+
+
+def _random_refining_seq(rng, carrier, steps):
+    """a_n = a_1 + sum of increments of size about scale/2^k: a Cauchy tail or not."""
+    scale = rng.choice([Fraction(1, 2), 1, 2, 4])
+    a_seq = [_random_element(rng, carrier)]
+    for k in range(2, steps + 1):
+        step = _random_element(rng, carrier) * Fraction(scale, 3 * 2 ** k)
+        a_seq.append(a_seq[-1] + step)
+    return a_seq
+
+
+def test_cauchy_tail_matches_pairwise_loop():
+    rng = random.Random(31)
+    outcomes = []
+    for carrier in ("finite", "seq", "y"):
+        for _ in range(25):
+            a_seq = _random_refining_seq(rng, carrier, rng.randint(1, 9))
+            expected = _tail_outcome(_pairwise_tail, a_seq)
+            assert _tail_outcome(_check_cauchy_tail, a_seq) == expected
+            outcomes.append(expected)
+    assert None in outcomes and any(outcomes)  # both the pass and the fail path ran
+
+
+def test_cauchy_tail_reports_first_failing_pair():
+    # a_3 and a_4 both leave a_2 by more than 2^{1-3} = 1/4; the first j wins
+    bump = SeqFunc.from_support({1: 1}, 0, omega=0)
+    a_seq = [bump * v for v in (0, 0, 0, Fraction(3, 8), Fraction(1, 2), Fraction(1, 2))]
+    with pytest.raises(BoundViolation) as exc:
+        _check_cauchy_tail(a_seq)
+    assert exc.value.step == 3
+    assert str(exc.value) == "approximation bound violated at step 3: tail 3/8 exceeds 1/4"
+    assert _tail_outcome(_pairwise_tail, a_seq) == (3, str(exc.value))
+
+
+def test_iterate_makes_linearly_many_zip_with_calls(monkeypatch):
+    calls = Counter()
+    zip_with = SeqFunc.zip_with
+
+    def counting(self, other, fn):
+        calls["zip_with"] += 1
+        return zip_with(self, other, fn)
+
+    monkeypatch.setattr(SeqFunc, "zip_with", counting)
+    f = SeqFunc([Fraction(1, 3), -2], [0, Fraction(5, 4), Fraction(-1, 2)])
+    g = SeqFunc([2, -1], [Fraction(3, 2), Fraction(7, 4), Fraction(5, 4), Fraction(3, 2)])
+    steps = 24
+    dieudonne_iterate(midpoint_oracle, f, g, steps)
+    # one fixed set of element operations per step; the 276 pairs of the
+    # pairwise tail check alone would be 11.5 per step more
+    assert calls["zip_with"] <= 20 * steps
+
+
+# -- replay of iteration and merge traces ------------------------------------
+
+def _eq(a, b, pts) -> bool:
+    return all(_value(a, p) == _value(b, p) for p in pts)
+
+
+def _verify_merge_per_value(trace, checks) -> None:
+    """Merge verifier that parses each value where it is read."""
+    a, b = trace["a_norm"], trace["b_norm"]
+    u, v = trace["u_seq"], trace["v_seq"]
+    res = trace["result"]
+    pts = _points(*(a + b + u + v + [res]))
+    n = len(a)
+    ok_shape = len(b) == n and len(u) == n and len(v) == n
+    _check(checks, "merge: aligned sequence lengths", ok_shape)
+    if not ok_shape:
+        return
+    _check(checks, "merge: a nonincreasing", all(_le(a[i + 1], a[i], pts) for i in range(n - 1)))
+    _check(checks, "merge: b nondecreasing", all(_le(b[i], b[i + 1], pts) for i in range(n - 1)))
+    for p in pts:
+        run = None
+        for i in range(n):
+            term = min(_value(a[i], p), _value(b[i], p))
+            run = term if run is None else max(run, term)
+            if run != _value(u[i], p):
+                _check(checks, f"merge: u_{i + 1} recomputed", False)
+                return
+            if max(run, _value(a[i], p)) != _value(v[i], p):
+                _check(checks, f"merge: v_{i + 1} recomputed", False)
+                return
+    _check(checks, "merge: u, v recomputed", True)
+    _check(checks, "merge: result = last u", _eq(res, u[-1], pts))
+    _check(checks, "merge: result = meet of v",
+           all(_value(res, p) == min(_value(vi, p) for vi in v) for p in pts))
+    _check(checks, "merge: meet a <= result <= join b",
+           _le(a[-1], res, pts) and _le(res, b[-1], pts))
+    for i in range(n):
+        if not _le(u[-1], v[i], pts):
+            _check(checks, f"merge: u <= v_{i + 1}", False)
+            return
+    _check(checks, "merge: u below every v_n", True)
+
+
+def _verify_iteration_pairwise(trace, checks) -> None:
+    """Iteration verifier that checks the Cauchy tail pair by pair."""
+    a = trace["a_seq"]
+    bounds = [_frac(b) for b in trace["step_bounds"]]
+    pts = _points(*a)
+    _check(checks, "iteration: bounds are 1/2^n",
+           all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
+    ok = True
+    for i in range(len(a) - 1):
+        for p in pts:
+            if abs(_value(a[i + 1], p) - _value(a[i], p)) > bounds[i]:
+                ok = False
+    _check(checks, "iteration: step bound |a_{n+1} - a_n| <= 1/2^n", ok)
+    ok = True
+    for i in range(len(a)):
+        tail = Fraction(2, 2 ** (i + 1))
+        for j in range(i + 1, len(a)):
+            delta = max(abs(_value(a[j], p) - _value(a[i], p)) for p in pts)
+            if delta > tail:
+                ok = False
+    _check(checks, "iteration: Cauchy tail ||a_{n+p} - a_n|| <= 2^{1-n}", ok)
+    f, g = trace.get("f"), trace.get("g")
+    if f is not None and g is not None:
+        ok = True
+        for i in range(len(a)):
+            eps = bounds[i]
+            for p in _points(f, g, a[i]):
+                if not _value(f, p) - eps <= _value(a[i], p) <= _value(g, p):
+                    ok = False
+        _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
+
+
+def _element_values(d):
+    """The value strings of a serialized element, for tampering in place."""
+    return d["values"] if "values" in d else d["cycle"]
+
+
+def _tamper(rng, payload, keys):
+    """A copy with one value of one element under a random key moved by a random amount."""
+    out = json.loads(json.dumps(payload))
+    key = rng.choice(keys)
+    elem = out[key] if isinstance(out[key], dict) else rng.choice(out[key])
+    values = _element_values(elem)
+    k = rng.randrange(len(values))
+    values[k] = to_jsonable(Fraction(values[k]) + rng.choice([-1, 1]) * Fraction(1, 2 ** rng.randint(0, 30)))
+    return out
+
+
+def _hidden_jump_payloads(sign):
+    """A trace whose steps move by their full bound, and the same trace with the
+    jump a_3 -> a_4 doubled along with its recorded bound."""
+    bump = SeqFunc.from_support({0: 1, 2: 1}, 0) * sign
+    a_seq = [bump * (1 - Fraction(1, 2 ** n)) for n in range(8)]
+    bounds = [Fraction(1, 2 ** n) for n in range(1, 9)]
+    k = 2
+    jump = a_seq[k + 1] - a_seq[k]
+    hidden = a_seq[:k + 1] + [a + jump for a in a_seq[k + 1:]]
+    doubled = bounds[:k] + [2 * bounds[k]] + bounds[k + 1:]
+    pair = {"f": to_jsonable(SeqFunc.constant(-2)), "g": to_jsonable(SeqFunc.constant(2))}
+    return [{**to_jsonable(IterationTrace(a, b)), **pair}
+            for a, b in ((a_seq, bounds), (hidden, doubled))]
+
+
+def _iteration_payloads(rng):
+    out = _hidden_jump_payloads(1) + _hidden_jump_payloads(-1)
+    for carrier in ("finite", "seq", "y"):
+        for steps in (1, 2, 7, 12):
+            f = _random_element(rng, carrier)
+            g = f + _random_element(rng, carrier).join(f.const_like(0)) + Fraction(1, 8)
+            trace = to_jsonable(dieudonne_iterate(midpoint_oracle, f, g, steps))
+            with_pair = {**trace, "f": to_jsonable(f), "g": to_jsonable(g)}
+            out += [trace, with_pair]
+            for _ in range(3):
+                out.append(_tamper(rng, with_pair, ["a_seq", "f", "g"]))
+            a_seq = _random_refining_seq(rng, carrier, steps)
+            bounds = [Fraction(1, 2 ** n) for n in range(1, steps + 1)]
+            out.append(to_jsonable(IterationTrace(a_seq, bounds)))
+    return out
+
+
+def _merge_payloads(rng):
+    out = []
+    for carrier in ("finite", "seq", "y"):
+        for length in (1, 3, 6):
+            a_seq = [_random_element(rng, carrier) for _ in range(length)]
+            lift = max(a.value_bounds()[1] for a in a_seq) - min(a.value_bounds()[0] for a in a_seq)
+            b_seq = [_random_element(rng, carrier) + lift * rng.choice([0, 1])
+                     for _ in range(length)]
+            b_seq[-1] = b_seq[-1] + 2 * lift
+            payload = to_jsonable(tong_merge(a_seq, b_seq))
+            out.append(payload)
+            for _ in range(4):
+                out.append(_tamper(rng, payload, ["a_norm", "b_norm", "u_seq", "v_seq", "result"]))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["iteration", "merge"])
+def test_replay_rows_match_per_value_verifiers(kind):
+    rng = random.Random(17)
+    if kind == "iteration":
+        payloads, new, old = _iteration_payloads(rng), _verify_iteration, _verify_iteration_pairwise
+    else:
+        payloads, new, old = _merge_payloads(rng), _verify_merge, _verify_merge_per_value
+    verdicts = set()
+    for payload in payloads:
+        expected, got = [], []
+        old(payload, expected)
+        new(payload, got)
+        assert got == expected
+        verdicts.add(all(c["ok"] for c in expected))
+    assert verdicts == {True, False}  # clean and tampered payloads both present
+
+
+def _failed_rows(payload):
+    return [c["check"] for c in verify_report(payload)["checks"] if not c["ok"]]
+
+
+def _seq_iteration_payload():
+    f = SeqFunc([Fraction(1, 3), -2], [0, Fraction(5, 4), Fraction(-1, 2)])
+    g = SeqFunc([2, -1], [Fraction(3, 2), Fraction(7, 4), Fraction(5, 4), Fraction(3, 2)])
+    trace = dieudonne_iterate(midpoint_oracle, f, g, 12)
+    return {**to_jsonable(trace), "f": to_jsonable(f), "g": to_jsonable(g)}
+
+
+STEP_ROW = "iteration: step bound |a_{n+1} - a_n| <= 1/2^n"
+TAIL_ROW = "iteration: Cauchy tail ||a_{n+p} - a_n|| <= 2^{1-n}"
+BOUNDS_ROW = "iteration: bounds are 1/2^n"
+SANDWICH_ROW = "iteration: sandwich f - 1/2^n <= a_n <= g"
+
+
+def test_iteration_replay_accepts_untampered_trace():
+    assert _failed_rows(_seq_iteration_payload()) == []
+
+
+def test_iteration_tamper_wrong_step_bound():
+    payload = _seq_iteration_payload()
+    payload["step_bounds"][4] = "1/31"
+    assert BOUNDS_ROW in _failed_rows(payload)
+    assert not verify_report(payload)["ok"]
+
+
+def test_iteration_tamper_move_past_step_bound():
+    payload = _seq_iteration_payload()
+    cycle = payload["a_seq"][6]["cycle"]
+    cycle[0] = to_jsonable(Fraction(cycle[0]) + Fraction(1, 32))
+    assert STEP_ROW in _failed_rows(payload)
+    assert not verify_report(payload)["ok"]
+
+
+def test_iteration_tamper_hidden_jump_fails_bounds_and_tail_only():
+    for sign in (1, -1):
+        valid, hidden = _hidden_jump_payloads(sign)
+        assert _failed_rows(valid) == []
+        # the doubled jump stays within its doubled recorded bound
+        assert _failed_rows(hidden) == [BOUNDS_ROW, TAIL_ROW]
+
+
+def test_iteration_tamper_below_lower_envelope():
+    payload = _seq_iteration_payload()
+    n = len(payload["a_seq"])
+    last = payload["a_seq"][-1]
+    # raise f at index 0 to just above a_n + 1/2^n
+    f_prefix = payload["f"]["prefix"]
+    f_prefix[0] = to_jsonable(Fraction(last["prefix"][0]) + Fraction(1, 2 ** n) + Fraction(1, 2 ** 40))
+    assert _failed_rows(payload) == [SANDWICH_ROW]
+
+
+def test_merge_tamper_one_u_value():
+    a_seq = [SeqFunc([3], [2, 1]), SeqFunc([1], [2, 2, 0]), SeqFunc([], [Fraction(5, 2)])]
+    b_seq = [SeqFunc([0], [1]), SeqFunc([], [1, 2]), SeqFunc([2], [0, 1, 1])]
+    payload = to_jsonable(tong_merge(a_seq, b_seq))
+    assert verify_report(payload)["ok"]
+    cycle = payload["u_seq"][1]["cycle"]
+    cycle[-1] = to_jsonable(Fraction(cycle[-1]) + Fraction(1, 3))
+    assert _failed_rows(payload) == ["merge: u_2 recomputed"]

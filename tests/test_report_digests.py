@@ -1,21 +1,31 @@
-"""Golden sha256 digests of CLI report bytes and of Urysohn join certificates.
+"""Golden sha256 digests of CLI report bytes, insertion certificates and traces.
 
 Every ``check``, ``replay`` and ``reproduce`` report must stay byte-identical
 across refactors and optimizations.  Each digest below is the sha256 of the
-command's stdout, or of the serialized ``urysohn_join_stream`` output; a change
+command's stdout, of the serialized ``urysohn_join_stream`` output, or of a
+serialized iteration or merge trace and its ``verify_report`` output; a change
 to any of them is a change to the report format or to a verdict or
 certificate, and needs a deliberate update here.
 """
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from normlab.cli import CATALOG, main
 from normlab.finite_space import FiniteFunc, FiniteSpace
-from normlab.insertion_engine import FiniteUrysohnCarrier, YUrysohnCarrier, urysohn_join_stream
+from normlab.insertion_engine import (
+    FiniteUrysohnCarrier,
+    YUrysohnCarrier,
+    dieudonne_iterate,
+    midpoint_oracle,
+    tong_merge,
+    urysohn_join_stream,
+)
+from normlab.replay import verify_report
 from normlab.seq_model import SeqFunc
 from normlab.serialize import to_jsonable
 
@@ -174,3 +184,68 @@ def test_digest_tables_cover_every_case():
     assert set(CHECK_DIGESTS) == {(m, c, d) for m, c in INSTANCES for d in (8, 64)}
     assert set(REPRODUCE_DIGESTS) == set(CATALOG)
     assert set(URYSOHN_DIGESTS) == set(URYSOHN_CASES)
+
+
+def _seq_func(prefix, cycle, omega=None):
+    return SeqFunc([Fraction(v) for v in prefix], [Fraction(v) for v in cycle],
+                   None if omega is None else Fraction(omega))
+
+
+def _iteration_payload(f, g):
+    trace = dieudonne_iterate(midpoint_oracle, f, g, 24)
+    return {**to_jsonable(trace), "f": to_jsonable(f), "g": to_jsonable(g)}
+
+
+def _merge_payload():
+    # cycle lengths 1, 2, 3, 4, 6 in turn: the merge spans lcm 12
+    rng = random.Random(9)
+    vals = lambda count, lo: [Fraction(rng.randint(4 * lo, 4 * lo + 12), 4) for _ in range(count)]
+    a_seq = [_seq_func(vals(2, 0), vals((1, 2, 3, 4, 6)[j % 5], 0)) for j in range(9)]
+    b_seq = [_seq_func(vals(2, -1), vals((1, 2, 3, 4, 6)[(j + 2) % 5], -1)) for j in range(9)]
+    return to_jsonable(tong_merge(a_seq, b_seq))
+
+
+# Payloads of the insertion traces that replay re-checks: 24-step Dieudonné
+# iterations on each carrier and a length-9 Tong merge of sequences.
+TRACE_CASES = {
+    "iteration-finite": lambda: _iteration_payload(
+        _finite_func(_SPACE5, ["-3/2", "2/7", "0", "5/3", "-1/4"]),
+        _finite_func(_SPACE5, ["1/2", "9/7", "3/5", "5/3", "1"])),
+    "iteration-seq": lambda: _iteration_payload(
+        _seq_func(["1/3", "-2"], ["0", "5/4", "-1/2"]),
+        _seq_func(["2", "-1"], ["3/2", "7/4", "5/4", "3/2"])),
+    "iteration-y": lambda: _iteration_payload(
+        _seq_func(["-1"], ["1/2", "2/3"], "1/2"),
+        _seq_func(["1/5", "1"], ["1", "3/2", "5/4"], "7/4")),
+    "merge-seq-9": _merge_payload,
+}
+
+# name -> (sha256 of json.dumps(payload, sort_keys=True),
+#          sha256 of json.dumps(verify_report(payload), sort_keys=True))
+TRACE_DIGESTS = {
+    "iteration-finite": (
+        "8ccb7649d7a6325d22349af486407602d95ddd7ccd1377c401e5b74510fd5e18",
+        "e9b2706d820c3675f39f4a356b80c215d56781cf0f9962dbc31db32ade42b562"),
+    "iteration-seq": (
+        "2023bcc8c49f1d52c07076ae2fce60d918c5adf682b96b9e0c610491509fa159",
+        "e9b2706d820c3675f39f4a356b80c215d56781cf0f9962dbc31db32ade42b562"),
+    "iteration-y": (
+        "c558ca18c7b7e1d6b32cb87f8c836f5f3ca79d759fdc7a463f83843f14a2d3e1",
+        "e9b2706d820c3675f39f4a356b80c215d56781cf0f9962dbc31db32ade42b562"),
+    "merge-seq-9": (
+        "3765cc99f93bfd8189ef3eeb1d2db624100d6892633820299d4d225b0f974d1f",
+        "a68ad746ec3a041bf37f6435c5b8242bb8a3f64d95b251f207db36068f05c7de"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_trace_and_replay_digests(name):
+    payload = TRACE_CASES[name]()
+    report = verify_report(payload)
+    assert report["ok"]
+    assert (_digest(json.dumps(payload, sort_keys=True)),
+            _digest(json.dumps(report, sort_keys=True))) == TRACE_DIGESTS[name]
+
+
+def test_trace_digest_table_covers_every_case():
+    assert set(TRACE_DIGESTS) == set(TRACE_CASES)
