@@ -39,7 +39,6 @@ from .errors import NormlabError, UnknownExampleId
 from .finite_space import (
     FiniteFunc,
     FiniteSpace,
-    block_indicators,
     enumerate_spaces,
     indicator,
     insert_finite,
@@ -47,7 +46,7 @@ from .finite_space import (
     is_normal,
 )
 from .insertion_engine import dieudonne_iterate, midpoint_oracle, tong_merge
-from .rationals import ONE, ZERO, rat_str
+from .rationals import ONE
 from .seq_model import (
     GeoTail,
     InfeasibleCert,
@@ -63,7 +62,6 @@ from .serialize import (
     parse_element,
     parse_finite_space,
     parse_rational,
-    parse_seq_func,
     to_jsonable,
 )
 
@@ -126,7 +124,6 @@ SCENARIO_SCHEMA = {
             "additionalProperties": False,
         },
         "depth": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
         "expect": {"enum": ["holds", "fails", "unknown_at_depth"]},
     },
     "required": ["model", "condition", "instance"],
@@ -152,6 +149,8 @@ def _validate_scenario(data) -> list[str]:
     problems = []
     for e in validator.iter_errors(data):
         path, message = _deepest(e)
+        if e.validator == "additionalProperties":  # point at the first unexpected key
+            path += sorted(set(e.instance) - set(e.schema["properties"]))[:1]
         problems.append("/" + "/".join(str(p) for p in path) + f": {message}")
     return sorted(problems)
 
@@ -169,7 +168,9 @@ def _build_model(data):
 
 # Conditions that read the pair f <= g on every model; (C) and (L) read a cover.
 PAIR_CONDITIONS = ("T", "BS", "S", "N", "D", "SL")
-# Models whose (C) and (L) read epsilon whenever the instance gives a family.
+COVER_CONDITIONS = ("C", "L", "SL")
+# Models whose (C) and (L) read epsilon whenever the instance gives a family;
+# seq_x_end builds its own family from epsilon, delta and subfamily_cap.
 EPSILON_MODELS = ("finite_full", "seq_y_end")
 
 
@@ -178,7 +179,7 @@ def _parse_instance(raw: dict, condition: str, model: str) -> dict:
         for key in ("f", "g"):
             if key not in raw:
                 raise NormlabError(f"/instance/{key}: condition ({condition}) needs f and g")
-    if (condition in ("C", "L", "SL") and model in EPSILON_MODELS
+    if (condition in COVER_CONDITIONS and model in EPSILON_MODELS
             and "family" in raw and "epsilon" not in raw):
         raise NormlabError(
             f"/instance/epsilon: condition ({condition}) on {model} needs epsilon with a family")
@@ -201,6 +202,10 @@ def _parse_instance(raw: dict, condition: str, model: str) -> dict:
             out[key] = [element(v, f"/instance/family/{i}") for i, v in enumerate(value)]
         else:
             out[key] = value
+    if condition in COVER_CONDITIONS and model == "seq_x_end" and "family" in raw:
+        raise NormlabError(
+            f"/instance/family: model seq_x_end decides ({condition}) on its built-in family "
+            "from epsilon, delta and subfamily_cap, and takes no family")
     return out
 
 
@@ -493,7 +498,11 @@ def cmd_replay(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    result = replay_mod.verify_report(data)
+    try:
+        result = replay_mod.verify_report(data)
+    except replay_mod.MalformedPayload as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     _emit(result, args.out)
     return 0 if result["ok"] else 1
 

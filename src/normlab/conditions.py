@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     CoverViolation,
@@ -27,13 +27,11 @@ from .errors import (
     PreconditionViolation,
     SearchBudgetExceeded,
 )
-from .finite_space import FiniteFunc, FiniteSpace, Infeasible, envelopes, insert_finite
+from .finite_space import FiniteFunc, FiniteSpace
 from .insertion_engine import dieudonne_iterate, midpoint_oracle, tong_merge
-from .lattice_core import finite_join, finite_meet
+from .lattice_core import finite_join
 from .rationals import ONE, ZERO, rat
 from .seq_model import (
-    GeoTail,
-    InfeasibleCert,
     SeqFunc,
     Witness,
     countable_join_family,
@@ -69,12 +67,19 @@ class ExtensionModel:
     """Carrier pair (A-side, B-side) with an embedding and condition oracles.
 
     Subclasses provide ``alpha`` plus one ``cond_<x>`` method per supported
-    condition, each returning (verdict, certificate).  The embedding is
-    required to preserve +, *, scalars, join, meet, and 1; ``check_embedding``
-    verifies that on sampled elements.
+    condition, each returning (verdict, certificate), and say whether the
+    carrier is ``compact``.  The embedding is required to preserve +, *,
+    scalars, join, meet, and 1; ``check_embedding`` verifies that on sampled
+    elements.
     """
 
     name = "abstract"
+    compact: bool
+
+    def eps_removal_cover(self):
+        """(epsilon, family) covering at level epsilon for the harness's
+        epsilon-removal row, or None on a model that does not exercise it."""
+        return None
 
     def alpha(self, a):
         raise ModelCapabilityMissing(f"{self.name} has no embedding")
@@ -135,6 +140,8 @@ class FiniteFullModel(ExtensionModel):
     condition holds with the instance's own endpoints as witnesses.
     """
 
+    compact = True
+
     def __init__(self, space: FiniteSpace):
         self.space = space
         self.name = f"finite_full_{space.n}pt"
@@ -161,9 +168,7 @@ class FiniteFullModel(ExtensionModel):
         f, g = self._require_pair(instance)
         return HOLDS, {"a_seq": [f], "b_seq": [g], "route": "endpoints are clopen"}
 
-    def cond_bs(self, instance, depth):
-        f, g = self._require_pair(instance)
-        return HOLDS, {"a_seq": [f], "b_seq": [g], "route": "endpoints are clopen"}
+    cond_bs = cond_t
 
     def cond_s(self, instance, depth):
         f, g = self._require_pair(instance)
@@ -181,7 +186,7 @@ class FiniteFullModel(ExtensionModel):
             raise PreconditionViolation(f"gap fails at point {bad}")
         return HOLDS, {"witness": (f + g) * Fraction(1, 2), "epsilon": eps}
 
-    def _finite_subcover(self, instance):
+    def cond_c(self, instance, depth):
         if "family" not in instance:
             # pair-only instances get the canonical unit cover
             instance = {"epsilon": ONE,
@@ -197,17 +202,10 @@ class FiniteFullModel(ExtensionModel):
             if pick not in choices:
                 choices.append(pick)
         joined = finite_join([family[i] for i in choices])
-        return choices, joined, eps, family
-
-    def cond_c(self, instance, depth):
-        choices, joined, eps, family = self._finite_subcover(instance)
         return HOLDS, {"subfamily": choices, "join_min": joined.value_bounds()[0],
                        "epsilon": eps, "family": family}
 
-    def cond_l(self, instance, depth):
-        choices, joined, eps, family = self._finite_subcover(instance)
-        return HOLDS, {"subfamily": choices, "join_min": joined.value_bounds()[0],
-                       "epsilon": eps, "family": family}
+    cond_l = cond_c
 
 
 class SeqXEndModel(ExtensionModel):
@@ -222,6 +220,11 @@ class SeqXEndModel(ExtensionModel):
 
     name = "seq_x_end"
 
+    @property
+    def compact(self) -> bool:
+        """The carrier is compact iff the unit lies in the compact-support ideal."""
+        return ideal_membership(SeqFunc.constant(1, with_omega=True))["in_I_alpha"]
+
     def alpha(self, a: SeqFunc) -> SeqFunc:
         if not (a.has_omega and a.is_convergent()):
             raise PreconditionViolation("A-side elements are convergent with omega")
@@ -235,14 +238,9 @@ class SeqXEndModel(ExtensionModel):
             out.append(SeqFunc(prefix, (limit,), limit))
         return out
 
-    def random_instance(self, rng, feasible: bool | None = None):
+    def random_instance(self, rng):
         f = random_seq_func(rng)
-        if feasible:
-            # lifting by the cycle spread makes limsup f <= liminf g
-            g = f + (max(f.cycle) - min(f.cycle)) + rand_rational(rng, lo=0)
-        else:
-            g = f + random_seq_func(rng, lo=0)
-        return {"f": f, "g": g}
+        return {"f": f, "g": f + random_seq_func(rng, lo=0)}
 
     def _require_pair(self, instance):
         f, g = instance["f"], instance["g"]
@@ -365,6 +363,7 @@ class SeqYEndModel(ExtensionModel):
     """
 
     name = "seq_y_end"
+    compact = True
 
     def alpha(self, a: SeqFunc) -> SeqFunc:
         if not (a.has_omega and a.is_convergent()):
@@ -402,23 +401,15 @@ class SeqYEndModel(ExtensionModel):
         w = insert_on_y(f, g)
         return HOLDS, {"witness": w.func, "limit": w.limit, "epsilon": eps}
 
-    def _constant_families(self, instance):
-        f, g = self._require_pair(instance)
-        w = insert_on_y(f, g)
-        return f, g, w
-
     def cond_t(self, instance, depth):
-        f, g, w = self._constant_families(instance)
+        w = insert_on_y(*self._require_pair(instance))
         return HOLDS, {"a_seq": [w.func], "b_seq": [w.func],
                        "route": "single continuous witness serves both sides"}
 
-    def cond_bs(self, instance, depth):
-        f, g, w = self._constant_families(instance)
-        return HOLDS, {"a_seq": [w.func], "b_seq": [w.func],
-                       "route": "single continuous witness serves both sides"}
+    cond_bs = cond_t
 
     def cond_s(self, instance, depth):
-        f, g, w = self._constant_families(instance)
+        w = insert_on_y(*self._require_pair(instance))
         return HOLDS, {"witness": w.func, "a_seq": [w.func], "b_seq": [w.func]}
 
     def cond_c(self, instance, depth):
@@ -435,6 +426,11 @@ class SeqYEndModel(ExtensionModel):
     def cond_l(self, instance, depth):
         verdict, cert = self.cond_c(instance, depth)
         return verdict, {**cert, "note": "finite subfamily doubles as the countable one"}
+
+    def eps_removal_cover(self):
+        eps = Fraction(1, 2)
+        return eps, [SeqFunc.from_support({0: 1}, 0, ZERO) + eps,
+                     SeqFunc.from_support({0: 0}, 1, ONE)]
 
 
 def _subsets(pool, max_size):
@@ -489,8 +485,9 @@ def equivalence_harness(model: ExtensionModel, instances: Iterable[dict],
     Each row reports (implication, instances tested, failures).  Conversions
     are constructive: merge runs on truncated interpolation families, the
     iterative refiner lifts the strict oracle to single witnesses, and the
-    compactness verdict is cross-checked against the ideal membership of 1.
-    Failures are data, not exceptions.
+    compactness verdict is cross-checked against the model's ``compact``.
+    A row a model does not exercise stays at ``tested: 0``.  Failures are
+    data, not exceptions.
     """
     rows = {
         "T_to_S_via_merge": {"tested": 0, "failures": 0},
@@ -499,103 +496,54 @@ def equivalence_harness(model: ExtensionModel, instances: Iterable[dict],
         "C_iff_compact_unit": {"tested": 0, "failures": 0},
         "eps_removal_form2_to_form3": {"tested": 0, "failures": 0},
     }
+
+    def record(row, ok):
+        rows[row]["tested"] += 1
+        rows[row]["failures"] += not ok
+
     for instance in instances:
         f, g = instance["f"], instance["g"]
-
-        t_report = check_condition(model, "T", instance, depth)
-        if t_report.verdict == HOLDS:
-            rows["T_to_S_via_merge"]["tested"] += 1
-            if not _merge_gives_s(model, f, g, depth):
-                rows["T_to_S_via_merge"]["failures"] += 1
-
-        bs_report = check_condition(model, "BS", instance, depth)
-        if bs_report.verdict == HOLDS:
-            rows["BS_to_T_chained"]["tested"] += 1
-            if check_condition(model, "T", instance, depth).verdict != HOLDS:
-                rows["BS_to_T_chained"]["failures"] += 1
-
-        rows["D_to_N_via_iteration"]["tested"] += 1
-        if not _iteration_matches_insertion(model, f, g, depth):
-            rows["D_to_N_via_iteration"]["failures"] += 1
-
-    rows["C_iff_compact_unit"]["tested"] = 1
-    if not _compactness_consistent(model, depth):
-        rows["C_iff_compact_unit"]["failures"] = 1
-
-    rows["eps_removal_form2_to_form3"]["tested"] = 1
-    if not _eps_removal_consistent(model, depth):
-        rows["eps_removal_form2_to_form3"]["failures"] = 1
-
+        if check_condition(model, "T", instance, depth).verdict == HOLDS:
+            record("T_to_S_via_merge", _merge_gives_s(f, g, depth))
+        if check_condition(model, "BS", instance, depth).verdict == HOLDS:
+            record("BS_to_T_chained",
+                   check_condition(model, "T", instance, depth).verdict == HOLDS)
+        record("D_to_N_via_iteration", _iteration_sandwiches(f, g, depth))
+    verdict = check_condition(model, "C", {}, depth).verdict
+    record("C_iff_compact_unit", verdict == (HOLDS if model.compact else FAILS))
+    cover = model.eps_removal_cover()
+    if cover is not None:
+        record("eps_removal_form2_to_form3", _eps_removal_consistent(model, *cover, depth))
     return [{"implication": k, **v} for k, v in rows.items()]
 
 
-def _truncated_families(f, g, depth):
-    """Finite interpolation families for the merge: f + 1/m down, g - 1/m up."""
+def _merge_gives_s(f, g, depth) -> bool:
+    """Merge the families f + 1/m down and g - 1/m up (g lifted to a 2/depth gap)."""
+    if (g - f).value_bounds()[0] < Fraction(2, depth):
+        g = g + Fraction(2, depth)
     a_seq = [f + Fraction(1, m) for m in range(1, depth + 1)]
     b_seq = [g - Fraction(1, m) for m in range(1, depth + 1)]
-    return a_seq, b_seq
-
-
-def _merge_gives_s(model, f, g, depth) -> bool:
-    if isinstance(model, FiniteFullModel):
-        a_seq, b_seq = [f, g], [f, g]
-    else:
-        gap = (g - f).value_bounds()[0]
-        if gap < Fraction(2, depth):
-            shift = Fraction(2, depth)
-            g = g + shift
-        a_seq, b_seq = _truncated_families(f, g, depth)
     try:
         trace = tong_merge(a_seq, b_seq)
     except NormlabError:
         return False
     u = trace.result
-    f_norm = trace.a_norm[-1]
-    g_norm = trace.b_norm[-1]
-    return f_norm.le(u) and u.le(g_norm)
+    return trace.a_norm[-1].le(u) and u.le(trace.b_norm[-1])
 
 
-def _iteration_matches_insertion(model, f, g, depth) -> bool:
+def _iteration_sandwiches(f, g, depth) -> bool:
+    """The refined witness keeps invariant (1): f - 2^{1-steps} <= result <= g."""
     steps = min(depth, 12)
-    if isinstance(model, FiniteFullModel):
-        trace = dieudonne_iterate(midpoint_oracle, f, g, steps)
-        return f.le(trace.result + Fraction(1, 2 ** (steps - 1)))
-    if isinstance(model, SeqYEndModel):
-        trace = dieudonne_iterate(midpoint_oracle, f, g, steps)
-        w = insert_on_y(f, g)
-        slack = Fraction(2, 2 ** steps) + (g - f).norm()
-        return (trace.result - w.func).norm() <= slack
-    result = insert_convergent(f, g)
-    if isinstance(result, InfeasibleCert):
-        # no single witness exists, so there is nothing for (D) to lift to
-        return True
-    trace = dieudonne_iterate(midpoint_oracle, f, g, steps)
-    tail = Fraction(2, 2 ** steps)
-    candidate = trace.result
-    return f.le(candidate + tail) and candidate.le(g + tail)
+    try:
+        result = dieudonne_iterate(midpoint_oracle, f, g, steps).result
+    except NormlabError:
+        return False
+    return f.le(result + Fraction(2, 2 ** steps)) and result.le(g)
 
 
-def _compactness_consistent(model, depth) -> bool:
-    if isinstance(model, FiniteFullModel):
-        return True
-    one = SeqFunc.constant(1, with_omega=True)
-    unit_compact = ideal_membership(one)["in_I_alpha"]
-    if isinstance(model, SeqYEndModel):
-        fam = [SeqFunc.constant(2, with_omega=True)]
-        verdict, _ = model.cond_c({"epsilon": ONE, "family": fam}, depth)
-        return verdict == HOLDS
-    verdict, _ = model.cond_c({}, depth)
-    return verdict == FAILS and not unit_compact
-
-
-def _eps_removal_consistent(model, depth) -> bool:
-    if not isinstance(model, SeqYEndModel):
-        return True
-    eps = Fraction(1, 2)
-    n = 4
-    fam = [SeqFunc.from_support({0: 1}, 0, ZERO) + eps,
-           SeqFunc.from_support({0: 0}, 1, ONE)]
-    chosen, _ = subcover_extract(eps, fam)
-    shifted = [t + Fraction(1, n) for t in fam]
-    joined = finite_join([shifted[i] for i in chosen])
-    return joined.value_bounds()[0] >= Fraction(1, n)
+def _eps_removal_consistent(model, eps, family, depth) -> bool:
+    """The (C) subfamily of a cover at level eps, each member lifted by 1/4, joins to >= 1/4."""
+    shift = Fraction(1, 4)
+    chosen = check_condition(model, "C", {"epsilon": eps, "family": family},
+                             depth).certificate["subfamily"]
+    return finite_join([family[i] + shift for i in chosen]).value_bounds()[0] >= shift

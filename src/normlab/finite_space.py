@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, EmptyFamily, PreconditionViolation
-from .lattice_core import AlgElement, finite_meet
+from .lattice_core import AlgElement
 from .rationals import ONE, ZERO, rat
 
 MAX_ENUM_POINTS = 5
@@ -104,10 +104,6 @@ class FiniteSpace:
 
     def closed_sets(self) -> list[int]:
         return [self.full & ~u for u in self.opens]
-
-    def leads_to(self, x: int, y: int) -> bool:
-        """Specialization: every open containing x contains y."""
-        return bool(self.min_nbhd[x] & (1 << y))
 
     def least_open_superset(self, mask: int) -> int:
         """The smallest open set containing the given set (union of minimal neighborhoods)."""

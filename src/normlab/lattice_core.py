@@ -133,11 +133,6 @@ class AlgElement(abc.ABC):
         return all(v in (ZERO, ONE) for v in self.sample_values())
 
 
-def abs_and_norm(a: AlgElement) -> tuple[AlgElement, Fraction]:
-    """Absolute value a v (-a) together with the exact sup-norm."""
-    return a.abs_elem(), a.norm()
-
-
 def finite_meet(elems: Iterable[AlgElement]) -> AlgElement:
     elems = list(elems)
     if not elems:

@@ -5,11 +5,13 @@ reports, insertion certificates, block-indicator traces) from the JSON alone.
 The module deliberately shares no evaluation code with the checkers that
 produced the certificates: it carries its own tiny evaluators for the two
 carrier encodings, so a bug in a searcher cannot hide in its own replay.
-Merge and iteration traces parse each element once per payload into rows of
-values over the probe points, and every check then works on those rows.
+Merge traces, iteration traces and condition reports parse each element once
+per payload into rows of values over the probe points, and every check then
+works on those rows.
 
 ``verify_report`` walks any JSON value, verifies every recognizable payload,
-and reports one line per check.
+and reports one line per check; a payload it cannot read raises
+``MalformedPayload`` with the payload's JSON pointer.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from fractions import Fraction
 def _frac(v) -> Fraction:
     if isinstance(v, bool):
         raise ValueError("boolean is not a rational")
-    if isinstance(v, int):
-        return Fraction(v)
     return Fraction(v)
 
 
@@ -34,13 +34,6 @@ def _is_seq(d) -> bool:
 
 def _is_finite_func(d) -> bool:
     return isinstance(d, dict) and "values" in d and "space" in d
-
-
-def _seq_at(d, k: int) -> Fraction:
-    prefix, cycle = d.get("prefix", []), d["cycle"]
-    if k < len(prefix):
-        return _frac(prefix[k])
-    return _frac(cycle[(k - len(prefix)) % len(cycle)])
 
 
 def _seq_omega(d):
@@ -64,14 +57,6 @@ def _points(*elems):
     if all(_is_finite_func(d) for d in elems):
         return list(range(elems[0]["space"]["points"]))
     raise ValueError("mixed or unknown element encodings")
-
-
-def _value(d, p) -> Fraction:
-    if _is_seq(d):
-        return _seq_omega(d) if p == "omega" else _seq_at(d, p)
-    if _is_finite_func(d):
-        return _frac(d["values"][p])
-    raise ValueError("unknown element encoding")
 
 
 def _evaluator(d):
@@ -100,10 +85,6 @@ def _rows(elems, pts) -> list[list[Fraction]]:
 
 def _row_le(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def _le(a, b, pts) -> bool:
-    return all(_value(a, p) <= _value(b, p) for p in pts)
 
 
 def _seq_convergent(d) -> bool:
@@ -226,47 +207,54 @@ def _verify_condition(report, checks) -> None:
                  "fails": "fails" in (cert["L_verdict"], cert["N_verdict"])}
         _check(checks, f"{label}: decomposition consistent", agree.get(verdict, False))
         return
+    parsed = {}
+
+    def rows(*elems):
+        """The elements' values over their common probe points, each parsed once."""
+        pts = _points(*elems)
+        for d in elems:
+            if id(d) not in parsed:
+                parsed[id(d)] = _evaluator(d)
+        return [[parsed[id(d)](p) for p in pts] for d in elems]
+
     f, g = inst.get("f"), inst.get("g")
     if cond in ("N", "D"):
         if verdict == "holds":
             w = cert["witness"]
-            pts = _points(f, g, w) if _is_seq(w) and _seq_omega(w) is not None \
-                else _points(f, g, w)
+            fr, gr, wr = rows(f, g, w)
             _check(checks, f"{label}: witness convergent",
                    not _is_seq(w) or _seq_convergent(w))
-            _check(checks, f"{label}: f <= witness <= g",
-                   _le(f, w, pts) and _le(w, g, pts))
+            _check(checks, f"{label}: f <= witness <= g", _row_le(fr, wr) and _row_le(wr, gr))
         else:
             _verify_infeasible({"f": f, "g": g, **cert}, checks)
         if cond == "D" and "epsilon" in cert:
             eps = _frac(cert["epsilon"])
-            pts = _points(f, g)
+            fr, gr = rows(f, g)
             _check(checks, f"{label}: gap f + eps <= g",
-                   all(_value(f, p) + eps <= _value(g, p) for p in pts))
+                   all(x + eps <= y for x, y in zip(fr, gr)))
         return
     if cond in ("T", "BS", "S"):
-        pts = _points(f, g)
-        _check(checks, f"{label}: f <= g", _le(f, g, pts))
+        fr, gr = rows(f, g)
+        _check(checks, f"{label}: f <= g", _row_le(fr, gr))
         if "witness" in cert:
-            w = cert["witness"]
-            wpts = _points(f, g, w)
+            fr, gr, wr = rows(f, g, cert["witness"])
             _check(checks, f"{label}: witness between endpoints",
-                   _le(f, w, wpts) and _le(w, g, wpts))
+                   _row_le(fr, wr) and _row_le(wr, gr))
         if "a_seq" in cert and "b_seq" in cert:
             a, b = cert["a_seq"], cert["b_seq"]
-            apts = _points(f, g, *a, *b)
-            meet_of = lambda xs, p: min(_value(x, p) for x in xs)
-            join_of = lambda xs, p: max(_value(x, p) for x in xs)
+            fr, gr, *ab = rows(f, g, *a, *b)
+            ar, br = ab[:len(a)], ab[len(a):]
+            meet_of = lambda xs, k: min(x[k] for x in xs)
+            join_of = lambda xs, k: max(x[k] for x in xs)
+            ks = range(len(fr))
             if cond == "T":
-                ok = all(_value(f, p) <= meet_of(a, p) <= join_of(b, p) <= _value(g, p)
-                         for p in apts)
+                ok = all(fr[k] <= meet_of(ar, k) <= join_of(br, k) <= gr[k] for k in ks)
             elif cond == "BS":
                 # a_seq carries the join side, b_seq the meet side
-                ok = all(_value(f, p) <= join_of(a, p) <= meet_of(b, p) <= _value(g, p)
-                         for p in apts)
+                ok = all(fr[k] <= join_of(ar, k) <= meet_of(br, k) <= gr[k] for k in ks)
             else:
-                ok = all(meet_of(a, p) == join_of(b, p) for p in apts) and \
-                     all(_value(f, p) <= meet_of(a, p) <= _value(g, p) for p in apts)
+                ok = all(meet_of(ar, k) == join_of(br, k) for k in ks) and \
+                     all(fr[k] <= meet_of(ar, k) <= gr[k] for k in ks)
             _check(checks, f"{label}: interpolation chain", ok)
         for side in ("meet_side", "join_side"):
             if side in cert:
@@ -277,16 +265,17 @@ def _verify_condition(report, checks) -> None:
     if cond in ("C", "L"):
         fam = inst.get("family", cert.get("family"))
         if verdict == "holds" and "subfamily" in cert and fam is not None:
-            chosen = [fam[i] for i in cert["subfamily"]]
-            pts = _points(*fam)
-            join_min = min(max(_value(t, p) for t in chosen) for p in pts)
+            fam_rows = rows(*fam)
+            chosen = [fam_rows[i] for i in cert["subfamily"]]
+            ks = range(len(fam_rows[0]))
+            join_min = min(max(x[k] for x in chosen) for k in ks)
             _check(checks, f"{label}: subfamily join nonnegative", join_min >= 0)
             if "join_min" in cert:
                 _check(checks, f"{label}: recorded join minimum matches",
                        join_min == _frac(cert["join_min"]))
             eps = _frac(inst.get("epsilon", cert.get("epsilon")))
             _check(checks, f"{label}: full family covers at level eps",
-                   all(max(_value(t, p) for t in fam) >= eps for p in pts))
+                   all(max(x[k] for x in fam_rows) >= eps for k in ks))
             return
         if verdict == "fails" and "defeats" in cert:
             eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
@@ -301,7 +290,6 @@ def _verify_condition(report, checks) -> None:
             return
         if verdict == "holds" and "picks" in cert:
             eps = _frac(cert["epsilon"])
-            delta = Fraction(1, 2)
             ok = all(_frac(p["value"]) > eps / 2 for p in cert["picks"])
             _check(checks, f"{label}: per-index witnesses exceed eps/2", ok)
             return
@@ -370,47 +358,66 @@ def _verify_block_replay(payload, checks) -> None:
     _check(checks, "block traces: all replayed", True)
 
 
+class MalformedPayload(Exception):
+    """A payload the verifiers cannot read, named by its JSON pointer and kind."""
+
+    def __init__(self, kind: str, cause: Exception):
+        self.kind, self.cause, self.path = kind, cause, []
+
+    def __str__(self):
+        tokens = (str(t).replace("~", "~0").replace("/", "~1") for t in reversed(self.path))
+        return (f"/{'/'.join(tokens)}: malformed {self.kind} payload "
+                f"({type(self.cause).__name__}: {self.cause})")
+
+
+_PAYLOAD_ERRORS = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError,
+                   AttributeError)
+
+
 def verify_report(data) -> dict:
     """Verify every recognizable certificate in a JSON report.
 
     Returns {"ok": bool, "verified": payload count, "checks": [...]}, where
-    each check entry names what was re-derived and whether it held.
+    each check entry names what was re-derived and whether it held.  Raises
+    MalformedPayload, naming the payload's JSON pointer, when a payload is
+    missing data or holds values of the wrong type.
     """
     checks: list[dict] = []
     count = 0
 
-    def walk(node):
+    def verify(kind, verifier, payload):
         nonlocal count
+        count += 1
+        try:
+            verifier(payload, checks)
+        except _PAYLOAD_ERRORS as exc:
+            raise MalformedPayload(kind, exc) from exc
+
+    def walk(node):
         if isinstance(node, dict):
             if node.get("trace") == "merge":
-                count += 1
-                _verify_merge(node, checks)
-                return
+                return verify("merge", _verify_merge, node)
             if node.get("trace") == "iteration":
-                count += 1
-                _verify_iteration(node, checks)
-                return
+                return verify("iteration", _verify_iteration, node)
             if "condition" in node and "verdict" in node:
-                count += 1
-                _verify_condition(node, checks)
-                return
+                return verify("condition", _verify_condition, node)
             if node.get("infeasible") and "f" in node and "g" in node:
-                count += 1
-                _verify_infeasible(node, checks)
-                return
+                return verify("infeasible", _verify_infeasible, node)
             if "ideal_membership" in node:
-                count += 1
-                _verify_ideal(node["ideal_membership"], checks)
-                return
+                return verify("ideal", _verify_ideal, node["ideal_membership"])
             if "block_replay" in node:
-                count += 1
-                _verify_block_replay(node["block_replay"], checks)
-                return
-            for v in node.values():
-                walk(v)
+                return verify("block", _verify_block_replay, node["block_replay"])
+            children = node.items()
         elif isinstance(node, list):
-            for v in node:
-                walk(v)
+            children = enumerate(node)
+        else:
+            return
+        for key, child in children:
+            try:
+                walk(child)
+            except MalformedPayload as exc:
+                exc.path.append(key)
+                raise
 
     walk(data)
     ok = bool(checks) and all(c["ok"] for c in checks)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CarrierMismatch,
@@ -173,25 +173,6 @@ class SeqFunc(AlgElement):
     def __repr__(self):
         om = "" if self.omega is None else f", omega={self.omega}"
         return f"SeqFunc({list(map(str, self.prefix))}, cycle={list(map(str, self.cycle))}{om})"
-
-
-def pointwise_op(op: str, f: SeqFunc, g: SeqFunc) -> SeqFunc:
-    """Named pointwise operation; prefixes align, cycle lengths take the lcm."""
-    ops: dict[str, Callable] = {
-        "add": lambda a, b: a + b,
-        "mul": lambda a, b: a * b,
-        "join": max,
-        "meet": min,
-    }
-    if op == "scalar":
-        raise PreconditionViolation("scalar op takes a rational; use scalar_mul")
-    if op not in ops:
-        raise PreconditionViolation(f"unknown op {op!r}")
-    return f.zip_with(g, ops[op])
-
-
-def scalar_mul(r, f: SeqFunc) -> SeqFunc:
-    return f * rat(r)
 
 
 def limit_data(f: SeqFunc):

@@ -22,7 +22,7 @@ from .errors import PreconditionViolation
 from .finite_space import FiniteFunc, FiniteSpace
 from .insertion_engine import IterationTrace, MergeTrace
 from .rationals import rat, rat_str
-from .seq_model import OMEGA, GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet
+from .seq_model import GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet
 
 
 def to_jsonable(obj):
@@ -102,26 +102,11 @@ def parse_finite_func(data: dict) -> FiniteFunc:
     return FiniteFunc(space, [parse_rational(v) for v in data["values"]])
 
 
-def parse_y_set(data: dict) -> YSet:
-    return YSet(data["kind"], data.get("members", ()))
-
-
-def parse_geo_tail(data: dict) -> GeoTail:
-    return GeoTail([parse_rational(v) for v in data.get("prefix", [])],
-                   parse_rational(data.get("q", "1")),
-                   parse_rational(data.get("ratio", "1/2")))
-
-
 def parse_element(data: dict):
-    """Dispatch an instance literal on its key shape."""
-    if "cycle" in data or "prefix" in data and "values" not in data:
-        if "ratio" in data:
-            return parse_geo_tail(data)
-        return parse_seq_func(data)
+    """An instance element: a finite function if it has values, else a sequence.
+
+    The scenario schema admits only these two encodings.
+    """
     if "values" in data:
         return parse_finite_func(data)
-    if "opens" in data:
-        return parse_finite_space(data)
-    if "kind" in data:
-        return parse_y_set(data)
-    raise PreconditionViolation(f"unrecognized instance literal: {sorted(data)}")
+    return parse_seq_func(data)

@@ -47,7 +47,6 @@ from normlab.seq_model import (
     insert_on_y,
     local_compact_minorants,
     noncompact_family,
-    scalar_mul,
     semicontinuity_on_y,
     subcover_extract,
     threshold_indicator,
@@ -227,7 +226,7 @@ def test_criterion_6_ideal_laws(emit):
         assert ideal_membership(a + b)["in_I_alpha"]
         assert ideal_membership(a.join(b))["in_I_alpha"]
         scale = Fraction(rng.randint(-4, 4), 4)
-        dominated = scalar_mul(scale, b)  # |dominated| <= |b|
+        dominated = b * scale  # |dominated| <= |b|
         assert ideal_membership(dominated)["in_I_alpha"]
         outside = b + rand_rational(rng, 1, 3)
         mem_out = ideal_membership(outside)
@@ -274,7 +273,7 @@ def test_criterion_7_local_compactness_and_radical(emit):
         f = SeqFunc([rand_rational(rng) for _ in range(rng.randint(0, 4))],
                     [0], 0) + rand_rational(rng, 1, 3)
         assert f.omega != 0
-        residue = scalar_mul(Fraction(1) / f.omega, f) - 1
+        residue = f * (Fraction(1) / f.omega) - 1
         assert ideal_membership(residue)["in_J_radical"]
 
 

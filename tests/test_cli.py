@@ -227,3 +227,45 @@ def test_check_element_off_the_model_carrier_is_input_error(
     assert main(["check", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error") and named in err
+
+
+X_COVER = {"epsilon": "1", "delta": "1/2", "subfamily_cap": 2}
+
+
+@pytest.mark.parametrize("cond", ["C", "L", "SL"])
+def test_check_family_on_seq_x_end_is_input_error(tmp_path, capsys, cond):
+    own = MODEL_ELEMS["seq_x_end"]
+    instance = dict(X_COVER, f=own, g=own) if cond == "SL" else dict(X_COVER)
+    path = write(tmp_path, "s.json", _scenario("seq_x_end", cond, instance))
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    instance["family"] = [own]
+    path = write(tmp_path, "s.json", _scenario("seq_x_end", cond, instance))
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: /instance/family:") and "built-in family" in err
+
+
+def test_check_seed_key_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "s.json", dict(SCENARIO_N_FAILS, seed=3))
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err.startswith("input error: schema violation at /seed:")
+
+
+SEQ_0, SEQ_1 = {"cycle": ["0"]}, {"cycle": ["1"]}
+
+
+@pytest.mark.parametrize("report,pointer,kind", [
+    ({"trace": "iteration", "a_seq": [SEQ_0, {"cycle": ["1/4"]}], "step_bounds": ["1/2"],
+      "f": SEQ_0, "g": SEQ_1}, "/", "iteration"),
+    ({"certificates": [{"trace": "merge", "a_norm": [], "b_norm": [], "u_seq": [],
+                        "v_seq": [], "result": SEQ_0}]}, "/certificates/0", "merge"),
+    ({"condition": "N", "verdict": "holds", "instance": {"f": SEQ_0, "g": SEQ_1},
+      "certificate": {"limit": "0"}}, "/", "condition"),
+], ids=["iteration-bounds-short", "merge-empty", "N-holds-no-witness"])
+def test_replay_malformed_report_is_input_error(tmp_path, capsys, report, pointer, kind):
+    path = write(tmp_path, "report.json", report)
+    assert main(["replay", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {pointer}: malformed {kind} payload")

@@ -34,9 +34,7 @@ from normlab.rationals import ZERO
 from normlab.replay import (
     _check,
     _frac,
-    _le,
     _points,
-    _value,
     _verify_iteration,
     _verify_merge,
     verify_report,
@@ -507,6 +505,20 @@ def test_iterate_makes_linearly_many_zip_with_calls(monkeypatch):
 
 
 # -- replay of iteration and merge traces ------------------------------------
+
+def _value(d, p) -> Fraction:
+    """One value of a serialized element, parsed where it is read."""
+    if "values" in d:
+        return _frac(d["values"][p])
+    if p == "omega":
+        return _frac(d["omega"])
+    prefix, cycle = d.get("prefix", []), d["cycle"]
+    return _frac(prefix[p] if p < len(prefix) else cycle[(p - len(prefix)) % len(cycle)])
+
+
+def _le(a, b, pts) -> bool:
+    return all(_value(a, p) <= _value(b, p) for p in pts)
+
 
 def _eq(a, b, pts) -> bool:
     return all(_value(a, p) == _value(b, p) for p in pts)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from normlab.errors import EmptyFamily, OrderViolation
 from normlab.finite_space import FiniteFunc, FiniteSpace
 from normlab.lattice_core import (
-    abs_and_norm,
     finite_join,
     finite_meet,
     rescale_to_unit,
@@ -57,7 +56,7 @@ def test_ring_laws_seq(a, b, c):
 
 @given(elements)
 def test_abs_is_join_with_negation(a):
-    absolute, norm = abs_and_norm(a)
+    absolute, norm = a.abs_elem(), a.norm()
     assert absolute.eq_pointwise(a.join(-a))
     assert norm == max(abs(v) for v in a.sample_values())
     assert absolute.le(a.const_like(norm))

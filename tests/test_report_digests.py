@@ -8,9 +8,13 @@ to any of them is a change to the report format or to a verdict or
 certificate, and needs a deliberate update here.
 """
 
+import functools
 import hashlib
+import itertools
 import json
+import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,54 +49,186 @@ Y_COVER = {
     ],
 }
 X_FAMILY = {"epsilon": "1", "delta": "1/2"}
+SPACE3 = {"points": 3, "opens": [[], [0], [0, 1], [0, 1, 2]]}
 
+
+def _finite(*values):
+    return {"space": SPACE3, "values": list(values)}
+
+
+F_PAIR = {"f": _finite("-1", "1/2", "0"), "g": _finite("1", "3/2", "2/3")}
+F_COVER = {"epsilon": "1", "family": [_finite("2", "0", "1"), _finite("0", "3/2", "1")]}
+
+# limsup f = 1 exceeds liminf g = 1/2: (N) and (D) fail, each with its certificate
+X_SPREAD = {"f": {"cycle": ["0", "1"]}, "g": {"cycle": ["1/2", "3/2"]}}
+
+# Every condition on every model; (N) holds on X_PAIR inside (SL).
 INSTANCES = {
+    **{("seq_x_end", c): X_PAIR for c in ("T", "BS", "S")},
+    ("seq_x_end", "N"): X_SPREAD,
+    ("seq_x_end", "D"): {**X_SPREAD, "epsilon": "1/2"},
     ("seq_x_end", "C"): {**X_FAMILY, "subfamily_cap": 3},
     ("seq_x_end", "L"): X_FAMILY,
     ("seq_x_end", "SL"): {**X_FAMILY, **X_PAIR},
+    **{("seq_y_end", c): Y_PAIR for c in ("T", "BS", "S", "N")},
+    ("seq_y_end", "D"): {**Y_PAIR, "epsilon": "1/4"},
     ("seq_y_end", "C"): Y_COVER,
     ("seq_y_end", "L"): Y_COVER,
     ("seq_y_end", "SL"): {**Y_COVER, **Y_PAIR},
+    **{("finite_full", c): F_PAIR for c in ("T", "BS", "S", "N")},
+    ("finite_full", "D"): {**F_PAIR, "epsilon": "1/2"},
+    ("finite_full", "C"): F_COVER,
+    ("finite_full", "L"): F_COVER,
+    ("finite_full", "SL"): {**F_COVER, **F_PAIR},
 }
 
-# (model, condition, depth) -> (check stdout sha256, replay stdout sha256)
+# (model, condition, depth) -> (check stdout sha256, replay stdout sha256),
+# taken on the commit before the condition routes were collapsed
 CHECK_DIGESTS = {
-    ("seq_x_end", "C", 8): (
+    ('finite_full', 'BS', 8): (
+        "9578b3ad166699a9f3d14fab11f45274fce7e95e5a175fc5e8b8ac4dc27026b0",
+        "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
+    ('finite_full', 'BS', 64): (
+        "1a0351e35ce5efb362c34887f6c55366ca5ef1261da969e6e7e27ced4ddbe4af",
+        "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
+    ('finite_full', 'C', 8): (
+        "16b5b3e492fff1f947629114097a5bd98ac5251d8996d3c818fc2f8bb77c94c2",
+        "26e090de17af8699ceb95a2752db518a7995794da1b4447fb8fde494f012f4f5"),
+    ('finite_full', 'C', 64): (
+        "36f87e5f06ce116e79d4c892b08eb4a6b0763b512c29d154fec69de93748b41c",
+        "26e090de17af8699ceb95a2752db518a7995794da1b4447fb8fde494f012f4f5"),
+    ('finite_full', 'D', 8): (
+        "6e2564c9814074080e8cdde1956835276989dd93205199487118c765d75814c4",
+        "80c3129b0b28e06158a4f3e05baeaec04fabe222c382e61f16e8b870eca1d434"),
+    ('finite_full', 'D', 64): (
+        "4bc624e0f8b78a58ac85eeabcc625cc6f46fdfd1a23e78b7183c061303444ed8",
+        "80c3129b0b28e06158a4f3e05baeaec04fabe222c382e61f16e8b870eca1d434"),
+    ('finite_full', 'L', 8): (
+        "c18c5abd7fa5a4848616f40afed4c63f5f625be299018e2d3991208c12b8497d",
+        "991f5550ffe96fd8b697b24a3dd4a7a33fd2bbcfaa8624655e978fda67aaa489"),
+    ('finite_full', 'L', 64): (
+        "47a24fc0876340497ecb2a9441e71fd7a703db78fa3b92f23dbd54e406d9977c",
+        "991f5550ffe96fd8b697b24a3dd4a7a33fd2bbcfaa8624655e978fda67aaa489"),
+    ('finite_full', 'N', 8): (
+        "effd33354be7169472edcc2c558fabb718b20a19158bc061f77d6efaf953ebbe",
+        "fde0f12bb0f9ddc58747e3cc8f4c6ce57ff0e59d40fa6eba973db381ebd992dd"),
+    ('finite_full', 'N', 64): (
+        "80029f66062d15e860b49adf11662ac6246fa2f3363639a1dc1b42762eecd12e",
+        "fde0f12bb0f9ddc58747e3cc8f4c6ce57ff0e59d40fa6eba973db381ebd992dd"),
+    ('finite_full', 'S', 8): (
+        "228033165c06b8581d6a56da55c4ccd8a78ef8d6f2e8ec353357e6ac91bde2fb",
+        "2f1c4d3f1516169b4a91e3a09cbf570d3cb03b027289ab4b5ef2da9ce98f59c2"),
+    ('finite_full', 'S', 64): (
+        "01c41a2081f50d11f611e0b363141bfe0d02bbe2b130d1aec607ccd9fa81b679",
+        "2f1c4d3f1516169b4a91e3a09cbf570d3cb03b027289ab4b5ef2da9ce98f59c2"),
+    ('finite_full', 'SL', 8): (
+        "71effd6399ae7c3c2c365a64cd05f713d11c5365ee780a335132a4be276982ee",
+        "de0bcb842e499d9a0b033253bf3816982e9c115436ac39fdc65706c69befcdf1"),
+    ('finite_full', 'SL', 64): (
+        "22f2ffa484cee200e17feb03ce970a454a792a2b87d7e78acd24db4cd24c4d8b",
+        "de0bcb842e499d9a0b033253bf3816982e9c115436ac39fdc65706c69befcdf1"),
+    ('finite_full', 'T', 8): (
+        "af09bf9096db15f423b86fdab733ebad3364fcbc0511da95a8f034612e3d49c7",
+        "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
+    ('finite_full', 'T', 64): (
+        "5c76fe923ef3793da67b79151001f3ce0a15654478e0e7572958174020c201d0",
+        "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
+    ('seq_x_end', 'BS', 8): (
+        "21cefcd428a98d1485a8e715f072a6b95d698a55218cb9c13ae8012de270cdf2",
+        "8d96d41e98d5087b0a11d06058c23af8a17682b65b4aeb3c9d8992d26a222e20"),
+    ('seq_x_end', 'BS', 64): (
+        "f9166c8d7625784b62643f378ec50247c462c644096d1872f70d5f075b81f55d",
+        "8d96d41e98d5087b0a11d06058c23af8a17682b65b4aeb3c9d8992d26a222e20"),
+    ('seq_x_end', 'C', 8): (
         "5cd61d5255f90babd9ca49cf81fbd5e4169166bc02db5fe5d2ef2b24e250206b",
         "e1e60aa118a8b862fe75b9787652cb74dd4e9ef9ad63f304e0c736c81549fee5"),
-    ("seq_x_end", "C", 64): (
+    ('seq_x_end', 'C', 64): (
         "4f285700ec74349bb3029decfa446dda7826a36c431b3e5dea2269a2553c74fe",
         "e1e60aa118a8b862fe75b9787652cb74dd4e9ef9ad63f304e0c736c81549fee5"),
-    ("seq_x_end", "L", 8): (
+    ('seq_x_end', 'D', 8): (
+        "b44eeac71ef85776f0ce3a2efd9b071e595e6afa364d08ea6e6dbd70a5d2989e",
+        "5e6623ca93cb34b3f480331882ac3c093ffb3ee99b9aa6816ca7a4c1fea9195f"),
+    ('seq_x_end', 'D', 64): (
+        "37ca252247e4a91f01eca8e1e78f18c19e23b2465ac74f388a43de62c91ae2f5",
+        "5e6623ca93cb34b3f480331882ac3c093ffb3ee99b9aa6816ca7a4c1fea9195f"),
+    ('seq_x_end', 'L', 8): (
         "dbf14b8f064d287597aabe9c82d4accc4c962c2116f945bfa970bf3d0474d260",
         "b48091c101199525099a1ca93762bca51b7c613fba3313fc447249694bb69f1c"),
-    ("seq_x_end", "L", 64): (
+    ('seq_x_end', 'L', 64): (
         "b56556b4c3c2f4952410163db079156a2dab389d95c5aeb2d90c0be5e63f1155",
         "b48091c101199525099a1ca93762bca51b7c613fba3313fc447249694bb69f1c"),
-    ("seq_x_end", "SL", 8): (
+    ('seq_x_end', 'N', 8): (
+        "3cd6cfe5fbd9842ae75014fd794972b9efb66be3f6df870a4ae83431a4b9caae",
+        "66204857dc34d50ba29379ad4831e3b9439bad1c2881875c39abc6a9d4c91760"),
+    ('seq_x_end', 'N', 64): (
+        "dc7ca8ebb8b57907ccd2b1adeb3566fa0ceb24b40036b046feef78fc2e6d3d7c",
+        "66204857dc34d50ba29379ad4831e3b9439bad1c2881875c39abc6a9d4c91760"),
+    ('seq_x_end', 'S', 8): (
+        "4a5e451a4fbce4dce04e847c2f7172cb9b89d7e883aaf4540133fd03095c476c",
+        "101e9a7d10e4b6b92456563d7cd51a3e3010d1e1caaa8d9f012ec7c4c160e538"),
+    ('seq_x_end', 'S', 64): (
+        "83d76c692c8c4d8e409f8d6cf41d2ab054bf787a43a7df647fc7f73fc83ef270",
+        "101e9a7d10e4b6b92456563d7cd51a3e3010d1e1caaa8d9f012ec7c4c160e538"),
+    ('seq_x_end', 'SL', 8): (
         "53f5156359d7d6694e90fb9de54c088eb24cc07d3680c95e8b3bdffb232a4672",
         "067d8db534f76b4677e23d39a3c0691954e6e52442f85a205e41af3936324878"),
-    ("seq_x_end", "SL", 64): (
+    ('seq_x_end', 'SL', 64): (
         "945a323b36a0f57fa92bc7ff47607de240da708fca1ca5bc3f4a1abb4c6d5bbf",
         "067d8db534f76b4677e23d39a3c0691954e6e52442f85a205e41af3936324878"),
-    ("seq_y_end", "C", 8): (
+    ('seq_x_end', 'T', 8): (
+        "fb33dc83ab12bb57bfbed1e41d6b7871f1d6fc6b9de73ffd847b788cf72a0fe2",
+        "e586d28e7ba3b853ba453d7e4ec0f03b0c8a331438cb13f05faa9dafabfa0021"),
+    ('seq_x_end', 'T', 64): (
+        "e8bb56a1a71cb4d0f83157f3820b8e627983cebdd745e67d85fb772e2b682231",
+        "e586d28e7ba3b853ba453d7e4ec0f03b0c8a331438cb13f05faa9dafabfa0021"),
+    ('seq_y_end', 'BS', 8): (
+        "ed55e806ee7dc15e44fe54934504b2b69c6a448f6b3cbd60caed8913136c7201",
+        "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
+    ('seq_y_end', 'BS', 64): (
+        "fb17d609e49e79116c58c7345174d89244ee87c00be5ca713f1d06e964171bf5",
+        "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
+    ('seq_y_end', 'C', 8): (
         "f5e9b55bce40802352c53b4824eca9dea22533fb9d15f06696d7f80907b07f53",
         "26e090de17af8699ceb95a2752db518a7995794da1b4447fb8fde494f012f4f5"),
-    ("seq_y_end", "C", 64): (
+    ('seq_y_end', 'C', 64): (
         "db384691aa13f795efc57b9f43f34eb8c6cea3aab2e63b7dcb4cfb4b73c06fcc",
         "26e090de17af8699ceb95a2752db518a7995794da1b4447fb8fde494f012f4f5"),
-    ("seq_y_end", "L", 8): (
+    ('seq_y_end', 'D', 8): (
+        "8a85c192f0de76592e0e385f9528abfced0e2d86cc124a21bdceebe9d419d72e",
+        "80c3129b0b28e06158a4f3e05baeaec04fabe222c382e61f16e8b870eca1d434"),
+    ('seq_y_end', 'D', 64): (
+        "52605a20a52b4e15bfa0ea0e60af478677f6a74e87415cf3274c63c988436845",
+        "80c3129b0b28e06158a4f3e05baeaec04fabe222c382e61f16e8b870eca1d434"),
+    ('seq_y_end', 'L', 8): (
         "238c07050cbb4b0cc13507b813792c98e6c3d68667c6acd2ba8270ffb0c41362",
         "991f5550ffe96fd8b697b24a3dd4a7a33fd2bbcfaa8624655e978fda67aaa489"),
-    ("seq_y_end", "L", 64): (
+    ('seq_y_end', 'L', 64): (
         "12501852520e1d58cf6ff26201b99d4c7218400884ab46a8f831e3161db23e30",
         "991f5550ffe96fd8b697b24a3dd4a7a33fd2bbcfaa8624655e978fda67aaa489"),
-    ("seq_y_end", "SL", 8): (
+    ('seq_y_end', 'N', 8): (
+        "3f7d27f35971d1ee9ea5b4fd2adddeaf3853cd4f88073d26c844b502dc19d488",
+        "fde0f12bb0f9ddc58747e3cc8f4c6ce57ff0e59d40fa6eba973db381ebd992dd"),
+    ('seq_y_end', 'N', 64): (
+        "bd7b8a696a0f9e4acd2a869956486f79f28ee1cae479268bf1a7719ba0fb28b3",
+        "fde0f12bb0f9ddc58747e3cc8f4c6ce57ff0e59d40fa6eba973db381ebd992dd"),
+    ('seq_y_end', 'S', 8): (
+        "4366cd80714c6b98c4e0ba462880044f5ef6fb2d6414e1cc7a033f60fd7b3494",
+        "2f1c4d3f1516169b4a91e3a09cbf570d3cb03b027289ab4b5ef2da9ce98f59c2"),
+    ('seq_y_end', 'S', 64): (
+        "a4b6996484ff7f47e4b17c6a3616a060048aae8270e50ec542d438e133178c41",
+        "2f1c4d3f1516169b4a91e3a09cbf570d3cb03b027289ab4b5ef2da9ce98f59c2"),
+    ('seq_y_end', 'SL', 8): (
         "5a9ef23ff6542ca3ba9e47ea153f03c21c1aff293d91d90f60b92bee891888e0",
         "de0bcb842e499d9a0b033253bf3816982e9c115436ac39fdc65706c69befcdf1"),
-    ("seq_y_end", "SL", 64): (
+    ('seq_y_end', 'SL', 64): (
         "1c3ab33dd1487980c26de5af5b438fe53b53c53fcde4285e40dbb1f2ac9427ce",
         "de0bcb842e499d9a0b033253bf3816982e9c115436ac39fdc65706c69befcdf1"),
+    ('seq_y_end', 'T', 8): (
+        "8a63544d0937ca87d0a3d1da6ef003b0eb5bb337ea11b3706d2343812f3bab63",
+        "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
+    ('seq_y_end', 'T', 64): (
+        "2bd5db1359b036b9e42fea1924b79b2cf27721889cdec6eb1cbbeb1741abca27",
+        "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
 }
 
 REPRODUCE_DIGESTS = {
@@ -121,18 +257,59 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("key", sorted(CHECK_DIGESTS), ids=lambda k: "-".join(map(str, k)))
-def test_check_and_replay_digests(key, tmp_path, capsys):
-    model, cond, depth = key
+def _check_report(tmp_path, model, cond, depth):
+    """Path of the `check` report of one INSTANCES scenario."""
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({"model": model, "condition": cond,
-                                    "instance": INSTANCES[model, cond], "depth": depth}))
+    body = {"model": model, "condition": cond, "instance": INSTANCES[model, cond],
+            "depth": depth}
+    if model == "finite_full":
+        body["space"] = SPACE3
+    scenario.write_text(json.dumps(body))
     report = tmp_path / "report.json"
     assert main(["check", str(scenario), "--out", str(report)]) == 0
+    return report
+
+
+@pytest.mark.parametrize("key", sorted(CHECK_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_check_and_replay_digests(key, tmp_path, capsys):
+    report = _check_report(tmp_path, *key)
     check_out = capsys.readouterr().out
     assert main(["replay", str(report)]) == 0
     replay_out = capsys.readouterr().out
     assert (_digest(check_out), _digest(replay_out)) == CHECK_DIGESTS[key]
+
+
+def _rational_paths(node, path=()):
+    """Paths to every rational-valued string in a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, str) and re.fullmatch(r"-?\d+(/\d+)?", node) else []
+    return [p for key, child in items for p in _rational_paths(child, path + (key,))]
+
+
+# sha256 of the verify_report outputs, in order, of every depth-8 INSTANCES
+# report with one of its rational values moved by one of STEPS (every value,
+# every step); taken on the commit before the condition routes were
+# collapsed, so failing replay rows are pinned as well
+STEPS = (Fraction(1, 7), Fraction(-1, 7), Fraction(2), Fraction(-2))
+TAMPERED_REPLAY_DIGEST = "d13b0f658f12d124cbc7c1534f4bfc89dde0ecc0f757f4ba55ae5cd3476d47d6"
+
+
+def test_tampered_condition_replay_digest(tmp_path, capsys):
+    outputs = []
+    for model, cond in sorted(INSTANCES):
+        report = json.loads(_check_report(tmp_path, model, cond, 8).read_text())
+        for (*head, last), step in itertools.product(_rational_paths(report), STEPS):
+            tampered = json.loads(json.dumps(report))
+            node = functools.reduce(operator.getitem, head, tampered)
+            node[last] = str(Fraction(node[last]) + step)
+            outputs.append(verify_report(tampered))
+    capsys.readouterr()
+    assert not all(out["ok"] for out in outputs)
+    assert _digest(json.dumps(outputs, sort_keys=True)) == TAMPERED_REPLAY_DIGEST
 
 
 @pytest.mark.parametrize("example_id", sorted(CATALOG))

@@ -37,7 +37,6 @@ from normlab.seq_model import (
     lindelof_extract,
     local_compact_minorants,
     noncompact_family,
-    pointwise_op,
     semicontinuity_on_y,
     strict_insert,
     subcover_extract,
@@ -88,8 +87,8 @@ def test_canonical_equality_iff_pointwise(a, b):
 
 @given(seq_funcs(), seq_funcs())
 def test_pointwise_ops_align(a, b):
-    s = pointwise_op("add", a, b)
-    j = pointwise_op("join", a, b)
+    s = a + b
+    j = a.join(b)
     for k in range(20):
         assert s.at(k) == a.at(k) + b.at(k)
         assert j.at(k) == max(a.at(k), b.at(k))
@@ -97,9 +96,7 @@ def test_pointwise_ops_align(a, b):
 
 def test_carrier_mismatch_rejected():
     with pytest.raises(CarrierMismatch):
-        pointwise_op("add", SeqFunc.constant(1), SeqFunc.constant(1, with_omega=True))
-    with pytest.raises(PreconditionViolation):
-        pointwise_op("nope", SeqFunc.constant(1), SeqFunc.constant(1))
+        SeqFunc.constant(1) + SeqFunc.constant(1, with_omega=True)
 
 
 def test_limit_data_and_convergence():
