@@ -2,10 +2,11 @@
 
 Subcommands:
 
-* ``check <scenario.json>``: validate against the scenario schema, run the
-  requested condition check, write a JSON report.  Exit 0 when the verdict
-  matches the scenario's expectation (or none is stated), 1 on a verdict
-  mismatch, 2 on input errors.
+* ``check <scenario.json>``: read the scenario in one walk against its model
+  (``serialize.parse_scenario``), run the requested condition check, write a
+  JSON report.  Exit 0 when the verdict matches the scenario's expectation (or
+  none is stated), 1 on a verdict mismatch, 2 on input errors, each named by
+  its JSON pointer (or by ``--depth``).
 * ``reproduce <id>``: run a canned example and assert its golden facts.
 * ``survey --max-size N``: exhaustive finite-topology survey as CSV.
 * ``replay <report.json>``: re-verify every certificate in a report through
@@ -26,15 +27,8 @@ import json
 import sys
 from fractions import Fraction
 
-import jsonschema
-
 from . import replay as replay_mod
-from .conditions import (
-    FiniteFullModel,
-    SeqXEndModel,
-    SeqYEndModel,
-    check_condition,
-)
+from .conditions import SeqXEndModel, SeqYEndModel, check_condition
 from .errors import NormlabError, UnknownExampleId
 from .finite_space import (
     FiniteFunc,
@@ -58,155 +52,7 @@ from .seq_model import (
     local_compact_minorants,
     threshold_indicator,
 )
-from .serialize import (
-    parse_element,
-    parse_finite_space,
-    parse_rational,
-    to_jsonable,
-)
-
-RATIONAL = {
-    "type": ["string", "integer"],
-    "pattern": r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$",
-}
-
-SEQ_FUNC = {
-    "type": "object",
-    "properties": {
-        "prefix": {"type": "array", "items": RATIONAL},
-        "cycle": {"type": "array", "items": RATIONAL, "minItems": 1},
-        "omega": {"anyOf": [RATIONAL, {"type": "null"}]},
-    },
-    "required": ["cycle"],
-    "additionalProperties": False,
-}
-
-FINITE_SPACE = {
-    "type": "object",
-    "properties": {
-        "points": {"type": "integer", "minimum": 1},
-        "opens": {"type": "array",
-                  "items": {"type": "array", "uniqueItems": True,
-                            "items": {"type": "integer", "minimum": 0}}},
-    },
-    "required": ["points", "opens"],
-    "additionalProperties": False,
-}
-
-FINITE_FUNC = {
-    "type": "object",
-    "properties": {
-        "space": FINITE_SPACE,
-        "values": {"type": "array", "items": RATIONAL},
-    },
-    "required": ["space", "values"],
-    "additionalProperties": False,
-}
-
-ELEMENT = {"anyOf": [SEQ_FUNC, FINITE_FUNC]}
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "model": {"enum": ["finite_full", "seq_x_end", "seq_y_end"]},
-        "space": FINITE_SPACE,
-        "condition": {"enum": ["T", "BS", "S", "N", "D", "C", "L", "SL"]},
-        "instance": {
-            "type": "object",
-            "properties": {
-                "f": ELEMENT,
-                "g": ELEMENT,
-                "epsilon": RATIONAL,
-                "delta": RATIONAL,
-                "subfamily_cap": {"type": "integer"},
-                "family": {"type": "array", "items": ELEMENT},
-            },
-            "additionalProperties": False,
-        },
-        "depth": {"type": "integer", "minimum": 1},
-        "expect": {"enum": ["holds", "fails", "unknown_at_depth"]},
-    },
-    "required": ["model", "condition", "instance"],
-    "additionalProperties": False,
-}
-
-
-def _deepest(error) -> tuple[list, str]:
-    """JSON-pointer segments and message of the most specific nested error."""
-    out = (list(error.absolute_path), error.message)
-    stack = [(error, list(error.absolute_path))]
-    while stack:
-        err, path = stack.pop()
-        if len(path) > len(out[0]):
-            out = (path, err.message)
-        for child in err.context or []:
-            stack.append((child, path + list(child.relative_path)))
-    return out
-
-
-def _validate_scenario(data) -> list[str]:
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    problems = []
-    for e in validator.iter_errors(data):
-        path, message = _deepest(e)
-        if e.validator == "additionalProperties":  # point at the first unexpected key
-            path += sorted(set(e.instance) - set(e.schema["properties"]))[:1]
-        problems.append("/" + "/".join(str(p) for p in path) + f": {message}")
-    return sorted(problems)
-
-
-def _build_model(data):
-    name = data["model"]
-    if name == "finite_full":
-        if "space" not in data:
-            raise NormlabError("finite_full scenarios need a 'space' entry")
-        return FiniteFullModel(parse_finite_space(data["space"]))
-    if name == "seq_x_end":
-        return SeqXEndModel()
-    return SeqYEndModel()
-
-
-# Conditions that read the pair f <= g on every model; (C) and (L) read a cover.
-PAIR_CONDITIONS = ("T", "BS", "S", "N", "D", "SL")
-COVER_CONDITIONS = ("C", "L", "SL")
-# Models whose (C) and (L) read epsilon whenever the instance gives a family;
-# seq_x_end builds its own family from epsilon, delta and subfamily_cap.
-EPSILON_MODELS = ("finite_full", "seq_y_end")
-
-
-def _parse_instance(raw: dict, condition: str, model: str) -> dict:
-    if condition in PAIR_CONDITIONS:
-        for key in ("f", "g"):
-            if key not in raw:
-                raise NormlabError(f"/instance/{key}: condition ({condition}) needs f and g")
-    if (condition in COVER_CONDITIONS and model in EPSILON_MODELS
-            and "family" in raw and "epsilon" not in raw):
-        raise NormlabError(
-            f"/instance/epsilon: condition ({condition}) on {model} needs epsilon with a family")
-    finite = model == "finite_full"
-
-    def element(value, pointer):
-        # the schema admits exactly one of the two encodings per element
-        if ("values" in value) != finite:
-            carrier = "finite functions" if finite else "sequences"
-            raise NormlabError(f"{pointer}: model {model} takes {carrier}")
-        return parse_element(value)
-
-    out = {}
-    for key, value in raw.items():
-        if key in ("f", "g"):
-            out[key] = element(value, f"/instance/{key}")
-        elif key in ("epsilon", "delta"):
-            out[key] = parse_rational(value)
-        elif key == "family":
-            out[key] = [element(v, f"/instance/family/{i}") for i, v in enumerate(value)]
-        else:
-            out[key] = value
-    if condition in COVER_CONDITIONS and model == "seq_x_end" and "family" in raw:
-        raise NormlabError(
-            f"/instance/family: model seq_x_end decides ({condition}) on its built-in family "
-            "from epsilon, delta and subfamily_cap, and takes no family")
-    return out
+from .serialize import parse_depth, parse_scenario, to_jsonable
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -217,28 +63,25 @@ def _emit(report: dict, out_path: str | None) -> None:
     print(text)
 
 
+def _read_json(path: str):
+    """A file's JSON value; a file that cannot be read or parsed is an input error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or JSON
+        raise NormlabError(str(exc)) from None
+
+
 def cmd_check(args) -> int:
     try:
-        with open(args.scenario) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    problems = _validate_scenario(data)
-    if problems:
-        for p in problems:
-            print(f"input error: schema violation at {p}", file=sys.stderr)
-        return 2
-    depth = args.depth or data.get("depth", 32)
-    try:
-        model = _build_model(data)
-        instance = _parse_instance(data["instance"], data["condition"], data["model"])
-        report = check_condition(model, data["condition"], instance, depth)
+        model, condition, instance, depth, expected = parse_scenario(_read_json(args.scenario))
+        if args.depth is not None:
+            depth = parse_depth(args.depth, "--depth")
+        report = check_condition(model, condition, instance, depth)
     except NormlabError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     payload = to_jsonable(report)
-    expected = data.get("expect")
     payload["expected"] = expected
     _emit(payload, args.out)
     if expected is not None and expected != report.verdict:
@@ -264,12 +107,8 @@ def _ex_tong_merge():
             "certificates": [to_jsonable(trace)]}
 
 
-def _chi_evens() -> SeqFunc:
-    return SeqFunc.periodic([1, 0])
-
-
 def _ex_chi_evens():
-    f = _chi_evens()
+    f = SeqFunc.periodic([1, 0])
     result = insert_convergent(f, f)
     report = check_condition(SeqXEndModel(), "N", {"f": f, "g": f}, 64)
     asserts = {
@@ -493,14 +332,8 @@ def cmd_survey(args) -> int:
 
 def cmd_replay(args) -> int:
     try:
-        with open(args.report) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = replay_mod.verify_report(data)
-    except replay_mod.MalformedPayload as exc:
+        result = replay_mod.verify_report(_read_json(args.report))
+    except (NormlabError, replay_mod.MalformedPayload) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     _emit(result, args.out)

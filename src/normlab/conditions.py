@@ -51,6 +51,8 @@ FAILS = "fails"
 UNKNOWN = "unknown_at_depth"
 
 CONDITIONS = ("T", "BS", "S", "N", "D", "C", "L", "SL")
+# (C) on seq_x_end defeats every subfamily of up to this many members
+MAX_SUBFAMILY_CAP = 6
 
 
 @dataclass
@@ -325,7 +327,7 @@ class SeqXEndModel(ExtensionModel):
         eps = rat(instance.get("epsilon", ONE))
         delta = rat(instance.get("delta", Fraction(1, 2)))
         member, stream, defeat = noncompact_family(eps, delta)
-        size_cap = min(int(instance.get("subfamily_cap", 4)), 6)
+        size_cap = min(int(instance.get("subfamily_cap", 4)), MAX_SUBFAMILY_CAP)
         pool = range(min(depth, 8))
         defeats = []
         for combo in _subsets(pool, size_cap):

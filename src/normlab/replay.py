@@ -279,7 +279,7 @@ def _verify_condition(report, checks) -> None:
             return
         if verdict == "fails" and "defeats" in cert:
             eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
-            ok = True
+            ok = bool(cert["defeats"])  # an empty list defeats nothing
             for entry in cert["defeats"]:
                 sub = entry["subfamily"]
                 idx = entry["index"]
@@ -307,14 +307,14 @@ def _verify_ideal(payload, checks) -> None:
     elem = payload["element"]
     in_i, in_j = payload["in_I_alpha"], payload["in_J_radical"]
     cert = payload["cert"]
-    prefix = elem.get("prefix", [])
+    prefix = [_frac(v) for v in elem.get("prefix", [])]  # every value parsed before judging
     if "ratio" in elem:  # geometric tail: limit 0, finite support iff q = 0
+        q, _ = _frac(elem["q"]), _frac(elem["ratio"])
         _check(checks, "ideal: tail lies in the radical", in_j is True)
-        _check(checks, "ideal: compact-support membership matches q",
-               in_i == (_frac(elem["q"]) == 0))
+        _check(checks, "ideal: compact-support membership matches q", in_i == (q == 0))
     else:
-        om = _seq_omega(elem)
-        ok = _seq_convergent(elem) and om is not None
+        cycle, om = [_frac(v) for v in elem["cycle"]], _seq_omega(elem)
+        ok = len(cycle) == 1 and om == cycle[0]
         _check(checks, "ideal: element convergent", ok)
         if not ok:
             return
@@ -322,11 +322,11 @@ def _verify_ideal(payload, checks) -> None:
                in_j == (om == 0))
         _check(checks, "ideal: compact support iff limit zero", in_i == in_j)
     if in_i:
-        support = [k for k, v in enumerate(prefix) if _frac(v) != 0]
+        support = [k for k, v in enumerate(prefix) if v != 0]
         _check(checks, "ideal: closure certificate is the finite support",
                cert["kind"] == "finite" and list(cert["members"]) == support)
     else:
-        zeros = [k for k, v in enumerate(prefix) if _frac(v) == 0]
+        zeros = [k for k, v in enumerate(prefix) if v == 0]
         _check(checks, "ideal: closure certificate is cofinite with omega",
                cert["kind"] == "cofinite_with_omega"
                and list(cert["members"]) == zeros)

@@ -411,7 +411,7 @@ class GeoTail:
 
     Value at k beyond the prefix is q * ratio**(k - prefix length) with the
     ratio strictly between 0 and 1, so the limit is 0.  Supports only
-    evaluation, limit, zero-set, and finite-support queries; it is not closed
+    evaluation, limit and finite-support queries; it is not closed
     under the algebra operations and does not pretend to be.
     """
 
@@ -436,9 +436,6 @@ class GeoTail:
 
     def has_finite_support(self) -> bool:
         return self.q == 0
-
-    def zero_prefix_indices(self) -> list[int]:
-        return [k for k, v in enumerate(self.prefix) if v == 0]
 
     def __repr__(self):
         return f"GeoTail({list(map(str, self.prefix))}, q={self.q}, ratio={self.ratio})"
@@ -502,22 +499,16 @@ def ideal_membership(f) -> dict:
     :class:`GeoTail` witnesses; the certificate is the computed coz-closure.
     """
     if isinstance(f, GeoTail):
-        if f.has_finite_support():
-            support = [k for k, v in enumerate(f.prefix) if v != 0]
-            return {"in_I_alpha": True, "in_J_radical": True,
-                    "cert": YSet.finite(support)}
-        zeros = f.zero_prefix_indices()
-        return {"in_I_alpha": False, "in_J_radical": True,
-                "cert": YSet.cofinite_with_omega(zeros)}
-    if not isinstance(f, SeqFunc) or not f.has_omega or not f.is_convergent():
+        in_i, in_j = f.has_finite_support(), True
+    elif isinstance(f, SeqFunc) and f.has_omega and f.is_convergent():
+        in_i = in_j = f.omega == 0
+    else:
         raise NotConvergent("ideal membership is defined for convergent functions on the compactification")
-    in_j = f.omega == 0
-    if in_j:
-        support = [k for k, v in enumerate(f.prefix) if v != 0]
-        return {"in_I_alpha": True, "in_J_radical": True, "cert": YSet.finite(support)}
-    zeros = [k for k, v in enumerate(f.prefix) if v == 0]
-    return {"in_I_alpha": False, "in_J_radical": False,
-            "cert": YSet.cofinite_with_omega(zeros)}
+    if in_i:
+        cert = YSet.finite([k for k, v in enumerate(f.prefix) if v != 0])
+    else:
+        cert = YSet.cofinite_with_omega([k for k, v in enumerate(f.prefix) if v == 0])
+    return {"in_I_alpha": in_i, "in_J_radical": in_j, "cert": cert}
 
 
 def alpha_compact_indicator(subset: YSet) -> bool:

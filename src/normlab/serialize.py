@@ -9,19 +9,33 @@ small tagged objects:
 * geometric tail: {"prefix": [...], "q": "p/q", "ratio": "p/q"}
 * subset of the compactification: {"kind": ..., "members": [...]}
 
-``to_jsonable`` lowers any report/trace/certificate produced by the library;
-``parse_*`` rebuild instance literals from scenario files.
+``to_jsonable`` lowers any report/trace/certificate produced by the library.
+``parse_scenario`` reads a scenario file in one walk that knows each model's
+carrier and which keys each condition reads; every rejection names the JSON
+pointer of the offending key, and the ``MAX_*`` limits bound the work.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import is_dataclass, fields as dc_fields
 from fractions import Fraction
 
+from .conditions import (
+    CONDITIONS,
+    FAILS,
+    HOLDS,
+    MAX_SUBFAMILY_CAP,
+    UNKNOWN,
+    FiniteFullModel,
+    SeqXEndModel,
+    SeqYEndModel,
+)
 from .errors import PreconditionViolation
 from .finite_space import FiniteFunc, FiniteSpace
 from .insertion_engine import IterationTrace, MergeTrace
-from .rationals import rat, rat_str
+from .rationals import rat_str
 from .seq_model import GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet
 
 
@@ -73,40 +87,198 @@ def to_jsonable(obj):
     raise PreconditionViolation(f"cannot serialize {type(obj).__name__}")
 
 
-def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise PreconditionViolation(f"rational must be a string, got {type(text).__name__}")
-    return rat(text)
+# -- scenario reader -----------------------------------------------------------
+
+# Limits on what one scenario may ask for; the time each costs at its limit is
+# recorded in CHANGES.md.  (L) on seq_x_end grows about 4-5x per doubling of
+# depth, and two coprime cycles of MAX_SPAN entries align over ~MAX_SPAN**2 points.
+MAX_DEPTH = 512
+MAX_FAMILY = 64
+MAX_POINTS = 8
+MAX_SPAN = 256
+
+MODELS = {"finite_full": FiniteFullModel, "seq_x_end": SeqXEndModel,
+          "seq_y_end": SeqYEndModel}
+
+_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
 
 
-def parse_seq_func(data: dict) -> SeqFunc:
-    om = data.get("omega")
-    return SeqFunc([parse_rational(v) for v in data.get("prefix", [])],
-                   [parse_rational(v) for v in data.get("cycle", [0])],
-                   None if om is None else parse_rational(om))
+def _reject(pointer: str, detail: str) -> PreconditionViolation:
+    return PreconditionViolation(f"{pointer or '/'}: {detail}")
 
 
-def parse_finite_space(data: dict) -> FiniteSpace:
-    n = data["points"]
-    for open_set in data["opens"]:
-        for p in open_set:
-            if not 0 <= p < n:
-                raise PreconditionViolation(f"point index {p} outside the space of {n} points")
-    return FiniteSpace.from_sets(n, data["opens"])
+def _child(pointer: str, key) -> str:
+    return f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}"
 
 
-def parse_finite_func(data: dict) -> FiniteFunc:
-    space = parse_finite_space(data["space"])
-    return FiniteFunc(space, [parse_rational(v) for v in data["values"]])
+def _shown(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
-def parse_element(data: dict):
-    """An instance element: a finite function if it has values, else a sequence.
+def _fields(data, pointer: str, readers: dict, required=()) -> dict:
+    """An object's values in document order, each read by its key's reader."""
+    if not isinstance(data, dict):
+        raise _reject(pointer, f"expected an object, got {_shown(data)}")
+    out = {}
+    for key, value in data.items():
+        if key not in readers:
+            raise _reject(_child(pointer, key), "unexpected key")
+        out[key] = readers[key](value, _child(pointer, key))
+    for key in required:
+        if key not in out:
+            raise _reject(pointer, f"missing key {key!r}")
+    return out
 
-    The scenario schema admits only these two encodings.
+
+def _array(value, pointer: str, item, cap: int | None = None, limit: str = "") -> list:
+    if not isinstance(value, list):
+        raise _reject(pointer, f"expected an array, got {_shown(value)}")
+    if cap is not None and len(value) > cap:
+        raise _reject(pointer, f"{len(value)} entries exceed the limit {limit} = {cap}")
+    return [item(v, f"{pointer}/{i}") for i, v in enumerate(value)]
+
+
+def _integer(value, pointer: str, lo: int, hi: int | None = None, limit: str = "") -> int:
+    if isinstance(value, int) and not isinstance(value, bool) and lo <= value \
+            and (hi is None or value <= hi):
+        return value
+    bound = f"at least {lo}" if hi is None else f"from {lo} to {limit} = {hi}"
+    raise _reject(pointer, f"expected an integer {bound}, got {_shown(value)}")
+
+
+def _choice(value, pointer: str, options) -> str:
+    if isinstance(value, str) and value in options:
+        return value
+    raise _reject(pointer, f"expected one of {', '.join(options)}, got {_shown(value)}")
+
+
+def _rational(value, pointer: str) -> Fraction:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.match(value):
+        return Fraction(value)
+    raise _reject(pointer, f"expected an integer or a \"p/q\" string, got {_shown(value)}")
+
+
+def _rationals(value, pointer: str) -> list[Fraction]:
+    return _array(value, pointer, _rational)
+
+
+def parse_depth(value, pointer: str) -> int:
+    return _integer(value, pointer, 1, MAX_DEPTH, "MAX_DEPTH")
+
+
+def _space_sets(data, pointer: str) -> tuple[int, frozenset]:
+    """(points, open-set masks) of a finite space, every index checked."""
+    def open_set(value, at):
+        points = _array(value, at, lambda v, p: _integer(v, p, 0))
+        if len(set(points)) != len(points):
+            raise _reject(at, "a point is listed twice")
+        return points
+
+    fields = _fields(data, pointer, {
+        "points": lambda v, p: _integer(v, p, 1, MAX_POINTS, "MAX_POINTS"),
+        "opens": lambda v, p: _array(v, p, open_set)}, ("points", "opens"))
+    n = fields["points"]
+    for i, points in enumerate(fields["opens"]):
+        for j, x in enumerate(points):
+            if x >= n:
+                raise _reject(f"{pointer}/opens/{i}/{j}",
+                              f"point index {x} outside the space of {n} points")
+    return n, frozenset(sum(1 << x for x in points) for points in fields["opens"])
+
+
+def _seq_func(data, pointer: str) -> SeqFunc:
+    fields = _fields(data, pointer, {
+        "prefix": _rationals, "cycle": _rationals,
+        "omega": lambda v, p: None if v is None else _rational(v, p)}, ("cycle",))
+    prefix, cycle = fields.get("prefix", []), fields["cycle"]
+    if not cycle:
+        raise _reject(_child(pointer, "cycle"), "the cycle is empty")
+    if len(prefix) + len(cycle) > MAX_SPAN:
+        raise _reject(pointer, f"prefix plus cycle has {len(prefix) + len(cycle)} entries, "
+                               f"over the limit MAX_SPAN = {MAX_SPAN}")
+    return SeqFunc(prefix, cycle, fields.get("omega"))
+
+
+def _finite_func(data, pointer: str, space: FiniteSpace) -> FiniteFunc:
+    fields = _fields(data, pointer, {"space": _space_sets, "values": _rationals},
+                     ("space", "values"))
+    if fields["space"] != (space.n, space.opens):
+        raise _reject(_child(pointer, "space"), "not the scenario's space")
+    if len(fields["values"]) != space.n:
+        raise _reject(_child(pointer, "values"),
+                      f"expected {space.n} values, got {len(fields['values'])}")
+    return FiniteFunc(space, fields["values"])
+
+
+def parse_element(data, pointer: str = "", space: FiniteSpace | None = None):
+    """An instance element: a finite function on ``space`` if one is given,
+    else a sequence.  An object with ``values`` is a finite function, so an
+    element in the other encoding is named as off the model's carrier.
     """
-    if "values" in data:
-        return parse_finite_func(data)
-    return parse_seq_func(data)
+    if (isinstance(data, dict) and "values" in data) != (space is not None):
+        carrier = "finite functions" if space is not None else "sequences"
+        raise _reject(pointer, f"the model takes {carrier}")
+    return _seq_func(data, pointer) if space is None else _finite_func(data, pointer, space)
+
+
+def _instance(data, pointer: str, model: str, condition: str, space) -> dict:
+    def element(value, at):
+        return parse_element(value, at, space)
+
+    inst = _fields(data, pointer, {
+        "f": element, "g": element, "epsilon": _rational, "delta": _rational,
+        "subfamily_cap": lambda v, p: _integer(v, p, 1, MAX_SUBFAMILY_CAP, "MAX_SUBFAMILY_CAP"),
+        "family": lambda v, p: _array(v, p, element, MAX_FAMILY, "MAX_FAMILY")})
+    if condition in ("T", "BS", "S", "N", "D", "SL"):  # the pair f <= g is read
+        for key in ("f", "g"):
+            if key not in inst:
+                raise _reject(_child(pointer, key), f"condition ({condition}) needs f and g")
+    if condition in ("C", "L", "SL") and "family" in inst:  # a cover family is read
+        if model == "seq_x_end":
+            raise _reject(_child(pointer, "family"),
+                          f"model seq_x_end decides ({condition}) on its built-in family "
+                          "from epsilon, delta and subfamily_cap, and takes no family")
+        if "epsilon" not in inst:
+            raise _reject(_child(pointer, "epsilon"),
+                          f"condition ({condition}) on {model} needs epsilon with a family")
+        if not inst["family"]:
+            raise _reject(_child(pointer, "family"), "the cover family is empty")
+    return inst
+
+
+def parse_scenario(data) -> tuple:
+    """(model, condition, instance, depth, expect) of a scenario, read in one walk.
+
+    ``model``, ``condition`` and ``space`` are read first, since every other
+    key is read against them (only finite_full takes a space); the rest is
+    read in document order.  The first problem raises a
+    ``PreconditionViolation`` whose message starts with its JSON pointer.
+    """
+    if not isinstance(data, dict):
+        raise _reject("", f"expected an object, got {_shown(data)}")
+    for key in ("model", "condition", "instance"):
+        if key not in data:
+            raise _reject("", f"missing key {key!r}")
+    name = _choice(data["model"], "/model", tuple(MODELS))
+    condition = _choice(data["condition"], "/condition", CONDITIONS)
+    space = None
+    if name == "finite_full":
+        if "space" not in data:
+            raise _reject("", "missing key 'space', which model finite_full reads")
+        n, opens = _space_sets(data["space"], "/space")
+        try:
+            space = FiniteSpace(n, opens)
+        except PreconditionViolation as exc:  # not a topology
+            raise _reject("/space/opens", str(exc)) from None
+    elif "space" in data:
+        raise _reject("/space", f"model {name} takes no space")
+    fields = _fields(data, "", {
+        "model": lambda v, p: name, "condition": lambda v, p: condition,
+        "space": lambda v, p: space,
+        "instance": lambda v, p: _instance(v, p, name, condition, space),
+        "depth": parse_depth, "expect": lambda v, p: _choice(v, p, (HOLDS, FAILS, UNKNOWN))})
+    model = MODELS[name]() if space is None else FiniteFullModel(space)
+    return model, condition, fields["instance"], fields.get("depth", 32), fields.get("expect")

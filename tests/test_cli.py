@@ -1,4 +1,4 @@
-"""CLI surface: scenarios, schema validation, catalog, survey, replay."""
+"""CLI surface: scenarios, the scenario reader, catalog, survey, replay."""
 
 import json
 
@@ -249,7 +249,7 @@ def test_check_family_on_seq_x_end_is_input_error(tmp_path, capsys, cond):
 def test_check_seed_key_is_input_error(tmp_path, capsys):
     path = write(tmp_path, "s.json", dict(SCENARIO_N_FAILS, seed=3))
     assert main(["check", path]) == 2
-    assert capsys.readouterr().err.startswith("input error: schema violation at /seed:")
+    assert capsys.readouterr().err.startswith("input error: /seed:")
 
 
 SEQ_0, SEQ_1 = {"cycle": ["0"]}, {"cycle": ["1"]}
@@ -262,10 +262,133 @@ SEQ_0, SEQ_1 = {"cycle": ["0"]}, {"cycle": ["1"]}
                         "v_seq": [], "result": SEQ_0}]}, "/certificates/0", "merge"),
     ({"condition": "N", "verdict": "holds", "instance": {"f": SEQ_0, "g": SEQ_1},
       "certificate": {"limit": "0"}}, "/", "condition"),
-], ids=["iteration-bounds-short", "merge-empty", "N-holds-no-witness"])
+    ({"ideal_membership": {"element": {"cycle": ["x"]}, "in_I_alpha": True,
+                           "in_J_radical": True, "cert": {}}}, "/", "ideal"),
+], ids=["iteration-bounds-short", "merge-empty", "N-holds-no-witness", "ideal-unparsed-value"])
 def test_replay_malformed_report_is_input_error(tmp_path, capsys, report, pointer, kind):
     path = write(tmp_path, "report.json", report)
     assert main(["replay", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"input error: {pointer}: malformed {kind} payload")
+
+
+def test_replay_rejects_c_failure_without_defeats(tmp_path, capsys):
+    path = write(tmp_path, "s.json", _scenario("seq_x_end", "C", dict(X_COVER)))
+    report_path = tmp_path / "report.json"
+    assert main(["check", path, "--out", str(report_path)]) == 0
+    assert main(["replay", str(report_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    assert report["certificate"]["defeats"]
+    report["certificate"]["defeats"] = []  # a verdict with no evidence
+    assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def _check_exit(tmp_path, capsys, payload, *flags):
+    code = main(["check", write(tmp_path, "s.json", payload), *flags])
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+    return code, captured.err
+
+
+X_C = _scenario("seq_x_end", "C", dict(X_COVER))
+F_N = _scenario("finite_full", "N", {"f": FINITE_ELEM, "g": FINITE_ELEM})
+F_C = _scenario("finite_full", "C", {"epsilon": "1", "family": [FINITE_ELEM]})
+Y_C = _scenario("seq_y_end", "C", {"epsilon": "1", "family": [MODEL_ELEMS["seq_y_end"]]})
+
+
+def _with(payload, path, value):
+    """A deep copy of payload with the value at a key path replaced."""
+    out = json.loads(json.dumps(payload))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("payload,pointer,named", [
+    # integer fields must be ints, not floats or booleans
+    (_with(SCENARIO_N_FAILS, ["depth"], 64.0), "/depth", "MAX_DEPTH"),
+    (_with(SCENARIO_N_FAILS, ["depth"], True), "/depth", "MAX_DEPTH"),
+    (_with(SCENARIO_N_FAILS, ["depth"], 0), "/depth", "MAX_DEPTH"),
+    (_with(X_C, ["instance", "subfamily_cap"], 2.0), "/instance/subfamily_cap", "MAX_SUBFAMILY_CAP"),
+    (_with(F_N, ["space", "points"], 2.0), "/space/points", "MAX_POINTS"),
+    (_with(F_N, ["instance", "f", "space", "points"], 2.0), "/instance/f/space/points",
+     "MAX_POINTS"),
+    (_with(F_N, ["space", "opens", 1, 0], 0.0), "/space/opens/1/0", "integer"),
+    # every limit is named
+    (_with(SCENARIO_N_FAILS, ["depth"], 513), "/depth", "MAX_DEPTH = 512"),
+    (_with(F_N, ["space", "points"], 9), "/space/points", "MAX_POINTS = 8"),
+    (_with(Y_C, ["instance", "family"], [MODEL_ELEMS["seq_y_end"]] * 65), "/instance/family",
+     "MAX_FAMILY = 64"),
+    (_with(SCENARIO_N_FAILS, ["instance", "f"], {"prefix": ["0"], "cycle": ["1"] * 256}),
+     "/instance/f", "MAX_SPAN = 256"),
+    # (C) on seq_x_end defeats subfamilies of 1 to 6 members, never none
+    (_with(X_C, ["instance", "subfamily_cap"], 0), "/instance/subfamily_cap",
+     "MAX_SUBFAMILY_CAP = 6"),
+    (_with(X_C, ["instance", "subfamily_cap"], -1), "/instance/subfamily_cap",
+     "MAX_SUBFAMILY_CAP = 6"),
+    (_with(X_C, ["instance", "subfamily_cap"], 7), "/instance/subfamily_cap",
+     "MAX_SUBFAMILY_CAP = 6"),
+    # unknown keys at their own pointer
+    (_with(SCENARIO_N_FAILS, ["instance", "zz"], 1), "/instance/zz", "unexpected key"),
+    (_with(SCENARIO_N_FAILS, ["instance", "f", "zz"], 1), "/instance/f/zz", "unexpected key"),
+    (_with(F_N, ["instance", "f", "space", "zz"], 1), "/instance/f/space/zz", "unexpected key"),
+    (_with(SCENARIO_N_FAILS, ["a/b~c"], 1), "/a~1b~0c", "unexpected key"),
+    # rationals are ints or p/q strings
+    (_with(SCENARIO_N_FAILS, ["instance", "f", "cycle", 0], "1.5"), "/instance/f/cycle/0", "p/q"),
+    (_with(SCENARIO_N_FAILS, ["instance", "f", "cycle", 1], "1/0"), "/instance/f/cycle/1", "p/q"),
+    (_with(SCENARIO_N_FAILS, ["instance", "g", "cycle", 0], 1.5), "/instance/g/cycle/0", "p/q"),
+    (_with(SCENARIO_N_FAILS, ["instance", "g", "cycle", 0], True), "/instance/g/cycle/0", "p/q"),
+    (_with(X_C, ["instance", "epsilon"], "1/2/3"), "/instance/epsilon", "p/q"),
+    (_with(SCENARIO_N_FAILS, ["instance", "f", "omega"], "x"), "/instance/f/omega", "p/q"),
+    # empty cycles, bad enum values, missing keys
+    (_with(SCENARIO_N_FAILS, ["instance", "f", "cycle"], []), "/instance/f/cycle", "empty"),
+    (_with(SCENARIO_N_FAILS, ["model"], "seq_z_end"), "/model", "seq_x_end"),
+    (_with(SCENARIO_N_FAILS, ["condition"], "Q"), "/condition", "SL"),
+    (_with(SCENARIO_N_FAILS, ["expect"], None), "/expect", "unknown_at_depth"),
+    ({"model": "seq_x_end", "condition": "N"}, "/", "'instance'"),
+    ({"model": "finite_full", "condition": "N", "instance": {}}, "/", "'space'"),
+    (_with(F_N, ["instance", "f"], {"space": FINITE_SPACE_2}), "/instance/f",
+     "finite functions"),
+    (_with(F_N, ["instance", "f"], {"values": ["1", "2"]}), "/instance/f", "'space'"),
+    (_with(F_N, ["instance", "f", "values"], ["1"]), "/instance/f/values", "expected 2 values"),
+    (_with(F_N, ["space", "opens"], [[0], [0, 1]]), "/space/opens", "empty and full"),
+    ([], "/", "object"),
+    # read against the model: finite_full alone takes a space, and its elements live on it
+    (_with(SCENARIO_N_FAILS, ["space"], FINITE_SPACE_2), "/space", "takes no space"),
+    (_with(F_N, ["instance", "f", "space", "opens"], [[], [1], [0, 1]]), "/instance/f/space",
+     "scenario's space"),
+    (_with(F_C, ["instance", "family"], []), "/instance/family", "empty"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_check_rejects_at_pointer(tmp_path, capsys, payload, pointer, named):
+    code, err = _check_exit(tmp_path, capsys, payload)
+    assert code == 2
+    assert err.startswith(f"input error: {pointer}: ") and named in err
+
+
+@pytest.mark.parametrize("flag", ["-3", "0", "513"])
+def test_check_depth_flag_is_bounded(tmp_path, capsys, flag):
+    code, err = _check_exit(tmp_path, capsys, SCENARIO_N_FAILS, "--depth", flag)
+    assert code == 2
+    assert err.startswith("input error: --depth: ") and "MAX_DEPTH = 512" in err
+
+
+def test_check_depth_flag_at_limits(tmp_path, capsys):
+    for depth in ("1", "512"):
+        assert main(["check", write(tmp_path, "s.json", SCENARIO_N_FAILS), "--depth", depth]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == int(depth)
+
+
+@pytest.mark.parametrize("command", ["check", "replay"])
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100_000, b"1" * 5000],
+                         ids=["not-utf8", "deep", "long-integer"])
+def test_unreadable_json_is_input_error(tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    path.write_bytes(text)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error")
