@@ -21,6 +21,7 @@ from typing import Iterable
 
 from .errors import (
     CoverViolation,
+    EmptyFamily,
     InsertionInfeasible,
     ModelCapabilityMissing,
     NormlabError,
@@ -195,6 +196,8 @@ class FiniteFullModel(ExtensionModel):
                         "family": [FiniteFunc(self.space, [2] * self.space.n)]}
         eps = rat(instance["epsilon"])
         family = list(instance["family"])
+        if not family:
+            raise EmptyFamily("cover family must be nonempty")
         choices = []
         for x in range(self.space.n):
             vals = [t.value_at(x) for t in family]
@@ -327,7 +330,10 @@ class SeqXEndModel(ExtensionModel):
         eps = rat(instance.get("epsilon", ONE))
         delta = rat(instance.get("delta", Fraction(1, 2)))
         member, stream, defeat = noncompact_family(eps, delta)
-        size_cap = min(int(instance.get("subfamily_cap", 4)), MAX_SUBFAMILY_CAP)
+        size_cap = int(instance.get("subfamily_cap", 4))
+        if not 1 <= size_cap <= MAX_SUBFAMILY_CAP:
+            raise PreconditionViolation(
+                f"subfamily_cap must lie in 1..{MAX_SUBFAMILY_CAP}, got {size_cap}")
         pool = range(min(depth, 8))
         defeats = []
         for combo in _subsets(pool, size_cap):
@@ -469,14 +475,6 @@ def random_usc_lsc_pair(rng: random.Random) -> dict:
     f = base.with_omega(hi)
     shift = (hi - lo) + rand_rational(rng, lo=0)
     g = (base + shift).with_omega(lo + shift)
-    return {"f": f, "g": g}
-
-
-def random_feasible_x_pair(rng: random.Random) -> dict:
-    """A random pair on the naturals admitting a convergent insertion."""
-    f = random_seq_func(rng)
-    shift = (max(f.cycle) - min(f.cycle)) + rand_rational(rng, lo=0)
-    g = f + shift
     return {"f": f, "g": g}
 
 

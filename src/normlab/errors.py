@@ -35,10 +35,6 @@ class NotConvergent(NormlabError):
     """A convergent function was required (single-valued cycle equal to omega)."""
 
 
-class ContainsOmega(NormlabError):
-    """A subset of the naturals was required but the set contains omega."""
-
-
 class NegativeInput(NormlabError):
     """A nonnegative element was required."""
 

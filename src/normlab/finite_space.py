@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, EmptyFamily, PreconditionViolation
-from .lattice_core import AlgElement
+from .lattice_core import AlgElement, LazyView
 from .rationals import ONE, ZERO, rat
 
 MAX_ENUM_POINTS = 5
@@ -81,10 +81,6 @@ class FiniteSpace:
     @classmethod
     def discrete(cls, n: int) -> "FiniteSpace":
         return cls(n, range(1 << n))
-
-    @classmethod
-    def indiscrete(cls, n: int) -> "FiniteSpace":
-        return cls(n, (0, (1 << n) - 1))
 
     @classmethod
     def from_preorder(cls, n: int, up: Sequence[int]) -> "FiniteSpace":
@@ -154,38 +150,49 @@ class FiniteSpace:
 
 
 class FiniteFunc(AlgElement):
-    """A rational-valued function on a finite space; all operations pointwise."""
+    """A rational-valued function on a finite space; all operations pointwise.
+
+    Held as int numerators over one denominator (see :mod:`normlab.lattice_core`);
+    ``values`` and ``value_at`` still give Fractions.
+    """
+
+    values = LazyView()
 
     def __init__(self, space: FiniteSpace, values: Iterable):
-        self.space = space
+        self._shape = space
         self.values = tuple(rat(v) for v in values)
         if len(self.values) != space.n:
             raise PreconditionViolation(
                 f"expected {space.n} values, got {len(self.values)}")
 
-    def zip_with(self, other, fn):
-        if not isinstance(other, FiniteFunc) or other.space != self.space:
-            raise PreconditionViolation("operands live on different spaces")
-        return FiniteFunc(self.space, (fn(a, b) for a, b in zip(self.values, other.values)))
+    @property
+    def space(self) -> FiniteSpace:
+        return self._shape
 
-    def map_values(self, fn):
-        return FiniteFunc(self.space, (fn(v) for v in self.values))
+    def _fraction_row(self):
+        return self.values
+
+    def _set_fractions(self, values):
+        self.values = tuple(values)
+
+    def _align(self, other):
+        if not isinstance(other, FiniteFunc) or not (
+                other._shape is self._shape or other._shape == self._shape):
+            raise PreconditionViolation("operands live on different spaces")
+        return self._row, other._row, self._shape
+
+    def _point(self, shape, i):
+        return i
 
     def const_like(self, value):
-        return FiniteFunc(self.space, [rat(value)] * self.space.n)
+        v = rat(value)
+        return self._new(self._shape, (v.numerator,) * self._shape.n, v.denominator)
 
     def probe_points(self):
         return range(self.space.n)
 
     def value_at(self, point):
         return self.values[point]
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteFunc) and self.space == other.space
-                and self.values == other.values)
-
-    def __hash__(self):
-        return hash((self.space, self.values))
 
     def __repr__(self):
         return f"FiniteFunc({list(map(str, self.values))})"
@@ -427,15 +434,3 @@ def enumerate_spaces(n: int, max_points: int = MAX_ENUM_POINTS) -> Iterator[Fini
         raise BoundExceeded(f"enumeration limited to {max_points} points, got {n}")
     for up in enumerate_preorders(n):
         yield FiniteSpace.from_preorder(n, up)
-
-
-def enumerate_spaces_bruteforce(n: int) -> Iterator[FiniteSpace]:
-    """Independent oracle: enumerate closed set families directly (tiny n only)."""
-    if n > 3:
-        raise BoundExceeded("brute-force family enumeration is for n <= 3")
-    full = (1 << n) - 1
-    middles = [m for m in range(1 << n) if m not in (0, full)]
-    for pick in range(1 << len(middles)):
-        fam = {0, full} | {m for i, m in enumerate(middles) if pick & (1 << i)}
-        if all((u | v) in fam and (u & v) in fam for u in fam for v in fam):
-            yield FiniteSpace(n, fam)

@@ -287,11 +287,14 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     formed = set()  # (closed id, open id, index of r) whose c_rs is in parts
     parts = [f1.const_like(ZERO)]
     pair_log = []
-    for s in grid:
+    rank = [0] * len(grid)  # r < s compared as the ints rank[i] < rank[j]
+    for pos, i in enumerate(sorted(range(len(grid)), key=grid.__getitem__)):
+        rank[i] = pos
+    for j, s in enumerate(grid):
         closed = carrier.closed_superlevel(f1, s)
         closed_id = level_ids.setdefault(closed, len(level_ids))
         for i, r in enumerate(grid):
-            if not r < s:
+            if rank[i] >= rank[j]:
                 continue
             key = (closed_id, open_ids[i])
             if key not in separations:

@@ -1,10 +1,16 @@
 """Exact arithmetic kernel for bounded lattice-ordered function algebras.
 
-Carriers (functions on a finite space, eventually periodic sequences)
-implement :class:`AlgElement`; everything here is derived from a small set
-of primitives: pointwise zipping, a finite probe set of points that covers
-every attained value, and evaluation.  Ring and lattice axioms then hold
-exactly, and order, norm, and equality are all decidable.
+An element holds its values as int numerators over one reduced positive
+denominator, in a flat row with one entry per probe position, plus the
+carrier's shape, which says which point each position stands for.  Each
+element operation is written once, here, as one aligned scan of two rows;
+a carrier (functions on a finite space, eventually periodic sequences)
+supplies only the alignment of two rows, the point of each row position,
+and its canonical form.  Ring and lattice axioms then hold exactly, and
+order, norm, and equality are all decidable.  Every value the API returns
+is still a ``Fraction``: that view of an element is built at most once,
+when first read, and an element constructed from Fractions keeps them and
+builds its int row on its first arithmetic.
 
 The archimedean axiom (na <= b for all n forces a <= 0) holds by
 construction on both carriers and is not asserted dynamically: it is
@@ -14,94 +20,149 @@ only finitely many values.
 
 from __future__ import annotations
 
-import abc
+import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyFamily, OrderViolation
-from .rationals import ONE, ZERO, rat
+from .rationals import ONE, rat
 
 
-class AlgElement(abc.ABC):
+def _to_row(values) -> tuple[tuple[int, ...], int]:
+    """Fractions as numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+class LazyView:
+    """An attribute of one of an element's two views, built on first read.
+
+    Building a view stores all of its attributes in the instance dict, which
+    shadows this (non-data) descriptor from then on.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        if self.name in ("_den", "_row"):
+            obj._row, obj._den = _to_row(obj._fraction_row())
+        else:
+            den = obj._den
+            obj._set_fractions([Fraction(x, den) for x in obj._row])
+        return obj.__dict__[self.name]
+
+
+class AlgElement:
     """An element of a bounded archimedean lattice-ordered function algebra.
 
-    Concrete carriers supply pointwise combination and a finite probe set;
-    the algebra operations, order, absolute value, and sup-norm are derived.
+    The int view is ``_row`` over ``_den``, in lowest terms; ``_shape`` is
+    always set.  A carrier implements ``_align``, ``_point``,
+    ``_fraction_row`` (its Fraction view as one row), ``_set_fractions``,
+    ``const_like``, ``probe_points`` and ``value_at``, and overrides
+    ``_canonical_row`` when a row has more than one representation.
     All values are immutable after construction and all operations are pure.
     """
 
-    @abc.abstractmethod
-    def zip_with(self, other: "AlgElement", fn: Callable[[Fraction, Fraction], Fraction]) -> "AlgElement":
-        """Pointwise combination with an element of the same carrier."""
+    _den, _row = LazyView(), LazyView()
 
-    @abc.abstractmethod
-    def map_values(self, fn: Callable[[Fraction], Fraction]) -> "AlgElement":
-        """Pointwise transformation."""
+    @classmethod
+    def _new(cls, shape, row: tuple, den: int):
+        """Trusted constructor: a canonical row, already in lowest terms."""
+        obj = object.__new__(cls)
+        obj._shape, obj._row, obj._den = shape, row, den
+        return obj
 
-    @abc.abstractmethod
-    def const_like(self, value) -> "AlgElement":
-        """The constant function with the given value, on this carrier."""
+    def _from_row(self, shape, row, den: int):
+        """The canonical element of a row of numerators over den."""
+        if den != 1:
+            g = math.gcd(den, *row)
+            if g != 1:
+                row = [x // g for x in row]
+                den //= g
+        shape, row = self._canonical_row(shape, row)
+        return self._new(shape, tuple(row), den)
 
-    @abc.abstractmethod
-    def probe_points(self) -> Sequence:
-        """A finite set of points covering every value this element attains."""
+    def _canonical_row(self, shape, row):
+        return shape, row
 
-    @abc.abstractmethod
-    def value_at(self, point) -> Fraction:
-        """Exact evaluation at a probe point."""
+    def _scaled(self, other):
+        """(xs, ys, shape, den): aligned rows over their common denominator."""
+        xs, ys, shape = self._align(other)
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else math.lcm(d1, d2)
+        xs = xs if den == d1 else [x * (den // d1) for x in xs]
+        ys = ys if den == d2 else [y * (den // d2) for y in ys]
+        return xs, ys, shape, den
+
+    def zip_with(self, other, fn) -> "AlgElement":
+        """Pointwise combination by a function on Fractions."""
+        xs, ys, shape = self._align(other)
+        d1, d2 = self._den, other._den
+        return self._from_row(shape, *_to_row([rat(fn(Fraction(x, d1), Fraction(y, d2)))
+                                              for x, y in zip(xs, ys)]))
+
+    def map_values(self, fn) -> "AlgElement":
+        """Pointwise transformation by a function on Fractions."""
+        return self.zip_with(self, lambda x, _: fn(x))
 
     # ring and lattice structure, all pointwise
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction, str)):
-            return self.const_like(rat(other))
-        return other
+        return other if isinstance(other, AlgElement) else self.const_like(other)
 
     def __add__(self, other):
-        return self.zip_with(self._coerce(other), lambda x, y: x + y)
+        xs, ys, shape, den = self._scaled(self._coerce(other))
+        return self._from_row(shape, [x + y for x, y in zip(xs, ys)], den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        return self.zip_with(self._coerce(other), lambda x, y: x - y)
+        xs, ys, shape, den = self._scaled(self._coerce(other))
+        return self._from_row(shape, [x - y for x, y in zip(xs, ys)], den)
 
     def __rsub__(self, other):
-        return self._coerce(other).zip_with(self, lambda x, y: x - y)
+        return self._coerce(other) - self
 
     def __neg__(self):
-        return self.map_values(lambda x: -x)
+        return self._new(self._shape, tuple(-x for x in self._row), self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            r = rat(other)
-            return self.map_values(lambda x: r * x)
-        return self.zip_with(other, lambda x, y: x * y)
+        if isinstance(other, AlgElement):
+            xs, ys, shape = self._align(other)
+            return self._from_row(shape, [x * y for x, y in zip(xs, ys)],
+                                  self._den * other._den)
+        r = rat(other)
+        num = r.numerator
+        return self._from_row(self._shape, [x * num for x in self._row],
+                              self._den * r.denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def join(self, other):
-        return self.zip_with(self._coerce(other), max)
+        xs, ys, shape, den = self._scaled(self._coerce(other))
+        return self._from_row(shape, [x if x >= y else y for x, y in zip(xs, ys)], den)
 
     def meet(self, other):
-        return self.zip_with(self._coerce(other), min)
+        xs, ys, shape, den = self._scaled(self._coerce(other))
+        return self._from_row(shape, [x if x <= y else y for x, y in zip(xs, ys)], den)
 
     # order and norm
 
-    def sample_values(self) -> list[Fraction]:
-        return [self.value_at(p) for p in self.probe_points()]
-
     def value_bounds(self) -> tuple[Fraction, Fraction]:
-        vals = self.sample_values()
-        return min(vals), max(vals)
+        row, den = self._row, self._den
+        return Fraction(min(row), den), Fraction(max(row), den)
 
     def first_violation(self, other) -> object | None:
         """The first probe point where self <= other fails, or None."""
-        diff = self - self._coerce(other)
-        for p in diff.probe_points():
-            if diff.value_at(p) > 0:
-                return p
+        xs, ys, shape, _ = self._scaled(self._coerce(other))
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if x > y:
+                return self._point(shape, i)
         return None
 
     def le(self, other) -> bool:
@@ -114,23 +175,33 @@ class AlgElement(abc.ABC):
         return self._coerce(other).le(self)
 
     def eq_pointwise(self, other) -> bool:
-        diff = self - self._coerce(other)
-        lo, hi = diff.value_bounds()
-        return lo == 0 and hi == 0
+        other = self._coerce(other)
+        xs, ys, _ = self._align(other)
+        return self._den == other._den and xs == ys
 
     def norm(self) -> Fraction:
         """The least rational r with |self| <= r, exact on these carriers."""
-        return max(abs(v) for v in self.sample_values())
+        row = self._row
+        return Fraction(max(max(row), -min(row)), self._den)
 
     def abs_elem(self):
         """|a| = a v (-a)."""
         return self.join(-self)
 
-    def is_idempotent(self) -> bool:
-        return (self * self).eq_pointwise(self)
-
     def is_zero_one_valued(self) -> bool:
-        return all(v in (ZERO, ONE) for v in self.sample_values())
+        return self._den == 1 and all(x in (0, 1) for x in self._row)
+
+    def __eq__(self, other):
+        """Same carrier and values, compared in a view both sides already hold."""
+        if type(other) is not type(self) or not (
+                self._shape is other._shape or self._shape == other._shape):
+            return False
+        if "_row" in vars(self) and "_row" in vars(other):
+            return self._den == other._den and self._row == other._row
+        return self._fraction_row() == other._fraction_row()
+
+    def __hash__(self):
+        return hash((self._shape, self._den, self._row))
 
 
 def finite_meet(elems: Iterable[AlgElement]) -> AlgElement:

@@ -1,15 +1,18 @@
 """Exact rational scalars.
 
-The whole library computes over the rational subfield of the reals:
-``fractions.Fraction`` already guarantees lowest terms, a positive
-denominator, exact field operations, and a total order, so it is used
-directly.  No floating point enters the core anywhere.
+The whole library computes over the rational subfield of the reals.  Every
+scalar the API takes or returns is a ``fractions.Fraction``, which
+guarantees lowest terms, a positive denominator, exact field operations, and
+a total order.  Elements hold their values as int numerators over one shared
+denominator (see :mod:`normlab.lattice_core`), which is the same arithmetic
+without a Fraction per value.  No floating point enters the core anywhere.
 
 Restricting the scalar field from the reals to the rationals is a modeling
 choice made so that every order statement checked here is decidable; all
 constructions in scope use only rational constants.
 """
 
+import math
 from fractions import Fraction
 
 Rational = Fraction
@@ -35,7 +38,10 @@ def rat(value) -> Fraction:
 
 def rat_str(value: Fraction) -> str:
     """Serialize a rational as "p" or "p/q"."""
-    q = rat(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(rat(value))
+
+
+def num_str(num: int, den: int) -> str:
+    """Serialize num/den (den positive) in lowest terms, as :func:`rat_str` does."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"

@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CarrierMismatch,
-    ContainsOmega,
     CoverViolation,
     EmptyFamily,
     GapViolation,
@@ -32,7 +31,7 @@ from .errors import (
     PreconditionViolation,
     SearchBudgetExceeded,
 )
-from .lattice_core import AlgElement, finite_join
+from .lattice_core import AlgElement, LazyView, finite_join
 from .rationals import ONE, ZERO, rat
 
 
@@ -54,18 +53,19 @@ OMEGA = Omega()
 
 
 def _canonical(prefix, cycle):
-    # minimal period of the cycle
-    length = len(cycle)
-    for d in range(1, length + 1):
-        if length % d == 0 and cycle == cycle[:d] * (length // d):
+    """Minimal period of the cycle, then the prefix entries that the rotated
+    cycle already produces absorbed into it; works on ints and Fractions alike."""
+    n = len(cycle)
+    for d in range(1, n):
+        if n % d == 0 and cycle[d:] == cycle[:n - d]:
             cycle = cycle[:d]
             break
-    # absorb prefix entries that the (rotated) cycle already produces
-    prefix = list(prefix)
-    cycle = list(cycle)
-    while prefix and prefix[-1] == cycle[-1]:
-        prefix.pop()
-        cycle = [cycle[-1]] + cycle[:-1]
+    c, k, j = len(cycle), len(prefix), 0
+    while j < k and prefix[k - 1 - j] == cycle[-1 - j % c]:
+        j += 1
+    if j:
+        prefix, r = prefix[:k - j], c - j % c
+        cycle = cycle[r:] + cycle[:r]
     return tuple(prefix), tuple(cycle)
 
 
@@ -75,8 +75,13 @@ class SeqFunc(AlgElement):
     The value at k is prefix[k] for k below the prefix length, then the cycle
     repeats.  When an omega value is present the function lives on the
     compactified carrier; operations require both operands on the same
-    carrier.  Equality is decidable via the canonical form.
+    carrier.  The values are held as int numerators over one denominator
+    (see :mod:`normlab.lattice_core`), in a row of the prefix, one cycle and
+    the omega value; ``prefix``, ``cycle``, ``omega`` and ``at`` still give
+    Fractions.  Equality is decidable via the canonical form.
     """
+
+    prefix, cycle, omega = LazyView(), LazyView(), LazyView()
 
     def __init__(self, prefix: Iterable = (), cycle: Iterable = (0,), omega=None):
         prefix = [rat(v) for v in prefix]
@@ -85,6 +90,7 @@ class SeqFunc(AlgElement):
             raise PreconditionViolation("cycle must be nonempty")
         self.prefix, self.cycle = _canonical(prefix, cycle)
         self.omega = None if omega is None else rat(omega)
+        self._shape = (len(self.prefix), len(self.cycle), omega is not None)
 
     @classmethod
     def constant(cls, value, with_omega: bool = False) -> "SeqFunc":
@@ -104,12 +110,14 @@ class SeqFunc(AlgElement):
 
     @property
     def has_omega(self) -> bool:
-        return self.omega is not None
+        return self._shape[2]
 
     def at(self, k: int) -> Fraction:
-        if k < len(self.prefix):
-            return self.prefix[k]
-        return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
+        prefix = self.prefix
+        if k < len(prefix):
+            return prefix[k]
+        cycle = self.cycle
+        return cycle[(k - len(prefix)) % len(cycle)]
 
     def restrict_to_naturals(self) -> "SeqFunc":
         return SeqFunc(self.prefix, self.cycle, None)
@@ -129,30 +137,54 @@ class SeqFunc(AlgElement):
             raise PreconditionViolation("support is infinite (nonzero cycle)")
         return [k for k, v in enumerate(self.prefix) if v != 0]
 
-    # AlgElement primitives
+    # the carrier's part of the element kernel
 
-    def zip_with(self, other, fn):
+    def _fraction_row(self):
+        return self.prefix + self.cycle + (() if self.omega is None else (self.omega,))
+
+    def _set_fractions(self, values):
+        k, c, om = self._shape
+        self.prefix, self.cycle = tuple(values[:k]), tuple(values[k:k + c])
+        self.omega = values[-1] if om else None
+
+    def _expand(self, p: int, span: int) -> tuple:
+        """The row at indices 0..p+span-1 (then omega), for p at least the
+        prefix length and span a multiple of the cycle length."""
+        k, c, om = self._shape
+        row = self._row
+        if k == p and c == span:
+            return row
+        out = (row[:k] + row[k:k + c] * ((p - k + span + c - 1) // c))[:p + span]
+        return out + row[-1:] if om else out
+
+    def _align(self, other):
         if not isinstance(other, SeqFunc):
             raise PreconditionViolation("operand is not a sequence function")
-        if self.has_omega != other.has_omega:
+        (k1, c1, om), (k2, c2, om2) = self._shape, other._shape
+        if om != om2:
             raise CarrierMismatch("one operand has an omega value, the other does not")
-        p = max(len(self.prefix), len(other.prefix))
-        cyc_len = math.lcm(len(self.cycle), len(other.cycle))
-        prefix = [fn(self.at(k), other.at(k)) for k in range(p)]
-        cycle = [fn(self.at(p + j), other.at(p + j)) for j in range(cyc_len)]
-        om = fn(self.omega, other.omega) if self.has_omega else None
-        return SeqFunc(prefix, cycle, om)
+        p, span = max(k1, k2), math.lcm(c1, c2)
+        return self._expand(p, span), other._expand(p, span), (p, span, om)
 
-    def map_values(self, fn):
-        om = fn(self.omega) if self.has_omega else None
-        return SeqFunc([fn(v) for v in self.prefix], [fn(v) for v in self.cycle], om)
+    def _point(self, shape, i):
+        return OMEGA if i == shape[0] + shape[1] else i
+
+    def _canonical_row(self, shape, row):
+        p, span, om = shape
+        prefix, cycle = _canonical(row[:p], row[p:p + span])
+        if len(prefix) == p and len(cycle) == span:
+            return shape, row
+        return (len(prefix), len(cycle), om), prefix + cycle + tuple(row[p + span:])
 
     def const_like(self, value):
-        return SeqFunc.constant(value, with_omega=self.has_omega)
+        v = rat(value)
+        om = self._shape[2]
+        return self._new((0, 1, om), (v.numerator,) * (1 + om), v.denominator)
 
     def probe_points(self):
-        pts: list = list(range(len(self.prefix) + len(self.cycle)))
-        if self.has_omega:
+        k, c, om = self._shape
+        pts: list = list(range(k + c))
+        if om:
             pts.append(OMEGA)
         return pts
 
@@ -162,13 +194,6 @@ class SeqFunc(AlgElement):
                 raise OmegaMissing("no omega value on this carrier")
             return self.omega
         return self.at(point)
-
-    def __eq__(self, other):
-        return (isinstance(other, SeqFunc) and self.prefix == other.prefix
-                and self.cycle == other.cycle and self.omega == other.omega)
-
-    def __hash__(self):
-        return hash((self.prefix, self.cycle, self.omega))
 
     def __repr__(self):
         om = "" if self.omega is None else f", omega={self.omega}"
@@ -509,18 +534,6 @@ def ideal_membership(f) -> dict:
     else:
         cert = YSet.cofinite_with_omega([k for k, v in enumerate(f.prefix) if v == 0])
     return {"in_I_alpha": in_i, "in_J_radical": in_j, "cert": cert}
-
-
-def alpha_compact_indicator(subset: YSet) -> bool:
-    """Whether the indicator of a subset of the naturals is a compact element.
-
-    Compact subsets of the discrete naturals are exactly the finite ones.
-    The property-based suite cross-checks this against the cover-based
-    definition on sampled families.
-    """
-    if subset.contains_omega:
-        raise ContainsOmega("the subset must lie in the naturals")
-    return subset.is_finite()
 
 
 def local_compact_minorants(b: SeqFunc, depth: int) -> SeqFunc:

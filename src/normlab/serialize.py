@@ -35,7 +35,8 @@ from .conditions import (
 from .errors import PreconditionViolation
 from .finite_space import FiniteFunc, FiniteSpace
 from .insertion_engine import IterationTrace, MergeTrace
-from .rationals import rat_str
+from .lattice_core import AlgElement
+from .rationals import num_str, rat_str
 from .seq_model import GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet
 
 
@@ -43,6 +44,10 @@ def to_jsonable(obj):
     """Lower any library value to plain JSON types, rationals as strings."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return rat_str(obj)
     if isinstance(obj, Omega):
@@ -51,13 +56,14 @@ def to_jsonable(obj):
         return {"points": obj.n,
                 "opens": [sorted(x for x in range(obj.n) if (1 << x) & m)
                           for m in sorted(obj.opens)]}
-    if isinstance(obj, FiniteFunc):
-        return {"space": to_jsonable(obj.space),
-                "values": [rat_str(v) for v in obj.values]}
-    if isinstance(obj, SeqFunc):
-        return {"prefix": [rat_str(v) for v in obj.prefix],
-                "cycle": [rat_str(v) for v in obj.cycle],
-                "omega": None if obj.omega is None else rat_str(obj.omega)}
+    if isinstance(obj, AlgElement):  # formatted from the int row, building no Fraction
+        den = obj._den
+        values = [num_str(x, den) for x in obj._row]
+        if isinstance(obj, FiniteFunc):
+            return {"space": to_jsonable(obj.space), "values": values}
+        k, c, om = obj._shape
+        return {"prefix": values[:k], "cycle": values[k:k + c],
+                "omega": values[-1] if om else None}
     if isinstance(obj, GeoTail):
         return {"prefix": [rat_str(v) for v in obj.prefix],
                 "q": rat_str(obj.q), "ratio": rat_str(obj.ratio)}
@@ -80,10 +86,6 @@ def to_jsonable(obj):
                 "step_bounds": [rat_str(b) for b in obj.step_bounds]}
     if is_dataclass(obj):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dc_fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
     raise PreconditionViolation(f"cannot serialize {type(obj).__name__}")
 
 
@@ -246,6 +248,17 @@ def _instance(data, pointer: str, model: str, condition: str, space) -> dict:
                           f"condition ({condition}) on {model} needs epsilon with a family")
         if not inst["family"]:
             raise _reject(_child(pointer, "family"), "the cover family is empty")
+    for key in ("epsilon", "delta"):
+        if key in inst and inst[key] <= 0:
+            raise _reject(_child(pointer, key), f"{key} must be positive")
+    for key in ("f", "g"):  # seq_x_end reads them on the naturals, seq_y_end at omega too
+        if model != "finite_full" and key in inst \
+                and inst[key].has_omega != (model == "seq_y_end"):
+            if model == "seq_x_end":
+                raise _reject(_child(pointer, key), "B-side instances live on the naturals, "
+                                                    "with no omega value")
+            raise _reject(_child(_child(pointer, key), "omega"),
+                          "semicontinuity on the compactification needs an omega value")
     return inst
 
 

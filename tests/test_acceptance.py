@@ -22,7 +22,6 @@ from normlab.conditions import (
     SeqYEndModel,
     check_condition,
     rand_rational,
-    random_feasible_x_pair,
     random_finite_func,
     random_seq_func,
     random_usc_lsc_pair,
@@ -53,6 +52,7 @@ from normlab.seq_model import (
     urysohn_y,
 )
 from normlab.serialize import to_jsonable
+from oracles import random_feasible_x_pair
 
 BODIES: dict = {}  # criterion number -> body taking an ``emit`` callback
 

@@ -298,6 +298,7 @@ X_C = _scenario("seq_x_end", "C", dict(X_COVER))
 F_N = _scenario("finite_full", "N", {"f": FINITE_ELEM, "g": FINITE_ELEM})
 F_C = _scenario("finite_full", "C", {"epsilon": "1", "family": [FINITE_ELEM]})
 Y_C = _scenario("seq_y_end", "C", {"epsilon": "1", "family": [MODEL_ELEMS["seq_y_end"]]})
+Y_N = _scenario("seq_y_end", "N", {"f": MODEL_ELEMS["seq_y_end"], "g": MODEL_ELEMS["seq_y_end"]})
 
 
 def _with(payload, path, value):
@@ -364,6 +365,10 @@ def _with(payload, path, value):
     (_with(F_N, ["instance", "f", "space", "opens"], [[], [1], [0, 1]]), "/instance/f/space",
      "scenario's space"),
     (_with(F_C, ["instance", "family"], []), "/instance/family", "empty"),
+    # values the model would refuse after the read
+    (_with(X_C, ["instance", "epsilon"], "0"), "/instance/epsilon", "must be positive"),
+    (_with(Y_N, ["instance", "f"], {"cycle": ["1"]}), "/instance/f/omega", "omega value"),
+    (_with(SCENARIO_N_FAILS, ["instance", "f", "omega"], "1"), "/instance/f", "naturals"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_check_rejects_at_pointer(tmp_path, capsys, payload, pointer, named):
     code, err = _check_exit(tmp_path, capsys, payload)

@@ -9,21 +9,22 @@ from normlab.conditions import (
     CONDITIONS,
     FAILS,
     HOLDS,
+    MAX_SUBFAMILY_CAP,
     UNKNOWN,
     FiniteFullModel,
     SeqXEndModel,
     SeqYEndModel,
     check_condition,
     equivalence_harness,
-    random_feasible_x_pair,
     random_finite_func,
     random_usc_lsc_pair,
 )
-from normlab.errors import ModelCapabilityMissing, PreconditionViolation
+from normlab.errors import EmptyFamily, ModelCapabilityMissing, PreconditionViolation
 from normlab.finite_space import FiniteSpace
 from normlab.replay import verify_report
 from normlab.seq_model import SeqFunc
 from normlab.serialize import to_jsonable
+from oracles import random_feasible_x_pair
 
 CHI_EVENS = SeqFunc.periodic([1, 0])
 
@@ -115,6 +116,18 @@ def test_x_end_rejects_omega_instances():
     f = SeqFunc.constant(1, with_omega=True)
     with pytest.raises(PreconditionViolation):
         check_condition(SeqXEndModel(), "N", {"f": f, "g": f})
+
+
+def test_finite_cover_rejects_empty_family():
+    model = FiniteFullModel(FiniteSpace.discrete(2))
+    with pytest.raises(EmptyFamily):
+        check_condition(model, "C", {"epsilon": 1, "family": []})
+
+
+@pytest.mark.parametrize("cap", [0, -1, MAX_SUBFAMILY_CAP + 1])
+def test_x_end_cover_rejects_subfamily_cap_out_of_range(cap):
+    with pytest.raises(PreconditionViolation, match="subfamily_cap"):
+        check_condition(SeqXEndModel(), "C", {"subfamily_cap": cap}, depth=8)
 
 
 def test_alpha_rejects_nonconvergent():

@@ -14,7 +14,6 @@ from normlab.finite_space import (
     block_indicators,
     enumerate_preorders,
     enumerate_spaces,
-    enumerate_spaces_bruteforce,
     envelopes,
     indicator,
     insert_finite,
@@ -27,6 +26,7 @@ from normlab.finite_space import (
 )
 from normlab.replay import verify_report
 from normlab.serialize import to_jsonable
+from oracles import enumerate_spaces_bruteforce
 
 SIERPINSKI = FiniteSpace.from_sets(2, [[], [0], [0, 1]])
 
@@ -110,7 +110,7 @@ def test_urysohn_witness_and_refusal():
     chain = FiniteSpace.from_sets(2, [[], [0], [0, 1]])
     res = urysohn(chain, {1}, ())
     assert isinstance(res, FiniteFunc)
-    connected = FiniteSpace.indiscrete(2)
+    connected = FiniteSpace(2, (0, 3))  # indiscrete
     with pytest.raises(PreconditionViolation):
         urysohn(connected, {0}, {1})  # {0} is not closed here
 
@@ -127,7 +127,7 @@ def test_insert_finite_feasible_and_not():
     h = insert_finite(space, f, g)
     assert f.le(h) and h.le(g)
     # on the indiscrete space everything is one component
-    ind = FiniteSpace.indiscrete(2)
+    ind = FiniteSpace(2, (0, 3))  # indiscrete
     f2 = FiniteFunc(ind, [0, 0])
     g2 = FiniteFunc(ind, [1, 1])
     h2 = insert_finite(ind, f2, g2)

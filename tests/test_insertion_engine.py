@@ -29,7 +29,7 @@ from normlab.insertion_engine import (
     tong_merge,
     urysohn_join_stream,
 )
-from normlab.lattice_core import finite_join, rescale_to_unit, unscale
+from normlab.lattice_core import AlgElement, finite_join, rescale_to_unit, unscale
 from normlab.rationals import ZERO
 from normlab.replay import (
     _check,
@@ -486,22 +486,22 @@ def test_cauchy_tail_reports_first_failing_pair():
     assert _tail_outcome(_pairwise_tail, a_seq) == (3, str(exc.value))
 
 
-def test_iterate_makes_linearly_many_zip_with_calls(monkeypatch):
+def test_iterate_builds_linearly_many_elements(monkeypatch):
     calls = Counter()
-    zip_with = SeqFunc.zip_with
+    from_row = AlgElement._from_row
 
-    def counting(self, other, fn):
-        calls["zip_with"] += 1
-        return zip_with(self, other, fn)
+    def counting(self, shape, row, den):
+        calls["built"] += 1
+        return from_row(self, shape, row, den)
 
-    monkeypatch.setattr(SeqFunc, "zip_with", counting)
+    monkeypatch.setattr(AlgElement, "_from_row", counting)
     f = SeqFunc([Fraction(1, 3), -2], [0, Fraction(5, 4), Fraction(-1, 2)])
     g = SeqFunc([2, -1], [Fraction(3, 2), Fraction(7, 4), Fraction(5, 4), Fraction(3, 2)])
     steps = 24
     dieudonne_iterate(midpoint_oracle, f, g, steps)
     # one fixed set of element operations per step; the 276 pairs of the
     # pairwise tail check alone would be 11.5 per step more
-    assert calls["zip_with"] <= 20 * steps
+    assert 0 < calls["built"] <= 20 * steps
 
 
 # -- replay of iteration and merge traces ------------------------------------

@@ -1,5 +1,6 @@
 """Algebra and order laws of the shared element kernel."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from normlab.lattice_core import (
     rescale_to_unit,
     unscale,
 )
-from normlab.seq_model import SeqFunc
+from normlab.seq_model import OMEGA, SeqFunc
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -58,7 +59,7 @@ def test_ring_laws_seq(a, b, c):
 def test_abs_is_join_with_negation(a):
     absolute, norm = a.abs_elem(), a.norm()
     assert absolute.eq_pointwise(a.join(-a))
-    assert norm == max(abs(v) for v in a.sample_values())
+    assert norm == max(abs(a.value_at(p)) for p in a.probe_points())
     assert absolute.le(a.const_like(norm))
 
 
@@ -93,9 +94,11 @@ def test_first_violation_names_a_point():
 
 def test_idempotent_detection():
     chi = FiniteFunc(SPACE, [1, 0, 1])
-    assert chi.is_idempotent()
+    assert (chi * chi).eq_pointwise(chi)
     assert chi.is_zero_one_valued()
-    assert not FiniteFunc(SPACE, [1, 2, 0]).is_idempotent()
+    other = FiniteFunc(SPACE, [1, 2, 0])
+    assert not (other * other).eq_pointwise(other)
+    assert not other.is_zero_one_valued()
 
 
 def test_finite_meet_join_empty_family():
@@ -123,3 +126,89 @@ def test_rescale_rejects_disorder():
     with pytest.raises(OrderViolation) as exc:
         rescale_to_unit(f, g)
     assert exc.value.point == 0
+
+
+# -- the int kernel against a Fraction reference --------------------------------
+
+kernel_values = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Two elements of one carrier: a finite space, or sequences with or
+    without omega (cycle lengths 1 to 5, so coprime pairs occur); each one
+    holds only its Fraction view or, built by arithmetic, only its int row."""
+    kind = draw(st.sampled_from(["finite", "seq", "seq_omega"]))
+
+    def one():
+        if kind == "finite":
+            e = FiniteFunc(SPACE, draw(st.lists(kernel_values, min_size=3, max_size=3)))
+        else:
+            e = SeqFunc(draw(st.lists(kernel_values, max_size=4)),
+                        draw(st.lists(kernel_values, min_size=1, max_size=5)),
+                        draw(kernel_values) if kind == "seq_omega" else None)
+        return e * 1 if draw(st.booleans()) else e
+
+    a = one()
+    return a, (_fraction_copy(a) if draw(st.integers(0, 4)) == 0 else one())
+
+
+def _fraction_copy(e):
+    """The same element, holding only its Fraction view."""
+    if isinstance(e, FiniteFunc):
+        return FiniteFunc(e.space, e.values)
+    return SeqFunc(e.prefix, e.cycle, e.omega)
+
+
+def _points(a, b):
+    """Every probe point of the pair: one span of the aligned sequences."""
+    if isinstance(a, FiniteFunc):
+        return list(range(a.space.n))
+    span = max(len(a.prefix), len(b.prefix)) + math.lcm(len(a.cycle), len(b.cycle))
+    return list(range(span)) + ([OMEGA] if a.has_omega else [])
+
+
+def _assert_canonical(e):
+    assert e._den > 0 and math.gcd(e._den, *e._row) == 1
+    if isinstance(e, SeqFunc):
+        n = len(e.cycle)
+        assert all(e.cycle[d:] != e.cycle[:n - d] for d in range(1, n) if n % d == 0)
+        assert not e.prefix or e.prefix[-1] != e.cycle[-1]
+
+
+@given(kernel_pairs(), kernel_values)
+@settings(max_examples=200)
+def test_int_kernel_matches_fraction_reference(pair, r):
+    a, b = pair
+    pts = _points(a, b)
+    fa, fb = [a.value_at(p) for p in pts], [b.value_at(p) for p in pts]
+    cases = [
+        (a + b, [x + y for x, y in zip(fa, fb)]),
+        (a - b, [x - y for x, y in zip(fa, fb)]),
+        (a * b, [x * y for x, y in zip(fa, fb)]),
+        (a * r, [x * r for x in fa]),
+        (r - a, [r - x for x in fa]),
+        (-a, [-x for x in fa]),
+        (a.join(b), [max(x, y) for x, y in zip(fa, fb)]),
+        (a.meet(b), [min(x, y) for x, y in zip(fa, fb)]),
+    ]
+    for result, expected in cases:
+        _assert_canonical(result)
+        assert [result.value_at(p) for p in pts] == expected
+    diffs = [p for p, x, y in zip(pts, fa, fb) if x > y]
+    assert a.first_violation(b) == (diffs[0] if diffs else None)
+    assert a.le(b) == (not diffs)
+    assert a.eq_pointwise(b) == (fa == fb)
+    assert a.norm() == max(abs(x) for x in fa)
+    assert a.value_bounds() == (min(fa), max(fa))
+
+
+@given(kernel_pairs())
+def test_equal_elements_hash_equal_whichever_view_came_first(pair):
+    a, _ = pair
+    by_ints, by_fractions = a * 1, _fraction_copy(a)
+    assert by_ints == by_fractions and by_fractions == by_ints
+    assert hash(by_ints) == hash(by_fractions) == hash(_fraction_copy(a))
+    read_first = a * 1
+    assert read_first.value_at(0) == a.value_at(0)  # the Fraction view is built first
+    assert hash(read_first) == hash(a) and read_first == _fraction_copy(a)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from normlab.errors import (
     CarrierMismatch,
-    ContainsOmega,
     CoverViolation,
     GapViolation,
     InsertionInfeasible,
@@ -25,7 +24,6 @@ from normlab.seq_model import (
     SeqFunc,
     Witness,
     YSet,
-    alpha_compact_indicator,
     brute_force_insertable,
     countable_join_family,
     countable_meet_family,
@@ -178,10 +176,8 @@ def test_insert_on_y_always_succeeds():
 
 def test_yset_kinds_and_indicators():
     evens_fin = YSet.finite([0, 2, 4])
-    assert alpha_compact_indicator(evens_fin)
-    assert not alpha_compact_indicator(YSet.cofinite_without_omega([1]))
-    with pytest.raises(ContainsOmega):
-        alpha_compact_indicator(YSet.finite_with_omega([1]))
+    assert evens_fin.is_finite()
+    assert not YSet.cofinite_without_omega([1]).is_finite()
     cof = YSet.cofinite_with_omega([0, 1])
     assert cof.is_open() and cof.is_closed()
     assert OMEGA in cof and 0 not in cof and 5 in cof
