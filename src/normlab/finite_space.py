@@ -379,18 +379,6 @@ def block_indicators(space, generators: Sequence[FiniteFunc]):
     return indicators, traces
 
 
-def replay_block_trace(space, generators: Sequence[FiniteFunc], trace) -> FiniteFunc:
-    """Rebuild a block indicator from its construction trace alone."""
-    if isinstance(space, int):
-        space = FiniteSpace.discrete(space)
-    chi = FiniteFunc(space, [ONE] * space.n)
-    for ch in trace["choices"]:
-        g = generators[ch["g_index"]]
-        gx, gy = rat(ch["gx"]), rat(ch["gy"])
-        chi = chi.meet(_clamp01((g - gy) * (Fraction(1) / (gx - gy))))
-    return chi
-
-
 def enumerate_preorders(n: int) -> Iterator[list[int]]:
     """All reflexive transitive relations on 0..n-1, as up-set bitmask rows."""
     rows = [0] * n

@@ -290,7 +290,9 @@ def _verify_condition(report, checks) -> None:
             return
         if verdict == "holds" and "picks" in cert:
             eps = _frac(cert["epsilon"])
-            ok = all(_frac(p["value"]) > eps / 2 for p in cert["picks"])
+            # member n of the noncompact family exceeds eps/2 exactly up to index n
+            ok = all(_frac(p["value"]) > eps / 2 and p["member"] >= p["index"]
+                     for p in cert["picks"])
             _check(checks, f"{label}: per-index witnesses exceed eps/2", ok)
             return
         _check(checks, f"{label}: certificate recognized", False)

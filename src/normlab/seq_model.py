@@ -625,54 +625,16 @@ def noncompact_family(epsilon, delta):
             n += 1
 
     def defeat(indices: Sequence[int]):
-        """(index, join value) refuting the finite subfamily with the given truncations."""
+        """(index, join value) refuting the finite subfamily with the given truncations.
+
+        Every member is -delta past its truncation, so the join is -delta one
+        index past the largest truncation; no member is built.
+        """
         if not indices:
-            return 0, None
-        k = max(indices) + 1
-        value = max(member(n).at(k) for n in indices)
-        return k, value
+            raise EmptyFamily("a defeated subfamily needs at least one member")
+        return max(indices) + 1, -dlt
 
     return member, stream, defeat
-
-
-def countable_meet_family(f: SeqFunc):
-    """The classical countable selection realizing f as a meet of convergent majorants.
-
-    Member (n, m) takes the value f(n) + 1/m at index n and the sup-norm of f
-    everywhere else (including omega), so every member dominates f and the
-    truncated meets descend to f pointwise.
-    """
-    if f.has_omega:
-        raise CarrierMismatch("f lives on the naturals")
-    bound = f.norm()
-
-    def member(n: int, m: int) -> SeqFunc:
-        if m <= 0:
-            raise PreconditionViolation("m must be a positive integer")
-        return SeqFunc.from_support({n: f.at(n) + Fraction(1, m)}, bound, bound)
-
-    def truncated_meet_at(k: int, m_depth: int) -> Fraction:
-        """Meet over members (k, m) for m up to the depth, evaluated at k."""
-        return min(f.at(k) + Fraction(1, m_depth), bound)
-
-    return member, truncated_meet_at
-
-
-def countable_join_family(g: SeqFunc):
-    """Dual of :func:`countable_meet_family`: convergent minorants joining up to g."""
-    if g.has_omega:
-        raise CarrierMismatch("g lives on the naturals")
-    bound = -g.norm()
-
-    def member(n: int, m: int) -> SeqFunc:
-        if m <= 0:
-            raise PreconditionViolation("m must be a positive integer")
-        return SeqFunc.from_support({n: g.at(n) - Fraction(1, m)}, bound, bound)
-
-    def truncated_join_at(k: int, m_depth: int) -> Fraction:
-        return max(g.at(k) - Fraction(1, m_depth), bound)
-
-    return member, truncated_join_at
 
 
 def lindelof_extract(epsilon, family: Iterable[SeqFunc], budget: int = 1000):
@@ -682,8 +644,8 @@ def lindelof_extract(epsilon, family: Iterable[SeqFunc], budget: int = 1000):
     epsilon/2 at k; the emitted countable selection has join at least
     epsilon/2.  The family stream is started once per extractor and each
     member is realized once and reused across indices, so members must be
-    pure values.  Exhausting the budget raises, which the condition layer
-    reports as an unknown verdict at depth, never as a refutation.
+    pure values.  Exhausting the budget raises ``SearchBudgetExceeded``: the
+    index is unknown at that budget, never refuted.
     """
     eps = rat(epsilon)
     if eps <= 0:

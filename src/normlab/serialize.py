@@ -37,7 +37,8 @@ from .finite_space import FiniteFunc, FiniteSpace
 from .insertion_engine import IterationTrace, MergeTrace
 from .lattice_core import AlgElement
 from .rationals import num_str, rat_str
-from .seq_model import GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet
+from .seq_model import (GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet,
+                        semicontinuity_on_y)
 
 
 def to_jsonable(obj):
@@ -101,6 +102,9 @@ MAX_SPAN = 256
 
 MODELS = {"finite_full": FiniteFullModel, "seq_x_end": SeqXEndModel,
           "seq_y_end": SeqYEndModel}
+
+# conditions that read the pair f <= g
+_READS_PAIR = ("T", "BS", "S", "N", "D", "SL")
 
 _RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
 
@@ -234,7 +238,7 @@ def _instance(data, pointer: str, model: str, condition: str, space) -> dict:
         "f": element, "g": element, "epsilon": _rational, "delta": _rational,
         "subfamily_cap": lambda v, p: _integer(v, p, 1, MAX_SUBFAMILY_CAP, "MAX_SUBFAMILY_CAP"),
         "family": lambda v, p: _array(v, p, element, MAX_FAMILY, "MAX_FAMILY")})
-    if condition in ("T", "BS", "S", "N", "D", "SL"):  # the pair f <= g is read
+    if condition in _READS_PAIR:
         for key in ("f", "g"):
             if key not in inst:
                 raise _reject(_child(pointer, key), f"condition ({condition}) needs f and g")
@@ -259,6 +263,15 @@ def _instance(data, pointer: str, model: str, condition: str, space) -> dict:
                                                     "with no omega value")
             raise _reject(_child(_child(pointer, key), "omega"),
                           "semicontinuity on the compactification needs an omega value")
+    if condition in _READS_PAIR:  # the model reads f <= g, and on seq_y_end f usc, g lsc
+        if model == "seq_y_end":
+            for key, side, kind in (("f", "usc", "upper"), ("g", "lsc", "lower")):
+                if not semicontinuity_on_y(inst[key])[side]:
+                    raise _reject(_child(_child(pointer, key), "omega"),
+                                  f"{key} is not {kind} semicontinuous")
+        bad = inst["f"].first_violation(inst["g"])
+        if bad is not None:
+            raise _reject(_child(pointer, "g"), f"f <= g fails at point {bad!r}")
     return inst
 
 

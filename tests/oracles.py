@@ -1,11 +1,13 @@
 """Independent test oracles: slow reference constructions the suite checks the library against."""
 
 import random
+from fractions import Fraction
 from typing import Iterator
 
 from normlab.conditions import rand_rational, random_seq_func
-from normlab.errors import BoundExceeded
+from normlab.errors import BoundExceeded, CarrierMismatch, PreconditionViolation
 from normlab.finite_space import FiniteSpace
+from normlab.seq_model import SeqFunc
 
 
 def enumerate_spaces_bruteforce(n: int) -> Iterator[FiniteSpace]:
@@ -26,3 +28,43 @@ def random_feasible_x_pair(rng: random.Random) -> dict:
     shift = (max(f.cycle) - min(f.cycle)) + rand_rational(rng, lo=0)
     g = f + shift
     return {"f": f, "g": g}
+
+
+def countable_meet_family(f: SeqFunc):
+    """The classical countable selection realizing f as a meet of convergent majorants.
+
+    Member (n, m) takes the value f(n) + 1/m at index n and the sup-norm of f
+    everywhere else (including omega), so every member dominates f and the
+    truncated meets descend to f pointwise.
+    """
+    if f.has_omega:
+        raise CarrierMismatch("f lives on the naturals")
+    bound = f.norm()
+
+    def member(n: int, m: int) -> SeqFunc:
+        if m <= 0:
+            raise PreconditionViolation("m must be a positive integer")
+        return SeqFunc.from_support({n: f.at(n) + Fraction(1, m)}, bound, bound)
+
+    def truncated_meet_at(k: int, m_depth: int) -> Fraction:
+        """Meet over members (k, m) for m up to the depth, evaluated at k."""
+        return min(f.at(k) + Fraction(1, m_depth), bound)
+
+    return member, truncated_meet_at
+
+
+def countable_join_family(g: SeqFunc):
+    """Dual of :func:`countable_meet_family`: convergent minorants joining up to g."""
+    if g.has_omega:
+        raise CarrierMismatch("g lives on the naturals")
+    bound = -g.norm()
+
+    def member(n: int, m: int) -> SeqFunc:
+        if m <= 0:
+            raise PreconditionViolation("m must be a positive integer")
+        return SeqFunc.from_support({n: g.at(n) - Fraction(1, m)}, bound, bound)
+
+    def truncated_join_at(k: int, m_depth: int) -> Fraction:
+        return max(g.at(k) - Fraction(1, m_depth), bound)
+
+    return member, truncated_join_at

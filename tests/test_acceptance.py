@@ -30,7 +30,6 @@ from normlab.finite_space import (
     FiniteFunc,
     FiniteSpace,
     block_indicators,
-    replay_block_trace,
 )
 from normlab.insertion_engine import dieudonne_iterate, midpoint_oracle, tong_merge
 from normlab.replay import verify_report
@@ -294,11 +293,12 @@ def test_criterion_8_block_indicators(emit):
             assert len({sig[x] for x in block}) == 1
             for x in range(n):
                 assert chi.values[x] == (1 if x in block else 0)
-            assert replay_block_trace(space, gens, trace).eq_pointwise(chi)
+        payload = {"block_replay": {"generators": to_jsonable(gens),
+                                    "traces": to_jsonable(traces),
+                                    "indicators": to_jsonable(indicators)}}
+        assert verify_report(payload)["ok"]
         if trial % 10 == 0:
-            emit({"block_replay": {"generators": to_jsonable(gens),
-                                   "traces": to_jsonable(traces),
-                                   "indicators": to_jsonable(indicators)}})
+            emit(payload)
     # separating generators cut the space into singletons
     space = FiniteSpace.discrete(5)
     _, traces = block_indicators(space, [FiniteFunc(space, list(range(5)))])

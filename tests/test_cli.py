@@ -286,6 +286,18 @@ def test_replay_rejects_c_failure_without_defeats(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+def test_replay_rejects_l_pick_past_its_member(tmp_path, capsys):
+    path = write(tmp_path, "s.json", _scenario("seq_x_end", "L", dict(X_COVER)))
+    report_path = tmp_path / "report.json"
+    assert main(["check", path, "--out", str(report_path)]) == 0
+    assert main(["replay", str(report_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    report["certificate"]["picks"][1]["member"] = 0  # member 0 is -delta at index 1
+    assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
 def _check_exit(tmp_path, capsys, payload, *flags):
     code = main(["check", write(tmp_path, "s.json", payload), *flags])
     captured = capsys.readouterr()
@@ -369,11 +381,34 @@ def _with(payload, path, value):
     (_with(X_C, ["instance", "epsilon"], "0"), "/instance/epsilon", "must be positive"),
     (_with(Y_N, ["instance", "f"], {"cycle": ["1"]}), "/instance/f/omega", "omega value"),
     (_with(SCENARIO_N_FAILS, ["instance", "f", "omega"], "1"), "/instance/f", "naturals"),
+    # the pair the model reads: f <= g everywhere, and on seq_y_end f usc and g lsc
+    (_scenario("seq_x_end", "N", {"f": {"cycle": ["2"]}, "g": {"cycle": ["1"]}}),
+     "/instance/g", "f <= g fails at point 0"),
+    (_with(Y_N, ["instance", "f"], {"cycle": ["1", "0"], "omega": "0"}), "/instance/f/omega",
+     "f is not upper semicontinuous"),
+    (_with(Y_N, ["instance", "g"], {"cycle": ["2", "3"], "omega": "3"}), "/instance/g/omega",
+     "g is not lower semicontinuous"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_check_rejects_at_pointer(tmp_path, capsys, payload, pointer, named):
     code, err = _check_exit(tmp_path, capsys, payload)
     assert code == 2
     assert err.startswith(f"input error: {pointer}: ") and named in err
+
+
+@pytest.mark.parametrize("model", ["seq_x_end", "seq_y_end", "finite_full"])
+@pytest.mark.parametrize("cond", ["T", "BS", "S", "N", "D", "SL"])
+def test_check_pair_out_of_order_is_input_error(tmp_path, capsys, model, cond):
+    below = {  # each model's element lowered to 0 at point 0 alone
+        "seq_x_end": {"prefix": ["0"], "cycle": ["1"]},
+        "seq_y_end": {"prefix": ["0"], "cycle": ["2"], "omega": "2"},
+        "finite_full": {"space": FINITE_SPACE_2, "values": ["0", "2"]},
+    }
+    instance = {"f": MODEL_ELEMS[model], "g": below[model], **(X_COVER if cond == "SL" else {})}
+    if cond == "SL" and model != "seq_x_end":
+        instance["family"] = [MODEL_ELEMS[model]]
+    code, err = _check_exit(tmp_path, capsys, _scenario(model, cond, instance))
+    assert code == 2
+    assert err.startswith("input error: /instance/g: f <= g fails at point 0")
 
 
 @pytest.mark.parametrize("flag", ["-3", "0", "513"])

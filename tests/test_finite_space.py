@@ -20,7 +20,6 @@ from normlab.finite_space import (
     is_lsc,
     is_normal,
     is_usc,
-    replay_block_trace,
     separate,
     urysohn,
 )
@@ -169,8 +168,9 @@ def test_block_indicators_exact_partition():
         block = set(trace["block"])
         for x in range(5):
             assert chi.values[x] == (1 if x in block else 0)
-        rebuilt = replay_block_trace(space, gens, trace)
-        assert rebuilt.eq_pointwise(chi)
+    payload = {"generators": to_jsonable(gens), "traces": to_jsonable(traces),
+               "indicators": to_jsonable(indicators)}
+    assert verify_report({"block_replay": payload})["ok"]
 
 
 def _block_payload():

@@ -1,15 +1,18 @@
 """Eventually periodic sequences: canonical form, insertion, ideals, covers."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normlab import conditions
 from normlab.errors import (
     CarrierMismatch,
     CoverViolation,
+    EmptyFamily,
     GapViolation,
     InsertionInfeasible,
     NotConvergent,
@@ -25,8 +28,6 @@ from normlab.seq_model import (
     Witness,
     YSet,
     brute_force_insertable,
-    countable_join_family,
-    countable_meet_family,
     ideal_membership,
     indicator_is_closed_set,
     insert_convergent,
@@ -41,6 +42,7 @@ from normlab.seq_model import (
     threshold_indicator,
     urysohn_y,
 )
+from oracles import countable_join_family, countable_meet_family
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
@@ -275,6 +277,8 @@ def test_noncompact_family_defeats_all_small_subfamilies():
         assert idx > max(combo)
         assert value == Fraction(-1, 2)
         assert max(member(n).at(idx) for n in combo) == value
+    with pytest.raises(EmptyFamily):
+        defeat([])
 
 
 def test_countable_meet_and_join_families():
@@ -359,8 +363,6 @@ def test_lindelof_extract_starts_family_once():
 
 @pytest.mark.parametrize("depth", [8, 64, 200])
 def test_l_route_realizes_linearly_many_members(depth, monkeypatch):
-    from normlab import conditions
-
     realized = []
 
     def counting_family(eps, delta):
@@ -377,7 +379,75 @@ def test_l_route_realizes_linearly_many_members(depth, monkeypatch):
     report = conditions.check_condition(conditions.SeqXEndModel(), "L", {}, depth)
     assert report.verdict == "holds"
     assert len(report.certificate["picks"]) == depth
-    assert len(realized) <= depth + 1
+    assert realized == []  # the picks come from the family's closed form
+
+
+EPS_DELTA = [(1, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 12)), (Fraction(7, 4), 2)]
+
+
+@pytest.mark.parametrize("eps,delta", EPS_DELTA)
+def test_c_defeats_match_realized_members(eps, delta):
+    member, _, _ = noncompact_family(eps, delta)
+    for cap in range(1, 7):
+        inst = {"epsilon": eps, "delta": delta, "subfamily_cap": cap}
+        defeats = conditions.check_condition(conditions.SeqXEndModel(), "C", inst, 8
+                                             ).certificate["defeats"]
+        assert [d["subfamily"] for d in defeats] == [
+            list(c) for size in range(1, cap + 1) for c in itertools.combinations(range(8), size)]
+        for d in defeats:
+            idx = d["index"]
+            assert idx == max(d["subfamily"]) + 1
+            assert d["join_value"] == max(member(n).at(idx) for n in d["subfamily"]) < 0
+
+
+@pytest.mark.parametrize("eps,delta", EPS_DELTA)
+def test_l_picks_match_lindelof_extract(eps, delta):
+    _, stream, _ = noncompact_family(eps, delta)
+    select, _ = lindelof_extract(eps, stream, budget=1000)
+    inst = {"epsilon": eps, "delta": delta}
+    picks = conditions.check_condition(conditions.SeqXEndModel(), "L", inst, 200
+                                       ).certificate["picks"]
+    assert len(picks) == 200
+    for k, pick in enumerate(picks):
+        idx, g = select(k)
+        assert pick == {"index": k, "member": idx, "value": g.at(k)}
+
+
+def test_residuals_match_truncated_families():
+    rng, model = random.Random(11), conditions.SeqXEndModel()
+    for trial in range(60):
+        inst, depth = model.random_instance(rng), rng.choice([1, 2, 3, 8, 64])
+        f, g = inst["f"], inst["g"]
+        certs = {cond: conditions.check_condition(model, cond, inst, depth).certificate
+                 for cond in ("T", "BS", "S")}
+        sides = [(certs["T"]["meet_side"], f, "meet"), (certs["T"]["join_side"], g, "join"),
+                 (certs["BS"]["join_side"], f, "join"), (certs["BS"]["meet_side"], g, "meet"),
+                 (certs["S"]["meet_side"], f, "meet"), (certs["S"]["join_side"], f, "join")]
+        for cert, h, side in sides:
+            if side == "meet":
+                _, trunc = countable_meet_family(h)
+                residuals = [trunc(k, depth) - h.at(k) for k in h.probe_points()]
+            else:
+                _, trunc = countable_join_family(h)
+                residuals = [h.at(k) - trunc(k, depth) for k in h.probe_points()]
+            assert cert["max_residual"] == max(residuals)
+
+
+def test_countable_routes_build_no_seq_func(monkeypatch):
+    built = []
+    init = SeqFunc.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SeqFunc, "__init__", counted)
+    model = conditions.SeqXEndModel()
+    c = conditions.check_condition(model, "C", {"subfamily_cap": 6}, 8)
+    l_report = conditions.check_condition(model, "L", {}, 512)
+    assert (c.verdict, len(c.certificate["defeats"])) == ("fails", 246)
+    assert (l_report.verdict, len(l_report.certificate["picks"])) == ("holds", 512)
+    assert built == []
 
 
 def test_restrict_and_with_omega_roundtrip():

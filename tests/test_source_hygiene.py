@@ -1,11 +1,16 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every name the benchmark's tracer wraps still exists."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "normlab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "normlab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +45,13 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     source = "import os\nfrom a import b, c as d\nfrom __future__ import annotations\nd()\n"
     assert unused_imports(source) == ["b (line 2)", "os (line 1)"]
+
+
+def test_benchmark_tracer_installs():
+    """bench/tracer.py wraps normlab functions by name, so one removed or
+    renamed fails here; it runs in a child process, which the wrappers patch."""
+    path = os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])
+    result = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
