@@ -50,6 +50,8 @@ UNKNOWN = "unknown_at_depth"
 CONDITIONS = ("T", "BS", "S", "N", "D", "C", "L", "SL")
 # (C) on seq_x_end defeats every subfamily of up to this many members
 MAX_SUBFAMILY_CAP = 6
+# the gap (D) asks for when an instance names no epsilon
+D_EPSILON = Fraction(1, 2)
 
 
 @dataclass
@@ -179,7 +181,7 @@ class FiniteFullModel(ExtensionModel):
 
     def cond_d(self, instance, depth):
         f, g = self._require_pair(instance)
-        eps = rat(instance.get("epsilon", Fraction(1, 2)))
+        eps = rat(instance.get("epsilon", D_EPSILON))
         bad = (f + eps).first_violation(g)
         if bad is not None:
             raise PreconditionViolation(f"gap fails at point {bad}")
@@ -309,7 +311,7 @@ class SeqXEndModel(ExtensionModel):
 
     def cond_d(self, instance, depth):
         f, g = self._require_pair(instance)
-        eps = rat(instance.get("epsilon", Fraction(1, 2)))
+        eps = rat(instance.get("epsilon", D_EPSILON))
         try:
             w = strict_insert(f, g, eps)
         except InsertionInfeasible as exc:
@@ -387,7 +389,7 @@ class SeqYEndModel(ExtensionModel):
 
     def cond_d(self, instance, depth):
         f, g = self._require_pair(instance)
-        eps = rat(instance.get("epsilon", Fraction(1, 2)))
+        eps = rat(instance.get("epsilon", D_EPSILON))
         bad = (f + eps).first_violation(g)
         if bad is not None:
             raise PreconditionViolation(f"gap fails at {bad!r}")

@@ -259,75 +259,93 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     """Approximate insertion from below by a finite join of scaled separations.
 
     For each rational pair r < s with denominators at most q_max (after
-    rescaling f, g into the unit interval), a continuous c_rs is built that
-    is r on the closed superlevel set {f >= s} and 0 off the open set
-    {g > r}, so c_rs <= g.  The join J of all c_rs satisfies J <= g
+    rescaling f, g into the unit interval), a continuous h with 0 <= h <= 1
+    is 1 on the closed superlevel set {f >= s} and 0 off the open set
+    {g > r}, so c_rs = r*h <= g.  The join J of all c_rs satisfies J <= g
     everywhere and J >= f - 1/q_max at every point where the rescaled f
     takes a value of denominator at most q_max (at other points the Farey
     mesh only pins f down to its nearest grid values).  Results and
     certificate are reported in original coordinates.
 
-    Only distinct inputs do work: each level set is computed and hashed
-    once per grid value, the carrier separates each distinct (closed, open)
-    level pair once, and c_rs with its check c_rs <= g is formed once per
-    (level pair, r).  Carriers must therefore return hashable level sets
-    that compare equal exactly when the sets are equal.  The pair log still has one row
-    per pair r < s in scan order, so the certificate and the first error
-    raised are those of the plain per-pair loop.
+    Only distinct level pairs do work.  Each level set is computed and
+    hashed once per grid value, and the carrier separates each distinct
+    (closed, open) level pair once, at its first pair in scan order (s
+    outer, r inner, both in grid order), so an oracle error names the pair
+    the plain per-pair loop would.  Carriers must therefore return hashable
+    level sets that compare equal exactly when the sets are equal.  One
+    c = r_top*h is then formed and checked per level pair, r_top its largest
+    r: as every r >= 0 and g >= 0 after rescaling, the join of 0 and all r*h
+    is the join of 0 and r_top*h, and r_top*h <= g gives r*h <= g for every
+    smaller r, whatever values h takes.  Only a c above g rescans the pairs,
+    to raise at the first one the per-pair loop would.
+
+    The certificate is self-contained: f, g, q_max, the transform, the
+    result, and ``pairs``, one row {r, s, h} per distinct level pair at its
+    first pair, from which replay recomputes the join.
     """
     carrier.check_pair(f, g)
     f1, g1, transform = rescale_to_unit(f, g)
     grid = farey_fractions(q_max)
-    mesh = Fraction(1, q_max)
-    # Level sets are hashed once each, into small int ids that key the caches.
+    # Level sets are hashed once each, into small int ids that key the rows.
     level_ids = {}
     opens = [carrier.open_strict_superlevel(g1, r) for r in grid]
     open_ids = [level_ids.setdefault(level, len(level_ids)) for level in opens]
-    separations = {}  # (closed id, open id) -> separation h
-    formed = set()  # (closed id, open id, index of r) whose c_rs is in parts
-    parts = [f1.const_like(ZERO)]
-    pair_log = []
+    closed_ids = []
     rank = [0] * len(grid)  # r < s compared as the ints rank[i] < rank[j]
     for pos, i in enumerate(sorted(range(len(grid)), key=grid.__getitem__)):
         rank[i] = pos
+    rows = {}  # (closed id, open id) -> [h, index of its largest r, first r, first s]
+
+    def raise_first_excess(stop=None):
+        """Raise at the first pair before ``stop``, in scan order, whose c_rs exceeds g."""
+        for j, s in enumerate(grid[:len(closed_ids)]):
+            for i, r in enumerate(grid):
+                if (i, j) == stop:
+                    return
+                if rank[i] < rank[j] and not (rows[closed_ids[j], open_ids[i]][0] * r).le(g1):
+                    raise PreconditionViolation(f"c_rs exceeds g on pair (r={r}, s={s})")
+
     for j, s in enumerate(grid):
         closed = carrier.closed_superlevel(f1, s)
-        closed_id = level_ids.setdefault(closed, len(level_ids))
+        closed_ids.append(level_ids.setdefault(closed, len(level_ids)))
         for i, r in enumerate(grid):
             if rank[i] >= rank[j]:
                 continue
-            key = (closed_id, open_ids[i])
-            if key not in separations:
+            key = (closed_ids[j], open_ids[i])
+            row = rows.get(key)
+            if row is None:
                 try:
-                    separations[key] = carrier.urysohn(closed, opens[i])
+                    h = carrier.urysohn(closed, opens[i])
                 except NormlabError as exc:
+                    raise_first_excess((i, j))  # a c_rs above g at an earlier pair comes first
                     raise PreconditionViolation(
                         f"urysohn oracle failed on pair (r={r}, s={s}): {exc}") from exc
-            if (*key, i) not in formed:
-                c_rs = separations[key] * r
-                if not c_rs.le(g1):
-                    raise PreconditionViolation(f"c_rs exceeds g on pair (r={r}, s={s})")
-                parts.append(c_rs)
-                formed.add((*key, i))
-            pair_log.append({"r": r, "s": s, "c_below_g": True})
+                rows[key] = [h, i, r, s]
+            elif rank[i] > rank[row[1]]:
+                row[1] = i
+    parts = [f1.const_like(ZERO)]
+    for h, top, _, _ in rows.values():
+        c = h * grid[top]
+        if not c.le(g1):
+            raise_first_excess()
+        parts.append(c)
     joined = finite_join(parts)
-    guarantee = []
-    grid_set = set(grid)
+    mesh = Fraction(1, q_max)
     for p in f1.probe_points():
         fv = f1.value_at(p)
-        if fv in grid_set:
-            ok = joined.value_at(p) >= fv - mesh
-            guarantee.append({"point": repr(p), "f_scaled": fv, "ok": ok})
-            if not ok:
-                raise BoundViolation(p, f"join below f - 1/{q_max}")
+        if fv.denominator <= q_max and joined.value_at(p) < fv - mesh:
+            raise BoundViolation(p, f"join below f - 1/{q_max}")
+    result = unscale(joined, transform)
     cert = {
+        "trace": "urysohn",
+        "f": f,
+        "g": g,
         "q_max": q_max,
         "transform": transform,
-        "pairs": pair_log,
-        "guarantee_points": guarantee,
-        "join_below_g": joined.le(g1),
+        "result": result,
+        "pairs": [{"r": r, "s": s, "h": h} for h, _, r, s in rows.values()],
     }
-    return unscale(joined, transform), cert
+    return result, cert
 
 
 def increasing_approx(reference: AlgElement, c_seq: Sequence[AlgElement],

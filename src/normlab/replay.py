@@ -1,13 +1,14 @@
 """Independent certificate verifier.
 
-Re-checks serialized reports (merge traces, iteration traces, condition
-reports, insertion certificates, block-indicator traces) from the JSON alone.
+Re-checks serialized reports (merge traces, iteration traces, Urysohn joins,
+condition reports, insertion certificates, block-indicator traces) from the
+JSON alone.
 The module deliberately shares no evaluation code with the checkers that
 produced the certificates: it carries its own tiny evaluators for the two
 carrier encodings, so a bug in a searcher cannot hide in its own replay.
-Merge traces, iteration traces and condition reports parse each element once
-per payload into rows of values over the probe points, and every check then
-works on those rows.
+Merge traces, iteration traces, Urysohn joins and condition reports parse
+each element once per payload into rows of values over the probe points, and
+every check then works on those rows.
 
 ``verify_report`` walks any JSON value, verifies every recognizable payload,
 and reports one line per check; a payload it cannot read raises
@@ -16,6 +17,7 @@ and reports one line per check; a payload it cannot read raises
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -256,11 +258,20 @@ def _verify_condition(report, checks) -> None:
                 ok = all(meet_of(ar, k) == join_of(br, k) for k in ks) and \
                      all(fr[k] <= meet_of(ar, k) <= gr[k] for k in ks)
             _check(checks, f"{label}: interpolation chain", ok)
-        for side in ("meet_side", "join_side"):
+        # each side's family collapses to the endpoint it approximates, and its
+        # residual is recomputed from that endpoint's closed form
+        meet_of_side, join_of_side = {"T": (f, g), "BS": (g, f), "S": (f, f)}[cond]
+        for side, key, elem in (("meet_side", "closed_form_meet", meet_of_side),
+                                ("join_side", "closed_form_join", join_of_side)):
             if side in cert:
                 data = cert[side]
+                er, cr = rows(elem, data[key])
+                bound = Fraction(1, data["depth"])
+                norm = max(max(er), -min(er))
+                spread = norm - min(er) if side == "meet_side" else max(er) + norm
                 _check(checks, f"{label}: {side} residual within bound",
-                       _frac(data["max_residual"]) <= _frac(data["residual_bound"]))
+                       er == cr and _frac(data["residual_bound"]) == bound
+                       and _frac(data["max_residual"]) == min(bound, spread))
         return
     if cond in ("C", "L"):
         fam = inst.get("family", cert.get("family"))
@@ -360,6 +371,87 @@ def _verify_block_replay(payload, checks) -> None:
     _check(checks, "block traces: all replayed", True)
 
 
+# The largest Farey denominator a Urysohn certificate may name: at 64 the
+# grid has 1,261 values and its pairs r < s number 794,430.
+MAX_Q = 64
+
+
+def _continuous(d) -> bool:
+    """A finite function is continuous iff each fiber is open; a sequence iff
+    it is constant on its cycle at its omega value (on the naturals alone,
+    every sequence is)."""
+    if _is_finite_func(d):
+        opens = {frozenset(o) for o in d["space"]["opens"]}
+        fibers = {}
+        for x, v in enumerate(d["values"]):
+            fibers.setdefault(_frac(v), set()).add(x)
+        return all(frozenset(fiber) in opens for fiber in fibers.values())
+    om = _seq_omega(d)
+    return om is None or all(_frac(v) == om for v in d["cycle"])
+
+
+def _verify_urysohn(cert, checks) -> None:
+    """Recompute a Urysohn join from f, g and its separations.
+
+    The transform, the Farey grid and each grid pair's level pair are
+    recomputed: with f1 and g1 the rescaled f and g, {f1 >= s} and {g1 > r}
+    are named by how many distinct values of f1 are at least s and of g1
+    exceed r.  No number the producer wrote is trusted.
+    """
+    f, g, res, q_max = cert["f"], cert["g"], cert["result"], cert["q_max"]
+    if type(q_max) is not int or not 1 <= q_max <= MAX_Q:
+        raise ValueError(f"q_max must be an integer from 1 to MAX_Q = {MAX_Q}")
+    hs = [row["h"] for row in cert["pairs"]]
+
+    def carrier(d):  # a finite space, or whether a sequence has an omega value
+        return d["space"] if _is_finite_func(d) else _seq_omega(d) is None
+
+    if any(carrier(d) != carrier(f) for d in (g, res, *hs)):
+        raise ValueError("elements on different carriers")
+    fr, gr, rr, *hr = _rows([f, g, res, *hs], _points(f, g, res, *hs))
+    a = -min(fr)
+    b = max(gr) + a or Fraction(1)
+    _check(checks, "urysohn: transform recomputed",
+           [_frac(v) for v in cert["transform"]] == [a, b])
+    f1, g1 = [(v + a) / b for v in fr], [(v + a) / b for v in gr]
+    fvals, gvals = sorted(set(f1)), sorted(set(g1))
+    grid = [Fraction(n, d) for d in range(1, q_max + 1) for n in range(d + 1)
+            if math.gcd(n, d) == 1]
+    closed = [len(fvals) - bisect.bisect_left(fvals, s) for s in grid]
+    opened = [len(gvals) - bisect.bisect_right(gvals, r) for r in grid]
+    rank = [0] * len(grid)
+    for pos, i in enumerate(sorted(range(len(grid)), key=grid.__getitem__)):
+        rank[i] = pos
+    first, top = {}, {}  # level pair -> its first (i, j) and its largest r's index
+    for j in range(len(grid)):
+        for i in range(len(grid)):
+            if rank[i] < rank[j]:
+                key = (closed[j], opened[i])
+                if key not in first:
+                    first[key], top[key] = (i, j), i
+                elif rank[i] > rank[top[key]]:
+                    top[key] = i
+    rows = [(_frac(row["r"]), _frac(row["s"])) for row in cert["pairs"]]
+    if not _check(checks, "urysohn: one row per distinct level pair, at its first pair",
+                  rows == [(grid[i], grid[j]) for i, j in first.values()]):
+        return
+    ok = True
+    for (r, s), h, d in zip(rows, hr, hs):
+        ok = ok and _continuous(d) and all(
+            0 <= v <= 1 and (v == 1 or x < s) and (v == 0 or y > r)
+            for v, x, y in zip(h, f1, g1))
+    _check(checks, "urysohn: each h in [0, 1], continuous, 1 on {f >= s}, 0 off {g > r}", ok)
+    tops = [grid[i] for i in top.values()]
+    joined = [max([Fraction(0)] + [t * h[k] for t, h in zip(tops, hr)])
+              for k in range(len(fr))]
+    _check(checks, "urysohn: result = b * join of r_top * h - a",
+           rr == [b * v - a for v in joined])
+    _check(checks, "urysohn: result <= g", _row_le(rr, gr))
+    _check(checks, "urysohn: result >= f - b/q_max where f1 is on the grid",
+           all(y >= x - b / q_max for x, y, x1 in zip(fr, rr, f1)
+               if x1.denominator <= q_max))
+
+
 class MalformedPayload(Exception):
     """A payload the verifiers cannot read, named by its JSON pointer and kind."""
 
@@ -401,6 +493,8 @@ def verify_report(data) -> dict:
                 return verify("merge", _verify_merge, node)
             if node.get("trace") == "iteration":
                 return verify("iteration", _verify_iteration, node)
+            if node.get("trace") == "urysohn":
+                return verify("urysohn", _verify_urysohn, node)
             if "condition" in node and "verdict" in node:
                 return verify("condition", _verify_condition, node)
             if node.get("infeasible") and "f" in node and "g" in node:

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .conditions import (
     CONDITIONS,
+    D_EPSILON,
     FAILS,
     HOLDS,
     MAX_SUBFAMILY_CAP,
@@ -272,6 +273,11 @@ def _instance(data, pointer: str, model: str, condition: str, space) -> dict:
         bad = inst["f"].first_violation(inst["g"])
         if bad is not None:
             raise _reject(_child(pointer, "g"), f"f <= g fails at point {bad!r}")
+    if condition == "D":  # every model reads the gap f + epsilon <= g
+        bad = (inst["f"] + inst.get("epsilon", D_EPSILON)).first_violation(inst["g"])
+        if bad is not None:
+            raise _reject(_child(pointer, "epsilon"),
+                          f"the gap f + epsilon <= g fails at point {bad!r}")
     return inst
 
 

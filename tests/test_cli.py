@@ -298,6 +298,24 @@ def test_replay_rejects_l_pick_past_its_member(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+def test_replay_rejects_residual_off_its_closed_form(tmp_path, capsys):
+    instance = {"f": {"cycle": ["0", "1"]}, "g": {"cycle": ["2"]}}
+    path = write(tmp_path, "s.json", dict(_scenario("seq_x_end", "T", instance), depth=8))
+    report_path = tmp_path / "report.json"
+    assert main(["check", path, "--out", str(report_path)]) == 0
+    assert main(["replay", str(report_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    meet_side = report["certificate"]["meet_side"]
+    meet_side["closed_form_meet"] = {"prefix": [], "cycle": ["5"], "omega": None}
+    meet_side["max_residual"] = "0"  # consistent with the constant 5, not with f
+    assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert [c["check"] for c in out["checks"] if not c["ok"]] == \
+        ["T holds: meet_side residual within bound"]
+
+
 def _check_exit(tmp_path, capsys, payload, *flags):
     code = main(["check", write(tmp_path, "s.json", payload), *flags])
     captured = capsys.readouterr()
@@ -388,6 +406,13 @@ def _with(payload, path, value):
      "f is not upper semicontinuous"),
     (_with(Y_N, ["instance", "g"], {"cycle": ["2", "3"], "omega": "3"}), "/instance/g/omega",
      "g is not lower semicontinuous"),
+    # (D) reads the gap f + epsilon <= g, at epsilon 1/2 when none is given
+    (_scenario("finite_full", "D", {"f": FINITE_ELEM, "g": FINITE_ELEM, "epsilon": "1/2"}),
+     "/instance/epsilon", "gap f + epsilon <= g fails at point 0"),
+    (_scenario("seq_y_end", "D", {"f": MODEL_ELEMS["seq_y_end"], "g": MODEL_ELEMS["seq_y_end"]}),
+     "/instance/epsilon", "gap f + epsilon <= g fails at point 0"),
+    (_scenario("seq_x_end", "D", {"f": {"cycle": ["1"]}, "g": {"cycle": ["3/2", "1"]}}),
+     "/instance/epsilon", "gap f + epsilon <= g fails at point 1"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_check_rejects_at_pointer(tmp_path, capsys, payload, pointer, named):
     code, err = _check_exit(tmp_path, capsys, payload)

@@ -32,7 +32,9 @@ from normlab.insertion_engine import (
 from normlab.lattice_core import AlgElement, finite_join, rescale_to_unit, unscale
 from normlab.rationals import ZERO
 from normlab.replay import (
+    MalformedPayload,
     _check,
+    _continuous,
     _frac,
     _points,
     _verify_iteration,
@@ -183,7 +185,7 @@ def test_join_stream_continuous_pair_on_y():
     joined, cert = urysohn_join_stream(carrier, f, f, 4)
     assert joined.le(f)
     assert (f - Fraction(1, 4)).le(joined)
-    assert cert["join_below_g"]
+    assert verify_report(to_jsonable(cert))["ok"]
 
 
 def test_join_stream_bottom_case():
@@ -222,7 +224,7 @@ def test_join_stream_on_finite_space():
     joined, cert = urysohn_join_stream(carrier, f, g, 4)
     assert joined.le(g)
     assert (f - Fraction(1, 4)).le(joined)
-    assert all(p["ok"] for p in cert["guarantee_points"])
+    assert verify_report(to_jsonable(cert))["ok"]
 
 
 def test_join_stream_rejects_non_semicontinuous():
@@ -259,13 +261,17 @@ def test_increasing_approx_rejects_bad_bound():
 
 
 def _per_pair_stream(carrier, f, g, q_max):
-    """The plain loop: level sets, separation and c_rs rebuilt for every pair."""
+    """The plain loop: level sets, separation and c_rs rebuilt for every pair.
+
+    Returns the joined result and, for each distinct level pair, a row
+    {r, s, h} at its first pair in scan order.
+    """
     carrier.check_pair(f, g)
     f1, g1, transform = rescale_to_unit(f, g)
     grid = farey_fractions(q_max)
     mesh = Fraction(1, q_max)
     parts = [f1.const_like(ZERO)]
-    pair_log = []
+    first = {}
     for s in grid:
         for r in grid:
             if not r < s:
@@ -277,34 +283,27 @@ def _per_pair_stream(carrier, f, g, q_max):
             except NormlabError as exc:
                 raise PreconditionViolation(
                     f"urysohn oracle failed on pair (r={r}, s={s}): {exc}") from exc
+            first.setdefault((level_f, level_g), {"r": r, "s": s, "h": h})
             c_rs = h * r
-            below_g = c_rs.le(g1)
-            pair_log.append({"r": r, "s": s, "c_below_g": below_g})
-            if not below_g:
+            if not c_rs.le(g1):
                 raise PreconditionViolation(f"c_rs exceeds g on pair (r={r}, s={s})")
             parts.append(c_rs)
     joined = finite_join(parts)
-    guarantee = []
     grid_set = set(grid)
     for p in f1.probe_points():
         fv = f1.value_at(p)
-        if fv in grid_set:
-            ok = joined.value_at(p) >= fv - mesh
-            guarantee.append({"point": repr(p), "f_scaled": fv, "ok": ok})
-            if not ok:
-                raise BoundViolation(p, f"join below f - 1/{q_max}")
-    cert = {
-        "q_max": q_max,
-        "transform": transform,
-        "pairs": pair_log,
-        "guarantee_points": guarantee,
-        "join_below_g": joined.le(g1),
-    }
-    return unscale(joined, transform), cert
+        if fv in grid_set and joined.value_at(p) < fv - mesh:
+            raise BoundViolation(p, f"join below f - 1/{q_max}")
+    return unscale(joined, transform), list(first.values())
+
+
+def _joined_and_rows(carrier, f, g, q_max):
+    joined, cert = urysohn_join_stream(carrier, f, g, q_max)
+    return joined, cert["pairs"]
 
 
 def _outcome(stream, carrier, f, g, q):
-    """Serialized (joined, cert), or the error type and message."""
+    """Serialized (joined, rows), or the error type and message."""
     try:
         return to_jsonable(stream(carrier, f, g, q))
     except NormlabError as exc:
@@ -338,8 +337,11 @@ def test_join_stream_matches_per_pair_loop():
     for carrier, f, g in cases:
         q = rng.randint(1, 6)
         expected = _outcome(_per_pair_stream, carrier, f, g, q)
-        assert _outcome(urysohn_join_stream, carrier, f, g, q) == expected
+        assert _outcome(_joined_and_rows, carrier, f, g, q) == expected
         failures += isinstance(expected, tuple)
+        if not isinstance(expected, tuple):
+            _, cert = urysohn_join_stream(carrier, f, g, q)
+            assert verify_report(to_jsonable(cert))["ok"]
     assert 0 < failures < len(cases)  # both the certificate and the error path ran
 
 
@@ -398,13 +400,12 @@ def test_join_stream_separates_each_level_pair_once():
         assert carrier.calls == {"closed": len(grid), "open": len(grid)}
         assert set(carrier.separated) == keys
         assert set(carrier.separated.values()) == {1}
-        assert len(keys) < len(cert["pairs"])
+        assert len(cert["pairs"]) == len(keys)
 
 
-def test_join_stream_oracle_error_matches_per_pair_loop():
-    f, g = HEAVY_Y_PAIRS[1]
+def _level_pairs_in_scan_order(f, g, q):
     f1, g1, _ = rescale_to_unit(f, g)
-    grid = farey_fractions(6)
+    grid = farey_fractions(q)
     plain = YUrysohnCarrier()
     order = []
     for s in grid:
@@ -412,17 +413,47 @@ def test_join_stream_oracle_error_matches_per_pair_loop():
             key = (plain.closed_superlevel(f1, s), plain.open_strict_superlevel(g1, r))
             if r < s and key not in order:
                 order.append(key)
+    return order
+
+
+def _one_level_pair_altered(key, alter):
+    class Altered(YUrysohnCarrier):
+        def urysohn(self, closed_f, open_g):
+            h = super().urysohn(closed_f, open_g)
+            return alter(h) if (closed_f, open_g) == key else h
+    return Altered()
+
+
+def test_join_stream_oracle_error_matches_per_pair_loop():
+    f, g = HEAVY_Y_PAIRS[1]
+    order = _level_pairs_in_scan_order(f, g, 6)
     assert len(order) > 3
 
-    class Refusing(YUrysohnCarrier):
-        def urysohn(self, closed_f, open_g):
-            if (closed_f, open_g) == order[3]:
-                raise PreconditionViolation("refused")
-            return super().urysohn(closed_f, open_g)
+    def refuse(h):
+        raise PreconditionViolation("refused")
 
-    expected = _outcome(_per_pair_stream, Refusing(), f, g, 6)
+    expected = _outcome(_per_pair_stream, _one_level_pair_altered(order[3], refuse), f, g, 6)
     assert expected[0] == "PreconditionViolation" and "refused" in expected[1]
-    assert _outcome(urysohn_join_stream, Refusing(), f, g, 6) == expected
+    assert _outcome(_joined_and_rows, _one_level_pair_altered(order[3], refuse),
+                    f, g, 6) == expected
+
+
+def test_join_stream_separation_off_the_unit_interval_matches_per_pair_loop():
+    """h > 1 on one level pair puts some c_rs above g: the rescan raises at the
+    reference's pair.  h < 0 somewhere changes no join: r*h <= 0 there."""
+    f, g = HEAVY_Y_PAIRS[1]
+    order = _level_pairs_in_scan_order(f, g, 6)
+    outcomes = []
+    for alter in (lambda h: h * 2, lambda h: h - Fraction(1, 2)):
+        for key in order:
+            expected = _outcome(_per_pair_stream, _one_level_pair_altered(key, alter), f, g, 6)
+            assert _outcome(_joined_and_rows, _one_level_pair_altered(key, alter),
+                            f, g, 6) == expected
+            outcomes.append(expected)
+    errors = [o for o in outcomes if isinstance(o, tuple)]
+    assert errors and all(o[0] == "PreconditionViolation" and "c_rs exceeds g" in o[1]
+                          for o in errors)
+    assert len(errors) < len(outcomes)
 
 
 # -- Cauchy tail of the Dieudonné iteration ---------------------------------
@@ -736,3 +767,123 @@ def test_merge_tamper_one_u_value():
     cycle = payload["u_seq"][1]["cycle"]
     cycle[-1] = to_jsonable(Fraction(cycle[-1]) + Fraction(1, 3))
     assert _failed_rows(payload) == ["merge: u_2 recomputed"]
+
+
+# -- replay of the Urysohn join ----------------------------------------------
+
+SPACE_5PT = FiniteSpace.from_preorder(5, [17, 2, 4, 25, 16])
+
+
+def _urysohn_payload(carrier):
+    """A serialized Urysohn certificate at q_max = 6, on a finite space or on Y.
+
+    The rescaled f is f itself, with every value on the grid, so the lower
+    bound is checked at every point."""
+    if carrier == "finite":
+        f = FiniteFunc(SPACE_5PT, [Fraction(v) for v in ("2/3", "1", "0", "2/3", "1/6")])
+        g = FiniteFunc(SPACE_5PT, [Fraction(v) for v in ("5/6", "1", "1/2", "2/3", "5/6")])
+        stream = urysohn_join_stream(FiniteUrysohnCarrier(SPACE_5PT), f, g, 6)
+    else:
+        f = _y_func(["0", "1/2"], ["0", "1/3"], "1/2")
+        g = _y_func(["1/2", "1"], ["1", "2/3"], "1/2")
+        stream = urysohn_join_stream(YUrysohnCarrier(), f, g, 6)
+    return json.loads(json.dumps(to_jsonable(stream[1])))
+
+
+def _value_list(d):
+    """The list that holds an element's value at point 0."""
+    return d["values"] if "values" in d else d["prefix"] or d["cycle"]
+
+
+def _set_everywhere(d, value):
+    for key in ("values", "prefix", "cycle"):
+        if key in d:
+            d[key] = [value] * len(d[key])
+    if d.get("omega") is not None:
+        d["omega"] = value
+
+
+def _double_scale(c):
+    c["transform"][1] = str(2 * Fraction(c["transform"][1]))
+
+
+def _h_above_one(c):
+    _value_list(c["pairs"][0]["h"])[0] = "3/2"
+
+
+def _result_nudged(c):
+    values = _value_list(c["result"])
+    values[0] = str(Fraction(values[0]) + Fraction(1, 7))
+
+
+def _result_above_g(c):
+    _value_list(c["result"])[0] = str(Fraction(_value_list(c["g"])[0]) + 1)
+
+
+def _separations_zeroed(c):
+    """Every h = 0 and the result recomputed from them: only the rows on h and
+    on the lower bound can notice."""
+    for row in c["pairs"]:
+        _set_everywhere(row["h"], "0")
+    _set_everywhere(c["result"], str(-Fraction(c["transform"][0])))
+
+
+URYSOHN_TAMPERS = [
+    (_double_scale, "urysohn: transform recomputed"),
+    (lambda c: c["pairs"].pop(), "urysohn: one row per distinct level pair, at its first pair"),
+    (lambda c: c["pairs"].reverse(), "urysohn: one row per distinct level pair, at its first pair"),
+    (_h_above_one, "urysohn: each h in [0, 1], continuous, 1 on {f >= s}, 0 off {g > r}"),
+    (_result_nudged, "urysohn: result = b * join of r_top * h - a"),
+    (_result_above_g, "urysohn: result <= g"),
+    (_separations_zeroed, "urysohn: result >= f - b/q_max where f1 is on the grid"),
+]
+
+
+@pytest.mark.parametrize("carrier", ["finite", "y"])
+def test_urysohn_replay_accepts_untampered_certificate(carrier):
+    payload = _urysohn_payload(carrier)
+    report = verify_report({"job": "urysohn_join_stream", "certificate": payload})
+    assert report["ok"] and report["verified"] == 1
+    assert len(report["checks"]) == 6
+
+
+@pytest.mark.parametrize("carrier", ["finite", "y"])
+@pytest.mark.parametrize("tamper,row", URYSOHN_TAMPERS,
+                         ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_urysohn_replay_tamper_fails_its_row(carrier, tamper, row):
+    payload = _urysohn_payload(carrier)
+    tamper(payload)
+    assert row in _failed_rows(payload)
+    assert not verify_report(payload)["ok"]
+
+
+def test_urysohn_replay_continuity():
+    opens = [[], [1], [0, 1]]
+    assert _continuous({"space": {"points": 2, "opens": opens}, "values": ["1", "1"]})
+    assert not _continuous({"space": {"points": 2, "opens": opens}, "values": ["0", "1"]})
+    assert _continuous({"space": {"points": 2, "opens": [[], [0], [1], [0, 1]]},
+                        "values": ["0", "1"]})
+    assert _continuous({"prefix": ["1/2"], "cycle": ["1"], "omega": "1"})
+    assert not _continuous({"prefix": [], "cycle": ["1", "0"], "omega": "1"})
+    assert not _continuous({"prefix": [], "cycle": ["0"], "omega": "1"})
+    assert _continuous({"prefix": [], "cycle": ["1", "0"], "omega": None})
+
+
+def _drop_omega_of_result_and_h(c):
+    c["result"]["omega"] = "50"  # above g at omega, out of sight without omega values
+    for d in (c["result"], *(row["h"] for row in c["pairs"])):
+        del d["omega"]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda c: c.__setitem__("q_max", 0),
+    lambda c: c.__setitem__("q_max", 65),
+    lambda c: c.__setitem__("q_max", True),
+    lambda c: c.__setitem__("q_max", "6"),
+    _drop_omega_of_result_and_h,
+])
+def test_urysohn_replay_rejects_malformed_certificates(tamper):
+    payload = _urysohn_payload("y")
+    tamper(payload)
+    with pytest.raises(MalformedPayload, match="/certificate: malformed urysohn payload"):
+        verify_report({"certificate": payload})

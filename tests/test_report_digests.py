@@ -292,10 +292,10 @@ def _rational_paths(node, path=()):
 
 # sha256 of the verify_report outputs, in order, of every depth-8 INSTANCES
 # report with one of its rational values moved by one of STEPS (every value,
-# every step); taken on the commit before the condition routes were
-# collapsed, so failing replay rows are pinned as well
+# every step), so failing replay rows are pinned as well; 996 of the 1,736
+# tampered reports fail
 STEPS = (Fraction(1, 7), Fraction(-1, 7), Fraction(2), Fraction(-2))
-TAMPERED_REPLAY_DIGEST = "d13b0f658f12d124cbc7c1534f4bfc89dde0ecc0f757f4ba55ae5cd3476d47d6"
+TAMPERED_REPLAY_DIGEST = "a2dce98e95205d7fb2f6b18fc78a2ce99f8b8c5716aac406577f5b8f6d776368"
 
 
 def test_tampered_condition_replay_digest(tmp_path, capsys):
@@ -342,11 +342,12 @@ URYSOHN_CASES = {
                    _finite_func(_SPACE5, ["7/20", "-5/3", "-1/11", "1/10", "7/20"])),
 }
 
-# sha256 of json.dumps(to_jsonable((joined, cert)), sort_keys=True)
+# sha256 of json.dumps(to_jsonable((joined, cert)), sort_keys=True), with the
+# certificate's one row per distinct level pair
 URYSOHN_DIGESTS = {
-    "y-heavy-1": "9bdbbff0ea6857e1af3e85f0c59e5ebd20bc5a52fe0a21614c4b08de951a29a1",
-    "y-heavy-2": "b7dd77c856fa0d842ac1b96615e14732d24d5d1d07a4766dd7dc77e9ba5753d8",
-    "finite-5pt": "8c5c1513f55bc4c0a2fee0dbb5e47f82b4645ed4303d6d252aa63213d9b02a03",
+    "y-heavy-1": "0a97736d0e72f857328caa65ef9e0fbf4527730fee83052f866249e6ce70608a",
+    "y-heavy-2": "6aaaf00b47d2a44ab7fa6a0798461bddb4b549d79108e7d76db4c4e87e10a956",
+    "finite-5pt": "6bb0c639a15a7b7d487e4b8c2323b0cfb37afbd4e75e2b16b0196fc83e2c3028",
 }
 
 

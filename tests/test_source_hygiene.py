@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every name the benchmark's tracer wraps still exists."""
+"""Source hygiene: every name a module imports is used in that module, every
+name the benchmark's tracer wraps still exists, and the tracer still reads
+what the library emits."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -55,3 +57,33 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+TRACED_URYSOHN = """
+import json, sys
+import tracer
+from normlab import insertion_engine
+from normlab.seq_model import SeqFunc
+t = tracer.Tracer()
+tracer.install(t)
+f = SeqFunc.periodic([1, 0], omega=1)
+g = SeqFunc.constant(1, with_omega=True)
+_, cert = insertion_engine.urysohn_join_stream(insertion_engine.YUrysohnCarrier(), f, g, 4)
+metrics = t.metrics(sys.argv[1])
+print(json.dumps({"rows": len(cert["pairs"]),
+                  "pairs": metrics["insertion_engine.urysohn_join_stream.pairs"],
+                  "distinct": metrics["insertion_engine.urysohn_join_stream.distinct_pair_frac"]}))
+"""
+
+
+def test_benchmark_tracer_reads_the_urysohn_certificate():
+    """The traced benchmark run counts Urysohn certificate rows from outside the
+    library, so a certificate it can no longer read fails here."""
+    path = os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_URYSOHN, str(ROOT / "src")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    assert counts["pairs"] == counts["rows"] > 0
+    assert counts["distinct"] == 1.0  # one row per separated level pair
