@@ -6,7 +6,8 @@ Subcommands:
   (``serialize.parse_scenario``), run the requested condition check, write a
   JSON report.  Exit 0 when the verdict matches the scenario's expectation (or
   none is stated), 1 on a verdict mismatch, 2 on input errors, each named by
-  its JSON pointer (or by ``--depth``).
+  its JSON pointer (or by ``--depth``): the reader's own, or ``/instance/``
+  and the key of a value the model's check rejected.
 * ``reproduce <id>``: run a canned example and assert its golden facts.
 * ``survey --max-size N``: exhaustive finite-topology survey as CSV.
 * ``replay <report.json>``: re-verify every certificate in a report through
@@ -24,6 +25,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -55,12 +57,25 @@ from .seq_model import (
 from .serialize import parse_depth, parse_scenario, to_jsonable
 
 
+def _print(text: str) -> None:
+    """Write to stdout.  When the reader has closed the pipe (``| head``), the
+    rest is dropped: stdout's descriptor is pointed at the null device, so the
+    interpreter's flush at exit raises nothing either."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    _print(text + "\n")
 
 
 def _read_json(path: str):
@@ -78,8 +93,9 @@ def cmd_check(args) -> int:
         if args.depth is not None:
             depth = parse_depth(args.depth, "--depth")
         report = check_condition(model, condition, instance, depth)
-    except NormlabError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except NormlabError as exc:  # a model's value check names the instance key it read
+        where = "" if exc.key is None else f"/instance/{exc.key}: "
+        print(f"input error: {where}{exc}", file=sys.stderr)
         return 2
     payload = to_jsonable(report)
     payload["expected"] = expected
@@ -322,7 +338,7 @@ def cmd_survey(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-    print(text, end="")
+    _print(text)
     if any(not r["agreement"] for r in rows):
         print("counterexample found: insertion feasible on a non-normal space",
               file=sys.stderr)

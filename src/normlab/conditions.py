@@ -5,6 +5,12 @@ extension model; reports carry a three-valued verdict (holds, fails,
 unknown_at_depth) and a machine-checkable certificate.  Countable claims are
 certified at an explicit truncation depth and never silently finitized.
 
+The scenario reader checks syntax, encoding and bounds; the values of an
+instance are checked here, once each, by the route that reads them (the
+carrier's insertion function, or the order, gap and cover checks of
+:mod:`normlab.lattice_core`).  Each such error's ``key`` names the instance
+key it read, such as ``g``, ``f/omega``, ``epsilon`` or ``family/2``.
+
 Models provided: the identity extension over a finite space (every element
 is clopen, all conditions hold), the convergent-into-periodic extension over
 the naturals (single-element insertion and compactness fail; the countable
@@ -20,8 +26,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import (
-    CoverViolation,
-    EmptyFamily,
     InsertionInfeasible,
     ModelCapabilityMissing,
     NormlabError,
@@ -29,16 +33,16 @@ from .errors import (
 )
 from .finite_space import FiniteFunc, FiniteSpace
 from .insertion_engine import tong_merge
-from .lattice_core import finite_join
+from .lattice_core import check_cover, check_gap, check_order, finite_join
 from .rationals import ONE, ZERO, rat
 from .seq_model import (
     SeqFunc,
     Witness,
+    check_naturals_pair,
     ideal_membership,
     insert_convergent,
     insert_on_y,
     noncompact_family,
-    semicontinuity_on_y,
     strict_insert,
     subcover_extract,
 )
@@ -76,6 +80,9 @@ class ExtensionModel:
 
     name = "abstract"
     compact: bool
+    # the instance keys (C) and (L) read on a model that decides them on a
+    # built-in family; such a model takes no family
+    built_in_family: str | None = None
 
     def eps_removal_cover(self):
         """(epsilon, family) covering at level epsilon for the harness's
@@ -158,33 +165,27 @@ class FiniteFullModel(ExtensionModel):
         bump = random_finite_func(self.space, rng, lo=0)
         return {"f": f, "g": f + bump}
 
-    def _require_pair(self, instance):
-        f, g = instance["f"], instance["g"]
-        bad = f.first_violation(g)
-        if bad is not None:
-            raise PreconditionViolation(f"f <= g fails at point {bad}")
-        return f, g
-
     def cond_t(self, instance, depth):
-        f, g = self._require_pair(instance)
+        f, g = instance["f"], instance["g"]
+        check_order(f, g)
         return HOLDS, {"a_seq": [f], "b_seq": [g], "route": "endpoints are clopen"}
 
     cond_bs = cond_t
 
     def cond_s(self, instance, depth):
-        f, g = self._require_pair(instance)
+        f = instance["f"]
+        check_order(f, instance["g"])
         return HOLDS, {"a_seq": [f], "b_seq": [f], "witness": f}
 
     def cond_n(self, instance, depth):
-        f, g = self._require_pair(instance)
+        f = instance["f"]
+        check_order(f, instance["g"])
         return HOLDS, {"witness": f}
 
     def cond_d(self, instance, depth):
-        f, g = self._require_pair(instance)
-        eps = rat(instance.get("epsilon", D_EPSILON))
-        bad = (f + eps).first_violation(g)
-        if bad is not None:
-            raise PreconditionViolation(f"gap fails at point {bad}")
+        f, g = instance["f"], instance["g"]
+        check_order(f, g)
+        eps = check_gap(f, g, instance.get("epsilon", D_EPSILON))
         return HOLDS, {"witness": (f + g) * Fraction(1, 2), "epsilon": eps}
 
     def cond_c(self, instance, depth):
@@ -192,15 +193,11 @@ class FiniteFullModel(ExtensionModel):
             # pair-only instances get the canonical unit cover
             instance = {"epsilon": ONE,
                         "family": [FiniteFunc(self.space, [2] * self.space.n)]}
-        eps = rat(instance["epsilon"])
         family = list(instance["family"])
-        if not family:
-            raise EmptyFamily("cover family must be nonempty")
+        eps = check_cover(instance["epsilon"], family)
         choices = []
         for x in range(self.space.n):
             vals = [t.value_at(x) for t in family]
-            if max(vals) < eps:
-                raise CoverViolation(x, max(vals), eps)
             pick = max(range(len(family)), key=lambda i: vals[i])
             if pick not in choices:
                 choices.append(pick)
@@ -222,6 +219,7 @@ class SeqXEndModel(ExtensionModel):
     """
 
     name = "seq_x_end"
+    built_in_family = "epsilon, delta and subfamily_cap"
 
     @property
     def compact(self) -> bool:
@@ -245,15 +243,6 @@ class SeqXEndModel(ExtensionModel):
         f = random_seq_func(rng)
         return {"f": f, "g": f + random_seq_func(rng, lo=0)}
 
-    def _require_pair(self, instance):
-        f, g = instance["f"], instance["g"]
-        if f.has_omega or g.has_omega:
-            raise PreconditionViolation("B-side instances live on the naturals")
-        bad = f.first_violation(g)
-        if bad is not None:
-            raise PreconditionViolation(f"f <= g fails at index {bad}")
-        return f, g
-
     def _meet_family_cert(self, f, depth):
         # the meet of members (k, 1..depth) at k is min(f(k) + 1/depth, ||f||)
         return {
@@ -275,7 +264,8 @@ class SeqXEndModel(ExtensionModel):
         }
 
     def cond_t(self, instance, depth):
-        f, g = self._require_pair(instance)
+        f, g = instance["f"], instance["g"]
+        check_naturals_pair(f, g)
         cert = {
             "meet_side": self._meet_family_cert(f, depth),
             "join_side": self._join_family_cert(g, depth),
@@ -284,7 +274,8 @@ class SeqXEndModel(ExtensionModel):
         return HOLDS, cert
 
     def cond_bs(self, instance, depth):
-        f, g = self._require_pair(instance)
+        f, g = instance["f"], instance["g"]
+        check_naturals_pair(f, g)
         cert = {
             "join_side": self._join_family_cert(f, depth),
             "meet_side": self._meet_family_cert(g, depth),
@@ -293,7 +284,8 @@ class SeqXEndModel(ExtensionModel):
         return HOLDS, cert
 
     def cond_s(self, instance, depth):
-        f, g = self._require_pair(instance)
+        f = instance["f"]
+        check_naturals_pair(f, instance["g"])
         cert = {
             "witness": f,
             "meet_side": self._meet_family_cert(f, depth),
@@ -303,17 +295,15 @@ class SeqXEndModel(ExtensionModel):
         return HOLDS, cert
 
     def cond_n(self, instance, depth):
-        f, g = self._require_pair(instance)
-        result = insert_convergent(f, g)
+        result = insert_convergent(instance["f"], instance["g"])
         if isinstance(result, Witness):
             return HOLDS, {"witness": result.func, "limit": result.limit}
         return FAILS, {"limsup_f": result.limsup_f, "liminf_g": result.liminf_g}
 
     def cond_d(self, instance, depth):
-        f, g = self._require_pair(instance)
         eps = rat(instance.get("epsilon", D_EPSILON))
         try:
-            w = strict_insert(f, g, eps)
+            w = strict_insert(instance["f"], instance["g"], eps)
         except InsertionInfeasible as exc:
             cert = exc.certificate
             return FAILS, {"epsilon": eps, "limsup_f": cert.limsup_f,
@@ -331,7 +321,8 @@ class SeqXEndModel(ExtensionModel):
         size_cap = int(instance.get("subfamily_cap", 4))
         if not 1 <= size_cap <= MAX_SUBFAMILY_CAP:
             raise PreconditionViolation(
-                f"subfamily_cap must lie in 1..{MAX_SUBFAMILY_CAP}, got {size_cap}")
+                f"subfamily_cap must lie in 1..{MAX_SUBFAMILY_CAP}, got {size_cap}",
+                key="subfamily_cap")
         defeats = []
         for combo in _subsets(range(min(depth, 8)), size_cap):
             idx, value = defeat(combo)
@@ -371,40 +362,25 @@ class SeqYEndModel(ExtensionModel):
     def random_instance(self, rng):
         return random_usc_lsc_pair(rng)
 
-    def _require_pair(self, instance):
-        f, g = instance["f"], instance["g"]
-        if not semicontinuity_on_y(f)["usc"]:
-            raise PreconditionViolation("f is not upper semicontinuous")
-        if not semicontinuity_on_y(g)["lsc"]:
-            raise PreconditionViolation("g is not lower semicontinuous")
-        bad = f.first_violation(g)
-        if bad is not None:
-            raise PreconditionViolation(f"f <= g fails at {bad!r}")
-        return f, g
-
     def cond_n(self, instance, depth):
-        f, g = self._require_pair(instance)
-        w = insert_on_y(f, g)
+        w = insert_on_y(instance["f"], instance["g"])
         return HOLDS, {"witness": w.func, "limit": w.limit}
 
     def cond_d(self, instance, depth):
-        f, g = self._require_pair(instance)
-        eps = rat(instance.get("epsilon", D_EPSILON))
-        bad = (f + eps).first_violation(g)
-        if bad is not None:
-            raise PreconditionViolation(f"gap fails at {bad!r}")
+        f, g = instance["f"], instance["g"]
         w = insert_on_y(f, g)
+        eps = check_gap(f, g, instance.get("epsilon", D_EPSILON))
         return HOLDS, {"witness": w.func, "limit": w.limit, "epsilon": eps}
 
     def cond_t(self, instance, depth):
-        w = insert_on_y(*self._require_pair(instance))
+        w = insert_on_y(instance["f"], instance["g"])
         return HOLDS, {"a_seq": [w.func], "b_seq": [w.func],
                        "route": "single continuous witness serves both sides"}
 
     cond_bs = cond_t
 
     def cond_s(self, instance, depth):
-        w = insert_on_y(*self._require_pair(instance))
+        w = insert_on_y(instance["f"], instance["g"])
         return HOLDS, {"witness": w.func, "a_seq": [w.func], "b_seq": [w.func]}
 
     def cond_c(self, instance, depth):

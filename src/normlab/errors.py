@@ -6,7 +6,15 @@ step, so failures double as certificates.
 
 
 class NormlabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``key`` names the scenario instance key whose value a check rejected
+    (``f``, ``g/omega``, ``epsilon``, ``family/2``, ...), or is None.
+    """
+
+    def __init__(self, *args, key: str | None = None):
+        super().__init__(*args)
+        self.key = key
 
 
 class OrderViolation(NormlabError):
@@ -40,13 +48,13 @@ class NegativeInput(NormlabError):
 
 
 class GapViolation(NormlabError):
-    """f + epsilon <= g fails; names an index."""
+    """f + epsilon <= g fails; names the point, and the key epsilon."""
 
     def __init__(self, index, left, right):
         self.index = index
         self.left = left
         self.right = right
-        super().__init__(f"gap violated at index {index}: {left} > {right}")
+        super().__init__(f"the gap f + epsilon <= g fails at point {index!r}", key="epsilon")
 
 
 class InsertionInfeasible(NormlabError):
@@ -62,13 +70,15 @@ class InsertionInfeasible(NormlabError):
 
 
 class CoverViolation(NormlabError):
-    """The pointwise supremum of a family fails its lower bound; names a point."""
+    """The pointwise supremum of a family fails its lower bound; names a point,
+    and the key epsilon, the bound a cover is read at."""
 
     def __init__(self, point, value, bound):
         self.point = point
         self.value = value
         self.bound = bound
-        super().__init__(f"cover bound violated at {point!r}: sup {value} < {bound}")
+        super().__init__(f"cover bound violated at {point!r}: sup {value} < {bound}",
+                         key="epsilon")
 
 
 class BoundExceeded(NormlabError):

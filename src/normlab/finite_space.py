@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, EmptyFamily, PreconditionViolation
-from .lattice_core import AlgElement, LazyView
+from .lattice_core import AlgElement, LazyView, check_order
 from .rationals import ONE, ZERO, rat
 
 MAX_ENUM_POINTS = 5
@@ -304,6 +304,16 @@ class Infeasible:
     min_g: Fraction
 
 
+def check_usc_lsc(space: FiniteSpace, f: FiniteFunc, g: FiniteFunc) -> None:
+    """The pair :func:`insert_finite` reads: f usc, g lsc and f <= g; each
+    error is keyed to ``f`` or ``g``."""
+    if not is_usc(space, f):
+        raise PreconditionViolation("f is not upper semicontinuous", key="f")
+    if not is_lsc(space, g):
+        raise PreconditionViolation("g is not lower semicontinuous", key="g")
+    check_order(f, g)
+
+
 def insert_finite(space: FiniteSpace, f: FiniteFunc, g: FiniteFunc):
     """Continuous h with f <= h <= g, for usc f <= lsc g, when one exists.
 
@@ -312,13 +322,7 @@ def insert_finite(space: FiniteSpace, f: FiniteFunc, g: FiniteFunc):
     continuous insertion).  Returns the witness or :class:`Infeasible` with
     the violating component.
     """
-    if not is_usc(space, f):
-        raise PreconditionViolation("f is not upper semicontinuous")
-    if not is_lsc(space, g):
-        raise PreconditionViolation("g is not lower semicontinuous")
-    bad = f.first_violation(g)
-    if bad is not None:
-        raise PreconditionViolation(f"f <= g fails at point {bad}")
+    check_usc_lsc(space, f, g)
     values = [ZERO] * space.n
     for comp in space.components:
         hi = max(f.values[x] for x in _bits(comp))

@@ -21,15 +21,11 @@ from .errors import (
     OracleContractViolation,
     PreconditionViolation,
 )
-from .finite_space import FiniteSpace, NotSeparable, envelopes, urysohn
-from .lattice_core import AlgElement, finite_join, finite_meet, rescale_to_unit, unscale
+from .finite_space import FiniteSpace, NotSeparable, check_usc_lsc, urysohn
+from .lattice_core import (AlgElement, check_order, finite_join, finite_meet,
+                           rescale_to_unit, unscale)
 from .rationals import ONE, ZERO, rat
-from .seq_model import (
-    SeqFunc,
-    semicontinuity_on_y,
-    threshold_indicator,
-    urysohn_y,
-)
+from .seq_model import SeqFunc, check_y_pair, threshold_indicator, urysohn_y
 
 
 @dataclass
@@ -117,9 +113,7 @@ def dieudonne_iterate(oracle: Oracle, f: AlgElement, g: AlgElement, steps: int) 
     """
     if steps < 1:
         raise PreconditionViolation("at least one step is required")
-    bad = f.first_violation(g)
-    if bad is not None:
-        raise PreconditionViolation(f"f <= g fails at {bad!r}")
+    check_order(f, g)
     a_seq: list[AlgElement] = []
     bounds: list[Fraction] = []
     for m in range(1, steps + 1):
@@ -201,15 +195,7 @@ class FiniteUrysohnCarrier:
         self.space = space
 
     def check_pair(self, f, g):
-        upper, _ = envelopes(self.space, f)
-        if not upper.eq_pointwise(f):
-            raise PreconditionViolation("f is not upper semicontinuous")
-        _, lower = envelopes(self.space, g)
-        if not lower.eq_pointwise(g):
-            raise PreconditionViolation("g is not lower semicontinuous")
-        bad = f.first_violation(g)
-        if bad is not None:
-            raise PreconditionViolation(f"f <= g fails at point {bad}")
+        check_usc_lsc(self.space, f, g)
 
     def closed_superlevel(self, f, s) -> int:
         return sum(1 << x for x in range(self.space.n) if f.value_at(x) >= s)
@@ -236,13 +222,7 @@ class YUrysohnCarrier:
     """
 
     def check_pair(self, f: SeqFunc, g: SeqFunc):
-        if not semicontinuity_on_y(f)["usc"]:
-            raise PreconditionViolation("f is not upper semicontinuous")
-        if not semicontinuity_on_y(g)["lsc"]:
-            raise PreconditionViolation("g is not lower semicontinuous")
-        bad = f.first_violation(g)
-        if bad is not None:
-            raise PreconditionViolation(f"f <= g fails at {bad!r}")
+        check_y_pair(f, g)
 
     def closed_superlevel(self, f: SeqFunc, s) -> SeqFunc:
         return threshold_indicator(f, s)

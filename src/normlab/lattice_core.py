@@ -24,7 +24,8 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import EmptyFamily, OrderViolation
+from .errors import (CoverViolation, EmptyFamily, GapViolation, OrderViolation,
+                     PreconditionViolation)
 from .rationals import ONE, rat
 
 
@@ -222,6 +223,48 @@ def finite_join(elems: Iterable[AlgElement]) -> AlgElement:
     for e in elems[1:]:
         out = out.join(e)
     return out
+
+
+# Checks on the values a scenario instance holds, each raising an error keyed
+# to the instance key it read; the insertion routes of every carrier call them.
+
+def check_positive(value, key: str) -> Fraction:
+    """The value as a Fraction, if it is positive."""
+    v = rat(value)
+    if v <= 0:
+        raise PreconditionViolation(f"{key} must be positive", key=key)
+    return v
+
+
+def check_order(f: AlgElement, g: AlgElement) -> None:
+    """f <= g at every point; else an error keyed ``g`` at the first point it fails."""
+    bad = f.first_violation(g)
+    if bad is not None:
+        raise PreconditionViolation(f"f <= g fails at point {bad!r}", key="g")
+
+
+def check_gap(f: AlgElement, g: AlgElement, epsilon) -> Fraction:
+    """The gap f + epsilon <= g of a strict insertion, epsilon positive; returns
+    epsilon.  Both errors are keyed ``epsilon``."""
+    eps = check_positive(epsilon, "epsilon")
+    shifted = f + eps
+    bad = shifted.first_violation(g)
+    if bad is not None:
+        raise GapViolation(bad, shifted.value_at(bad), g.value_at(bad))
+    return eps
+
+
+def check_cover(epsilon, family) -> Fraction:
+    """A nonempty family whose pointwise supremum is at least epsilon > 0
+    everywhere; returns epsilon.  A shortfall is keyed ``epsilon``."""
+    eps = check_positive(epsilon, "epsilon")
+    if not family:
+        raise EmptyFamily("the cover family is empty", key="family")
+    sup = finite_join(family)
+    bad = sup.const_like(eps).first_violation(sup)
+    if bad is not None:
+        raise CoverViolation(bad, sup.value_at(bad), eps)
+    return eps
 
 
 def rescale_to_unit(f: AlgElement, g: AlgElement):

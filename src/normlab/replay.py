@@ -227,6 +227,9 @@ def _verify_condition(report, checks) -> None:
             _check(checks, f"{label}: witness convergent",
                    not _is_seq(w) or _seq_convergent(w))
             _check(checks, f"{label}: f <= witness <= g", _row_le(fr, wr) and _row_le(wr, gr))
+            if "limit" in cert:
+                _check(checks, f"{label}: limit = the witness's cycle value",
+                       [_frac(v) for v in w["cycle"]] == [_frac(cert["limit"])])
         else:
             _verify_infeasible({"f": f, "g": g, **cert}, checks)
         if cond == "D" and "epsilon" in cert:
@@ -284,6 +287,10 @@ def _verify_condition(report, checks) -> None:
             if "join_min" in cert:
                 _check(checks, f"{label}: recorded join minimum matches",
                        join_min == _frac(cert["join_min"]))
+            if "join_omega" in cert:
+                at_omega = max(parsed[id(fam[i])]("omega") for i in cert["subfamily"])
+                _check(checks, f"{label}: recorded join at omega matches",
+                       at_omega == _frac(cert["join_omega"]))
             eps = _frac(inst.get("epsilon", cert.get("epsilon")))
             _check(checks, f"{label}: full family covers at level eps",
                    all(max(x[k] for x in fam_rows) >= eps for k in ks))

@@ -21,9 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CarrierMismatch,
-    CoverViolation,
     EmptyFamily,
-    GapViolation,
     InsertionInfeasible,
     NegativeInput,
     NotConvergent,
@@ -31,7 +29,8 @@ from .errors import (
     PreconditionViolation,
     SearchBudgetExceeded,
 )
-from .lattice_core import AlgElement, LazyView, finite_join
+from .lattice_core import (AlgElement, LazyView, check_cover, check_gap, check_order,
+                           check_positive, finite_join)
 from .rationals import ONE, ZERO, rat
 
 
@@ -256,6 +255,16 @@ class InfeasibleCert:
         return f"InfeasibleCert(limsup_f={self.limsup_f}, liminf_g={self.liminf_g})"
 
 
+def check_naturals_pair(f: SeqFunc, g: SeqFunc) -> None:
+    """The pair :func:`insert_convergent` reads: f <= g on the naturals, with
+    no omega value; each error is keyed to ``f`` or ``g``."""
+    for key, h in (("f", f), ("g", g)):
+        if h.has_omega:
+            raise PreconditionViolation("B-side instances live on the naturals, "
+                                        "with no omega value", key=key)
+    check_order(f, g)
+
+
 def insert_convergent(f: SeqFunc, g: SeqFunc):
     """Convergent a with f <= a <= g on the naturals, or an infeasibility certificate.
 
@@ -264,11 +273,7 @@ def insert_convergent(f: SeqFunc, g: SeqFunc):
     criterion is a model-level fact validated against an independent
     brute-force oracle in the test suite.
     """
-    if f.has_omega or g.has_omega:
-        raise CarrierMismatch("insert_convergent works on the naturals (no omega values)")
-    bad = f.first_violation(g)
-    if bad is not None:
-        raise PreconditionViolation(f"f <= g fails at index {bad}")
+    check_naturals_pair(f, g)
     hi = limit_data(f)[1]
     lo = limit_data(g)[0]
     if hi > lo:
@@ -305,19 +310,26 @@ def strict_insert(f: SeqFunc, g: SeqFunc, epsilon) -> Witness:
     The gap does not by itself guarantee a convergent witness on this
     non-compact carrier (take f with cycle [0,1] and g = f + epsilon); when
     none exists the infeasibility certificate is raised, which is exactly how
-    a strict-insertion failure surfaces on this model.
+    a strict-insertion failure surfaces on this model.  The pair is checked
+    before the gap, so f > g is named as such.
     """
-    eps = rat(epsilon)
-    if eps <= 0:
-        raise PreconditionViolation("epsilon must be positive")
-    shifted = f + eps
-    bad = shifted.first_violation(g)
-    if bad is not None:
-        raise GapViolation(bad, shifted.at(bad), g.at(bad))
     result = insert_convergent(f, g)
+    check_gap(f, g, epsilon)
     if isinstance(result, InfeasibleCert):
         raise InsertionInfeasible(result)
     return result
+
+
+def check_y_pair(f: SeqFunc, g: SeqFunc) -> None:
+    """The pair :func:`insert_on_y` reads: usc f <= lsc g on the
+    compactification; each error is keyed to ``f``, ``g`` or their omega."""
+    for key, h, side, kind in (("f", f, "usc", "upper"), ("g", g, "lsc", "lower")):
+        if not h.has_omega:
+            raise OmegaMissing("semicontinuity on the compactification needs an omega value",
+                               key=f"{key}/omega")
+        if not semicontinuity_on_y(h)[side]:
+            raise PreconditionViolation(f"{key} is not {kind} semicontinuous", key=f"{key}/omega")
+    check_order(f, g)
 
 
 def insert_on_y(f: SeqFunc, g: SeqFunc) -> Witness:
@@ -327,17 +339,7 @@ def insert_on_y(f: SeqFunc, g: SeqFunc) -> Witness:
     interval [f(omega), g(omega)]; the witness takes the limit f(omega),
     clamped into [f(k), g(k)] at each natural.
     """
-    if not (f.has_omega and g.has_omega):
-        raise OmegaMissing("both functions must carry omega values")
-    sc_f = semicontinuity_on_y(f)
-    if not sc_f["usc"]:
-        raise PreconditionViolation("f is not upper semicontinuous at omega")
-    sc_g = semicontinuity_on_y(g)
-    if not sc_g["lsc"]:
-        raise PreconditionViolation("g is not lower semicontinuous at omega")
-    bad = f.first_violation(g)
-    if bad is not None:
-        raise PreconditionViolation(f"f <= g fails at {bad!r}")
+    check_y_pair(f, g)
     limit = f.omega
     p = max(len(f.prefix), len(g.prefix))
     span = p + math.lcm(len(f.cycle), len(g.cycle))
@@ -559,25 +561,15 @@ def subcover_extract(epsilon, family: Sequence[SeqFunc]):
     pointwise supremum is at least epsilon everywhere.  Greedy selection:
     one member large at omega covers the whole tail; each prefix index where
     it drops to 0 or below is patched by a member that is at least
-    epsilon/2 there.  Returns (subfamily indices, certificate).
+    epsilon/2 there.  Returns (subfamily indices, certificate).  A member
+    that is not convergent is keyed ``family/<i>``.
     """
-    eps = rat(epsilon)
-    if eps <= 0:
-        raise PreconditionViolation("epsilon must be positive")
     family = list(family)
-    if not family:
-        raise EmptyFamily("cover family must be nonempty")
-    for t in family:
+    for i, t in enumerate(family):
         if not (t.has_omega and t.is_convergent()):
-            raise NotConvergent("family members must be convergent on the compactification")
-    omega_sup = max(t.omega for t in family)
-    if omega_sup < eps:
-        raise CoverViolation(OMEGA, omega_sup, eps)
-    depth = max(len(t.prefix) for t in family)
-    for k in range(depth):
-        sup_k = max(t.at(k) for t in family)
-        if sup_k < eps:
-            raise CoverViolation(k, sup_k, eps)
+            raise NotConvergent("family members must be convergent on the compactification",
+                                key=f"family/{i}")
+    eps = check_cover(epsilon, family)
     star = next(i for i, t in enumerate(family) if t.omega > eps / 2)
     chosen = [star]
     patches = []
@@ -610,9 +602,7 @@ def noncompact_family(epsilon, delta):
     equals -delta at every index past the largest truncation; ``defeat`` maps
     a finite subfamily to that explicit index.
     """
-    eps, dlt = rat(epsilon), rat(delta)
-    if eps <= 0 or dlt <= 0:
-        raise PreconditionViolation("epsilon and delta must be positive")
+    eps, dlt = check_positive(epsilon, "epsilon"), check_positive(delta, "delta")
     hi = eps + dlt
 
     def member(n: int) -> SeqFunc:
@@ -647,10 +637,7 @@ def lindelof_extract(epsilon, family: Iterable[SeqFunc], budget: int = 1000):
     pure values.  Exhausting the budget raises ``SearchBudgetExceeded``: the
     index is unknown at that budget, never refuted.
     """
-    eps = rat(epsilon)
-    if eps <= 0:
-        raise PreconditionViolation("epsilon must be positive")
-    half = eps / 2
+    half = check_positive(epsilon, "epsilon") / 2
     realized: list[SeqFunc] = [] if callable(family) else list(family)
     source = None if callable(family) else iter(())
 

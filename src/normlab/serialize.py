@@ -10,9 +10,12 @@ small tagged objects:
 * subset of the compactification: {"kind": ..., "members": [...]}
 
 ``to_jsonable`` lowers any report/trace/certificate produced by the library.
-``parse_scenario`` reads a scenario file in one walk that knows each model's
-carrier and which keys each condition reads; every rejection names the JSON
-pointer of the offending key, and the ``MAX_*`` limits bound the work.
+``parse_scenario`` reads a scenario file in one walk.  It checks the JSON
+syntax, the element encoding of the model's carrier, which keys the
+condition reads, and the ``MAX_*`` limits that bound the work; each
+rejection names the JSON pointer of the offending key.  The values are the
+model's to check: its condition route raises an error whose ``key`` names
+the instance key it read, and ``cli`` turns that into ``/instance/<key>``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from fractions import Fraction
 
 from .conditions import (
     CONDITIONS,
-    D_EPSILON,
     FAILS,
     HOLDS,
     MAX_SUBFAMILY_CAP,
@@ -38,8 +40,7 @@ from .finite_space import FiniteFunc, FiniteSpace
 from .insertion_engine import IterationTrace, MergeTrace
 from .lattice_core import AlgElement
 from .rationals import num_str, rat_str
-from .seq_model import (GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet,
-                        semicontinuity_on_y)
+from .seq_model import GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet
 
 
 def to_jsonable(obj):
@@ -244,40 +245,14 @@ def _instance(data, pointer: str, model: str, condition: str, space) -> dict:
             if key not in inst:
                 raise _reject(_child(pointer, key), f"condition ({condition}) needs f and g")
     if condition in ("C", "L", "SL") and "family" in inst:  # a cover family is read
-        if model == "seq_x_end":
+        built_in = MODELS[model].built_in_family
+        if built_in:
             raise _reject(_child(pointer, "family"),
-                          f"model seq_x_end decides ({condition}) on its built-in family "
-                          "from epsilon, delta and subfamily_cap, and takes no family")
+                          f"model {model} decides ({condition}) on its built-in family "
+                          f"from {built_in}, and takes no family")
         if "epsilon" not in inst:
             raise _reject(_child(pointer, "epsilon"),
                           f"condition ({condition}) on {model} needs epsilon with a family")
-        if not inst["family"]:
-            raise _reject(_child(pointer, "family"), "the cover family is empty")
-    for key in ("epsilon", "delta"):
-        if key in inst and inst[key] <= 0:
-            raise _reject(_child(pointer, key), f"{key} must be positive")
-    for key in ("f", "g"):  # seq_x_end reads them on the naturals, seq_y_end at omega too
-        if model != "finite_full" and key in inst \
-                and inst[key].has_omega != (model == "seq_y_end"):
-            if model == "seq_x_end":
-                raise _reject(_child(pointer, key), "B-side instances live on the naturals, "
-                                                    "with no omega value")
-            raise _reject(_child(_child(pointer, key), "omega"),
-                          "semicontinuity on the compactification needs an omega value")
-    if condition in _READS_PAIR:  # the model reads f <= g, and on seq_y_end f usc, g lsc
-        if model == "seq_y_end":
-            for key, side, kind in (("f", "usc", "upper"), ("g", "lsc", "lower")):
-                if not semicontinuity_on_y(inst[key])[side]:
-                    raise _reject(_child(_child(pointer, key), "omega"),
-                                  f"{key} is not {kind} semicontinuous")
-        bad = inst["f"].first_violation(inst["g"])
-        if bad is not None:
-            raise _reject(_child(pointer, "g"), f"f <= g fails at point {bad!r}")
-    if condition == "D":  # every model reads the gap f + epsilon <= g
-        bad = (inst["f"] + inst.get("epsilon", D_EPSILON)).first_violation(inst["g"])
-        if bad is not None:
-            raise _reject(_child(pointer, "epsilon"),
-                          f"the gap f + epsilon <= g fails at point {bad!r}")
     return inst
 
 

@@ -1,6 +1,8 @@
 """CLI surface: scenarios, the scenario reader, catalog, survey, replay."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -316,6 +318,74 @@ def test_replay_rejects_residual_off_its_closed_form(tmp_path, capsys):
         ["T holds: meet_side residual within bound"]
 
 
+Y_COVER = {"epsilon": "1", "family": [
+    {"prefix": ["1", "0"], "cycle": ["2"], "omega": "2"},
+    {"prefix": ["-1", "3/2"], "cycle": ["1/2"], "omega": "1/2"}]}
+
+
+@pytest.mark.parametrize("model,cond,instance,key,row", [
+    ("seq_y_end", "N", {"f": {"prefix": ["0"], "cycle": ["1"], "omega": "1"},
+                        "g": {"prefix": ["1"], "cycle": ["2"], "omega": "2"}},
+     ["limit"], "N holds: limit = the witness's cycle value"),
+    ("seq_x_end", "D", {"f": {"cycle": ["0", "1/2"]}, "g": {"cycle": ["2"]}, "epsilon": "1"},
+     ["limit"], "D holds: limit = the witness's cycle value"),
+    ("seq_y_end", "C", Y_COVER, ["join_omega"], "C holds: recorded join at omega matches"),
+    ("seq_y_end", "SL", {**Y_COVER, "f": MODEL_ELEMS["seq_y_end"], "g": MODEL_ELEMS["seq_y_end"]},
+     ["L", "join_omega"], "L holds: recorded join at omega matches"),
+], ids=["y-N-limit", "x-D-limit", "y-C-join_omega", "y-SL-join_omega"])
+def test_replay_rejects_a_recorded_value_off_its_members(
+        tmp_path, capsys, model, cond, instance, key, row):
+    path = write(tmp_path, "s.json", _scenario(model, cond, instance))
+    report_path = tmp_path / "report.json"
+    assert main(["check", path, "--out", str(report_path)]) == 0
+    assert main(["replay", str(report_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    node = report["certificate"]
+    for step in key[:-1]:
+        node = node[step]
+    node[key[-1]] = "50"
+    assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [c["check"] for c in out["checks"] if not c["ok"]] == [row]
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["check", "{scenario}"], 0),
+    (["check", "{mismatch}"], 1),
+    (["replay", "{report}"], 0),
+    (["reproduce", "tong-merge"], 0),
+    (["survey", "--max-size", "2"], 0),
+], ids=["check", "check-mismatch", "replay", "reproduce", "survey"])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, capsys, monkeypatch, argv, code):
+    files = {"scenario": write(tmp_path, "s.json", SCENARIO_N_FAILS),
+             "mismatch": write(tmp_path, "m.json", dict(SCENARIO_N_FAILS, expect="holds")),
+             "report": str(tmp_path / "report.json")}
+    assert main(["check", files["scenario"], "--out", files["report"]]) == 0
+    sink = tmp_path / "stdout"
+    with open(sink, "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        assert main([a.format(**files) for a in argv]) == code
+        os.write(fh.fileno(), b"flushed at exit")  # the descriptor now discards
+    assert sink.read_bytes() == b""
+
+
 def _check_exit(tmp_path, capsys, payload, *flags):
     code = main(["check", write(tmp_path, "s.json", payload), *flags])
     captured = capsys.readouterr()
@@ -413,6 +483,17 @@ def _with(payload, path, value):
      "/instance/epsilon", "gap f + epsilon <= g fails at point 0"),
     (_scenario("seq_x_end", "D", {"f": {"cycle": ["1"]}, "g": {"cycle": ["3/2", "1"]}}),
      "/instance/epsilon", "gap f + epsilon <= g fails at point 1"),
+    (_scenario("finite_full", "D", {"f": FINITE_ELEM, "g": FINITE_ELEM, "epsilon": "-1"}),
+     "/instance/epsilon", "epsilon must be positive"),
+    # the cover (C) reads: convergent members on seq_y_end, whose sup is at least epsilon
+    (_with(Y_C, ["instance", "family", 0], {"cycle": ["2"]}), "/instance/family/0",
+     "family members must be convergent"),
+    (_with(Y_C, ["instance", "family", 0], {"cycle": ["2", "3"], "omega": "2"}),
+     "/instance/family/0", "family members must be convergent"),
+    (_with(F_C, ["instance", "epsilon"], "3"), "/instance/epsilon",
+     "cover bound violated at 0: sup 1 < 3"),
+    (_with(Y_C, ["instance", "epsilon"], "3"), "/instance/epsilon",
+     "cover bound violated at 0: sup 2 < 3"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_check_rejects_at_pointer(tmp_path, capsys, payload, pointer, named):
     code, err = _check_exit(tmp_path, capsys, payload)

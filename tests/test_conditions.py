@@ -20,7 +20,7 @@ from normlab.conditions import (
     random_usc_lsc_pair,
 )
 from normlab.errors import EmptyFamily, ModelCapabilityMissing, PreconditionViolation
-from normlab.finite_space import FiniteSpace
+from normlab.finite_space import FiniteFunc, FiniteSpace
 from normlab.replay import verify_report
 from normlab.seq_model import SeqFunc
 from normlab.serialize import to_jsonable
@@ -110,6 +110,33 @@ def test_embedding_contract_all_models():
     assert SeqXEndModel().check_embedding(rng)
     assert SeqYEndModel().check_embedding(rng)
     assert FiniteFullModel(FiniteSpace.discrete(4)).check_embedding(rng)
+
+
+ONE_POINT = FiniteSpace.discrete(1)
+# each model's factory, and a constant element on its carrier
+MODEL_FUNCS = {
+    "finite_full": (lambda: FiniteFullModel(ONE_POINT), lambda v: FiniteFunc(ONE_POINT, [v])),
+    "seq_x_end": (SeqXEndModel, SeqFunc.constant),
+    "seq_y_end": (SeqYEndModel, lambda v: SeqFunc.constant(v, with_omega=True)),
+}
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_FUNCS))
+@pytest.mark.parametrize("cond", ["T", "BS", "S", "N", "D", "SL"])
+def test_pair_out_of_order_names_key_g(model, cond):
+    make, elem = MODEL_FUNCS[model]
+    with pytest.raises(PreconditionViolation, match="f <= g fails at point 0") as exc:
+        check_condition(make(), cond, {"f": elem(1), "g": elem(0)}, depth=8)
+    assert exc.value.key == "g"
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_FUNCS))
+@pytest.mark.parametrize("epsilon", [0, -1])
+def test_d_rejects_nonpositive_epsilon(model, epsilon):
+    make, elem = MODEL_FUNCS[model]
+    with pytest.raises(PreconditionViolation, match="epsilon must be positive") as exc:
+        check_condition(make(), "D", {"f": elem(0), "g": elem(1), "epsilon": epsilon}, depth=8)
+    assert exc.value.key == "epsilon"
 
 
 def test_x_end_rejects_omega_instances():

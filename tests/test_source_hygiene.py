@@ -1,6 +1,7 @@
-"""Source hygiene: every name a module imports is used in that module, every
-name the benchmark's tracer wraps still exists, and the tracer still reads
-what the library emits."""
+"""Source hygiene: every name a module imports is used in that module, the
+scenario reader holds no copy of a model's value check, every name the
+benchmark's tracer wraps still exists, and the tracer still reads what the
+library emits."""
 
 import ast
 import json
@@ -47,6 +48,24 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     source = "import os\nfrom a import b, c as d\nfrom __future__ import annotations\nd()\n"
     assert unused_imports(source) == ["b (line 2)", "os (line 1)"]
+
+
+def test_reader_leaves_value_checks_to_the_models():
+    """The scenario reader checks syntax, encoding, keys and bounds; each value
+    check has one owner, the model's route, so no copy of one creeps back into
+    the reader, and ``_instance`` treats every model alike."""
+    tree = ast.parse((SRC / "serialize.py").read_text())
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} \
+        | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert read & {"first_violation", "semicontinuity_on_y", "has_omega"} == set()
+    instance = next(n for n in ast.walk(tree)
+                    if isinstance(n, ast.FunctionDef) and n.name == "_instance")
+    model_names = {"finite_full", "seq_x_end", "seq_y_end"}
+    assert [n.value for n in ast.walk(instance)
+            if isinstance(n, ast.Constant) and n.value in model_names] == []
+    assert [n.lineno for n in ast.walk(instance) if isinstance(n, ast.Compare)
+            and any(isinstance(x, ast.Name) and x.id == "model"
+                    for x in [n.left, *n.comparators])] == []
 
 
 def test_benchmark_tracer_installs():
