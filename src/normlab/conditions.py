@@ -20,26 +20,21 @@ compactified naturals (everything holds).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import (
     InsertionInfeasible,
     ModelCapabilityMissing,
-    NormlabError,
     PreconditionViolation,
 )
 from .finite_space import FiniteFunc, FiniteSpace
-from .insertion_engine import tong_merge
 from .lattice_core import check_cover, check_gap, check_order, finite_join
-from .rationals import ONE, ZERO, rat
+from .rationals import ONE, rat
 from .seq_model import (
     SeqFunc,
     Witness,
     check_naturals_pair,
-    ideal_membership,
     insert_convergent,
     insert_on_y,
     noncompact_family,
@@ -69,51 +64,17 @@ class ConditionReport:
 
 
 class ExtensionModel:
-    """Carrier pair (A-side, B-side) with an embedding and condition oracles.
+    """A basic extension, given by its condition routes.
 
-    Subclasses provide ``alpha`` plus one ``cond_<x>`` method per supported
-    condition, each returning (verdict, certificate), and say whether the
-    carrier is ``compact``.  The embedding is required to preserve +, *,
-    scalars, join, meet, and 1; ``check_embedding`` verifies that on sampled
-    elements.
+    Subclasses provide one ``cond_<x>`` method per supported condition, each
+    returning (verdict, certificate); :func:`check_condition` dispatches to
+    them by name.
     """
 
     name = "abstract"
-    compact: bool
     # the instance keys (C) and (L) read on a model that decides them on a
     # built-in family; such a model takes no family
     built_in_family: str | None = None
-
-    def eps_removal_cover(self):
-        """(epsilon, family) covering at level epsilon for the harness's
-        epsilon-removal row, or None on a model that does not exercise it."""
-        return None
-
-    def alpha(self, a):
-        raise ModelCapabilityMissing(f"{self.name} has no embedding")
-
-    def sample_a_elements(self, rng: random.Random, count: int) -> list:
-        raise ModelCapabilityMissing(f"{self.name} has no element sampler")
-
-    def random_instance(self, rng: random.Random) -> dict:
-        raise ModelCapabilityMissing(f"{self.name} has no instance generator")
-
-    def check_embedding(self, rng: random.Random, count: int = 20) -> bool:
-        """The embedding respects the algebra operations on sampled pairs."""
-        elems = self.sample_a_elements(rng, count)
-        for a, b in zip(elems, elems[1:]):
-            ia, ib = self.alpha(a), self.alpha(b)
-            pairs = [
-                (self.alpha(a + b), ia + ib),
-                (self.alpha(a * b), ia * ib),
-                (self.alpha(a * Fraction(3, 2)), ia * Fraction(3, 2)),
-                (self.alpha(a.join(b)), ia.join(ib)),
-                (self.alpha(a.meet(b)), ia.meet(ib)),
-            ]
-            if not all(x.eq_pointwise(y) for x, y in pairs):
-                return False
-        one = elems[0].const_like(ONE)
-        return self.alpha(one).eq_pointwise(self.alpha(one).const_like(ONE))
 
 
 def check_condition(model: ExtensionModel, cond: str, instance: dict,
@@ -148,22 +109,9 @@ class FiniteFullModel(ExtensionModel):
     condition holds with the instance's own endpoints as witnesses.
     """
 
-    compact = True
-
     def __init__(self, space: FiniteSpace):
         self.space = space
         self.name = f"finite_full_{space.n}pt"
-
-    def alpha(self, a: FiniteFunc) -> FiniteFunc:
-        return a
-
-    def sample_a_elements(self, rng, count):
-        return [random_finite_func(self.space, rng) for _ in range(count)]
-
-    def random_instance(self, rng):
-        f = random_finite_func(self.space, rng)
-        bump = random_finite_func(self.space, rng, lo=0)
-        return {"f": f, "g": f + bump}
 
     def cond_t(self, instance, depth):
         f, g = instance["f"], instance["g"]
@@ -220,28 +168,6 @@ class SeqXEndModel(ExtensionModel):
 
     name = "seq_x_end"
     built_in_family = "epsilon, delta and subfamily_cap"
-
-    @property
-    def compact(self) -> bool:
-        """The carrier is compact iff the unit lies in the compact-support ideal."""
-        return ideal_membership(SeqFunc.constant(1, with_omega=True))["in_I_alpha"]
-
-    def alpha(self, a: SeqFunc) -> SeqFunc:
-        if not (a.has_omega and a.is_convergent()):
-            raise PreconditionViolation("A-side elements are convergent with omega")
-        return a.restrict_to_naturals()
-
-    def sample_a_elements(self, rng, count):
-        out = []
-        for _ in range(count):
-            limit = rand_rational(rng)
-            prefix = [rand_rational(rng) for _ in range(rng.randint(0, 4))]
-            out.append(SeqFunc(prefix, (limit,), limit))
-        return out
-
-    def random_instance(self, rng):
-        f = random_seq_func(rng)
-        return {"f": f, "g": f + random_seq_func(rng, lo=0)}
 
     def _meet_family_cert(self, f, depth):
         # the meet of members (k, 1..depth) at k is min(f(k) + 1/depth, ||f||)
@@ -349,18 +275,6 @@ class SeqYEndModel(ExtensionModel):
     """
 
     name = "seq_y_end"
-    compact = True
-
-    def alpha(self, a: SeqFunc) -> SeqFunc:
-        if not (a.has_omega and a.is_convergent()):
-            raise PreconditionViolation("A-side elements are convergent with omega")
-        return a
-
-    def sample_a_elements(self, rng, count):
-        return SeqXEndModel().sample_a_elements(rng, count)
-
-    def random_instance(self, rng):
-        return random_usc_lsc_pair(rng)
 
     def cond_n(self, instance, depth):
         w = insert_on_y(instance["f"], instance["g"])
@@ -398,102 +312,9 @@ class SeqYEndModel(ExtensionModel):
         verdict, cert = self.cond_c(instance, depth)
         return verdict, {**cert, "note": "finite subfamily doubles as the countable one"}
 
-    def eps_removal_cover(self):
-        eps = Fraction(1, 2)
-        return eps, [SeqFunc.from_support({0: 1}, 0, ZERO) + eps,
-                     SeqFunc.from_support({0: 0}, 1, ONE)]
-
 
 def _subsets(pool, max_size):
     import itertools
     for size in range(1, max_size + 1):
         yield from itertools.combinations(pool, size)
 
-
-def rand_rational(rng: random.Random, lo: int = -3, hi: int = 3,
-                  max_den: int = 12) -> Fraction:
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(lo * den, hi * den), den)
-
-
-def random_finite_func(space: FiniteSpace, rng: random.Random,
-                       lo: int = -3, hi: int = 3, max_den: int = 16) -> FiniteFunc:
-    return FiniteFunc(space, [rand_rational(rng, lo, hi, max_den)
-                              for _ in range(space.n)])
-
-
-def random_seq_func(rng: random.Random, lo: int = -3, hi: int = 3,
-                    max_den: int = 12, max_len: int = 8) -> SeqFunc:
-    total = rng.randint(1, max_len)
-    cyc_len = rng.randint(1, total)
-    prefix = [rand_rational(rng, lo, hi, max_den) for _ in range(total - cyc_len)]
-    cycle = [rand_rational(rng, lo, hi, max_den) for _ in range(cyc_len)]
-    return SeqFunc(prefix, cycle)
-
-
-def random_usc_lsc_pair(rng: random.Random) -> dict:
-    """A random pair f <= g on the compactification, f usc and g lsc."""
-    base = random_seq_func(rng)
-    lo, hi = min(base.cycle), max(base.cycle)
-    f = base.with_omega(hi)
-    shift = (hi - lo) + rand_rational(rng, lo=0)
-    g = (base + shift).with_omega(lo + shift)
-    return {"f": f, "g": g}
-
-
-def equivalence_harness(model: ExtensionModel, instances: Iterable[dict],
-                        depth: int = 16) -> list[dict]:
-    """Exercise the implications between conditions by converting witnesses.
-
-    Each row reports (implication, instances tested, failures).  Conversions
-    are constructive: merge runs on truncated interpolation families, and the
-    compactness verdict is cross-checked against the model's ``compact``.
-    A row a model does not exercise stays at ``tested: 0``.  Failures are
-    data, not exceptions.
-    """
-    rows = {
-        "T_to_S_via_merge": {"tested": 0, "failures": 0},
-        "BS_to_T_chained": {"tested": 0, "failures": 0},
-        "C_iff_compact_unit": {"tested": 0, "failures": 0},
-        "eps_removal_form2_to_form3": {"tested": 0, "failures": 0},
-    }
-
-    def record(row, ok):
-        rows[row]["tested"] += 1
-        rows[row]["failures"] += not ok
-
-    for instance in instances:
-        f, g = instance["f"], instance["g"]
-        if check_condition(model, "T", instance, depth).verdict == HOLDS:
-            record("T_to_S_via_merge", _merge_gives_s(f, g, depth))
-        if check_condition(model, "BS", instance, depth).verdict == HOLDS:
-            record("BS_to_T_chained",
-                   check_condition(model, "T", instance, depth).verdict == HOLDS)
-    verdict = check_condition(model, "C", {}, depth).verdict
-    record("C_iff_compact_unit", verdict == (HOLDS if model.compact else FAILS))
-    cover = model.eps_removal_cover()
-    if cover is not None:
-        record("eps_removal_form2_to_form3", _eps_removal_consistent(model, *cover, depth))
-    return [{"implication": k, **v} for k, v in rows.items()]
-
-
-def _merge_gives_s(f, g, depth) -> bool:
-    """Merge the families f + 1/m down and g - 1/m up (g lifted to a 2/depth gap)."""
-    if (g - f).value_bounds()[0] < Fraction(2, depth):
-        g = g + Fraction(2, depth)
-    a_seq = [f + Fraction(1, m) for m in range(1, depth + 1)]
-    b_seq = [g - Fraction(1, m) for m in range(1, depth + 1)]
-    try:
-        trace = tong_merge(a_seq, b_seq)
-    except NormlabError:
-        return False
-    u = trace.result
-    return trace.a_norm[-1].le(u) and u.le(trace.b_norm[-1])
-
-
-def _eps_removal_consistent(model, eps, family, depth) -> bool:
-    """The (C) subfamily of a cover at level eps, each member lifted by 1/4, joins to >= 1/4."""
-    shift = Fraction(1, 4)
-    chosen = check_condition(model, "C", {"epsilon": eps, "family": family},
-                             depth).certificate["subfamily"]
-    return finite_join([family[i] + shift for i in chosen]).value_bounds()[0] >= shift

@@ -17,16 +17,6 @@ class NormlabError(Exception):
         self.key = key
 
 
-class OrderViolation(NormlabError):
-    """A required pointwise inequality f <= g fails; names the point."""
-
-    def __init__(self, point, left, right):
-        self.point = point
-        self.left = left
-        self.right = right
-        super().__init__(f"order violated at {point!r}: {left} > {right}")
-
-
 class PreconditionViolation(NormlabError):
     """An operation precondition (semicontinuity, order, shape) fails."""
 

@@ -75,10 +75,6 @@ class FiniteSpace:
         self._components = self._compute_components()
 
     @classmethod
-    def from_sets(cls, n: int, opens: Iterable[Iterable[int]]) -> "FiniteSpace":
-        return cls(n, (_mask(s) for s in opens))
-
-    @classmethod
     def discrete(cls, n: int) -> "FiniteSpace":
         return cls(n, range(1 << n))
 
@@ -91,9 +87,6 @@ class FiniteSpace:
         opens = [m for m in range(1 << n)
                  if all(up[x] | m == m for x in _bits(m))]
         return cls(n, opens)
-
-    def is_open(self, mask: int) -> bool:
-        return mask in self.opens
 
     def is_closed(self, mask: int) -> bool:
         return (self.full & ~mask) in self.opens

@@ -24,8 +24,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import (CoverViolation, EmptyFamily, GapViolation, OrderViolation,
-                     PreconditionViolation)
+from .errors import CoverViolation, EmptyFamily, GapViolation, PreconditionViolation
 from .rationals import ONE, rat
 
 
@@ -185,10 +184,6 @@ class AlgElement:
         row = self._row
         return Fraction(max(max(row), -min(row)), self._den)
 
-    def abs_elem(self):
-        """|a| = a v (-a)."""
-        return self.join(-self)
-
     def is_zero_one_valued(self) -> bool:
         return self._den == 1 and all(x in (0, 1) for x in self._row)
 
@@ -273,11 +268,9 @@ def rescale_to_unit(f: AlgElement, g: AlgElement):
     Returns (f', g', (a, b)) with f' = (f+a)/b, g' = (g+a)/b and
     0 <= f' <= g' <= 1, where a is the negated infimum of f's values and b
     the supremum of (g+a)'s values (1 when that supremum is 0).  The
-    transform is recorded so callers can invert the scaling exactly.
+    transform is recorded so callers can invert the scaling exactly.  The
+    caller checks f <= g.
     """
-    bad = f.first_violation(g)
-    if bad is not None:
-        raise OrderViolation(bad, f.value_at(bad), g.value_at(bad))
     a = -f.value_bounds()[0]
     b = (g + a).value_bounds()[1]
     if b == 0:

@@ -118,9 +118,6 @@ class SeqFunc(AlgElement):
         cycle = self.cycle
         return cycle[(k - len(prefix)) % len(cycle)]
 
-    def restrict_to_naturals(self) -> "SeqFunc":
-        return SeqFunc(self.prefix, self.cycle, None)
-
     def with_omega(self, value) -> "SeqFunc":
         return SeqFunc(self.prefix, self.cycle, value)
 
@@ -348,22 +345,18 @@ def insert_on_y(f: SeqFunc, g: SeqFunc) -> Witness:
 
 
 class YSet:
-    """A decidable subset of the compactified naturals.
+    """A finite or cofinite subset of the compactified naturals.
 
-    Four kinds: a finite subset of the naturals, a finite set with omega, a
-    cofinite set with omega (given by its excluded naturals), and a cofinite
-    set without omega.  Closed under complement; open iff it omits omega or
-    is cofinite-with-omega, closed iff the complement is open.
+    The two kinds of coz-closure :func:`ideal_membership` certifies: a finite
+    subset of the naturals, and a cofinite set with omega, given by its
+    excluded naturals.
     """
 
     FINITE = "finite"
-    FINITE_WITH_OMEGA = "finite_with_omega"
     COFINITE_WITH_OMEGA = "cofinite_with_omega"
-    COFINITE_WITHOUT_OMEGA = "cofinite_without_omega"
 
     def __init__(self, kind: str, members: Iterable[int] = ()):
-        if kind not in (self.FINITE, self.FINITE_WITH_OMEGA,
-                        self.COFINITE_WITH_OMEGA, self.COFINITE_WITHOUT_OMEGA):
+        if kind not in (self.FINITE, self.COFINITE_WITH_OMEGA):
             raise PreconditionViolation(f"unknown YSet kind {kind!r}")
         self.kind = kind
         self.members = tuple(sorted(set(int(k) for k in members)))
@@ -373,54 +366,15 @@ class YSet:
         return cls(cls.FINITE, members)
 
     @classmethod
-    def finite_with_omega(cls, members: Iterable[int]) -> "YSet":
-        return cls(cls.FINITE_WITH_OMEGA, members)
-
-    @classmethod
     def cofinite_with_omega(cls, excluded: Iterable[int]) -> "YSet":
         return cls(cls.COFINITE_WITH_OMEGA, excluded)
 
-    @classmethod
-    def cofinite_without_omega(cls, excluded: Iterable[int]) -> "YSet":
-        return cls(cls.COFINITE_WITHOUT_OMEGA, excluded)
-
     @property
     def contains_omega(self) -> bool:
-        return self.kind in (self.FINITE_WITH_OMEGA, self.COFINITE_WITH_OMEGA)
-
-    def __contains__(self, point) -> bool:
-        if point is OMEGA:
-            return self.contains_omega
-        k = int(point)
-        if self.kind in (self.FINITE, self.FINITE_WITH_OMEGA):
-            return k in self.members
-        return k not in self.members
-
-    def complement(self) -> "YSet":
-        flip = {
-            self.FINITE: self.COFINITE_WITH_OMEGA,
-            self.FINITE_WITH_OMEGA: self.COFINITE_WITHOUT_OMEGA,
-            self.COFINITE_WITH_OMEGA: self.FINITE,
-            self.COFINITE_WITHOUT_OMEGA: self.FINITE_WITH_OMEGA,
-        }
-        return YSet(flip[self.kind], self.members)
-
-    def is_open(self) -> bool:
-        """Open in the compactification: omits omega, or cofinite with omega."""
-        return not self.contains_omega or self.kind == self.COFINITE_WITH_OMEGA
-
-    def is_closed(self) -> bool:
-        return self.complement().is_open()
+        return self.kind == self.COFINITE_WITH_OMEGA
 
     def is_finite(self) -> bool:
-        return self.kind in (self.FINITE, self.FINITE_WITH_OMEGA)
-
-    def indicator(self) -> SeqFunc:
-        """The 0/1 indicator as a function on the compactified carrier."""
-        om = ONE if self.contains_omega else ZERO
-        if self.kind in (self.FINITE, self.FINITE_WITH_OMEGA):
-            return SeqFunc.from_support({k: 1 for k in self.members}, 0, om)
-        return SeqFunc.from_support({k: 0 for k in self.members}, 1, om)
+        return self.kind == self.FINITE
 
     def __eq__(self, other):
         return (isinstance(other, YSet) and self.kind == other.kind
@@ -473,8 +427,7 @@ def threshold_indicator(f: SeqFunc, level, strict: bool = False) -> SeqFunc:
 
     Level sets of eventually periodic functions are again eventually
     periodic, so the indicator is always representable; it serves as the set
-    representation for subsets of the compactification that are not of the
-    four finite/cofinite kinds.
+    representation for subsets of the compactification.
     """
     s = rat(level)
     if strict:

@@ -244,15 +244,16 @@ def _instance(data, pointer: str, model: str, condition: str, space) -> dict:
         for key in ("f", "g"):
             if key not in inst:
                 raise _reject(_child(pointer, key), f"condition ({condition}) needs f and g")
-    if condition in ("C", "L", "SL") and "family" in inst:  # a cover family is read
+    if condition in ("C", "L", "SL"):  # a cover is read
         built_in = MODELS[model].built_in_family
-        if built_in:
+        if built_in and "family" in inst:
             raise _reject(_child(pointer, "family"),
                           f"model {model} decides ({condition}) on its built-in family "
                           f"from {built_in}, and takes no family")
-        if "epsilon" not in inst:
+        if not built_in and ("family" in inst) != ("epsilon" in inst):
             raise _reject(_child(pointer, "epsilon"),
-                          f"condition ({condition}) on {model} needs epsilon with a family")
+                          f"condition ({condition}) on {model} reads epsilon and family "
+                          "together or not at all")
     return inst
 
 

@@ -4,9 +4,8 @@ import random
 from fractions import Fraction
 from typing import Iterator
 
-from normlab.conditions import rand_rational, random_seq_func
 from normlab.errors import BoundExceeded, CarrierMismatch, PreconditionViolation
-from normlab.finite_space import FiniteSpace
+from normlab.finite_space import FiniteFunc, FiniteSpace
 from normlab.seq_model import SeqFunc
 
 
@@ -20,6 +19,49 @@ def enumerate_spaces_bruteforce(n: int) -> Iterator[FiniteSpace]:
         fam = {0, full} | {m for i, m in enumerate(middles) if pick & (1 << i)}
         if all((u | v) in fam and (u & v) in fam for u in fam for v in fam):
             yield FiniteSpace(n, fam)
+
+
+def rand_rational(rng: random.Random, lo: int = -3, hi: int = 3,
+                  max_den: int = 12) -> Fraction:
+    den = rng.randint(1, max_den)
+    return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+def random_finite_func(space: FiniteSpace, rng: random.Random,
+                       lo: int = -3, hi: int = 3, max_den: int = 16) -> FiniteFunc:
+    return FiniteFunc(space, [rand_rational(rng, lo, hi, max_den)
+                              for _ in range(space.n)])
+
+
+def random_seq_func(rng: random.Random, lo: int = -3, hi: int = 3,
+                    max_den: int = 12, max_len: int = 8) -> SeqFunc:
+    total = rng.randint(1, max_len)
+    cyc_len = rng.randint(1, total)
+    prefix = [rand_rational(rng, lo, hi, max_den) for _ in range(total - cyc_len)]
+    cycle = [rand_rational(rng, lo, hi, max_den) for _ in range(cyc_len)]
+    return SeqFunc(prefix, cycle)
+
+
+def random_usc_lsc_pair(rng: random.Random) -> dict:
+    """A random pair f <= g on the compactification, f usc and g lsc."""
+    base = random_seq_func(rng)
+    lo, hi = min(base.cycle), max(base.cycle)
+    f = base.with_omega(hi)
+    shift = (hi - lo) + rand_rational(rng, lo=0)
+    g = (base + shift).with_omega(lo + shift)
+    return {"f": f, "g": g}
+
+
+def random_finite_pair(space: FiniteSpace, rng: random.Random) -> dict:
+    """A random pair f <= g on a finite space."""
+    f = random_finite_func(space, rng)
+    return {"f": f, "g": f + random_finite_func(space, rng, lo=0)}
+
+
+def random_x_pair(rng: random.Random) -> dict:
+    """A random pair f <= g on the naturals."""
+    f = random_seq_func(rng)
+    return {"f": f, "g": f + random_seq_func(rng, lo=0)}
 
 
 def random_feasible_x_pair(rng: random.Random) -> dict:

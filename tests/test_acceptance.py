@@ -21,10 +21,6 @@ from normlab.conditions import (
     SeqXEndModel,
     SeqYEndModel,
     check_condition,
-    rand_rational,
-    random_finite_func,
-    random_seq_func,
-    random_usc_lsc_pair,
 )
 from normlab.finite_space import (
     FiniteFunc,
@@ -38,9 +34,9 @@ from normlab.seq_model import (
     InfeasibleCert,
     SeqFunc,
     Witness,
-    YSet,
     brute_force_insertable,
     ideal_membership,
+    indicator_is_closed_set,
     insert_convergent,
     insert_on_y,
     local_compact_minorants,
@@ -51,7 +47,13 @@ from normlab.seq_model import (
     urysohn_y,
 )
 from normlab.serialize import to_jsonable
-from oracles import random_feasible_x_pair
+from oracles import (
+    rand_rational,
+    random_feasible_x_pair,
+    random_finite_func,
+    random_seq_func,
+    random_usc_lsc_pair,
+)
 
 BODIES: dict = {}  # criterion number -> body taking an ``emit`` callback
 
@@ -232,7 +234,10 @@ def test_criterion_6_ideal_laws(emit):
         assert not mem_out["in_I_alpha"]
         for elem, mem in ((a, ideal_membership(a)), (outside, mem_out)):
             assert mem["in_I_alpha"] == (not mem["cert"].contains_omega)
-            assert mem["cert"].is_closed()
+            # the certificate names a closed set that holds the cozero set
+            closure = cert_indicator(mem["cert"])
+            assert indicator_is_closed_set(closure)
+            assert threshold_indicator(elem.join(-elem), 0, strict=True).le(closure)
             if trial % 20 == 0:
                 emit({"ideal_membership": {"element": to_jsonable(elem),
                                            **to_jsonable(mem)}})
@@ -241,6 +246,13 @@ def test_criterion_6_ideal_laws(emit):
         mem_t = ideal_membership(tail)
         assert mem_t["in_J_radical"] is True
         assert mem_t["in_I_alpha"] == (tail.q == 0)
+
+
+def cert_indicator(cert):
+    """The 0/1 indicator of an ideal certificate's set: its finite members, or
+    every point but its excluded members when it contains omega."""
+    inside = 0 if cert.contains_omega else 1
+    return SeqFunc.from_support({k: inside for k in cert.members}, 1 - inside, 1 - inside)
 
 
 @criterion(7, "truncation minorants, common zero set, radical maximality", budget=5.0)
@@ -321,9 +333,9 @@ def test_criterion_9_compact_carrier(emit):
     # disjoint closed sets get disjoint open threshold neighbourhoods
     for _ in range(50):
         c_members = rng.sample(range(8), rng.randint(0, 4))
-        c_ind = YSet.finite(c_members).indicator()
+        c_ind = SeqFunc.from_support({k: 1 for k in c_members}, 0, 0)
         excluded = set(c_members) | set(rng.sample(range(12), rng.randint(0, 4)))
-        d_ind = YSet.cofinite_with_omega(excluded).indicator()
+        d_ind = SeqFunc.from_support({k: 0 for k in excluded}, 1, 1)
         h = urysohn_y(c_ind, d_ind)
         u = threshold_indicator(h, Fraction(2, 3), strict=True)
         v = 1 - threshold_indicator(h, Fraction(1, 3))

@@ -206,6 +206,23 @@ def test_check_family_without_epsilon_is_input_error(tmp_path, capsys, model, co
     assert main(["check", path]) == 0
 
 
+@pytest.mark.parametrize("model", ["seq_y_end", "finite_full"])
+@pytest.mark.parametrize("cond", ["C", "L", "SL"])
+def test_check_epsilon_without_family_is_input_error(tmp_path, capsys, model, cond):
+    """Without a family these models check the unit cover at epsilon 1, so an
+    epsilon given alone would be dropped."""
+    elem = MODEL_ELEMS[model]
+    instance = {"epsilon": "5"}
+    if cond == "SL":
+        instance.update(f=elem, g=elem)
+    path = write(tmp_path, "s.json", _scenario(model, cond, instance))
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err.startswith("input error: /instance/epsilon:")
+    del instance["epsilon"]
+    path = write(tmp_path, "s.json", _scenario(model, cond, instance))
+    assert main(["check", path]) == 0
+
+
 @pytest.mark.parametrize("model,alien", [
     ("seq_x_end", FINITE_ELEM),
     ("seq_y_end", FINITE_ELEM),

@@ -1,9 +1,12 @@
-"""Condition checkers, model dichotomies, depth monotonicity, harness."""
+"""Condition checkers, model dichotomies, depth monotonicity, and the
+implications between the conditions, checked by converting witnesses."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from normlab.conditions import (
     CONDITIONS,
@@ -15,18 +18,23 @@ from normlab.conditions import (
     SeqXEndModel,
     SeqYEndModel,
     check_condition,
-    equivalence_harness,
-    random_finite_func,
-    random_usc_lsc_pair,
 )
 from normlab.errors import EmptyFamily, ModelCapabilityMissing, PreconditionViolation
 from normlab.finite_space import FiniteFunc, FiniteSpace
+from normlab.insertion_engine import tong_merge
+from normlab.lattice_core import finite_join
 from normlab.replay import verify_report
-from normlab.seq_model import SeqFunc
+from normlab.seq_model import SeqFunc, ideal_membership
 from normlab.serialize import to_jsonable
-from oracles import random_feasible_x_pair
+from oracles import (
+    random_feasible_x_pair,
+    random_finite_pair,
+    random_usc_lsc_pair,
+    random_x_pair,
+)
 
 CHI_EVENS = SeqFunc.periodic([1, 0])
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
 def gapped(inst):
@@ -76,7 +84,7 @@ def test_y_end_everything_holds():
     rng = random.Random(2)
     model = SeqYEndModel()
     for _ in range(10):
-        inst = model.random_instance(rng)
+        inst = random_usc_lsc_pair(rng)
         for cond in CONDITIONS:
             use = gapped(inst) if cond == "D" else inst
             assert check_condition(model, cond, use, 8).verdict == HOLDS
@@ -86,7 +94,7 @@ def test_finite_full_everything_holds():
     rng = random.Random(3)
     model = FiniteFullModel(FiniteSpace.discrete(3))
     for _ in range(10):
-        inst = model.random_instance(rng)
+        inst = random_finite_pair(model.space, rng)
         for cond in CONDITIONS:
             use = gapped(inst) if cond == "D" else inst
             assert check_condition(model, cond, use, 8).verdict == HOLDS
@@ -96,7 +104,7 @@ def test_verdicts_monotone_in_depth():
     rng = random.Random(4)
     model = SeqXEndModel()
     for _ in range(10):
-        inst = model.random_instance(rng)
+        inst = random_x_pair(rng)
         for cond in CONDITIONS:
             use = gapped(inst) if cond == "D" else inst
             verdicts = [check_condition(model, cond, use, d).verdict
@@ -105,11 +113,25 @@ def test_verdicts_monotone_in_depth():
             assert len(set(settled)) <= 1
 
 
-def test_embedding_contract_all_models():
-    rng = random.Random(5)
-    assert SeqXEndModel().check_embedding(rng)
-    assert SeqYEndModel().check_embedding(rng)
-    assert FiniteFullModel(FiniteSpace.discrete(4)).check_embedding(rng)
+convergent = st.builds(lambda prefix, limit: SeqFunc(prefix, (limit,), limit),
+                       st.lists(rationals, max_size=4), rationals)
+
+
+@given(convergent, convergent)
+def test_forgetting_omega_respects_the_operations(a, b):
+    """seq_x_end embeds the convergent functions into the sequences on the
+    naturals by forgetting the omega value; the other two models embed by the
+    identity."""
+    def embed(h):
+        return SeqFunc(h.prefix, h.cycle)
+
+    ia, ib = embed(a), embed(b)
+    assert embed(a + b).eq_pointwise(ia + ib)
+    assert embed(a * b).eq_pointwise(ia * ib)
+    assert embed(a * Fraction(3, 2)).eq_pointwise(ia * Fraction(3, 2))
+    assert embed(a.join(b)).eq_pointwise(ia.join(ib))
+    assert embed(a.meet(b)).eq_pointwise(ia.meet(ib))
+    assert embed(a.const_like(1)).eq_pointwise(ia.const_like(1))
 
 
 ONE_POINT = FiniteSpace.discrete(1)
@@ -157,44 +179,89 @@ def test_x_end_cover_rejects_subfamily_cap_out_of_range(cap):
         check_condition(SeqXEndModel(), "C", {"subfamily_cap": cap}, depth=8)
 
 
-def test_alpha_rejects_nonconvergent():
-    with pytest.raises(PreconditionViolation):
-        SeqXEndModel().alpha(SeqFunc.periodic([1, 0], omega=1))
-
-
 def test_missing_capability():
     class Bare(FiniteFullModel):
         cond_t = None
 
     model = Bare(FiniteSpace.discrete(2))
     with pytest.raises(ModelCapabilityMissing):
-        check_condition(model, "T", model.random_instance(random.Random(0)))
+        check_condition(model, "T", random_finite_pair(model.space, random.Random(0)))
 
 
-def test_harness_zero_failures_everywhere():
+# -- implications between the conditions -------------------------------------
+
+HARNESS_DEPTH = 12
+
+
+def harness_cases():
+    """(model, eight instances) per model, drawn in turn from one seed."""
     rng = random.Random(6)
     mx, my = SeqXEndModel(), SeqYEndModel()
     mf = FiniteFullModel(FiniteSpace.discrete(3))
-    # only seq_y_end carries an epsilon-removal cover; the other rows run everywhere
-    eps_removal_tested = {mx.name: 0, my.name: 1, mf.name: 0}
-    for model, gen in ((mx, lambda: random_feasible_x_pair(rng)),
-                       (my, lambda: random_usc_lsc_pair(rng)),
-                       (mf, lambda: mf.random_instance(rng))):
-        matrix = equivalence_harness(model, [gen() for _ in range(8)], depth=12)
-        for row in matrix:
-            assert row["failures"] == 0, (model.name, row)
-            if row["implication"] == "eps_removal_form2_to_form3":
-                assert row["tested"] == eps_removal_tested[model.name], (model.name, row)
-            else:
-                assert row["tested"] > 0, (model.name, row)
+    return [(model, [gen() for _ in range(8)])
+            for model, gen in ((mx, lambda: random_feasible_x_pair(rng)),
+                               (my, lambda: random_usc_lsc_pair(rng)),
+                               (mf, lambda: random_finite_pair(mf.space, rng)))]
+
+
+def merge_gives_s(f, g, depth):
+    """Merge the families f + 1/m down and g - 1/m up (g lifted to a 2/depth gap);
+    the merged element lies between the last members of both."""
+    if (g - f).value_bounds()[0] < Fraction(2, depth):
+        g = g + Fraction(2, depth)
+    a_seq = [f + Fraction(1, m) for m in range(1, depth + 1)]
+    b_seq = [g - Fraction(1, m) for m in range(1, depth + 1)]
+    trace = tong_merge(a_seq, b_seq)
+    u = trace.result
+    return trace.a_norm[-1].le(u) and u.le(trace.b_norm[-1])
+
+
+def test_t_gives_s_via_merge():
+    for model, instances in harness_cases():
+        tested = [inst for inst in instances
+                  if check_condition(model, "T", inst, HARNESS_DEPTH).verdict == HOLDS]
+        assert tested, model.name
+        for inst in tested:
+            assert merge_gives_s(inst["f"], inst["g"], HARNESS_DEPTH), model.name
+
+
+def test_bs_gives_t():
+    for model, instances in harness_cases():
+        tested = [inst for inst in instances
+                  if check_condition(model, "BS", inst, HARNESS_DEPTH).verdict == HOLDS]
+        assert tested, model.name
+        for inst in tested:
+            assert check_condition(model, "T", inst, HARNESS_DEPTH).verdict == HOLDS
+
+
+def test_c_matches_compactness_of_the_unit():
+    """(C) on seq_x_end holds iff the unit lies in the compact-support ideal;
+    the other two carriers are compact."""
+    unit_compact = ideal_membership(SeqFunc.constant(1, with_omega=True))["in_I_alpha"]
+    assert check_condition(SeqXEndModel(), "C", {}, HARNESS_DEPTH).verdict == (
+        HOLDS if unit_compact else FAILS)
+    for model in (SeqYEndModel(), FiniteFullModel(FiniteSpace.discrete(3))):
+        assert check_condition(model, "C", {}, HARNESS_DEPTH).verdict == HOLDS
+
+
+def test_eps_removal_on_seq_y_end():
+    """The (C) subfamily of a cover at level 1/2, each member lifted by 1/4,
+    joins to at least 1/4."""
+    eps, shift = Fraction(1, 2), Fraction(1, 4)
+    family = [SeqFunc.from_support({0: 1}, 0, 0) + eps, SeqFunc.from_support({0: 0}, 1, 1)]
+    chosen = check_condition(SeqYEndModel(), "C", {"epsilon": eps, "family": family},
+                             HARNESS_DEPTH).certificate["subfamily"]
+    assert finite_join([family[i] + shift for i in chosen]).value_bounds()[0] >= shift
 
 
 def test_reports_replay_through_independent_verifier():
     rng = random.Random(7)
-    models = [SeqXEndModel(), SeqYEndModel(), FiniteFullModel(FiniteSpace.discrete(3))]
-    for model in models:
+    space = FiniteSpace.discrete(3)
+    models = [(SeqXEndModel(), random_x_pair), (SeqYEndModel(), random_usc_lsc_pair),
+              (FiniteFullModel(space), lambda rng: random_finite_pair(space, rng))]
+    for model, gen in models:
         for cond in CONDITIONS:
-            inst = model.random_instance(rng)
+            inst = gen(rng)
             use = gapped(inst) if cond == "D" else inst
             report = check_condition(model, cond, use, 16)
             result = verify_report(to_jsonable(report))

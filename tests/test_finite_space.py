@@ -27,16 +27,16 @@ from normlab.replay import verify_report
 from normlab.serialize import to_jsonable
 from oracles import enumerate_spaces_bruteforce
 
-SIERPINSKI = FiniteSpace.from_sets(2, [[], [0], [0, 1]])
+SIERPINSKI = FiniteSpace(2, [0b00, 0b01, 0b11])
 
-NON_NORMAL = FiniteSpace.from_sets(3, [[], [0], [0, 1], [0, 2], [0, 1, 2]])
+NON_NORMAL = FiniteSpace(3, [0b000, 0b001, 0b011, 0b101, 0b111])
 
 
 def test_space_validation():
     with pytest.raises(PreconditionViolation):
-        FiniteSpace.from_sets(2, [[], [0]])  # missing full set
+        FiniteSpace(2, [0b00, 0b01])  # missing full set
     with pytest.raises(PreconditionViolation):
-        FiniteSpace.from_sets(3, [[], [0], [1], [0, 1, 2]])  # no union
+        FiniteSpace(3, [0b000, 0b001, 0b010, 0b111])  # no union
 
 
 def test_topology_counts():
@@ -106,7 +106,7 @@ def test_urysohn_witness_and_refusal():
     h = urysohn(space, {0}, {2})
     assert h.values == (Fraction(0), Fraction(0), Fraction(1))
     # indiscrete-like component: single component meets both sets
-    chain = FiniteSpace.from_sets(2, [[], [0], [0, 1]])
+    chain = FiniteSpace(2, [0b00, 0b01, 0b11])
     res = urysohn(chain, {1}, ())
     assert isinstance(res, FiniteFunc)
     connected = FiniteSpace(2, (0, 3))  # indiscrete

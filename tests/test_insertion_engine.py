@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from normlab.conditions import random_finite_func, random_seq_func, random_usc_lsc_pair
 from normlab.errors import (
     BoundViolation,
     EmptyFamily,
@@ -43,6 +42,7 @@ from normlab.replay import (
 )
 from normlab.seq_model import SeqFunc
 from normlab.serialize import to_jsonable
+from oracles import random_finite_func, random_seq_func, random_usc_lsc_pair
 
 POINT = FiniteSpace.discrete(1)
 
@@ -326,10 +326,21 @@ def _random_y_cases(rng, count):
     return [(YUrysohnCarrier(), *random_usc_lsc_pair(rng).values()) for _ in range(count)]
 
 
+@pytest.mark.parametrize("carrier,f,g", [
+    (FiniteUrysohnCarrier(FiniteSpace.discrete(3)),
+     FiniteFunc(FiniteSpace.discrete(3), [2, 0, 0]), FiniteFunc(FiniteSpace.discrete(3), [1, 1, 1])),
+    (YUrysohnCarrier(), SeqFunc.constant(2, with_omega=True), SeqFunc.constant(1, with_omega=True)),
+], ids=["finite", "y"])
+def test_join_stream_rejects_disorder_at_key_g(carrier, f, g):
+    with pytest.raises(PreconditionViolation, match="f <= g fails at point 0") as exc:
+        urysohn_join_stream(carrier, f, g, 4)
+    assert exc.value.key == "g"
+
+
 def test_join_stream_matches_per_pair_loop():
     rng = random.Random(2024)
     # a V-shaped space: closed points 0 and 1 share the open point 2
-    vee = FiniteSpace.from_sets(3, [[], [2], [0, 2], [1, 2], [0, 1, 2]])
+    vee = FiniteSpace(3, [0b000, 0b100, 0b101, 0b110, 0b111])
     infeasible = (FiniteUrysohnCarrier(vee), FiniteFunc(vee, [1, 0, 0]),
                   FiniteFunc(vee, [1, 0, 1]))
     cases = [infeasible] + _random_finite_cases(rng, 40) + _random_y_cases(rng, 25)

@@ -26,7 +26,6 @@ from normlab.seq_model import (
     InfeasibleCert,
     SeqFunc,
     Witness,
-    YSet,
     brute_force_insertable,
     ideal_membership,
     indicator_is_closed_set,
@@ -42,7 +41,7 @@ from normlab.seq_model import (
     threshold_indicator,
     urysohn_y,
 )
-from oracles import countable_join_family, countable_meet_family
+from oracles import countable_join_family, countable_meet_family, random_x_pair
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
@@ -176,29 +175,6 @@ def test_insert_on_y_always_succeeds():
         insert_on_y(SeqFunc.periodic([1, 0], omega=0), g)  # f not usc
 
 
-def test_yset_kinds_and_indicators():
-    evens_fin = YSet.finite([0, 2, 4])
-    assert evens_fin.is_finite()
-    assert not YSet.cofinite_without_omega([1]).is_finite()
-    cof = YSet.cofinite_with_omega([0, 1])
-    assert cof.is_open() and cof.is_closed()
-    assert OMEGA in cof and 0 not in cof and 5 in cof
-    comp = cof.complement()
-    assert comp.kind == YSet.FINITE and comp.members == (0, 1)
-    ind = cof.indicator()
-    assert ind.at(0) == 0 and ind.at(7) == 1 and ind.omega == 1
-    assert YSet.finite([3]).is_closed() and not YSet.finite([3]).is_open() is False
-
-
-def test_yset_open_closed_rules():
-    assert YSet.finite([1, 2]).is_open()          # subsets of the naturals are open
-    assert YSet.finite([1, 2]).is_closed()        # finite ones are closed too
-    assert not YSet.finite_with_omega([1]).is_open()
-    assert YSet.finite_with_omega([1]).is_closed()
-    assert YSet.cofinite_without_omega([5]).is_open()
-    assert not YSet.cofinite_without_omega([5]).is_closed()
-
-
 def test_threshold_and_urysohn_y():
     f = SeqFunc.periodic([1, 0], omega=1)
     closed = threshold_indicator(f, 1)
@@ -288,13 +264,13 @@ def test_countable_meet_and_join_families():
         for m in (1, 3, 9):
             a = member(n, m)
             assert a.is_convergent()
-            assert f.le(a.restrict_to_naturals())
+            assert f.le(SeqFunc(a.prefix, a.cycle))
     for k in range(6):
         assert trunc(k, 27) - f.at(k) <= Fraction(1, 27)
         assert trunc(k, 27) >= f.at(k)
     member_j, trunc_j = countable_join_family(f)
     for n in range(4):
-        assert member_j(n, 5).restrict_to_naturals().le(f)
+        assert SeqFunc(member_j(n, 5).prefix, member_j(n, 5).cycle).le(f)
     for k in range(6):
         assert f.at(k) - trunc_j(k, 27) <= Fraction(1, 27)
 
@@ -318,7 +294,7 @@ def test_lindelof_extract_and_budget():
 def _restart_select(eps, family, k, budget):
     """Reference selection: rescan the family from its start for index k."""
     for count, g in enumerate(family()):
-        if g.restrict_to_naturals().at(k) > eps / 2:
+        if g.at(k) > eps / 2:
             return count, g
         if count + 1 >= budget:
             raise SearchBudgetExceeded(k, budget)
@@ -416,7 +392,7 @@ def test_l_picks_match_lindelof_extract(eps, delta):
 def test_residuals_match_truncated_families():
     rng, model = random.Random(11), conditions.SeqXEndModel()
     for trial in range(60):
-        inst, depth = model.random_instance(rng), rng.choice([1, 2, 3, 8, 64])
+        inst, depth = random_x_pair(rng), rng.choice([1, 2, 3, 8, 64])
         f, g = inst["f"], inst["g"]
         certs = {cond: conditions.check_condition(model, cond, inst, depth).certificate
                  for cond in ("T", "BS", "S")}
@@ -452,7 +428,7 @@ def test_countable_routes_build_no_seq_func(monkeypatch):
 
 def test_restrict_and_with_omega_roundtrip():
     f = SeqFunc([1, 2], (3,), 3)
-    assert f.restrict_to_naturals().omega is None
-    assert f.restrict_to_naturals().with_omega(3) == f
+    assert SeqFunc(f.prefix, f.cycle).omega is None
+    assert SeqFunc(f.prefix, f.cycle).with_omega(3) == f
     with pytest.raises(OmegaMissing):
         SeqFunc.constant(1).value_at(OMEGA)

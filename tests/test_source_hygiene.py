@@ -1,7 +1,8 @@
-"""Source hygiene: every name a module imports is used in that module, the
-scenario reader holds no copy of a model's value check, every name the
-benchmark's tracer wraps still exists, and the tracer still reads what the
-library emits."""
+"""Source hygiene: every name a module imports is used in that module, every
+function and class the library defines has a caller in the library or the
+benchmark, the scenario reader holds no copy of a model's value check, every
+name the benchmark's tracer wraps still exists, and the tracer still reads
+what the library emits."""
 
 import ast
 import json
@@ -48,6 +49,54 @@ def test_no_unused_imports(path):
 def test_unused_import_is_found():
     source = "import os\nfrom a import b, c as d\nfrom __future__ import annotations\nd()\n"
     assert unused_imports(source) == ["b (line 2)", "os (line 1)"]
+
+
+def unreferenced_definitions(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """Functions, classes and methods of the ``defining`` sources whose name
+    appears in no source outside their own definition.
+
+    A name appears as a variable, an attribute, or a string constant (the
+    benchmark's tracer wraps functions by name).  Dunder methods are called by
+    the language, and ``cond_*`` routes by ``check_condition``'s name lookup.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    uses = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, name, node.lineno))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                uses.append((node.value, name, node.lineno))
+    out = []
+    for name in defining:
+        for node in ast.walk(trees[name]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            d = node.name
+            if (d.startswith("__") and d.endswith("__")) or d.startswith("cond_"):
+                continue
+            if not any(u == d and (where != name or not node.lineno <= line <= node.end_lineno)
+                       for u, where, line in uses):
+                out.append(f"{name}:{node.lineno} {d}")
+    return out
+
+
+def test_library_defines_nothing_only_tests_reach():
+    """Code that only the tests call belongs with the tests."""
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in paths}
+    library = [str(p.relative_to(ROOT)) for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_definitions(sources, library) == []
+
+
+def test_unreferenced_definition_is_found():
+    sources = {"lib.py": "def used():\n    pass\n\n\ndef own():\n    own()\n\n\n"
+                         "class Model:\n    def cond_t(self):\n        pass\n\n"
+                         "    def __init__(self):\n        pass\n",
+               "caller.py": "import lib\nlib.used()\n"}
+    assert unreferenced_definitions(sources, ["lib.py"]) == ["lib.py:5 own", "lib.py:9 Model"]
 
 
 def test_reader_leaves_value_checks_to_the_models():
