@@ -15,7 +15,13 @@ from normlab.errors import (
     OracleContractViolation,
     PreconditionViolation,
 )
-from normlab.finite_space import FiniteFunc, FiniteSpace, enumerate_spaces, envelopes
+from normlab.finite_space import (
+    FiniteFunc,
+    FiniteSpace,
+    block_indicators,
+    enumerate_spaces,
+    envelopes,
+)
 from normlab.insertion_engine import (
     FiniteUrysohnCarrier,
     IterationTrace,
@@ -36,8 +42,10 @@ from normlab.replay import (
     _continuous,
     _frac,
     _points,
+    _verify_block_replay,
     _verify_iteration,
     _verify_merge,
+    _verify_urysohn,
     verify_report,
 )
 from normlab.seq_model import SeqFunc
@@ -635,6 +643,73 @@ def _verify_iteration_pairwise(trace, checks) -> None:
         _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
 
 
+def _verify_urysohn_per_value(cert, checks) -> None:
+    """Urysohn verifier that parses each value where it is read, and names each
+    level set by counting the distinct rescaled values in it."""
+    f, g, res, q_max = cert["f"], cert["g"], cert["result"], cert["q_max"]
+    hs = [row["h"] for row in cert["pairs"]]
+    pts = _points(f, g, res, *hs)
+    a = -min(_value(f, p) for p in pts)
+    b = max(_value(g, p) for p in pts) + a or Fraction(1)
+    _check(checks, "urysohn: transform recomputed",
+           [_frac(v) for v in cert["transform"]] == [a, b])
+    f1 = {p: (_value(f, p) + a) / b for p in pts}
+    g1 = {p: (_value(g, p) + a) / b for p in pts}
+    grid = [Fraction(n, d) for d in range(1, q_max + 1) for n in range(d + 1)
+            if math.gcd(n, d) == 1]
+    first, top = {}, {}
+    for s in grid:
+        for r in grid:
+            if r < s:
+                key = (len({v for v in f1.values() if v >= s}),
+                       len({v for v in g1.values() if v > r}))
+                first.setdefault(key, (r, s))
+                top[key] = max(top.get(key, r), r)
+    rows = [(_frac(row["r"]), _frac(row["s"])) for row in cert["pairs"]]
+    if not _check(checks, "urysohn: one row per distinct level pair, at its first pair",
+                  rows == list(first.values())):
+        return
+    ok = True
+    for (r, s), h in zip(rows, hs):
+        ok = ok and _continuous(h) and all(
+            0 <= _value(h, p) <= 1 and (_value(h, p) == 1 or f1[p] < s)
+            and (_value(h, p) == 0 or g1[p] > r) for p in pts)
+    _check(checks, "urysohn: each h in [0, 1], continuous, 1 on {f >= s}, 0 off {g > r}", ok)
+    tops = list(top.values())
+    _check(checks, "urysohn: result = b * join of r_top * h - a",
+           all(_value(res, p) == b * max([Fraction(0)] + [t * _value(h, p)
+                                                          for t, h in zip(tops, hs)]) - a
+               for p in pts))
+    _check(checks, "urysohn: result <= g", _le(res, g, pts))
+    _check(checks, "urysohn: result >= f - b/q_max where f1 is on the grid",
+           all(_value(res, p) >= _value(f, p) - b / q_max
+               for p in pts if f1[p].denominator <= q_max))
+
+
+def _verify_block_per_value(payload, checks) -> None:
+    """Block verifier that parses each value where it is read."""
+    gens = payload["generators"]
+    n = gens[0]["space"]["points"]
+    traces, indicators = payload["traces"], payload["indicators"]
+    points = sorted(x for trace in traces for x in trace["block"])
+    if not _check(checks, "block traces: one per indicator, blocks partition the points",
+                  len(traces) == len(indicators) and points == list(range(n))):
+        return
+    for trace, ind in zip(traces, indicators):
+        block = set(trace["block"])
+        ok = len(ind["values"]) == n
+        for x in range(n):
+            v = Fraction(1)
+            for ch in trace["choices"]:
+                gx, gy = _frac(ch["gx"]), _frac(ch["gy"])
+                h = (_value(gens[ch["g_index"]], x) - gy) / (gx - gy)
+                v = min(v, max(h, Fraction(0)))
+            ok = ok and v == _value(ind, x) and (v == 1) == (x in block)
+        if not _check(checks, f"block {sorted(block)}: trace replays to 0/1 indicator", ok):
+            return
+    _check(checks, "block traces: all replayed", True)
+
+
 def _element_values(d):
     """The value strings of a serialized element, for tampering in place."""
     return d["values"] if "values" in d else d["cycle"]
@@ -699,13 +774,68 @@ def _merge_payloads(rng):
     return out
 
 
-@pytest.mark.parametrize("kind", ["iteration", "merge"])
+def _value_slots(node):
+    """(holder, key) of every value of every serialized element in a JSON value."""
+    if isinstance(node, dict):
+        if "values" in node and "space" in node:
+            return [(node["values"], k) for k in range(len(node["values"]))]
+        if "cycle" in node:
+            slots = [(node[key], k) for key in ("prefix", "cycle") for k in range(len(node[key]))]
+            return slots + ([(node, "omega")] if node.get("omega") is not None else [])
+        node = list(node.values())
+    if isinstance(node, list):
+        return [slot for child in node for slot in _value_slots(child)]
+    return []
+
+
+def _one_value_moved(rng, payload):
+    """A copy with one value of one element moved by +-1/2^k, k <= 30."""
+    out = json.loads(json.dumps(payload))
+    holder, key = rng.choice(_value_slots(out))
+    step = rng.choice([-1, 1]) * Fraction(1, 2 ** rng.randint(0, 30))
+    holder[key] = to_jsonable(Fraction(holder[key]) + step)
+    return out
+
+
+def _urysohn_payloads(rng):
+    out = []
+    for carrier, f, g in _random_finite_cases(rng, 12) + _random_y_cases(rng, 12):
+        try:
+            _, cert = urysohn_join_stream(carrier, f, g, rng.randint(1, 6))
+        except NormlabError:
+            continue
+        payload = json.loads(json.dumps(to_jsonable(cert)))
+        out += [payload] + [_one_value_moved(rng, payload) for _ in range(4)]
+    return out
+
+
+def _block_payloads(rng):
+    out = []
+    for n in (1, 3, 5, 7):
+        space = FiniteSpace.discrete(n)
+        for count in (1, 2, 3):
+            gens = [FiniteFunc(space, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                       for _ in range(n)]) for _ in range(count)]
+            indicators, traces = block_indicators(space, gens)
+            payload = json.loads(json.dumps(to_jsonable(
+                {"generators": gens, "traces": traces, "indicators": indicators})))
+            out += [payload] + [_one_value_moved(rng, payload) for _ in range(4)]
+    return out
+
+
+REFERENCE_VERIFIERS = {
+    "iteration": (_iteration_payloads, _verify_iteration, _verify_iteration_pairwise),
+    "merge": (_merge_payloads, _verify_merge, _verify_merge_per_value),
+    "urysohn": (_urysohn_payloads, _verify_urysohn, _verify_urysohn_per_value),
+    "block": (_block_payloads, _verify_block_replay, _verify_block_per_value),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_VERIFIERS))
 def test_replay_rows_match_per_value_verifiers(kind):
     rng = random.Random(17)
-    if kind == "iteration":
-        payloads, new, old = _iteration_payloads(rng), _verify_iteration, _verify_iteration_pairwise
-    else:
-        payloads, new, old = _merge_payloads(rng), _verify_merge, _verify_merge_per_value
+    payloads, new, old = REFERENCE_VERIFIERS[kind]
+    payloads = payloads(rng)
     verdicts = set()
     for payload in payloads:
         expected, got = [], []
@@ -768,6 +898,47 @@ def test_iteration_tamper_below_lower_envelope():
     f_prefix = payload["f"]["prefix"]
     f_prefix[0] = to_jsonable(Fraction(last["prefix"][0]) + Fraction(1, 2 ** n) + Fraction(1, 2 ** 40))
     assert _failed_rows(payload) == [SANDWICH_ROW]
+
+
+def _malformed_iteration(cause):
+    return f"/: malformed iteration payload ({cause})"
+
+
+# Each value in one element of an iteration trace, and replay's outcome: the
+# ok flags of its four rows (bounds, step, tail, sandwich) or its error text.
+PARSED_VALUES = [
+    ("0/5", [True, True, True, True]),
+    ("-0", [True, True, True, True]),
+    ("2/4", [True, False, True, True]),
+    ("-7/2", [True, False, False, False]),
+    (3, [True, False, False, False]),
+    ("+3", [True, False, False, False]),
+    (" 3 ", [True, False, False, False]),
+    ("1_000", [True, False, False, False]),
+    ("1.5", [True, False, False, True]),
+    ("1e3", [True, False, False, False]),
+    ("3/0", _malformed_iteration("ZeroDivisionError: Fraction(3, 0)")),
+    ("3/-4", _malformed_iteration("ValueError: Invalid literal for Fraction: '3/-4'")),
+    ("٣", [True, False, False, False]),  # ARABIC-INDIC DIGIT THREE
+    (True, _malformed_iteration("ValueError: boolean is not a rational")),
+    (None, _malformed_iteration(
+        "TypeError: argument should be a string or a Rational instance")),
+    (1.5, [True, False, False, True]),
+    ([], _malformed_iteration(
+        "TypeError: argument should be a string or a Rational instance")),
+]
+
+
+@pytest.mark.parametrize("value,outcome", PARSED_VALUES, ids=repr)
+def test_replay_parses_values_as_fraction_does(value, outcome):
+    payload = {"trace": "iteration", "step_bounds": ["1/2", "1/4", "1/8"],
+               "a_seq": [{"cycle": ["0"]}, {"cycle": [value]}, {"cycle": ["0"]}],
+               "f": {"cycle": ["-1"]}, "g": {"cycle": ["2"]}}
+    try:
+        got = [c["ok"] for c in verify_report(payload)["checks"]]
+    except MalformedPayload as exc:
+        got = str(exc)
+    assert got == outcome
 
 
 def test_merge_tamper_one_u_value():
