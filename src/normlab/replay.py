@@ -4,11 +4,14 @@ Re-checks serialized reports (merge traces, iteration traces, Urysohn joins,
 condition reports, insertion certificates, block-indicator traces) from the
 JSON alone.
 The module deliberately shares no evaluation code with the checkers that
-produced the certificates: it carries its own tiny evaluators for the two
-carrier encodings, so a bug in a searcher cannot hide in its own replay.
-Merge traces, iteration traces, Urysohn joins and condition reports parse
-each element once per payload into rows of values over the probe points, and
-every check then works on those rows.
+produced the certificates: it carries its own row reader for the two carrier
+encodings and imports nothing from normlab, so a bug in a searcher cannot
+hide in its own replay.
+The reader parses each element's values once per payload and lays them out
+as rows of int numerators over one denominator, the least common one of the
+payload's elements, at the probe points; every row check then compares ints.
+Scalars (epsilon, step bounds, grid values, the transform) stay Fractions,
+and a row is compared with one by cross-multiplying.
 
 ``verify_report`` walks any JSON value, verifies every recognizable payload,
 and reports one line per check; a payload it cannot read raises
@@ -28,7 +31,7 @@ def _frac(v) -> Fraction:
     return Fraction(v)
 
 
-# -- minimal evaluators ------------------------------------------------------
+# -- the row reader ----------------------------------------------------------
 
 def _is_seq(d) -> bool:
     return isinstance(d, dict) and "cycle" in d
@@ -53,7 +56,7 @@ def _points(*elems):
     """Common probe points for a mix of serialized elements."""
     if all(_is_seq(d) for d in elems):
         pts = list(range(_span(*elems)))
-        if all(_seq_omega(d) is not None for d in elems):
+        if all(d.get("omega") is not None for d in elems):
             pts.append("omega")
         return pts
     if all(_is_finite_func(d) for d in elems):
@@ -61,28 +64,87 @@ def _points(*elems):
     raise ValueError("mixed or unknown element encodings")
 
 
-def _evaluator(d):
-    """Parse an element's values once; returns its point -> Fraction map."""
-    if _is_seq(d):
-        prefix = [_frac(v) for v in d.get("prefix", [])]
-        cycle = [_frac(v) for v in d["cycle"]]
-        omega = _seq_omega(d)
+def _ratio(v, memo) -> tuple[int, int]:
+    """A JSON rational as (numerator, positive denominator).
 
-        def at(p):
-            if p == "omega":
-                return omega
-            if p < len(prefix):
-                return prefix[p]
-            return cycle[(p - len(prefix)) % len(cycle)]
-        return at
+    The serializer writes "p" and "p/q" in ASCII digits, and int() reads
+    those; memo keeps each such string a payload has already given.  Any
+    other value goes through _frac, so it is accepted or refused, with the
+    same message, exactly as Fraction(v) does it.
+    """
+    if type(v) is str:
+        pair = memo.get(v)
+        if pair is not None:
+            return pair
+        if v.isascii():
+            num, slash, den = v.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if digits.isdigit() and (not slash or den.isdigit() and den.strip("0")):
+                pair = memo[v] = int(num), int(den) if slash else 1
+                return pair
+    q = _frac(v)
+    return q.numerator, q.denominator
+
+
+def _read(d, memo):
+    """An element's values, each parsed once, and how probe points index them.
+
+    Returns (pairs, shape): a sequence's pairs are its prefix, its cycle and
+    then its omega value, if any, with shape (len(prefix), len(cycle), has
+    omega); a finite function's pairs are its values, with shape None.
+    """
+    if _is_seq(d):
+        prefix, om = d.get("prefix", []), d.get("omega")
+        pairs = [_ratio(v, memo) for v in prefix] + [_ratio(v, memo) for v in d["cycle"]]
+        if om is not None:
+            pairs.append(_ratio(om, memo))
+        return pairs, (len(prefix), len(d["cycle"]), om is not None)
     if _is_finite_func(d):
-        return [_frac(v) for v in d["values"]].__getitem__
+        return [_ratio(v, memo) for v in d["values"]], None
     raise ValueError("unknown element encoding")
 
 
-def _rows(elems, pts) -> list[list[Fraction]]:
-    """Each element's values over the probe points, parsed once."""
-    return [[at(p) for p in pts] for at in map(_evaluator, elems)]
+def _den(parsed) -> int:
+    """The least common denominator of parsed elements."""
+    return math.lcm(*{q for pairs, _shape in parsed for _p, q in pairs})
+
+
+def _row(parsed, pts, den) -> list[int]:
+    """A parsed element's values at the probe points, as numerators over den.
+
+    pts holds "omega" only when the element has a value there, as _points
+    of a set of elements that includes it gives."""
+    pairs, shape = parsed
+    nums = [p * (den // q) for p, q in pairs]
+    if shape is None:
+        return [nums[x] for x in pts]
+    k, c, _ = shape
+    return [nums[-1] if x == "omega" else nums[x] if x < k else nums[k + (x - k) % c]
+            for x in pts]
+
+
+def _rows(elems, pts):
+    """The elements' rows at the probe points over their least common
+    denominator; returns (den, rows)."""
+    memo = {}
+    parsed = [_read(d, memo) for d in elems]
+    den = _den(parsed)
+    return den, [_row(e, pts, den) for e in parsed]
+
+
+def _omega(parsed):
+    """A parsed sequence's value at omega, or None without one."""
+    pairs, shape = parsed
+    if shape is None:
+        return pairs["omega"]  # a finite function has no omega: TypeError, as a list index
+    return Fraction(*pairs[-1]) if shape[2] else None
+
+
+def _ints(values, memo) -> tuple[int, list[int]]:
+    """A list of JSON rationals as (den, int numerators over den), den least."""
+    pairs = [_ratio(v, memo) for v in values]
+    den = math.lcm(*{q for _, q in pairs})
+    return den, [p * (den // q) for p, q in pairs]
 
 
 def _row_le(a, b) -> bool:
@@ -118,8 +180,9 @@ def _verify_merge(trace, checks) -> None:
     _check(checks, "merge: aligned sequence lengths", ok_shape)
     if not ok_shape:
         return
-    a, b, u, v = (_rows(x, pts) for x in (a, b, u, v))
-    res = _rows([res], pts)[0]
+    _, rows = _rows(a + b + u + v + [res], pts)
+    a, b, u, v = (rows[i * n:(i + 1) * n] for i in range(4))
+    res = rows[-1]
     _check(checks, "merge: a nonincreasing", all(_row_le(a[i + 1], a[i]) for i in range(n - 1)))
     _check(checks, "merge: b nondecreasing", all(_row_le(b[i], b[i + 1]) for i in range(n - 1)))
     for k in range(len(pts)):
@@ -149,33 +212,41 @@ def _verify_iteration(trace, checks) -> None:
     a = trace["a_seq"]
     bounds = [_frac(b) for b in trace["step_bounds"]]
     pts = _points(*a)
-    a_at = [_evaluator(d) for d in a]
-    rows = [[at(p) for p in pts] for at in a_at]
+    f, g = trace.get("f"), trace.get("g")
+    sandwich = f is not None and g is not None
+    memo = {}
+    parsed = [_read(d, memo) for d in ((*a, f, g) if sandwich else a)]
+    den = _den(parsed)
+    rows = [_row(e, pts, den) for e in parsed[:len(a)]]
     _check(checks, "iteration: bounds are 1/2^n",
            all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
+    # an int t exceeds, or stays within, q * den exactly when it does floor(q * den)
     ok = True
     for i in range(len(a) - 1):
-        if any(abs(y - x) > bounds[i] for x, y in zip(rows[i], rows[i + 1])):
+        lim = bounds[i].numerator * den // bounds[i].denominator
+        if any(abs(y - x) > lim for x, y in zip(rows[i], rows[i + 1])):
             ok = False
     _check(checks, "iteration: step bound |a_{n+1} - a_n| <= 1/2^n", ok)
     # max over j > i of |a_j - a_i| at each point, from running suffix max/min
     ok = True
     hi = lo = rows[-1] if rows else None
     for i in range(len(a) - 2, -1, -1):
-        tail = Fraction(2, 2 ** (i + 1))
+        tail = den >> i  # floor(den * 2^{1-n}) for n = i + 1
         if any(h - x > tail or x - l > tail for x, h, l in zip(rows[i], hi, lo)):
             ok = False
         hi, lo = list(map(max, hi, rows[i])), list(map(min, lo, rows[i]))
     _check(checks, "iteration: Cauchy tail ||a_{n+p} - a_n|| <= 2^{1-n}", ok)
-    f, g = trace.get("f"), trace.get("g")
-    if f is not None and g is not None:
-        f_at, g_at = _evaluator(f), _evaluator(g)
-        ok = True
-        for i in range(len(a)):
-            eps = bounds[i]
-            for p in _points(f, g, a[i]):
-                if not f_at(p) - eps <= a_at[i](p) <= g_at(p):
-                    ok = False
+    if sandwich:
+        pf, pg = parsed[-2:]
+        ok, fg_pts = True, None
+        for i, pa in enumerate(parsed[:len(a)]):
+            lim = bounds[i].numerator * den // bounds[i].denominator
+            pts_i = _points(f, g, a[i])  # rows of f and g are rebuilt only when these move
+            if pts_i != fg_pts:
+                fr, gr, fg_pts = _row(pf, pts_i, den), _row(pg, pts_i, den), pts_i
+            ar = rows[i] if pts_i == pts else _row(pa, pts_i, den)
+            if not all(x - y <= lim and y <= z for x, y, z in zip(fr, ar, gr)):
+                ok = False
         _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
 
 
@@ -209,21 +280,24 @@ def _verify_condition(report, checks) -> None:
                  "fails": "fails" in (cert["L_verdict"], cert["N_verdict"])}
         _check(checks, f"{label}: decomposition consistent", agree.get(verdict, False))
         return
-    parsed = {}
+    parsed, memo = {}, {}
 
     def rows(*elems):
-        """The elements' values over their common probe points, each parsed once."""
+        """The elements' rows at their common probe points, each element parsed
+        once per report; returns (den, rows)."""
         pts = _points(*elems)
         for d in elems:
             if id(d) not in parsed:
-                parsed[id(d)] = _evaluator(d)
-        return [[parsed[id(d)](p) for p in pts] for d in elems]
+                parsed[id(d)] = _read(d, memo)
+        es = [parsed[id(d)] for d in elems]
+        den = _den(es)
+        return den, [_row(e, pts, den) for e in es]
 
     f, g = inst.get("f"), inst.get("g")
     if cond in ("N", "D"):
         if verdict == "holds":
             w = cert["witness"]
-            fr, gr, wr = rows(f, g, w)
+            _, (fr, gr, wr) = rows(f, g, w)
             _check(checks, f"{label}: witness convergent",
                    not _is_seq(w) or _seq_convergent(w))
             _check(checks, f"{label}: f <= witness <= g", _row_le(fr, wr) and _row_le(wr, gr))
@@ -234,20 +308,21 @@ def _verify_condition(report, checks) -> None:
             _verify_infeasible({"f": f, "g": g, **cert}, checks)
         if cond == "D" and "epsilon" in cert:
             eps = _frac(cert["epsilon"])
-            fr, gr = rows(f, g)
+            den, (fr, gr) = rows(f, g)
             _check(checks, f"{label}: gap f + eps <= g",
-                   all(x + eps <= y for x, y in zip(fr, gr)))
+                   all((y - x) * eps.denominator >= eps.numerator * den
+                       for x, y in zip(fr, gr)))
         return
     if cond in ("T", "BS", "S"):
-        fr, gr = rows(f, g)
+        _, (fr, gr) = rows(f, g)
         _check(checks, f"{label}: f <= g", _row_le(fr, gr))
         if "witness" in cert:
-            fr, gr, wr = rows(f, g, cert["witness"])
+            _, (fr, gr, wr) = rows(f, g, cert["witness"])
             _check(checks, f"{label}: witness between endpoints",
                    _row_le(fr, wr) and _row_le(wr, gr))
         if "a_seq" in cert and "b_seq" in cert:
             a, b = cert["a_seq"], cert["b_seq"]
-            fr, gr, *ab = rows(f, g, *a, *b)
+            _, (fr, gr, *ab) = rows(f, g, *a, *b)
             ar, br = ab[:len(a)], ab[len(a):]
             meet_of = lambda xs, k: min(x[k] for x in xs)
             join_of = lambda xs, k: max(x[k] for x in xs)
@@ -268,32 +343,33 @@ def _verify_condition(report, checks) -> None:
                                 ("join_side", "closed_form_join", join_of_side)):
             if side in cert:
                 data = cert[side]
-                er, cr = rows(elem, data[key])
+                den, (er, cr) = rows(elem, data[key])
                 bound = Fraction(1, data["depth"])
                 norm = max(max(er), -min(er))
                 spread = norm - min(er) if side == "meet_side" else max(er) + norm
                 _check(checks, f"{label}: {side} residual within bound",
                        er == cr and _frac(data["residual_bound"]) == bound
-                       and _frac(data["max_residual"]) == min(bound, spread))
+                       and _frac(data["max_residual"]) == min(bound, Fraction(spread, den)))
         return
     if cond in ("C", "L"):
         fam = inst.get("family", cert.get("family"))
         if verdict == "holds" and "subfamily" in cert and fam is not None:
-            fam_rows = rows(*fam)
+            den, fam_rows = rows(*fam)
             chosen = [fam_rows[i] for i in cert["subfamily"]]
             ks = range(len(fam_rows[0]))
             join_min = min(max(x[k] for x in chosen) for k in ks)
             _check(checks, f"{label}: subfamily join nonnegative", join_min >= 0)
             if "join_min" in cert:
                 _check(checks, f"{label}: recorded join minimum matches",
-                       join_min == _frac(cert["join_min"]))
+                       _frac(cert["join_min"]) * den == join_min)
             if "join_omega" in cert:
-                at_omega = max(parsed[id(fam[i])]("omega") for i in cert["subfamily"])
+                at_omega = max(_omega(parsed[id(fam[i])]) for i in cert["subfamily"])
                 _check(checks, f"{label}: recorded join at omega matches",
                        at_omega == _frac(cert["join_omega"]))
             eps = _frac(inst.get("epsilon", cert.get("epsilon")))
             _check(checks, f"{label}: full family covers at level eps",
-                   all(max(x[k] for x in fam_rows) >= eps for k in ks))
+                   all(max(x[k] for x in fam_rows) * eps.denominator >= eps.numerator * den
+                       for k in ks))
             return
         if verdict == "fails" and "defeats" in cert:
             eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
@@ -316,10 +392,6 @@ def _verify_condition(report, checks) -> None:
         _check(checks, f"{label}: certificate recognized", False)
         return
     _check(checks, f"{label}: condition recognized", False)
-
-
-def _clamp01(v: Fraction) -> Fraction:
-    return min(max(v, Fraction(0)), Fraction(1))
 
 
 def _verify_ideal(payload, checks) -> None:
@@ -353,7 +425,11 @@ def _verify_ideal(payload, checks) -> None:
 
 
 def _verify_block_replay(payload, checks) -> None:
-    """Rebuild block indicators from their traces with local arithmetic only."""
+    """Rebuild block indicators from their traces with local arithmetic only.
+
+    A generator is read when a choice first names it, and only at the n
+    points of the space.  Each replayed value is a pair (num, den), den > 0.
+    """
     gens = payload["generators"]
     n = gens[0]["space"]["points"]
     traces, indicators = payload["traces"], payload["indicators"]
@@ -361,18 +437,33 @@ def _verify_block_replay(payload, checks) -> None:
     if not _check(checks, "block traces: one per indicator, blocks partition the points",
                   len(traces) == len(indicators) and points == list(range(n))):
         return
+    read, memo = {}, {}  # id of a generator -> (den, its values at the n points)
     for trace, ind in zip(traces, indicators):
-        values = [Fraction(1)] * n
+        values = [(1, 1)] * n  # the replayed indicator, as pairs (num, den > 0)
         for ch in trace["choices"]:
             g = gens[ch["g_index"]]
             gx, gy = _frac(ch["gx"]), _frac(ch["gy"])
+            if id(g) not in read:
+                read[id(g)] = _ints([g["values"][x] for x in range(n)], memo)
+            den, row = read[id(g)]
+            span = gx - gy
+            if not span and n:  # the first h(x) = (g(x) - gy) / span divides by zero
+                (Fraction(row[0], den) - gy) / span
+            # h(x) = (g(x) - gy) / span = (row[x] * slope - offset) / hd, with hd > 0
+            sign = 1 if span > 0 else -1
+            hd = sign * den * gy.denominator * span.numerator
+            slope = sign * gy.denominator * span.denominator
+            offset = sign * gy.numerator * den * span.denominator
             for x in range(n):
-                h = _clamp01((_frac(g["values"][x]) - gy) / (gx - gy))
-                values[x] = min(values[x], h)
-        expected = [_frac(v) for v in ind["values"]]
+                hn = min(max(row[x] * slope - offset, 0), hd)  # h clamped to [0, 1]
+                vn, vd = values[x]
+                if hn * vd < vn * hd:
+                    values[x] = hn, hd
+        den, expected = _ints(ind["values"], memo)
         block = set(trace["block"])
-        ok = values == expected
-        ok = ok and all((values[x] == 1) == (x in block) for x in range(n))
+        ok = len(expected) == n and all(vn * den == e * vd
+                                        for (vn, vd), e in zip(values, expected))
+        ok = ok and all((vn == vd) == (x in block) for x, (vn, vd) in enumerate(values))
         if not _check(checks, f"block {sorted(block)}: trace replays to 0/1 indicator", ok):
             return
     _check(checks, "block traces: all replayed", True)
@@ -390,11 +481,13 @@ def _continuous(d) -> bool:
     if _is_finite_func(d):
         opens = {frozenset(o) for o in d["space"]["opens"]}
         fibers = {}
-        for x, v in enumerate(d["values"]):
-            fibers.setdefault(_frac(v), set()).add(x)
+        for x, v in enumerate(_ints(d["values"], {})[1]):
+            fibers.setdefault(v, set()).add(x)
         return all(frozenset(fiber) in opens for fiber in fibers.values())
-    om = _seq_omega(d)
-    return om is None or all(_frac(v) == om for v in d["cycle"])
+    if d.get("omega") is None:
+        return True
+    cycle = _ints([*d["cycle"], d["omega"]], {})[1]
+    return all(v == cycle[-1] for v in cycle)
 
 
 def _verify_urysohn(cert, checks) -> None:
@@ -403,7 +496,9 @@ def _verify_urysohn(cert, checks) -> None:
     The transform, the Farey grid and each grid pair's level pair are
     recomputed: with f1 and g1 the rescaled f and g, {f1 >= s} and {g1 > r}
     are named by how many distinct values of f1 are at least s and of g1
-    exceed r.  No number the producer wrote is trusted.
+    exceed r.  No number the producer wrote is trusted.  Values are int
+    numerators: f, g, the result and each h over one denominator, f1 and g1
+    over another, and grid values are compared with them by cross-multiplying.
     """
     f, g, res, q_max = cert["f"], cert["g"], cert["result"], cert["q_max"]
     if type(q_max) is not int or not 1 <= q_max <= MAX_Q:
@@ -411,21 +506,27 @@ def _verify_urysohn(cert, checks) -> None:
     hs = [row["h"] for row in cert["pairs"]]
 
     def carrier(d):  # a finite space, or whether a sequence has an omega value
-        return d["space"] if _is_finite_func(d) else _seq_omega(d) is None
+        return d["space"] if _is_finite_func(d) else d.get("omega") is None
 
     if any(carrier(d) != carrier(f) for d in (g, res, *hs)):
         raise ValueError("elements on different carriers")
-    fr, gr, rr, *hr = _rows([f, g, res, *hs], _points(f, g, res, *hs))
-    a = -min(fr)
-    b = max(gr) + a or Fraction(1)
+    den, (fr, gr, rr, *hr) = _rows([f, g, res, *hs], _points(f, g, res, *hs))
+    a = -min(fr)  # a / den and b / den are the transform
+    b = max(gr) + a or den
     _check(checks, "urysohn: transform recomputed",
-           [_frac(v) for v in cert["transform"]] == [a, b])
-    f1, g1 = [(v + a) / b for v in fr], [(v + a) / b for v in gr]
+           [_frac(v) for v in cert["transform"]] == [Fraction(a, den), Fraction(b, den)])
+    # f1 = (f + a) / b and g1 = (g + a) / b, as numerators over unit > 0
+    sign = 1 if b > 0 else -1
+    unit = sign * b
+    f1, g1 = [sign * (v + a) for v in fr], [sign * (v + a) for v in gr]
     fvals, gvals = sorted(set(f1)), sorted(set(g1))
     grid = [Fraction(n, d) for d in range(1, q_max + 1) for n in range(d + 1)
             if math.gcd(n, d) == 1]
-    closed = [len(fvals) - bisect.bisect_left(fvals, s) for s in grid]
-    opened = [len(gvals) - bisect.bisect_right(gvals, r) for r in grid]
+    # an int x is >= s * unit iff x >= ceil(s * unit), and > r * unit iff x > floor(r * unit)
+    closed = [len(fvals) - bisect.bisect_left(fvals, -(-s.numerator * unit // s.denominator))
+              for s in grid]
+    opened = [len(gvals) - bisect.bisect_right(gvals, r.numerator * unit // r.denominator)
+              for r in grid]
     rank = [0] * len(grid)
     for pos, i in enumerate(sorted(range(len(grid)), key=grid.__getitem__)):
         rank[i] = pos
@@ -445,18 +546,22 @@ def _verify_urysohn(cert, checks) -> None:
     ok = True
     for (r, s), h, d in zip(rows, hr, hs):
         ok = ok and _continuous(d) and all(
-            0 <= v <= 1 and (v == 1 or x < s) and (v == 0 or y > r)
+            0 <= v <= den and (v == den or x * s.denominator < s.numerator * unit)
+            and (v == 0 or y * r.denominator > r.numerator * unit)
             for v, x, y in zip(h, f1, g1))
     _check(checks, "urysohn: each h in [0, 1], continuous, 1 on {f >= s}, 0 off {g > r}", ok)
+    # the join of r_top * h as numerators over lcd * den
     tops = [grid[i] for i in top.values()]
-    joined = [max([Fraction(0)] + [t * h[k] for t, h in zip(tops, hr)])
-              for k in range(len(fr))]
+    lcd = math.lcm(*(t.denominator for t in tops))
+    weights = [t.numerator * (lcd // t.denominator) for t in tops]
+    joined = [max([0] + [w * h[k] for w, h in zip(weights, hr)]) for k in range(len(fr))]
     _check(checks, "urysohn: result = b * join of r_top * h - a",
-           rr == [b * v - a for v in joined])
+           len(rr) == len(joined)
+           and all((y + a) * lcd * den == b * j for y, j in zip(rr, joined)))
     _check(checks, "urysohn: result <= g", _row_le(rr, gr))
     _check(checks, "urysohn: result >= f - b/q_max where f1 is on the grid",
-           all(y >= x - b / q_max for x, y, x1 in zip(fr, rr, f1)
-               if x1.denominator <= q_max))
+           all(y * q_max >= x * q_max - b for x, y, x1 in zip(fr, rr, f1)
+               if unit // math.gcd(x1, unit) <= q_max))
 
 
 class MalformedPayload(Exception):
