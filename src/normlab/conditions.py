@@ -262,7 +262,7 @@ class SeqXEndModel(ExtensionModel):
         # member n is eps + delta up to index n and -delta beyond, so member k
         # is the first one above eps/2 at index k
         picks = [{"index": k, "member": k, "value": eps + delta} for k in range(depth)]
-        return HOLDS, {"epsilon": eps, "picks": picks,
+        return HOLDS, {"epsilon": eps, "delta": delta, "picks": picks,
                        "note": "countable subfamily = one member per index"}
 
 

@@ -383,11 +383,15 @@ def _verify_condition(report, checks) -> None:
             _check(checks, f"{label}: every listed subfamily defeated", ok)
             return
         if verdict == "holds" and "picks" in cert:
-            eps = _frac(cert["epsilon"])
+            eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
             # member n of the noncompact family exceeds eps/2 exactly up to index n
-            ok = all(_frac(p["value"]) > eps / 2 and p["member"] >= p["index"]
-                     for p in cert["picks"])
-            _check(checks, f"{label}: per-index witnesses exceed eps/2", ok)
+            ok = True
+            for p in cert["picks"]:
+                value = _frac(p["value"])
+                if value != _noncompact_member_at(eps, delta, p["member"], p["index"]) \
+                        or value <= eps / 2:
+                    ok = False
+            _check(checks, f"{label}: each pick is its member's value, above eps/2", ok)
             return
         _check(checks, f"{label}: certificate recognized", False)
         return

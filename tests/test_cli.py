@@ -317,6 +317,26 @@ def test_replay_rejects_l_pick_past_its_member(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+@pytest.mark.parametrize("key,value", [("value", "7"), ("value", "1"), ("delta", "1/4")])
+def test_replay_rejects_l_pick_off_its_closed_form(tmp_path, capsys, key, value):
+    """Member 2 is epsilon + delta = 3/2 at index 2; any other value, or a delta
+    that does not give it, fails even while it stays above epsilon/2."""
+    path = write(tmp_path, "s.json", dict(_scenario("seq_x_end", "L", dict(X_COVER)), depth=4))
+    report_path = tmp_path / "report.json"
+    assert main(["check", path, "--out", str(report_path)]) == 0
+    assert main(["replay", str(report_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(report_path.read_text())
+    cert = report["certificate"]
+    assert cert["delta"] == "1/2" and cert["picks"][2] == {"index": 2, "member": 2, "value": "3/2"}
+    if key == "delta":
+        cert["delta"] = value
+    else:
+        cert["picks"][2]["value"] = value
+    assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
 def test_replay_rejects_residual_off_its_closed_form(tmp_path, capsys):
     instance = {"f": {"cycle": ["0", "1"]}, "g": {"cycle": ["2"]}}
     path = write(tmp_path, "s.json", dict(_scenario("seq_x_end", "T", instance), depth=8))
