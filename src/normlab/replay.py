@@ -443,7 +443,7 @@ def _verify_block_replay(payload, checks) -> None:
         return
     read, memo = {}, {}  # id of a generator -> (den, its values at the n points)
     for trace, ind in zip(traces, indicators):
-        values = [(1, 1)] * n  # the replayed indicator, as pairs (num, den > 0)
+        values = [(1, 1)] * n
         for ch in trace["choices"]:
             g = gens[ch["g_index"]]
             gx, gy = _frac(ch["gx"]), _frac(ch["gy"])
@@ -451,7 +451,7 @@ def _verify_block_replay(payload, checks) -> None:
                 read[id(g)] = _ints([g["values"][x] for x in range(n)], memo)
             den, row = read[id(g)]
             span = gx - gy
-            if not span and n:  # the first h(x) = (g(x) - gy) / span divides by zero
+            if not span and n:  # h(0) = (g(0) - gy) / span raises Fraction's ZeroDivisionError
                 (Fraction(row[0], den) - gy) / span
             # h(x) = (g(x) - gy) / span = (row[x] * slope - offset) / hd, with hd > 0
             sign = 1 if span > 0 else -1
