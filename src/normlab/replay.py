@@ -86,27 +86,33 @@ def _ratio(v, memo) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
+def _ints(values, memo) -> tuple[int, list[int]]:
+    """A list of JSON rationals as (den, int numerators over den), den least."""
+    pairs = [_ratio(v, memo) for v in values]
+    den = math.lcm(*{q for _, q in pairs})
+    return den, [p * (den // q) for p, q in pairs]
+
+
 def _read(d, memo):
     """An element's values, each parsed once, and how probe points index them.
 
-    Returns (pairs, shape): a sequence's pairs are its prefix, its cycle and
-    then its omega value, if any, with shape (len(prefix), len(cycle), has
-    omega); a finite function's pairs are its values, with shape None.
+    Returns (_ints of its values, shape): a sequence's values are its prefix,
+    its cycle and then its omega value, if any, with shape (len(prefix),
+    len(cycle), has omega); a finite function's are its values, with shape
+    None.
     """
     if _is_seq(d):
-        prefix, om = d.get("prefix", []), d.get("omega")
-        pairs = [_ratio(v, memo) for v in prefix] + [_ratio(v, memo) for v in d["cycle"]]
-        if om is not None:
-            pairs.append(_ratio(om, memo))
-        return pairs, (len(prefix), len(d["cycle"]), om is not None)
+        prefix, cycle, om = list(d.get("prefix", [])), list(d["cycle"]), d.get("omega")
+        values = prefix + cycle + ([] if om is None else [om])
+        return _ints(values, memo), (len(prefix), len(cycle), om is not None)
     if _is_finite_func(d):
-        return [_ratio(v, memo) for v in d["values"]], None
+        return _ints(d["values"], memo), None
     raise ValueError("unknown element encoding")
 
 
 def _den(parsed) -> int:
     """The least common denominator of parsed elements."""
-    return math.lcm(*{q for pairs, _shape in parsed for _p, q in pairs})
+    return math.lcm(*(den for (den, _), _shape in parsed))
 
 
 def _row(parsed, pts, den) -> list[int]:
@@ -114,8 +120,9 @@ def _row(parsed, pts, den) -> list[int]:
 
     pts holds "omega" only when the element has a value there, as _points
     of a set of elements that includes it gives."""
-    pairs, shape = parsed
-    nums = [p * (den // q) for p, q in pairs]
+    (own, nums), shape = parsed
+    scale = den // own
+    nums = [x * scale for x in nums]
     if shape is None:
         return [nums[x] for x in pts]
     k, c, _ = shape
@@ -134,17 +141,10 @@ def _rows(elems, pts):
 
 def _omega(parsed):
     """A parsed sequence's value at omega, or None without one."""
-    pairs, shape = parsed
+    (den, nums), shape = parsed
     if shape is None:
-        return pairs["omega"]  # a finite function has no omega: TypeError, as a list index
-    return Fraction(*pairs[-1]) if shape[2] else None
-
-
-def _ints(values, memo) -> tuple[int, list[int]]:
-    """A list of JSON rationals as (den, int numerators over den), den least."""
-    pairs = [_ratio(v, memo) for v in values]
-    den = math.lcm(*{q for _, q in pairs})
-    return den, [p * (den // q) for p, q in pairs]
+        return nums["omega"]  # a finite function has no omega: TypeError, as a list index
+    return Fraction(nums[-1], den) if shape[2] else None
 
 
 def _row_le(a, b) -> bool:
