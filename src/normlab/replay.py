@@ -490,7 +490,7 @@ def _continuous(d) -> bool:
         return all(frozenset(fiber) in opens for fiber in fibers.values())
     if d.get("omega") is None:
         return True
-    cycle = _ints([*d["cycle"], d["omega"]], {})[1]
+    cycle = _ints(list(d["cycle"]) + [d["omega"]], {})[1]
     return all(v == cycle[-1] for v in cycle)
 
 

@@ -643,6 +643,18 @@ def _verify_iteration_pairwise(trace, checks) -> None:
         _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
 
 
+def _continuous_per_value(d) -> bool:
+    """Each fiber of a finite function is open; a sequence with an omega value
+    is that value on its whole cycle."""
+    if "values" in d:
+        opens = {frozenset(o) for o in d["space"]["opens"]}
+        fibers = {}
+        for x in range(len(d["values"])):
+            fibers.setdefault(_value(d, x), set()).add(x)
+        return all(frozenset(fiber) in opens for fiber in fibers.values())
+    return d.get("omega") is None or all(_frac(v) == _frac(d["omega"]) for v in d["cycle"])
+
+
 def _verify_urysohn_per_value(cert, checks) -> None:
     """Urysohn verifier that parses each value where it is read, and names each
     level set by counting the distinct rescaled values in it."""
@@ -671,7 +683,7 @@ def _verify_urysohn_per_value(cert, checks) -> None:
         return
     ok = True
     for (r, s), h in zip(rows, hs):
-        ok = ok and _continuous(h) and all(
+        ok = ok and _continuous_per_value(h) and all(
             0 <= _value(h, p) <= 1 and (_value(h, p) == 1 or f1[p] < s)
             and (_value(h, p) == 0 or g1[p] > r) for p in pts)
     _check(checks, "urysohn: each h in [0, 1], continuous, 1 on {f >= s}, 0 off {g > r}", ok)
