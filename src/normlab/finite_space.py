@@ -339,8 +339,9 @@ def block_indicators(space, generators: Sequence[FiniteFunc]):
     multiplication, join, meet, and constants: for y outside the block pick a
     separating g and clamp the affine normalization of g into [0,1]; the
     indicator is the meet over all such y (constant 1 when nothing is
-    separated).  Returns (indicators, traces); each trace replays to the same
-    indicator using only the recorded choices.
+    separated).  Returns (indicators, traces); a trace names each y with its
+    separating generator, so it replays from the generators' values at the
+    block's first point and at y.
     """
     if isinstance(space, int):
         space = FiniteSpace.discrete(space)
@@ -370,7 +371,7 @@ def block_indicators(space, generators: Sequence[FiniteFunc]):
             gx, gy = g.values[x], g.values[y]
             h = _clamp01((g - gy) * (Fraction(1) / (gx - gy)))
             chi = chi.meet(h)
-            choices.append({"y": y, "g_index": gi, "gx": gx, "gy": gy})
+            choices.append({"y": y, "g_index": gi})
         indicators.append(chi)
         traces.append({"block": sorted(b), "choices": choices})
     return indicators, traces

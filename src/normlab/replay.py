@@ -4,12 +4,13 @@ Re-checks serialized reports (merge traces, iteration traces, Urysohn joins,
 condition reports, insertion certificates, block-indicator traces) from the
 JSON alone.
 The module deliberately shares no evaluation code with the checkers that
-produced the certificates: it carries its own row reader for the two carrier
-encodings and imports nothing from normlab, so a bug in a searcher cannot
-hide in its own replay.
-The reader parses each element's values once per payload and lays them out
-as rows of int numerators over one denominator, the least common one of the
-payload's elements, at the probe points; every row check then compares ints.
+produced the certificates and imports nothing from normlab, so a bug in a
+searcher cannot hide in its own replay.
+Every verifier reads elements through one per-payload reader, ``_Reader``,
+the only code here that knows the two carrier encodings.  It parses each
+element once into int numerators over its least denominator, lays elements
+out as rows over their least common denominator at their probe points, so
+every row check compares ints, and gives a sequence's cycle and omega values.
 Scalars (epsilon, step bounds, grid values, the transform) stay Fractions,
 and a row is compared with one by cross-multiplying.
 
@@ -29,39 +30,6 @@ def _frac(v) -> Fraction:
     if isinstance(v, bool):
         raise ValueError("boolean is not a rational")
     return Fraction(v)
-
-
-# -- the row reader ----------------------------------------------------------
-
-def _is_seq(d) -> bool:
-    return isinstance(d, dict) and "cycle" in d
-
-
-def _is_finite_func(d) -> bool:
-    return isinstance(d, dict) and "values" in d and "space" in d
-
-
-def _seq_omega(d):
-    om = d.get("omega")
-    return None if om is None else _frac(om)
-
-
-def _span(*seqs) -> int:
-    p = max((len(d.get("prefix", [])) for d in seqs), default=0)
-    cyc = math.lcm(*[len(d["cycle"]) for d in seqs]) if seqs else 1
-    return p + cyc
-
-
-def _points(*elems):
-    """Common probe points for a mix of serialized elements."""
-    if all(_is_seq(d) for d in elems):
-        pts = list(range(_span(*elems)))
-        if all(d.get("omega") is not None for d in elems):
-            pts.append("omega")
-        return pts
-    if all(_is_finite_func(d) for d in elems):
-        return list(range(elems[0]["space"]["points"]))
-    raise ValueError("mixed or unknown element encodings")
 
 
 def _ratio(v, memo) -> tuple[int, int]:
@@ -93,74 +61,105 @@ def _ints(values, memo) -> tuple[int, list[int]]:
     return den, [p * (den // q) for p, q in pairs]
 
 
-def _read(d, memo):
-    """An element's values, each parsed once, and how probe points index them.
+# -- the element reader ------------------------------------------------------
 
-    Returns (_ints of its values, shape): a sequence's values are its prefix,
-    its cycle and then its omega value, if any, with shape (len(prefix),
-    len(cycle), has omega); a finite function's are its values, with shape
-    None.
+class _Reader:
+    """One payload's elements, each parsed once.
+
+    Only the reader knows the element encoding: a sequence is {"prefix",
+    "cycle", "omega"}, a finite function {"values", "space"}.  An element is
+    parsed on first use, keyed by its id (the payload outlives its reader),
+    into int numerators over its least denominator and a shape: (len(prefix),
+    len(cycle), has omega) for a sequence, None for a finite function.
     """
-    if _is_seq(d):
-        prefix, cycle, om = list(d.get("prefix", [])), list(d["cycle"]), d.get("omega")
-        values = prefix + cycle + ([] if om is None else [om])
-        return _ints(values, memo), (len(prefix), len(cycle), om is not None)
-    if _is_finite_func(d):
-        return _ints(d["values"], memo), None
-    raise ValueError("unknown element encoding")
 
+    def __init__(self):
+        self.memo, self.parsed = {}, {}
 
-def _den(parsed) -> int:
-    """The least common denominator of parsed elements."""
-    return math.lcm(*(den for (den, _), _shape in parsed))
+    @staticmethod
+    def is_seq(d) -> bool:
+        return isinstance(d, dict) and "cycle" in d
 
+    @staticmethod
+    def is_finite(d) -> bool:
+        return isinstance(d, dict) and "values" in d and "space" in d
 
-def _row(parsed, pts, den) -> list[int]:
-    """A parsed element's values at the probe points, as numerators over den.
+    def carrier(self, d):
+        """A finite function's space, or whether a sequence has no omega value."""
+        return d["space"] if self.is_finite(d) else d.get("omega") is None
 
-    pts holds "omega" only when the element has a value there, as _points
-    of a set of elements that includes it gives."""
-    (own, nums), shape = parsed
-    scale = den // own
-    nums = [x * scale for x in nums]
-    if shape is None:
-        return [nums[x] for x in pts]
-    k, c, _ = shape
-    return [nums[-1] if x == "omega" else nums[x] if x < k else nums[k + (x - k) % c]
-            for x in pts]
+    def opens(self, d):
+        """The open sets of a finite function's space; None for a sequence."""
+        return {frozenset(o) for o in d["space"]["opens"]} if self.is_finite(d) else None
 
+    def points(self, *elems):
+        """Common probe points for a mix of elements."""
+        if all(self.is_seq(d) for d in elems):
+            span = max((len(d.get("prefix", [])) for d in elems), default=0) \
+                + math.lcm(*[len(d["cycle"]) for d in elems])
+            pts = list(range(span))
+            if all(d.get("omega") is not None for d in elems):
+                pts.append("omega")
+            return pts
+        if all(self.is_finite(d) for d in elems):
+            return list(range(elems[0]["space"]["points"]))
+        raise ValueError("mixed or unknown element encodings")
 
-def _rows(elems, pts):
-    """The elements' rows at the probe points over their least common
-    denominator; returns (den, rows)."""
-    memo = {}
-    parsed = [_read(d, memo) for d in elems]
-    den = _den(parsed)
-    return den, [_row(e, pts, den) for e in parsed]
+    def _parse(self, d):
+        got = self.parsed.get(id(d))
+        if got is None:
+            if self.is_seq(d):
+                prefix, cycle, om = list(d.get("prefix", [])), list(d["cycle"]), d.get("omega")
+                values = prefix + cycle + ([] if om is None else [om])
+                shape = len(prefix), len(cycle), om is not None
+            elif self.is_finite(d):
+                values, shape = d["values"], None
+            else:
+                raise ValueError("unknown element encoding")
+            got = self.parsed[id(d)] = (*_ints(values, self.memo), shape)
+        return got
 
+    def rows(self, *elems, pts=None):
+        """The elements' values at pts (by default their common probe points)
+        as int numerators over their least common denominator; returns (den,
+        rows).  pts holds "omega" only if every element has a value there."""
+        if pts is None:
+            pts = self.points(*elems)
+        parsed = [self._parse(d) for d in elems]
+        den = math.lcm(*(own for own, _, _ in parsed))
+        rows = []
+        for own, nums, shape in parsed:
+            scale = den // own
+            nums = [x * scale for x in nums]
+            if shape is None:
+                rows.append([nums[x] for x in pts])
+            else:
+                k, c, _ = shape
+                rows.append([nums[-1] if x == "omega" else nums[x] if x < k
+                             else nums[k + (x - k) % c] for x in pts])
+        return den, rows
 
-def _omega(parsed):
-    """A parsed sequence's value at omega, or None without one."""
-    (den, nums), shape = parsed
-    if shape is None:
-        return nums["omega"]  # a finite function has no omega: TypeError, as a list index
-    return Fraction(nums[-1], den) if shape[2] else None
+    def seq(self, d):
+        """A sequence's prefix and cycle values and its omega value (None
+        without one), as Fractions."""
+        den, nums, shape = self._parse(d)
+        if shape is None:
+            raise ValueError("a finite function has no cycle")
+        k, c, has_omega = shape
+        vals = [Fraction(x, den) for x in nums]
+        return vals[:k], vals[k:k + c], vals[-1] if has_omega else None
+
+    def convergent(self, d) -> bool:
+        """A finite function is; a sequence iff its cycle is one value, its
+        omega value if it has one."""
+        if not self.is_seq(d):
+            return True
+        _, cycle, om = self.seq(d)
+        return len(cycle) == 1 and om in (None, cycle[0])
 
 
 def _row_le(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def _seq_convergent(d) -> bool:
-    if len(d["cycle"]) != 1:
-        return False
-    om = _seq_omega(d)
-    return om is None or om == _frac(d["cycle"][0])
-
-
-def _cycle_bounds(d):
-    vals = [_frac(v) for v in d["cycle"]]
-    return min(vals), max(vals)
 
 
 # -- payload verifiers -------------------------------------------------------
@@ -171,16 +170,17 @@ def _check(checks, name, ok):
 
 
 def _verify_merge(trace, checks) -> None:
+    rd = _Reader()
     a, b = trace["a_norm"], trace["b_norm"]
     u, v = trace["u_seq"], trace["v_seq"]
-    res = trace["result"]
-    pts = _points(*(a + b + u + v + [res]))
+    elems = a + b + u + v + [trace["result"]]
+    pts = rd.points(*elems)
     n = len(a)
     ok_shape = len(b) == n and len(u) == n and len(v) == n
     _check(checks, "merge: aligned sequence lengths", ok_shape)
     if not ok_shape:
         return
-    _, rows = _rows(a + b + u + v + [res], pts)
+    _, rows = rd.rows(*elems, pts=pts)
     a, b, u, v = (rows[i * n:(i + 1) * n] for i in range(4))
     res = rows[-1]
     _check(checks, "merge: a nonincreasing", all(_row_le(a[i + 1], a[i]) for i in range(n - 1)))
@@ -209,15 +209,10 @@ def _verify_merge(trace, checks) -> None:
 
 
 def _verify_iteration(trace, checks) -> None:
+    rd = _Reader()
     a = trace["a_seq"]
     bounds = [_frac(b) for b in trace["step_bounds"]]
-    pts = _points(*a)
-    f, g = trace.get("f"), trace.get("g")
-    sandwich = f is not None and g is not None
-    memo = {}
-    parsed = [_read(d, memo) for d in ((*a, f, g) if sandwich else a)]
-    den = _den(parsed)
-    rows = [_row(e, pts, den) for e in parsed[:len(a)]]
+    den, rows = rd.rows(*a)
     _check(checks, "iteration: bounds are 1/2^n",
            all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
     # an int t exceeds, or stays within, q * den exactly when it does floor(q * den)
@@ -236,25 +231,23 @@ def _verify_iteration(trace, checks) -> None:
             ok = False
         hi, lo = list(map(max, hi, rows[i])), list(map(min, lo, rows[i]))
     _check(checks, "iteration: Cauchy tail ||a_{n+p} - a_n|| <= 2^{1-n}", ok)
-    if sandwich:
-        pf, pg = parsed[-2:]
-        ok, fg_pts = True, None
-        for i, pa in enumerate(parsed[:len(a)]):
+    f, g = trace.get("f"), trace.get("g")
+    if f is not None and g is not None:
+        ok = True
+        for i, ai in enumerate(a):
+            den, (fr, gr, ar) = rd.rows(f, g, ai)
             lim = bounds[i].numerator * den // bounds[i].denominator
-            pts_i = _points(f, g, a[i])  # rows of f and g are rebuilt only when these move
-            if pts_i != fg_pts:
-                fr, gr, fg_pts = _row(pf, pts_i, den), _row(pg, pts_i, den), pts_i
-            ar = rows[i] if pts_i == pts else _row(pa, pts_i, den)
             if not all(x - y <= lim and y <= z for x, y, z in zip(fr, ar, gr)):
                 ok = False
         _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
 
 
 def _verify_infeasible(cert, checks) -> None:
+    rd = _Reader()
     f, g = cert["f"], cert["g"]
     lsf, lig = _frac(cert["limsup_f"]), _frac(cert["liminf_g"])
-    _check(checks, "infeasible: limsup f recomputed", _cycle_bounds(f)[1] == lsf)
-    _check(checks, "infeasible: liminf g recomputed", _cycle_bounds(g)[0] == lig)
+    _check(checks, "infeasible: limsup f recomputed", max(rd.seq(f)[1]) == lsf)
+    _check(checks, "infeasible: liminf g recomputed", min(rd.seq(g)[1]) == lig)
     _check(checks, "infeasible: limsup exceeds liminf", lsf > lig)
 
 
@@ -280,49 +273,36 @@ def _verify_condition(report, checks) -> None:
                  "fails": "fails" in (cert["L_verdict"], cert["N_verdict"])}
         _check(checks, f"{label}: decomposition consistent", agree.get(verdict, False))
         return
-    parsed, memo = {}, {}
-
-    def rows(*elems):
-        """The elements' rows at their common probe points, each element parsed
-        once per report; returns (den, rows)."""
-        pts = _points(*elems)
-        for d in elems:
-            if id(d) not in parsed:
-                parsed[id(d)] = _read(d, memo)
-        es = [parsed[id(d)] for d in elems]
-        den = _den(es)
-        return den, [_row(e, pts, den) for e in es]
-
+    rd = _Reader()
     f, g = inst.get("f"), inst.get("g")
     if cond in ("N", "D"):
         if verdict == "holds":
             w = cert["witness"]
-            _, (fr, gr, wr) = rows(f, g, w)
-            _check(checks, f"{label}: witness convergent",
-                   not _is_seq(w) or _seq_convergent(w))
+            _, (fr, gr, wr) = rd.rows(f, g, w)
+            _check(checks, f"{label}: witness convergent", rd.convergent(w))
             _check(checks, f"{label}: f <= witness <= g", _row_le(fr, wr) and _row_le(wr, gr))
             if "limit" in cert:
                 _check(checks, f"{label}: limit = the witness's cycle value",
-                       [_frac(v) for v in w["cycle"]] == [_frac(cert["limit"])])
+                       rd.seq(w)[1] == [_frac(cert["limit"])])
         else:
             _verify_infeasible({"f": f, "g": g, **cert}, checks)
         if cond == "D" and "epsilon" in cert:
             eps = _frac(cert["epsilon"])
-            den, (fr, gr) = rows(f, g)
+            den, (fr, gr) = rd.rows(f, g)
             _check(checks, f"{label}: gap f + eps <= g",
                    all((y - x) * eps.denominator >= eps.numerator * den
                        for x, y in zip(fr, gr)))
         return
     if cond in ("T", "BS", "S"):
-        _, (fr, gr) = rows(f, g)
+        _, (fr, gr) = rd.rows(f, g)
         _check(checks, f"{label}: f <= g", _row_le(fr, gr))
         if "witness" in cert:
-            _, (fr, gr, wr) = rows(f, g, cert["witness"])
+            _, (fr, gr, wr) = rd.rows(f, g, cert["witness"])
             _check(checks, f"{label}: witness between endpoints",
                    _row_le(fr, wr) and _row_le(wr, gr))
         if "a_seq" in cert and "b_seq" in cert:
             a, b = cert["a_seq"], cert["b_seq"]
-            _, (fr, gr, *ab) = rows(f, g, *a, *b)
+            _, (fr, gr, *ab) = rd.rows(f, g, *a, *b)
             ar, br = ab[:len(a)], ab[len(a):]
             meet_of = lambda xs, k: min(x[k] for x in xs)
             join_of = lambda xs, k: max(x[k] for x in xs)
@@ -343,7 +323,7 @@ def _verify_condition(report, checks) -> None:
                                 ("join_side", "closed_form_join", join_of_side)):
             if side in cert:
                 data = cert[side]
-                den, (er, cr) = rows(elem, data[key])
+                den, (er, cr) = rd.rows(elem, data[key])
                 bound = Fraction(1, data["depth"])
                 norm = max(max(er), -min(er))
                 spread = norm - min(er) if side == "meet_side" else max(er) + norm
@@ -354,7 +334,7 @@ def _verify_condition(report, checks) -> None:
     if cond in ("C", "L"):
         fam = inst.get("family", cert.get("family"))
         if verdict == "holds" and "subfamily" in cert and fam is not None:
-            den, fam_rows = rows(*fam)
+            den, fam_rows = rd.rows(*fam)
             chosen = [fam_rows[i] for i in cert["subfamily"]]
             ks = range(len(fam_rows[0]))
             join_min = min(max(x[k] for x in chosen) for k in ks)
@@ -363,7 +343,7 @@ def _verify_condition(report, checks) -> None:
                 _check(checks, f"{label}: recorded join minimum matches",
                        _frac(cert["join_min"]) * den == join_min)
             if "join_omega" in cert:
-                at_omega = max(_omega(parsed[id(fam[i])]) for i in cert["subfamily"])
+                at_omega = max(rd.seq(fam[i])[2] for i in cert["subfamily"])
                 _check(checks, f"{label}: recorded join at omega matches",
                        at_omega == _frac(cert["join_omega"]))
             eps = _frac(inst.get("epsilon", cert.get("epsilon")))
@@ -403,13 +383,13 @@ def _verify_ideal(payload, checks) -> None:
     elem = payload["element"]
     in_i, in_j = payload["in_I_alpha"], payload["in_J_radical"]
     cert = payload["cert"]
-    prefix = [_frac(v) for v in elem.get("prefix", [])]  # every value parsed before judging
-    if "ratio" in elem:  # geometric tail: limit 0, finite support iff q = 0
+    if "ratio" in elem:  # geometric tail, with no cycle: limit 0, finite support iff q = 0
+        prefix = [_frac(v) for v in elem.get("prefix", [])]
         q, _ = _frac(elem["q"]), _frac(elem["ratio"])
         _check(checks, "ideal: tail lies in the radical", in_j is True)
         _check(checks, "ideal: compact-support membership matches q", in_i == (q == 0))
     else:
-        cycle, om = [_frac(v) for v in elem["cycle"]], _seq_omega(elem)
+        prefix, cycle, om = _Reader().seq(elem)
         ok = len(cycle) == 1 and om == cycle[0]
         _check(checks, "ideal: element convergent", ok)
         if not ok:
@@ -431,43 +411,40 @@ def _verify_ideal(payload, checks) -> None:
 def _verify_block_replay(payload, checks) -> None:
     """Rebuild block indicators from their traces with local arithmetic only.
 
-    A generator is read when a choice first names it, and only at the n
-    points of the space.  Each replayed value is a pair (num, den), den > 0.
+    With x the block's first point, each choice of a generator g and a point
+    y contributes h = (g - g(y)) / (g(x) - g(y)) clamped to [0, 1], read from
+    g at the n points of the space; a choice with g(x) = g(y) fails its row.
+    Each replayed value is a pair (num, den), den > 0, and must be exactly 1
+    on the block and exactly 0 off it.
     """
+    rd = _Reader()
     gens = payload["generators"]
-    n = gens[0]["space"]["points"]
+    pts = rd.points(gens[0])
     traces, indicators = payload["traces"], payload["indicators"]
     points = sorted(x for trace in traces for x in trace["block"])
     if not _check(checks, "block traces: one per indicator, blocks partition the points",
-                  len(traces) == len(indicators) and points == list(range(n))):
+                  len(traces) == len(indicators) and points == pts):
         return
-    read, memo = {}, {}  # id of a generator -> (den, its values at the n points)
     for trace, ind in zip(traces, indicators):
-        values = [(1, 1)] * n
+        x, ok, values = trace["block"][0], True, [(1, 1)] * len(pts)
         for ch in trace["choices"]:
-            g = gens[ch["g_index"]]
-            gx, gy = _frac(ch["gx"]), _frac(ch["gy"])
-            if id(g) not in read:
-                read[id(g)] = _ints([g["values"][x] for x in range(n)], memo)
-            den, row = read[id(g)]
-            span = gx - gy
-            if not span and n:  # h(0) = (g(0) - gy) / span raises Fraction's ZeroDivisionError
-                (Fraction(row[0], den) - gy) / span
-            # h(x) = (g(x) - gy) / span = (row[x] * slope - offset) / hd, with hd > 0
+            _, (row,) = rd.rows(gens[ch["g_index"]], pts=pts)
+            gy = row[ch["y"]]
+            span = row[x] - gy
+            ok = ok and span != 0
+            # h = (g - gy) / span clamped to [0, 1], as hn / hd with hd > 0
             sign = 1 if span > 0 else -1
-            hd = sign * den * gy.denominator * span.numerator
-            slope = sign * gy.denominator * span.denominator
-            offset = sign * gy.numerator * den * span.denominator
-            for x in range(n):
-                hn = min(max(row[x] * slope - offset, 0), hd)  # h clamped to [0, 1]
-                vn, vd = values[x]
+            hd = sign * span
+            for z in pts:
+                hn = min(max(sign * (row[z] - gy), 0), hd)
+                vn, vd = values[z]
                 if hn * vd < vn * hd:
-                    values[x] = hn, hd
-        den, expected = _ints(ind["values"], memo)
+                    values[z] = hn, hd
+        den, (expected,) = rd.rows(ind)
         block = set(trace["block"])
-        ok = len(expected) == n and all(vn * den == e * vd
-                                        for (vn, vd), e in zip(values, expected))
-        ok = ok and all((vn == vd) == (x in block) for x, (vn, vd) in enumerate(values))
+        ok = ok and len(expected) == len(pts) and all(
+            vn * den == e * vd and vn == (vd if z in block else 0)
+            for z, (vn, vd), e in zip(pts, values, expected))
         if not _check(checks, f"block {sorted(block)}: trace replays to 0/1 indicator", ok):
             return
     _check(checks, "block traces: all replayed", True)
@@ -478,20 +455,17 @@ def _verify_block_replay(payload, checks) -> None:
 MAX_Q = 64
 
 
-def _continuous(d) -> bool:
-    """A finite function is continuous iff each fiber is open; a sequence iff
-    it is constant on its cycle at its omega value (on the naturals alone,
-    every sequence is)."""
-    if _is_finite_func(d):
-        opens = {frozenset(o) for o in d["space"]["opens"]}
-        fibers = {}
-        for x, v in enumerate(_ints(d["values"], {})[1]):
-            fibers.setdefault(v, set()).add(x)
-        return all(frozenset(fiber) in opens for fiber in fibers.values())
-    if d.get("omega") is None:
-        return True
-    cycle = _ints(list(d["cycle"]) + [d["omega"]], {})[1]
-    return all(v == cycle[-1] for v in cycle)
+def _continuous(rd, d, opens) -> bool:
+    """A finite function is continuous iff each fiber is one of its space's
+    opens; a sequence (opens None) iff it is constant on its cycle at its
+    omega value (on the naturals alone, every sequence is)."""
+    if opens is None:
+        _, cycle, om = rd.seq(d)
+        return om is None or all(v == om for v in cycle)
+    fibers = {}
+    for x, v in enumerate(rd.rows(d)[1][0]):
+        fibers.setdefault(v, set()).add(x)
+    return all(frozenset(fiber) in opens for fiber in fibers.values())
 
 
 def _verify_urysohn(cert, checks) -> None:
@@ -508,13 +482,11 @@ def _verify_urysohn(cert, checks) -> None:
     if type(q_max) is not int or not 1 <= q_max <= MAX_Q:
         raise ValueError(f"q_max must be an integer from 1 to MAX_Q = {MAX_Q}")
     hs = [row["h"] for row in cert["pairs"]]
-
-    def carrier(d):  # a finite space, or whether a sequence has an omega value
-        return d["space"] if _is_finite_func(d) else d.get("omega") is None
-
-    if any(carrier(d) != carrier(f) for d in (g, res, *hs)):
+    rd = _Reader()
+    if any(rd.carrier(d) != rd.carrier(f) for d in (g, res, *hs)):
         raise ValueError("elements on different carriers")
-    den, (fr, gr, rr, *hr) = _rows([f, g, res, *hs], _points(f, g, res, *hs))
+    den, (fr, gr, rr, *hr) = rd.rows(f, g, res, *hs)
+    opens = rd.opens(f)
     a = -min(fr)  # a / den and b / den are the transform
     b = max(gr) + a or den
     _check(checks, "urysohn: transform recomputed",
@@ -549,7 +521,7 @@ def _verify_urysohn(cert, checks) -> None:
         return
     ok = True
     for (r, s), h, d in zip(rows, hr, hs):
-        ok = ok and _continuous(d) and all(
+        ok = ok and _continuous(rd, d, opens) and all(
             0 <= v <= den and (v == den or x * s.denominator < s.numerator * unit)
             and (v == 0 or y * r.denominator > r.numerator * unit)
             for v, x, y in zip(h, f1, g1))

@@ -160,6 +160,8 @@ def test_block_indicators_exact_partition():
     gens = [FiniteFunc(space, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                                for _ in range(5)]) for _ in range(2)]
     indicators, traces = block_indicators(space, gens)
+    # a choice names y and its generator; replay reads g(x) and g(y) from it
+    assert all(set(ch) == {"y", "g_index"} for t in traces for ch in t["choices"])
     sig = [tuple(g.values[x] for g in gens) for x in range(5)]
     blocks = [sorted(t["block"]) for t in traces]
     covered = sorted(x for b in blocks for x in b)
@@ -204,6 +206,35 @@ def test_block_replay_tamper(tamper):
     tamper(payload["block_replay"])
     result = verify_report(payload)
     assert result["verified"] == 1 and not result["ok"]
+
+
+def _failed_block_rows(gen_values, tamper):
+    space = FiniteSpace.discrete(len(gen_values))
+    gens = [FiniteFunc(space, gen_values)]
+    indicators, traces = block_indicators(space, gens)
+    payload = {"generators": to_jsonable(gens), "traces": to_jsonable(traces),
+               "indicators": to_jsonable(indicators)}
+    assert verify_report({"block_replay": payload})["ok"]
+    tamper(payload)
+    return [c["check"] for c in verify_report({"block_replay": payload})["checks"]
+            if not c["ok"]]
+
+
+def test_block_replay_requires_zero_off_the_block():
+    def drop_y2(p):  # block [0] of [0, 1, 1/2] then replays to [1, 0, 1/2]
+        p["traces"][0]["choices"] = [ch for ch in p["traces"][0]["choices"] if ch["y"] != 2]
+        p["indicators"][0]["values"] = ["1", "0", "1/2"]
+
+    assert _failed_block_rows([0, 1, Fraction(1, 2)], drop_y2) == [
+        "block [0]: trace replays to 0/1 indicator"]
+
+
+def test_block_replay_choice_that_separates_nothing_fails_its_row():
+    def y_in_block(p):  # g(0) = g(1), so the choice divides by zero
+        p["traces"][0]["choices"][0]["y"] = 1
+
+    assert _failed_block_rows([0, 0, 1], y_in_block) == [
+        "block [0, 1]: trace replays to 0/1 indicator"]
 
 
 def test_block_indicators_separating_gives_singletons():

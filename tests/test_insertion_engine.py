@@ -41,7 +41,7 @@ from normlab.replay import (
     _check,
     _continuous,
     _frac,
-    _points,
+    _Reader,
     _verify_block_replay,
     _verify_iteration,
     _verify_merge,
@@ -579,7 +579,7 @@ def _verify_merge_per_value(trace, checks) -> None:
     a, b = trace["a_norm"], trace["b_norm"]
     u, v = trace["u_seq"], trace["v_seq"]
     res = trace["result"]
-    pts = _points(*(a + b + u + v + [res]))
+    pts = _Reader().points(*(a + b + u + v + [res]))
     n = len(a)
     ok_shape = len(b) == n and len(u) == n and len(v) == n
     _check(checks, "merge: aligned sequence lengths", ok_shape)
@@ -615,7 +615,7 @@ def _verify_iteration_pairwise(trace, checks) -> None:
     """Iteration verifier that checks the Cauchy tail pair by pair."""
     a = trace["a_seq"]
     bounds = [_frac(b) for b in trace["step_bounds"]]
-    pts = _points(*a)
+    pts = _Reader().points(*a)
     _check(checks, "iteration: bounds are 1/2^n",
            all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
     ok = True
@@ -637,7 +637,7 @@ def _verify_iteration_pairwise(trace, checks) -> None:
         ok = True
         for i in range(len(a)):
             eps = bounds[i]
-            for p in _points(f, g, a[i]):
+            for p in _Reader().points(f, g, a[i]):
                 if not _value(f, p) - eps <= _value(a[i], p) <= _value(g, p):
                     ok = False
         _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
@@ -660,7 +660,7 @@ def _verify_urysohn_per_value(cert, checks) -> None:
     level set by counting the distinct rescaled values in it."""
     f, g, res, q_max = cert["f"], cert["g"], cert["result"], cert["q_max"]
     hs = [row["h"] for row in cert["pairs"]]
-    pts = _points(f, g, res, *hs)
+    pts = _Reader().points(f, g, res, *hs)
     a = -min(_value(f, p) for p in pts)
     b = max(_value(g, p) for p in pts) + a or Fraction(1)
     _check(checks, "urysohn: transform recomputed",
@@ -699,7 +699,8 @@ def _verify_urysohn_per_value(cert, checks) -> None:
 
 
 def _verify_block_per_value(payload, checks) -> None:
-    """Block verifier that parses each value where it is read."""
+    """Block verifier that parses each value where it is read; each choice's
+    g(x) and g(y) come from the generator, with x the block's first point."""
     gens = payload["generators"]
     n = gens[0]["space"]["points"]
     traces, indicators = payload["traces"], payload["indicators"]
@@ -713,10 +714,13 @@ def _verify_block_per_value(payload, checks) -> None:
         for x in range(n):
             v = Fraction(1)
             for ch in trace["choices"]:
-                gx, gy = _frac(ch["gx"]), _frac(ch["gy"])
-                h = (_value(gens[ch["g_index"]], x) - gy) / (gx - gy)
-                v = min(v, max(h, Fraction(0)))
-            ok = ok and v == _value(ind, x) and (v == 1) == (x in block)
+                g = gens[ch["g_index"]]
+                gx, gy = _value(g, trace["block"][0]), _value(g, ch["y"])
+                if gx == gy:
+                    ok = False
+                    continue
+                v = min(v, max((_value(g, x) - gy) / (gx - gy), Fraction(0)))
+            ok = ok and v == _value(ind, x) and v == (1 if x in block else 0)
         if not _check(checks, f"block {sorted(block)}: trace replays to 0/1 indicator", ok):
             return
     _check(checks, "block traces: all replayed", True)
@@ -1051,16 +1055,21 @@ def test_urysohn_replay_tamper_fails_its_row(carrier, tamper, row):
     assert not verify_report(payload)["ok"]
 
 
+def _continuous_alone(d):
+    rd = _Reader()  # a reader per element: it keys what it parsed by the element's id
+    return _continuous(rd, d, rd.opens(d))
+
+
 def test_urysohn_replay_continuity():
     opens = [[], [1], [0, 1]]
-    assert _continuous({"space": {"points": 2, "opens": opens}, "values": ["1", "1"]})
-    assert not _continuous({"space": {"points": 2, "opens": opens}, "values": ["0", "1"]})
-    assert _continuous({"space": {"points": 2, "opens": [[], [0], [1], [0, 1]]},
-                        "values": ["0", "1"]})
-    assert _continuous({"prefix": ["1/2"], "cycle": ["1"], "omega": "1"})
-    assert not _continuous({"prefix": [], "cycle": ["1", "0"], "omega": "1"})
-    assert not _continuous({"prefix": [], "cycle": ["0"], "omega": "1"})
-    assert _continuous({"prefix": [], "cycle": ["1", "0"], "omega": None})
+    assert _continuous_alone({"space": {"points": 2, "opens": opens}, "values": ["1", "1"]})
+    assert not _continuous_alone({"space": {"points": 2, "opens": opens}, "values": ["0", "1"]})
+    assert _continuous_alone({"space": {"points": 2, "opens": [[], [0], [1], [0, 1]]},
+                              "values": ["0", "1"]})
+    assert _continuous_alone({"prefix": ["1/2"], "cycle": ["1"], "omega": "1"})
+    assert not _continuous_alone({"prefix": [], "cycle": ["1", "0"], "omega": "1"})
+    assert not _continuous_alone({"prefix": [], "cycle": ["0"], "omega": "1"})
+    assert _continuous_alone({"prefix": [], "cycle": ["1", "0"], "omega": None})
 
 
 def _drop_omega_of_result_and_h(c):

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, every
 function and class the library defines has a caller in the library or the
-benchmark, the scenario reader holds no copy of a model's value check, every
-name the benchmark's tracer wraps still exists, and the tracer still reads
-what the library emits."""
+benchmark, the scenario reader holds no copy of a model's value check, replay
+reads elements only through its reader, every name the benchmark's tracer
+wraps still exists, and the tracer still reads what the library emits."""
 
 import ast
 import json
@@ -115,6 +115,57 @@ def test_reader_leaves_value_checks_to_the_models():
     assert [n.lineno for n in ast.walk(instance) if isinstance(n, ast.Compare)
             and any(isinstance(x, ast.Name) and x.id == "model"
                     for x in [n.left, *n.comparators])] == []
+
+
+ELEMENT_KEYS = {"prefix", "cycle", "omega", "values", "space"}
+
+
+def element_reads(source: str) -> list[str]:
+    """Reads of an element key, by subscript or ``.get``, outside ``_Reader``.
+
+    The geometric-tail branch of ``_verify_ideal`` (under ``if "ratio" in``)
+    may read a tail's prefix: that encoding has no cycle, so the reader does
+    not know it.
+    """
+    out = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", type(top).__name__)
+        if name == "_Reader":
+            continue
+        allowed = set()
+        if name == "_verify_ideal":
+            for node in ast.walk(top):
+                if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                        and isinstance(node.test.left, ast.Constant)
+                        and node.test.left.value == "ratio"):
+                    allowed |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+        for node in ast.walk(top):
+            if isinstance(node, ast.Subscript):
+                key = node.slice
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "get" and node.args):
+                key = node.args[0]
+            else:
+                continue
+            if (isinstance(key, ast.Constant) and key.value in ELEMENT_KEYS
+                    and id(node) not in allowed):
+                out.append(f"{name}:{node.lineno} {key.value}")
+    return out
+
+
+def test_replay_reads_elements_only_through_its_reader():
+    """Only the replay reader knows the element encoding."""
+    assert element_reads((SRC / "replay.py").read_text()) == []
+
+
+def test_element_read_outside_the_reader_is_found():
+    source = ('class _Reader:\n    def seq(self, d):\n        return d["cycle"]\n\n\n'
+              'def _verify_x(p, checks):\n    return p["f"]["values"], p.get("omega")\n\n\n'
+              'def _verify_ideal(payload, checks):\n    elem = payload["element"]\n'
+              '    if "ratio" in elem:\n        return elem.get("prefix", [])\n'
+              '    return elem["prefix"]\n')
+    assert element_reads(source) == [
+        "_verify_x:7 values", "_verify_x:7 omega", "_verify_ideal:14 prefix"]
 
 
 def test_benchmark_tracer_installs():
