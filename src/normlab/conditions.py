@@ -29,7 +29,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .finite_space import FiniteFunc, FiniteSpace
-from .lattice_core import check_cover, check_gap, check_order, finite_join
+from .lattice_core import check_cover, check_gap, check_order, check_positive, finite_join
 from .rationals import ONE, rat
 from .seq_model import (
     SeqFunc,
@@ -37,7 +37,6 @@ from .seq_model import (
     check_naturals_pair,
     insert_convergent,
     insert_on_y,
-    noncompact_family,
     strict_insert,
     subcover_extract,
 )
@@ -237,28 +236,28 @@ class SeqXEndModel(ExtensionModel):
         return HOLDS, {"witness": w.func, "limit": w.limit, "epsilon": eps}
 
     def _built_in_family(self, instance):
-        """(epsilon, delta, defeat) of the built-in family; both must be positive."""
+        """(epsilon, delta) of the built-in family; both must be positive."""
         eps = rat(instance.get("epsilon", ONE))
         delta = rat(instance.get("delta", Fraction(1, 2)))
-        return eps, delta, noncompact_family(eps, delta)[2]
+        return check_positive(eps, "epsilon"), check_positive(delta, "delta")
 
     def cond_c(self, instance, depth):
-        eps, delta, defeat = self._built_in_family(instance)
+        eps, delta = self._built_in_family(instance)
         size_cap = int(instance.get("subfamily_cap", 4))
         if not 1 <= size_cap <= MAX_SUBFAMILY_CAP:
             raise PreconditionViolation(
                 f"subfamily_cap must lie in 1..{MAX_SUBFAMILY_CAP}, got {size_cap}",
                 key="subfamily_cap")
-        defeats = []
-        for combo in _subsets(range(min(depth, 8)), size_cap):
-            idx, value = defeat(combo)
-            defeats.append({"subfamily": list(combo), "index": idx, "join_value": value})
+        # every member is -delta past its truncation, so a subfamily's join is
+        # -delta one index past its largest truncation
+        defeats = [{"subfamily": list(combo), "index": max(combo) + 1, "join_value": -delta}
+                   for combo in _subsets(range(min(depth, 8)), size_cap)]
         return FAILS, {"epsilon": eps, "delta": delta,
                        "family": "truncated plateaus over a negative tail",
                        "defeats": defeats}
 
     def cond_l(self, instance, depth):
-        eps, delta, _ = self._built_in_family(instance)
+        eps, delta = self._built_in_family(instance)
         # member n is eps + delta up to index n and -delta beyond, so member k
         # is the first one above eps/2 at index k
         picks = [{"index": k, "member": k, "value": eps + delta} for k in range(depth)]

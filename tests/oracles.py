@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from normlab.errors import BoundExceeded, CarrierMismatch, PreconditionViolation
+from normlab.errors import BoundExceeded, CarrierMismatch, EmptyFamily, PreconditionViolation
 from normlab.finite_space import FiniteFunc, FiniteSpace
+from normlab.lattice_core import check_positive
 from normlab.seq_model import SeqFunc
 
 
@@ -110,3 +111,37 @@ def countable_join_family(g: SeqFunc):
         return max(g.at(k) - Fraction(1, m_depth), bound)
 
     return member, truncated_join_at
+
+
+def noncompact_family(epsilon, delta):
+    """The defeating cover family witnessing the compactness failure on the naturals.
+
+    Member n equals epsilon+delta up to index n and -delta beyond (a
+    convergent function with limit -delta).  The pointwise supremum over the
+    whole family is epsilon+delta everywhere, yet any finite subfamily's join
+    equals -delta at every index past the largest truncation; ``defeat`` maps
+    a finite subfamily to that explicit index.
+    """
+    eps, dlt = check_positive(epsilon, "epsilon"), check_positive(delta, "delta")
+    hi = eps + dlt
+
+    def member(n: int) -> SeqFunc:
+        return SeqFunc([hi] * (n + 1), (-dlt,), -dlt)
+
+    def stream() -> Iterator[SeqFunc]:
+        n = 0
+        while True:
+            yield member(n)
+            n += 1
+
+    def defeat(indices: Sequence[int]):
+        """(index, join value) refuting the finite subfamily with the given truncations.
+
+        Every member is -delta past its truncation, so the join is -delta one
+        index past the largest truncation; no member is built.
+        """
+        if not indices:
+            raise EmptyFamily("a defeated subfamily needs at least one member")
+        return max(indices) + 1, -dlt
+
+    return member, stream, defeat

@@ -40,7 +40,6 @@ from normlab.seq_model import (
     insert_convergent,
     insert_on_y,
     local_compact_minorants,
-    noncompact_family,
     semicontinuity_on_y,
     subcover_extract,
     threshold_indicator,
@@ -48,6 +47,7 @@ from normlab.seq_model import (
 )
 from normlab.serialize import to_jsonable
 from oracles import (
+    noncompact_family,
     rand_rational,
     random_feasible_x_pair,
     random_finite_func,

@@ -34,14 +34,18 @@ from normlab.seq_model import (
     limit_data,
     lindelof_extract,
     local_compact_minorants,
-    noncompact_family,
     semicontinuity_on_y,
     strict_insert,
     subcover_extract,
     threshold_indicator,
     urysohn_y,
 )
-from oracles import countable_join_family, countable_meet_family, random_x_pair
+from oracles import (
+    countable_join_family,
+    countable_meet_family,
+    noncompact_family,
+    random_x_pair,
+)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
@@ -338,24 +342,18 @@ def test_lindelof_extract_starts_family_once():
 
 
 @pytest.mark.parametrize("depth", [8, 64, 200])
-def test_l_route_realizes_linearly_many_members(depth, monkeypatch):
-    realized = []
+@pytest.mark.parametrize("cond,verdict", [("C", "fails"), ("L", "holds")])
+def test_built_in_family_routes_build_no_element(cond, verdict, depth, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"({cond}) built a SeqFunc")
 
-    def counting_family(eps, delta):
-        member, stream, defeat = noncompact_family(eps, delta)
-
-        def counted():
-            for g in stream():
-                realized.append(g)
-                yield g
-
-        return member, counted, defeat
-
-    monkeypatch.setattr(conditions, "noncompact_family", counting_family)
-    report = conditions.check_condition(conditions.SeqXEndModel(), "L", {}, depth)
-    assert report.verdict == "holds"
-    assert len(report.certificate["picks"]) == depth
-    assert realized == []  # the picks come from the family's closed form
+    # (C) defeats and (L) picks come from the family's closed form
+    monkeypatch.setattr(SeqFunc, "__init__", refuse)
+    monkeypatch.setattr(SeqFunc, "_new", classmethod(refuse))
+    report = conditions.check_condition(conditions.SeqXEndModel(), cond, {}, depth)
+    assert report.verdict == verdict
+    if cond == "L":
+        assert len(report.certificate["picks"]) == depth
 
 
 EPS_DELTA = [(1, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 12)), (Fraction(7, 4), 2)]
