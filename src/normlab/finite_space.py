@@ -331,7 +331,7 @@ def _clamp01(h: FiniteFunc) -> FiniteFunc:
     return h.join(ZERO).meet(ONE)
 
 
-def block_indicators(space, generators: Sequence[FiniteFunc]):
+def block_indicators(space: FiniteSpace, generators: Sequence[FiniteFunc]):
     """Exact block indicators of the fiber partition of a generator set.
 
     Points x, y fall in the same block iff g(x) = g(y) for every generator.
@@ -343,8 +343,6 @@ def block_indicators(space, generators: Sequence[FiniteFunc]):
     separating generator, so it replays from the generators' values at the
     block's first point and at y.
     """
-    if isinstance(space, int):
-        space = FiniteSpace.discrete(space)
     if not generators:
         raise EmptyFamily("need at least one generator")
     n = space.n

@@ -5,6 +5,11 @@ carrier (plus an injected oracle where one is needed) and emits a trace whose
 every inequality is re-checkable from the trace alone.  Countable sequences
 become finite lists: on the finite model they stabilize, on the sequence
 model they are exercised at explicit truncation depth.
+
+A procedure checks its inputs and its injected oracles and carriers, and
+nothing those checks already imply; :mod:`normlab.replay` checks the
+certificates.  (``tong_merge`` still records its invariant checks, because
+its trace serializes them.)
 """
 
 from __future__ import annotations
@@ -102,14 +107,16 @@ def dieudonne_iterate(oracle: Oracle, f: AlgElement, g: AlgElement, steps: int) 
     The oracle takes (lower, upper, epsilon) with lower + epsilon <= upper
     and returns some a with lower <= a <= upper.  Step m+1 squeezes between
     (f - 1/2^{m+1}) v (a_m - 1/2^m) and g ^ (a_m + 1/2^m) at gap 1/2^{m+1}.
-    Both loop invariants are checked exactly at every step:
-    (1) f - 1/2^n <= a_n <= g, and (2) a_n - 1/2^n <= a_{n+1} <= a_n + 1/2^n;
-    the shifted elements each step needs are built once and serve both the
-    sandwich and the invariant checks.  The tail bound
-    ||a_{n+p} - a_n|| <= 2^{1-n} is then verified for every recorded pair,
-    through the suffix joins and meets of the sequence (see
-    :func:`_check_cauchy_tail`): the same predicate as the pairwise loop, in
-    O(steps) element operations.
+
+    Checked here: ``steps >= 1`` and ``f <= g`` (inputs), and each witness
+    against its sandwich (the oracle is caller code).  The rest follows from
+    these.  The sandwich implies both loop invariants, (1) f - 1/2^n <= a_n <= g
+    and (2) a_n - 1/2^n <= a_{n+1} <= a_n + 1/2^n, as lower is the join of
+    their lower bounds and upper the meet of their upper bounds.  Both
+    invariants at step m and f <= g give the gap lower + 1/2^{m+1} <= upper
+    at step m+1.  Summing (2) gives the tail ||a_{n+p} - a_n|| < 2^{1-n}.
+    Replay re-checks the step bounds, the tail and the sandwich from the
+    serialized trace.
     """
     if steps < 1:
         raise PreconditionViolation("at least one step is required")
@@ -118,50 +125,16 @@ def dieudonne_iterate(oracle: Oracle, f: AlgElement, g: AlgElement, steps: int) 
     bounds: list[Fraction] = []
     for m in range(1, steps + 1):
         eps = Fraction(1, 2 ** m)
-        f_lo = f - eps
-        if m == 1:
-            lower, upper = f_lo, g
-        else:
-            prev_lo, prev_hi = a_seq[-1] - bounds[-1], a_seq[-1] + bounds[-1]
-            lower, upper = f_lo.join(prev_lo), g.meet(prev_hi)
-        gap_bad = (lower + eps).first_violation(upper)
-        if gap_bad is not None:
-            raise PreconditionViolation(
-                f"iteration gap lost at step {m}, point {gap_bad!r}")
+        lower, upper = f - eps, g
+        if a_seq:
+            lower = lower.join(a_seq[-1] - bounds[-1])
+            upper = upper.meet(a_seq[-1] + bounds[-1])
         a = oracle(lower, upper, eps)
         if not lower.le(a) or not a.le(upper):
             raise OracleContractViolation(m, a, "witness outside its sandwich")
-        if not f_lo.le(a) or not a.le(g):
-            raise OracleContractViolation(m, a, "invariant (1) broken")
-        if a_seq and (not prev_lo.le(a) or not a.le(prev_hi)):
-            raise OracleContractViolation(m, a, "invariant (2) broken")
         a_seq.append(a)
         bounds.append(eps)
-    _check_cauchy_tail(a_seq)
     return IterationTrace(a_seq, bounds)
-
-
-def _check_cauchy_tail(a_seq: Sequence[AlgElement]) -> None:
-    """Raise BoundViolation at the first pair i < j with ||a_j - a_i|| > 2^{1-i}.
-
-    With hi_i and lo_i the join and meet of a_j over j > i (built once, from
-    the end), max_{j>i} ||a_j - a_i|| = ||(hi_i - a_i) v (a_i - lo_i)||
-    exactly, so each i costs a few element operations.  Only a failing i
-    scans its j in order, to report the pair the pairwise loop would.
-    """
-    spreads = []  # max over j > i of ||a_j - a_i||, for i from the end
-    hi = lo = a_seq[-1]
-    for a in reversed(a_seq[:-1]):
-        spreads.append(((hi - a).join(a - lo)).norm())
-        hi, lo = hi.join(a), lo.meet(a)
-    for i, spread in enumerate(reversed(spreads)):
-        tail = Fraction(2, 2 ** (i + 1))
-        if spread <= tail:
-            continue
-        for j in range(i + 1, len(a_seq)):
-            delta = (a_seq[j] - a_seq[i]).norm()
-            if delta > tail:
-                raise BoundViolation(i + 1, f"tail {delta} exceeds {tail}")
 
 
 def midpoint_oracle(lower: AlgElement, upper: AlgElement, eps) -> AlgElement:
@@ -332,10 +305,11 @@ def increasing_approx(reference: AlgElement, c_seq: Sequence[AlgElement],
                       r_seq: Sequence) -> list[AlgElement]:
     """Monotone below-approximation of a reference element from tagged approximants.
 
-    Each c_n comes with a certified error bound r_n (||reference - c_n||
-    <= r_n, verified here; BoundViolation names the first failing n).
-    Returns the prefix joins a_n of the shifted elements c_n - r_n; each a_n
-    is below the reference with ||reference - a_n|| <= 2 * min(r_1..r_n).
+    Each c_n comes with a certified error bound r_n, ||reference - c_n|| <= r_n,
+    checked here as input (BoundViolation names the first failing n).
+    Returns the prefix joins a_n of the shifted elements c_n - r_n.  The
+    input check gives reference - 2 r_n <= c_n - r_n <= reference, so each
+    a_n lies below the reference with ||reference - a_n|| <= 2 * min(r_1..r_n).
     The factor 2 is sharp: c_n may sit r_n below the reference, and shifting
     by r_n doubles the defect.
     """
@@ -343,16 +317,9 @@ def increasing_approx(reference: AlgElement, c_seq: Sequence[AlgElement],
         raise PreconditionViolation("c_seq and r_seq must be nonempty and aligned")
     rates = [rat(r) for r in r_seq]
     out: list[AlgElement] = []
-    best = None
     for n, (c, r) in enumerate(zip(c_seq, rates), start=1):
         if (reference - c).norm() > r:
             raise BoundViolation(n, f"||reference - c_{n}|| > {r}")
         shifted = c - r
-        a_n = shifted if not out else out[-1].join(shifted)
-        best = r if best is None else min(best, r)
-        if not a_n.le(reference):
-            raise BoundViolation(n, "approximant exceeds the reference")
-        if (reference - a_n).norm() > 2 * best:
-            raise BoundViolation(n, f"certified rate 2*{best} missed")
-        out.append(a_n)
+        out.append(shifted if not out else out[-1].join(shifted))
     return out

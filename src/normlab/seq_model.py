@@ -117,20 +117,11 @@ class SeqFunc(AlgElement):
         cycle = self.cycle
         return cycle[(k - len(prefix)) % len(cycle)]
 
-    def with_omega(self, value) -> "SeqFunc":
-        return SeqFunc(self.prefix, self.cycle, value)
-
     def is_convergent(self) -> bool:
         """Single-valued cycle, equal to the omega value when one is present."""
         if len(self.cycle) != 1:
             return False
         return self.omega is None or self.omega == self.cycle[0]
-
-    def support(self) -> list[int]:
-        """Indices in the naturals with nonzero value; only meaningful when the cycle is zero."""
-        if any(v != 0 for v in self.cycle):
-            raise PreconditionViolation("support is infinite (nonzero cycle)")
-        return [k for k, v in enumerate(self.prefix) if v != 0]
 
     # the carrier's part of the element kernel
 
@@ -411,9 +402,6 @@ class GeoTail:
     def omega(self) -> Fraction:
         return ZERO
 
-    def limit(self) -> Fraction:
-        return ZERO
-
     def has_finite_support(self) -> bool:
         return self.q == 0
 
@@ -513,8 +501,13 @@ def subcover_extract(epsilon, family: Sequence[SeqFunc]):
     pointwise supremum is at least epsilon everywhere.  Greedy selection:
     one member large at omega covers the whole tail; each prefix index where
     it drops to 0 or below is patched by a member that is at least
-    epsilon/2 there.  Returns (subfamily indices, certificate).  A member
-    that is not convergent is keyed ``family/<i>``.
+    epsilon/2 there.  Returns (subfamily indices, certificate).
+
+    Checked here: each member is convergent (a member that is not is keyed
+    ``family/<i>``) and the family covers at level epsilon.  The join needs
+    no check: the star member is positive on its cycle and at omega, and
+    every prefix index where it is not gets a patch of at least epsilon/2.
+    Replay re-checks the join from the family.
     """
     family = list(family)
     for i, t in enumerate(family):
@@ -533,15 +526,12 @@ def subcover_extract(epsilon, family: Sequence[SeqFunc]):
                 chosen.append(j)
             patches.append({"index": k, "member": j})
     joined = finite_join([family[i] for i in chosen])
-    lo = joined.value_bounds()[0]
     cert = {
         "star": star,
         "patches": patches,
-        "join_min": lo,
+        "join_min": joined.value_bounds()[0],
         "join_omega": joined.omega,
     }
-    if lo < 0:
-        raise PreconditionViolation("greedy subcover failed its own certificate")
     return chosen, cert
 
 

@@ -34,6 +34,11 @@ def random_finite_func(space: FiniteSpace, rng: random.Random,
                               for _ in range(space.n)])
 
 
+def with_omega(f: SeqFunc, value) -> SeqFunc:
+    """f on the naturals, extended to the compactification by value at omega."""
+    return SeqFunc(f.prefix, f.cycle, value)
+
+
 def random_seq_func(rng: random.Random, lo: int = -3, hi: int = 3,
                     max_den: int = 12, max_len: int = 8) -> SeqFunc:
     total = rng.randint(1, max_len)
@@ -47,9 +52,9 @@ def random_usc_lsc_pair(rng: random.Random) -> dict:
     """A random pair f <= g on the compactification, f usc and g lsc."""
     base = random_seq_func(rng)
     lo, hi = min(base.cycle), max(base.cycle)
-    f = base.with_omega(hi)
+    f = with_omega(base, hi)
     shift = (hi - lo) + rand_rational(rng, lo=0)
-    g = (base + shift).with_omega(lo + shift)
+    g = with_omega(base + shift, lo + shift)
     return {"f": f, "g": g}
 
 

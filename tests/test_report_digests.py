@@ -312,6 +312,29 @@ def test_tampered_condition_replay_digest(tmp_path, capsys):
     assert _digest(json.dumps(outputs, sort_keys=True)) == TAMPERED_REPLAY_DIGEST
 
 
+CHAIN_KEYS = ("a_seq", "b_seq", "meet_side", "join_side")
+
+
+@pytest.mark.parametrize("model", ["finite_full", "seq_x_end", "seq_y_end"])
+@pytest.mark.parametrize("cond", ["T", "BS", "S"])
+def test_interpolation_certificate_without_chain_or_sides_fails(tmp_path, model, cond):
+    """A certificate left with f <= g alone, or half a chain, proves nothing."""
+    report = json.loads(_check_report(tmp_path, model, cond, 8).read_text())
+    assert verify_report(report)["ok"]
+    row = {"check": f"{cond} holds: certificate recognized", "ok": False}
+    present = [key for key in CHAIN_KEYS if key in report["certificate"]]
+    assert len(present) == 2
+    for dropped in ([present[0]], [present[1]], present):
+        tampered = json.loads(json.dumps(report))
+        for key in dropped:
+            del tampered["certificate"][key]
+        out = verify_report(tampered)
+        assert not out["ok"] and row in out["checks"]
+    for cert in ({}, {"note": "x"}):
+        out = verify_report({**report, "certificate": cert})
+        assert not out["ok"] and row in out["checks"]
+
+
 @pytest.mark.parametrize("example_id", sorted(CATALOG))
 def test_reproduce_digests(example_id, capsys):
     assert main(["reproduce", example_id]) == 0

@@ -45,6 +45,7 @@ from oracles import (
     countable_meet_family,
     noncompact_family,
     random_x_pair,
+    with_omega,
 )
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=8)
@@ -110,8 +111,8 @@ def test_limit_data_and_convergence():
     assert limit_data(g) == (2, 2, 2)
     assert g.is_convergent()
     assert not f.is_convergent()
-    assert not g.with_omega(3).is_convergent()
-    assert g.with_omega(2).is_convergent()
+    assert not with_omega(g, 3).is_convergent()
+    assert with_omega(g, 2).is_convergent()
 
 
 def test_semicontinuity_at_omega():
@@ -195,7 +196,7 @@ def test_threshold_and_urysohn_y():
 def test_geo_tail_and_ideal_membership():
     tail = GeoTail([0, 7], q=1, ratio=Fraction(1, 3))
     assert tail.at(1) == 7 and tail.at(2) == 1 and tail.at(4) == Fraction(1, 9)
-    assert tail.limit() == 0 and tail.omega == 0
+    assert tail.omega == 0
     m = ideal_membership(tail)
     assert m["in_J_radical"] and not m["in_I_alpha"]
     assert m["cert"].contains_omega
@@ -427,6 +428,6 @@ def test_countable_routes_build_no_seq_func(monkeypatch):
 def test_restrict_and_with_omega_roundtrip():
     f = SeqFunc([1, 2], (3,), 3)
     assert SeqFunc(f.prefix, f.cycle).omega is None
-    assert SeqFunc(f.prefix, f.cycle).with_omega(3) == f
+    assert with_omega(SeqFunc(f.prefix, f.cycle), 3) == f
     with pytest.raises(OmegaMissing):
         SeqFunc.constant(1).value_at(OMEGA)

@@ -56,29 +56,34 @@ def unreferenced_definitions(sources: dict[str, str], defining: list[str]) -> li
     appears in no source outside their own definition.
 
     A name appears as a variable, an attribute, or a string constant (the
-    benchmark's tracer wraps functions by name).  Dunder methods are called by
-    the language, and ``cond_*`` routes by ``check_condition``'s name lookup.
+    benchmark's tracer wraps functions by name).  A method is reached only
+    through an attribute or a string, so a variable or parameter of the same
+    name does not count for it.  Dunder methods are called by the language,
+    and ``cond_*`` routes by ``check_condition``'s name lookup.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    uses = []
+    uses = []  # (name, read as a variable, source, line)
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.append((node.id, name, node.lineno))
+                uses.append((node.id, True, name, node.lineno))
             elif isinstance(node, ast.Attribute):
-                uses.append((node.attr, name, node.lineno))
+                uses.append((node.attr, False, name, node.lineno))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                uses.append((node.value, name, node.lineno))
+                uses.append((node.value, False, name, node.lineno))
     out = []
     for name in defining:
+        methods = {id(member) for cls in ast.walk(trees[name]) if isinstance(cls, ast.ClassDef)
+                   for member in cls.body}
         for node in ast.walk(trees[name]):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             d = node.name
             if (d.startswith("__") and d.endswith("__")) or d.startswith("cond_"):
                 continue
-            if not any(u == d and (where != name or not node.lineno <= line <= node.end_lineno)
-                       for u, where, line in uses):
+            if not any(u == d and not (as_variable and id(node) in methods)
+                       and (where != name or not node.lineno <= line <= node.end_lineno)
+                       for u, as_variable, where, line in uses):
                 out.append(f"{name}:{node.lineno} {d}")
     return out
 
@@ -97,6 +102,16 @@ def test_unreferenced_definition_is_found():
                          "    def __init__(self):\n        pass\n",
                "caller.py": "import lib\nlib.used()\n"}
     assert unreferenced_definitions(sources, ["lib.py"]) == ["lib.py:5 own", "lib.py:9 Model"]
+
+
+def test_method_hidden_by_a_variable_is_found():
+    sources = {"lib.py": "class Seq:\n    def support(self):\n        pass\n\n"
+                         "    def shown(self):\n        pass\n\n"
+                         "    def named(self):\n        pass\n",
+               "caller.py": "from lib import Seq\nsupport = [1]\n\n\n"
+                            "def constant(named=False):\n    return Seq().shown(), named, support\n"}
+    assert unreferenced_definitions(sources, ["lib.py"]) == [
+        "lib.py:2 support", "lib.py:8 named"]
 
 
 def test_reader_leaves_value_checks_to_the_models():
