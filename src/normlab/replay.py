@@ -330,8 +330,10 @@ def _verify_condition(report, checks) -> None:
                 _check(checks, f"{label}: {side} residual within bound",
                        er == cr and _frac(data["residual_bound"]) == bound
                        and _frac(data["max_residual"]) == min(bound, Fraction(spread, den)))
-        # f <= g alone proves nothing: the certificate must carry a chain or both sides
-        if not ({"a_seq", "b_seq"} <= cert.keys() or {"meet_side", "join_side"} <= cert.keys()):
+        # only "holds" has a certificate, and f <= g alone proves nothing: it
+        # must carry a chain or both sides
+        if verdict != "holds" or not ({"a_seq", "b_seq"} <= cert.keys()
+                                      or {"meet_side", "join_side"} <= cert.keys()):
             _check(checks, f"{label}: certificate recognized", False)
         return
     if cond in ("C", "L"):

@@ -318,7 +318,8 @@ CHAIN_KEYS = ("a_seq", "b_seq", "meet_side", "join_side")
 @pytest.mark.parametrize("model", ["finite_full", "seq_x_end", "seq_y_end"])
 @pytest.mark.parametrize("cond", ["T", "BS", "S"])
 def test_interpolation_certificate_without_chain_or_sides_fails(tmp_path, model, cond):
-    """A certificate left with f <= g alone, or half a chain, proves nothing."""
+    """A certificate left with f <= g alone, or half a chain, proves nothing,
+    and no certificate proves a "fails" verdict."""
     report = json.loads(_check_report(tmp_path, model, cond, 8).read_text())
     assert verify_report(report)["ok"]
     row = {"check": f"{cond} holds: certificate recognized", "ok": False}
@@ -333,6 +334,9 @@ def test_interpolation_certificate_without_chain_or_sides_fails(tmp_path, model,
     for cert in ({}, {"note": "x"}):
         out = verify_report({**report, "certificate": cert})
         assert not out["ok"] and row in out["checks"]
+    out = verify_report({**report, "verdict": "fails"})
+    assert not out["ok"] and {**row, "check": f"{cond} fails: certificate recognized"} \
+        in out["checks"]
 
 
 @pytest.mark.parametrize("example_id", sorted(CATALOG))
