@@ -284,8 +284,10 @@ def _verify_condition(report, checks) -> None:
             if "limit" in cert:
                 _check(checks, f"{label}: limit = the witness's cycle value",
                        rd.seq(w)[1] == [_frac(cert["limit"])])
-        else:
+        elif verdict == "fails":
             _verify_infeasible({"f": f, "g": g, **cert}, checks)
+        else:
+            _check(checks, f"{label}: certificate recognized", False)
         if cond == "D" and "epsilon" in cert:
             eps = _frac(cert["epsilon"])
             den, (fr, gr) = rd.rows(f, g)

@@ -339,6 +339,14 @@ def test_interpolation_certificate_without_chain_or_sides_fails(tmp_path, model,
         in out["checks"]
 
 
+@pytest.mark.parametrize("key", sorted(INSTANCES), ids="-".join)
+def test_unknown_verdict_fails_replay(tmp_path, key):
+    """Replay knows a certificate form only for "holds" and "fails"."""
+    report = json.loads(_check_report(tmp_path, *key, 8).read_text())
+    assert verify_report(report)["ok"]
+    assert not verify_report({**report, "verdict": "maybe"})["ok"]
+
+
 @pytest.mark.parametrize("example_id", sorted(CATALOG))
 def test_reproduce_digests(example_id, capsys):
     assert main(["reproduce", example_id]) == 0
