@@ -9,7 +9,8 @@ Subcommands:
   its JSON pointer (or by ``--depth``): the reader's own, or ``/instance/``
   and the key of a value the model's check rejected.
 * ``reproduce <id>``: run a canned example and assert its golden facts.
-* ``survey --max-size N``: exhaustive finite-topology survey as CSV.
+* ``survey --max-size N``: exhaustive finite-topology survey as CSV, for N
+  from 1 to ``MAX_ENUM_POINTS`` (any other N exits 2 before any work).
 * ``replay <report.json>``: re-verify every certificate in a report through
   the independent verifier.
 
@@ -33,6 +34,7 @@ from . import replay as replay_mod
 from .conditions import SeqXEndModel, SeqYEndModel, check_condition
 from .errors import NormlabError, UnknownExampleId
 from .finite_space import (
+    MAX_ENUM_POINTS,
     FiniteFunc,
     FiniteSpace,
     enumerate_spaces,
@@ -251,11 +253,8 @@ def _ex_dieudonne_rate():
         "twenty_steps": len(trace.a_seq) == 20,
         "tail_10_to_20_within_2^-9": gap <= Fraction(1, 512),
     }
-    payload = to_jsonable(trace)
-    payload["f"] = to_jsonable(f)
-    payload["g"] = to_jsonable(g)
     return {"example": "dieudonne-rate", "assertions": asserts,
-            "certificates": [payload]}
+            "certificates": [to_jsonable(trace)]}
 
 
 CATALOG = {
@@ -323,11 +322,7 @@ def survey_rows(n_max: int) -> list[dict]:
 
 
 def cmd_survey(args) -> int:
-    try:
-        rows = survey_rows(args.max_size)
-    except NormlabError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    rows = survey_rows(args.max_size)  # argparse holds --max-size to 1..MAX_ENUM_POINTS
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=[
         "points", "opens_count", "normal", "insertion_always_feasible", "agreement"])
@@ -374,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_reproduce)
 
     p_sur = sub.add_parser("survey", help="exhaustive finite-topology survey")
-    p_sur.add_argument("--max-size", type=int, default=3)
+    p_sur.add_argument("--max-size", type=int, default=3,
+                       choices=range(1, MAX_ENUM_POINTS + 1))
     p_sur.add_argument("--out")
     p_sur.set_defaults(func=cmd_survey)
 

@@ -90,9 +90,8 @@ def check_condition(model: ExtensionModel, cond: str, instance: dict,
             verdict = HOLDS
         else:
             verdict = FAILS
-        cert = {"decomposition": "L and N", "L": left.certificate,
-                "L_verdict": left.verdict, "N": right.certificate,
-                "N_verdict": right.verdict}
+        cert = {"L": left.certificate, "L_verdict": left.verdict,
+                "N": right.certificate, "N_verdict": right.verdict}
         return ConditionReport("SL", model.name, instance, verdict, cert, depth)
     method = getattr(model, f"cond_{cond.lower()}", None)
     if method is None:
@@ -115,7 +114,7 @@ class FiniteFullModel(ExtensionModel):
     def cond_t(self, instance, depth):
         f, g = instance["f"], instance["g"]
         check_order(f, g)
-        return HOLDS, {"a_seq": [f], "b_seq": [g], "route": "endpoints are clopen"}
+        return HOLDS, {"a_seq": [f], "b_seq": [g]}
 
     cond_bs = cond_t
 
@@ -169,9 +168,9 @@ class SeqXEndModel(ExtensionModel):
     built_in_family = "epsilon, delta and subfamily_cap"
 
     def _meet_family_cert(self, f, depth):
-        # the meet of members (k, 1..depth) at k is min(f(k) + 1/depth, ||f||)
+        # the family of pointwise majorants (n, m) -> f(n) + 1/m off-bound: the
+        # meet of members (k, 1..depth) at k is min(f(k) + 1/depth, ||f||)
         return {
-            "family": "pointwise majorants (n, m) -> f(n) + 1/m off-bound",
             "depth": depth,
             "max_residual": min(Fraction(1, depth), f.norm() - f.value_bounds()[0]),
             "residual_bound": Fraction(1, depth),
@@ -179,9 +178,9 @@ class SeqXEndModel(ExtensionModel):
         }
 
     def _join_family_cert(self, g, depth):
-        # the join of members (k, 1..depth) at k is max(g(k) - 1/depth, -||g||)
+        # the family of pointwise minorants (n, m) -> g(n) - 1/m off-bound: the
+        # join of members (k, 1..depth) at k is max(g(k) - 1/depth, -||g||)
         return {
-            "family": "pointwise minorants (n, m) -> g(n) - 1/m off-bound",
             "depth": depth,
             "max_residual": min(Fraction(1, depth), g.value_bounds()[1] + g.norm()),
             "residual_bound": Fraction(1, depth),
@@ -191,33 +190,21 @@ class SeqXEndModel(ExtensionModel):
     def cond_t(self, instance, depth):
         f, g = instance["f"], instance["g"]
         check_naturals_pair(f, g)
-        cert = {
-            "meet_side": self._meet_family_cert(f, depth),
-            "join_side": self._join_family_cert(g, depth),
-            "middle": "closed-form meet f <= closed-form join g",
-        }
-        return HOLDS, cert
+        return HOLDS, {"meet_side": self._meet_family_cert(f, depth),
+                       "join_side": self._join_family_cert(g, depth)}
 
     def cond_bs(self, instance, depth):
         f, g = instance["f"], instance["g"]
         check_naturals_pair(f, g)
-        cert = {
-            "join_side": self._join_family_cert(f, depth),
-            "meet_side": self._meet_family_cert(g, depth),
-            "middle": "closed-form join f <= closed-form meet g",
-        }
-        return HOLDS, cert
+        return HOLDS, {"join_side": self._join_family_cert(f, depth),
+                       "meet_side": self._meet_family_cert(g, depth)}
 
     def cond_s(self, instance, depth):
         f = instance["f"]
         check_naturals_pair(f, instance["g"])
-        cert = {
-            "witness": f,
-            "meet_side": self._meet_family_cert(f, depth),
-            "join_side": self._join_family_cert(f, depth),
-            "note": "both families collapse to the witness in closed form",
-        }
-        return HOLDS, cert
+        # both families collapse to the witness in closed form
+        return HOLDS, {"witness": f, "meet_side": self._meet_family_cert(f, depth),
+                       "join_side": self._join_family_cert(f, depth)}
 
     def cond_n(self, instance, depth):
         result = insert_convergent(instance["f"], instance["g"])
@@ -252,17 +239,14 @@ class SeqXEndModel(ExtensionModel):
         # -delta one index past its largest truncation
         defeats = [{"subfamily": list(combo), "index": max(combo) + 1, "join_value": -delta}
                    for combo in _subsets(range(min(depth, 8)), size_cap)]
-        return FAILS, {"epsilon": eps, "delta": delta,
-                       "family": "truncated plateaus over a negative tail",
-                       "defeats": defeats}
+        return FAILS, {"epsilon": eps, "delta": delta, "defeats": defeats}
 
     def cond_l(self, instance, depth):
         eps, delta = self._built_in_family(instance)
         # member n is eps + delta up to index n and -delta beyond, so member k
         # is the first one above eps/2 at index k
         picks = [{"index": k, "member": k, "value": eps + delta} for k in range(depth)]
-        return HOLDS, {"epsilon": eps, "delta": delta, "picks": picks,
-                       "note": "countable subfamily = one member per index"}
+        return HOLDS, {"epsilon": eps, "delta": delta, "picks": picks}
 
 
 class SeqYEndModel(ExtensionModel):
@@ -287,8 +271,8 @@ class SeqYEndModel(ExtensionModel):
 
     def cond_t(self, instance, depth):
         w = insert_on_y(instance["f"], instance["g"])
-        return HOLDS, {"a_seq": [w.func], "b_seq": [w.func],
-                       "route": "single continuous witness serves both sides"}
+        # a single continuous witness serves both sides
+        return HOLDS, {"a_seq": [w.func], "b_seq": [w.func]}
 
     cond_bs = cond_t
 
@@ -307,9 +291,8 @@ class SeqYEndModel(ExtensionModel):
         chosen, cert = subcover_extract(eps, family)
         return HOLDS, {"subfamily": chosen, "family": family, "epsilon": eps, **cert}
 
-    def cond_l(self, instance, depth):
-        verdict, cert = self.cond_c(instance, depth)
-        return verdict, {**cert, "note": "finite subfamily doubles as the countable one"}
+    # the finite subfamily doubles as the countable one
+    cond_l = cond_c
 
 
 def _subsets(pool, max_size):

@@ -406,7 +406,7 @@ def enumerate_preorders(n: int) -> Iterator[list[int]]:
     yield from fill(0)
 
 
-def enumerate_spaces(n: int, max_points: int = MAX_ENUM_POINTS) -> Iterator[FiniteSpace]:
+def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
     """Every topology on n labeled points, exactly once.
 
     Finite topologies correspond bijectively to preorders (the specialization
@@ -414,7 +414,7 @@ def enumerate_spaces(n: int, max_points: int = MAX_ENUM_POINTS) -> Iterator[Fini
     preorders.  A brute-force enumeration of union-intersection-closed set
     families cross-checks the counts in the test suite.
     """
-    if n > max_points:
-        raise BoundExceeded(f"enumeration limited to {max_points} points, got {n}")
+    if n > MAX_ENUM_POINTS:
+        raise BoundExceeded(f"enumeration limited to {MAX_ENUM_POINTS} points, got {n}")
     for up in enumerate_preorders(n):
         yield FiniteSpace.from_preorder(n, up)

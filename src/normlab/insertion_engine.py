@@ -8,8 +8,7 @@ model they are exercised at explicit truncation depth.
 
 A procedure checks its inputs and its injected oracles and carriers, and
 nothing those checks already imply; :mod:`normlab.replay` checks the
-certificates.  (``tong_merge`` still records its invariant checks, because
-its trace serializes them.)
+certificates.
 """
 
 from __future__ import annotations
@@ -27,31 +26,36 @@ from .errors import (
     PreconditionViolation,
 )
 from .finite_space import FiniteSpace, NotSeparable, check_usc_lsc, urysohn
-from .lattice_core import (AlgElement, check_order, finite_join, finite_meet,
-                           rescale_to_unit, unscale)
+from .lattice_core import AlgElement, check_order, finite_join, rescale_to_unit, unscale
 from .rationals import ONE, ZERO, rat
 from .seq_model import SeqFunc, check_y_pair, threshold_indicator, urysohn_y
 
 
 @dataclass
 class MergeTrace:
-    """Full record of a merge run: both approximating sequences and the checks."""
+    """Full record of a merge run: both normalized sequences, u_n, v_n and the result."""
     a_norm: list
     b_norm: list
     u_seq: list
     v_seq: list
     result: AlgElement
-    checked_inequalities: list[tuple[str, bool]] = field(default_factory=list)
+    trace: str = field(default="merge", init=False)
 
 
 def tong_merge(a_seq: Sequence[AlgElement], b_seq: Sequence[AlgElement]) -> MergeTrace:
     """Merge a decreasing and an increasing approximation into one element.
 
     After normalizing (prefix meets of a_seq, prefix joins of b_seq), builds
-    u_n = (a_1^b_1) v ... v (a_n^b_n) and v_n = u_n v a_n.  The join of the
-    u_n equals the meet of the v_n exactly on these finite carriers; the
-    trace records the inequalities the argument rests on, each verified
-    pointwise, and the common value is the merged element.
+    u_n = (a_1^b_1) v ... v (a_n^b_n) and v_n = u_n v a_n; the merged element
+    is u = u_n for the last n.
+
+    Checked here: a_n <= b_n for the last n (input).  The rest follows from
+    it.  With f = a_n, the last term a_n ^ b_n is f, so f <= u.  The terms up
+    to i lie below u_i <= v_i, and each term a_j ^ b_j past i lies below
+    a_j <= a_i <= v_i, as the a_j decrease; so u <= v_i for every i.  The
+    meet v of the v_i is then at least u and at most v_n = u v f = u, so
+    u = v <= u v f.  Replay recomputes u_n, v_n and each of these facts from
+    the serialized trace.
     """
     if not a_seq or not b_seq:
         raise EmptyFamily("merge needs nonempty sequences")
@@ -62,8 +66,7 @@ def tong_merge(a_seq: Sequence[AlgElement], b_seq: Sequence[AlgElement]) -> Merg
     for i in range(n):
         a_norm.append(a_seq[i] if i == 0 else a_norm[-1].meet(a_seq[i]))
         b_norm.append(b_seq[i] if i == 0 else b_norm[-1].join(b_seq[i]))
-    f = a_norm[-1]
-    bad = f.first_violation(b_norm[-1])
+    bad = a_norm[-1].first_violation(b_norm[-1])
     if bad is not None:
         raise PreconditionViolation(
             f"meet of a_seq exceeds join of b_seq at {bad!r}")
@@ -72,26 +75,18 @@ def tong_merge(a_seq: Sequence[AlgElement], b_seq: Sequence[AlgElement]) -> Merg
         term = a_norm[i].meet(b_norm[i])
         u_seq.append(term if i == 0 else u_seq[-1].join(term))
         v_seq.append(u_seq[-1].join(a_norm[i]))
-    u = u_seq[-1]
-    v = finite_meet(v_seq)
-    checks = [
-        ("f <= u", f.le(u)),
-        ("v <= u join f", v.le(u.join(f))),
-        ("u = v", u.eq_pointwise(v)),
-    ]
-    for i, vi in enumerate(v_seq):
-        checks.append((f"u <= v_{i + 1}", u.le(vi)))
-    if not all(ok for _, ok in checks):
-        failed = [name for name, ok in checks if not ok]
-        raise PreconditionViolation(f"merge invariants failed: {failed}")
-    return MergeTrace(a_norm, b_norm, u_seq, v_seq, u, checks)
+    return MergeTrace(a_norm, b_norm, u_seq, v_seq, u_seq[-1])
 
 
 @dataclass
 class IterationTrace:
-    """The refined sequence a_n together with its certified step bounds."""
+    """The refined sequence a_n, its certified step bounds, and the pair f <= g
+    it is squeezed between."""
     a_seq: list
     step_bounds: list[Fraction]
+    f: AlgElement
+    g: AlgElement
+    trace: str = field(default="iteration", init=False)
 
     @property
     def result(self) -> AlgElement:
@@ -134,7 +129,7 @@ def dieudonne_iterate(oracle: Oracle, f: AlgElement, g: AlgElement, steps: int) 
             raise OracleContractViolation(m, a, "witness outside its sandwich")
         a_seq.append(a)
         bounds.append(eps)
-    return IterationTrace(a_seq, bounds)
+    return IterationTrace(a_seq, bounds, f, g)
 
 
 def midpoint_oracle(lower: AlgElement, upper: AlgElement, eps) -> AlgElement:

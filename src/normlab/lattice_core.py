@@ -200,16 +200,6 @@ class AlgElement:
         return hash((self._shape, self._den, self._row))
 
 
-def finite_meet(elems: Iterable[AlgElement]) -> AlgElement:
-    elems = list(elems)
-    if not elems:
-        raise EmptyFamily("meet of an empty family is not formed")
-    out = elems[0]
-    for e in elems[1:]:
-        out = out.meet(e)
-    return out
-
-
 def finite_join(elems: Iterable[AlgElement]) -> AlgElement:
     elems = list(elems)
     if not elems:

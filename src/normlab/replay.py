@@ -213,8 +213,8 @@ def _verify_iteration(trace, checks) -> None:
     a = trace["a_seq"]
     bounds = [_frac(b) for b in trace["step_bounds"]]
     den, rows = rd.rows(*a)
-    _check(checks, "iteration: bounds are 1/2^n",
-           all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
+    _check(checks, "iteration: bounds are 1/2^n", len(bounds) == len(a) >= 1
+           and all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
     # an int t exceeds, or stays within, q * den exactly when it does floor(q * den)
     ok = True
     for i in range(len(a) - 1):
@@ -231,15 +231,14 @@ def _verify_iteration(trace, checks) -> None:
             ok = False
         hi, lo = list(map(max, hi, rows[i])), list(map(min, lo, rows[i]))
     _check(checks, "iteration: Cauchy tail ||a_{n+p} - a_n|| <= 2^{1-n}", ok)
-    f, g = trace.get("f"), trace.get("g")
-    if f is not None and g is not None:
-        ok = True
-        for i, ai in enumerate(a):
-            den, (fr, gr, ar) = rd.rows(f, g, ai)
-            lim = bounds[i].numerator * den // bounds[i].denominator
-            if not all(x - y <= lim and y <= z for x, y, z in zip(fr, ar, gr)):
-                ok = False
-        _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
+    f, g = trace["f"], trace["g"]
+    ok = True
+    for i, ai in enumerate(a):
+        den, (fr, gr, ar) = rd.rows(f, g, ai)
+        lim = bounds[i].numerator * den // bounds[i].denominator
+        if not all(x - y <= lim and y <= z for x, y, z in zip(fr, ar, gr)):
+            ok = False
+    _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
 
 
 def _verify_infeasible(cert, checks) -> None:

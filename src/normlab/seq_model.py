@@ -517,22 +517,14 @@ def subcover_extract(epsilon, family: Sequence[SeqFunc]):
     eps = check_cover(epsilon, family)
     star = next(i for i, t in enumerate(family) if t.omega > eps / 2)
     chosen = [star]
-    patches = []
     t_star = family[star]
     for k in range(len(t_star.prefix)):
         if t_star.at(k) <= 0:
             j = next(i for i, t in enumerate(family) if t.at(k) >= eps / 2)
             if j not in chosen:
                 chosen.append(j)
-            patches.append({"index": k, "member": j})
     joined = finite_join([family[i] for i in chosen])
-    cert = {
-        "star": star,
-        "patches": patches,
-        "join_min": joined.value_bounds()[0],
-        "join_omega": joined.omega,
-    }
-    return chosen, cert
+    return chosen, {"join_min": joined.value_bounds()[0], "join_omega": joined.omega}
 
 
 def lindelof_extract(epsilon, family: Iterable[SeqFunc], budget: int = 1000):

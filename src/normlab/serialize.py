@@ -37,7 +37,6 @@ from .conditions import (
 )
 from .errors import PreconditionViolation
 from .finite_space import FiniteFunc, FiniteSpace
-from .insertion_engine import IterationTrace, MergeTrace
 from .lattice_core import AlgElement
 from .rationals import num_str, rat_str
 from .seq_model import GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet
@@ -78,15 +77,6 @@ def to_jsonable(obj):
         return {"infeasible": True, "limsup_f": rat_str(obj.limsup_f),
                 "liminf_g": rat_str(obj.liminf_g),
                 "f": to_jsonable(obj.f), "g": to_jsonable(obj.g)}
-    if isinstance(obj, MergeTrace):
-        return {"trace": "merge",
-                "a_norm": to_jsonable(obj.a_norm), "b_norm": to_jsonable(obj.b_norm),
-                "u_seq": to_jsonable(obj.u_seq), "v_seq": to_jsonable(obj.v_seq),
-                "result": to_jsonable(obj.result),
-                "checked_inequalities": [[n, ok] for n, ok in obj.checked_inequalities]}
-    if isinstance(obj, IterationTrace):
-        return {"trace": "iteration", "a_seq": to_jsonable(obj.a_seq),
-                "step_bounds": [rat_str(b) for b in obj.step_bounds]}
     if is_dataclass(obj):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dc_fields(obj)}
     raise PreconditionViolation(f"cannot serialize {type(obj).__name__}")

@@ -114,6 +114,15 @@ def test_survey_csv_output(tmp_path, capsys):
     assert len(lines) == 6  # header + 1 + 4 topologies
 
 
+@pytest.mark.parametrize("size", ["0", "-3", "6"])
+def test_survey_size_out_of_range_exits_2_before_any_work(size, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--max-size", size])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "invalid choice" in captured.err
+
+
 def test_replay_roundtrip(tmp_path, capsys):
     path = write(tmp_path, "s.json", SCENARIO_N_FAILS)
     report = tmp_path / "report.json"

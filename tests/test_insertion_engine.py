@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from normlab.cli import main
 from normlab.errors import (
     BoundViolation,
     EmptyFamily,
@@ -64,7 +65,7 @@ def test_merge_single_point_worked_example():
     assert [t.values[0] for t in trace.u_seq] == [0, 1, 1]
     assert [t.values[0] for t in trace.v_seq] == [3, 2, 1]
     assert trace.result.values[0] == 1
-    assert all(ok for _, ok in trace.checked_inequalities)
+    assert verify_report(to_jsonable(trace))["ok"]
 
 
 def test_merge_constant_sandwich():
@@ -100,7 +101,7 @@ def test_merge_valid_under_permutation():
         rng.shuffle(pa)
         rng.shuffle(pb)
         trace = tong_merge(pa, pb)
-        assert all(ok for _, ok in trace.checked_inequalities)
+        assert verify_report(to_jsonable(trace))["ok"]
         assert lo.le(trace.result) and trace.result.le(hi)
 
 
@@ -530,8 +531,7 @@ def test_iterate_with_any_sandwiched_witness_replays():
             f = _random_element(rng, carrier)
             g = f + _random_element(rng, carrier).join(f.const_like(0)) * rng.choice([0, 1])
             trace = dieudonne_iterate(_sandwich_oracle(rng, carrier), f, g, rng.randint(1, 9))
-            payload = {**to_jsonable(trace), "f": to_jsonable(f), "g": to_jsonable(g)}
-            assert verify_report(payload)["ok"]
+            assert verify_report(to_jsonable(trace))["ok"]
             _pairwise_tail(trace.a_seq)
 
 
@@ -615,8 +615,8 @@ def _verify_iteration_pairwise(trace, checks) -> None:
     a = trace["a_seq"]
     bounds = [_frac(b) for b in trace["step_bounds"]]
     pts = _Reader().points(*a)
-    _check(checks, "iteration: bounds are 1/2^n",
-           all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
+    _check(checks, "iteration: bounds are 1/2^n", len(bounds) == len(a) >= 1
+           and all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
     ok = True
     for i in range(len(a) - 1):
         for p in pts:
@@ -631,15 +631,14 @@ def _verify_iteration_pairwise(trace, checks) -> None:
             if delta > tail:
                 ok = False
     _check(checks, "iteration: Cauchy tail ||a_{n+p} - a_n|| <= 2^{1-n}", ok)
-    f, g = trace.get("f"), trace.get("g")
-    if f is not None and g is not None:
-        ok = True
-        for i in range(len(a)):
-            eps = bounds[i]
-            for p in _Reader().points(f, g, a[i]):
-                if not _value(f, p) - eps <= _value(a[i], p) <= _value(g, p):
-                    ok = False
-        _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
+    f, g = trace["f"], trace["g"]
+    ok = True
+    for i in range(len(a)):
+        eps = bounds[i]
+        for p in _Reader().points(f, g, a[i]):
+            if not _value(f, p) - eps <= _value(a[i], p) <= _value(g, p):
+                ok = False
+    _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
 
 
 def _continuous_per_value(d) -> bool:
@@ -751,8 +750,8 @@ def _hidden_jump_payloads(sign):
     jump = a_seq[k + 1] - a_seq[k]
     hidden = a_seq[:k + 1] + [a + jump for a in a_seq[k + 1:]]
     doubled = bounds[:k] + [2 * bounds[k]] + bounds[k + 1:]
-    pair = {"f": to_jsonable(SeqFunc.constant(-2)), "g": to_jsonable(SeqFunc.constant(2))}
-    return [{**to_jsonable(IterationTrace(a, b)), **pair}
+    f, g = SeqFunc.constant(-2), SeqFunc.constant(2)
+    return [to_jsonable(IterationTrace(a, b, f, g))
             for a, b in ((a_seq, bounds), (hidden, doubled))]
 
 
@@ -763,13 +762,12 @@ def _iteration_payloads(rng):
             f = _random_element(rng, carrier)
             g = f + _random_element(rng, carrier).join(f.const_like(0)) + Fraction(1, 8)
             trace = to_jsonable(dieudonne_iterate(midpoint_oracle, f, g, steps))
-            with_pair = {**trace, "f": to_jsonable(f), "g": to_jsonable(g)}
-            out += [trace, with_pair]
+            out.append(trace)
             for _ in range(3):
-                out.append(_tamper(rng, with_pair, ["a_seq", "f", "g"]))
+                out.append(_tamper(rng, trace, ["a_seq", "f", "g"]))
             a_seq = _random_refining_seq(rng, carrier, steps)
             bounds = [Fraction(1, 2 ** n) for n in range(1, steps + 1)]
-            out.append(to_jsonable(IterationTrace(a_seq, bounds)))
+            out.append(to_jsonable(IterationTrace(a_seq, bounds, f, g)))
     return out
 
 
@@ -868,8 +866,7 @@ def _failed_rows(payload):
 def _seq_iteration_payload():
     f = SeqFunc([Fraction(1, 3), -2], [0, Fraction(5, 4), Fraction(-1, 2)])
     g = SeqFunc([2, -1], [Fraction(3, 2), Fraction(7, 4), Fraction(5, 4), Fraction(3, 2)])
-    trace = dieudonne_iterate(midpoint_oracle, f, g, 12)
-    return {**to_jsonable(trace), "f": to_jsonable(f), "g": to_jsonable(g)}
+    return to_jsonable(dieudonne_iterate(midpoint_oracle, f, g, 12))
 
 
 STEP_ROW = "iteration: step bound |a_{n+1} - a_n| <= 1/2^n"
@@ -913,6 +910,34 @@ def test_iteration_tamper_below_lower_envelope():
     f_prefix = payload["f"]["prefix"]
     f_prefix[0] = to_jsonable(Fraction(last["prefix"][0]) + Fraction(1, 2 ** n) + Fraction(1, 2 ** 40))
     assert _failed_rows(payload) == [SANDWICH_ROW]
+
+
+def test_iteration_tamper_empty_trace():
+    """A trace of no steps certifies nothing, though its other rows hold vacuously."""
+    payload = _seq_iteration_payload()
+    payload["a_seq"], payload["step_bounds"] = [], []
+    assert _failed_rows(payload) == [BOUNDS_ROW]
+    assert not verify_report(payload)["ok"]
+
+
+def test_iteration_tamper_more_bounds_than_steps():
+    payload = _seq_iteration_payload()
+    payload["a_seq"], payload["step_bounds"] = payload["a_seq"][:1], payload["step_bounds"][:2]
+    assert _failed_rows(payload) == [BOUNDS_ROW]
+    assert not verify_report(payload)["ok"]
+
+
+@pytest.mark.parametrize("key", ["f", "g"])
+def test_iteration_payload_without_f_or_g_is_malformed(key, tmp_path, capsys):
+    payload = _seq_iteration_payload()
+    del payload[key]
+    with pytest.raises(MalformedPayload, match=f"malformed iteration payload .KeyError: '{key}'"):
+        verify_report(payload)
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload))
+    assert main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed iteration payload" in captured.err
 
 
 def _malformed_iteration(cause):

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from normlab.errors import EmptyFamily
 from normlab.finite_space import FiniteFunc, FiniteSpace
-from normlab.lattice_core import (
-    finite_join,
-    finite_meet,
-    rescale_to_unit,
-    unscale,
-)
+from normlab.lattice_core import finite_join, rescale_to_unit, unscale
 from normlab.seq_model import OMEGA, SeqFunc
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -100,9 +95,7 @@ def test_idempotent_detection():
     assert not other.is_zero_one_valued()
 
 
-def test_finite_meet_join_empty_family():
-    with pytest.raises(EmptyFamily):
-        finite_meet([])
+def test_finite_join_empty_family():
     with pytest.raises(EmptyFamily):
         finite_join([])
 

@@ -8,6 +8,7 @@ to any of them is a change to the report format or to a verdict or
 certificate, and needs a deliberate update here.
 """
 
+import ast
 import functools
 import hashlib
 import itertools
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from normlab import replay as replay_mod
 from normlab.cli import CATALOG, main
 from normlab.finite_space import FiniteFunc, FiniteSpace
 from normlab.insertion_engine import (
@@ -83,13 +85,15 @@ INSTANCES = {
 }
 
 # (model, condition, depth) -> (check stdout sha256, replay stdout sha256),
-# taken on the commit before the condition routes were collapsed
+# taken on the commit before the condition routes were collapsed; the check
+# digests of T, BS, S, C, L and SL reports were re-pinned when certificates
+# dropped the keys replay does not read, with every replay digest unchanged
 CHECK_DIGESTS = {
     ('finite_full', 'BS', 8): (
-        "9578b3ad166699a9f3d14fab11f45274fce7e95e5a175fc5e8b8ac4dc27026b0",
+        "ec67827b6ad02d01c7fc16e3621429a17f80127b65c55cc3e2ef0349fd94bb68",
         "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
     ('finite_full', 'BS', 64): (
-        "1a0351e35ce5efb362c34887f6c55366ca5ef1261da969e6e7e27ced4ddbe4af",
+        "8be2230a074d8596728dcabe4617750f3a93a821921dea28cef82e1ef7c1355f",
         "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
     ('finite_full', 'C', 8): (
         "16b5b3e492fff1f947629114097a5bd98ac5251d8996d3c818fc2f8bb77c94c2",
@@ -122,28 +126,28 @@ CHECK_DIGESTS = {
         "01c41a2081f50d11f611e0b363141bfe0d02bbe2b130d1aec607ccd9fa81b679",
         "2f1c4d3f1516169b4a91e3a09cbf570d3cb03b027289ab4b5ef2da9ce98f59c2"),
     ('finite_full', 'SL', 8): (
-        "71effd6399ae7c3c2c365a64cd05f713d11c5365ee780a335132a4be276982ee",
+        "ac4f1ee1c6ad9058ef2d77fe4577d6fdd768bd0a56167d4ffa71405b57e04a63",
         "de0bcb842e499d9a0b033253bf3816982e9c115436ac39fdc65706c69befcdf1"),
     ('finite_full', 'SL', 64): (
-        "22f2ffa484cee200e17feb03ce970a454a792a2b87d7e78acd24db4cd24c4d8b",
+        "c6962c771db10fb40553426340ad8c538902481b739d14685cc46a93298b24e0",
         "de0bcb842e499d9a0b033253bf3816982e9c115436ac39fdc65706c69befcdf1"),
     ('finite_full', 'T', 8): (
-        "af09bf9096db15f423b86fdab733ebad3364fcbc0511da95a8f034612e3d49c7",
+        "bf96e5fc7be922fdaf3d046c181450dd746fb620b5387aa1c08b53e4e4f4b1a5",
         "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
     ('finite_full', 'T', 64): (
-        "5c76fe923ef3793da67b79151001f3ce0a15654478e0e7572958174020c201d0",
+        "8b0e73156ce794ddaf49c7c80bc5bbc437266b0cf73a6979a763e663577a4f19",
         "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
     ('seq_x_end', 'BS', 8): (
-        "21cefcd428a98d1485a8e715f072a6b95d698a55218cb9c13ae8012de270cdf2",
+        "a382ab4847c6f2a91b8e43de7b0f15ff26f6515c93ecce46843ed4188d99463b",
         "8d96d41e98d5087b0a11d06058c23af8a17682b65b4aeb3c9d8992d26a222e20"),
     ('seq_x_end', 'BS', 64): (
-        "f9166c8d7625784b62643f378ec50247c462c644096d1872f70d5f075b81f55d",
+        "59e89175d6ef68605dfe1716788818c91b738f48a82ccc7bc5f4a18c7753259b",
         "8d96d41e98d5087b0a11d06058c23af8a17682b65b4aeb3c9d8992d26a222e20"),
     ('seq_x_end', 'C', 8): (
-        "5cd61d5255f90babd9ca49cf81fbd5e4169166bc02db5fe5d2ef2b24e250206b",
+        "e1c624e52b202ee54bfc118679ec692df52d311918a6e95d46f9061f21bb2dae",
         "e1e60aa118a8b862fe75b9787652cb74dd4e9ef9ad63f304e0c736c81549fee5"),
     ('seq_x_end', 'C', 64): (
-        "4f285700ec74349bb3029decfa446dda7826a36c431b3e5dea2269a2553c74fe",
+        "c3ab00538816151651bbfe59c9fa62ad2e88f5c65981006a9b93dcf3562c6919",
         "e1e60aa118a8b862fe75b9787652cb74dd4e9ef9ad63f304e0c736c81549fee5"),
     ('seq_x_end', 'D', 8): (
         "b44eeac71ef85776f0ce3a2efd9b071e595e6afa364d08ea6e6dbd70a5d2989e",
@@ -152,10 +156,10 @@ CHECK_DIGESTS = {
         "37ca252247e4a91f01eca8e1e78f18c19e23b2465ac74f388a43de62c91ae2f5",
         "5e6623ca93cb34b3f480331882ac3c093ffb3ee99b9aa6816ca7a4c1fea9195f"),
     ('seq_x_end', 'L', 8): (
-        "0430eae5eeffc09a952d9c273afd1c4311bbe10a6ed60ce95e3e4165e2669392",
+        "c46b656b7e7c1dc980c8b50ac47fe1d18db7572b2a6aa7460984d90432d10aae",
         "9fad2ffdb580a9663fcbe17bb5fd01df8e81b713c719121f07c16a8178835003"),
     ('seq_x_end', 'L', 64): (
-        "7af730cdab296bad9ac42aa280c9c0bbe757da05593814c2c70a86e596d93a26",
+        "eedf5776c8ef720d2c8dcd3a310e5a52ab757024b330f0d78820d2c6fada4c23",
         "9fad2ffdb580a9663fcbe17bb5fd01df8e81b713c719121f07c16a8178835003"),
     ('seq_x_end', 'N', 8): (
         "3cd6cfe5fbd9842ae75014fd794972b9efb66be3f6df870a4ae83431a4b9caae",
@@ -164,34 +168,34 @@ CHECK_DIGESTS = {
         "dc7ca8ebb8b57907ccd2b1adeb3566fa0ceb24b40036b046feef78fc2e6d3d7c",
         "66204857dc34d50ba29379ad4831e3b9439bad1c2881875c39abc6a9d4c91760"),
     ('seq_x_end', 'S', 8): (
-        "4a5e451a4fbce4dce04e847c2f7172cb9b89d7e883aaf4540133fd03095c476c",
+        "8377cd8ea8b30f5db8e7c400c6edfed0c06e303d79933f174edc8158798aeb66",
         "101e9a7d10e4b6b92456563d7cd51a3e3010d1e1caaa8d9f012ec7c4c160e538"),
     ('seq_x_end', 'S', 64): (
-        "83d76c692c8c4d8e409f8d6cf41d2ab054bf787a43a7df647fc7f73fc83ef270",
+        "54f78a51244612d677633b542deda0e4fbef25dbce2c75cc7e068a0cd568ba4f",
         "101e9a7d10e4b6b92456563d7cd51a3e3010d1e1caaa8d9f012ec7c4c160e538"),
     ('seq_x_end', 'SL', 8): (
-        "5ba968e120869e3c4368328bdde78d90a4fadbbebeecea90874a11dc45beb38b",
+        "696ee2c85100b544365bbef22391f45a91912e9f3e554dd4aa6332206245ebf9",
         "ba20228f86f2cad971f653cde4f4d4e3ce764a01732553e1682eef24f8f309f7"),
     ('seq_x_end', 'SL', 64): (
-        "8ba19795e11bac63763b6e817a6b15f8a1884220b9835f3b4972c6578515e603",
+        "d765ab50b9f114b15d0d3401335fe0d994815883eac45c93cbb5c5eaee794a58",
         "ba20228f86f2cad971f653cde4f4d4e3ce764a01732553e1682eef24f8f309f7"),
     ('seq_x_end', 'T', 8): (
-        "fb33dc83ab12bb57bfbed1e41d6b7871f1d6fc6b9de73ffd847b788cf72a0fe2",
+        "c0510eb673a1f4fd41ab2b569e7a3066b7581a9730c2493bd203e83eeb0f7328",
         "e586d28e7ba3b853ba453d7e4ec0f03b0c8a331438cb13f05faa9dafabfa0021"),
     ('seq_x_end', 'T', 64): (
-        "e8bb56a1a71cb4d0f83157f3820b8e627983cebdd745e67d85fb772e2b682231",
+        "69f65609a07808093045a36292fa92ba11aa316b04ccce164ea41ec53ca82d27",
         "e586d28e7ba3b853ba453d7e4ec0f03b0c8a331438cb13f05faa9dafabfa0021"),
     ('seq_y_end', 'BS', 8): (
-        "ed55e806ee7dc15e44fe54934504b2b69c6a448f6b3cbd60caed8913136c7201",
+        "80d7afecec7b74b8c53faf3d2963024c4014fffeaf5fe5c0e4c7b7f7cb6c75ee",
         "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
     ('seq_y_end', 'BS', 64): (
-        "fb17d609e49e79116c58c7345174d89244ee87c00be5ca713f1d06e964171bf5",
+        "bfe03e1f519284db5b9e582e975106ca226c5b71aa5034ec5e342e6fcf7b7d4f",
         "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
     ('seq_y_end', 'C', 8): (
-        "f5e9b55bce40802352c53b4824eca9dea22533fb9d15f06696d7f80907b07f53",
+        "a326bbc4381f1553b3492f0b18a574f3aab661d50177abafae117e21a70479ee",
         "6c47681bef82eaf495ac8b86f9228576ad371a48bef3958d00ea699f6fc08e95"),
     ('seq_y_end', 'C', 64): (
-        "db384691aa13f795efc57b9f43f34eb8c6cea3aab2e63b7dcb4cfb4b73c06fcc",
+        "8ded7c3b75fb6686541620718432ce30d8d481edee1a1acfb4ec9dd66a30c4ea",
         "6c47681bef82eaf495ac8b86f9228576ad371a48bef3958d00ea699f6fc08e95"),
     ('seq_y_end', 'D', 8): (
         "8a85c192f0de76592e0e385f9528abfced0e2d86cc124a21bdceebe9d419d72e",
@@ -200,10 +204,10 @@ CHECK_DIGESTS = {
         "52605a20a52b4e15bfa0ea0e60af478677f6a74e87415cf3274c63c988436845",
         "79db60ce4d55e27544e25e31e40c0bf1880477fd527894be79bf310220204e3d"),
     ('seq_y_end', 'L', 8): (
-        "238c07050cbb4b0cc13507b813792c98e6c3d68667c6acd2ba8270ffb0c41362",
+        "e65655f1d9f08a259878e3f03d53bf59dac8f3e4a1b8def33a710ff6c2658f23",
         "9a83316afd69e57a18db5eb604878a25dc32c59e3b546b96579e9cee645a71e2"),
     ('seq_y_end', 'L', 64): (
-        "12501852520e1d58cf6ff26201b99d4c7218400884ab46a8f831e3161db23e30",
+        "68b84db3c36d94290393c79825cdcd1dfbeb46eddb9f7d893970f5285e4e4579",
         "9a83316afd69e57a18db5eb604878a25dc32c59e3b546b96579e9cee645a71e2"),
     ('seq_y_end', 'N', 8): (
         "3f7d27f35971d1ee9ea5b4fd2adddeaf3853cd4f88073d26c844b502dc19d488",
@@ -218,16 +222,16 @@ CHECK_DIGESTS = {
         "a4b6996484ff7f47e4b17c6a3616a060048aae8270e50ec542d438e133178c41",
         "2f1c4d3f1516169b4a91e3a09cbf570d3cb03b027289ab4b5ef2da9ce98f59c2"),
     ('seq_y_end', 'SL', 8): (
-        "5a9ef23ff6542ca3ba9e47ea153f03c21c1aff293d91d90f60b92bee891888e0",
+        "e3e5b2eaf2187259ca884e2cdc59cbc3a7ba01ba9f3514e49e991c55aa04fb77",
         "a2685acec7881110cf99f380bea910d6e68c573df4add1ce2d8ab493eebf7ebc"),
     ('seq_y_end', 'SL', 64): (
-        "1c3ab33dd1487980c26de5af5b438fe53b53c53fcde4285e40dbb1f2ac9427ce",
+        "34ea72de3765d1566de72e45ffa5f2e03b50528219438371b01197e66eb75ed8",
         "a2685acec7881110cf99f380bea910d6e68c573df4add1ce2d8ab493eebf7ebc"),
     ('seq_y_end', 'T', 8): (
-        "8a63544d0937ca87d0a3d1da6ef003b0eb5bb337ea11b3706d2343812f3bab63",
+        "18b614f798074c06efa71a9beb4c4f83b87a859893de0ec53b24cbc9d725815c",
         "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
     ('seq_y_end', 'T', 64): (
-        "2bd5db1359b036b9e42fea1924b79b2cf27721889cdec6eb1cbbeb1741abca27",
+        "89bda141ab66e661d66d2c0710c33087520c1fa56929452c8f578f5ad8fe088d",
         "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
 }
 
@@ -243,13 +247,13 @@ REPRODUCE_DIGESTS = {
     "local-compact-witness":
         "1c908e9dbdee9eff9ae883358493d6a4fcde31b469aee522fbc8905bdde7627c",
     "noncompact-C-failure":
-        "539b2ac5d4e74dd6b3c8ae86b2c30fc981986d3da950d201ec88dc2110ae5f81",
+        "9ee922462baeb5e7cebcc76d4cfc8fd9491b7c1db6a25668ed17c408985b3b84",
     "one-point-minimality-criteria":
         "8ed399e04e97e9380b8c44e00c1dd6b253ad17ca699897ddcd7017d6e4460fcb",
     "radical-gap":
         "7ddc8c7d7f82f8a2c7a1dbbee82a5eec162589571548bf47e0ad9b46a7318f30",
     "tong-merge":
-        "fc6d9ded527959a9422d24471a9314cbf2bea2d63190e87edd5ccbb2b246c816",
+        "d436af245a6d65b32e626c82e0c4ef321c90dfdb2ca97a24c7e90197c1a0126d",
 }
 
 
@@ -405,8 +409,7 @@ def _seq_func(prefix, cycle, omega=None):
 
 
 def _iteration_payload(f, g):
-    trace = dieudonne_iterate(midpoint_oracle, f, g, 24)
-    return {**to_jsonable(trace), "f": to_jsonable(f), "g": to_jsonable(g)}
+    return to_jsonable(dieudonne_iterate(midpoint_oracle, f, g, 24))
 
 
 def _merge_payload():
@@ -446,7 +449,7 @@ TRACE_DIGESTS = {
         "c558ca18c7b7e1d6b32cb87f8c836f5f3ca79d759fdc7a463f83843f14a2d3e1",
         "e9b2706d820c3675f39f4a356b80c215d56781cf0f9962dbc31db32ade42b562"),
     "merge-seq-9": (
-        "3765cc99f93bfd8189ef3eeb1d2db624100d6892633820299d4d225b0f974d1f",
+        "0db2fe3aba72b4fb1cc979c87a3a35905c9ead2577090d3211e412d83bb507c6",
         "a68ad746ec3a041bf37f6435c5b8242bb8a3f64d95b251f207db36068f05c7de"),
 }
 
@@ -462,3 +465,37 @@ def test_trace_and_replay_digests(name):
 
 def test_trace_digest_table_covers_every_case():
     assert set(TRACE_DIGESTS) == set(TRACE_CASES)
+
+
+# Keys of a report's envelope, which replay does not read; "assertions" holds
+# golden facts and "instance" the scenario input, so neither is walked.
+ENVELOPE_KEYS = {"model", "expected", "example", "certificates", "assertions", "instance"}
+
+
+def _keys(node):
+    """Every dict key in a JSON value, not descending into assertions or instance."""
+    if isinstance(node, dict):
+        return set(node).union(*(_keys(v) for k, v in node.items()
+                                 if k not in ("assertions", "instance")))
+    if isinstance(node, list):
+        return set().union(*map(_keys, node))
+    return set()
+
+
+def test_every_certificate_key_is_read_by_replay(tmp_path):
+    """A certificate carries only keys that replay names: a key replay never
+    reads certifies nothing."""
+    with open(replay_mod.__file__) as fh:
+        tree = ast.parse(fh.read())
+    named = {n.value for n in ast.walk(tree)
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    outputs = [json.loads(_check_report(tmp_path, model, cond, 8).read_text())
+               for model, cond in sorted(INSTANCES)]
+    for example_id in sorted(CATALOG):
+        report = CATALOG[example_id]()
+        if verify_report(report)["verified"]:
+            outputs.append(report)
+    outputs += [to_jsonable(urysohn_join_stream(carrier, f, g, 12))
+                for carrier, f, g in URYSOHN_CASES.values()]
+    outputs += [case() for case in TRACE_CASES.values()]
+    assert sorted(_keys(outputs) - named - ENVELOPE_KEYS) == []
