@@ -1,10 +1,10 @@
 """Finite topological spaces as a decidable laboratory.
 
-Spaces are stored as their full family of open sets (bitmasks over the
-points); at the sizes handled here that keeps every topological question a
-set-algebra assertion.  Envelopes use the minimal open neighborhood of each
-point, which exists in any finite space and realizes the inf/sup over all
-neighborhoods.
+A finite space is held as its specialization preorder: ``up[x]``, the
+points above x, is the least open set containing x.  Finite topologies are
+exactly the preorders' up-set families, so closedness, normality,
+connectedness and the envelopes over all neighborhoods are decided from the
+``up`` and ``down`` bitmasks; the open sets are derived only where listed.
 
 Non-T1 finite spaces are exploratory territory: under the Hausdorff
 assumptions of the classical insertion theorems, finite means discrete.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, EmptyFamily, PreconditionViolation
@@ -41,105 +42,102 @@ def _mask(points: Iterable[int]) -> int:
     return m
 
 
-class FiniteSpace:
-    """A topology on points 0..n-1, given by its family of open sets.
+def _union(rows: Sequence[int], mask: int) -> int:
+    """The union of ``rows[x]`` over the points x of ``mask``."""
+    m = 0
+    for x in _bits(mask):
+        m |= rows[x]
+    return m
 
-    The family must contain the empty set and the full set and be closed
-    under union and intersection (checked at construction; for finite
-    families that is the whole topology axiom set).  The specialization
-    preorder and the minimal open neighborhoods are derived and cached.
+
+class FiniteSpace:
+    """A topology on points 0..n-1, given by its specialization preorder.
+
+    ``up[x]``, the bitmask of the points y >= x, must lie in the space, hold
+    x and hold ``up[y]`` for each y in it (checked in O(n^2)).  It is kept
+    as ``min_nbhd``; ``down[x]`` is the closure of x, and ``components``
+    lists the connected components in order of their least points.
     """
 
-    def __init__(self, n: int, opens: Iterable[int]):
+    def __init__(self, n: int, up: Sequence[int]):
         self.n = n
         self.full = (1 << n) - 1
-        opens = frozenset(opens)
-        if 0 not in opens or self.full not in opens:
-            raise PreconditionViolation("opens must contain the empty and full sets")
-        for u in opens:
-            if u & ~self.full:
-                raise PreconditionViolation(f"open set {u:b} has points outside the space")
-            for v in opens:
-                if (u | v) not in opens or (u & v) not in opens:
+        up = tuple(up)
+        if len(up) != n or any(row & ~self.full or not row >> x & 1
+                               for x, row in enumerate(up)):
+            raise PreconditionViolation(
+                f"preorder {list(up)} is not {n} reflexive rows inside the space")
+        down = [0] * n
+        for x, row in enumerate(up):
+            for y in _bits(row):
+                if up[y] & ~row:
                     raise PreconditionViolation(
-                        f"family not closed under union/intersection on {u:b}, {v:b}")
-        self.opens = opens
-        # minimal open neighborhood of x: intersection of all opens containing x
-        self.min_nbhd = []
-        for x in range(n):
-            m = self.full
-            for u in opens:
-                if u & (1 << x):
-                    m &= u
-            self.min_nbhd.append(m)
-        self._components = self._compute_components()
+                        f"preorder {list(up)} is not transitive at {x} <= {y}")
+                down[y] |= 1 << x
+        self.min_nbhd, self.down = up, tuple(down)
+        link = [u | d for u, d in zip(up, down)]
+        comps, left = [], self.full
+        while left:  # grow each component from its least point
+            comp, prev = left & -left, 0
+            while comp != prev:
+                prev, comp = comp, _union(link, comp)
+            comps.append(comp)
+            left &= ~comp
+        self.components = tuple(comps)
 
     @classmethod
     def discrete(cls, n: int) -> "FiniteSpace":
-        return cls(n, range(1 << n))
+        return cls(n, [1 << x for x in range(n)])
 
     @classmethod
     def from_preorder(cls, n: int, up: Sequence[int]) -> "FiniteSpace":
-        """The Alexandrov topology whose opens are the up-closed sets of a preorder.
+        """``FiniteSpace(n, up)``, under the name the benchmark's jobs call."""
+        return cls(n, up)
 
-        ``up[x]`` is the bitmask of points reachable from x (must include x).
-        """
-        opens = [m for m in range(1 << n)
-                 if all(up[x] | m == m for x in _bits(m))]
-        return cls(n, opens)
+    @classmethod
+    def from_opens(cls, n: int, opens: Iterable[int]) -> "FiniteSpace":
+        """The space whose open sets are ``opens``.  ``up[x]`` is the meet of
+        the members holding x, so every member is an up-set, and the family is
+        a topology iff it holds every up-set too, that is iff it equals
+        ``space.opens``."""
+        full, opens = (1 << n) - 1, frozenset(opens)
+        if 0 not in opens or full not in opens:
+            raise PreconditionViolation("opens must contain the empty and full sets")
+        up = [full] * n
+        for u in opens:
+            if u & ~full:
+                raise PreconditionViolation(f"open set {u:b} has points outside the space")
+            for x in _bits(u):
+                up[x] &= u
+        space = cls(n, up)
+        if space.opens != opens:
+            raise PreconditionViolation("family not closed under union/intersection: "
+                                        f"it lacks {min(space.opens - opens):b}")
+        return space
+
+    @cached_property
+    def opens(self) -> frozenset[int]:
+        """Every open set: the unions of minimal neighborhoods."""
+        opens = {0}
+        for row in self.min_nbhd:
+            opens |= {u | row for u in opens}
+        return frozenset(opens)
 
     def is_closed(self, mask: int) -> bool:
-        return (self.full & ~mask) in self.opens
+        """Whether the points of ``mask`` in the space form a down-set."""
+        return not _union(self.down, mask & self.full) & ~mask
 
     def closed_sets(self) -> list[int]:
         return [self.full & ~u for u in self.opens]
 
-    def least_open_superset(self, mask: int) -> int:
-        """The smallest open set containing the given set (union of minimal neighborhoods)."""
-        m = 0
-        for x in _bits(mask):
-            m |= self.min_nbhd[x]
-        return m
-
-    def _compute_components(self) -> list[int]:
-        parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for x in range(self.n):
-            for y in _bits(self.min_nbhd[x]):
-                parent[find(x)] = find(y)
-        comps: dict[int, int] = {}
-        out = []
-        for x in range(self.n):
-            comps.setdefault(find(x), _mask(
-                z for z in range(self.n) if find(z) == find(x)))
-        seen = set()
-        for x in range(self.n):
-            r = find(x)
-            if r not in seen:
-                seen.add(r)
-                out.append(comps[r])
-        return out
-
-    @property
-    def components(self) -> list[int]:
-        """Connected components (of the specialization graph) as bitmasks."""
-        return list(self._components)
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteSpace) and self.n == other.n and self.opens == other.opens
+    def __eq__(self, other):  # n is len(min_nbhd)
+        return isinstance(other, FiniteSpace) and self.min_nbhd == other.min_nbhd
 
     def __hash__(self):
-        return hash((self.n, self.opens))
+        return hash(self.min_nbhd)
 
     def __repr__(self):
-        sets = sorted(sorted(_bits(u)) for u in self.opens)
-        return f"FiniteSpace({self.n}, {sets})"
+        return f"FiniteSpace({self.n}, {list(self.min_nbhd)})"
 
 
 class FiniteFunc(AlgElement):
@@ -243,23 +241,26 @@ def separate(space: FiniteSpace, c: int, d: int):
     their least open supersets are disjoint (smaller open supersets do not
     exist).
     """
-    u = space.least_open_superset(c)
-    v = space.least_open_superset(d)
+    u = _union(space.min_nbhd, c)
+    v = _union(space.min_nbhd, d)
     if u & v:
         return NotSeparable(c, d)
     return Separated(c, d, u, v)
 
 
 def is_normal(space: FiniteSpace):
-    """Exhaustive normality check; on failure returns the offending closed pair."""
-    closed = space.closed_sets()
-    for c in closed:
-        for d in closed:
-            if c & d:
-                continue
-            res = separate(space, c, d)
-            if isinstance(res, NotSeparable):
-                return False, res
+    """Normality by the pair test; on failure returns the offending closed pair.
+
+    Disjoint closed sets are separable iff their least open supersets are
+    disjoint, so the space is normal iff no points a, b have a common point
+    above them (``up[a] & up[b]``) and disjoint closures (``down[a]``,
+    ``down[b]``); those closures are the witness.
+    """
+    up, down = space.min_nbhd, space.down
+    for a in range(space.n):
+        for b in range(a):
+            if up[a] & up[b] and not down[a] & down[b]:
+                return False, NotSeparable(down[a], down[b])
     return True, None
 
 
@@ -393,11 +394,9 @@ def enumerate_preorders(n: int) -> Iterator[list[int]]:
         if i == n:
             yield list(rows)
             return
-        base = 1 << i
-        for extra in range(1 << n):
-            if extra & base:
-                continue
-            rows[i] = base | extra
+        low = (1 << i) - 1
+        for extra in range(1 << (n - 1)):  # every row holding i, in increasing order
+            rows[i] = (extra & low) | ((extra & ~low) << 1) | (1 << i)
             # transitivity constraints among rows 0..i prune the search early;
             # pairs involving a later row are checked when that row is set
             if consistent(i):
@@ -417,4 +416,4 @@ def enumerate_spaces(n: int) -> Iterator[FiniteSpace]:
     if n > MAX_ENUM_POINTS:
         raise BoundExceeded(f"enumeration limited to {MAX_ENUM_POINTS} points, got {n}")
     for up in enumerate_preorders(n):
-        yield FiniteSpace.from_preorder(n, up)
+        yield FiniteSpace(n, up)

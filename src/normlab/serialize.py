@@ -268,7 +268,7 @@ def parse_scenario(data) -> tuple:
             raise _reject("", "missing key 'space', which model finite_full reads")
         n, opens = _space_sets(data["space"], "/space")
         try:
-            space = FiniteSpace(n, opens)
+            space = FiniteSpace.from_opens(n, opens)
         except PreconditionViolation as exc:  # not a topology
             raise _reject("/space/opens", str(exc)) from None
     elif "space" in data:

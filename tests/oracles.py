@@ -5,9 +5,17 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from normlab.errors import BoundExceeded, CarrierMismatch, EmptyFamily, PreconditionViolation
-from normlab.finite_space import FiniteFunc, FiniteSpace
+from normlab.finite_space import FiniteFunc, FiniteSpace, NotSeparable, separate
 from normlab.lattice_core import check_positive
 from normlab.seq_model import SeqFunc
+
+
+def is_topology(n: int, fam) -> bool:
+    """Whether a family of bitmasks holds the empty and full sets, names only
+    points 0..n-1, and is closed under union and intersection."""
+    full = (1 << n) - 1
+    return (0 in fam and full in fam and all(u & ~full == 0 for u in fam)
+            and all((u | v) in fam and (u & v) in fam for u in fam for v in fam))
 
 
 def enumerate_spaces_bruteforce(n: int) -> Iterator[FiniteSpace]:
@@ -18,8 +26,28 @@ def enumerate_spaces_bruteforce(n: int) -> Iterator[FiniteSpace]:
     middles = [m for m in range(1 << n) if m not in (0, full)]
     for pick in range(1 << len(middles)):
         fam = {0, full} | {m for i, m in enumerate(middles) if pick & (1 << i)}
-        if all((u | v) in fam and (u & v) in fam for u in fam for v in fam):
-            yield FiniteSpace(n, fam)
+        if is_topology(n, fam):
+            yield FiniteSpace.from_opens(n, fam)
+
+
+def up_sets_scan(n: int, up: Sequence[int]) -> frozenset:
+    """The up-closed sets of a preorder, by a scan over all 2^n masks."""
+    return frozenset(m for m in range(1 << n)
+                     if all(up[x] | m == m for x in range(n) if m >> x & 1))
+
+
+def is_normal_closed_pairs(space: FiniteSpace):
+    """Normality by trying every disjoint pair of closed sets; on failure
+    returns the first pair :func:`separate` refuses."""
+    closed = space.closed_sets()
+    for c in closed:
+        for d in closed:
+            if c & d:
+                continue
+            res = separate(space, c, d)
+            if isinstance(res, NotSeparable):
+                return False, res
+    return True, None
 
 
 def rand_rational(rng: random.Random, lo: int = -3, hi: int = 3,

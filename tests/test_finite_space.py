@@ -25,18 +25,31 @@ from normlab.finite_space import (
 )
 from normlab.replay import verify_report
 from normlab.serialize import to_jsonable
-from oracles import enumerate_spaces_bruteforce
+from oracles import enumerate_spaces_bruteforce, is_normal_closed_pairs, is_topology, up_sets_scan
 
-SIERPINSKI = FiniteSpace(2, [0b00, 0b01, 0b11])
+SIERPINSKI = FiniteSpace.from_opens(2, [0b00, 0b01, 0b11])
 
-NON_NORMAL = FiniteSpace(3, [0b000, 0b001, 0b011, 0b101, 0b111])
+NON_NORMAL = FiniteSpace.from_opens(3, [0b000, 0b001, 0b011, 0b101, 0b111])
 
 
 def test_space_validation():
     with pytest.raises(PreconditionViolation):
-        FiniteSpace(2, [0b00, 0b01])  # missing full set
+        FiniteSpace.from_opens(2, [0b00, 0b01])  # missing full set
     with pytest.raises(PreconditionViolation):
-        FiniteSpace(3, [0b000, 0b001, 0b010, 0b111])  # no union
+        FiniteSpace.from_opens(3, [0b000, 0b001, 0b010, 0b111])  # no union
+    with pytest.raises(PreconditionViolation, match="outside the space"):
+        FiniteSpace.from_opens(2, [0, 1, 3, 4])
+
+
+@pytest.mark.parametrize("n, up", [
+    (2, [0, 0]),  # not reflexive
+    (3, [0b011, 0b110, 0b100]),  # not transitive: 0 <= 1 <= 2 but not 0 <= 2
+    (2, [0b101, 0b10]),  # a point outside the space
+    (2, [0b01]),  # one row for two points
+])
+def test_from_preorder_rejects_non_preorders(n, up):
+    with pytest.raises(PreconditionViolation, match="preorder"):
+        FiniteSpace.from_preorder(n, up)
 
 
 def test_topology_counts():
@@ -51,6 +64,26 @@ def test_enumeration_matches_bruteforce_oracle():
         fast = {s.opens for s in enumerate_spaces(n)}
         slow = {s.opens for s in enumerate_spaces_bruteforce(n)}
         assert fast == slow
+
+
+def test_opens_are_the_up_sets_of_the_preorder():
+    for n in range(1, 5):
+        for up in enumerate_preorders(n):
+            space = FiniteSpace(n, up)
+            assert space.opens == up_sets_scan(n, up)
+            assert FiniteSpace.from_opens(n, space.opens) == space
+
+
+def test_from_opens_accepts_exactly_the_topologies():
+    for n in (1, 2, 3):
+        for pick in range(1 << (1 << n)):
+            fam = [m for m in range(1 << n) if pick >> m & 1]
+            try:
+                FiniteSpace.from_opens(n, fam)
+                accepted = True
+            except PreconditionViolation:
+                accepted = False
+            assert accepted == is_topology(n, fam), fam
 
 
 def test_enumeration_bound():
@@ -101,15 +134,26 @@ def test_normality_and_separation():
     assert isinstance(res, NotSeparable)
 
 
+def test_pair_test_agrees_with_closed_pair_loop():
+    for n in range(1, 6):
+        for space in enumerate_spaces(n):
+            ok, witness = is_normal(space)
+            assert ok == is_normal_closed_pairs(space)[0]
+            if not ok:
+                assert space.is_closed(witness.c) and space.is_closed(witness.d)
+                assert not witness.c & witness.d
+                assert isinstance(separate(space, witness.c, witness.d), NotSeparable)
+
+
 def test_urysohn_witness_and_refusal():
     space = FiniteSpace.discrete(3)
     h = urysohn(space, {0}, {2})
     assert h.values == (Fraction(0), Fraction(0), Fraction(1))
     # indiscrete-like component: single component meets both sets
-    chain = FiniteSpace(2, [0b00, 0b01, 0b11])
+    chain = FiniteSpace.from_opens(2, [0b00, 0b01, 0b11])
     res = urysohn(chain, {1}, ())
     assert isinstance(res, FiniteFunc)
-    connected = FiniteSpace(2, (0, 3))  # indiscrete
+    connected = FiniteSpace.from_opens(2, (0, 3))  # indiscrete
     with pytest.raises(PreconditionViolation):
         urysohn(connected, {0}, {1})  # {0} is not closed here
 
@@ -126,7 +170,7 @@ def test_insert_finite_feasible_and_not():
     h = insert_finite(space, f, g)
     assert f.le(h) and h.le(g)
     # on the indiscrete space everything is one component
-    ind = FiniteSpace(2, (0, 3))  # indiscrete
+    ind = FiniteSpace.from_opens(2, (0, 3))  # indiscrete
     f2 = FiniteFunc(ind, [0, 0])
     g2 = FiniteFunc(ind, [1, 1])
     h2 = insert_finite(ind, f2, g2)

@@ -354,7 +354,7 @@ def test_join_stream_rejects_disorder_at_key_g(carrier, f, g):
 def test_join_stream_matches_per_pair_loop():
     rng = random.Random(2024)
     # a V-shaped space: closed points 0 and 1 share the open point 2
-    vee = FiniteSpace(3, [0b000, 0b100, 0b101, 0b110, 0b111])
+    vee = FiniteSpace.from_opens(3, [0b000, 0b100, 0b101, 0b110, 0b111])
     infeasible = (FiniteUrysohnCarrier(vee), FiniteFunc(vee, [1, 0, 0]),
                   FiniteFunc(vee, [1, 0, 1]))
     cases = [infeasible] + _random_finite_cases(rng, 40) + _random_y_cases(rng, 25)
