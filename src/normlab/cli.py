@@ -73,11 +73,13 @@ def _print(text: str) -> None:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Write a report as one line of sorted-key JSON.  Without an indent,
+    ``json.dumps`` runs CPython's C encoder."""
+    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    _print(text + "\n")
+            fh.write(text)
+    _print(text)
 
 
 def _read_json(path: str):

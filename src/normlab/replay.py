@@ -22,7 +22,9 @@ and reports one line per check; a payload it cannot read raises
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -61,6 +63,32 @@ def _ints(values, memo) -> tuple[int, list[int]]:
     return den, [p * (den // q) for p, q in pairs]
 
 
+def _mask(points) -> int:
+    """A list of point indices as a bitmask; a negative index is a ValueError."""
+    m = 0
+    for x in points:
+        m |= 1 << x
+    return m
+
+
+def _is_topology(opens, n) -> bool:
+    """Whether point bitmasks are a topology on n points: no point at or above
+    n, the empty and full sets in, closed under union and intersection.
+
+    A family holding the empty set is closed under both iff it holds each
+    point's least member up[x] (the meet of the members holding x) and the
+    union of each member with each up[x]: every member is the union of the
+    up[x] of its points, so unions of members are reached one up[x] at a
+    time, and the meet of two members is the union of the up[x] of their
+    common points.  The test is O(|opens| * n).
+    """
+    full = (1 << n) - 1
+    if 0 not in opens or full not in opens or any(o & ~full for o in opens):
+        return False
+    up = [functools.reduce(operator.and_, (o for o in opens if o >> x & 1)) for x in range(n)]
+    return all(u in opens for u in up) and all(o | u in opens for o in opens for u in up)
+
+
 # -- the element reader ------------------------------------------------------
 
 class _Reader:
@@ -89,8 +117,9 @@ class _Reader:
         return d["space"] if self.is_finite(d) else d.get("omega") is None
 
     def opens(self, d):
-        """The open sets of a finite function's space; None for a sequence."""
-        return {frozenset(o) for o in d["space"]["opens"]} if self.is_finite(d) else None
+        """The open sets of a finite function's space as point bitmasks; None
+        for a sequence."""
+        return frozenset(_mask(o) for o in d["space"]["opens"]) if self.is_finite(d) else None
 
     def points(self, *elems):
         """Common probe points for a mix of elements."""
@@ -470,8 +499,8 @@ def _continuous(rd, d, opens) -> bool:
         return om is None or all(v == om for v in cycle)
     fibers = {}
     for x, v in enumerate(rd.rows(d)[1][0]):
-        fibers.setdefault(v, set()).add(x)
-    return all(frozenset(fiber) in opens for fiber in fibers.values())
+        fibers[v] = fibers.get(v, 0) | 1 << x
+    return all(fiber in opens for fiber in fibers.values())
 
 
 def _verify_urysohn(cert, checks) -> None:
@@ -480,7 +509,9 @@ def _verify_urysohn(cert, checks) -> None:
     The transform, the Farey grid and each grid pair's level pair are
     recomputed: with f1 and g1 the rescaled f and g, {f1 >= s} and {g1 > r}
     are named by how many distinct values of f1 are at least s and of g1
-    exceed r.  No number the producer wrote is trusted.  Values are int
+    exceed r.  No number the producer wrote is trusted, nor a finite space's
+    open family: one that is not a topology fails its row, and nothing else
+    is checked.  Values are int
     numerators: f, g, the result and each h over one denominator, f1 and g1
     over another, and grid values are compared with them by cross-multiplying.
     """
@@ -493,6 +524,9 @@ def _verify_urysohn(cert, checks) -> None:
         raise ValueError("elements on different carriers")
     den, (fr, gr, rr, *hr) = rd.rows(f, g, res, *hs)
     opens = rd.opens(f)
+    if opens is not None and not _is_topology(opens, len(rd.points(f))):
+        _check(checks, "urysohn: the space's opens are a topology", False)
+        return
     a = -min(fr)  # a / den and b / den are the transform
     b = max(gr) + a or den
     _check(checks, "urysohn: transform recomputed",

@@ -37,49 +37,76 @@ from .conditions import (
 )
 from .errors import PreconditionViolation
 from .finite_space import FiniteFunc, FiniteSpace
-from .lattice_core import AlgElement
 from .rationals import num_str, rat_str
 from .seq_model import GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet
 
 
+def _same(obj):
+    return obj
+
+
+def _lower_dict(obj: dict) -> dict:
+    return {str(k): to_jsonable(v) for k, v in obj.items()}
+
+
+def _lower_items(obj) -> list:
+    return [to_jsonable(v) for v in obj]
+
+
+def _lower_space(space: FiniteSpace) -> dict:
+    return {"points": space.n,
+            "opens": [sorted(x for x in range(space.n) if (1 << x) & m)
+                      for m in sorted(space.opens)]}
+
+
+# Elements are formatted from their int rows, building no Fraction.
+
+def _lower_finite_func(obj: FiniteFunc) -> dict:
+    den = obj._den
+    return {"space": _lower_space(obj.space), "values": [num_str(x, den) for x in obj._row]}
+
+
+def _lower_seq_func(obj: SeqFunc) -> dict:
+    den = obj._den
+    values = [num_str(x, den) for x in obj._row]
+    k, c, om = obj._shape
+    return {"prefix": values[:k], "cycle": values[k:k + c], "omega": values[-1] if om else None}
+
+
+# How each exact type lowers.  A dataclass type without an entry is lowered
+# field by field, and its entry is added the first time it is seen.
+_LOWER = {
+    type(None): _same, bool: _same, int: _same, str: _same,
+    dict: _lower_dict, list: _lower_items, tuple: _lower_items,
+    Fraction: rat_str,
+    Omega: lambda _: "omega",
+    FiniteSpace: _lower_space,
+    FiniteFunc: _lower_finite_func,
+    SeqFunc: _lower_seq_func,
+    GeoTail: lambda t: {"prefix": [rat_str(v) for v in t.prefix],
+                        "q": rat_str(t.q), "ratio": rat_str(t.ratio)},
+    YSet: lambda s: {"kind": s.kind, "members": list(s.members)},
+    Witness: lambda w: {"witness": to_jsonable(w.func), "limit": rat_str(w.limit)},
+    InfeasibleCert: lambda c: {"infeasible": True, "limsup_f": rat_str(c.limsup_f),
+                               "liminf_g": rat_str(c.liminf_g),
+                               "f": to_jsonable(c.f), "g": to_jsonable(c.g)},
+}
+
+
+def _dataclass_lowering(cls):
+    names = [f.name for f in dc_fields(cls)]
+    return lambda obj: {name: to_jsonable(getattr(obj, name)) for name in names}
+
+
 def to_jsonable(obj):
     """Lower any library value to plain JSON types, rationals as strings."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return rat_str(obj)
-    if isinstance(obj, Omega):
-        return "omega"
-    if isinstance(obj, FiniteSpace):
-        return {"points": obj.n,
-                "opens": [sorted(x for x in range(obj.n) if (1 << x) & m)
-                          for m in sorted(obj.opens)]}
-    if isinstance(obj, AlgElement):  # formatted from the int row, building no Fraction
-        den = obj._den
-        values = [num_str(x, den) for x in obj._row]
-        if isinstance(obj, FiniteFunc):
-            return {"space": to_jsonable(obj.space), "values": values}
-        k, c, om = obj._shape
-        return {"prefix": values[:k], "cycle": values[k:k + c],
-                "omega": values[-1] if om else None}
-    if isinstance(obj, GeoTail):
-        return {"prefix": [rat_str(v) for v in obj.prefix],
-                "q": rat_str(obj.q), "ratio": rat_str(obj.ratio)}
-    if isinstance(obj, YSet):
-        return {"kind": obj.kind, "members": list(obj.members)}
-    if isinstance(obj, Witness):
-        return {"witness": to_jsonable(obj.func), "limit": rat_str(obj.limit)}
-    if isinstance(obj, InfeasibleCert):
-        return {"infeasible": True, "limsup_f": rat_str(obj.limsup_f),
-                "liminf_g": rat_str(obj.liminf_g),
-                "f": to_jsonable(obj.f), "g": to_jsonable(obj.g)}
-    if is_dataclass(obj):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dc_fields(obj)}
-    raise PreconditionViolation(f"cannot serialize {type(obj).__name__}")
+    lower = _LOWER.get(type(obj))
+    if lower is None:
+        cls = type(obj)
+        if not is_dataclass(cls):
+            raise PreconditionViolation(f"cannot serialize {cls.__name__}")
+        lower = _LOWER[cls] = _dataclass_lowering(cls)
+    return lower(obj)
 
 
 # -- scenario reader -----------------------------------------------------------

@@ -3,11 +3,15 @@
 import json
 import os
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
 from normlab.cli import CATALOG, main, reproduce, survey_rows
-from normlab.errors import UnknownExampleId
+from normlab.errors import PreconditionViolation, UnknownExampleId
+from normlab.seq_model import SeqFunc
+from normlab.serialize import to_jsonable
 
 
 def write(tmp_path, name, payload):
@@ -131,6 +135,45 @@ def test_replay_roundtrip(tmp_path, capsys):
     assert main(["replay", str(report)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] and payload["verified"] >= 1
+
+
+def _compact(text):
+    return json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_reports_are_one_line_of_sorted_compact_json(tmp_path, capsys):
+    """check, replay and reproduce write one line of sorted-key JSON without
+    spaces, and --out holds the bytes written to stdout."""
+    path = write(tmp_path, "s.json", SCENARIO_N_FAILS)
+    report = tmp_path / "report.json"
+    for argv in (["check", path, "--out", str(report)], ["replay", str(report)],
+                 ["reproduce", "tong-merge"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out == _compact(out), argv[0]
+        if argv[0] == "check":
+            assert report.read_text() == out
+
+
+@dataclass
+class _Report:
+    verdict: str
+    bound: Fraction
+    witness: SeqFunc
+    rows: list
+
+
+def test_to_jsonable_lowers_a_dataclass_alike_on_every_call_and_refuses_unknown_types():
+    report = _Report("holds", Fraction(1, 3), SeqFunc([Fraction(1)], [Fraction(0)]),
+                     [(Fraction(2), None), {"n": 3}])
+    lowered = {"verdict": "holds", "bound": "1/3",
+               "witness": {"prefix": ["1"], "cycle": ["0"], "omega": None},
+               "rows": [["2", None], {"n": 3}]}
+    assert to_jsonable(report) == lowered  # the first call records _Report's fields
+    assert to_jsonable(report) == lowered
+    for value in (object(), {1}, 1.5, _Report):
+        with pytest.raises(PreconditionViolation, match="cannot serialize"):
+            to_jsonable(value)
 
 
 def test_replay_detects_tampering(tmp_path, capsys):

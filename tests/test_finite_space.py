@@ -198,6 +198,17 @@ def test_indicator_masks_and_iterables():
     assert indicator(space, [0, 2]).values == (Fraction(1), Fraction(0), Fraction(1))
 
 
+@pytest.mark.parametrize("subset", [{5}, {7}, 0b100])
+def test_points_outside_the_space_are_refused(subset):
+    space = FiniteSpace.discrete(2)
+    with pytest.raises(PreconditionViolation, match="outside the 2-point space"):
+        indicator(space, subset)
+    with pytest.raises(PreconditionViolation, match="outside the 2-point space"):
+        urysohn(space, subset, {1})
+    with pytest.raises(PreconditionViolation, match="outside the 2-point space"):
+        urysohn(space, {0}, subset)
+
+
 def test_block_indicators_exact_partition():
     rng = random.Random(3)
     space = FiniteSpace.discrete(5)

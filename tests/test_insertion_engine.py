@@ -1079,6 +1079,47 @@ def test_urysohn_replay_tamper_fails_its_row(carrier, tamper, row):
     assert not verify_report(payload)["ok"]
 
 
+def _members_of(opens, combine):
+    """The members of an open family that combine (union or meet) two others."""
+    sets = [frozenset(o) for o in opens]
+    return [o for o in sets
+            if any(combine(a, b) == o for a in sets for b in sets if o not in (a, b))]
+
+
+def _edit_opens(c, edit):
+    """Apply edit to the open list of every element's space, so that all stay
+    on one carrier."""
+    for d in (c["f"], c["g"], c["result"], *(row["h"] for row in c["pairs"])):
+        edit(d["space"]["opens"])
+
+
+def _drop_union(opens):
+    drop = _members_of(opens, frozenset.union)[0]
+    opens[:] = [o for o in opens if frozenset(o) != drop]
+
+
+def _drop_meet(opens):
+    unions = _members_of(opens, frozenset.union)
+    drop = next(o for o in _members_of(opens, frozenset.intersection) if o not in unions)
+    opens[:] = [o for o in opens if frozenset(o) != drop]
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_union,
+    _drop_meet,
+    lambda opens: opens.remove([]),
+    lambda opens: opens.remove(list(range(5))),
+    lambda opens: opens.append([5]),
+], ids=["union", "meet", "empty", "full", "point-5"])
+def test_urysohn_replay_refuses_a_family_that_is_no_topology(edit):
+    payload = _urysohn_payload("finite")
+    _edit_opens(payload, edit)
+    report = verify_report(payload)
+    assert not report["ok"]
+    assert report["checks"] == [{"check": "urysohn: the space's opens are a topology",
+                                 "ok": False}]
+
+
 def _continuous_alone(d):
     rd = _Reader()  # a reader per element: it keys what it parsed by the element's id
     return _continuous(rd, d, rd.opens(d))

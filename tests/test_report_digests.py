@@ -6,6 +6,13 @@ command's stdout, of the serialized ``urysohn_join_stream`` output, or of a
 serialized iteration or merge trace and its ``verify_report`` output; a change
 to any of them is a change to the report format or to a verdict or
 certificate, and needs a deliberate update here.
+
+The CLI writes each report as one line of sorted-key JSON.  Every
+``CHECK_DIGESTS`` and ``REPRODUCE_DIGESTS`` entry was re-pinned when the CLI
+stopped indenting its output: each new stdout is
+``json.dumps(json.loads(old stdout), sort_keys=True, separators=(",", ":"))``
+plus a newline, so every JSON value stayed the same.  The Urysohn, trace and
+tampered-replay digests do not hash CLI stdout and were not re-pinned.
 """
 
 import ast
@@ -90,170 +97,170 @@ INSTANCES = {
 # dropped the keys replay does not read, with every replay digest unchanged
 CHECK_DIGESTS = {
     ('finite_full', 'BS', 8): (
-        "ec67827b6ad02d01c7fc16e3621429a17f80127b65c55cc3e2ef0349fd94bb68",
-        "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
+        "8a7b36d74d4a37ff4e87a33055e292ea4620b3ffc325de180bf7f4a24459b054",
+        "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
     ('finite_full', 'BS', 64): (
-        "8be2230a074d8596728dcabe4617750f3a93a821921dea28cef82e1ef7c1355f",
-        "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
+        "79029a926cfd4ca8dcfa6688cfc735a33f57ea8fa2b74f0385db6e60bce70cd8",
+        "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
     ('finite_full', 'C', 8): (
-        "16b5b3e492fff1f947629114097a5bd98ac5251d8996d3c818fc2f8bb77c94c2",
-        "26e090de17af8699ceb95a2752db518a7995794da1b4447fb8fde494f012f4f5"),
+        "01b1974b0eae43f798a6e19655dab4eeb91b1485b6718d496064bca61792b98d",
+        "9e791ff33e3c23c3f8d4db6ab6db485571ae68f8624786c37082c4a23f480807"),
     ('finite_full', 'C', 64): (
-        "36f87e5f06ce116e79d4c892b08eb4a6b0763b512c29d154fec69de93748b41c",
-        "26e090de17af8699ceb95a2752db518a7995794da1b4447fb8fde494f012f4f5"),
+        "33dc4e3ba5b5ebed5721787a8556471d3b39a46e053785a332d80019b5948777",
+        "9e791ff33e3c23c3f8d4db6ab6db485571ae68f8624786c37082c4a23f480807"),
     ('finite_full', 'D', 8): (
-        "6e2564c9814074080e8cdde1956835276989dd93205199487118c765d75814c4",
-        "80c3129b0b28e06158a4f3e05baeaec04fabe222c382e61f16e8b870eca1d434"),
+        "a04ae2c16fcd064835a63e617776252f5078c0f2188fe3e61d1a266dac162674",
+        "9cc0aa5d9117159cceca193d410d1b41dd996091d038f9b0c3ec981777ca69aa"),
     ('finite_full', 'D', 64): (
-        "4bc624e0f8b78a58ac85eeabcc625cc6f46fdfd1a23e78b7183c061303444ed8",
-        "80c3129b0b28e06158a4f3e05baeaec04fabe222c382e61f16e8b870eca1d434"),
+        "90de0f64bd75ba3c788edc27a41caaed089460f9018d0cf7c0d3a7c0cf1ee466",
+        "9cc0aa5d9117159cceca193d410d1b41dd996091d038f9b0c3ec981777ca69aa"),
     ('finite_full', 'L', 8): (
-        "c18c5abd7fa5a4848616f40afed4c63f5f625be299018e2d3991208c12b8497d",
-        "991f5550ffe96fd8b697b24a3dd4a7a33fd2bbcfaa8624655e978fda67aaa489"),
+        "892ff30fe673292ea86dfe5fe657933043582440e1392b9df8b57d40123c16d5",
+        "d97ec53ea02be085851810d901515a17f64151f7077eb5e851fe028fc914ffb7"),
     ('finite_full', 'L', 64): (
-        "47a24fc0876340497ecb2a9441e71fd7a703db78fa3b92f23dbd54e406d9977c",
-        "991f5550ffe96fd8b697b24a3dd4a7a33fd2bbcfaa8624655e978fda67aaa489"),
+        "132cb5caeff7a0ce8b27cdda870a5425cfb1fcf68ef70c8fe42440a6407f9b76",
+        "d97ec53ea02be085851810d901515a17f64151f7077eb5e851fe028fc914ffb7"),
     ('finite_full', 'N', 8): (
-        "effd33354be7169472edcc2c558fabb718b20a19158bc061f77d6efaf953ebbe",
-        "fde0f12bb0f9ddc58747e3cc8f4c6ce57ff0e59d40fa6eba973db381ebd992dd"),
+        "5d5b636b8160d846d97cd8c5876423020bc2c354626dc100a9d88d42f84da322",
+        "aca67cf56e32b25e927037b75c9cc344367e4f87cc47e224435c4d5dc0527d2a"),
     ('finite_full', 'N', 64): (
-        "80029f66062d15e860b49adf11662ac6246fa2f3363639a1dc1b42762eecd12e",
-        "fde0f12bb0f9ddc58747e3cc8f4c6ce57ff0e59d40fa6eba973db381ebd992dd"),
+        "16cef8a46e6ed3b2bfcf918930bd93e66acf57aa80bc490bb3afc8d357f64c00",
+        "aca67cf56e32b25e927037b75c9cc344367e4f87cc47e224435c4d5dc0527d2a"),
     ('finite_full', 'S', 8): (
-        "228033165c06b8581d6a56da55c4ccd8a78ef8d6f2e8ec353357e6ac91bde2fb",
-        "2f1c4d3f1516169b4a91e3a09cbf570d3cb03b027289ab4b5ef2da9ce98f59c2"),
+        "24372f85a3b85482cdd0e0fe66479cc3c916740da14720e0ff88112c85eaad00",
+        "98b74dfabea5ea4a404c1d8a88d2c9044c49067032ece7c37f61a877d6d688cc"),
     ('finite_full', 'S', 64): (
-        "01c41a2081f50d11f611e0b363141bfe0d02bbe2b130d1aec607ccd9fa81b679",
-        "2f1c4d3f1516169b4a91e3a09cbf570d3cb03b027289ab4b5ef2da9ce98f59c2"),
+        "5065ff67e3e56dfa403af8e1fce6ca8ad1452d2c85bf44832bb4ea65155abf16",
+        "98b74dfabea5ea4a404c1d8a88d2c9044c49067032ece7c37f61a877d6d688cc"),
     ('finite_full', 'SL', 8): (
-        "ac4f1ee1c6ad9058ef2d77fe4577d6fdd768bd0a56167d4ffa71405b57e04a63",
-        "de0bcb842e499d9a0b033253bf3816982e9c115436ac39fdc65706c69befcdf1"),
+        "2d87e25bf48c78f8bb1aa7925aebe524dbf31a84c7a937eb9cad74815b8e9148",
+        "96afccecca6dce8515c51f5ebce30c78c423682d1a354e7be3bd8921396ab5f9"),
     ('finite_full', 'SL', 64): (
-        "c6962c771db10fb40553426340ad8c538902481b739d14685cc46a93298b24e0",
-        "de0bcb842e499d9a0b033253bf3816982e9c115436ac39fdc65706c69befcdf1"),
+        "0751ee3400e4a2753ecd6ba5cce3b86eeff1c8f33f98958343d77b86c8821dab",
+        "96afccecca6dce8515c51f5ebce30c78c423682d1a354e7be3bd8921396ab5f9"),
     ('finite_full', 'T', 8): (
-        "bf96e5fc7be922fdaf3d046c181450dd746fb620b5387aa1c08b53e4e4f4b1a5",
-        "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
+        "f867db64fd472b9f981456663e376c0998e0dc23f294485321d38aad01361da0",
+        "b2ef2d9e3dff5efe16cd9748cb06e10e0b09ab60c4f14e95434df1afec1c561d"),
     ('finite_full', 'T', 64): (
-        "8b0e73156ce794ddaf49c7c80bc5bbc437266b0cf73a6979a763e663577a4f19",
-        "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
+        "f634af96181a76cf063cf148644e91166b05251f4acebea592f9ba456ea9b2a8",
+        "b2ef2d9e3dff5efe16cd9748cb06e10e0b09ab60c4f14e95434df1afec1c561d"),
     ('seq_x_end', 'BS', 8): (
-        "a382ab4847c6f2a91b8e43de7b0f15ff26f6515c93ecce46843ed4188d99463b",
-        "8d96d41e98d5087b0a11d06058c23af8a17682b65b4aeb3c9d8992d26a222e20"),
+        "a8f4af8ba92222fa20e9c012abfde562746b17d0022e9f7df5cf5a0a14ab99ce",
+        "e62f42e5f069ed48774c8eca26e68082a9628771f8705433ab6e23d84dc49e15"),
     ('seq_x_end', 'BS', 64): (
-        "59e89175d6ef68605dfe1716788818c91b738f48a82ccc7bc5f4a18c7753259b",
-        "8d96d41e98d5087b0a11d06058c23af8a17682b65b4aeb3c9d8992d26a222e20"),
+        "75e5c97ce337d0496e8e5538e46f8a7cb2f212916eafa9d7a8c371ab4f82d0af",
+        "e62f42e5f069ed48774c8eca26e68082a9628771f8705433ab6e23d84dc49e15"),
     ('seq_x_end', 'C', 8): (
-        "e1c624e52b202ee54bfc118679ec692df52d311918a6e95d46f9061f21bb2dae",
-        "e1e60aa118a8b862fe75b9787652cb74dd4e9ef9ad63f304e0c736c81549fee5"),
+        "52c7ebc961bdabc42a55c8973cb24454375bbb2dceaefd9e030281e75f2e0c6c",
+        "9bc42f4895402c7c44ef833d7a020d1986e39fa04e95cd7e3e7d5423caade397"),
     ('seq_x_end', 'C', 64): (
-        "c3ab00538816151651bbfe59c9fa62ad2e88f5c65981006a9b93dcf3562c6919",
-        "e1e60aa118a8b862fe75b9787652cb74dd4e9ef9ad63f304e0c736c81549fee5"),
+        "5994a861a9391de36fd8c6c91ef027242a8f97be766a8aa224f1aaea35a348f3",
+        "9bc42f4895402c7c44ef833d7a020d1986e39fa04e95cd7e3e7d5423caade397"),
     ('seq_x_end', 'D', 8): (
-        "b44eeac71ef85776f0ce3a2efd9b071e595e6afa364d08ea6e6dbd70a5d2989e",
-        "5e6623ca93cb34b3f480331882ac3c093ffb3ee99b9aa6816ca7a4c1fea9195f"),
+        "dbba093d30e321c36b6dc9b4820e52296b804955961a23fc81bed5543a8d037a",
+        "9178944454c3cd1a04688da7e1297f060313785e3d966048ce65c5c33447a324"),
     ('seq_x_end', 'D', 64): (
-        "37ca252247e4a91f01eca8e1e78f18c19e23b2465ac74f388a43de62c91ae2f5",
-        "5e6623ca93cb34b3f480331882ac3c093ffb3ee99b9aa6816ca7a4c1fea9195f"),
+        "8d72264c6502a8cf8dac94da904c2bbdfdec3adb34f8025fad329e71a2ed291a",
+        "9178944454c3cd1a04688da7e1297f060313785e3d966048ce65c5c33447a324"),
     ('seq_x_end', 'L', 8): (
-        "c46b656b7e7c1dc980c8b50ac47fe1d18db7572b2a6aa7460984d90432d10aae",
-        "9fad2ffdb580a9663fcbe17bb5fd01df8e81b713c719121f07c16a8178835003"),
+        "64ae6fef8cc9029bdc65e3c368b06fee08e18fb0da4028d00d9f46aa0322c43f",
+        "4cb3faeaed8ffb3c3f829ce47c44d29e5a6db520b0c055009e2764362635b373"),
     ('seq_x_end', 'L', 64): (
-        "eedf5776c8ef720d2c8dcd3a310e5a52ab757024b330f0d78820d2c6fada4c23",
-        "9fad2ffdb580a9663fcbe17bb5fd01df8e81b713c719121f07c16a8178835003"),
+        "5b2d10b15fd422b559fbbe48cf5cc992ce3925308e6d48580dddb6df334cbb9d",
+        "4cb3faeaed8ffb3c3f829ce47c44d29e5a6db520b0c055009e2764362635b373"),
     ('seq_x_end', 'N', 8): (
-        "3cd6cfe5fbd9842ae75014fd794972b9efb66be3f6df870a4ae83431a4b9caae",
-        "66204857dc34d50ba29379ad4831e3b9439bad1c2881875c39abc6a9d4c91760"),
+        "0021c3adba15ca6dd8c535aabcf33bac869b82ec762ea27e79180e1cb710b542",
+        "2ac6b6e1e4340c08f391e38972be61a66429cafbe686fb3a5153780105bcc829"),
     ('seq_x_end', 'N', 64): (
-        "dc7ca8ebb8b57907ccd2b1adeb3566fa0ceb24b40036b046feef78fc2e6d3d7c",
-        "66204857dc34d50ba29379ad4831e3b9439bad1c2881875c39abc6a9d4c91760"),
+        "2de0dc381d1d7428c2e21276ca76c61f06b88f9f6c0f816ab73146c0e7d381dd",
+        "2ac6b6e1e4340c08f391e38972be61a66429cafbe686fb3a5153780105bcc829"),
     ('seq_x_end', 'S', 8): (
-        "8377cd8ea8b30f5db8e7c400c6edfed0c06e303d79933f174edc8158798aeb66",
-        "101e9a7d10e4b6b92456563d7cd51a3e3010d1e1caaa8d9f012ec7c4c160e538"),
+        "344707d7260d5f8bb7c10aa76522060a6c23775503c3c3b984805a273d96248d",
+        "3cd38f99d21324d37479fe46d1aee5e5a05544cd7e4a84cc62f6a3438bb40868"),
     ('seq_x_end', 'S', 64): (
-        "54f78a51244612d677633b542deda0e4fbef25dbce2c75cc7e068a0cd568ba4f",
-        "101e9a7d10e4b6b92456563d7cd51a3e3010d1e1caaa8d9f012ec7c4c160e538"),
+        "73df0a918afab2af476e5ca31d7903f27e211f84fd7a1a6a2e24faeca6035e10",
+        "3cd38f99d21324d37479fe46d1aee5e5a05544cd7e4a84cc62f6a3438bb40868"),
     ('seq_x_end', 'SL', 8): (
-        "696ee2c85100b544365bbef22391f45a91912e9f3e554dd4aa6332206245ebf9",
-        "ba20228f86f2cad971f653cde4f4d4e3ce764a01732553e1682eef24f8f309f7"),
+        "187a0b6907f95287c45f951cce199621717ba55872b34cceaecd9d21b7c90aa8",
+        "7f966929accd84e46825f941468335015a986a616abb151af4e5bf2d4ace23e0"),
     ('seq_x_end', 'SL', 64): (
-        "d765ab50b9f114b15d0d3401335fe0d994815883eac45c93cbb5c5eaee794a58",
-        "ba20228f86f2cad971f653cde4f4d4e3ce764a01732553e1682eef24f8f309f7"),
+        "c2004bcc60ff0f555bb9ceb095f210a0620df18581d081f9efc6164d85835192",
+        "7f966929accd84e46825f941468335015a986a616abb151af4e5bf2d4ace23e0"),
     ('seq_x_end', 'T', 8): (
-        "c0510eb673a1f4fd41ab2b569e7a3066b7581a9730c2493bd203e83eeb0f7328",
-        "e586d28e7ba3b853ba453d7e4ec0f03b0c8a331438cb13f05faa9dafabfa0021"),
+        "488d9499221877e8397be9e150414dc0939c05bc72b6616489310e609c715c43",
+        "1f86fb365eba068e93c2ee338a7d471c1813a68733b01faad8e780c55316cba8"),
     ('seq_x_end', 'T', 64): (
-        "69f65609a07808093045a36292fa92ba11aa316b04ccce164ea41ec53ca82d27",
-        "e586d28e7ba3b853ba453d7e4ec0f03b0c8a331438cb13f05faa9dafabfa0021"),
+        "f6d64304415b8fc06d1023d2cdb2f142284aa5ffb30b3262ef6c7f23985c16c9",
+        "1f86fb365eba068e93c2ee338a7d471c1813a68733b01faad8e780c55316cba8"),
     ('seq_y_end', 'BS', 8): (
-        "80d7afecec7b74b8c53faf3d2963024c4014fffeaf5fe5c0e4c7b7f7cb6c75ee",
-        "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
+        "e9201a1f8f34b8a2353bbaec2c66d20293e4cb0fba428564e977660a6770e2a7",
+        "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
     ('seq_y_end', 'BS', 64): (
-        "bfe03e1f519284db5b9e582e975106ca226c5b71aa5034ec5e342e6fcf7b7d4f",
-        "6393f55fdcfe3ecc00b55d6bdf36ce6d770da56a473f081f20b9192237c807ab"),
+        "21e2c8e87b39c6d4fa966f2e79da8afd6f5e4c2e19115302671387d0802a316f",
+        "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
     ('seq_y_end', 'C', 8): (
-        "a326bbc4381f1553b3492f0b18a574f3aab661d50177abafae117e21a70479ee",
-        "6c47681bef82eaf495ac8b86f9228576ad371a48bef3958d00ea699f6fc08e95"),
+        "2f802ce3594aed509adb3a0f34ea5b82cc85ad21379f01c50728444e5139afa2",
+        "03a9538dd977b8e9d69b5aabd499c5332e52b8f56ec24214ec292f0d62bca02c"),
     ('seq_y_end', 'C', 64): (
-        "8ded7c3b75fb6686541620718432ce30d8d481edee1a1acfb4ec9dd66a30c4ea",
-        "6c47681bef82eaf495ac8b86f9228576ad371a48bef3958d00ea699f6fc08e95"),
+        "6ee145de0f1e285a852f0e2570747e47045a51111e10ecdcd683a2bd76350a43",
+        "03a9538dd977b8e9d69b5aabd499c5332e52b8f56ec24214ec292f0d62bca02c"),
     ('seq_y_end', 'D', 8): (
-        "8a85c192f0de76592e0e385f9528abfced0e2d86cc124a21bdceebe9d419d72e",
-        "79db60ce4d55e27544e25e31e40c0bf1880477fd527894be79bf310220204e3d"),
+        "a757a34eb32a3d6a5441d00c7525744d14eab3749e059992065eb618e1bc0f27",
+        "eefbdf872b8f7d03bcadd9806653762b06fa070ec25054aea001654d2699d3c7"),
     ('seq_y_end', 'D', 64): (
-        "52605a20a52b4e15bfa0ea0e60af478677f6a74e87415cf3274c63c988436845",
-        "79db60ce4d55e27544e25e31e40c0bf1880477fd527894be79bf310220204e3d"),
+        "ded43d145bba5c1327b76315c7f8d9af5f781107e92a975bfc2eed1d13132de1",
+        "eefbdf872b8f7d03bcadd9806653762b06fa070ec25054aea001654d2699d3c7"),
     ('seq_y_end', 'L', 8): (
-        "e65655f1d9f08a259878e3f03d53bf59dac8f3e4a1b8def33a710ff6c2658f23",
-        "9a83316afd69e57a18db5eb604878a25dc32c59e3b546b96579e9cee645a71e2"),
+        "9bcf37bcc390771d39eefb61032d0c5a46f39959c1c9cde670d43970f1c33f95",
+        "887c21ebce6ed7df9b9700e0ec2ae06c411c561bc0b41038245a0c18b87f4ebc"),
     ('seq_y_end', 'L', 64): (
-        "68b84db3c36d94290393c79825cdcd1dfbeb46eddb9f7d893970f5285e4e4579",
-        "9a83316afd69e57a18db5eb604878a25dc32c59e3b546b96579e9cee645a71e2"),
+        "f24263714e52e80811ae4a5c00a19f3dbc1599937c594c07db49397b34d57589",
+        "887c21ebce6ed7df9b9700e0ec2ae06c411c561bc0b41038245a0c18b87f4ebc"),
     ('seq_y_end', 'N', 8): (
-        "3f7d27f35971d1ee9ea5b4fd2adddeaf3853cd4f88073d26c844b502dc19d488",
-        "c3faf838efc907f88d892fcc5c30b32dd469b4c8bec5c5aab242267f0b5ff3a0"),
+        "b66e815cff4eb16a0d4824f36789b4560cc91b5c0668004dd2959b878f49b8c1",
+        "6c535a56a8c6187fbd1a9d477276c9232cfc42ad67a6c2be23ba2e07041b613e"),
     ('seq_y_end', 'N', 64): (
-        "bd7b8a696a0f9e4acd2a869956486f79f28ee1cae479268bf1a7719ba0fb28b3",
-        "c3faf838efc907f88d892fcc5c30b32dd469b4c8bec5c5aab242267f0b5ff3a0"),
+        "e0a344f91f2a1b7cf6b3c5e173669f120ee03b219535b63a48b667a3656ed674",
+        "6c535a56a8c6187fbd1a9d477276c9232cfc42ad67a6c2be23ba2e07041b613e"),
     ('seq_y_end', 'S', 8): (
-        "4366cd80714c6b98c4e0ba462880044f5ef6fb2d6414e1cc7a033f60fd7b3494",
-        "2f1c4d3f1516169b4a91e3a09cbf570d3cb03b027289ab4b5ef2da9ce98f59c2"),
+        "7473e4e1e963fff9dbce389093aaaafe71180535a971661db93d25f11fd34601",
+        "98b74dfabea5ea4a404c1d8a88d2c9044c49067032ece7c37f61a877d6d688cc"),
     ('seq_y_end', 'S', 64): (
-        "a4b6996484ff7f47e4b17c6a3616a060048aae8270e50ec542d438e133178c41",
-        "2f1c4d3f1516169b4a91e3a09cbf570d3cb03b027289ab4b5ef2da9ce98f59c2"),
+        "dbd3c3fd8c4a6d166ecfac1fb75761f37fc32e982d0522a4c27e909eab2f0662",
+        "98b74dfabea5ea4a404c1d8a88d2c9044c49067032ece7c37f61a877d6d688cc"),
     ('seq_y_end', 'SL', 8): (
-        "e3e5b2eaf2187259ca884e2cdc59cbc3a7ba01ba9f3514e49e991c55aa04fb77",
-        "a2685acec7881110cf99f380bea910d6e68c573df4add1ce2d8ab493eebf7ebc"),
+        "822add9aac1b1eece5d3b3c237b7fea27afd718d943964ee38805d6cfc499c58",
+        "6dda27e57d7aaa23b1fcb0dde995da01ed857da86480c66b83ddcecb8867baa9"),
     ('seq_y_end', 'SL', 64): (
-        "34ea72de3765d1566de72e45ffa5f2e03b50528219438371b01197e66eb75ed8",
-        "a2685acec7881110cf99f380bea910d6e68c573df4add1ce2d8ab493eebf7ebc"),
+        "e1decbc13268f8a8d0c4be64b30e3acf6fac8e005e3d1b71ca59169a398d1681",
+        "6dda27e57d7aaa23b1fcb0dde995da01ed857da86480c66b83ddcecb8867baa9"),
     ('seq_y_end', 'T', 8): (
-        "18b614f798074c06efa71a9beb4c4f83b87a859893de0ec53b24cbc9d725815c",
-        "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
+        "6a6056eb31097eb13441d96b4b5db7ce1bd9e62524e689df0df68f5478cb7d64",
+        "b2ef2d9e3dff5efe16cd9748cb06e10e0b09ab60c4f14e95434df1afec1c561d"),
     ('seq_y_end', 'T', 64): (
-        "89bda141ab66e661d66d2c0710c33087520c1fa56929452c8f578f5ad8fe088d",
-        "ee123ec5e19b939d33402811d637ff682573a5f6af4a5cc34f11cf2e1c51b815"),
+        "d56154e7e93924e9279bfde96ae8dc6ec7bce1c6d48c2085ad24fd9d8a27c8f5",
+        "b2ef2d9e3dff5efe16cd9748cb06e10e0b09ab60c4f14e95434df1afec1c561d"),
 }
 
 REPRODUCE_DIGESTS = {
     "I-alpha-finite-support":
-        "581e398004e2fe07fe30aaa8eda02a286dda25e350d1c96f7927b1b475ed41a2",
+        "5907ba530ce630467274c78dac8df0bd5422aee73e4fe2b813119a02954d8cad",
     "KT-thresholds":
-        "712c942a7adfc2245cf57fb6726d83e2d6fae0b072f3d3c79ea50bbb55e11a64",
+        "b78e068eb3f58ced28513c010385d44912259796610804bd30767dccfa685b89",
     "chi-evens-no-insertion":
-        "5b5b389442908cebac138468d182ffbb46d9c90b3cd44d931e35f4de6ee0f3a3",
+        "f8847a6471f53880fa561747158f7320bfe34fed7f33d42f2a6fbc2d4aee2250",
     "dieudonne-rate":
-        "5d304ed5112d779699842aa10c700137664435263142f2a23c943dea459b9200",
+        "713dd5221aa49dd129b7beef0f894d5aa44fe3a0452b5106694c0721c42d3a6b",
     "local-compact-witness":
-        "1c908e9dbdee9eff9ae883358493d6a4fcde31b469aee522fbc8905bdde7627c",
+        "7b6208f795a621f073859b820dfeb179f28ad82d736034ef38049941a12fff42",
     "noncompact-C-failure":
-        "9ee922462baeb5e7cebcc76d4cfc8fd9491b7c1db6a25668ed17c408985b3b84",
+        "6cd806d35921ea7f24360e88a0929a095a0b4ef4f3ae759fddcb3f0161cf3731",
     "one-point-minimality-criteria":
-        "8ed399e04e97e9380b8c44e00c1dd6b253ad17ca699897ddcd7017d6e4460fcb",
+        "a4344069e8998d68856317f925eb1ea91675be5b497f0e22fd8afd1000327797",
     "radical-gap":
-        "7ddc8c7d7f82f8a2c7a1dbbee82a5eec162589571548bf47e0ad9b46a7318f30",
+        "e171a7bba056a769f38b362894adb84140fbaabb24c2ba2d56947dd6b796f1f7",
     "tong-merge":
-        "d436af245a6d65b32e626c82e0c4ef321c90dfdb2ca97a24c7e90197c1a0126d",
+        "c96f9db505b964abc3224c866a5ba15c6981c7b44a422296e2577880c4bb1aaa",
 }
 
 
