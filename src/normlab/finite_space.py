@@ -216,7 +216,8 @@ def indicator(space: FiniteSpace, subset) -> FiniteFunc:
     """The 0/1 indicator of a point set (bitmask or iterable of points)."""
     mask = subset if isinstance(subset, int) else _mask(subset)
     if mask & ~space.full:
-        raise PreconditionViolation(f"indicator input names a point outside the {space.n}-point space")
+        raise PreconditionViolation(
+            f"indicator input names a point outside the {space.n}-point space")
     return FiniteFunc(space, (ONE if mask & (1 << x) else ZERO for x in range(space.n)))
 
 
@@ -278,7 +279,8 @@ def urysohn(space: FiniteSpace, c, d):
     cm = c if isinstance(c, int) else _mask(c)
     dm = d if isinstance(d, int) else _mask(d)
     if (cm | dm) & ~space.full:
-        raise PreconditionViolation(f"urysohn inputs name a point outside the {space.n}-point space")
+        raise PreconditionViolation(
+            f"urysohn inputs name a point outside the {space.n}-point space")
     if not space.is_closed(cm) or not space.is_closed(dm):
         raise PreconditionViolation("urysohn inputs must be closed sets")
     if cm & dm:
