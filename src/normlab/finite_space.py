@@ -123,6 +123,12 @@ class FiniteSpace:
             opens |= {u | row for u in opens}
         return frozenset(opens)
 
+    @cached_property
+    def open_points(self) -> tuple[tuple[int, ...], ...]:
+        """Each open set's points in increasing order, the sets in increasing
+        mask order: the form a report lists them in."""
+        return tuple(tuple(_bits(u)) for u in sorted(self.opens))
+
     def is_closed(self, mask: int) -> bool:
         """Whether the points of ``mask`` in the space form a down-set."""
         return not _union(self.down, mask & self.full) & ~mask

@@ -152,6 +152,11 @@ def farey_fractions(q_max: int) -> list[Fraction]:
             for num in range(den + 1) if math.gcd(num, den) == 1]
 
 
+def _mask_of_row(row) -> int:
+    """The bitmask of the positions of a 0/1 row that hold 1."""
+    return sum(1 << x for x, bit in enumerate(row) if bit)
+
+
 class FiniteUrysohnCarrier:
     """Level sets and separation witnesses over a finite space.
 
@@ -166,10 +171,10 @@ class FiniteUrysohnCarrier:
         check_usc_lsc(self.space, f, g)
 
     def closed_superlevel(self, f, s) -> int:
-        return sum(1 << x for x in range(self.space.n) if f.value_at(x) >= s)
+        return _mask_of_row(f.superlevel_row(s))
 
     def open_strict_superlevel(self, g, r) -> int:
-        return sum(1 << x for x in range(self.space.n) if g.value_at(x) > r)
+        return _mask_of_row(g.superlevel_row(r, strict=True))
 
     def urysohn(self, closed_f: int, open_g: int):
         """Continuous h with h = 1 on the closed set, h = 0 off the open set."""

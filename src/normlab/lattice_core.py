@@ -6,11 +6,15 @@ carrier's shape, which says which point each position stands for.  Each
 element operation is written once, here, as one aligned scan of two rows;
 a carrier (functions on a finite space, eventually periodic sequences)
 supplies only the alignment of two rows, the point of each row position,
-and its canonical form.  Ring and lattice axioms then hold exactly, and
-order, norm, and equality are all decidable.  Every value the API returns
-is still a ``Fraction``: that view of an element is built at most once,
-when first read, and an element constructed from Fractions keeps them and
-builds its int row on its first arithmetic.
+and its canonical form.  Two operations need no second row and keep the
+shape as it is, and are written once here too: the 0/1 superlevel row of
+an element, by integer comparison with the level, and a shift by a rational
+constant, rescaled to the common denominator and reduced.  Ring and
+lattice axioms then hold exactly, and order, norm, and equality are all
+decidable.  Every value the API returns is still a ``Fraction``: that
+view of an element is built at most once, when first read, and an element
+constructed from Fractions keeps them and builds its int row on its first
+arithmetic.
 
 The archimedean axiom (na <= b for all n forces a <= 0) holds by
 construction on both carriers and is not asserted dynamically: it is
@@ -32,6 +36,15 @@ def _to_row(values) -> tuple[tuple[int, ...], int]:
     """Fractions as numerators over their least common denominator."""
     den = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _lowest_terms(row, den: int):
+    """(row, den) divided by the gcd of den and every entry."""
+    if den != 1:
+        g = math.gcd(den, *row)
+        if g != 1:
+            return [x // g for x in row], den // g
+    return row, den
 
 
 class LazyView:
@@ -77,11 +90,7 @@ class AlgElement:
 
     def _from_row(self, shape, row, den: int):
         """The canonical element of a row of numerators over den."""
-        if den != 1:
-            g = math.gcd(den, *row)
-            if g != 1:
-                row = [x // g for x in row]
-                den //= g
+        row, den = _lowest_terms(row, den)
         shape, row = self._canonical_row(shape, row)
         return self._new(shape, tuple(row), den)
 
@@ -104,9 +113,32 @@ class AlgElement:
         return self._from_row(shape, *_to_row([rat(fn(Fraction(x, d1), Fraction(y, d2)))
                                               for x, y in zip(xs, ys)]))
 
-    def map_values(self, fn) -> "AlgElement":
-        """Pointwise transformation by a function on Fractions."""
-        return self.zip_with(self, lambda x, _: fn(x))
+    def superlevel_row(self, level, strict: bool = False) -> list[int]:
+        """The 0/1 row of {x : self(x) >= level}, or > level when strict, on
+        self's shape; each entry is x * q >= p * den for the level p/q."""
+        s = rat(level)
+        q, t = s.denominator, s.numerator * self._den
+        if strict:
+            return [1 if x * q > t else 0 for x in self._row]
+        return [1 if x * q >= t else 0 for x in self._row]
+
+    def _shifted(self, value, negate: bool = False):
+        """self + value, or value - self when negate, for a rational value.
+
+        Adding a constant keeps equal values equal, so a canonical shape stays
+        canonical: the row is rescaled to the common denominator, shifted and
+        reduced, with no constant element, alignment or canonical pass.
+        """
+        c = rat(value)
+        d, q = self._den, c.denominator
+        den = math.lcm(d, q)
+        scale, t = den // d, c.numerator * (den // q)
+        if negate:
+            row = [t - x * scale for x in self._row]
+        else:
+            row = [x * scale + t for x in self._row]
+        row, den = _lowest_terms(row, den)
+        return self._new(self._shape, tuple(row), den)
 
     # ring and lattice structure, all pointwise
 
@@ -114,18 +146,22 @@ class AlgElement:
         return other if isinstance(other, AlgElement) else self.const_like(other)
 
     def __add__(self, other):
-        xs, ys, shape, den = self._scaled(self._coerce(other))
+        if not isinstance(other, AlgElement):
+            return self._shifted(other)
+        xs, ys, shape, den = self._scaled(other)
         return self._from_row(shape, [x + y for x, y in zip(xs, ys)], den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        xs, ys, shape, den = self._scaled(self._coerce(other))
+        if not isinstance(other, AlgElement):
+            return self._shifted(-rat(other))
+        xs, ys, shape, den = self._scaled(other)
         return self._from_row(shape, [x - y for x, y in zip(xs, ys)], den)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return self._shifted(other, negate=True)
 
     def __neg__(self):
         return self._new(self._shape, tuple(-x for x in self._row), self._den)

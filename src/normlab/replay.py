@@ -95,7 +95,8 @@ class _Reader:
     """One payload's elements, each parsed once.
 
     Only the reader knows the element encoding: a sequence is {"prefix",
-    "cycle", "omega"}, a finite function {"values", "space"}.  An element is
+    "cycle", "omega"}, a finite function {"values", "space"} with one value
+    per point of its space (else the payload is malformed).  An element is
     parsed on first use, keyed by its id (the payload outlives its reader),
     into int numerators over its least denominator and a shape: (len(prefix),
     len(cycle), has omega) for a sequence, None for a finite function.
@@ -143,6 +144,8 @@ class _Reader:
                 shape = len(prefix), len(cycle), om is not None
             elif self.is_finite(d):
                 values, shape = d["values"], None
+                if len(values) != d["space"]["points"]:
+                    raise ValueError("a finite function needs one value per point")
             else:
                 raise ValueError("unknown element encoding")
             got = self.parsed[id(d)] = (*_ints(values, self.memo), shape)

@@ -414,12 +414,11 @@ def threshold_indicator(f: SeqFunc, level, strict: bool = False) -> SeqFunc:
 
     Level sets of eventually periodic functions are again eventually
     periodic, so the indicator is always representable; it serves as the set
-    representation for subsets of the compactification.
+    representation for subsets of the compactification.  The 0/1 row is laid
+    out on f's shape and made canonical again, as unequal values of f may
+    fall on the same side of the level.
     """
-    s = rat(level)
-    if strict:
-        return f.map_values(lambda v: ONE if v > s else ZERO)
-    return f.map_values(lambda v: ONE if v >= s else ZERO)
+    return f._from_row(f._shape, f.superlevel_row(level, strict), 1)
 
 
 def indicator_is_closed_set(ind: SeqFunc) -> bool:

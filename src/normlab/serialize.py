@@ -54,9 +54,8 @@ def _lower_items(obj) -> list:
 
 
 def _lower_space(space: FiniteSpace) -> dict:
-    return {"points": space.n,
-            "opens": [sorted(x for x in range(space.n) if (1 << x) & m)
-                      for m in sorted(space.opens)]}
+    """Fresh lists on every call, so no two reports share one."""
+    return {"points": space.n, "opens": list(map(list, space.open_points))}
 
 
 # Elements are formatted from their int rows, building no Fraction.

@@ -7,6 +7,7 @@ from typing import Iterator, Sequence
 from normlab.errors import BoundExceeded, CarrierMismatch, EmptyFamily, PreconditionViolation
 from normlab.finite_space import FiniteFunc, FiniteSpace, NotSeparable, separate
 from normlab.lattice_core import check_positive
+from normlab.rationals import ONE, ZERO
 from normlab.seq_model import SeqFunc
 
 
@@ -16,6 +17,28 @@ def is_topology(n: int, fam) -> bool:
     full = (1 << n) - 1
     return (0 in fam and full in fam and all(u & ~full == 0 for u in fam)
             and all((u | v) in fam and (u & v) in fam for u in fam for v in fam))
+
+
+def threshold_by_fractions(elem, level, strict: bool = False):
+    """The 0/1 indicator of {elem >= level} (> level when strict), each value
+    compared as a Fraction in the row ``zip_with`` aligns and made canonical."""
+    s = Fraction(level)
+    return elem.zip_with(elem, lambda v, _: ONE if (v > s if strict else v >= s) else ZERO)
+
+
+def superlevel_mask_by_values(f: FiniteFunc, level, strict: bool = False) -> int:
+    """The bitmask of {f >= level} (> level when strict), value by value."""
+    s = Fraction(level)
+    return sum(1 << x for x in range(f.space.n)
+               if (f.value_at(x) > s if strict else f.value_at(x) >= s))
+
+
+def shift_by_constant_element(elem, c, op: str):
+    """elem + c, elem - c or c - elem ("add", "sub", "rsub") through the constant
+    element of elem's carrier, aligned and made canonical as for two elements."""
+    const = elem.const_like(c)
+    return {"add": lambda: elem + const, "sub": lambda: elem - const,
+            "rsub": lambda: const - elem}[op]()
 
 
 def enumerate_spaces_bruteforce(n: int) -> Iterator[FiniteSpace]:

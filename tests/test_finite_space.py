@@ -300,3 +300,19 @@ def test_block_indicators_separating_gives_singletons():
     for chi in indicators:
         assert chi.is_zero_one_valued()
         assert sum(chi.values) == 1
+
+
+def test_each_lowering_of_a_space_gets_fresh_lists():
+    """Two functions on one space lower to equal open-set lists that share no
+    list, so a report that edits its copy leaves every later lowering as it was."""
+    space = FiniteSpace.from_preorder(3, [0b011, 0b010, 0b100])
+    opens = [[], [1], [0, 1], [2], [1, 2], [0, 1, 2]]  # in increasing mask order
+    first = to_jsonable(FiniteFunc(space, [0, 1, 2]))["space"]
+    second = to_jsonable(FiniteFunc(space, [1, 1, 1]))["space"]
+    assert first == second == {"points": 3, "opens": opens}
+    assert first["opens"] is not second["opens"]
+    assert all(a is not b for a, b in zip(first["opens"], second["opens"]))
+    first["opens"][1].append(2)
+    first["opens"].append([7])
+    assert to_jsonable(FiniteFunc(space, [0, 0, 0]))["space"] == {"points": 3, "opens": opens}
+    assert to_jsonable(space)["opens"] == opens

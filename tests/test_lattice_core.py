@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab.errors import EmptyFamily
-from normlab.finite_space import FiniteFunc, FiniteSpace
+from normlab.finite_space import FiniteFunc, FiniteSpace, indicator
+from normlab.insertion_engine import FiniteUrysohnCarrier
 from normlab.lattice_core import finite_join, rescale_to_unit, unscale
-from normlab.seq_model import OMEGA, SeqFunc
+from normlab.seq_model import OMEGA, SeqFunc, threshold_indicator
+from oracles import shift_by_constant_element, superlevel_mask_by_values, threshold_by_fractions
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -196,3 +198,57 @@ def test_equal_elements_hash_equal_whichever_view_came_first(pair):
     read_first = a * 1
     assert read_first.value_at(0) == a.value_at(0)  # the Fraction view is built first
     assert hash(read_first) == hash(a) and read_first == _fraction_copy(a)
+
+
+# -- superlevel rows and scalar shifts against their Fraction paths -------------
+
+@st.composite
+def leveled_elements(draw):
+    """An element of either carrier, with or without omega, holding only its
+    Fraction view or only its int row, and a level: any rational or a value
+    the element attains."""
+    kind = draw(st.sampled_from(["finite", "seq", "seq_omega"]))
+    if kind == "finite":
+        values = draw(st.lists(kernel_values, min_size=3, max_size=3))
+        e = FiniteFunc(SPACE, values)
+    else:
+        prefix = draw(st.lists(kernel_values, max_size=4))
+        cycle = draw(st.lists(kernel_values, min_size=1, max_size=5))
+        omega = draw(kernel_values) if kind == "seq_omega" else None
+        e = SeqFunc(prefix, cycle, omega)
+        values = prefix + cycle + ([] if omega is None else [omega])
+    e = e * 1 if draw(st.booleans()) else e
+    return e, draw(st.one_of(kernel_values, st.sampled_from(values)))
+
+
+def _kernel_view(e):
+    return e._shape, e._row, e._den
+
+
+@given(leveled_elements(), st.booleans())
+@settings(max_examples=200)
+def test_superlevel_sets_match_the_fraction_threshold(pair, strict):
+    e, level = pair
+    expected = threshold_by_fractions(e, level, strict)
+    if isinstance(e, FiniteFunc):
+        carrier = FiniteUrysohnCarrier(e.space)
+        mask = (carrier.open_strict_superlevel(e, level) if strict
+                else carrier.closed_superlevel(e, level))
+        assert mask == superlevel_mask_by_values(e, level, strict)
+        got = indicator(e.space, mask)
+    else:
+        got = threshold_indicator(e, level, strict)
+    assert _kernel_view(got) == _kernel_view(expected)
+
+
+shifts = st.one_of(st.sampled_from([0, Fraction(0), -2, Fraction(-7, 3), Fraction(5, 6)]),
+                   st.integers(-4, 4), kernel_values)
+
+
+@given(leveled_elements(), shifts, st.sampled_from(["add", "sub", "rsub"]))
+@settings(max_examples=200)
+def test_scalar_shifts_match_the_constant_element_path(pair, c, op):
+    e, _ = pair
+    got = {"add": lambda: e + c, "sub": lambda: e - c, "rsub": lambda: c - e}[op]()
+    assert type(got) is type(e)
+    assert _kernel_view(got) == _kernel_view(shift_by_constant_element(e, c, op))

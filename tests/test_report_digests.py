@@ -350,6 +350,37 @@ def test_interpolation_certificate_without_chain_or_sides_fails(tmp_path, model,
         in out["checks"]
 
 
+def _spaces(node):
+    """Every finite space in a JSON value."""
+    if isinstance(node, dict):
+        here = [node] if "points" in node and "opens" in node else []
+        return here + [s for child in node.values() for s in _spaces(child)]
+    if isinstance(node, list):
+        return [s for child in node for s in _spaces(child)]
+    return []
+
+
+@pytest.mark.parametrize("points", [2, 4])
+def test_replay_refuses_a_finite_function_without_one_value_per_point(
+        tmp_path, capsys, points):
+    """A space of ``points`` points under three values is a malformed payload:
+    replay neither drops the third value nor reads past it."""
+    path = _check_report(tmp_path, "finite_full", "T", 8)
+    report = json.loads(path.read_text())
+    assert verify_report(report)["ok"]
+    for space in _spaces(report):
+        space["points"] = points
+    with pytest.raises(replay_mod.MalformedPayload,
+                       match="/: malformed condition payload .ValueError: "
+                             "a finite function needs one value per point"):
+        verify_report(report)
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "one value per point" in captured.err
+
+
 @pytest.mark.parametrize("key", sorted(INSTANCES), ids="-".join)
 def test_unknown_verdict_fails_replay(tmp_path, key):
     """Replay knows a certificate form only for "holds" and "fails"."""
@@ -375,7 +406,10 @@ def _finite_func(space, values):
 _SPACE5 = FiniteSpace.from_preorder(5, [17, 2, 4, 25, 16])
 
 # Inputs of urysohn_join_stream at q_max = 12: the two heavy-base pairs of the
-# insertion benchmark's finest-mesh jobs and a 5-point finite pair.
+# insertion benchmark's finest-mesh jobs, a 5-point finite pair, and one pair
+# on each carrier whose levels meet the values of f exactly.  The last two,
+# and the finite merge among the traces, were pinned on the commit before
+# level sets and scalar shifts moved onto int rows.
 URYSOHN_CASES = {
     "y-heavy-1": (YUrysohnCarrier(),
                   _y_func(["3", "-1"], ["1/2", "3/4", "15/11"], "15/11"),
@@ -386,6 +420,15 @@ URYSOHN_CASES = {
     "finite-5pt": (FiniteUrysohnCarrier(_SPACE5),
                    _finite_func(_SPACE5, ["-71/40", "-8/3", "-35/22", "-71/40", "-46/15"]),
                    _finite_func(_SPACE5, ["7/20", "-5/3", "-1/11", "1/10", "7/20"])),
+    # negative and non-integer values, f's omega value attained on its cycle
+    "y-mixed-signs": (YUrysohnCarrier(),
+                      _y_func(["-5/2", "1/3", "-7/6"], ["-1/2", "2/3"], "2/3"),
+                      _y_func(["1/2", "5/4"], ["3/4", "2", "7/5", "3/4", "11/6"], "3/4")),
+    # f already in [0, 1] with max g = 1, so the rescaling is the identity and
+    # every value of f is a point of the Farey grid
+    "finite-on-grid": (FiniteUrysohnCarrier(_SPACE5),
+                       _finite_func(_SPACE5, ["1/2", "1/3", "5/6", "2/3", "0"]),
+                       _finite_func(_SPACE5, ["3/4", "1/2", "1", "2/3", "1"])),
 }
 
 # sha256 of json.dumps(to_jsonable((joined, cert)), sort_keys=True), with the
@@ -394,6 +437,8 @@ URYSOHN_DIGESTS = {
     "y-heavy-1": "0a97736d0e72f857328caa65ef9e0fbf4527730fee83052f866249e6ce70608a",
     "y-heavy-2": "6aaaf00b47d2a44ab7fa6a0798461bddb4b549d79108e7d76db4c4e87e10a956",
     "finite-5pt": "6bb0c639a15a7b7d487e4b8c2323b0cfb37afbd4e75e2b16b0196fc83e2c3028",
+    "y-mixed-signs": "17b3726103e83acd839a7914fef78dec760aa538ce2fcee6f95104cb538de1b3",
+    "finite-on-grid": "a5dc05cf833d67bde1525f2d4bfa9209955c260c00ccb767820f9ed1f07680ee",
 }
 
 
@@ -428,8 +473,21 @@ def _merge_payload():
     return to_jsonable(tong_merge(a_seq, b_seq))
 
 
+# up-sets of 0 <= 1, 2 <= 3 and 4: 18 open sets, shared by every element of the trace
+_SPACE5_CHAINS = FiniteSpace.from_preorder(5, [3, 2, 12, 8, 16])
+
+
+def _finite_merge_payload():
+    rng = random.Random(5)
+    vals = lambda lo: [str(Fraction(rng.randint(6 * lo, 6 * lo + 18), 6)) for _ in range(5)]
+    a_seq = [_finite_func(_SPACE5_CHAINS, vals(0)) for _ in range(7)]
+    b_seq = [_finite_func(_SPACE5_CHAINS, vals(-1)) for _ in range(7)]
+    return to_jsonable(tong_merge(a_seq, b_seq))
+
+
 # Payloads of the insertion traces that replay re-checks: 24-step Dieudonné
-# iterations on each carrier and a length-9 Tong merge of sequences.
+# iterations on each carrier, a length-9 Tong merge of sequences and a
+# length-7 one of functions on a 5-point space.
 TRACE_CASES = {
     "iteration-finite": lambda: _iteration_payload(
         _finite_func(_SPACE5, ["-3/2", "2/7", "0", "5/3", "-1/4"]),
@@ -441,6 +499,7 @@ TRACE_CASES = {
         _seq_func(["-1"], ["1/2", "2/3"], "1/2"),
         _seq_func(["1/5", "1"], ["1", "3/2", "5/4"], "7/4")),
     "merge-seq-9": _merge_payload,
+    "merge-finite-5pt": _finite_merge_payload,
 }
 
 # name -> (sha256 of json.dumps(payload, sort_keys=True),
@@ -457,6 +516,9 @@ TRACE_DIGESTS = {
         "e9b2706d820c3675f39f4a356b80c215d56781cf0f9962dbc31db32ade42b562"),
     "merge-seq-9": (
         "0db2fe3aba72b4fb1cc979c87a3a35905c9ead2577090d3211e412d83bb507c6",
+        "a68ad746ec3a041bf37f6435c5b8242bb8a3f64d95b251f207db36068f05c7de"),
+    "merge-finite-5pt": (
+        "5581b27a86c354e177e67ee3c20f1d21db72962aa0bb3b184fec405df5fd434d",
         "a68ad746ec3a041bf37f6435c5b8242bb8a3f64d95b251f207db36068f05c7de"),
 }
 
