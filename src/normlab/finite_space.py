@@ -360,16 +360,11 @@ def block_indicators(space: FiniteSpace, generators: Sequence[FiniteFunc]):
         raise EmptyFamily("need at least one generator")
     n = space.n
     sig = [tuple(g.values[x] for g in generators) for x in range(n)]
-    blocks: list[list[int]] = []
+    blocks: dict[tuple, list[int]] = {}  # fiber signature -> its points, increasing
     for x in range(n):
-        for b in blocks:
-            if sig[b[0]] == sig[x]:
-                b.append(x)
-                break
-        else:
-            blocks.append([x])
+        blocks.setdefault(sig[x], []).append(x)
     indicators, traces = [], []
-    for b in blocks:
+    for b in blocks.values():
         x = b[0]
         chi = FiniteFunc(space, [ONE] * n)
         choices = []
@@ -384,7 +379,7 @@ def block_indicators(space: FiniteSpace, generators: Sequence[FiniteFunc]):
             chi = chi.meet(h)
             choices.append({"y": y, "g_index": gi})
         indicators.append(chi)
-        traces.append({"block": sorted(b), "choices": choices})
+        traces.append({"block": b, "choices": choices})
     return indicators, traces
 
 

@@ -220,17 +220,20 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     mesh only pins f down to its nearest grid values).  Results and
     certificate are reported in original coordinates.
 
-    Only distinct level pairs do work.  Each level set is computed and
-    hashed once per grid value, and the carrier separates each distinct
-    (closed, open) level pair once, at its first pair in scan order (s
-    outer, r inner, both in grid order), so an oracle error names the pair
-    the plain per-pair loop would.  Carriers must therefore return hashable
-    level sets that compare equal exactly when the sets are equal.  One
-    c = r_top*h is then formed and checked per level pair, r_top its largest
-    r: as every r >= 0 and g >= 0 after rescaling, the join of 0 and all r*h
-    is the join of 0 and r_top*h, and r_top*h <= g gives r*h <= g for every
-    smaller r, whatever values h takes.  Only a c above g rescans the pairs,
-    to raise at the first one the per-pair loop would.
+    Only distinct level pairs do work, in two phases.  Phase 1 computes
+    each level set once per grid value and hashes it to a small int id, so
+    carriers must return hashable level sets that compare equal exactly
+    when the sets are.  One scan over the pairs r < s (s outer, r inner,
+    both in grid order, r < s compared on the ints n*(L/d) for L the lcm of
+    1..q_max) records each distinct (closed, open) level pair's first pair
+    and its pair of largest r, r_top.  Phase 2 walks the level pairs in
+    order of first occurrence: the carrier separates each once, and
+    c = r_top*h is formed and checked against g.  As every r >= 0 and
+    g >= 0 after rescaling, the join of 0 and all r*h is the join of 0 and
+    r_top*h, and r_top*h <= g gives r*h <= g for every smaller r, whatever
+    values h takes.  So an injected carrier whose h breaks c <= g raises
+    exactly when some c_rs exceeds g, naming a pair (r_top, s) whose c_rs
+    does; an oracle error names the level pair's first pair in scan order.
 
     The certificate is self-contained: f, g, q_max, the transform, the
     result, and ``pairs``, one row {r, s, h} per distinct level pair at its
@@ -239,49 +242,40 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     carrier.check_pair(f, g)
     f1, g1, transform = rescale_to_unit(f, g)
     grid = farey_fractions(q_max)
-    # Level sets are hashed once each, into small int ids that key the rows.
-    level_ids = {}
+    common = math.lcm(*range(1, q_max + 1))
+    rank = [r.numerator * (common // r.denominator) for r in grid]  # r < s iff rank r < rank s
+    closed = [carrier.closed_superlevel(f1, s) for s in grid]
     opens = [carrier.open_strict_superlevel(g1, r) for r in grid]
+    level_ids = {}
+    closed_ids = [level_ids.setdefault(level, len(level_ids)) for level in closed]
     open_ids = [level_ids.setdefault(level, len(level_ids)) for level in opens]
-    closed_ids = []
-    rank = [0] * len(grid)  # r < s compared as the ints rank[i] < rank[j]
-    for pos, i in enumerate(sorted(range(len(grid)), key=grid.__getitem__)):
-        rank[i] = pos
-    rows = {}  # (closed id, open id) -> [h, index of its largest r, first r, first s]
-
-    def raise_first_excess(stop=None):
-        """Raise at the first pair before ``stop``, in scan order, whose c_rs exceeds g."""
-        for j, s in enumerate(grid[:len(closed_ids)]):
-            for i, r in enumerate(grid):
-                if (i, j) == stop:
-                    return
-                if rank[i] < rank[j] and not (rows[closed_ids[j], open_ids[i]][0] * r).le(g1):
-                    raise PreconditionViolation(f"c_rs exceeds g on pair (r={r}, s={s})")
-
-    for j, s in enumerate(grid):
-        closed = carrier.closed_superlevel(f1, s)
-        closed_ids.append(level_ids.setdefault(closed, len(level_ids)))
-        for i, r in enumerate(grid):
-            if rank[i] >= rank[j]:
-                continue
-            key = (closed_ids[j], open_ids[i])
-            row = rows.get(key)
-            if row is None:
-                try:
-                    h = carrier.urysohn(closed, opens[i])
-                except NormlabError as exc:
-                    raise_first_excess((i, j))  # a c_rs above g at an earlier pair comes first
-                    raise PreconditionViolation(
-                        f"urysohn oracle failed on pair (r={r}, s={s}): {exc}") from exc
-                rows[key] = [h, i, r, s]
-            elif rank[i] > rank[row[1]]:
-                row[1] = i
+    first, top = {}, {}  # level pair ids -> its first (i, j), and the (i, j) of its largest r
+    for j, rank_s in enumerate(rank):
+        closed_id = closed_ids[j]
+        for i, rank_r in enumerate(rank):
+            if rank_r < rank_s:
+                key = (closed_id, open_ids[i])
+                seen = top.get(key)
+                if seen is None:
+                    first[key] = top[key] = (i, j)
+                elif rank_r > rank[seen[0]]:
+                    top[key] = (i, j)
     parts = [f1.const_like(ZERO)]
-    for h, top, _, _ in rows.values():
-        c = h * grid[top]
+    rows = []
+    for key, (i, j) in first.items():
+        r, s = grid[i], grid[j]
+        try:
+            h = carrier.urysohn(closed[j], opens[i])
+        except NormlabError as exc:
+            raise PreconditionViolation(
+                f"urysohn oracle failed on pair (r={r}, s={s}): {exc}") from exc
+        i_top, j_top = top[key]
+        c = h * grid[i_top]
         if not c.le(g1):
-            raise_first_excess()
+            raise PreconditionViolation(
+                f"c_rs exceeds g on pair (r={grid[i_top]}, s={grid[j_top]})")
         parts.append(c)
+        rows.append({"r": r, "s": s, "h": h})
     joined = finite_join(parts)
     mesh = Fraction(1, q_max)
     for p in f1.probe_points():
@@ -296,7 +290,7 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
         "q_max": q_max,
         "transform": transform,
         "result": result,
-        "pairs": [{"r": r, "s": s, "h": h} for h, _, r, s in rows.values()],
+        "pairs": rows,
     }
     return result, cert
 

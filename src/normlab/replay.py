@@ -319,7 +319,7 @@ def _verify_condition(report, checks) -> None:
             _verify_infeasible({"f": f, "g": g, **cert}, checks)
         else:
             _check(checks, f"{label}: certificate recognized", False)
-        if cond == "D" and "epsilon" in cert:
+        if cond == "D":
             eps = _frac(cert["epsilon"])
             den, (fr, gr) = rd.rows(f, g)
             _check(checks, f"{label}: gap f + eps <= g",
@@ -546,9 +546,8 @@ def _verify_urysohn(cert, checks) -> None:
               for s in grid]
     opened = [len(gvals) - bisect.bisect_right(gvals, r.numerator * unit // r.denominator)
               for r in grid]
-    rank = [0] * len(grid)
-    for pos, i in enumerate(sorted(range(len(grid)), key=grid.__getitem__)):
-        rank[i] = pos
+    common = math.lcm(*range(1, q_max + 1))
+    rank = [v.numerator * (common // v.denominator) for v in grid]  # r < s iff rank r < rank s
     first, top = {}, {}  # level pair -> its first (i, j) and its largest r's index
     for j in range(len(grid)):
         for i in range(len(grid)):

@@ -255,10 +255,11 @@ def check_naturals_pair(f: SeqFunc, g: SeqFunc) -> None:
 def insert_convergent(f: SeqFunc, g: SeqFunc):
     """Convergent a with f <= a <= g on the naturals, or an infeasibility certificate.
 
-    Feasible iff limsup f <= liminf g; the witness limit is the midpoint of
-    that interval, clamped into [f(k), g(k)] at each index.  The feasibility
-    criterion is a model-level fact validated against an independent
-    brute-force oracle in the test suite.
+    Feasible iff limsup f <= liminf g; the witness is f v (g ^ L) for L the
+    midpoint of that interval, the limit L clamped into [f(k), g(k)] at each
+    index.  It converges to L: on the tail f <= limsup f <= L <= liminf g <= g,
+    so it equals L there.  The feasibility criterion is a model-level fact
+    validated against an independent brute-force oracle in the test suite.
     """
     check_naturals_pair(f, g)
     hi = limit_data(f)[1]
@@ -266,9 +267,7 @@ def insert_convergent(f: SeqFunc, g: SeqFunc):
     if hi > lo:
         return InfeasibleCert(f, g)
     limit = (hi + lo) / 2
-    p = max(len(f.prefix), len(g.prefix))
-    prefix = [max(f.at(k), min(limit, g.at(k))) for k in range(p)]
-    return Witness(SeqFunc(prefix, (limit,)), limit)
+    return Witness(f.join(g.meet(limit)), limit)
 
 
 def brute_force_insertable(f: SeqFunc, g: SeqFunc, depth: int = 64):
@@ -323,15 +322,14 @@ def insert_on_y(f: SeqFunc, g: SeqFunc) -> Witness:
     """Continuous insertion on the compact carrier; always succeeds.
 
     For usc f <= lsc g on the compactification, the feasible limits form the
-    interval [f(omega), g(omega)]; the witness takes the limit f(omega),
-    clamped into [f(k), g(k)] at each natural.
+    interval [f(omega), g(omega)]; the witness is f v (g ^ L) for the limit
+    L = f(omega), clamped into [f(k), g(k)] at each natural.  It is
+    continuous: on the tail f <= limsup f <= L <= liminf g <= g (f usc and g
+    lsc at omega), so it equals L there, and at omega f(omega) = L <= g(omega).
     """
     check_y_pair(f, g)
     limit = f.omega
-    p = max(len(f.prefix), len(g.prefix))
-    span = p + math.lcm(len(f.cycle), len(g.cycle))
-    prefix = [max(f.at(k), min(limit, g.at(k))) for k in range(span)]
-    return Witness(SeqFunc(prefix, (limit,), limit), limit)
+    return Witness(f.join(g.meet(limit)), limit)
 
 
 class YSet:

@@ -1,5 +1,6 @@
 """Independent test oracles: slow reference constructions the suite checks the library against."""
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -88,6 +89,20 @@ def random_finite_func(space: FiniteSpace, rng: random.Random,
 def with_omega(f: SeqFunc, value) -> SeqFunc:
     """f on the naturals, extended to the compactification by value at omega."""
     return SeqFunc(f.prefix, f.cycle, value)
+
+
+def clamped_limit_on_naturals(f: SeqFunc, g: SeqFunc, limit) -> SeqFunc:
+    """limit clamped into [f(k), g(k)] at each index of the longer prefix,
+    then constant at limit: the per-index convergent witness."""
+    p = max(len(f.prefix), len(g.prefix))
+    return SeqFunc([max(f.at(k), min(limit, g.at(k))) for k in range(p)], (limit,))
+
+
+def clamped_limit_on_y(f: SeqFunc, g: SeqFunc, limit) -> SeqFunc:
+    """limit clamped into [f(k), g(k)] over both prefixes and one full cycle,
+    then constant at limit, with limit at omega."""
+    span = max(len(f.prefix), len(g.prefix)) + math.lcm(len(f.cycle), len(g.cycle))
+    return SeqFunc([max(f.at(k), min(limit, g.at(k))) for k in range(span)], (limit,), limit)
 
 
 def random_seq_func(rng: random.Random, lo: int = -3, hi: int = 3,

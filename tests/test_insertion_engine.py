@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -415,23 +416,22 @@ def test_join_stream_separates_each_level_pair_once():
              (YUrysohnCarrier, (), *HEAVY_Y_PAIRS[0])]
     for base, args, f, g in cases:
         q = 8
-        grid = farey_fractions(q)
-        f1, g1, _ = rescale_to_unit(f, g)
-        plain = base(*args)
-        keys = {(plain.closed_superlevel(f1, s), plain.open_strict_superlevel(g1, r))
-                for s in grid for r in grid if r < s}
+        grid_size = len(farey_fractions(q))
+        order = _level_pairs_in_scan_order(base(*args), f, g, q)
         carrier = _counting(base)(*args)
         _, cert = urysohn_join_stream(carrier, f, g, q)
-        assert carrier.calls == {"closed": len(grid), "open": len(grid)}
-        assert set(carrier.separated) == keys
+        assert carrier.calls == {"closed": grid_size, "open": grid_size}
+        # each level pair separated once, in order of first occurrence
+        assert list(carrier.separated) == order
         assert set(carrier.separated.values()) == {1}
-        assert len(cert["pairs"]) == len(keys)
+        assert len(cert["pairs"]) == len(order)
 
 
-def _level_pairs_in_scan_order(f, g, q):
+def _level_pairs_in_scan_order(plain, f, g, q):
+    """The distinct (closed, open) level pairs of ``plain``, at their first pair
+    r < s in scan order (s outer, r inner, both in grid order)."""
     f1, g1, _ = rescale_to_unit(f, g)
     grid = farey_fractions(q)
-    plain = YUrysohnCarrier()
     order = []
     for s in grid:
         for r in grid:
@@ -451,7 +451,7 @@ def _one_level_pair_altered(key, alter):
 
 def test_join_stream_oracle_error_matches_per_pair_loop():
     f, g = HEAVY_Y_PAIRS[1]
-    order = _level_pairs_in_scan_order(f, g, 6)
+    order = _level_pairs_in_scan_order(YUrysohnCarrier(), f, g, 6)
     assert len(order) > 3
 
     def refuse(h):
@@ -464,21 +464,42 @@ def test_join_stream_oracle_error_matches_per_pair_loop():
 
 
 def test_join_stream_separation_off_the_unit_interval_matches_per_pair_loop():
-    """h > 1 on one level pair puts some c_rs above g: the rescan raises at the
-    reference's pair.  h < 0 somewhere changes no join: r*h <= 0 there."""
+    """h - 1/2 on one level pair changes no outcome: r*h <= 0 where h < 0.  2h
+    puts a c_rs above g exactly when the per-pair loop finds one; the stream
+    then names a pair of the altered level pair, its largest r, whose c_rs
+    really exceeds g, where the loop named its first failing pair."""
     f, g = HEAVY_Y_PAIRS[1]
-    order = _level_pairs_in_scan_order(f, g, 6)
-    outcomes = []
-    for alter in (lambda h: h * 2, lambda h: h - Fraction(1, 2)):
-        for key in order:
-            expected = _outcome(_per_pair_stream, _one_level_pair_altered(key, alter), f, g, 6)
-            assert _outcome(_joined_and_rows, _one_level_pair_altered(key, alter),
-                            f, g, 6) == expected
-            outcomes.append(expected)
-    errors = [o for o in outcomes if isinstance(o, tuple)]
-    assert errors and all(o[0] == "PreconditionViolation" and "c_rs exceeds g" in o[1]
-                          for o in errors)
-    assert len(errors) < len(outcomes)
+    q = 6
+    plain = YUrysohnCarrier()
+    f1, g1, _ = rescale_to_unit(f, g)
+    grid = farey_fractions(q)
+    order = _level_pairs_in_scan_order(plain, f, g, q)
+
+    def level_pair(r, s):
+        return plain.closed_superlevel(f1, s), plain.open_strict_superlevel(g1, r)
+
+    for key in order:
+        lowered = _one_level_pair_altered(key, lambda h: h - Fraction(1, 2))
+        assert _outcome(_joined_and_rows, lowered, f, g, q) == \
+            _outcome(_per_pair_stream, lowered, f, g, q)
+    errors = 0
+    for key in order:
+        doubled = _one_level_pair_altered(key, lambda h: h * 2)
+        expected = _outcome(_per_pair_stream, doubled, f, g, q)
+        got = _outcome(_joined_and_rows, doubled, f, g, q)
+        if not isinstance(expected, tuple):
+            assert got == expected
+            continue
+        errors += 1
+        assert expected[0] == got[0] == "PreconditionViolation"
+        named = re.fullmatch(r"c_rs exceeds g on pair \(r=(\S+), s=(\S+)\)", got[1])
+        assert named and "c_rs exceeds g" in expected[1]
+        r, s = Fraction(named[1]), Fraction(named[2])
+        assert r in grid and s in grid and r < s
+        assert level_pair(r, s) == key
+        assert r == max(r2 for s2 in grid for r2 in grid if r2 < s2 and level_pair(r2, s2) == key)
+        assert not (plain.urysohn(*key) * 2 * r).le(g1)
+    assert 0 < errors < len(order)
 
 
 # -- Cauchy tail of the Dieudonné iteration ---------------------------------

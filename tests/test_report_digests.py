@@ -381,6 +381,39 @@ def test_replay_refuses_a_finite_function_without_one_value_per_point(
     assert captured.out == "" and "one value per point" in captured.err
 
 
+def test_d_replay_reads_its_epsilon(tmp_path, capsys):
+    """The (D) gap is always checked: with g lowered below f + epsilon replay
+    fails, and with epsilon deleted as well the certificate is malformed
+    instead of passing on its other rows."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "model": "seq_y_end", "condition": "D", "depth": 8,
+        "instance": {"f": {"cycle": ["0"], "omega": "0"}, "g": {"cycle": ["1"], "omega": "1"}}}))
+    path = tmp_path / "report.json"
+    assert main(["check", str(scenario), "--out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    gap = {"check": "D holds: gap f + eps <= g", "ok": True}
+    assert report["certificate"]["epsilon"] == "1/2"
+    out = verify_report(report)
+    assert out["ok"] and gap in out["checks"]
+    report["instance"]["g"] = {"cycle": ["1/4"], "omega": "1/4", "prefix": []}
+    out = verify_report(report)
+    assert not out["ok"] and out["checks"] == [
+        {"check": "D holds: witness convergent", "ok": True},
+        {"check": "D holds: f <= witness <= g", "ok": True},
+        {"check": "D holds: limit = the witness's cycle value", "ok": True},
+        {**gap, "ok": False}]
+    del report["certificate"]["epsilon"]
+    with pytest.raises(replay_mod.MalformedPayload,
+                       match="/: malformed condition payload .KeyError: 'epsilon'"):
+        verify_report(report)
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "epsilon" in captured.err
+
+
 @pytest.mark.parametrize("key", sorted(INSTANCES), ids="-".join)
 def test_unknown_verdict_fails_replay(tmp_path, key):
     """Replay knows a certificate form only for "holds" and "fails"."""

@@ -41,9 +41,13 @@ from normlab.seq_model import (
     urysohn_y,
 )
 from oracles import (
+    clamped_limit_on_naturals,
+    clamped_limit_on_y,
     countable_join_family,
     countable_meet_family,
     noncompact_family,
+    random_feasible_x_pair,
+    random_usc_lsc_pair,
     random_x_pair,
     with_omega,
 )
@@ -178,6 +182,29 @@ def test_insert_on_y_always_succeeds():
     assert w.func.is_convergent()
     with pytest.raises(PreconditionViolation):
         insert_on_y(SeqFunc.periodic([1, 0], omega=0), g)  # f not usc
+
+
+def _representation(func):
+    return func._shape, func._row, func._den
+
+
+def test_insertion_witnesses_match_the_per_index_clamp():
+    """f v (g ^ L) is the limit clamped index by index, in the same canonical
+    form, on the naturals and on the compactification."""
+    rng = random.Random(19)
+    witnesses = 0
+    for _ in range(300):
+        for pair in (random_x_pair(rng), random_feasible_x_pair(rng)):
+            w = insert_convergent(pair["f"], pair["g"])
+            if isinstance(w, Witness):
+                witnesses += 1
+                assert _representation(w.func) == _representation(
+                    clamped_limit_on_naturals(pair["f"], pair["g"], w.limit))
+        f, g = random_usc_lsc_pair(rng).values()
+        w = insert_on_y(f, g)
+        assert w.limit == f.omega
+        assert _representation(w.func) == _representation(clamped_limit_on_y(f, g, w.limit))
+    assert witnesses > 300  # every feasible pair and some of the random ones
 
 
 def test_threshold_and_urysohn_y():
