@@ -167,44 +167,35 @@ class SeqXEndModel(ExtensionModel):
     name = "seq_x_end"
     built_in_family = "epsilon, delta and subfamily_cap"
 
-    def _meet_family_cert(self, f, depth):
-        # the family of pointwise majorants (n, m) -> f(n) + 1/m off-bound: the
-        # meet of members (k, 1..depth) at k is min(f(k) + 1/depth, ||f||)
-        return {
-            "depth": depth,
-            "max_residual": min(Fraction(1, depth), f.norm() - f.value_bounds()[0]),
-            "residual_bound": Fraction(1, depth),
-            "closed_form_meet": f,
-        }
-
-    def _join_family_cert(self, g, depth):
-        # the family of pointwise minorants (n, m) -> g(n) - 1/m off-bound: the
-        # join of members (k, 1..depth) at k is max(g(k) - 1/depth, -||g||)
-        return {
-            "depth": depth,
-            "max_residual": min(Fraction(1, depth), g.value_bounds()[1] + g.norm()),
-            "residual_bound": Fraction(1, depth),
-            "closed_form_join": g,
-        }
+    @staticmethod
+    def _family_sides(meet_of, join_of, depth) -> dict:
+        """Both sides' certificates.  The meet side's family is the pointwise
+        majorants (n, m) -> meet_of(n) + 1/m off-bound, whose members (k, 1..depth)
+        meet at k to min(meet_of(k) + 1/depth, ||meet_of||); the join side's is
+        the minorants join_of(n) - 1/m, joining to max(join_of(k) - 1/depth,
+        -||join_of||)."""
+        bound = Fraction(1, depth)
+        spreads = {"meet": meet_of.norm() - meet_of.value_bounds()[0],
+                   "join": join_of.norm() + join_of.value_bounds()[1]}
+        return {f"{side}_side": {"depth": depth, "max_residual": min(bound, spreads[side]),
+                                 "residual_bound": bound, f"closed_form_{side}": h}
+                for side, h in (("meet", meet_of), ("join", join_of))}
 
     def cond_t(self, instance, depth):
         f, g = instance["f"], instance["g"]
         check_naturals_pair(f, g)
-        return HOLDS, {"meet_side": self._meet_family_cert(f, depth),
-                       "join_side": self._join_family_cert(g, depth)}
+        return HOLDS, self._family_sides(f, g, depth)
 
     def cond_bs(self, instance, depth):
         f, g = instance["f"], instance["g"]
         check_naturals_pair(f, g)
-        return HOLDS, {"join_side": self._join_family_cert(f, depth),
-                       "meet_side": self._meet_family_cert(g, depth)}
+        return HOLDS, self._family_sides(g, f, depth)
 
     def cond_s(self, instance, depth):
         f = instance["f"]
         check_naturals_pair(f, instance["g"])
         # both families collapse to the witness in closed form
-        return HOLDS, {"witness": f, "meet_side": self._meet_family_cert(f, depth),
-                       "join_side": self._join_family_cert(f, depth)}
+        return HOLDS, {"witness": f, **self._family_sides(f, f, depth)}
 
     def cond_n(self, instance, depth):
         result = insert_convergent(instance["f"], instance["g"])

@@ -25,7 +25,7 @@ from .errors import (
     OracleContractViolation,
     PreconditionViolation,
 )
-from .finite_space import FiniteSpace, NotSeparable, check_usc_lsc, urysohn
+from .finite_space import FiniteFunc, FiniteSpace, NotSeparable, check_usc_lsc, urysohn
 from .lattice_core import AlgElement, check_order, finite_join, rescale_to_unit, unscale
 from .rationals import ONE, ZERO, rat
 from .seq_model import SeqFunc, check_y_pair, threshold_indicator, urysohn_y
@@ -158,11 +158,7 @@ def _mask_of_row(row) -> int:
 
 
 class FiniteUrysohnCarrier:
-    """Level sets and separation witnesses over a finite space.
-
-    Level sets are int bitmasks: hashable, and equal exactly when the sets
-    are, as :func:`urysohn_join_stream` requires of every carrier.
-    """
+    """Separation witnesses over a finite space."""
 
     def __init__(self, space: FiniteSpace):
         self.space = space
@@ -170,16 +166,11 @@ class FiniteUrysohnCarrier:
     def check_pair(self, f, g):
         check_usc_lsc(self.space, f, g)
 
-    def closed_superlevel(self, f, s) -> int:
-        return _mask_of_row(f.superlevel_row(s))
-
-    def open_strict_superlevel(self, g, r) -> int:
-        return _mask_of_row(g.superlevel_row(r, strict=True))
-
-    def urysohn(self, closed_f: int, open_g: int):
-        """Continuous h with h = 1 on the closed set, h = 0 off the open set."""
-        off = (~open_g) & ((1 << self.space.n) - 1)
-        result = urysohn(self.space, off, closed_f)
+    def urysohn(self, closed_f: FiniteFunc, open_g: FiniteFunc):
+        """Continuous h with h = 1 on the closed set, h = 0 off the open set,
+        each set given by its 0/1 indicator."""
+        off = self.space.full & ~_mask_of_row(open_g._row)
+        result = urysohn(self.space, off, _mask_of_row(closed_f._row))
         if isinstance(result, NotSeparable):
             raise PreconditionViolation(
                 f"level sets not separable: {result.c:#b} vs {result.d:#b}")
@@ -187,21 +178,10 @@ class FiniteUrysohnCarrier:
 
 
 class YUrysohnCarrier:
-    """Level sets and separation witnesses over the compactified naturals.
-
-    Level sets are canonical 0/1 :class:`SeqFunc` indicators: hashable, and
-    equal exactly when the sets are, as :func:`urysohn_join_stream` requires
-    of every carrier.
-    """
+    """Separation witnesses over the compactified naturals."""
 
     def check_pair(self, f: SeqFunc, g: SeqFunc):
         check_y_pair(f, g)
-
-    def closed_superlevel(self, f: SeqFunc, s) -> SeqFunc:
-        return threshold_indicator(f, s)
-
-    def open_strict_superlevel(self, g: SeqFunc, r) -> SeqFunc:
-        return threshold_indicator(g, r, strict=True)
 
     def urysohn(self, closed_f: SeqFunc, open_g: SeqFunc) -> SeqFunc:
         off = ONE - open_g
@@ -220,20 +200,23 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     mesh only pins f down to its nearest grid values).  Results and
     certificate are reported in original coordinates.
 
-    Only distinct level pairs do work, in two phases.  Phase 1 computes
-    each level set once per grid value and hashes it to a small int id, so
-    carriers must return hashable level sets that compare equal exactly
-    when the sets are.  One scan over the pairs r < s (s outer, r inner,
-    both in grid order, r < s compared on the ints n*(L/d) for L the lcm of
-    1..q_max) records each distinct (closed, open) level pair's first pair
-    and its pair of largest r, r_top.  Phase 2 walks the level pairs in
-    order of first occurrence: the carrier separates each once, and
-    c = r_top*h is formed and checked against g.  As every r >= 0 and
-    g >= 0 after rescaling, the join of 0 and all r*h is the join of 0 and
-    r_top*h, and r_top*h <= g gives r*h <= g for every smaller r, whatever
-    values h takes.  So an injected carrier whose h breaks c <= g raises
-    exactly when some c_rs exceeds g, naming a pair (r_top, s) whose c_rs
-    does; an oracle error names the level pair's first pair in scan order.
+    Only distinct level pairs do work, in two phases.  Phase 1 names each
+    level set by its 0/1 superlevel row, once per grid value, and hashes
+    the row to a small int id: the rows of one element share its shape, so
+    two are equal exactly when their sets are.  One scan over the pairs
+    r < s (s outer, r inner, both in grid order, r < s compared on the ints
+    n*(L/d) for L the lcm of 1..q_max) records each distinct (closed, open)
+    level pair's first pair and its pair of largest r, r_top.  Phase 2
+    walks the level pairs in order of first occurrence: the two 0/1
+    indicators of the first pair are built and the carrier separates them,
+    once per level pair, and c = r_top*h is formed and checked against g.
+    A carrier supplies only ``check_pair`` and ``urysohn``.  As every
+    r >= 0 and g >= 0 after rescaling, the join of 0 and all r*h is the
+    join of 0 and r_top*h, and r_top*h <= g gives r*h <= g for every
+    smaller r, whatever values h takes.  So an injected carrier whose h
+    breaks c <= g raises exactly when some c_rs exceeds g, naming a pair
+    (r_top, s) whose c_rs does; an oracle error names the level pair's
+    first pair in scan order.
 
     The certificate is self-contained: f, g, q_max, the transform, the
     result, and ``pairs``, one row {r, s, h} per distinct level pair at its
@@ -244,11 +227,11 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     grid = farey_fractions(q_max)
     common = math.lcm(*range(1, q_max + 1))
     rank = [r.numerator * (common // r.denominator) for r in grid]  # r < s iff rank r < rank s
-    closed = [carrier.closed_superlevel(f1, s) for s in grid]
-    opens = [carrier.open_strict_superlevel(g1, r) for r in grid]
     level_ids = {}
-    closed_ids = [level_ids.setdefault(level, len(level_ids)) for level in closed]
-    open_ids = [level_ids.setdefault(level, len(level_ids)) for level in opens]
+    closed_ids = [level_ids.setdefault(tuple(f1.superlevel_row(s)), len(level_ids))
+                  for s in grid]
+    open_ids = [level_ids.setdefault(tuple(g1.superlevel_row(r, strict=True)), len(level_ids))
+                for r in grid]
     first, top = {}, {}  # level pair ids -> its first (i, j), and the (i, j) of its largest r
     for j, rank_s in enumerate(rank):
         closed_id = closed_ids[j]
@@ -264,8 +247,10 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     rows = []
     for key, (i, j) in first.items():
         r, s = grid[i], grid[j]
+        closed_f = threshold_indicator(f1, s)
+        open_g = threshold_indicator(g1, r, strict=True)
         try:
-            h = carrier.urysohn(closed[j], opens[i])
+            h = carrier.urysohn(closed_f, open_g)
         except NormlabError as exc:
             raise PreconditionViolation(
                 f"urysohn oracle failed on pair (r={r}, s={s}): {exc}") from exc

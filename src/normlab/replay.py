@@ -594,8 +594,9 @@ class MalformedPayload(Exception):
                 f"({type(self.cause).__name__}: {self.cause})")
 
 
+# OverflowError: Fraction refuses the JSON Infinity and -Infinity
 _PAYLOAD_ERRORS = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError,
-                   AttributeError)
+                   AttributeError, OverflowError)
 
 
 def verify_report(data) -> dict:

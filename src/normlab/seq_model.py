@@ -332,47 +332,24 @@ def insert_on_y(f: SeqFunc, g: SeqFunc) -> Witness:
     return Witness(f.join(g.meet(limit)), limit)
 
 
+@dataclass(frozen=True)
 class YSet:
     """A finite or cofinite subset of the compactified naturals.
 
-    The two kinds of coz-closure :func:`ideal_membership` certifies: a finite
-    subset of the naturals, and a cofinite set with omega, given by its
-    excluded naturals.
+    The two kinds of coz-closure :func:`ideal_membership` certifies: kind
+    ``finite``, a finite subset of the naturals, and kind
+    ``cofinite_with_omega``, a cofinite set with omega, given by its
+    excluded naturals; ``members`` lists those naturals in increasing order.
     """
-
-    FINITE = "finite"
-    COFINITE_WITH_OMEGA = "cofinite_with_omega"
-
-    def __init__(self, kind: str, members: Iterable[int] = ()):
-        if kind not in (self.FINITE, self.COFINITE_WITH_OMEGA):
-            raise PreconditionViolation(f"unknown YSet kind {kind!r}")
-        self.kind = kind
-        self.members = tuple(sorted(set(int(k) for k in members)))
-
-    @classmethod
-    def finite(cls, members: Iterable[int]) -> "YSet":
-        return cls(cls.FINITE, members)
-
-    @classmethod
-    def cofinite_with_omega(cls, excluded: Iterable[int]) -> "YSet":
-        return cls(cls.COFINITE_WITH_OMEGA, excluded)
+    kind: str
+    members: tuple[int, ...]
 
     @property
     def contains_omega(self) -> bool:
-        return self.kind == self.COFINITE_WITH_OMEGA
+        return self.kind == "cofinite_with_omega"
 
     def is_finite(self) -> bool:
-        return self.kind == self.FINITE
-
-    def __eq__(self, other):
-        return (isinstance(other, YSet) and self.kind == other.kind
-                and self.members == other.members)
-
-    def __hash__(self):
-        return hash((self.kind, self.members))
-
-    def __repr__(self):
-        return f"YSet({self.kind}, {list(self.members)})"
+        return self.kind == "finite"
 
 
 class GeoTail:
@@ -407,8 +384,9 @@ class GeoTail:
         return f"GeoTail({list(map(str, self.prefix))}, q={self.q}, ratio={self.ratio})"
 
 
-def threshold_indicator(f: SeqFunc, level, strict: bool = False) -> SeqFunc:
-    """The 0/1 indicator of {x : f(x) >= level} (or > level when strict).
+def threshold_indicator(f: AlgElement, level, strict: bool = False) -> AlgElement:
+    """The 0/1 indicator of {x : f(x) >= level} (or > level when strict), on
+    f's carrier.
 
     Level sets of eventually periodic functions are again eventually
     periodic, so the indicator is always representable; it serves as the set
@@ -469,9 +447,9 @@ def ideal_membership(f) -> dict:
     else:
         raise NotConvergent("ideal membership is defined for convergent functions on the compactification")
     if in_i:
-        cert = YSet.finite([k for k, v in enumerate(f.prefix) if v != 0])
+        cert = YSet("finite", tuple(k for k, v in enumerate(f.prefix) if v != 0))
     else:
-        cert = YSet.cofinite_with_omega([k for k, v in enumerate(f.prefix) if v == 0])
+        cert = YSet("cofinite_with_omega", tuple(k for k, v in enumerate(f.prefix) if v == 0))
     return {"in_I_alpha": in_i, "in_J_radical": in_j, "cert": cert}
 
 

@@ -38,7 +38,7 @@ from .conditions import (
 from .errors import PreconditionViolation
 from .finite_space import FiniteFunc, FiniteSpace
 from .rationals import num_str, rat_str
-from .seq_model import GeoTail, InfeasibleCert, Omega, SeqFunc, Witness, YSet
+from .seq_model import GeoTail, InfeasibleCert, Omega, SeqFunc, Witness
 
 
 def _same(obj):
@@ -84,7 +84,6 @@ _LOWER = {
     SeqFunc: _lower_seq_func,
     GeoTail: lambda t: {"prefix": [rat_str(v) for v in t.prefix],
                         "q": rat_str(t.q), "ratio": rat_str(t.ratio)},
-    YSet: lambda s: {"kind": s.kind, "members": list(s.members)},
     Witness: lambda w: {"witness": to_jsonable(w.func), "limit": rat_str(w.limit)},
     InfeasibleCert: lambda c: {"infeasible": True, "limsup_f": rat_str(c.limsup_f),
                                "liminf_g": rat_str(c.liminf_g),

@@ -1,6 +1,7 @@
 """CLI surface: scenarios, the scenario reader, catalog, survey, replay."""
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -342,6 +343,26 @@ def test_replay_malformed_report_is_input_error(tmp_path, capsys, report, pointe
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"input error: {pointer}: malformed {kind} payload")
+
+
+INFEASIBLE_CERT = {"limsup_f": "1", "liminf_g": "0"}
+
+
+@pytest.mark.parametrize("infinity", [math.inf, -math.inf], ids=["Infinity", "-Infinity"])
+@pytest.mark.parametrize("payload", [
+    lambda inf: {"condition": "N", "verdict": "fails",
+                 "instance": {"f": {"cycle": [inf]}, "g": SEQ_0}, "certificate": INFEASIBLE_CERT},
+    lambda inf: {"condition": "D", "verdict": "fails", "instance": {"f": SEQ_1, "g": SEQ_0},
+                 "certificate": dict(INFEASIBLE_CERT, epsilon=inf)},
+], ids=["N-fails-cycle", "D-epsilon"])
+def test_replay_infinite_value_is_input_error(tmp_path, capsys, payload, infinity):
+    path = write(tmp_path, "report.json", {"certificates": [payload(infinity)]})
+    assert "Infinity" in open(path).read()
+    assert main(["replay", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: /certificates/0: malformed condition payload "
+                                   "(OverflowError:")
 
 
 def test_replay_rejects_c_failure_without_defeats(tmp_path, capsys):

@@ -49,9 +49,10 @@ from normlab.replay import (
     _verify_urysohn,
     verify_report,
 )
-from normlab.seq_model import SeqFunc
+from normlab.seq_model import SeqFunc, threshold_indicator
 from normlab.serialize import to_jsonable
-from oracles import random_finite_func, random_seq_func, random_usc_lsc_pair, with_omega
+from oracles import (random_finite_func, random_seq_func, random_usc_lsc_pair,
+                     threshold_by_fractions, with_omega)
 
 POINT = FiniteSpace.discrete(1)
 
@@ -276,7 +277,8 @@ def test_increasing_approx_rejects_bad_bound():
 
 
 def _per_pair_stream(carrier, f, g, q_max):
-    """The plain loop: level sets, separation and c_rs rebuilt for every pair.
+    """The plain loop: level sets, separation and c_rs rebuilt for every pair,
+    each level set the indicator the Fraction threshold oracle builds.
 
     Returns the joined result and, for each distinct level pair, a row
     {r, s, h} at its first pair in scan order.
@@ -291,8 +293,8 @@ def _per_pair_stream(carrier, f, g, q_max):
         for r in grid:
             if not r < s:
                 continue
-            level_f = carrier.closed_superlevel(f1, s)
-            level_g = carrier.open_strict_superlevel(g1, r)
+            level_f = threshold_by_fractions(f1, s)
+            level_g = threshold_by_fractions(g1, r, strict=True)
             try:
                 h = carrier.urysohn(level_f, level_g)
             except NormlabError as exc:
@@ -388,16 +390,7 @@ def _counting(base):
     class Counting(base):
         def __init__(self, *args):
             super().__init__(*args)
-            self.calls = Counter()
             self.separated = Counter()
-
-        def closed_superlevel(self, f, s):
-            self.calls["closed"] += 1
-            return super().closed_superlevel(f, s)
-
-        def open_strict_superlevel(self, g, r):
-            self.calls["open"] += 1
-            return super().open_strict_superlevel(g, r)
 
         def urysohn(self, closed_f, open_g):
             self.separated[closed_f, open_g] += 1
@@ -416,26 +409,25 @@ def test_join_stream_separates_each_level_pair_once():
              (YUrysohnCarrier, (), *HEAVY_Y_PAIRS[0])]
     for base, args, f, g in cases:
         q = 8
-        grid_size = len(farey_fractions(q))
-        order = _level_pairs_in_scan_order(base(*args), f, g, q)
+        order = _level_pairs_in_scan_order(f, g, q)
         carrier = _counting(base)(*args)
         _, cert = urysohn_join_stream(carrier, f, g, q)
-        assert carrier.calls == {"closed": grid_size, "open": grid_size}
         # each level pair separated once, in order of first occurrence
         assert list(carrier.separated) == order
         assert set(carrier.separated.values()) == {1}
         assert len(cert["pairs"]) == len(order)
 
 
-def _level_pairs_in_scan_order(plain, f, g, q):
-    """The distinct (closed, open) level pairs of ``plain``, at their first pair
-    r < s in scan order (s outer, r inner, both in grid order)."""
+def _level_pairs_in_scan_order(f, g, q):
+    """The distinct level pairs ({f1 >= s}, {g1 > r}) of the rescaled f and g,
+    as 0/1 indicators, at their first pair r < s in scan order (s outer, r
+    inner, both in grid order)."""
     f1, g1, _ = rescale_to_unit(f, g)
     grid = farey_fractions(q)
     order = []
     for s in grid:
         for r in grid:
-            key = (plain.closed_superlevel(f1, s), plain.open_strict_superlevel(g1, r))
+            key = (threshold_indicator(f1, s), threshold_indicator(g1, r, strict=True))
             if r < s and key not in order:
                 order.append(key)
     return order
@@ -451,7 +443,7 @@ def _one_level_pair_altered(key, alter):
 
 def test_join_stream_oracle_error_matches_per_pair_loop():
     f, g = HEAVY_Y_PAIRS[1]
-    order = _level_pairs_in_scan_order(YUrysohnCarrier(), f, g, 6)
+    order = _level_pairs_in_scan_order(f, g, 6)
     assert len(order) > 3
 
     def refuse(h):
@@ -473,10 +465,10 @@ def test_join_stream_separation_off_the_unit_interval_matches_per_pair_loop():
     plain = YUrysohnCarrier()
     f1, g1, _ = rescale_to_unit(f, g)
     grid = farey_fractions(q)
-    order = _level_pairs_in_scan_order(plain, f, g, q)
+    order = _level_pairs_in_scan_order(f, g, q)
 
     def level_pair(r, s):
-        return plain.closed_superlevel(f1, s), plain.open_strict_superlevel(g1, r)
+        return threshold_indicator(f1, s), threshold_indicator(g1, r, strict=True)
 
     for key in order:
         lowered = _one_level_pair_altered(key, lambda h: h - Fraction(1, 2))

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab.errors import EmptyFamily
-from normlab.finite_space import FiniteFunc, FiniteSpace, indicator
-from normlab.insertion_engine import FiniteUrysohnCarrier
+from normlab.finite_space import FiniteFunc, FiniteSpace
 from normlab.lattice_core import finite_join, rescale_to_unit, unscale
 from normlab.seq_model import OMEGA, SeqFunc, threshold_indicator
 from oracles import shift_by_constant_element, superlevel_mask_by_values, threshold_by_fractions
@@ -229,16 +228,14 @@ def _kernel_view(e):
 @settings(max_examples=200)
 def test_superlevel_sets_match_the_fraction_threshold(pair, strict):
     e, level = pair
-    expected = threshold_by_fractions(e, level, strict)
+    got = threshold_indicator(e, level, strict)
+    assert _kernel_view(got) == _kernel_view(threshold_by_fractions(e, level, strict))
     if isinstance(e, FiniteFunc):
-        carrier = FiniteUrysohnCarrier(e.space)
-        mask = (carrier.open_strict_superlevel(e, level) if strict
-                else carrier.closed_superlevel(e, level))
-        assert mask == superlevel_mask_by_values(e, level, strict)
-        got = indicator(e.space, mask)
-    else:
-        got = threshold_indicator(e, level, strict)
-    assert _kernel_view(got) == _kernel_view(expected)
+        # the finite Urysohn carrier reads its bitmasks from the indicator's row
+        row = e.superlevel_row(level, strict)
+        assert list(got._row) == row
+        assert sum(bit << x for x, bit in enumerate(row)) == \
+            superlevel_mask_by_values(e, level, strict)
 
 
 shifts = st.one_of(st.sampled_from([0, Fraction(0), -2, Fraction(-7, 3), Fraction(5, 6)]),

@@ -584,13 +584,96 @@ def _keys(node):
     return set()
 
 
-def test_every_certificate_key_is_read_by_replay(tmp_path):
-    """A certificate carries only keys that replay names: a key replay never
-    reads certifies nothing."""
+@functools.cache
+def _replay_defs() -> dict:
+    """replay.py's top-level functions and classes, by name."""
     with open(replay_mod.__file__) as fh:
         tree = ast.parse(fh.read())
-    named = {n.value for n in ast.walk(tree)
-             if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _strings(node) -> set:
+    return {n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def _verifiers() -> dict:
+    """Each verifier verify_report dispatches to -> its payload kind, read from
+    its ``verify(kind, verifier, payload)`` calls."""
+    return {call.args[1].id: call.args[0].value
+            for call in ast.walk(_replay_defs()["verify_report"])
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "verify"}
+
+
+def _named_by_kind() -> dict:
+    """Each payload kind -> the strings its verifier names, with those of every
+    replay function it calls (directly or not); "envelope" -> the strings of
+    _Reader and of verify_report's dispatch, which every kind names too."""
+    defs = _replay_defs()
+    named = {"envelope": _strings(defs["_Reader"]) | _strings(defs["verify_report"])}
+    for verifier, kind in _verifiers().items():
+        seen, todo = set(), [verifier]
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo += [n.id for n in ast.walk(defs[name])
+                         if isinstance(n, ast.Name) and n.id in defs]
+        named[kind] = named["envelope"].union(*(_strings(defs[name]) for name in seen))
+    return named
+
+
+def _payloads(outputs, monkeypatch) -> dict:
+    """id of each payload verify_report hands a verifier -> its kind; a payload
+    a verifier builds and verifies inside another is part of the outer one."""
+    found, depth = {}, [0]
+    for name, kind in _verifiers().items():
+        def recording(payload, checks, kind=kind, verifier=getattr(replay_mod, name)):
+            if not depth[0]:
+                found[id(payload)] = kind
+            depth[0] += 1
+            try:
+                verifier(payload, checks)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(replay_mod, name, recording)
+    for out in outputs:
+        verify_report(out)
+    monkeypatch.undo()
+    return found
+
+
+def _unread_keys(outputs, monkeypatch) -> list:
+    """(kind, key) for each key of a payload that its kind does not name, and
+    ("envelope", key) for each key outside every payload that is neither an
+    envelope key nor named by "envelope"."""
+    named = _named_by_kind()
+    payloads = _payloads(outputs, monkeypatch)
+    unread = set()
+
+    def walk(node):
+        if isinstance(node, dict):
+            kind = payloads.get(id(node))
+            if kind is not None:
+                unread.update((kind, key) for key in _keys(node) - named[kind] - ENVELOPE_KEYS)
+                return
+            unread.update(("envelope", key)
+                          for key in set(node) - named["envelope"] - ENVELOPE_KEYS)
+            for key, child in node.items():
+                if key not in ("assertions", "instance"):
+                    walk(child)
+        elif isinstance(node, list):
+            for child in node:
+                walk(child)
+
+    walk(outputs)
+    return sorted(unread)
+
+
+def test_every_certificate_key_is_read_by_replay(tmp_path, monkeypatch):
+    """A certificate carries only keys that the verifier of its payload kind
+    names: a key replay never reads there certifies nothing, even when another
+    kind's verifier reads a key of that name."""
     outputs = [json.loads(_check_report(tmp_path, model, cond, 8).read_text())
                for model, cond in sorted(INSTANCES)]
     for example_id in sorted(CATALOG):
@@ -600,4 +683,15 @@ def test_every_certificate_key_is_read_by_replay(tmp_path):
     outputs += [to_jsonable(urysohn_join_stream(carrier, f, g, 12))
                 for carrier, f, g in URYSOHN_CASES.values()]
     outputs += [case() for case in TRACE_CASES.values()]
-    assert sorted(_keys(outputs) - named - ENVELOPE_KEYS) == []
+    assert _unread_keys(outputs, monkeypatch) == []
+
+
+def test_key_guard_names_a_key_that_only_another_kind_reads(monkeypatch):
+    """``family`` is read by the (C)/(L) branch of the condition verifier, and
+    by nothing a merge trace goes through."""
+    merge = TRACE_CASES["merge-seq-9"]()
+    assert _unread_keys([merge], monkeypatch) == []
+    merge["family"] = []
+    assert verify_report(merge)["ok"]
+    assert "family" in _strings(ast.parse(open(replay_mod.__file__).read()))
+    assert _unread_keys([merge], monkeypatch) == [("merge", "family")]
