@@ -23,11 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InsertionInfeasible,
-    ModelCapabilityMissing,
-    PreconditionViolation,
-)
+from .errors import ModelCapabilityMissing, PreconditionViolation
 from .finite_space import FiniteFunc, FiniteSpace
 from .lattice_core import check_cover, check_gap, check_order, check_positive, finite_join
 from .rationals import ONE, rat
@@ -37,7 +33,6 @@ from .seq_model import (
     check_naturals_pair,
     insert_convergent,
     insert_on_y,
-    strict_insert,
     subcover_extract,
 )
 
@@ -204,14 +199,16 @@ class SeqXEndModel(ExtensionModel):
         return FAILS, {"limsup_f": result.limsup_f, "liminf_g": result.liminf_g}
 
     def cond_d(self, instance, depth):
-        eps = rat(instance.get("epsilon", D_EPSILON))
-        try:
-            w = strict_insert(instance["f"], instance["g"], eps)
-        except InsertionInfeasible as exc:
-            cert = exc.certificate
-            return FAILS, {"epsilon": eps, "limsup_f": cert.limsup_f,
-                           "liminf_g": cert.liminf_g}
-        return HOLDS, {"witness": w.func, "limit": w.limit, "epsilon": eps}
+        # the gap does not give a convergent witness on this non-compact
+        # carrier (f with cycle [0, 1] and g = f + epsilon); the pair is
+        # checked before the gap, so f > g is named as such
+        f, g = instance["f"], instance["g"]
+        result = insert_convergent(f, g)
+        eps = check_gap(f, g, instance.get("epsilon", D_EPSILON))
+        if isinstance(result, Witness):
+            return HOLDS, {"witness": result.func, "limit": result.limit, "epsilon": eps}
+        return FAILS, {"epsilon": eps, "limsup_f": result.limsup_f,
+                       "liminf_g": result.liminf_g}
 
     def _built_in_family(self, instance):
         """(epsilon, delta) of the built-in family; both must be positive."""

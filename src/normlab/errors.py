@@ -47,18 +47,6 @@ class GapViolation(NormlabError):
         super().__init__(f"the gap f + epsilon <= g fails at point {index!r}", key="epsilon")
 
 
-class InsertionInfeasible(NormlabError):
-    """A strict-insertion oracle was asked for a witness that does not exist.
-
-    On the non-compact end this is how a (D)-failure surfaces; the certificate
-    carries the tail data proving infeasibility.
-    """
-
-    def __init__(self, certificate):
-        self.certificate = certificate
-        super().__init__(f"no convergent witness exists: {certificate}")
-
-
 class CoverViolation(NormlabError):
     """The pointwise supremum of a family fails its lower bound; names a point,
     and the key epsilon, the bound a cover is read at."""

@@ -129,10 +129,6 @@ class FiniteSpace:
         mask order: the form a report lists them in."""
         return tuple(tuple(_bits(u)) for u in sorted(self.opens))
 
-    def is_closed(self, mask: int) -> bool:
-        """Whether the points of ``mask`` in the space form a down-set."""
-        return not _union(self.down, mask & self.full) & ~mask
-
     def closed_sets(self) -> list[int]:
         return [self.full & ~u for u in self.opens]
 
@@ -271,35 +267,6 @@ def is_normal(space: FiniteSpace):
             if up[a] & up[b] and not down[a] & down[b]:
                 return False, NotSeparable(down[a], down[b])
     return True, None
-
-
-def urysohn(space: FiniteSpace, c, d):
-    """A continuous [0,1] function vanishing on c and equal to 1 on d.
-
-    c, d must be closed and disjoint.  Continuous rational functions on a
-    finite space are constant on connected components, so a witness exists
-    iff no component meets both sets; the witness is 0 on components meeting
-    c, 1 on components meeting d, 0 elsewhere.  Returns the witness or
-    :class:`NotSeparable` naming an offending component.
-    """
-    cm = c if isinstance(c, int) else _mask(c)
-    dm = d if isinstance(d, int) else _mask(d)
-    if (cm | dm) & ~space.full:
-        raise PreconditionViolation(
-            f"urysohn inputs name a point outside the {space.n}-point space")
-    if not space.is_closed(cm) or not space.is_closed(dm):
-        raise PreconditionViolation("urysohn inputs must be closed sets")
-    if cm & dm:
-        raise PreconditionViolation("urysohn inputs must be disjoint")
-    values = [ZERO] * space.n
-    for comp in space.components:
-        meets_c, meets_d = comp & cm, comp & dm
-        if meets_c and meets_d:
-            return NotSeparable(cm & comp, dm & comp)
-        level = ONE if meets_d else ZERO
-        for x in _bits(comp):
-            values[x] = level
-    return FiniteFunc(space, values)
 
 
 @dataclass(frozen=True)

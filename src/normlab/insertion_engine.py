@@ -25,10 +25,10 @@ from .errors import (
     OracleContractViolation,
     PreconditionViolation,
 )
-from .finite_space import FiniteFunc, FiniteSpace, NotSeparable, check_usc_lsc, urysohn
+from .finite_space import FiniteFunc, FiniteSpace, Infeasible, check_usc_lsc, insert_finite
 from .lattice_core import AlgElement, check_order, finite_join, rescale_to_unit, unscale
-from .rationals import ONE, ZERO, rat
-from .seq_model import SeqFunc, check_y_pair, threshold_indicator, urysohn_y
+from .rationals import ZERO, rat
+from .seq_model import SeqFunc, check_y_pair, insert_on_y, threshold_indicator
 
 
 @dataclass
@@ -152,13 +152,14 @@ def farey_fractions(q_max: int) -> list[Fraction]:
             for num in range(den + 1) if math.gcd(num, den) == 1]
 
 
-def _mask_of_row(row) -> int:
-    """The bitmask of the positions of a 0/1 row that hold 1."""
-    return sum(1 << x for x, bit in enumerate(row) if bit)
-
-
 class FiniteUrysohnCarrier:
-    """Separation witnesses over a finite space."""
+    """Separation witnesses over a finite space, by insertion.
+
+    For a closed C inside an open U, the indicator of C is usc, that of U is
+    lsc and the first lies below the second, so any continuous h between
+    them is 1 on C and 0 off U.  ``urysohn`` is :func:`insert_finite` on the
+    two indicators; it fails iff some component meets C and leaves U.
+    """
 
     def __init__(self, space: FiniteSpace):
         self.space = space
@@ -166,26 +167,27 @@ class FiniteUrysohnCarrier:
     def check_pair(self, f, g):
         check_usc_lsc(self.space, f, g)
 
-    def urysohn(self, closed_f: FiniteFunc, open_g: FiniteFunc):
-        """Continuous h with h = 1 on the closed set, h = 0 off the open set,
-        each set given by its 0/1 indicator."""
-        off = self.space.full & ~_mask_of_row(open_g._row)
-        result = urysohn(self.space, off, _mask_of_row(closed_f._row))
-        if isinstance(result, NotSeparable):
+    def urysohn(self, closed_f: FiniteFunc, open_g: FiniteFunc) -> FiniteFunc:
+        result = insert_finite(self.space, closed_f, open_g)
+        if isinstance(result, Infeasible):
             raise PreconditionViolation(
-                f"level sets not separable: {result.c:#b} vs {result.d:#b}")
+                f"level sets not separable on component {result.component:#b}")
         return result
 
 
 class YUrysohnCarrier:
-    """Separation witnesses over the compactified naturals."""
+    """Separation witnesses over the compactified naturals, by insertion.
+
+    ``urysohn`` is :func:`insert_on_y` on the closed set's and the open
+    set's 0/1 indicators: the open set's indicator when omega is in the
+    closed set, the closed set's indicator otherwise.
+    """
 
     def check_pair(self, f: SeqFunc, g: SeqFunc):
         check_y_pair(f, g)
 
     def urysohn(self, closed_f: SeqFunc, open_g: SeqFunc) -> SeqFunc:
-        off = ONE - open_g
-        return urysohn_y(off, closed_f)
+        return insert_on_y(closed_f, open_g).func
 
 
 def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
@@ -210,13 +212,14 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     walks the level pairs in order of first occurrence: the two 0/1
     indicators of the first pair are built and the carrier separates them,
     once per level pair, and c = r_top*h is formed and checked against g.
-    A carrier supplies only ``check_pair`` and ``urysohn``.  As every
-    r >= 0 and g >= 0 after rescaling, the join of 0 and all r*h is the
-    join of 0 and r_top*h, and r_top*h <= g gives r*h <= g for every
-    smaller r, whatever values h takes.  So an injected carrier whose h
-    breaks c <= g raises exactly when some c_rs exceeds g, naming a pair
-    (r_top, s) whose c_rs does; an oracle error names the level pair's
-    first pair in scan order.
+    A carrier supplies only ``check_pair`` and ``urysohn``; both carriers
+    here separate by their insertion route on the two 0/1 indicators, the
+    closed set's usc one below the open set's lsc one.  As every r >= 0 and
+    g >= 0 after rescaling, the join of 0 and all r*h is the join of 0 and
+    r_top*h, and r_top*h <= g gives r*h <= g for every smaller r, whatever
+    values h takes.  So an injected carrier whose h breaks c <= g raises
+    exactly when some c_rs exceeds g, naming a pair (r_top, s) whose c_rs
+    does; an oracle error names the level pair's first pair in scan order.
 
     The certificate is self-contained: f, g, q_max, the transform, the
     result, and ``pairs``, one row {r, s, h} per distinct level pair at its

@@ -220,9 +220,6 @@ class AlgElement:
         row = self._row
         return Fraction(max(max(row), -min(row)), self._den)
 
-    def is_zero_one_valued(self) -> bool:
-        return self._den == 1 and all(x in (0, 1) for x in self._row)
-
     def __eq__(self, other):
         """Same carrier and values, compared in a view both sides already hold."""
         if type(other) is not type(self) or not (

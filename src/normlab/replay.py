@@ -25,35 +25,36 @@ import bisect
 import functools
 import math
 import operator
+import re
 from fractions import Fraction
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ValueError("boolean is not a rational")
-    return Fraction(v)
+_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 
 
 def _ratio(v, memo) -> tuple[int, int]:
     """A JSON rational as (numerator, positive denominator).
 
-    The serializer writes "p" and "p/q" in ASCII digits, and int() reads
-    those; memo keeps each such string a payload has already given.  Any
-    other value goes through _frac, so it is accepted or refused, with the
-    same message, exactly as Fraction(v) does it.
+    Replay reads the one grammar the serializer writes: an int that is not a
+    bool, or an ASCII string "p" or "p/q" of decimal digits with no leading
+    zero, p with an optional "-" and q positive.  Any other value is a
+    ValueError.  memo keeps each string a payload has already given.
     """
-    if type(v) is str:
-        pair = memo.get(v)
-        if pair is not None:
-            return pair
-        if v.isascii():
-            num, slash, den = v.partition("/")
-            digits = num[1:] if num[:1] == "-" else num
-            if digits.isdigit() and (not slash or den.isdigit() and den.strip("0")):
-                pair = memo[v] = int(num), int(den) if slash else 1
-                return pair
-    q = _frac(v)
-    return q.numerator, q.denominator
+    if type(v) is int:
+        return v, 1
+    if type(v) is not str:
+        raise ValueError(f"not a rational: {v!r}")
+    pair = memo.get(v)
+    if pair is None:
+        if not _RATIONAL.fullmatch(v):
+            raise ValueError(f"not a rational: {v!r}")
+        num, _, den = v.partition("/")
+        pair = memo[v] = int(num), int(den or 1)
+    return pair
+
+
+def _frac(v) -> Fraction:
+    return Fraction(*_ratio(v, {}))
 
 
 def _ints(values, memo) -> tuple[int, list[int]]:
@@ -594,9 +595,8 @@ class MalformedPayload(Exception):
                 f"({type(self.cause).__name__}: {self.cause})")
 
 
-# OverflowError: Fraction refuses the JSON Infinity and -Infinity
 _PAYLOAD_ERRORS = (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError,
-                   AttributeError, OverflowError)
+                   AttributeError)
 
 
 def verify_report(data) -> dict:

@@ -21,16 +21,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CarrierMismatch,
-    InsertionInfeasible,
     NegativeInput,
     NotConvergent,
     OmegaMissing,
     PreconditionViolation,
     SearchBudgetExceeded,
 )
-from .lattice_core import (AlgElement, LazyView, check_cover, check_gap, check_order,
+from .lattice_core import (AlgElement, LazyView, check_cover, check_order,
                            check_positive, finite_join)
-from .rationals import ONE, ZERO, rat
+from .rationals import ZERO, rat
 
 
 class Omega:
@@ -289,23 +288,6 @@ def brute_force_insertable(f: SeqFunc, g: SeqFunc, depth: int = 64):
     return None
 
 
-def strict_insert(f: SeqFunc, g: SeqFunc, epsilon) -> Witness:
-    """Insertion under a uniform gap f + epsilon <= g.
-
-    This is the strict-insertion oracle consumed by the iterative refiner.
-    The gap does not by itself guarantee a convergent witness on this
-    non-compact carrier (take f with cycle [0,1] and g = f + epsilon); when
-    none exists the infeasibility certificate is raised, which is exactly how
-    a strict-insertion failure surfaces on this model.  The pair is checked
-    before the gap, so f > g is named as such.
-    """
-    result = insert_convergent(f, g)
-    check_gap(f, g, epsilon)
-    if isinstance(result, InfeasibleCert):
-        raise InsertionInfeasible(result)
-    return result
-
-
 def check_y_pair(f: SeqFunc, g: SeqFunc) -> None:
     """The pair :func:`insert_on_y` reads: usc f <= lsc g on the
     compactification; each error is keyed to ``f``, ``g`` or their omega."""
@@ -395,40 +377,6 @@ def threshold_indicator(f: AlgElement, level, strict: bool = False) -> AlgElemen
     fall on the same side of the level.
     """
     return f._from_row(f._shape, f.superlevel_row(level, strict), 1)
-
-
-def indicator_is_closed_set(ind: SeqFunc) -> bool:
-    """Whether a 0/1 indicator on the compactification names a closed set.
-
-    Every set containing omega is closed (its complement is a subset of the
-    isolated naturals, hence open); a set avoiding omega is closed exactly
-    when it is finite.  Equivalently: the indicator is upper semicontinuous.
-    """
-    if not ind.has_omega:
-        raise OmegaMissing("set indicators live on the compactified carrier")
-    if not ind.is_zero_one_valued():
-        raise PreconditionViolation("indicator must be 0/1 valued")
-    return semicontinuity_on_y(ind)["usc"]
-
-
-def urysohn_y(c: SeqFunc, d: SeqFunc) -> SeqFunc:
-    """Continuous h on the compactification with h = 0 on c and h = 1 on d.
-
-    c and d are disjoint closed sets given as 0/1 indicators.  A closed set
-    missing omega is finite, and the sets are disjoint so at most one
-    contains omega; the finite side determines h directly:
-    h = 1 - (indicator of c) when omega is in d, otherwise h = indicator
-    of d.  Either way h is convergent, hence continuous.
-    """
-    for ind in (c, d):
-        if not indicator_is_closed_set(ind):
-            raise PreconditionViolation("both sets must be closed")
-    overlap = (c.meet(d)).value_bounds()[1]
-    if overlap > 0:
-        raise PreconditionViolation("sets must be disjoint")
-    if d.omega == 1:
-        return ONE - c
-    return d
 
 
 def ideal_membership(f) -> dict:

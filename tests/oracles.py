@@ -74,6 +74,53 @@ def is_normal_closed_pairs(space: FiniteSpace):
     return True, None
 
 
+def is_closed_by_closures(space: FiniteSpace, mask: int) -> bool:
+    """Whether a point set holds the closure ``down[x]`` of each of its points."""
+    return all(not space.down[x] & ~mask for x in range(space.n) if mask >> x & 1)
+
+
+def urysohn_by_components(space: FiniteSpace, cm: int, dm: int):
+    """The mask-based Urysohn function: 0 on cm and 1 on dm, for disjoint
+    closed point sets given as bitmasks.
+
+    Continuous rational functions on a finite space are constant on connected
+    components, so it is 0 on components meeting cm, 1 on components meeting
+    dm, 0 elsewhere; :class:`NotSeparable` names a component meeting both.
+    """
+    if not is_closed_by_closures(space, cm) or not is_closed_by_closures(space, dm):
+        raise PreconditionViolation("urysohn inputs must be closed sets")
+    if cm & dm:
+        raise PreconditionViolation("urysohn inputs must be disjoint")
+    values = [ZERO] * space.n
+    for comp in space.components:
+        meets_c, meets_d = comp & cm, comp & dm
+        if meets_c and meets_d:
+            return NotSeparable(cm & comp, dm & comp)
+        for x in range(space.n):
+            if comp >> x & 1:
+                values[x] = ONE if meets_d else ZERO
+    return FiniteFunc(space, values)
+
+
+def urysohn_y_by_cases(c: SeqFunc, d: SeqFunc) -> SeqFunc:
+    """Continuous h on the compactification, 0 on c and 1 on d, for disjoint
+    closed sets given as 0/1 indicators.
+
+    A closed set missing omega is finite, and at most one of the two holds
+    omega, so h is 1 - c when omega is in d and d otherwise.
+    """
+    for ind in (c, d):
+        if not ind.has_omega:
+            raise PreconditionViolation("set indicators live on the compactified carrier")
+        if not set(ind.prefix + ind.cycle + (ind.omega,)) <= {0, 1}:
+            raise PreconditionViolation("indicator must be 0/1 valued")
+        if ind.omega < max(ind.cycle):  # a closed set missing omega is finite
+            raise PreconditionViolation("both sets must be closed")
+    if c.meet(d).value_bounds()[1] > 0:
+        raise PreconditionViolation("sets must be disjoint")
+    return ONE - c if d.omega == 1 else d
+
+
 def rand_rational(rng: random.Random, lo: int = -3, hi: int = 3,
                   max_den: int = 12) -> Fraction:
     den = rng.randint(1, max_den)

@@ -27,7 +27,7 @@ from normlab.finite_space import (
     FiniteSpace,
     block_indicators,
 )
-from normlab.insertion_engine import dieudonne_iterate, midpoint_oracle, tong_merge
+from normlab.insertion_engine import YUrysohnCarrier, dieudonne_iterate, midpoint_oracle, tong_merge
 from normlab.replay import verify_report
 from normlab.seq_model import (
     GeoTail,
@@ -36,14 +36,12 @@ from normlab.seq_model import (
     Witness,
     brute_force_insertable,
     ideal_membership,
-    indicator_is_closed_set,
     insert_convergent,
     insert_on_y,
     local_compact_minorants,
     semicontinuity_on_y,
     subcover_extract,
     threshold_indicator,
-    urysohn_y,
 )
 from normlab.serialize import to_jsonable
 from oracles import (
@@ -236,7 +234,7 @@ def test_criterion_6_ideal_laws(emit):
             assert mem["in_I_alpha"] == (not mem["cert"].contains_omega)
             # the certificate names a closed set that holds the cozero set
             closure = cert_indicator(mem["cert"])
-            assert indicator_is_closed_set(closure)
+            assert semicontinuity_on_y(closure)["usc"]
             assert threshold_indicator(elem.join(-elem), 0, strict=True).le(closure)
             if trial % 20 == 0:
                 emit({"ideal_membership": {"element": to_jsonable(elem),
@@ -336,7 +334,7 @@ def test_criterion_9_compact_carrier(emit):
         c_ind = SeqFunc.from_support({k: 1 for k in c_members}, 0, 0)
         excluded = set(c_members) | set(rng.sample(range(12), rng.randint(0, 4)))
         d_ind = SeqFunc.from_support({k: 0 for k in excluded}, 1, 1)
-        h = urysohn_y(c_ind, d_ind)
+        h = YUrysohnCarrier().urysohn(d_ind, 1 - c_ind)
         u = threshold_indicator(h, Fraction(2, 3), strict=True)
         v = 1 - threshold_indicator(h, Fraction(1, 3))
         assert d_ind.le(u) and c_ind.le(v)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -362,7 +363,22 @@ def test_replay_infinite_value_is_input_error(tmp_path, capsys, payload, infinit
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: /certificates/0: malformed condition payload "
-                                   "(OverflowError:")
+                                   f"(ValueError: not a rational: {infinity!r})")
+
+
+def test_replay_refuses_an_exponent_at_once(tmp_path, capsys):
+    """A (D) epsilon written with an exponent is outside replay's grammar, so
+    it is refused before any number is built from it."""
+    payload = {"condition": "D", "verdict": "fails", "instance": {"f": SEQ_1, "g": SEQ_0},
+               "certificate": dict(INFEASIBLE_CERT, epsilon="1e10000000")}
+    path = write(tmp_path, "report.json", {"certificates": [payload]})
+    start = time.perf_counter()
+    assert main(["replay", path]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: /certificates/0: malformed condition payload "
+                                   "(ValueError: not a rational: '1e10000000')")
 
 
 def test_replay_rejects_c_failure_without_defeats(tmp_path, capsys):

@@ -21,11 +21,12 @@ from normlab.finite_space import (
     is_normal,
     is_usc,
     separate,
-    urysohn,
 )
+from normlab.insertion_engine import FiniteUrysohnCarrier, urysohn_join_stream
 from normlab.replay import verify_report
 from normlab.serialize import to_jsonable
-from oracles import enumerate_spaces_bruteforce, is_normal_closed_pairs, is_topology, up_sets_scan
+from oracles import (enumerate_spaces_bruteforce, is_closed_by_closures, is_normal_closed_pairs,
+                     is_topology, up_sets_scan)
 
 SIERPINSKI = FiniteSpace.from_opens(2, [0b00, 0b01, 0b11])
 
@@ -140,27 +141,37 @@ def test_pair_test_agrees_with_closed_pair_loop():
             ok, witness = is_normal(space)
             assert ok == is_normal_closed_pairs(space)[0]
             if not ok:
-                assert space.is_closed(witness.c) and space.is_closed(witness.d)
+                assert is_closed_by_closures(space, witness.c)
+                assert is_closed_by_closures(space, witness.d)
                 assert not witness.c & witness.d
                 assert isinstance(separate(space, witness.c, witness.d), NotSeparable)
 
 
 def test_urysohn_witness_and_refusal():
     space = FiniteSpace.discrete(3)
-    h = urysohn(space, {0}, {2})
+    h = FiniteUrysohnCarrier(space).urysohn(indicator(space, {2}), indicator(space, {1, 2}))
     assert h.values == (Fraction(0), Fraction(0), Fraction(1))
-    # indiscrete-like component: single component meets both sets
-    chain = FiniteSpace.from_opens(2, [0b00, 0b01, 0b11])
-    res = urysohn(chain, {1}, ())
-    assert isinstance(res, FiniteFunc)
+    # an empty closed set inside the open point of the Sierpinski space
+    h = FiniteUrysohnCarrier(SIERPINSKI).urysohn(indicator(SIERPINSKI, ()),
+                                                 indicator(SIERPINSKI, {0}))
+    assert h.values == (Fraction(0), Fraction(0))
     connected = FiniteSpace.from_opens(2, (0, 3))  # indiscrete
-    with pytest.raises(PreconditionViolation):
-        urysohn(connected, {0}, {1})  # {0} is not closed here
+    with pytest.raises(PreconditionViolation, match="f is not upper semicontinuous"):
+        # {1} is not closed here
+        FiniteUrysohnCarrier(connected).urysohn(indicator(connected, {1}),
+                                                indicator(connected, {0, 1}))
 
 
 def test_urysohn_inseparable_component():
     # closed singletons {1}, {2} share the component of the non-normal space
-    assert isinstance(urysohn(NON_NORMAL, {1}, {2}), NotSeparable)
+    closed, open_ = indicator(NON_NORMAL, {2}), indicator(NON_NORMAL, {0, 2})
+    with pytest.raises(PreconditionViolation,
+                       match="level sets not separable on component 0b111"):
+        FiniteUrysohnCarrier(NON_NORMAL).urysohn(closed, open_)
+    # the join stream meets the same pair as its first level pair
+    with pytest.raises(PreconditionViolation,
+                       match=r"urysohn oracle failed on pair \(r=0, s=1\): level sets"):
+        urysohn_join_stream(FiniteUrysohnCarrier(NON_NORMAL), closed, open_, 2)
 
 
 def test_insert_finite_feasible_and_not():
@@ -203,10 +214,6 @@ def test_points_outside_the_space_are_refused(subset):
     space = FiniteSpace.discrete(2)
     with pytest.raises(PreconditionViolation, match="outside the 2-point space"):
         indicator(space, subset)
-    with pytest.raises(PreconditionViolation, match="outside the 2-point space"):
-        urysohn(space, subset, {1})
-    with pytest.raises(PreconditionViolation, match="outside the 2-point space"):
-        urysohn(space, {0}, subset)
 
 
 def test_block_indicators_exact_partition():
@@ -298,7 +305,7 @@ def test_block_indicators_separating_gives_singletons():
     indicators, traces = block_indicators(space, gens)
     assert sorted(t["block"] for t in traces) == [[0], [1], [2], [3]]
     for chi in indicators:
-        assert chi.is_zero_one_valued()
+        assert set(chi.values) <= {0, 1}
         assert sum(chi.values) == 1
 
 

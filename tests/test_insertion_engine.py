@@ -20,9 +20,11 @@ from normlab.errors import (
 from normlab.finite_space import (
     FiniteFunc,
     FiniteSpace,
+    NotSeparable,
     block_indicators,
     enumerate_spaces,
     envelopes,
+    indicator,
 )
 from normlab.insertion_engine import (
     FiniteUrysohnCarrier,
@@ -52,7 +54,8 @@ from normlab.replay import (
 from normlab.seq_model import SeqFunc, threshold_indicator
 from normlab.serialize import to_jsonable
 from oracles import (random_finite_func, random_seq_func, random_usc_lsc_pair,
-                     threshold_by_fractions, with_omega)
+                     threshold_by_fractions, urysohn_by_components, urysohn_y_by_cases,
+                     with_omega)
 
 POINT = FiniteSpace.discrete(1)
 
@@ -341,6 +344,66 @@ def _random_finite_cases(rng, count):
 
 def _random_y_cases(rng, count):
     return [(YUrysohnCarrier(), *random_usc_lsc_pair(rng).values()) for _ in range(count)]
+
+
+def _representation(func):
+    return func._shape, func._row, func._den
+
+
+def test_finite_carrier_separates_as_the_component_rule_does():
+    """On every space up to 4 points, for every closed C inside an open U,
+    the carrier's insertion between the indicators of C and U is the
+    mask-based Urysohn function 0 off U and 1 on C, and it refuses exactly
+    the pairs that rule finds inseparable."""
+    refused = 0
+    for n in range(1, 5):
+        for space in enumerate_spaces(n):
+            carrier = FiniteUrysohnCarrier(space)
+            for u in space.opens:
+                for c in space.closed_sets():
+                    if c & ~u:
+                        continue
+                    expected = urysohn_by_components(space, space.full & ~u, c)
+                    closed_f, open_g = indicator(space, c), indicator(space, u)
+                    if isinstance(expected, NotSeparable):
+                        refused += 1
+                        with pytest.raises(PreconditionViolation, match="not separable"):
+                            carrier.urysohn(closed_f, open_g)
+                    else:
+                        h = carrier.urysohn(closed_f, open_g)
+                        assert _representation(h) == _representation(expected)
+    assert refused > 0
+
+
+def _random_y_closed(rng):
+    """A random closed 0/1 indicator on the compactification: a finite set of
+    naturals, or any eventually periodic set with omega."""
+    if rng.random() < 0.5:
+        return SeqFunc.from_support({k: 1 for k in rng.sample(range(8), rng.randint(0, 4))}, 0, 0)
+    return SeqFunc([rng.randint(0, 1) for _ in range(rng.randint(0, 4))],
+                   [rng.randint(0, 1) for _ in range(rng.randint(1, 3))], 1)
+
+
+def test_y_carrier_separates_as_the_case_rule_does():
+    """On random closed C and open U of the compactification (each the
+    complement of a random closed set), the carrier's insertion between the
+    indicators of C and U is the two-case Urysohn function 0 off U and 1 on
+    C, in the same canonical form; where C leaves U both refuse."""
+    rng = random.Random(21)
+    refused = 0
+    for _ in range(400):
+        closed_f, off = _random_y_closed(rng), _random_y_closed(rng)
+        open_g = 1 - off
+        try:
+            expected = urysohn_y_by_cases(off, closed_f)
+        except PreconditionViolation:
+            refused += 1
+            with pytest.raises(PreconditionViolation):
+                YUrysohnCarrier().urysohn(closed_f, open_g)
+            continue
+        h = YUrysohnCarrier().urysohn(closed_f, open_g)
+        assert _representation(h) == _representation(expected)
+    assert 0 < refused < 400
 
 
 @pytest.mark.parametrize("carrier,f,g", [
@@ -959,31 +1022,22 @@ def _malformed_iteration(cause):
 
 # Each value in one element of an iteration trace, and replay's outcome: the
 # ok flags of its four rows (bounds, step, tail, sandwich) or its error text.
+# Replay reads a non-bool int or an ASCII "p" or "p/q" without leading zeros.
 PARSED_VALUES = [
     ("0/5", [True, True, True, True]),
     ("-0", [True, True, True, True]),
     ("2/4", [True, False, True, True]),
     ("-7/2", [True, False, False, False]),
     (3, [True, False, False, False]),
-    ("+3", [True, False, False, False]),
-    (" 3 ", [True, False, False, False]),
-    ("1_000", [True, False, False, False]),
-    ("1.5", [True, False, False, True]),
-    ("1e3", [True, False, False, False]),
-    ("3/0", _malformed_iteration("ZeroDivisionError: Fraction(3, 0)")),
-    ("3/-4", _malformed_iteration("ValueError: Invalid literal for Fraction: '3/-4'")),
-    ("٣", [True, False, False, False]),  # ARABIC-INDIC DIGIT THREE
-    (True, _malformed_iteration("ValueError: boolean is not a rational")),
-    (None, _malformed_iteration(
-        "TypeError: argument should be a string or a Rational instance")),
-    (1.5, [True, False, False, True]),
-    ([], _malformed_iteration(
-        "TypeError: argument should be a string or a Rational instance")),
+    *((value, _malformed_iteration(f"ValueError: not a rational: {value!r}")) for value in [
+        "+3", " 3 ", "3\n", "03", "3/04", "1_000", "1.5", "1e3", "3/0", "3/-4",
+        "٣",  # ARABIC-INDIC DIGIT THREE
+        True, None, 1.5, []]),
 ]
 
 
 @pytest.mark.parametrize("value,outcome", PARSED_VALUES, ids=repr)
-def test_replay_parses_values_as_fraction_does(value, outcome):
+def test_replay_parses_values_by_one_grammar(value, outcome):
     payload = {"trace": "iteration", "step_bounds": ["1/2", "1/4", "1/8"],
                "a_seq": [{"cycle": ["0"]}, {"cycle": [value]}, {"cycle": ["0"]}],
                "f": {"cycle": ["-1"]}, "g": {"cycle": ["2"]}}

@@ -90,10 +90,8 @@ def test_first_violation_names_a_point():
 def test_idempotent_detection():
     chi = FiniteFunc(SPACE, [1, 0, 1])
     assert (chi * chi).eq_pointwise(chi)
-    assert chi.is_zero_one_valued()
     other = FiniteFunc(SPACE, [1, 2, 0])
     assert not (other * other).eq_pointwise(other)
-    assert not other.is_zero_one_valued()
 
 
 def test_finite_join_empty_family():

@@ -14,12 +14,12 @@ from normlab.errors import (
     CoverViolation,
     EmptyFamily,
     GapViolation,
-    InsertionInfeasible,
     NotConvergent,
     OmegaMissing,
     PreconditionViolation,
     SearchBudgetExceeded,
 )
+from normlab.insertion_engine import YUrysohnCarrier
 from normlab.seq_model import (
     OMEGA,
     GeoTail,
@@ -28,17 +28,14 @@ from normlab.seq_model import (
     Witness,
     brute_force_insertable,
     ideal_membership,
-    indicator_is_closed_set,
     insert_convergent,
     insert_on_y,
     limit_data,
     lindelof_extract,
     local_compact_minorants,
     semicontinuity_on_y,
-    strict_insert,
     subcover_extract,
     threshold_indicator,
-    urysohn_y,
 )
 from oracles import (
     clamped_limit_on_naturals,
@@ -161,17 +158,25 @@ def test_insert_matches_brute_oracle(f, other):
         assert oracle is None
 
 
-def test_strict_insert_gap_and_infeasibility():
+def test_d_on_the_naturals_gap_and_infeasibility():
     chi = SeqFunc.periodic([1, 0])
+
+    def check_d(f, g, epsilon):
+        return conditions.check_condition(conditions.SeqXEndModel(), "D",
+                                          {"f": f, "g": g, "epsilon": epsilon}, 8)
+
     with pytest.raises(GapViolation) as exc:
-        strict_insert(chi, chi, Fraction(1, 4))
-    assert exc.value.index == 0
+        check_d(chi, chi, Fraction(1, 4))
+    assert exc.value.index == 0 and exc.value.key == "epsilon"
     # the gap holds but no convergent witness exists
-    with pytest.raises(InsertionInfeasible) as exc2:
-        strict_insert(chi, chi + Fraction(1, 2), Fraction(1, 2))
-    assert exc2.value.certificate.limsup_f == 1
-    w = strict_insert(SeqFunc.constant(0), SeqFunc.constant(1), Fraction(1, 2))
-    assert w.func.is_convergent()
+    failed = check_d(chi, chi + Fraction(1, 2), Fraction(1, 2))
+    assert failed.verdict == conditions.FAILS
+    assert failed.certificate == {"epsilon": Fraction(1, 2), "limsup_f": 1,
+                                  "liminf_g": Fraction(1, 2)}
+    held = check_d(SeqFunc.constant(0), SeqFunc.constant(1), Fraction(1, 2))
+    assert held.verdict == conditions.HOLDS
+    assert held.certificate["witness"].is_convergent()
+    assert held.certificate["limit"] == Fraction(1, 2)
 
 
 def test_insert_on_y_always_succeeds():
@@ -207,17 +212,17 @@ def test_insertion_witnesses_match_the_per_index_clamp():
     assert witnesses > 300  # every feasible pair and some of the random ones
 
 
-def test_threshold_and_urysohn_y():
+def test_threshold_indicator_separates_on_y():
     f = SeqFunc.periodic([1, 0], omega=1)
     closed = threshold_indicator(f, 1)
-    assert indicator_is_closed_set(closed)
+    assert semicontinuity_on_y(closed)["usc"]
     d = SeqFunc.from_support({1: 1, 3: 1}, 0, 0)
-    h = urysohn_y(d, closed)
+    h = YUrysohnCarrier().urysohn(closed, 1 - d)
     assert h.is_convergent()
     assert (h.meet(d)).value_bounds()[1] == 0
     assert closed.le(h)
-    with pytest.raises(PreconditionViolation):
-        urysohn_y(closed, closed)  # not disjoint
+    with pytest.raises(PreconditionViolation, match="f <= g fails"):
+        YUrysohnCarrier().urysohn(closed, 1 - closed)  # not disjoint
 
 
 def test_geo_tail_and_ideal_membership():

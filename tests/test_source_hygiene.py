@@ -195,14 +195,23 @@ def test_benchmark_tracer_installs():
 
 TRACED_URYSOHN = """
 import json, sys
+from fractions import Fraction
 import tracer
 from normlab import insertion_engine
+from normlab.finite_space import FiniteFunc, FiniteSpace
 from normlab.seq_model import SeqFunc
 t = tracer.Tracer()
 tracer.install(t)
-f = SeqFunc.periodic([1, 0], omega=1)
-g = SeqFunc.constant(1, with_omega=True)
-_, cert = insertion_engine.urysohn_join_stream(insertion_engine.YUrysohnCarrier(), f, g, 4)
+if sys.argv[2] == "finite":
+    space = FiniteSpace.from_preorder(5, [17, 2, 4, 25, 16])
+    carrier = insertion_engine.FiniteUrysohnCarrier(space)
+    f = FiniteFunc(space, [Fraction(v) for v in ("2/3", "1", "0", "2/3", "1/6")])
+    g = FiniteFunc(space, [Fraction(v) for v in ("5/6", "1", "1/2", "2/3", "5/6")])
+else:
+    carrier = insertion_engine.YUrysohnCarrier()
+    f = SeqFunc.periodic([1, 0], omega=1)
+    g = SeqFunc.constant(1, with_omega=True)
+_, cert = insertion_engine.urysohn_join_stream(carrier, f, g, 4)
 metrics = t.metrics(sys.argv[1])
 print(json.dumps({"rows": len(cert["pairs"]),
                   "pairs": metrics["insertion_engine.urysohn_join_stream.pairs"],
@@ -210,12 +219,14 @@ print(json.dumps({"rows": len(cert["pairs"]),
 """
 
 
-def test_benchmark_tracer_reads_the_urysohn_certificate():
+@pytest.mark.parametrize("carrier", ["finite", "y"])
+def test_benchmark_tracer_reads_the_urysohn_certificate(carrier):
     """The traced benchmark run counts Urysohn certificate rows from outside the
-    library, so a certificate it can no longer read fails here."""
+    library, through each carrier's wrapped separation, so a certificate it
+    can no longer read fails here."""
     path = os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])
     result = subprocess.run(
-        [sys.executable, "-c", TRACED_URYSOHN, str(ROOT / "src")],
+        [sys.executable, "-c", TRACED_URYSOHN, str(ROOT / "src"), carrier],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     counts = json.loads(result.stdout)
