@@ -1,9 +1,10 @@
 """Uniform checkers for the interpolation conditions of a basic extension.
 
 Each condition (T, BS, S, N, D, C, L, SL) is checked against a pluggable
-extension model; reports carry a three-valued verdict (holds, fails,
-unknown_at_depth) and a machine-checkable certificate.  Countable claims are
-certified at an explicit truncation depth and never silently finitized.
+extension model; reports carry a verdict, holds or fails (no route returns
+unknown_at_depth, and replay refuses it), and a machine-checkable
+certificate.  Countable claims are certified at an explicit truncation
+depth and never silently finitized.
 
 The scenario reader checks syntax, encoding and bounds; the values of an
 instance are checked here, once each, by the route that reads them (the
@@ -70,6 +71,14 @@ class ExtensionModel:
     # built-in family; such a model takes no family
     built_in_family: str | None = None
 
+    def cond_d(self, instance, depth):
+        """(N) with the gap epsilon.  The pair is checked before the gap, so f > g
+        is named as such; on a non-compact carrier the gap gives no convergent
+        witness (f with cycle [0, 1] and g = f + epsilon)."""
+        verdict, cert = self.cond_n(instance, depth)
+        eps = check_gap(instance["f"], instance["g"], instance.get("epsilon", D_EPSILON))
+        return verdict, {**cert, "epsilon": eps}
+
 
 def check_condition(model: ExtensionModel, cond: str, instance: dict,
                     depth: int = 32) -> ConditionReport:
@@ -79,12 +88,7 @@ def check_condition(model: ExtensionModel, cond: str, instance: dict,
     if cond == "SL":
         left = check_condition(model, "L", instance, depth)
         right = check_condition(model, "N", instance, depth)
-        if UNKNOWN in (left.verdict, right.verdict):
-            verdict = UNKNOWN
-        elif left.verdict == HOLDS and right.verdict == HOLDS:
-            verdict = HOLDS
-        else:
-            verdict = FAILS
+        verdict = HOLDS if left.verdict == right.verdict == HOLDS else FAILS
         cert = {"L": left.certificate, "L_verdict": left.verdict,
                 "N": right.certificate, "N_verdict": right.verdict}
         return ConditionReport("SL", model.name, instance, verdict, cert, depth)
@@ -198,18 +202,6 @@ class SeqXEndModel(ExtensionModel):
             return HOLDS, {"witness": result.func, "limit": result.limit}
         return FAILS, {"limsup_f": result.limsup_f, "liminf_g": result.liminf_g}
 
-    def cond_d(self, instance, depth):
-        # the gap does not give a convergent witness on this non-compact
-        # carrier (f with cycle [0, 1] and g = f + epsilon); the pair is
-        # checked before the gap, so f > g is named as such
-        f, g = instance["f"], instance["g"]
-        result = insert_convergent(f, g)
-        eps = check_gap(f, g, instance.get("epsilon", D_EPSILON))
-        if isinstance(result, Witness):
-            return HOLDS, {"witness": result.func, "limit": result.limit, "epsilon": eps}
-        return FAILS, {"epsilon": eps, "limsup_f": result.limsup_f,
-                       "liminf_g": result.liminf_g}
-
     def _built_in_family(self, instance):
         """(epsilon, delta) of the built-in family; both must be positive."""
         eps = rat(instance.get("epsilon", ONE))
@@ -250,12 +242,6 @@ class SeqYEndModel(ExtensionModel):
     def cond_n(self, instance, depth):
         w = insert_on_y(instance["f"], instance["g"])
         return HOLDS, {"witness": w.func, "limit": w.limit}
-
-    def cond_d(self, instance, depth):
-        f, g = instance["f"], instance["g"]
-        w = insert_on_y(f, g)
-        eps = check_gap(f, g, instance.get("epsilon", D_EPSILON))
-        return HOLDS, {"witness": w.func, "limit": w.limit, "epsilon": eps}
 
     def cond_t(self, instance, depth):
         w = insert_on_y(instance["f"], instance["g"])

@@ -13,6 +13,7 @@ constructions in scope use only rational constants.
 """
 
 import math
+import re
 from fractions import Fraction
 
 Rational = Fraction
@@ -20,19 +21,26 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# "p" or "p/q": ASCII decimal digits, no leading zero, "-" on p only, q positive
+RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+
 
 def rat(value) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational.
 
     Floats are rejected: silently accepting them would smuggle rounding
-    into a library whose contract is exactness.
+    into a library whose contract is exactness.  A string outside the
+    :data:`RATIONAL` grammar is a ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if not RATIONAL.fullmatch(value):
+            raise ValueError(f"not a \"p\" or \"p/q\" rational: {value!r}")
+        num, _, den = value.partition("/")
+        return Fraction(int(num), int(den or 1))
     raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
 
 

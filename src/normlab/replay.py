@@ -1,8 +1,7 @@
 """Independent certificate verifier.
 
 Re-checks serialized reports (merge traces, iteration traces, Urysohn joins,
-condition reports, insertion certificates, block-indicator traces) from the
-JSON alone.
+condition reports, block-indicator traces) from the JSON alone.
 The module deliberately shares no evaluation code with the checkers that
 produced the certificates and imports nothing from normlab, so a bug in a
 searcher cannot hide in its own replay.
@@ -274,147 +273,140 @@ def _verify_iteration(trace, checks) -> None:
     _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
 
 
-def _verify_infeasible(cert, checks) -> None:
-    rd = _Reader()
-    f, g = cert["f"], cert["g"]
-    lsf, lig = _frac(cert["limsup_f"]), _frac(cert["liminf_g"])
-    _check(checks, "infeasible: limsup f recomputed", max(rd.seq(f)[1]) == lsf)
-    _check(checks, "infeasible: liminf g recomputed", min(rd.seq(g)[1]) == lig)
-    _check(checks, "infeasible: limsup exceeds liminf", lsf > lig)
+_HOLDS = dict.fromkeys(("T", "BS", "S", "N", "D", "C", "L", "SL"), ("holds",))
+# model -> condition -> the verdicts its route gives; every route of seq_y_end
+# and of finite_full_<n>pt gives "holds" alone, and none gives "unknown_at_depth"
+_ROUTES = {"seq_y_end": _HOLDS, "seq_x_end": {
+    **_HOLDS, "C": ("fails",), **dict.fromkeys(("N", "D", "SL"), ("holds", "fails"))}}
 
 
-def _noncompact_member_at(eps, delta, n, k):
-    return eps + delta if k <= n else -delta
+def _on_carrier(rd, model, elems) -> None:
+    """Raise ValueError unless each element is on the carrier the model names:
+    a sequence with no omega value, one with, or a finite function on n points."""
+    for d in elems:
+        carrier = rd.carrier(d)
+        if isinstance(carrier, bool):
+            name = "seq_x_end" if carrier else "seq_y_end"
+        else:  # rows first checks one value per point
+            name = f"finite_full_{len(rd.rows(d)[1][0])}pt"
+        if name != model:
+            raise ValueError(f"an element on the carrier of {name} under model {model}")
 
 
 def _verify_condition(report, checks) -> None:
-    cond = report["condition"]
-    verdict = report["verdict"]
-    inst = report.get("instance", {})
-    cert = report.get("certificate", {})
+    """Replay a condition report by its model's route, which reads every key
+    it writes; a verdict that the route does not give fails one row."""
+    model, cond, verdict = report["model"], report["condition"], report["verdict"]
+    inst, cert = report["instance"], report["certificate"]
     label = f"{cond} {verdict}"
-    if verdict == "unknown_at_depth":
-        _check(checks, f"{label}: nothing to certify", True)
+    finite = re.fullmatch(r"finite_full_[1-9][0-9]*pt", model)
+    routes = _HOLDS if finite else _ROUTES.get(model, {})
+    if verdict not in routes.get(cond, ()):
+        _check(checks, f"{label}: certificate recognized", False)
         return
     if cond == "SL":
-        _verify_condition({"condition": "L", "verdict": cert["L_verdict"],
-                           "instance": inst, "certificate": cert["L"]}, checks)
-        _verify_condition({"condition": "N", "verdict": cert["N_verdict"],
-                           "instance": inst, "certificate": cert["N"]}, checks)
-        agree = {"holds": cert["L_verdict"] == cert["N_verdict"] == "holds",
-                 "fails": "fails" in (cert["L_verdict"], cert["N_verdict"])}
-        _check(checks, f"{label}: decomposition consistent", agree.get(verdict, False))
+        for part in ("L", "N"):
+            _verify_condition({"condition": part, "model": model, "instance": inst,
+                               "verdict": cert[f"{part}_verdict"], "certificate": cert[part]},
+                              checks)
+        both_hold = cert["L_verdict"] == cert["N_verdict"] == "holds"
+        _check(checks, f"{label}: decomposition consistent", both_hold == (verdict == "holds"))
         return
     rd = _Reader()
-    f, g = inst.get("f"), inst.get("g")
+    if cond in ("C", "L") and model == "seq_x_end":
+        eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
+        # member n of the noncompact family is eps + delta up to index n, -delta beyond
+        member_at = lambda n, k: eps + delta if k <= n else -delta
+        if cond == "C":  # an empty list defeats nothing
+            _check(checks, f"{label}: every listed subfamily defeated",
+                   bool(cert["defeats"]) and all(
+                       e["index"] > max(e["subfamily"]) and _frac(e["join_value"])
+                       == max(member_at(n, e["index"]) for n in e["subfamily"]) < 0
+                       for e in cert["defeats"]))
+        else:  # member k is the first one above eps/2 at index k
+            _check(checks, f"{label}: each pick is its member's value, above eps/2",
+                   all(_frac(p["value"]) == member_at(p["member"], p["index"]) > eps / 2
+                       for p in cert["picks"]))
+        return
+    if cond in ("C", "L"):
+        fam = inst.get("family", cert["family"])
+        _on_carrier(rd, model, fam)
+        den, fam_rows = rd.rows(*fam)
+        chosen = [fam_rows[i] for i in cert["subfamily"]]
+        ks = range(len(fam_rows[0]))
+        join_min = min(max(x[k] for x in chosen) for k in ks)
+        _check(checks, f"{label}: subfamily join nonnegative", join_min >= 0)
+        _check(checks, f"{label}: recorded join minimum matches",
+               _frac(cert["join_min"]) * den == join_min)
+        if model == "seq_y_end":
+            at_omega = max(rd.seq(fam[i])[2] for i in cert["subfamily"])
+            _check(checks, f"{label}: recorded join at omega matches",
+                   at_omega == _frac(cert["join_omega"]))
+        eps = _frac(inst.get("epsilon", cert["epsilon"]))
+        _check(checks, f"{label}: full family covers at level eps",
+               all(max(x[k] for x in fam_rows) * eps.denominator >= eps.numerator * den
+                   for k in ks))
+        return
+    f, g = inst["f"], inst["g"]
+    _on_carrier(rd, model, (f, g))
+    den, (fr, gr) = rd.rows(f, g)
+
+    def between(w):
+        _, (fw, gw, wr) = rd.rows(f, g, w)
+        return _row_le(fw, wr) and _row_le(wr, gw)
+
     if cond in ("N", "D"):
         if verdict == "holds":
             w = cert["witness"]
-            _, (fr, gr, wr) = rd.rows(f, g, w)
             _check(checks, f"{label}: witness convergent", rd.convergent(w))
-            _check(checks, f"{label}: f <= witness <= g", _row_le(fr, wr) and _row_le(wr, gr))
-            if "limit" in cert:
+            _check(checks, f"{label}: f <= witness <= g", between(w))
+            if model in ("seq_x_end", "seq_y_end"):
                 _check(checks, f"{label}: limit = the witness's cycle value",
                        rd.seq(w)[1] == [_frac(cert["limit"])])
-        elif verdict == "fails":
-            _verify_infeasible({"f": f, "g": g, **cert}, checks)
         else:
-            _check(checks, f"{label}: certificate recognized", False)
+            lsf, lig = _frac(cert["limsup_f"]), _frac(cert["liminf_g"])
+            _check(checks, "infeasible: limsup f recomputed", max(rd.seq(f)[1]) == lsf)
+            _check(checks, "infeasible: liminf g recomputed", min(rd.seq(g)[1]) == lig)
+            _check(checks, "infeasible: limsup exceeds liminf", lsf > lig)
         if cond == "D":
             eps = _frac(cert["epsilon"])
-            den, (fr, gr) = rd.rows(f, g)
             _check(checks, f"{label}: gap f + eps <= g",
                    all((y - x) * eps.denominator >= eps.numerator * den
                        for x, y in zip(fr, gr)))
         return
-    if cond in ("T", "BS", "S"):
-        _, (fr, gr) = rd.rows(f, g)
-        _check(checks, f"{label}: f <= g", _row_le(fr, gr))
-        if "witness" in cert:
-            _, (fr, gr, wr) = rd.rows(f, g, cert["witness"])
-            _check(checks, f"{label}: witness between endpoints",
-                   _row_le(fr, wr) and _row_le(wr, gr))
-        if "a_seq" in cert and "b_seq" in cert:
-            a, b = cert["a_seq"], cert["b_seq"]
-            _, (fr, gr, *ab) = rd.rows(f, g, *a, *b)
-            ar, br = ab[:len(a)], ab[len(a):]
-            meet_of = lambda xs, k: min(x[k] for x in xs)
-            join_of = lambda xs, k: max(x[k] for x in xs)
-            ks = range(len(fr))
-            if cond == "T":
-                ok = all(fr[k] <= meet_of(ar, k) <= join_of(br, k) <= gr[k] for k in ks)
-            elif cond == "BS":
-                # a_seq carries the join side, b_seq the meet side
-                ok = all(fr[k] <= join_of(ar, k) <= meet_of(br, k) <= gr[k] for k in ks)
-            else:
-                ok = all(meet_of(ar, k) == join_of(br, k) for k in ks) and \
-                     all(fr[k] <= meet_of(ar, k) <= gr[k] for k in ks)
-            _check(checks, f"{label}: interpolation chain", ok)
+    _check(checks, f"{label}: f <= g", _row_le(fr, gr))
+    if cond == "S":
+        _check(checks, f"{label}: witness between endpoints", between(cert["witness"]))
+    if model == "seq_x_end":
         # each side's family collapses to the endpoint it approximates, and its
         # residual is recomputed from that endpoint's closed form
         meet_of_side, join_of_side = {"T": (f, g), "BS": (g, f), "S": (f, f)}[cond]
         for side, key, elem in (("meet_side", "closed_form_meet", meet_of_side),
                                 ("join_side", "closed_form_join", join_of_side)):
-            if side in cert:
-                data = cert[side]
-                den, (er, cr) = rd.rows(elem, data[key])
-                bound = Fraction(1, data["depth"])
-                norm = max(max(er), -min(er))
-                spread = norm - min(er) if side == "meet_side" else max(er) + norm
-                _check(checks, f"{label}: {side} residual within bound",
-                       er == cr and _frac(data["residual_bound"]) == bound
-                       and _frac(data["max_residual"]) == min(bound, Fraction(spread, den)))
-        # only "holds" has a certificate, and f <= g alone proves nothing: it
-        # must carry a chain or both sides
-        if verdict != "holds" or not ({"a_seq", "b_seq"} <= cert.keys()
-                                      or {"meet_side", "join_side"} <= cert.keys()):
-            _check(checks, f"{label}: certificate recognized", False)
+            data = cert[side]
+            den, (er, cr) = rd.rows(elem, data[key])
+            bound = Fraction(1, data["depth"])
+            norm = max(max(er), -min(er))
+            spread = norm - min(er) if side == "meet_side" else max(er) + norm
+            _check(checks, f"{label}: {side} residual within bound",
+                   er == cr and _frac(data["residual_bound"]) == bound
+                   and _frac(data["max_residual"]) == min(bound, Fraction(spread, den)))
         return
-    if cond in ("C", "L"):
-        fam = inst.get("family", cert.get("family"))
-        if verdict == "holds" and "subfamily" in cert and fam is not None:
-            den, fam_rows = rd.rows(*fam)
-            chosen = [fam_rows[i] for i in cert["subfamily"]]
-            ks = range(len(fam_rows[0]))
-            join_min = min(max(x[k] for x in chosen) for k in ks)
-            _check(checks, f"{label}: subfamily join nonnegative", join_min >= 0)
-            if "join_min" in cert:
-                _check(checks, f"{label}: recorded join minimum matches",
-                       _frac(cert["join_min"]) * den == join_min)
-            if "join_omega" in cert:
-                at_omega = max(rd.seq(fam[i])[2] for i in cert["subfamily"])
-                _check(checks, f"{label}: recorded join at omega matches",
-                       at_omega == _frac(cert["join_omega"]))
-            eps = _frac(inst.get("epsilon", cert.get("epsilon")))
-            _check(checks, f"{label}: full family covers at level eps",
-                   all(max(x[k] for x in fam_rows) * eps.denominator >= eps.numerator * den
-                       for k in ks))
-            return
-        if verdict == "fails" and "defeats" in cert:
-            eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
-            ok = bool(cert["defeats"])  # an empty list defeats nothing
-            for entry in cert["defeats"]:
-                sub = entry["subfamily"]
-                idx = entry["index"]
-                best = max(_noncompact_member_at(eps, delta, n, idx) for n in sub)
-                if idx <= max(sub) or best != _frac(entry["join_value"]) or best >= 0:
-                    ok = False
-            _check(checks, f"{label}: every listed subfamily defeated", ok)
-            return
-        if verdict == "holds" and "picks" in cert:
-            eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
-            # member n of the noncompact family exceeds eps/2 exactly up to index n
-            ok = True
-            for p in cert["picks"]:
-                value = _frac(p["value"])
-                if value != _noncompact_member_at(eps, delta, p["member"], p["index"]) \
-                        or value <= eps / 2:
-                    ok = False
-            _check(checks, f"{label}: each pick is its member's value, above eps/2", ok)
-            return
-        _check(checks, f"{label}: certificate recognized", False)
-        return
-    _check(checks, f"{label}: condition recognized", False)
+    a, b = cert["a_seq"], cert["b_seq"]
+    _, (fr, gr, *ab) = rd.rows(f, g, *a, *b)
+    ar, br = ab[:len(a)], ab[len(a):]
+    meet_of = lambda xs, k: min(x[k] for x in xs)
+    join_of = lambda xs, k: max(x[k] for x in xs)
+    ks = range(len(fr))
+    if cond == "T":
+        ok = all(fr[k] <= meet_of(ar, k) <= join_of(br, k) <= gr[k] for k in ks)
+    elif cond == "BS":
+        # a_seq carries the join side, b_seq the meet side
+        ok = all(fr[k] <= join_of(ar, k) <= meet_of(br, k) <= gr[k] for k in ks)
+    else:
+        ok = all(meet_of(ar, k) == join_of(br, k) for k in ks) and \
+             all(fr[k] <= meet_of(ar, k) <= gr[k] for k in ks)
+    _check(checks, f"{label}: interpolation chain", ok)
 
 
 def _verify_ideal(payload, checks) -> None:
@@ -628,8 +620,6 @@ def verify_report(data) -> dict:
                 return verify("urysohn", _verify_urysohn, node)
             if "condition" in node and "verdict" in node:
                 return verify("condition", _verify_condition, node)
-            if node.get("infeasible") and "f" in node and "g" in node:
-                return verify("infeasible", _verify_infeasible, node)
             if "ideal_membership" in node:
                 return verify("ideal", _verify_ideal, node["ideal_membership"])
             if "block_replay" in node:

@@ -21,7 +21,6 @@ the instance key it read, and ``cli`` turns that into ``/instance/<key>``.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import is_dataclass, fields as dc_fields
 from fractions import Fraction
 
@@ -37,8 +36,8 @@ from .conditions import (
 )
 from .errors import PreconditionViolation
 from .finite_space import FiniteFunc, FiniteSpace
-from .rationals import num_str, rat_str
-from .seq_model import GeoTail, InfeasibleCert, Omega, SeqFunc, Witness
+from .rationals import RATIONAL, num_str, rat, rat_str
+from .seq_model import GeoTail, Omega, SeqFunc, Witness
 
 
 def _same(obj):
@@ -85,9 +84,6 @@ _LOWER = {
     GeoTail: lambda t: {"prefix": [rat_str(v) for v in t.prefix],
                         "q": rat_str(t.q), "ratio": rat_str(t.ratio)},
     Witness: lambda w: {"witness": to_jsonable(w.func), "limit": rat_str(w.limit)},
-    InfeasibleCert: lambda c: {"infeasible": True, "limsup_f": rat_str(c.limsup_f),
-                               "liminf_g": rat_str(c.liminf_g),
-                               "f": to_jsonable(c.f), "g": to_jsonable(c.g)},
 }
 
 
@@ -122,8 +118,6 @@ MODELS = {"finite_full": FiniteFullModel, "seq_x_end": SeqXEndModel,
 
 # conditions that read the pair f <= g
 _READS_PAIR = ("T", "BS", "S", "N", "D", "SL")
-
-_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
 
 
 def _reject(pointer: str, detail: str) -> PreconditionViolation:
@@ -179,8 +173,8 @@ def _choice(value, pointer: str, options) -> str:
 def _rational(value, pointer: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.match(value):
-        return Fraction(value)
+    if isinstance(value, str) and RATIONAL.fullmatch(value):
+        return rat(value)
     raise _reject(pointer, f"expected an integer or a \"p/q\" string, got {_shown(value)}")
 
 

@@ -150,7 +150,7 @@ def test_criterion_3_infeasible_pair(emit):
         cand = SeqFunc.constant(value)
         k = cert.refute(cand)
         assert not f.at(k) <= cand.at(k) <= f.at(k)
-    emit(to_jsonable(cert))
+    # the (N) report carries the same limsup/liminf claim to replay
     report = check_condition(SeqXEndModel(), "N", {"f": f, "g": f}, 64)
     assert report.verdict == FAILS
     emit(to_jsonable(report))

@@ -12,6 +12,7 @@ import pytest
 
 from normlab.cli import CATALOG, main, reproduce, survey_rows
 from normlab.errors import PreconditionViolation, UnknownExampleId
+from normlab.rationals import rat
 from normlab.seq_model import SeqFunc
 from normlab.serialize import to_jsonable
 
@@ -333,8 +334,8 @@ SEQ_0, SEQ_1 = {"cycle": ["0"]}, {"cycle": ["1"]}
       "f": SEQ_0, "g": SEQ_1}, "/", "iteration"),
     ({"certificates": [{"trace": "merge", "a_norm": [], "b_norm": [], "u_seq": [],
                         "v_seq": [], "result": SEQ_0}]}, "/certificates/0", "merge"),
-    ({"condition": "N", "verdict": "holds", "instance": {"f": SEQ_0, "g": SEQ_1},
-      "certificate": {"limit": "0"}}, "/", "condition"),
+    ({"condition": "N", "verdict": "holds", "model": "seq_x_end",
+      "instance": {"f": SEQ_0, "g": SEQ_1}, "certificate": {"limit": "0"}}, "/", "condition"),
     ({"ideal_membership": {"element": {"cycle": ["x"]}, "in_I_alpha": True,
                            "in_J_radical": True, "cert": {}}}, "/", "ideal"),
 ], ids=["iteration-bounds-short", "merge-empty", "N-holds-no-witness", "ideal-unparsed-value"])
@@ -351,9 +352,10 @@ INFEASIBLE_CERT = {"limsup_f": "1", "liminf_g": "0"}
 
 @pytest.mark.parametrize("infinity", [math.inf, -math.inf], ids=["Infinity", "-Infinity"])
 @pytest.mark.parametrize("payload", [
-    lambda inf: {"condition": "N", "verdict": "fails",
+    lambda inf: {"condition": "N", "verdict": "fails", "model": "seq_x_end",
                  "instance": {"f": {"cycle": [inf]}, "g": SEQ_0}, "certificate": INFEASIBLE_CERT},
-    lambda inf: {"condition": "D", "verdict": "fails", "instance": {"f": SEQ_1, "g": SEQ_0},
+    lambda inf: {"condition": "D", "verdict": "fails", "model": "seq_x_end",
+                 "instance": {"f": SEQ_1, "g": SEQ_0},
                  "certificate": dict(INFEASIBLE_CERT, epsilon=inf)},
 ], ids=["N-fails-cycle", "D-epsilon"])
 def test_replay_infinite_value_is_input_error(tmp_path, capsys, payload, infinity):
@@ -369,7 +371,8 @@ def test_replay_infinite_value_is_input_error(tmp_path, capsys, payload, infinit
 def test_replay_refuses_an_exponent_at_once(tmp_path, capsys):
     """A (D) epsilon written with an exponent is outside replay's grammar, so
     it is refused before any number is built from it."""
-    payload = {"condition": "D", "verdict": "fails", "instance": {"f": SEQ_1, "g": SEQ_0},
+    payload = {"condition": "D", "verdict": "fails", "model": "seq_x_end",
+               "instance": {"f": SEQ_1, "g": SEQ_0},
                "certificate": dict(INFEASIBLE_CERT, epsilon="1e10000000")}
     path = write(tmp_path, "report.json", {"certificates": [payload]})
     start = time.perf_counter()
@@ -625,6 +628,30 @@ def test_check_rejects_at_pointer(tmp_path, capsys, payload, pointer, named):
     code, err = _check_exit(tmp_path, capsys, payload)
     assert code == 2
     assert err.startswith(f"input error: {pointer}: ") and named in err
+
+
+def test_check_reads_a_rational_string_in_full(tmp_path, capsys):
+    """The scenario reader takes "p" or "p/q" only as the whole string: a
+    trailing newline is outside the grammar."""
+    instance = {"f": {"cycle": ["0"], "omega": "0"}, "g": {"cycle": ["1"], "omega": "1"}}
+    assert _check_exit(tmp_path, capsys,
+                       _scenario("seq_y_end", "D", dict(instance, epsilon="1/2")))[0] == 0
+    code, err = _check_exit(tmp_path, capsys,
+                            _scenario("seq_y_end", "D", dict(instance, epsilon="1/2\n")))
+    assert code == 2
+    assert err.startswith("input error: /instance/epsilon: ") and "p/q" in err
+
+
+@pytest.mark.parametrize("text", ["1.5", " 3 ", "1e3", "1_000", "1/2\n", "+1", "01", "1/0",
+                                  "1/-2", "1 / 2", "\uff11"])
+def test_rat_refuses_a_string_outside_the_grammar(text):
+    with pytest.raises(ValueError, match="rational"):
+        rat(text)
+
+
+def test_rat_reads_the_grammar():
+    assert [rat(t) for t in ("0", "-0", "7", "-3/4", "6/8", "10/1")] == [
+        0, 0, 7, Fraction(-3, 4), Fraction(3, 4), 10]
 
 
 @pytest.mark.parametrize("model", ["seq_x_end", "seq_y_end", "finite_full"])

@@ -329,24 +329,20 @@ CHAIN_KEYS = ("a_seq", "b_seq", "meet_side", "join_side")
 @pytest.mark.parametrize("model", ["finite_full", "seq_x_end", "seq_y_end"])
 @pytest.mark.parametrize("cond", ["T", "BS", "S"])
 def test_interpolation_certificate_without_chain_or_sides_fails(tmp_path, model, cond):
-    """A certificate left with f <= g alone, or half a chain, proves nothing,
-    and no certificate proves a "fails" verdict."""
+    """A certificate left with f <= g alone, or half a chain, is a malformed
+    payload, since each route reads its own chain or sides; and no certificate
+    proves a "fails" verdict."""
     report = json.loads(_check_report(tmp_path, model, cond, 8).read_text())
     assert verify_report(report)["ok"]
-    row = {"check": f"{cond} holds: certificate recognized", "ok": False}
     present = [key for key in CHAIN_KEYS if key in report["certificate"]]
     assert len(present) == 2
-    for dropped in ([present[0]], [present[1]], present):
-        tampered = json.loads(json.dumps(report))
-        for key in dropped:
-            del tampered["certificate"][key]
-        out = verify_report(tampered)
-        assert not out["ok"] and row in out["checks"]
-    for cert in ({}, {"note": "x"}):
-        out = verify_report({**report, "certificate": cert})
-        assert not out["ok"] and row in out["checks"]
+    certs = [{k: v for k, v in report["certificate"].items() if k not in dropped}
+             for dropped in ([present[0]], [present[1]], present)]
+    for cert in certs + [{}, {"note": "x"}]:
+        with pytest.raises(replay_mod.MalformedPayload, match="KeyError"):
+            verify_report({**report, "certificate": cert})
     out = verify_report({**report, "verdict": "fails"})
-    assert not out["ok"] and {**row, "check": f"{cond} fails: certificate recognized"} \
+    assert not out["ok"] and {"check": f"{cond} fails: certificate recognized", "ok": False} \
         in out["checks"]
 
 
@@ -420,6 +416,38 @@ def test_unknown_verdict_fails_replay(tmp_path, key):
     report = json.loads(_check_report(tmp_path, *key, 8).read_text())
     assert verify_report(report)["ok"]
     assert not verify_report({**report, "verdict": "maybe"})["ok"]
+
+
+SWAP_VERDICTS = ("holds", "fails", "unknown_at_depth")
+SWAP_MODELS = ("seq_x_end", "seq_y_end", "finite_full_3pt", "finite_full_1pt", "nonsense")
+# the catalog examples whose one certificate is a condition report
+CATALOG_CONDITION_REPORTS = ("chi-evens-no-insertion", "noncompact-C-failure", "KT-thresholds")
+
+
+def test_condition_report_under_another_verdict_or_model_fails_replay(tmp_path):
+    """Each route gives only its own verdicts, on its own model's carrier: every
+    pinned condition report, given any other pair of a verdict and a model
+    (an unknown name among them), fails replay or is a malformed payload."""
+    reports = [json.loads(_check_report(tmp_path, *key, 8).read_text())
+               for key in sorted(INSTANCES)]
+    reports += [json.loads(json.dumps(CATALOG[example_id]()["certificates"][0]))
+                for example_id in CATALOG_CONDITION_REPORTS]
+    mutants, survivors = 0, []
+    for report in reports:
+        assert verify_report(report)["ok"]
+        for verdict, model in itertools.product(SWAP_VERDICTS, SWAP_MODELS):
+            if (verdict, model) == (report["verdict"], report["model"]):
+                continue
+            mutants += 1
+            try:
+                ok = verify_report({**report, "verdict": verdict, "model": model})["ok"]
+            except replay_mod.MalformedPayload:
+                ok = False
+            if ok:
+                survivors.append((report["model"], report["condition"], report["verdict"],
+                                  model, verdict))
+    assert mutants == 378
+    assert survivors == []
 
 
 @pytest.mark.parametrize("example_id", sorted(CATALOG))
@@ -571,7 +599,7 @@ def test_trace_digest_table_covers_every_case():
 
 # Keys of a report's envelope, which replay does not read; "assertions" holds
 # golden facts and "instance" the scenario input, so neither is walked.
-ENVELOPE_KEYS = {"model", "expected", "example", "certificates", "assertions", "instance"}
+ENVELOPE_KEYS = {"expected", "example", "certificates", "assertions", "instance"}
 
 
 def _keys(node):

@@ -219,6 +219,42 @@ print(json.dumps({"rows": len(cert["pairs"]),
 """
 
 
+TRACED_COMMANDS = """
+import contextlib, io, json, sys
+import tracer
+t = tracer.Tracer()
+tracer.install(t)
+from normlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["check", sys.argv[2]]), cli.main(["survey", "--max-size", "2"])]
+metrics = t.metrics(sys.argv[1])
+print(json.dumps({"codes": codes,
+                  "conditions": metrics["conditions.check_condition.calls"],
+                  "insertions": metrics["finite_space.insert_finite.calls"]}))
+"""
+
+
+def test_benchmark_tracer_hooks_run_at_call_time(tmp_path):
+    """The tracer's after-hooks read library names when a traced call returns
+    (``conditions.UNKNOWN`` on each condition check, ``finite_space.Infeasible``
+    on each finite insertion), so a name they read that is gone fails here,
+    though installing the tracer alone would pass."""
+    scenario = tmp_path / "sl.json"
+    scenario.write_text(json.dumps({
+        "model": "seq_x_end", "condition": "SL",
+        "instance": {"epsilon": "1", "delta": "1/2", "f": {"cycle": ["1"]},
+                     "g": {"cycle": ["1"]}}}))
+    path = os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_COMMANDS, str(ROOT / "src"), str(scenario)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    counts = json.loads(result.stdout)
+    assert counts["codes"] == [0, 0]
+    assert counts["conditions"] == 3  # (SL) and its (L) and (N) parts
+    assert counts["insertions"] > 0
+
+
 @pytest.mark.parametrize("carrier", ["finite", "y"])
 def test_benchmark_tracer_reads_the_urysohn_certificate(carrier):
     """The traced benchmark run counts Urysohn certificate rows from outside the
