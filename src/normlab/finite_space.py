@@ -4,7 +4,8 @@ A finite space is held as its specialization preorder: ``up[x]``, the
 points above x, is the least open set containing x.  Finite topologies are
 exactly the preorders' up-set families, so closedness, normality,
 connectedness and the envelopes over all neighborhoods are decided from the
-``up`` and ``down`` bitmasks; the open sets are derived only where listed.
+``up`` and ``down`` bitmasks.  A report writes a space as its ``up`` rows
+(``up_points``); the open sets are derived only where the survey counts them.
 
 Non-T1 finite spaces are exploratory territory: under the Hausdorff
 assumptions of the classical insertion theorems, finite means discrete.
@@ -94,27 +95,6 @@ class FiniteSpace:
         """``FiniteSpace(n, up)``, under the name the benchmark's jobs call."""
         return cls(n, up)
 
-    @classmethod
-    def from_opens(cls, n: int, opens: Iterable[int]) -> "FiniteSpace":
-        """The space whose open sets are ``opens``.  ``up[x]`` is the meet of
-        the members holding x, so every member is an up-set, and the family is
-        a topology iff it holds every up-set too, that is iff it equals
-        ``space.opens``."""
-        full, opens = (1 << n) - 1, frozenset(opens)
-        if 0 not in opens or full not in opens:
-            raise PreconditionViolation("opens must contain the empty and full sets")
-        up = [full] * n
-        for u in opens:
-            if u & ~full:
-                raise PreconditionViolation(f"open set {u:b} has points outside the space")
-            for x in _bits(u):
-                up[x] &= u
-        space = cls(n, up)
-        if space.opens != opens:
-            raise PreconditionViolation("family not closed under union/intersection: "
-                                        f"it lacks {min(space.opens - opens):b}")
-        return space
-
     @cached_property
     def opens(self) -> frozenset[int]:
         """Every open set: the unions of minimal neighborhoods."""
@@ -124,10 +104,10 @@ class FiniteSpace:
         return frozenset(opens)
 
     @cached_property
-    def open_points(self) -> tuple[tuple[int, ...], ...]:
-        """Each open set's points in increasing order, the sets in increasing
-        mask order: the form a report lists them in."""
-        return tuple(tuple(_bits(u)) for u in sorted(self.opens))
+    def up_points(self) -> tuple[tuple[int, ...], ...]:
+        """Each point's row ``up[x]`` as its points in increasing order: the
+        form a report writes the space in."""
+        return tuple(tuple(_bits(row)) for row in self.min_nbhd)
 
     def closed_sets(self) -> list[int]:
         return [self.full & ~u for u in self.opens]

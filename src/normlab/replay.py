@@ -6,10 +6,12 @@ The module deliberately shares no evaluation code with the checkers that
 produced the certificates and imports nothing from normlab, so a bug in a
 searcher cannot hide in its own replay.
 Every verifier reads elements through one per-payload reader, ``_Reader``,
-the only code here that knows the two carrier encodings.  It parses each
-element once into int numerators over its least denominator, lays elements
-out as rows over their least common denominator at their probe points, so
-every row check compares ints, and gives a sequence's cycle and omega values.
+the only code here that knows the two carrier encodings.  It reads the
+payload's one finite space from its ``up`` rows, refusing rows that are not
+a preorder, and parses each element once into int numerators over its least
+denominator.  It lays elements out as rows over their least common
+denominator at their probe points, so every row check compares ints, and
+gives a sequence's cycle and omega values.
 Scalars (epsilon, step bounds, grid values, the transform) stay Fractions,
 and a row is compared with one by cross-multiplying.
 
@@ -21,9 +23,7 @@ and reports one line per check; a payload it cannot read raises
 from __future__ import annotations
 
 import bisect
-import functools
 import math
-import operator
 import re
 from fractions import Fraction
 
@@ -71,24 +71,6 @@ def _mask(points) -> int:
     return m
 
 
-def _is_topology(opens, n) -> bool:
-    """Whether point bitmasks are a topology on n points: no point at or above
-    n, the empty and full sets in, closed under union and intersection.
-
-    A family holding the empty set is closed under both iff it holds each
-    point's least member up[x] (the meet of the members holding x) and the
-    union of each member with each up[x]: every member is the union of the
-    up[x] of its points, so unions of members are reached one up[x] at a
-    time, and the meet of two members is the union of the up[x] of their
-    common points.  The test is O(|opens| * n).
-    """
-    full = (1 << n) - 1
-    if 0 not in opens or full not in opens or any(o & ~full for o in opens):
-        return False
-    up = [functools.reduce(operator.and_, (o for o in opens if o >> x & 1)) for x in range(n)]
-    return all(u in opens for u in up) and all(o | u in opens for o in opens for u in up)
-
-
 # -- the element reader ------------------------------------------------------
 
 class _Reader:
@@ -96,14 +78,18 @@ class _Reader:
 
     Only the reader knows the element encoding: a sequence is {"prefix",
     "cycle", "omega"}, a finite function {"values", "space"} with one value
-    per point of its space (else the payload is malformed).  An element is
-    parsed on first use, keyed by its id (the payload outlives its reader),
-    into int numerators over its least denominator and a shape: (len(prefix),
-    len(cycle), has omega) for a sequence, None for a finite function.
+    per point of its space (else the payload is malformed).  A space is
+    {"points": n, "up": rows}, row x listing the points y >= x of its
+    specialization preorder.  The payload's space is read once, from its
+    first finite function, and every other finite function must carry the
+    same space, as JSON.  An element is parsed on first use, keyed by its id
+    (the payload outlives its reader), into int numerators over its least
+    denominator and a shape: (len(prefix), len(cycle), has omega) for a
+    sequence, None for a finite function.
     """
 
     def __init__(self):
-        self.memo, self.parsed = {}, {}
+        self.memo, self.parsed, self.space, self.masks = {}, {}, None, None
 
     @staticmethod
     def is_seq(d) -> bool:
@@ -114,13 +100,32 @@ class _Reader:
         return isinstance(d, dict) and "values" in d and "space" in d
 
     def carrier(self, d):
-        """A finite function's space, or whether a sequence has no omega value."""
-        return d["space"] if self.is_finite(d) else d.get("omega") is None
+        """A finite function's up masks, or whether a sequence has no omega value."""
+        return self.up(d) if self.is_finite(d) else d.get("omega") is None
 
-    def opens(self, d):
-        """The open sets of a finite function's space as point bitmasks; None
-        for a sequence."""
-        return frozenset(_mask(o) for o in d["space"]["opens"]) if self.is_finite(d) else None
+    def up(self, d):
+        """The up masks of a finite function's space; None for a sequence.
+
+        Raises ValueError unless the rows are a preorder on the points: each
+        row inside the space, holding its own point, and holding the row of
+        every point in it; or unless the space is the payload's space.
+        """
+        if not self.is_finite(d):
+            return None
+        space = d["space"]
+        if self.space is None:
+            n, rows = space["points"], space["up"]
+            if type(n) is not int or len(rows) != n or not all(
+                    type(y) is int and 0 <= y < n for row in rows for y in row):
+                raise ValueError(f"the space's up rows are not {n!r} rows of its points")
+            masks = [_mask(row) for row in rows]
+            if not all(m >> x & 1 and all(masks[y] | m == m for y in row)
+                       for x, (m, row) in enumerate(zip(masks, rows))):
+                raise ValueError("the space's up rows are not a preorder")
+            self.space, self.masks = space, masks
+        elif space != self.space:
+            raise ValueError("finite functions on different spaces")
+        return self.masks
 
     def points(self, *elems):
         """Common probe points for a mix of elements."""
@@ -132,7 +137,8 @@ class _Reader:
                 pts.append("omega")
             return pts
         if all(self.is_finite(d) for d in elems):
-            return list(range(elems[0]["space"]["points"]))
+            sizes = [len(self.up(d)) for d in elems]  # each on the payload's space
+            return list(range(sizes[0]))
         raise ValueError("mixed or unknown element encodings")
 
     def _parse(self, d):
@@ -144,7 +150,7 @@ class _Reader:
                 shape = len(prefix), len(cycle), om is not None
             elif self.is_finite(d):
                 values, shape = d["values"], None
-                if len(values) != d["space"]["points"]:
+                if len(values) != len(self.up(d)):
                     raise ValueError("a finite function needs one value per point")
             else:
                 raise ValueError("unknown element encoding")
@@ -293,9 +299,23 @@ def _on_carrier(rd, model, elems) -> None:
             raise ValueError(f"an element on the carrier of {name} under model {model}")
 
 
+def _agree(inst, cert, at) -> None:
+    """Raise ValueError, naming the certificate key's pointer, where a
+    certificate repeats the instance's family, epsilon or delta and the two
+    copies differ as JSON."""
+    for key in ("family", "epsilon", "delta"):
+        if key in inst and key in cert and inst[key] != cert[key]:
+            raise ValueError(f"{at}/{key} differs from /instance/{key}")
+
+
 def _verify_condition(report, checks) -> None:
     """Replay a condition report by its model's route, which reads every key
-    it writes; a verdict that the route does not give fails one row."""
+    it writes; a verdict that the route does not give fails one row.  One
+    reader serves the report and both parts of an (SL) certificate."""
+    _verify_route(report, checks, _Reader(), "/certificate")
+
+
+def _verify_route(report, checks, rd, at) -> None:
     model, cond, verdict = report["model"], report["condition"], report["verdict"]
     inst, cert = report["instance"], report["certificate"]
     label = f"{cond} {verdict}"
@@ -304,15 +324,15 @@ def _verify_condition(report, checks) -> None:
     if verdict not in routes.get(cond, ()):
         _check(checks, f"{label}: certificate recognized", False)
         return
+    _agree(inst, cert, at)
     if cond == "SL":
         for part in ("L", "N"):
-            _verify_condition({"condition": part, "model": model, "instance": inst,
-                               "verdict": cert[f"{part}_verdict"], "certificate": cert[part]},
-                              checks)
+            _verify_route({"condition": part, "model": model, "instance": inst,
+                           "verdict": cert[f"{part}_verdict"], "certificate": cert[part]},
+                          checks, rd, f"{at}/{part}")
         both_hold = cert["L_verdict"] == cert["N_verdict"] == "holds"
         _check(checks, f"{label}: decomposition consistent", both_hold == (verdict == "holds"))
         return
-    rd = _Reader()
     if cond in ("C", "L") and model == "seq_x_end":
         eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
         # member n of the noncompact family is eps + delta up to index n, -delta beyond
@@ -329,7 +349,7 @@ def _verify_condition(report, checks) -> None:
                        for p in cert["picks"]))
         return
     if cond in ("C", "L"):
-        fam = inst.get("family", cert["family"])
+        fam = cert["family"]
         _on_carrier(rd, model, fam)
         den, fam_rows = rd.rows(*fam)
         chosen = [fam_rows[i] for i in cert["subfamily"]]
@@ -342,7 +362,7 @@ def _verify_condition(report, checks) -> None:
             at_omega = max(rd.seq(fam[i])[2] for i in cert["subfamily"])
             _check(checks, f"{label}: recorded join at omega matches",
                    at_omega == _frac(cert["join_omega"]))
-        eps = _frac(inst.get("epsilon", cert["epsilon"]))
+        eps = _frac(cert["epsilon"])
         _check(checks, f"{label}: full family covers at level eps",
                all(max(x[k] for x in fam_rows) * eps.denominator >= eps.numerator * den
                    for k in ks))
@@ -450,7 +470,7 @@ def _verify_block_replay(payload, checks) -> None:
     """
     rd = _Reader()
     gens = payload["generators"]
-    pts = rd.points(gens[0])
+    pts = rd.points(*gens)
     traces, indicators = payload["traces"], payload["indicators"]
     points = sorted(x for trace in traces for x in trace["block"])
     if not _check(checks, "block traces: one per indicator, blocks partition the points",
@@ -486,17 +506,18 @@ def _verify_block_replay(payload, checks) -> None:
 MAX_Q = 64
 
 
-def _continuous(rd, d, opens) -> bool:
-    """A finite function is continuous iff each fiber is one of its space's
-    opens; a sequence (opens None) iff it is constant on its cycle at its
-    omega value (on the naturals alone, every sequence is)."""
-    if opens is None:
+def _continuous(rd, d) -> bool:
+    """A finite function is continuous iff it is constant on each up row
+    (each fiber is then open, as the reals are T1); a sequence iff it is
+    constant on its cycle at its omega value (on the naturals alone, every
+    sequence is)."""
+    up = rd.up(d)
+    if up is None:
         _, cycle, om = rd.seq(d)
         return om is None or all(v == om for v in cycle)
-    fibers = {}
-    for x, v in enumerate(rd.rows(d)[1][0]):
-        fibers[v] = fibers.get(v, 0) | 1 << x
-    return all(fiber in opens for fiber in fibers.values())
+    vals = rd.rows(d)[1][0]
+    return all(vals[y] == vals[x] for x, row in enumerate(up)
+               for y in range(len(up)) if row >> y & 1)
 
 
 def _verify_urysohn(cert, checks) -> None:
@@ -505,9 +526,7 @@ def _verify_urysohn(cert, checks) -> None:
     The transform, the Farey grid and each grid pair's level pair are
     recomputed: with f1 and g1 the rescaled f and g, {f1 >= s} and {g1 > r}
     are named by how many distinct values of f1 are at least s and of g1
-    exceed r.  No number the producer wrote is trusted, nor a finite space's
-    open family: one that is not a topology fails its row, and nothing else
-    is checked.  Values are int
+    exceed r.  No number the producer wrote is trusted.  Values are int
     numerators: f, g, the result and each h over one denominator, f1 and g1
     over another, and grid values are compared with them by cross-multiplying.
     """
@@ -519,10 +538,6 @@ def _verify_urysohn(cert, checks) -> None:
     if any(rd.carrier(d) != rd.carrier(f) for d in (g, res, *hs)):
         raise ValueError("elements on different carriers")
     den, (fr, gr, rr, *hr) = rd.rows(f, g, res, *hs)
-    opens = rd.opens(f)
-    if opens is not None and not _is_topology(opens, len(rd.points(f))):
-        _check(checks, "urysohn: the space's opens are a topology", False)
-        return
     a = -min(fr)  # a / den and b / den are the transform
     b = max(gr) + a or den
     _check(checks, "urysohn: transform recomputed",
@@ -556,7 +571,7 @@ def _verify_urysohn(cert, checks) -> None:
         return
     ok = True
     for (r, s), h, d in zip(rows, hr, hs):
-        ok = ok and _continuous(rd, d, opens) and all(
+        ok = ok and _continuous(rd, d) and all(
             0 <= v <= den and (v == den or x * s.denominator < s.numerator * unit)
             and (v == 0 or y * r.denominator > r.numerator * unit)
             for v, x, y in zip(h, f1, g1))

@@ -3,7 +3,8 @@
 Rationals serialize as "p" or "p/q" strings (never floats).  Carriers use
 small tagged objects:
 
-* finite space: {"points": n, "opens": [[point, ...], ...]}
+* finite space: {"points": n, "up": [[point, ...], ...]}, row x listing the
+  points y >= x of the specialization preorder in increasing order
 * finite function: {"space": <finite space>, "values": ["p/q", ...]}
 * sequence function: {"prefix": [...], "cycle": [...], "omega": "p/q" | null}
 * geometric tail: {"prefix": [...], "q": "p/q", "ratio": "p/q"}
@@ -54,7 +55,7 @@ def _lower_items(obj) -> list:
 
 def _lower_space(space: FiniteSpace) -> dict:
     """Fresh lists on every call, so no two reports share one."""
-    return {"points": space.n, "opens": list(map(list, space.open_points))}
+    return {"points": space.n, "up": list(map(list, space.up_points))}
 
 
 # Elements are formatted from their int rows, building no Fraction.
@@ -110,7 +111,7 @@ def to_jsonable(obj):
 # depth, and two coprime cycles of MAX_SPAN entries align over ~MAX_SPAN**2 points.
 MAX_DEPTH = 512
 MAX_FAMILY = 64
-MAX_POINTS = 8
+MAX_POINTS = 32
 MAX_SPAN = 256
 
 MODELS = {"finite_full": FiniteFullModel, "seq_x_end": SeqXEndModel,
@@ -186,24 +187,23 @@ def parse_depth(value, pointer: str) -> int:
     return _integer(value, pointer, 1, MAX_DEPTH, "MAX_DEPTH")
 
 
-def _space_sets(data, pointer: str) -> tuple[int, frozenset]:
-    """(points, open-set masks) of a finite space, every index checked."""
-    def open_set(value, at):
-        points = _array(value, at, lambda v, p: _integer(v, p, 0))
-        if len(set(points)) != len(points):
-            raise _reject(at, "a point is listed twice")
-        return points
-
+def _space(data, pointer: str) -> FiniteSpace:
+    """A finite space from its ``up`` rows, every point index checked; rows
+    that are not a preorder are refused at ``up``."""
     fields = _fields(data, pointer, {
         "points": lambda v, p: _integer(v, p, 1, MAX_POINTS, "MAX_POINTS"),
-        "opens": lambda v, p: _array(v, p, open_set)}, ("points", "opens"))
+        "up": lambda v, p: _array(v, p, lambda row, at: _array(
+            row, at, lambda x, q: _integer(x, q, 0)))}, ("points", "up"))
     n = fields["points"]
-    for i, points in enumerate(fields["opens"]):
-        for j, x in enumerate(points):
-            if x >= n:
-                raise _reject(f"{pointer}/opens/{i}/{j}",
-                              f"point index {x} outside the space of {n} points")
-    return n, frozenset(sum(1 << x for x in points) for points in fields["opens"])
+    for x, row in enumerate(fields["up"]):
+        for i, y in enumerate(row):
+            if y >= n:
+                raise _reject(f"{pointer}/up/{x}/{i}",
+                              f"point index {y} outside the space of {n} points")
+    try:
+        return FiniteSpace(n, [sum(1 << y for y in set(row)) for row in fields["up"]])
+    except PreconditionViolation as exc:  # not a preorder
+        raise _reject(f"{pointer}/up", str(exc)) from None
 
 
 def _seq_func(data, pointer: str) -> SeqFunc:
@@ -220,9 +220,9 @@ def _seq_func(data, pointer: str) -> SeqFunc:
 
 
 def _finite_func(data, pointer: str, space: FiniteSpace) -> FiniteFunc:
-    fields = _fields(data, pointer, {"space": _space_sets, "values": _rationals},
+    fields = _fields(data, pointer, {"space": _space, "values": _rationals},
                      ("space", "values"))
-    if fields["space"] != (space.n, space.opens):
+    if fields["space"] != space:
         raise _reject(_child(pointer, "space"), "not the scenario's space")
     if len(fields["values"]) != space.n:
         raise _reject(_child(pointer, "values"),
@@ -285,11 +285,7 @@ def parse_scenario(data) -> tuple:
     if name == "finite_full":
         if "space" not in data:
             raise _reject("", "missing key 'space', which model finite_full reads")
-        n, opens = _space_sets(data["space"], "/space")
-        try:
-            space = FiniteSpace.from_opens(n, opens)
-        except PreconditionViolation as exc:  # not a topology
-            raise _reject("/space/opens", str(exc)) from None
+        space = _space(data["space"], "/space")
     elif "space" in data:
         raise _reject("/space", f"model {name} takes no space")
     fields = _fields(data, "", {

@@ -20,6 +20,37 @@ def is_topology(n: int, fam) -> bool:
             and all((u | v) in fam and (u & v) in fam for u in fam for v in fam))
 
 
+def space_from_opens(n: int, opens) -> FiniteSpace:
+    """The space whose open sets are ``opens``.  ``up[x]`` is the meet of the
+    members holding x, so every member is an up-set, and the family is a
+    topology iff it holds every up-set too, that is iff it equals
+    ``space.opens``."""
+    full, opens = (1 << n) - 1, frozenset(opens)
+    if 0 not in opens or full not in opens:
+        raise PreconditionViolation("opens must contain the empty and full sets")
+    up = [full] * n
+    for u in opens:
+        if u & ~full:
+            raise PreconditionViolation(f"open set {u:b} has points outside the space")
+        for x in range(n):
+            if u >> x & 1:
+                up[x] &= u
+    space = FiniteSpace(n, up)
+    if space.opens != opens:
+        raise PreconditionViolation("family not closed under union/intersection: "
+                                    f"it lacks {min(space.opens - opens):b}")
+    return space
+
+
+def continuous_by_fibers(values, opens) -> bool:
+    """Whether every fiber of a function, given by its values at points
+    0..n-1, is one of the open-set bitmasks ``opens``."""
+    fibers = {}
+    for x, v in enumerate(values):
+        fibers[v] = fibers.get(v, 0) | 1 << x
+    return all(fiber in opens for fiber in fibers.values())
+
+
 def threshold_by_fractions(elem, level, strict: bool = False):
     """The 0/1 indicator of {elem >= level} (> level when strict), each value
     compared as a Fraction in the row ``zip_with`` aligns and made canonical."""
@@ -51,7 +82,7 @@ def enumerate_spaces_bruteforce(n: int) -> Iterator[FiniteSpace]:
     for pick in range(1 << len(middles)):
         fam = {0, full} | {m for i, m in enumerate(middles) if pick & (1 << i)}
         if is_topology(n, fam):
-            yield FiniteSpace.from_opens(n, fam)
+            yield space_from_opens(n, fam)
 
 
 def up_sets_scan(n: int, up: Sequence[int]) -> frozenset:

@@ -14,7 +14,7 @@ from normlab.cli import CATALOG, main, reproduce, survey_rows
 from normlab.errors import PreconditionViolation, UnknownExampleId
 from normlab.rationals import rat
 from normlab.seq_model import SeqFunc
-from normlab.serialize import to_jsonable
+from normlab.serialize import MAX_FAMILY, MAX_POINTS, to_jsonable
 
 
 def write(tmp_path, name, payload):
@@ -67,12 +67,12 @@ def test_check_missing_file(capsys):
 def test_check_finite_model_scenario(tmp_path):
     payload = {
         "model": "finite_full",
-        "space": {"points": 2, "opens": [[], [0], [0, 1]]},
+        "space": {"points": 2, "up": [[0], [0, 1]]},
         "condition": "N",
         "instance": {
-            "f": {"space": {"points": 2, "opens": [[], [0], [0, 1]]},
+            "f": {"space": {"points": 2, "up": [[0], [0, 1]]},
                   "values": ["0", "1/2"]},
-            "g": {"space": {"points": 2, "opens": [[], [0], [0, 1]]},
+            "g": {"space": {"points": 2, "up": [[0], [0, 1]]},
                   "values": ["1", "1"]},
         },
         "expect": "holds",
@@ -190,15 +190,15 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert main(["replay", tampered]) == 1
 
 
-@pytest.mark.parametrize("opens,named", [
-    ([[], [-1], [0, 1]], "/space/opens/1/0"),
-    ([[], [0, 0], [0, 1]], "/space/opens/1"),
-    ([[], [0, 5], [0, 1]], "point index 5"),
+@pytest.mark.parametrize("up,named", [
+    ([[0], [-1, 1]], "/space/up/1/0"),
+    ([[0], [1, 5]], "/space/up/1/1: point index 5"),
+    ([[0, 1], [0]], "/space/up: preorder"),
 ])
-def test_check_bad_point_indices(tmp_path, capsys, opens, named):
+def test_check_bad_point_indices(tmp_path, capsys, up, named):
     payload = {
         "model": "finite_full",
-        "space": {"points": 2, "opens": opens},
+        "space": {"points": 2, "up": up},
         "condition": "N",
         "instance": {},
     }
@@ -229,7 +229,7 @@ def test_parser_reuse_keeps_no_options(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["depth"] == SCENARIO_N_FAILS["depth"]
 
 
-FINITE_SPACE_2 = {"points": 2, "opens": [[], [0], [0, 1]]}
+FINITE_SPACE_2 = {"points": 2, "up": [[0], [0, 1]]}
 FINITE_ELEM = {"space": FINITE_SPACE_2, "values": ["1", "2"]}
 MODEL_ELEMS = {
     "seq_x_end": {"cycle": ["1"]},
@@ -412,7 +412,8 @@ def test_replay_rejects_l_pick_past_its_member(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [("value", "7"), ("value", "1"), ("delta", "1/4")])
 def test_replay_rejects_l_pick_off_its_closed_form(tmp_path, capsys, key, value):
     """Member 2 is epsilon + delta = 3/2 at index 2; any other value, or a delta
-    that does not give it, fails even while it stays above epsilon/2."""
+    that does not give it (in the instance and the certificate alike), fails
+    even while it stays above epsilon/2."""
     path = write(tmp_path, "s.json", dict(_scenario("seq_x_end", "L", dict(X_COVER)), depth=4))
     report_path = tmp_path / "report.json"
     assert main(["check", path, "--out", str(report_path)]) == 0
@@ -422,7 +423,7 @@ def test_replay_rejects_l_pick_off_its_closed_form(tmp_path, capsys, key, value)
     cert = report["certificate"]
     assert cert["delta"] == "1/2" and cert["picks"][2] == {"index": 2, "member": 2, "value": "3/2"}
     if key == "delta":
-        cert["delta"] = value
+        cert["delta"] = report["instance"]["delta"] = value
     else:
         cert["picks"][2]["value"] = value
     assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
@@ -549,10 +550,10 @@ def _with(payload, path, value):
     (_with(F_N, ["space", "points"], 2.0), "/space/points", "MAX_POINTS"),
     (_with(F_N, ["instance", "f", "space", "points"], 2.0), "/instance/f/space/points",
      "MAX_POINTS"),
-    (_with(F_N, ["space", "opens", 1, 0], 0.0), "/space/opens/1/0", "integer"),
+    (_with(F_N, ["space", "up", 1, 0], 0.0), "/space/up/1/0", "integer"),
     # every limit is named
     (_with(SCENARIO_N_FAILS, ["depth"], 513), "/depth", "MAX_DEPTH = 512"),
-    (_with(F_N, ["space", "points"], 9), "/space/points", "MAX_POINTS = 8"),
+    (_with(F_N, ["space", "points"], 33), "/space/points", "MAX_POINTS = 32"),
     (_with(Y_C, ["instance", "family"], [MODEL_ELEMS["seq_y_end"]] * 65), "/instance/family",
      "MAX_FAMILY = 64"),
     (_with(SCENARIO_N_FAILS, ["instance", "f"], {"prefix": ["0"], "cycle": ["1"] * 256}),
@@ -587,11 +588,15 @@ def _with(payload, path, value):
      "finite functions"),
     (_with(F_N, ["instance", "f"], {"values": ["1", "2"]}), "/instance/f", "'space'"),
     (_with(F_N, ["instance", "f", "values"], ["1"]), "/instance/f/values", "expected 2 values"),
-    (_with(F_N, ["space", "opens"], [[0], [0, 1]]), "/space/opens", "empty and full"),
+    (_with(F_N, ["space", "up"], [[0]]), "/space/up", "is not 2 reflexive rows"),
+    (_with(F_N, ["space"], {"points": 3, "up": [[0, 1], [1, 2], [2]]}), "/space/up",
+     "is not transitive at 0 <= 1"),
     ([], "/", "object"),
     # read against the model: finite_full alone takes a space, and its elements live on it
     (_with(SCENARIO_N_FAILS, ["space"], FINITE_SPACE_2), "/space", "takes no space"),
-    (_with(F_N, ["instance", "f", "space", "opens"], [[], [1], [0, 1]]), "/instance/f/space",
+    (_with(F_N, ["instance", "f", "space", "up"], [[1], [1]]), "/instance/f/space/up",
+     "is not 2 reflexive rows"),
+    (_with(F_N, ["instance", "f", "space", "up"], [[0, 1], [0, 1]]), "/instance/f/space",
      "scenario's space"),
     (_with(F_C, ["instance", "family"], []), "/instance/family", "empty"),
     # values the model would refuse after the read
@@ -628,6 +633,30 @@ def test_check_rejects_at_pointer(tmp_path, capsys, payload, pointer, named):
     code, err = _check_exit(tmp_path, capsys, payload)
     assert code == 2
     assert err.startswith(f"input error: {pointer}: ") and named in err
+
+
+def _densest_cover(n):
+    """A finite_full (C) scenario on the indiscrete space of n points, whose
+    rows are the densest, with MAX_FAMILY members: member i is 1 at point
+    i mod n and 0 elsewhere, so together they cover at epsilon 1."""
+    space = {"points": n, "up": [list(range(n)) for _ in range(n)]}
+    family = [{"space": space, "values": ["1" if x == i % n else "0" for x in range(n)]}
+              for i in range(MAX_FAMILY)]
+    return {**_scenario("finite_full", "C", {"epsilon": "1", "family": family}), "space": space}
+
+
+def test_finite_space_at_max_points_checks_and_replays(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["check", write(tmp_path, "s.json", _densest_cover(MAX_POINTS)),
+                 "--out", str(report)]) == 0
+    assert main(["replay", str(report)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["ok"] is True
+
+
+def test_finite_space_past_max_points_is_refused(tmp_path, capsys):
+    code, err = _check_exit(tmp_path, capsys, _densest_cover(MAX_POINTS + 1))
+    assert code == 2
+    assert err.startswith("input error: /space/points: ") and f"MAX_POINTS = {MAX_POINTS}" in err
 
 
 def test_check_reads_a_rational_string_in_full(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Finite topologies: enumeration, envelopes, separation, insertion, blocks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,23 +24,27 @@ from normlab.finite_space import (
     separate,
 )
 from normlab.insertion_engine import FiniteUrysohnCarrier, urysohn_join_stream
-from normlab.replay import verify_report
-from normlab.serialize import to_jsonable
+from normlab.replay import _Reader, verify_report
+from normlab.serialize import _space, to_jsonable
 from oracles import (enumerate_spaces_bruteforce, is_closed_by_closures, is_normal_closed_pairs,
-                     is_topology, up_sets_scan)
+                     is_topology, space_from_opens, up_sets_scan)
 
-SIERPINSKI = FiniteSpace.from_opens(2, [0b00, 0b01, 0b11])
+# opens {}, {0}, {0, 1}: the point 0 is open, and 1 lies in its closure
+SIERPINSKI = FiniteSpace(2, [0b01, 0b11])
 
-NON_NORMAL = FiniteSpace.from_opens(3, [0b000, 0b001, 0b011, 0b101, 0b111])
+# opens {}, {0}, {0, 1}, {0, 2}, {0, 1, 2}: closed points 1, 2 share the open point 0
+NON_NORMAL = FiniteSpace(3, [0b001, 0b011, 0b101])
 
 
 def test_space_validation():
     with pytest.raises(PreconditionViolation):
-        FiniteSpace.from_opens(2, [0b00, 0b01])  # missing full set
+        space_from_opens(2, [0b00, 0b01])  # missing full set
     with pytest.raises(PreconditionViolation):
-        FiniteSpace.from_opens(3, [0b000, 0b001, 0b010, 0b111])  # no union
+        space_from_opens(3, [0b000, 0b001, 0b010, 0b111])  # no union
     with pytest.raises(PreconditionViolation, match="outside the space"):
-        FiniteSpace.from_opens(2, [0, 1, 3, 4])
+        space_from_opens(2, [0, 1, 3, 4])
+    assert space_from_opens(2, [0b00, 0b01, 0b11]) == SIERPINSKI
+    assert space_from_opens(3, [0b000, 0b001, 0b011, 0b101, 0b111]) == NON_NORMAL
 
 
 @pytest.mark.parametrize("n, up", [
@@ -72,19 +77,53 @@ def test_opens_are_the_up_sets_of_the_preorder():
         for up in enumerate_preorders(n):
             space = FiniteSpace(n, up)
             assert space.opens == up_sets_scan(n, up)
-            assert FiniteSpace.from_opens(n, space.opens) == space
+            assert space_from_opens(n, space.opens) == space
 
 
 def test_from_opens_accepts_exactly_the_topologies():
+    """The test oracle's open-set reading accepts exactly the topologies."""
     for n in (1, 2, 3):
         for pick in range(1 << (1 << n)):
             fam = [m for m in range(1 << n) if pick >> m & 1]
             try:
-                FiniteSpace.from_opens(n, fam)
+                space_from_opens(n, fam)
                 accepted = True
             except PreconditionViolation:
                 accepted = False
             assert accepted == is_topology(n, fam), fam
+
+
+def _accepts(read, *args) -> bool:
+    try:
+        read(*args)
+    except (PreconditionViolation, ValueError):
+        return False
+    return True
+
+
+def test_preorder_readers_accept_the_same_row_tuples():
+    """``FiniteSpace(n, up)``, the scenario reader and replay's reader accept
+    exactly the same up rows, over every tuple of n masks of n points."""
+    for n in (1, 2, 3):
+        accepted = 0
+        for up in itertools.product(range(1 << n), repeat=n):
+            rows = [[y for y in range(n) if m >> y & 1] for m in up]
+            space = {"points": n, "up": rows}
+            library = _accepts(FiniteSpace, n, up)
+            assert _accepts(_space, space, "/space") == library, up
+            assert _accepts(_Reader().up, {"space": space, "values": [0] * n}) == library, up
+            accepted += library
+        assert accepted == (1, 4, 29)[n - 1]
+
+
+def test_scenario_reader_reads_back_every_written_space():
+    """Every space up to 5 points reads back ``==`` from its written form."""
+    count = 0
+    for n in range(1, 6):
+        for space in enumerate_spaces(n):
+            assert _space(to_jsonable(space), "/space") == space
+            count += 1
+    assert count == 7331
 
 
 def test_enumeration_bound():
@@ -155,7 +194,7 @@ def test_urysohn_witness_and_refusal():
     h = FiniteUrysohnCarrier(SIERPINSKI).urysohn(indicator(SIERPINSKI, ()),
                                                  indicator(SIERPINSKI, {0}))
     assert h.values == (Fraction(0), Fraction(0))
-    connected = FiniteSpace.from_opens(2, (0, 3))  # indiscrete
+    connected = FiniteSpace(2, [0b11, 0b11])  # indiscrete
     with pytest.raises(PreconditionViolation, match="f is not upper semicontinuous"):
         # {1} is not closed here
         FiniteUrysohnCarrier(connected).urysohn(indicator(connected, {1}),
@@ -181,7 +220,7 @@ def test_insert_finite_feasible_and_not():
     h = insert_finite(space, f, g)
     assert f.le(h) and h.le(g)
     # on the indiscrete space everything is one component
-    ind = FiniteSpace.from_opens(2, (0, 3))  # indiscrete
+    ind = FiniteSpace(2, [0b11, 0b11])  # indiscrete
     f2 = FiniteFunc(ind, [0, 0])
     g2 = FiniteFunc(ind, [1, 1])
     h2 = insert_finite(ind, f2, g2)
@@ -310,16 +349,16 @@ def test_block_indicators_separating_gives_singletons():
 
 
 def test_each_lowering_of_a_space_gets_fresh_lists():
-    """Two functions on one space lower to equal open-set lists that share no
-    list, so a report that edits its copy leaves every later lowering as it was."""
+    """Two functions on one space lower to equal up rows that share no list,
+    so a report that edits its copy leaves every later lowering as it was."""
     space = FiniteSpace.from_preorder(3, [0b011, 0b010, 0b100])
-    opens = [[], [1], [0, 1], [2], [1, 2], [0, 1, 2]]  # in increasing mask order
+    up = [[0, 1], [1], [2]]  # row x lists the points above x, in increasing order
     first = to_jsonable(FiniteFunc(space, [0, 1, 2]))["space"]
     second = to_jsonable(FiniteFunc(space, [1, 1, 1]))["space"]
-    assert first == second == {"points": 3, "opens": opens}
-    assert first["opens"] is not second["opens"]
-    assert all(a is not b for a, b in zip(first["opens"], second["opens"]))
-    first["opens"][1].append(2)
-    first["opens"].append([7])
-    assert to_jsonable(FiniteFunc(space, [0, 0, 0]))["space"] == {"points": 3, "opens": opens}
-    assert to_jsonable(space)["opens"] == opens
+    assert first == second == {"points": 3, "up": up}
+    assert first["up"] is not second["up"]
+    assert all(a is not b for a, b in zip(first["up"], second["up"]))
+    first["up"][1].append(2)
+    first["up"].append([7])
+    assert to_jsonable(FiniteFunc(space, [0, 0, 0]))["space"] == {"points": 3, "up": up}
+    assert to_jsonable(space)["up"] == up

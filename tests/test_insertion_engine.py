@@ -1,5 +1,6 @@
 """Merge, iterative refinement, join streams, monotone approximation."""
 
+import itertools
 import json
 import math
 import random
@@ -53,9 +54,9 @@ from normlab.replay import (
 )
 from normlab.seq_model import SeqFunc, threshold_indicator
 from normlab.serialize import to_jsonable
-from oracles import (random_finite_func, random_seq_func, random_usc_lsc_pair,
-                     threshold_by_fractions, urysohn_by_components, urysohn_y_by_cases,
-                     with_omega)
+from oracles import (continuous_by_fibers, random_finite_func, random_seq_func,
+                     random_usc_lsc_pair, threshold_by_fractions, up_sets_scan,
+                     urysohn_by_components, urysohn_y_by_cases, with_omega)
 
 POINT = FiniteSpace.discrete(1)
 
@@ -420,7 +421,7 @@ def test_join_stream_rejects_disorder_at_key_g(carrier, f, g):
 def test_join_stream_matches_per_pair_loop():
     rng = random.Random(2024)
     # a V-shaped space: closed points 0 and 1 share the open point 2
-    vee = FiniteSpace.from_opens(3, [0b000, 0b100, 0b101, 0b110, 0b111])
+    vee = FiniteSpace(3, [0b101, 0b110, 0b100])
     infeasible = (FiniteUrysohnCarrier(vee), FiniteFunc(vee, [1, 0, 0]),
                   FiniteFunc(vee, [1, 0, 1]))
     cases = [infeasible] + _random_finite_cases(rng, 40) + _random_y_cases(rng, 25)
@@ -721,11 +722,9 @@ def _continuous_per_value(d) -> bool:
     """Each fiber of a finite function is open; a sequence with an omega value
     is that value on its whole cycle."""
     if "values" in d:
-        opens = {frozenset(o) for o in d["space"]["opens"]}
-        fibers = {}
-        for x in range(len(d["values"])):
-            fibers.setdefault(_value(d, x), set()).add(x)
-        return all(frozenset(fiber) in opens for fiber in fibers.values())
+        n, rows = d["space"]["points"], d["space"]["up"]
+        opens = up_sets_scan(n, [sum(1 << y for y in row) for row in rows])
+        return continuous_by_fibers([_value(d, x) for x in range(n)], opens)
     return d.get("omega") is None or all(_frac(v) == _frac(d["omega"]) for v in d["cycle"])
 
 
@@ -1146,62 +1145,59 @@ def test_urysohn_replay_tamper_fails_its_row(carrier, tamper, row):
     assert not verify_report(payload)["ok"]
 
 
-def _members_of(opens, combine):
-    """The members of an open family that combine (union or meet) two others."""
-    sets = [frozenset(o) for o in opens]
-    return [o for o in sets
-            if any(combine(a, b) == o for a in sets for b in sets if o not in (a, b))]
-
-
-def _edit_opens(c, edit):
-    """Apply edit to the open list of every element's space, so that all stay
-    on one carrier."""
+def _edit_up(c, edit):
+    """Apply edit to the up rows of every element's space, so that all stay
+    on one space."""
     for d in (c["f"], c["g"], c["result"], *(row["h"] for row in c["pairs"])):
-        edit(d["space"]["opens"])
-
-
-def _drop_union(opens):
-    drop = _members_of(opens, frozenset.union)[0]
-    opens[:] = [o for o in opens if frozenset(o) != drop]
-
-
-def _drop_meet(opens):
-    unions = _members_of(opens, frozenset.union)
-    drop = next(o for o in _members_of(opens, frozenset.intersection) if o not in unions)
-    opens[:] = [o for o in opens if frozenset(o) != drop]
+        edit(d["space"]["up"])
 
 
 @pytest.mark.parametrize("edit", [
-    _drop_union,
-    _drop_meet,
-    lambda opens: opens.remove([]),
-    lambda opens: opens.remove(list(range(5))),
-    lambda opens: opens.append([5]),
-], ids=["union", "meet", "empty", "full", "point-5"])
-def test_urysohn_replay_refuses_a_family_that_is_no_topology(edit):
+    lambda up: up[0].remove(0),
+    lambda up: up[1].append(3),
+    lambda up: up.pop(),
+    lambda up: up[2].append(5),
+    lambda up: up[2].append(-1),
+], ids=["not-reflexive", "not-transitive", "row-missing", "point-5", "point-minus-1"])
+def test_urysohn_replay_refuses_a_space_that_is_no_preorder(edit):
+    """Rows that are not a preorder on the points make the payload malformed:
+    a row without its own point, a row missing the row of a point in it (row
+    1 gains 3, whose row holds 0), too few rows, or a point outside the space."""
     payload = _urysohn_payload("finite")
-    _edit_opens(payload, edit)
-    report = verify_report(payload)
-    assert not report["ok"]
-    assert report["checks"] == [{"check": "urysohn: the space's opens are a topology",
-                                 "ok": False}]
+    assert verify_report(payload)["ok"]
+    _edit_up(payload, edit)
+    with pytest.raises(MalformedPayload, match="/: malformed urysohn payload .ValueError: "):
+        verify_report(payload)
 
 
 def _continuous_alone(d):
-    rd = _Reader()  # a reader per element: it keys what it parsed by the element's id
-    return _continuous(rd, d, rd.opens(d))
+    # a reader per element: it keys what it parsed by the element's id
+    return _continuous(_Reader(), d)
 
 
 def test_urysohn_replay_continuity():
-    opens = [[], [1], [0, 1]]
-    assert _continuous_alone({"space": {"points": 2, "opens": opens}, "values": ["1", "1"]})
-    assert not _continuous_alone({"space": {"points": 2, "opens": opens}, "values": ["0", "1"]})
-    assert _continuous_alone({"space": {"points": 2, "opens": [[], [0], [1], [0, 1]]},
-                              "values": ["0", "1"]})
+    sierpinski = {"points": 2, "up": [[0, 1], [1]]}  # opens {}, {1}, {0, 1}
+    assert _continuous_alone({"space": sierpinski, "values": ["1", "1"]})
+    assert not _continuous_alone({"space": sierpinski, "values": ["0", "1"]})
+    assert _continuous_alone({"space": {"points": 2, "up": [[0], [1]]}, "values": ["0", "1"]})
     assert _continuous_alone({"prefix": ["1/2"], "cycle": ["1"], "omega": "1"})
     assert not _continuous_alone({"prefix": [], "cycle": ["1", "0"], "omega": "1"})
     assert not _continuous_alone({"prefix": [], "cycle": ["0"], "omega": "1"})
     assert _continuous_alone({"prefix": [], "cycle": ["1", "0"], "omega": None})
+
+
+def test_continuity_on_up_rows_is_every_fiber_open():
+    """h(y) = h(x) for every y in up[x] holds iff every fiber of h is open,
+    on every space up to 4 points and every function valued in {0, 1, 2}."""
+    checked = 0
+    for n in range(1, 5):
+        for space in enumerate_spaces(n):
+            written = to_jsonable(space)
+            for values in itertools.product(range(3), repeat=n):
+                d = {"space": written, "values": list(values)}
+                assert _continuous_alone(d) == continuous_by_fibers(values, space.opens)
+                checked += 1
+    assert checked == 3 + 4 * 9 + 29 * 27 + 355 * 81
 
 
 def _drop_omega_of_result_and_h(c):

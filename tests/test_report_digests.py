@@ -13,6 +13,16 @@ stopped indenting its output: each new stdout is
 ``json.dumps(json.loads(old stdout), sort_keys=True, separators=(",", ":"))``
 plus a newline, so every JSON value stayed the same.  The Urysohn, trace and
 tampered-replay digests do not hash CLI stdout and were not re-pinned.
+
+Every output that holds a finite space was re-pinned once more when a space
+stopped being written as the list of its open sets and became its ``up``
+rows: the check half of each ``finite_full`` entry, the ``tong-merge``
+reproduce digest, the two finite Urysohn digests and the payload half of the
+two finite traces.  ``OPENS_FORM_DIGESTS`` keeps each old digest, and a test
+writes each new output's spaces back as open sets and gets the old bytes.
+No replay digest moved.  The tampered-replay digest was re-pinned with them,
+since a certificate copy of an instance value that differs from it became a
+malformed payload.
 """
 
 import ast
@@ -41,6 +51,7 @@ from normlab.insertion_engine import (
 from normlab.replay import verify_report
 from normlab.seq_model import SeqFunc
 from normlab.serialize import to_jsonable
+from oracles import up_sets_scan
 
 X_PAIR = {
     "f": {"prefix": ["0", "1/2"], "cycle": ["0", "1/3"]},
@@ -58,7 +69,7 @@ Y_COVER = {
     ],
 }
 X_FAMILY = {"epsilon": "1", "delta": "1/2"}
-SPACE3 = {"points": 3, "opens": [[], [0], [0, 1], [0, 1, 2]]}
+SPACE3 = {"points": 3, "up": [[0], [0, 1], [0, 1, 2]]}  # the chain 0 <= 1 <= 2
 
 
 def _finite(*values):
@@ -97,52 +108,52 @@ INSTANCES = {
 # dropped the keys replay does not read, with every replay digest unchanged
 CHECK_DIGESTS = {
     ('finite_full', 'BS', 8): (
-        "8a7b36d74d4a37ff4e87a33055e292ea4620b3ffc325de180bf7f4a24459b054",
+        "651567641efb00d2ca0f728bcaf5f96273b5812196d6303e6b78a633b40a4ecc",
         "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
     ('finite_full', 'BS', 64): (
-        "79029a926cfd4ca8dcfa6688cfc735a33f57ea8fa2b74f0385db6e60bce70cd8",
+        "39cdc8625f6d1068a8a02a1e9cd9556d252eff1bce81322ea78f678864bd8425",
         "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
     ('finite_full', 'C', 8): (
-        "01b1974b0eae43f798a6e19655dab4eeb91b1485b6718d496064bca61792b98d",
+        "d46da1b2ee06381cac12cadd5579181be349439490f1a489eca2387d8668cad5",
         "9e791ff33e3c23c3f8d4db6ab6db485571ae68f8624786c37082c4a23f480807"),
     ('finite_full', 'C', 64): (
-        "33dc4e3ba5b5ebed5721787a8556471d3b39a46e053785a332d80019b5948777",
+        "1541a9090f1efed4b339aa1f4695dc870532f7642af2e65898f9423ebd6a6d88",
         "9e791ff33e3c23c3f8d4db6ab6db485571ae68f8624786c37082c4a23f480807"),
     ('finite_full', 'D', 8): (
-        "a04ae2c16fcd064835a63e617776252f5078c0f2188fe3e61d1a266dac162674",
+        "b2bc3ee93ede07b5626ad9673294a178f55fb5d2ffcc3be5c35c065cb8c1fd24",
         "9cc0aa5d9117159cceca193d410d1b41dd996091d038f9b0c3ec981777ca69aa"),
     ('finite_full', 'D', 64): (
-        "90de0f64bd75ba3c788edc27a41caaed089460f9018d0cf7c0d3a7c0cf1ee466",
+        "4ca3092f660475f63ba865ba44e2ae8ab6ef3d37c8a3454b36744ed78e5b3af8",
         "9cc0aa5d9117159cceca193d410d1b41dd996091d038f9b0c3ec981777ca69aa"),
     ('finite_full', 'L', 8): (
-        "892ff30fe673292ea86dfe5fe657933043582440e1392b9df8b57d40123c16d5",
+        "7bd4a22c118b9afce40c3017326e4eb36d9f9e094484332a04d8665460d50350",
         "d97ec53ea02be085851810d901515a17f64151f7077eb5e851fe028fc914ffb7"),
     ('finite_full', 'L', 64): (
-        "132cb5caeff7a0ce8b27cdda870a5425cfb1fcf68ef70c8fe42440a6407f9b76",
+        "58b4489c9a4d2765038a85433091b753f46a14a0b07717b8eee09634ada02627",
         "d97ec53ea02be085851810d901515a17f64151f7077eb5e851fe028fc914ffb7"),
     ('finite_full', 'N', 8): (
-        "5d5b636b8160d846d97cd8c5876423020bc2c354626dc100a9d88d42f84da322",
+        "336c2f085e08e7d69c037796c836bdd8eb256df3837a3ee529879d3d21e11dff",
         "aca67cf56e32b25e927037b75c9cc344367e4f87cc47e224435c4d5dc0527d2a"),
     ('finite_full', 'N', 64): (
-        "16cef8a46e6ed3b2bfcf918930bd93e66acf57aa80bc490bb3afc8d357f64c00",
+        "6b5ba6c5837be096d2be22274c3b3b4f9daabc516055b425d20a6ca8fe3ebd49",
         "aca67cf56e32b25e927037b75c9cc344367e4f87cc47e224435c4d5dc0527d2a"),
     ('finite_full', 'S', 8): (
-        "24372f85a3b85482cdd0e0fe66479cc3c916740da14720e0ff88112c85eaad00",
+        "44e60f8ff2469841ee11504b2dd2102d0cf2658d8033613ddb466adc1bc2c0f4",
         "98b74dfabea5ea4a404c1d8a88d2c9044c49067032ece7c37f61a877d6d688cc"),
     ('finite_full', 'S', 64): (
-        "5065ff67e3e56dfa403af8e1fce6ca8ad1452d2c85bf44832bb4ea65155abf16",
+        "b421673a474442b3583f1fe3cb824ee56a061adea22d3f8a304d37301ed9e14c",
         "98b74dfabea5ea4a404c1d8a88d2c9044c49067032ece7c37f61a877d6d688cc"),
     ('finite_full', 'SL', 8): (
-        "2d87e25bf48c78f8bb1aa7925aebe524dbf31a84c7a937eb9cad74815b8e9148",
+        "71474c2bb415be25c7b7cf80f06d794dcece062cf92efe0c9b508358faf860c0",
         "96afccecca6dce8515c51f5ebce30c78c423682d1a354e7be3bd8921396ab5f9"),
     ('finite_full', 'SL', 64): (
-        "0751ee3400e4a2753ecd6ba5cce3b86eeff1c8f33f98958343d77b86c8821dab",
+        "e8c1f696e0a693263704a932b14d54e1b859cb8fba3ebcbfc642aa96d0997f60",
         "96afccecca6dce8515c51f5ebce30c78c423682d1a354e7be3bd8921396ab5f9"),
     ('finite_full', 'T', 8): (
-        "f867db64fd472b9f981456663e376c0998e0dc23f294485321d38aad01361da0",
+        "4ad117ab0d3885da76e965af8428ce10b2048dc74e48c175ae1cc2ccc350f20f",
         "b2ef2d9e3dff5efe16cd9748cb06e10e0b09ab60c4f14e95434df1afec1c561d"),
     ('finite_full', 'T', 64): (
-        "f634af96181a76cf063cf148644e91166b05251f4acebea592f9ba456ea9b2a8",
+        "ad55ad7106f9fd67cab837cfd4f5033c16173c1731860954494a4c181c0d5723",
         "b2ef2d9e3dff5efe16cd9748cb06e10e0b09ab60c4f14e95434df1afec1c561d"),
     ('seq_x_end', 'BS', 8): (
         "a8f4af8ba92222fa20e9c012abfde562746b17d0022e9f7df5cf5a0a14ab99ce",
@@ -260,7 +271,7 @@ REPRODUCE_DIGESTS = {
     "radical-gap":
         "e171a7bba056a769f38b362894adb84140fbaabb24c2ba2d56947dd6b796f1f7",
     "tong-merge":
-        "c96f9db505b964abc3224c866a5ba15c6981c7b44a422296e2577880c4bb1aaa",
+        "ae5625f5667d0f985db1ebd5fff41908c6e005c5e38f7beb3e39e211910cf32e",
 }
 
 
@@ -303,13 +314,16 @@ def _rational_paths(node, path=()):
 
 # sha256 of the verify_report outputs, in order, of every depth-8 INSTANCES
 # report with one of its rational values moved by one of STEPS (every value,
-# every step), so failing replay rows are pinned as well; 1,099 of the 1,744
-# tampered reports fail
+# every step), so failing replay rows are pinned as well.  A move of one copy
+# of an instance value that a certificate repeats (family, epsilon, delta) is
+# a malformed payload, recorded as its message: 456 of the 1,744 tampered
+# reports, 368 of which replayed ok before copies were compared.  1,011 of the
+# rest fail, and each of the 1,288 gives the output it gave before.
 STEPS = (Fraction(1, 7), Fraction(-1, 7), Fraction(2), Fraction(-2))
-TAMPERED_REPLAY_DIGEST = "6b3f58d2f374cf44c5b1a1c988d64d6952598a1419c0ba13436ec39ebddfc912"
+TAMPERED_REPLAY_DIGEST = "24df5f2f3afa46a1cf57210ab631d48b0fb5f421d7fc2181d907b3d96caf487f"
 
 
-def test_tampered_condition_replay_digest(tmp_path, capsys):
+def _tampered_outputs(tmp_path) -> list:
     outputs = []
     for model, cond in sorted(INSTANCES):
         report = json.loads(_check_report(tmp_path, model, cond, 8).read_text())
@@ -317,9 +331,20 @@ def test_tampered_condition_replay_digest(tmp_path, capsys):
             tampered = json.loads(json.dumps(report))
             node = functools.reduce(operator.getitem, head, tampered)
             node[last] = str(Fraction(node[last]) + step)
-            outputs.append(verify_report(tampered))
+            try:
+                outputs.append(verify_report(tampered))
+            except replay_mod.MalformedPayload as exc:
+                outputs.append({"malformed": str(exc)})
+    return outputs
+
+
+def test_tampered_condition_replay_digest(tmp_path, capsys):
+    outputs = _tampered_outputs(tmp_path)
     capsys.readouterr()
-    assert not all(out["ok"] for out in outputs)
+    malformed = [out for out in outputs if "malformed" in out]
+    assert (len(outputs), len(malformed)) == (1744, 456)
+    assert all("differs from /instance/" in out["malformed"] for out in malformed)
+    assert sum(not out["ok"] for out in outputs if "ok" in out) == 1011
     assert _digest(json.dumps(outputs, sort_keys=True)) == TAMPERED_REPLAY_DIGEST
 
 
@@ -346,14 +371,19 @@ def test_interpolation_certificate_without_chain_or_sides_fails(tmp_path, model,
         in out["checks"]
 
 
-def _spaces(node):
-    """Every finite space in a JSON value."""
+def _finite_elements(node):
+    """Every finite function in a JSON value."""
     if isinstance(node, dict):
-        here = [node] if "points" in node and "opens" in node else []
-        return here + [s for child in node.values() for s in _spaces(child)]
+        here = [node] if "space" in node and "values" in node else []
+        return here + [d for child in node.values() for d in _finite_elements(child)]
     if isinstance(node, list):
-        return [s for child in node for s in _spaces(child)]
+        return [d for child in node for d in _finite_elements(child)]
     return []
+
+
+def _spaces(node):
+    """The space of every finite function in a JSON value."""
+    return [d["space"] for d in _finite_elements(node)]
 
 
 @pytest.mark.parametrize("points", [2, 4])
@@ -364,8 +394,8 @@ def test_replay_refuses_a_finite_function_without_one_value_per_point(
     path = _check_report(tmp_path, "finite_full", "T", 8)
     report = json.loads(path.read_text())
     assert verify_report(report)["ok"]
-    for space in _spaces(report):
-        space["points"] = points
+    for space in _spaces(report):  # the discrete space on that many points
+        space.update(points=points, up=[[x] for x in range(points)])
     with pytest.raises(replay_mod.MalformedPayload,
                        match="/: malformed condition payload .ValueError: "
                              "a finite function needs one value per point"):
@@ -497,9 +527,9 @@ URYSOHN_CASES = {
 URYSOHN_DIGESTS = {
     "y-heavy-1": "0a97736d0e72f857328caa65ef9e0fbf4527730fee83052f866249e6ce70608a",
     "y-heavy-2": "6aaaf00b47d2a44ab7fa6a0798461bddb4b549d79108e7d76db4c4e87e10a956",
-    "finite-5pt": "6bb0c639a15a7b7d487e4b8c2323b0cfb37afbd4e75e2b16b0196fc83e2c3028",
+    "finite-5pt": "32b824d001fae0f9fe3a61be0fe8ec50fcfbf626fdde698d5e436236b29e82bd",
     "y-mixed-signs": "17b3726103e83acd839a7914fef78dec760aa538ce2fcee6f95104cb538de1b3",
-    "finite-on-grid": "a5dc05cf833d67bde1525f2d4bfa9209955c260c00ccb767820f9ed1f07680ee",
+    "finite-on-grid": "4fcf955150b26b9bd497588fe02c8315746234b0689644da884c91ce7bda46c9",
 }
 
 
@@ -567,7 +597,7 @@ TRACE_CASES = {
 #          sha256 of json.dumps(verify_report(payload), sort_keys=True))
 TRACE_DIGESTS = {
     "iteration-finite": (
-        "8ccb7649d7a6325d22349af486407602d95ddd7ccd1377c401e5b74510fd5e18",
+        "76e2971a2723f4fd94196f2dadeda3395d9f58b481451e6e01c01537301a9ca2",
         "e9b2706d820c3675f39f4a356b80c215d56781cf0f9962dbc31db32ade42b562"),
     "iteration-seq": (
         "2023bcc8c49f1d52c07076ae2fce60d918c5adf682b96b9e0c610491509fa159",
@@ -579,7 +609,7 @@ TRACE_DIGESTS = {
         "0db2fe3aba72b4fb1cc979c87a3a35905c9ead2577090d3211e412d83bb507c6",
         "a68ad746ec3a041bf37f6435c5b8242bb8a3f64d95b251f207db36068f05c7de"),
     "merge-finite-5pt": (
-        "5581b27a86c354e177e67ee3c20f1d21db72962aa0bb3b184fec405df5fd434d",
+        "101b28d6c2189e578b8014291a39916818fdb60a14d65af6032956f56eca34bb",
         "a68ad746ec3a041bf37f6435c5b8242bb8a3f64d95b251f207db36068f05c7de"),
 }
 
@@ -595,6 +625,164 @@ def test_trace_and_replay_digests(name):
 
 def test_trace_digest_table_covers_every_case():
     assert set(TRACE_DIGESTS) == set(TRACE_CASES)
+
+
+def _pinned_outputs(tmp_path, capsys) -> dict:
+    """Every output a digest above pins, as JSON, by (table, case...): each
+    check report at each depth, each reproduce report, each Urysohn
+    (joined, certificate) pair and each trace."""
+    outputs = {("check", *key): json.loads(_check_report(tmp_path, *key).read_text())
+               for key in sorted(CHECK_DIGESTS)}
+    capsys.readouterr()
+    for example_id in sorted(CATALOG):
+        assert main(["reproduce", example_id]) == 0
+        outputs["reproduce", example_id] = json.loads(capsys.readouterr().out)
+    for name, (carrier, f, g) in sorted(URYSOHN_CASES.items()):
+        outputs["urysohn", name] = json.loads(json.dumps(
+            to_jsonable(urysohn_join_stream(carrier, f, g, 12))))
+    for name, case in sorted(TRACE_CASES.items()):
+        outputs["trace", name] = case()
+    capsys.readouterr()
+    return outputs
+
+
+# The digest each output that holds a finite space had while a space was
+# written as the list of its open sets, {"points": n, "opens": [[x, ...], ...]}
+# in increasing mask order.
+OPENS_FORM_DIGESTS = {
+    ('check', 'finite_full', 'BS', 8):
+        "8a7b36d74d4a37ff4e87a33055e292ea4620b3ffc325de180bf7f4a24459b054",
+    ('check', 'finite_full', 'BS', 64):
+        "79029a926cfd4ca8dcfa6688cfc735a33f57ea8fa2b74f0385db6e60bce70cd8",
+    ('check', 'finite_full', 'C', 8):
+        "01b1974b0eae43f798a6e19655dab4eeb91b1485b6718d496064bca61792b98d",
+    ('check', 'finite_full', 'C', 64):
+        "33dc4e3ba5b5ebed5721787a8556471d3b39a46e053785a332d80019b5948777",
+    ('check', 'finite_full', 'D', 8):
+        "a04ae2c16fcd064835a63e617776252f5078c0f2188fe3e61d1a266dac162674",
+    ('check', 'finite_full', 'D', 64):
+        "90de0f64bd75ba3c788edc27a41caaed089460f9018d0cf7c0d3a7c0cf1ee466",
+    ('check', 'finite_full', 'L', 8):
+        "892ff30fe673292ea86dfe5fe657933043582440e1392b9df8b57d40123c16d5",
+    ('check', 'finite_full', 'L', 64):
+        "132cb5caeff7a0ce8b27cdda870a5425cfb1fcf68ef70c8fe42440a6407f9b76",
+    ('check', 'finite_full', 'N', 8):
+        "5d5b636b8160d846d97cd8c5876423020bc2c354626dc100a9d88d42f84da322",
+    ('check', 'finite_full', 'N', 64):
+        "16cef8a46e6ed3b2bfcf918930bd93e66acf57aa80bc490bb3afc8d357f64c00",
+    ('check', 'finite_full', 'S', 8):
+        "24372f85a3b85482cdd0e0fe66479cc3c916740da14720e0ff88112c85eaad00",
+    ('check', 'finite_full', 'S', 64):
+        "5065ff67e3e56dfa403af8e1fce6ca8ad1452d2c85bf44832bb4ea65155abf16",
+    ('check', 'finite_full', 'SL', 8):
+        "2d87e25bf48c78f8bb1aa7925aebe524dbf31a84c7a937eb9cad74815b8e9148",
+    ('check', 'finite_full', 'SL', 64):
+        "0751ee3400e4a2753ecd6ba5cce3b86eeff1c8f33f98958343d77b86c8821dab",
+    ('check', 'finite_full', 'T', 8):
+        "f867db64fd472b9f981456663e376c0998e0dc23f294485321d38aad01361da0",
+    ('check', 'finite_full', 'T', 64):
+        "f634af96181a76cf063cf148644e91166b05251f4acebea592f9ba456ea9b2a8",
+    ('reproduce', 'tong-merge'):
+        "c96f9db505b964abc3224c866a5ba15c6981c7b44a422296e2577880c4bb1aaa",
+    ('urysohn', 'finite-5pt'):
+        "6bb0c639a15a7b7d487e4b8c2323b0cfb37afbd4e75e2b16b0196fc83e2c3028",
+    ('urysohn', 'finite-on-grid'):
+        "a5dc05cf833d67bde1525f2d4bfa9209955c260c00ccb767820f9ed1f07680ee",
+    ('trace', 'iteration-finite'):
+        "8ccb7649d7a6325d22349af486407602d95ddd7ccd1377c401e5b74510fd5e18",
+    ('trace', 'merge-finite-5pt'):
+        "5581b27a86c354e177e67ee3c20f1d21db72962aa0bb3b184fec405df5fd434d",
+}
+
+
+def _opens_form(node):
+    """A JSON value with each finite space written as its open sets."""
+    if isinstance(node, dict):
+        if set(node) == {"points", "up"}:
+            n = node["points"]
+            masks = [sum(1 << y for y in row) for row in node["up"]]
+            return {"points": n, "opens": [[x for x in range(n) if u >> x & 1]
+                                           for u in sorted(up_sets_scan(n, masks))]}
+        return {key: _opens_form(child) for key, child in node.items()}
+    if isinstance(node, list):
+        return [_opens_form(child) for child in node]
+    return node
+
+
+def test_repinned_outputs_differ_only_in_the_space_encoding(tmp_path, capsys):
+    """The outputs that hold a finite space are exactly those re-pinned when
+    spaces went from open-set lists to ``up`` rows, and each one, with every
+    space written back as its open sets, is byte for byte the output pinned
+    before: the CLI's compact line, or ``json.dumps(..., sort_keys=True)``."""
+    outputs = _pinned_outputs(tmp_path, capsys)
+    assert {key for key, out in outputs.items() if _spaces(out)} == set(OPENS_FORM_DIGESTS)
+    for key, old in OPENS_FORM_DIGESTS.items():
+        opens_form = _opens_form(outputs[key])
+        if key[0] in ("check", "reproduce"):
+            text = json.dumps(opens_form, sort_keys=True, separators=(",", ":")) + "\n"
+        else:
+            text = json.dumps(opens_form, sort_keys=True)
+        assert _digest(text) == old, key
+
+
+def _another_space(space):
+    """A valid space other than ``space``: the discrete one on its points, or
+    the indiscrete one when it is discrete (two points when it has one)."""
+    n = space["points"]
+    discrete = {"points": n, "up": [[x] for x in range(n)]}
+    if space != discrete:
+        return discrete
+    return {"points": n, "up": [list(range(n))] * n} if n > 1 else \
+        {"points": 2, "up": [[0], [1]]}
+
+
+def test_every_finite_function_of_a_payload_carries_its_one_space(tmp_path, capsys):
+    """Replay reads one space per payload: in every pinned report that holds
+    a finite space, deleting any finite function's ``space/up``, or giving it
+    another valid space, makes the payload malformed.  A Urysohn output is
+    its certificate, since the joined function beside it is no payload."""
+    reports = {key: out[1] if key[0] == "urysohn" else out
+               for key, out in _pinned_outputs(tmp_path, capsys).items() if _spaces(out)}
+    tampered = 0
+    for key, report in reports.items():
+        assert verify_report(report)["ok"], key
+        for i in range(len(_finite_elements(report))):
+            for edit in (lambda d: d["space"].pop("up"),
+                         lambda d: d.__setitem__("space", _another_space(d["space"]))):
+                copy = json.loads(json.dumps(report))
+                edit(_finite_elements(copy)[i])
+                with pytest.raises(replay_mod.MalformedPayload):
+                    verify_report(copy)
+                tampered += 1
+    assert (len(reports), tampered) == (21, 322)
+
+
+def test_certificate_copy_of_an_instance_value_must_agree(tmp_path, capsys):
+    """A certificate that repeats the instance's family, epsilon or delta
+    must repeat it as written; a copy that differs makes the payload
+    malformed, named by the certificate key's pointer."""
+    report = json.loads(_check_report(tmp_path, "finite_full", "C", 8).read_text())
+    report["certificate"]["family"][0]["values"] = ["-5", "-5", "-5"]
+    report["certificate"]["epsilon"] = "99"
+    with pytest.raises(replay_mod.MalformedPayload,
+                       match="/certificate/family differs from /instance/family"):
+        verify_report(report)
+    del report["instance"]["family"]  # the built-in cover's copy stands alone
+    with pytest.raises(replay_mod.MalformedPayload,
+                       match="/certificate/epsilon differs from /instance/epsilon"):
+        verify_report(report)
+    path = _check_report(tmp_path, "seq_x_end", "C", 8)
+    report = json.loads(path.read_text())
+    assert report["instance"]["epsilon"] == "1"
+    report["instance"]["epsilon"] = "7"
+    with pytest.raises(replay_mod.MalformedPayload,
+                       match="/certificate/epsilon differs from /instance/epsilon"):
+        verify_report(report)
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "/certificate/epsilon differs" in captured.err
 
 
 # Keys of a report's envelope, which replay does not read; "assertions" holds

@@ -18,7 +18,7 @@ from normlab.cli import main
 from normlab.conditions import MAX_SUBFAMILY_CAP
 from normlab.serialize import MAX_DEPTH, MAX_FAMILY, MAX_POINTS, MAX_SPAN
 
-SPACE = {"points": 2, "opens": [[], [0], [0, 1]]}
+SPACE = {"points": 2, "up": [[0], [0, 1]]}
 X_PAIR = {"f": {"prefix": ["0"], "cycle": ["1", "0"]}, "g": {"cycle": ["1", "3/2"]}}
 Y_PAIR = {"f": {"prefix": ["0"], "cycle": ["1/4"], "omega": "1/2"},
           "g": {"prefix": ["2"], "cycle": ["1"], "omega": "3/4"}}

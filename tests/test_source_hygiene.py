@@ -132,7 +132,7 @@ def test_reader_leaves_value_checks_to_the_models():
                     for x in [n.left, *n.comparators])] == []
 
 
-ELEMENT_KEYS = {"prefix", "cycle", "omega", "values", "space"}
+ELEMENT_KEYS = {"prefix", "cycle", "omega", "values", "space", "points", "up"}
 
 
 def element_reads(source: str) -> list[str]:
@@ -178,9 +178,11 @@ def test_element_read_outside_the_reader_is_found():
               'def _verify_x(p, checks):\n    return p["f"]["values"], p.get("omega")\n\n\n'
               'def _verify_ideal(payload, checks):\n    elem = payload["element"]\n'
               '    if "ratio" in elem:\n        return elem.get("prefix", [])\n'
-              '    return elem["prefix"]\n')
+              '    return elem["prefix"]\n\n\n'
+              'def _verify_y(p, checks):\n    return len(p["f"]["space"]["up"])\n')
     assert element_reads(source) == [
-        "_verify_x:7 values", "_verify_x:7 omega", "_verify_ideal:14 prefix"]
+        "_verify_x:7 values", "_verify_x:7 omega", "_verify_ideal:14 prefix",
+        "_verify_y:18 up", "_verify_y:18 space"]
 
 
 def test_benchmark_tracer_installs():
