@@ -135,7 +135,7 @@ class FiniteFullModel(ExtensionModel):
 
     def cond_c(self, instance, depth):
         if "family" not in instance:
-            # pair-only instances get the canonical unit cover
+            # an instance without a family gets the canonical unit cover
             instance = {"epsilon": ONE,
                         "family": [FiniteFunc(self.space, [2] * self.space.n)]}
         family = list(instance["family"])
@@ -256,7 +256,7 @@ class SeqYEndModel(ExtensionModel):
 
     def cond_c(self, instance, depth):
         if "family" not in instance:
-            # pair-only instances get the canonical unit cover; the carrier is
+            # an instance without a family gets the canonical unit cover; the carrier is
             # compact, so any verified cover admits a finite subfamily
             instance = {"epsilon": ONE,
                         "family": [SeqFunc.constant(2, with_omega=True)]}

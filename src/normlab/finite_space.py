@@ -148,11 +148,8 @@ class FiniteFunc(AlgElement):
     def _set_fractions(self, values):
         self.values = tuple(values)
 
-    def _align(self, other):
-        if not isinstance(other, FiniteFunc) or not (
-                other._shape is self._shape or other._shape == self._shape):
-            raise PreconditionViolation("operands live on different spaces")
-        return self._row, other._row, self._shape
+    def _align(self, other):  # _pair takes rows on one space as they are
+        raise PreconditionViolation("operands live on different spaces")
 
     def _point(self, shape, i):
         return i

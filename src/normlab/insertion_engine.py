@@ -13,6 +13,7 @@ certificates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -190,6 +191,32 @@ class YUrysohnCarrier:
         return insert_on_y(closed_f, open_g).func
 
 
+def _level_pairs(rank, closed_ids, open_ids):
+    """Each level pair (closed_ids[j], open_ids[i]), r_i < s_j -> its first (i, j)
+    (s outer, r inner, in grid order) and the (i, j) of its largest r, at its
+    first s.  Open sets are nested in r, so each open id covers a run of
+    consecutive values and gives one pair per s: G * L steps, not G^2."""
+    order = sorted(range(len(rank)), key=rank.__getitem__)
+    place = {i: t for t, i in enumerate(order)}
+    runs = [list(run) for _, run in itertools.groupby(order, key=open_ids.__getitem__)]
+    runs = [(place[run[0]], run, list(itertools.accumulate(run, min))) for run in runs]
+    first, top = {}, {}
+    for j, closed_id in enumerate(closed_ids):
+        fresh = []
+        for start, run, least in runs:
+            last = min(place[j] - start, len(run)) - 1  # the run's last value below s
+            if last < 0:
+                break
+            key = (closed_id, open_ids[run[0]])
+            if key not in top:
+                fresh.append((least[last], key, run[last]))
+            elif place[run[last]] > place[top[key][0]]:
+                top[key] = (run[last], j)
+        for i, key, i_top in sorted(fresh):
+            first[key], top[key] = (i, j), (i_top, j)
+    return first, top
+
+
 def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     """Approximate insertion from below by a finite join of scaled separations.
 
@@ -205,13 +232,13 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     Only distinct level pairs do work, in two phases.  Phase 1 names each
     level set by its 0/1 superlevel row, once per grid value, and hashes
     the row to a small int id: the rows of one element share its shape, so
-    two are equal exactly when their sets are.  One scan over the pairs
-    r < s (s outer, r inner, both in grid order, r < s compared on the ints
-    n*(L/d) for L the lcm of 1..q_max) records each distinct (closed, open)
-    level pair's first pair and its pair of largest r, r_top.  Phase 2
-    walks the level pairs in order of first occurrence: the two 0/1
-    indicators of the first pair are built and the carrier separates them,
-    once per level pair, and c = r_top*h is formed and checked against g.
+    two are equal exactly when their sets are.  :func:`_level_pairs` gives
+    each distinct (closed, open) level pair's first pair and its pair of
+    largest r, r_top, comparing r < s on the ints n*(L/d) for L the lcm of
+    1..q_max.  Phase 2 walks the level pairs in order of first occurrence:
+    the two 0/1 indicators of the first pair are built and the carrier
+    separates them, once per level pair, and c = r_top*h is formed and
+    checked against g.
     A carrier supplies only ``check_pair`` and ``urysohn``; both carriers
     here separate by their insertion route on the two 0/1 indicators, the
     closed set's usc one below the open set's lsc one.  As every r >= 0 and
@@ -235,17 +262,7 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
                   for s in grid]
     open_ids = [level_ids.setdefault(tuple(g1.superlevel_row(r, strict=True)), len(level_ids))
                 for r in grid]
-    first, top = {}, {}  # level pair ids -> its first (i, j), and the (i, j) of its largest r
-    for j, rank_s in enumerate(rank):
-        closed_id = closed_ids[j]
-        for i, rank_r in enumerate(rank):
-            if rank_r < rank_s:
-                key = (closed_id, open_ids[i])
-                seen = top.get(key)
-                if seen is None:
-                    first[key] = top[key] = (i, j)
-                elif rank_r > rank[seen[0]]:
-                    top[key] = (i, j)
+    first, top = _level_pairs(rank, closed_ids, open_ids)
     parts = [f1.const_like(ZERO)]
     rows = []
     for key, (i, j) in first.items():

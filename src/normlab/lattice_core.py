@@ -5,16 +5,16 @@ denominator, in a flat row with one entry per probe position, plus the
 carrier's shape, which says which point each position stands for.  Each
 element operation is written once, here, as one aligned scan of two rows;
 a carrier (functions on a finite space, eventually periodic sequences)
-supplies only the alignment of two rows, the point of each row position,
-and its canonical form.  Two operations need no second row and keep the
-shape as it is, and are written once here too: the 0/1 superlevel row of
-an element, by integer comparison with the level, and a shift by a rational
-constant, rescaled to the common denominator and reduced.  Ring and
-lattice axioms then hold exactly, and order, norm, and equality are all
-decidable.  Every value the API returns is still a ``Fraction``: that
-view of an element is built at most once, when first read, and an element
-constructed from Fractions keeps them and builds its int row on its first
-arithmetic.
+supplies only the alignment of two rows (``_pair`` skips it for rows on
+one shape), the point of each row position, and its canonical form.  Two
+operations need no second row and keep the shape as it is, and are
+written once here too: the 0/1 superlevel row of an element, by integer
+comparison with the level, and a shift by a rational constant, rescaled to
+the common denominator and reduced.  Ring and lattice axioms then hold
+exactly, and order, norm, and equality are all decidable.  Every value the
+API returns is still a ``Fraction``: that view of an element is built at
+most once, when first read, and an element constructed from Fractions
+keeps them and builds its int row on its first arithmetic.
 
 The archimedean axiom (na <= b for all n forces a <= 0) holds by
 construction on both carriers and is not asserted dynamically: it is
@@ -97,9 +97,16 @@ class AlgElement:
     def _canonical_row(self, shape, row):
         return shape, row
 
+    def _pair(self, other):
+        """(xs, ys, shape): the rows as they are on one shape, else aligned."""
+        shape = self._shape
+        if type(other) is type(self) and (other._shape is shape or other._shape == shape):
+            return self._row, other._row, shape
+        return self._align(other)
+
     def _scaled(self, other):
         """(xs, ys, shape, den): aligned rows over their common denominator."""
-        xs, ys, shape = self._align(other)
+        xs, ys, shape = self._pair(other)
         d1, d2 = self._den, other._den
         den = d1 if d1 == d2 else math.lcm(d1, d2)
         xs = xs if den == d1 else [x * (den // d1) for x in xs]
@@ -108,7 +115,7 @@ class AlgElement:
 
     def zip_with(self, other, fn) -> "AlgElement":
         """Pointwise combination by a function on Fractions."""
-        xs, ys, shape = self._align(other)
+        xs, ys, shape = self._pair(other)
         d1, d2 = self._den, other._den
         return self._from_row(shape, *_to_row([rat(fn(Fraction(x, d1), Fraction(y, d2)))
                                               for x, y in zip(xs, ys)]))
@@ -168,7 +175,7 @@ class AlgElement:
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
-            xs, ys, shape = self._align(other)
+            xs, ys, shape = self._pair(other)
             return self._from_row(shape, [x * y for x, y in zip(xs, ys)],
                                   self._den * other._den)
         r = rat(other)
@@ -212,7 +219,7 @@ class AlgElement:
 
     def eq_pointwise(self, other) -> bool:
         other = self._coerce(other)
-        xs, ys, _ = self._align(other)
+        xs, ys, _ = self._pair(other)
         return self._den == other._den and xs == ys
 
     def norm(self) -> Fraction:

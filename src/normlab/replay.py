@@ -9,9 +9,10 @@ Every verifier reads elements through one per-payload reader, ``_Reader``,
 the only code here that knows the two carrier encodings.  It reads the
 payload's one finite space from its ``up`` rows, refusing rows that are not
 a preorder, and parses each element once into int numerators over its least
-denominator.  It lays elements out as rows over their least common
-denominator at their probe points, so every row check compares ints, and
-gives a sequence's cycle and omega values.
+denominator.  It then lays every element of the payload out once over the
+payload's frame (their common probe points and least common denominator),
+so every check compares ints, whole rows at a time; the frame is on one
+carrier and holds at most MAX_FRAME points.
 Scalars (epsilon, step bounds, grid values, the transform) stay Fractions,
 and a row is compared with one by cross-multiplying.
 
@@ -23,7 +24,9 @@ and reports one line per check; a payload it cannot read raises
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -58,7 +61,10 @@ def _frac(v) -> Fraction:
 
 def _ints(values, memo) -> tuple[int, list[int]]:
     """A list of JSON rationals as (den, int numerators over den), den least."""
-    pairs = [_ratio(v, memo) for v in values]
+    try:
+        pairs = [memo.get(v) or _ratio(v, memo) for v in values]
+    except TypeError:  # an unhashable value, which _ratio names
+        pairs = [_ratio(v, memo) for v in values]
     den = math.lcm(*{q for _, q in pairs})
     return den, [p * (den // q) for p, q in pairs]
 
@@ -71,10 +77,15 @@ def _mask(points) -> int:
     return m
 
 
+# The most points a payload's frame may hold: the scenario reader's MAX_SPAN
+# squared, the most that two scenario elements align over.
+MAX_FRAME = 65_536
+
+
 # -- the element reader ------------------------------------------------------
 
 class _Reader:
-    """One payload's elements, each parsed once.
+    """One payload's elements, each parsed once and laid out once.
 
     Only the reader knows the element encoding: a sequence is {"prefix",
     "cycle", "omega"}, a finite function {"values", "space"} with one value
@@ -85,11 +96,13 @@ class _Reader:
     same space, as JSON.  An element is parsed on first use, keyed by its id
     (the payload outlives its reader), into int numerators over its least
     denominator and a shape: (len(prefix), len(cycle), has omega) for a
-    sequence, None for a finite function.
+    sequence, None for a finite function.  ``frame`` lays the payload out.
     """
 
     def __init__(self):
         self.memo, self.parsed, self.space, self.masks = {}, {}, None, None
+        # the frame's den, rows by element id, omega flag and cycle start
+        self.den, self.laid, self.omega, self.cycle_at = 1, {}, False, 0
 
     @staticmethod
     def is_seq(d) -> bool:
@@ -99,9 +112,15 @@ class _Reader:
     def is_finite(d) -> bool:
         return isinstance(d, dict) and "values" in d and "space" in d
 
-    def carrier(self, d):
-        """A finite function's up masks, or whether a sequence has no omega value."""
-        return self.up(d) if self.is_finite(d) else d.get("omega") is None
+    @classmethod
+    def elements(cls, node) -> list:
+        """Every element in a JSON value, in document order."""
+        if cls.is_seq(node) or cls.is_finite(node):
+            return [node]
+        if isinstance(node, dict):
+            node = list(node.values())
+        return [d for child in node for d in cls.elements(child)] \
+            if isinstance(node, list) else []
 
     def up(self, d):
         """The up masks of a finite function's space; None for a sequence.
@@ -127,20 +146,6 @@ class _Reader:
             raise ValueError("finite functions on different spaces")
         return self.masks
 
-    def points(self, *elems):
-        """Common probe points for a mix of elements."""
-        if all(self.is_seq(d) for d in elems):
-            span = max((len(d.get("prefix", [])) for d in elems), default=0) \
-                + math.lcm(*[len(d["cycle"]) for d in elems])
-            pts = list(range(span))
-            if all(d.get("omega") is not None for d in elems):
-                pts.append("omega")
-            return pts
-        if all(self.is_finite(d) for d in elems):
-            sizes = [len(self.up(d)) for d in elems]  # each on the payload's space
-            return list(range(sizes[0]))
-        raise ValueError("mixed or unknown element encodings")
-
     def _parse(self, d):
         got = self.parsed.get(id(d))
         if got is None:
@@ -157,25 +162,42 @@ class _Reader:
             got = self.parsed[id(d)] = (*_ints(values, self.memo), shape)
         return got
 
-    def rows(self, *elems, pts=None):
-        """The elements' values at pts (by default their common probe points)
-        as int numerators over their least common denominator; returns (den,
-        rows).  pts holds "omega" only if every element has a value there."""
-        if pts is None:
-            pts = self.points(*elems)
+    def frame(self, *elems):
+        """(den, rows): the elements' values as ints over their least common
+        denominator at each point of the space, or at each index below the
+        longest prefix plus the lcm of the cycles, then omega.  A ValueError
+        unless all are on one carrier and the points number <= MAX_FRAME."""
         parsed = [self._parse(d) for d in elems]
-        den = math.lcm(*(own for own, _, _ in parsed))
-        rows = []
-        for own, nums, shape in parsed:
-            scale = den // own
-            nums = [x * scale for x in nums]
-            if shape is None:
-                rows.append([nums[x] for x in pts])
-            else:
+        carriers = {shape and shape[2] for _, _, shape in parsed}
+        if len(carriers) > 1:
+            raise ValueError("elements on different carriers")
+        if None in carriers:
+            size = len(self.masks)
+        else:
+            self.omega = True in carriers
+            self.cycle_at = max((k for _, _, (k, _, _) in parsed), default=0)
+            span = math.lcm(*(c for _, _, (_, c, _) in parsed))
+            size = self.cycle_at + span + self.omega
+        if size > MAX_FRAME:
+            raise ValueError(f"a frame of {size} points exceeds MAX_FRAME = {MAX_FRAME}")
+        den = self.den = math.lcm(*(own for own, _, _ in parsed))
+        rows, end = [], size - self.omega
+        for d, (own, nums, shape) in zip(elems, parsed):
+            if own != den:
+                nums = [x * (den // own) for x in nums]
+            if shape is not None and len(nums) != size:
                 k, c, _ = shape
-                rows.append([nums[-1] if x == "omega" else nums[x] if x < k
-                             else nums[k + (x - k) % c] for x in pts])
+                laps = -(-(end - k) // c)
+                nums = (nums[:k] + nums[k:k + c] * laps)[:end] + nums[k + c:]
+            rows.append(nums)
+            self.laid[id(d)] = nums
         return den, rows
+
+    def row(self, d):
+        """An element's row in the frame."""
+        if id(d) not in self.laid:
+            raise ValueError("unknown element encoding")
+        return self.laid[id(d)]
 
     def seq(self, d):
         """A sequence's prefix and cycle values and its omega value (None
@@ -197,7 +219,7 @@ class _Reader:
 
 
 def _row_le(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 # -- payload verifiers -------------------------------------------------------
@@ -211,29 +233,28 @@ def _verify_merge(trace, checks) -> None:
     rd = _Reader()
     a, b = trace["a_norm"], trace["b_norm"]
     u, v = trace["u_seq"], trace["v_seq"]
-    elems = a + b + u + v + [trace["result"]]
-    pts = rd.points(*elems)
+    _, rows = rd.frame(*a, *b, *u, *v, trace["result"])
     n = len(a)
     ok_shape = len(b) == n and len(u) == n and len(v) == n
     _check(checks, "merge: aligned sequence lengths", ok_shape)
     if not ok_shape:
         return
-    _, rows = rd.rows(*elems, pts=pts)
     a, b, u, v = (rows[i * n:(i + 1) * n] for i in range(4))
     res = rows[-1]
-    _check(checks, "merge: a nonincreasing", all(_row_le(a[i + 1], a[i]) for i in range(n - 1)))
-    _check(checks, "merge: b nondecreasing", all(_row_le(b[i], b[i + 1]) for i in range(n - 1)))
-    for k in range(len(pts)):
-        run = None
-        for i in range(n):
-            term = min(a[i][k], b[i][k])
-            run = term if run is None else max(run, term)
-            if run != u[i][k]:
-                _check(checks, f"merge: u_{i + 1} recomputed", False)
-                return
-            if max(run, a[i][k]) != v[i][k]:
-                _check(checks, f"merge: v_{i + 1} recomputed", False)
-                return
+    _check(checks, "merge: a nonincreasing", all(map(_row_le, a[1:], a)))
+    _check(checks, "merge: b nondecreasing", all(map(_row_le, b, b[1:])))
+    # u_i = (a_1 ^ b_1) v ... v (a_i ^ b_i) and v_i = u_i v a_i, row by row
+    run, us, vs = None, [], []
+    for ai, bi in zip(a, b):
+        term = list(map(min, ai, bi))
+        run = term if run is None else list(map(max, run, term))
+        us.append(run)
+        vs.append(list(map(max, run, ai)))
+    if us != u or vs != v:  # name the first failing row: least point, then i, u before v
+        _, i, name = min((k, i, name) for name, got, want in (("u", u, us), ("v", v, vs))
+                         for i in range(n) for k in range(len(res)) if got[i][k] != want[i][k])
+        _check(checks, f"merge: {name}_{i + 1} recomputed", False)
+        return
     _check(checks, "merge: u, v recomputed", True)
     _check(checks, "merge: result = last u", res == u[-1])
     _check(checks, "merge: result = meet of v", res == [min(col) for col in zip(*v)])
@@ -250,33 +271,28 @@ def _verify_iteration(trace, checks) -> None:
     rd = _Reader()
     a = trace["a_seq"]
     bounds = [_frac(b) for b in trace["step_bounds"]]
-    den, rows = rd.rows(*a)
+    den, (*rows, fr, gr) = rd.frame(*a, trace["f"], trace["g"])
     _check(checks, "iteration: bounds are 1/2^n", len(bounds) == len(a) >= 1
            and all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
     # an int t exceeds, or stays within, q * den exactly when it does floor(q * den)
-    ok = True
-    for i in range(len(a) - 1):
-        lim = bounds[i].numerator * den // bounds[i].denominator
-        if any(abs(y - x) > lim for x, y in zip(rows[i], rows[i + 1])):
-            ok = False
-    _check(checks, "iteration: step bound |a_{n+1} - a_n| <= 1/2^n", ok)
+    lims = [bounds[i].numerator * den // bounds[i].denominator for i in range(len(a))]
+    sub = operator.sub
+    _check(checks, "iteration: step bound |a_{n+1} - a_n| <= 1/2^n",
+           all(max(map(abs, map(sub, rows[i + 1], rows[i])), default=0) <= lims[i]
+               for i in range(len(a) - 1)))
     # max over j > i of |a_j - a_i| at each point, from running suffix max/min
     ok = True
     hi = lo = rows[-1] if rows else None
     for i in range(len(a) - 2, -1, -1):
         tail = den >> i  # floor(den * 2^{1-n}) for n = i + 1
-        if any(h - x > tail or x - l > tail for x, h, l in zip(rows[i], hi, lo)):
+        if max(map(sub, hi, rows[i]), default=0) > tail \
+                or max(map(sub, rows[i], lo), default=0) > tail:
             ok = False
         hi, lo = list(map(max, hi, rows[i])), list(map(min, lo, rows[i]))
     _check(checks, "iteration: Cauchy tail ||a_{n+p} - a_n|| <= 2^{1-n}", ok)
-    f, g = trace["f"], trace["g"]
-    ok = True
-    for i, ai in enumerate(a):
-        den, (fr, gr, ar) = rd.rows(f, g, ai)
-        lim = bounds[i].numerator * den // bounds[i].denominator
-        if not all(x - y <= lim and y <= z for x, y, z in zip(fr, ar, gr)):
-            ok = False
-    _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
+    _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g",
+           all(max(map(sub, fr, ar), default=0) <= lims[i] and _row_le(ar, gr)
+               for i, ar in enumerate(rows)))
 
 
 _HOLDS = dict.fromkeys(("T", "BS", "S", "N", "D", "C", "L", "SL"), ("holds",))
@@ -284,19 +300,6 @@ _HOLDS = dict.fromkeys(("T", "BS", "S", "N", "D", "C", "L", "SL"), ("holds",))
 # and of finite_full_<n>pt gives "holds" alone, and none gives "unknown_at_depth"
 _ROUTES = {"seq_y_end": _HOLDS, "seq_x_end": {
     **_HOLDS, "C": ("fails",), **dict.fromkeys(("N", "D", "SL"), ("holds", "fails"))}}
-
-
-def _on_carrier(rd, model, elems) -> None:
-    """Raise ValueError unless each element is on the carrier the model names:
-    a sequence with no omega value, one with, or a finite function on n points."""
-    for d in elems:
-        carrier = rd.carrier(d)
-        if isinstance(carrier, bool):
-            name = "seq_x_end" if carrier else "seq_y_end"
-        else:  # rows first checks one value per point
-            name = f"finite_full_{len(rd.rows(d)[1][0])}pt"
-        if name != model:
-            raise ValueError(f"an element on the carrier of {name} under model {model}")
 
 
 def _agree(inst, cert, at) -> None:
@@ -311,8 +314,11 @@ def _agree(inst, cert, at) -> None:
 def _verify_condition(report, checks) -> None:
     """Replay a condition report by its model's route, which reads every key
     it writes; a verdict that the route does not give fails one row.  One
-    reader serves the report and both parts of an (SL) certificate."""
-    _verify_route(report, checks, _Reader(), "/certificate")
+    reader and one frame, over every element, serve the report and both
+    parts of an (SL) certificate."""
+    rd = _Reader()
+    rd.frame(*rd.elements([report["instance"], report["certificate"]]))
+    _verify_route(report, checks, rd, "/certificate")
 
 
 def _verify_route(report, checks, rd, at) -> None:
@@ -325,55 +331,64 @@ def _verify_route(report, checks, rd, at) -> None:
         _check(checks, f"{label}: certificate recognized", False)
         return
     _agree(inst, cert, at)
+    on = f"finite_full_{len(rd.masks)}pt" if rd.masks else "seq_y_end" if rd.omega else "seq_x_end"
+    if rd.laid and on != model:  # the frame is on one carrier: the model's
+        raise ValueError(f"an element on the carrier of {on} under model {model}")
     if cond == "SL":
         for part in ("L", "N"):
-            _verify_route({"condition": part, "model": model, "instance": inst,
-                           "verdict": cert[f"{part}_verdict"], "certificate": cert[part]},
-                          checks, rd, f"{at}/{part}")
+            _verify_route({**report, "condition": part, "verdict": cert[f"{part}_verdict"],
+                           "certificate": cert[part]}, checks, rd, f"{at}/{part}")
         both_hold = cert["L_verdict"] == cert["N_verdict"] == "holds"
         _check(checks, f"{label}: decomposition consistent", both_hold == (verdict == "holds"))
         return
     if cond in ("C", "L") and model == "seq_x_end":
-        eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
-        # member n of the noncompact family is eps + delta up to index n, -delta beyond
-        member_at = lambda n, k: eps + delta if k <= n else -delta
-        if cond == "C":  # an empty list defeats nothing
+        # member n of the noncompact family is eps + delta up to index n, -delta
+        # beyond; each list is derived from depth and compared entry by entry
+        eps, delta, depth = _frac(cert["epsilon"]), _frac(cert["delta"]), report["depth"]
+
+        def same(v, q):  # a JSON rational is q, compared as ints
+            p, d = _ratio(v, rd.memo)
+            return p * q.denominator == q.numerator * d
+
+        if cond == "C":  # each subfamily of up to subfamily_cap of the first 8 members
+            combos = [combo for size in range(1, min(inst.get("subfamily_cap", 4), 8) + 1)
+                      for combo in itertools.combinations(range(min(depth, 8)), size)]
+            defeats, neg = cert["defeats"], -delta  # an empty list defeats nothing
             _check(checks, f"{label}: every listed subfamily defeated",
-                   bool(cert["defeats"]) and all(
-                       e["index"] > max(e["subfamily"]) and _frac(e["join_value"])
-                       == max(member_at(n, e["index"]) for n in e["subfamily"]) < 0
-                       for e in cert["defeats"]))
+                   bool(defeats) and neg < 0 and len(defeats) == len(combos) and all(
+                       e["subfamily"] == list(combo) and e["index"] == combo[-1] + 1
+                       and same(e["join_value"], neg) for e, combo in zip(defeats, combos)))
         else:  # member k is the first one above eps/2 at index k
+            picks, top = cert["picks"], eps + delta
             _check(checks, f"{label}: each pick is its member's value, above eps/2",
-                   all(_frac(p["value"]) == member_at(p["member"], p["index"]) > eps / 2
-                       for p in cert["picks"]))
+                   len(picks) == depth and top > eps / 2 and all(
+                       p["index"] == p["member"] == k and same(p["value"], top)
+                       for k, p in enumerate(picks)))
         return
+    den, row = rd.den, rd.row
     if cond in ("C", "L"):
         fam = cert["family"]
-        _on_carrier(rd, model, fam)
-        den, fam_rows = rd.rows(*fam)
+        fam_rows = [row(d) for d in fam]
         chosen = [fam_rows[i] for i in cert["subfamily"]]
         ks = range(len(fam_rows[0]))
         join_min = min(max(x[k] for x in chosen) for k in ks)
         _check(checks, f"{label}: subfamily join nonnegative", join_min >= 0)
         _check(checks, f"{label}: recorded join minimum matches",
                _frac(cert["join_min"]) * den == join_min)
-        if model == "seq_y_end":
-            at_omega = max(rd.seq(fam[i])[2] for i in cert["subfamily"])
+        if model == "seq_y_end":  # the frame ends at omega
             _check(checks, f"{label}: recorded join at omega matches",
-                   at_omega == _frac(cert["join_omega"]))
+                   max(x[-1] for x in chosen) == _frac(cert["join_omega"]) * den)
         eps = _frac(cert["epsilon"])
         _check(checks, f"{label}: full family covers at level eps",
                all(max(x[k] for x in fam_rows) * eps.denominator >= eps.numerator * den
                    for k in ks))
         return
     f, g = inst["f"], inst["g"]
-    _on_carrier(rd, model, (f, g))
-    den, (fr, gr) = rd.rows(f, g)
+    fr, gr = row(f), row(g)
 
     def between(w):
-        _, (fw, gw, wr) = rd.rows(f, g, w)
-        return _row_le(fw, wr) and _row_le(wr, gw)
+        wr = row(w)
+        return _row_le(fr, wr) and _row_le(wr, gr)
 
     if cond in ("N", "D"):
         if verdict == "holds":
@@ -400,21 +415,19 @@ def _verify_route(report, checks, rd, at) -> None:
     if model == "seq_x_end":
         # each side's family collapses to the endpoint it approximates, and its
         # residual is recomputed from that endpoint's closed form
-        meet_of_side, join_of_side = {"T": (f, g), "BS": (g, f), "S": (f, f)}[cond]
-        for side, key, elem in (("meet_side", "closed_form_meet", meet_of_side),
-                                ("join_side", "closed_form_join", join_of_side)):
+        meet_of_side, join_of_side = {"T": (fr, gr), "BS": (gr, fr), "S": (fr, fr)}[cond]
+        for side, key, er in (("meet_side", "closed_form_meet", meet_of_side),
+                              ("join_side", "closed_form_join", join_of_side)):
             data = cert[side]
-            den, (er, cr) = rd.rows(elem, data[key])
             bound = Fraction(1, data["depth"])
             norm = max(max(er), -min(er))
             spread = norm - min(er) if side == "meet_side" else max(er) + norm
             _check(checks, f"{label}: {side} residual within bound",
-                   er == cr and _frac(data["residual_bound"]) == bound
+                   er == row(data[key]) and _frac(data["residual_bound"]) == bound
                    and _frac(data["max_residual"]) == min(bound, Fraction(spread, den)))
         return
     a, b = cert["a_seq"], cert["b_seq"]
-    _, (fr, gr, *ab) = rd.rows(f, g, *a, *b)
-    ar, br = ab[:len(a)], ab[len(a):]
+    ar, br = [row(d) for d in a], [row(d) for d in b]
     meet_of = lambda xs, k: min(x[k] for x in xs)
     join_of = lambda xs, k: max(x[k] for x in xs)
     ks = range(len(fr))
@@ -469,17 +482,18 @@ def _verify_block_replay(payload, checks) -> None:
     on the block and exactly 0 off it.
     """
     rd = _Reader()
-    gens = payload["generators"]
-    pts = rd.points(*gens)
-    traces, indicators = payload["traces"], payload["indicators"]
+    gens, traces, indicators = payload["generators"], payload["traces"], payload["indicators"]
+    den, rows = rd.frame(*gens, *indicators)
+    gen_rows = rows[:len(gens)]
+    pts = range(len(gen_rows[0]))
     points = sorted(x for trace in traces for x in trace["block"])
     if not _check(checks, "block traces: one per indicator, blocks partition the points",
-                  len(traces) == len(indicators) and points == pts):
+                  len(traces) == len(indicators) and points == list(pts)):
         return
-    for trace, ind in zip(traces, indicators):
+    for trace, expected in zip(traces, rows[len(gens):]):
         x, ok, values = trace["block"][0], True, [(1, 1)] * len(pts)
         for ch in trace["choices"]:
-            _, (row,) = rd.rows(gens[ch["g_index"]], pts=pts)
+            row = gen_rows[ch["g_index"]]
             gy = row[ch["y"]]
             span = row[x] - gy
             ok = ok and span != 0
@@ -491,11 +505,9 @@ def _verify_block_replay(payload, checks) -> None:
                 vn, vd = values[z]
                 if hn * vd < vn * hd:
                     values[z] = hn, hd
-        den, (expected,) = rd.rows(ind)
         block = set(trace["block"])
-        ok = ok and len(expected) == len(pts) and all(
-            vn * den == e * vd and vn == (vd if z in block else 0)
-            for z, (vn, vd), e in zip(pts, values, expected))
+        ok = ok and all(vn * den == e * vd and vn == (vd if z in block else 0)
+                        for z, (vn, vd), e in zip(pts, values, expected))
         if not _check(checks, f"block {sorted(block)}: trace replays to 0/1 indicator", ok):
             return
     _check(checks, "block traces: all replayed", True)
@@ -506,18 +518,42 @@ def _verify_block_replay(payload, checks) -> None:
 MAX_Q = 64
 
 
-def _continuous(rd, d) -> bool:
-    """A finite function is continuous iff it is constant on each up row
-    (each fiber is then open, as the reals are T1); a sequence iff it is
-    constant on its cycle at its omega value (on the naturals alone, every
+def _continuous(rd, row) -> bool:
+    """Whether an element, given by its row in the frame, is continuous: a
+    finite function iff it is constant on each up row (each fiber is then
+    open, as the reals are T1); a sequence iff, with an omega value, it is
+    that value from the frame's cycle on (on the naturals alone, every
     sequence is)."""
-    up = rd.up(d)
-    if up is None:
-        _, cycle, om = rd.seq(d)
-        return om is None or all(v == om for v in cycle)
-    vals = rd.rows(d)[1][0]
-    return all(vals[y] == vals[x] for x, row in enumerate(up)
-               for y in range(len(up)) if row >> y & 1)
+    if rd.masks is None:
+        tail = row[rd.cycle_at:]
+        return not rd.omega or tail.count(row[-1]) == len(tail)
+    return all(row[y] == v for v, m in zip(row, rd.masks)
+               for y in range(len(row)) if m >> y & 1)
+
+
+def _level_pairs(rank, closed, opened):
+    """Each level pair (closed[j], opened[i]), r_i < s_j -> its first (i, j) (s
+    outer, r inner, in grid order) and the i of its largest r: each count in
+    opened covers a run of consecutive values, giving one pair per s."""
+    order = sorted(range(len(rank)), key=rank.__getitem__)
+    place = {i: t for t, i in enumerate(order)}
+    runs = [list(run) for _, run in itertools.groupby(order, key=opened.__getitem__)]
+    runs = [(place[run[0]], run, list(itertools.accumulate(run, min))) for run in runs]
+    first, top = {}, {}
+    for j, count in enumerate(closed):
+        fresh = []
+        for start, run, least in runs:
+            last = min(place[j] - start, len(run)) - 1  # the run's last value below s
+            if last < 0:
+                break
+            key = (count, opened[run[0]])
+            if key not in top:
+                fresh.append((least[last], key, run[last]))
+            elif place[run[last]] > place[top[key]]:
+                top[key] = run[last]
+        for i, key, i_top in sorted(fresh):
+            first[key], top[key] = (i, j), i_top
+    return first, top
 
 
 def _verify_urysohn(cert, checks) -> None:
@@ -535,9 +571,7 @@ def _verify_urysohn(cert, checks) -> None:
         raise ValueError(f"q_max must be an integer from 1 to MAX_Q = {MAX_Q}")
     hs = [row["h"] for row in cert["pairs"]]
     rd = _Reader()
-    if any(rd.carrier(d) != rd.carrier(f) for d in (g, res, *hs)):
-        raise ValueError("elements on different carriers")
-    den, (fr, gr, rr, *hr) = rd.rows(f, g, res, *hs)
+    den, (fr, gr, rr, *hr) = rd.frame(f, g, res, *hs)
     a = -min(fr)  # a / den and b / den are the transform
     b = max(gr) + a or den
     _check(checks, "urysohn: transform recomputed",
@@ -556,22 +590,14 @@ def _verify_urysohn(cert, checks) -> None:
               for r in grid]
     common = math.lcm(*range(1, q_max + 1))
     rank = [v.numerator * (common // v.denominator) for v in grid]  # r < s iff rank r < rank s
-    first, top = {}, {}  # level pair -> its first (i, j) and its largest r's index
-    for j in range(len(grid)):
-        for i in range(len(grid)):
-            if rank[i] < rank[j]:
-                key = (closed[j], opened[i])
-                if key not in first:
-                    first[key], top[key] = (i, j), i
-                elif rank[i] > rank[top[key]]:
-                    top[key] = i
+    first, top = _level_pairs(rank, closed, opened)
     rows = [(_frac(row["r"]), _frac(row["s"])) for row in cert["pairs"]]
     if not _check(checks, "urysohn: one row per distinct level pair, at its first pair",
                   rows == [(grid[i], grid[j]) for i, j in first.values()]):
         return
     ok = True
-    for (r, s), h, d in zip(rows, hr, hs):
-        ok = ok and _continuous(rd, d) and all(
+    for (r, s), h in zip(rows, hr):
+        ok = ok and _continuous(rd, h) and all(
             0 <= v <= den and (v == den or x * s.denominator < s.numerator * unit)
             and (v == 0 or y * r.denominator > r.numerator * unit)
             for v, x, y in zip(h, f1, g1))

@@ -49,14 +49,26 @@ class Omega:
 OMEGA = Omega()
 
 
+def _period(cycle) -> int:
+    """The minimal period of a cycle: its length divided by each of its primes
+    while the shorter period holds (the periods dividing it are the multiples
+    of the minimal one)."""
+    n = m = d = len(cycle)
+    p = 2
+    while m > 1:
+        p = p if p * p <= m else m
+        while m % p == 0:
+            m //= p
+            if cycle[d // p:] == cycle[:n - d // p]:
+                d //= p
+        p += 1
+    return d
+
+
 def _canonical(prefix, cycle):
     """Minimal period of the cycle, then the prefix entries that the rotated
     cycle already produces absorbed into it; works on ints and Fractions alike."""
-    n = len(cycle)
-    for d in range(1, n):
-        if n % d == 0 and cycle[d:] == cycle[:n - d]:
-            cycle = cycle[:d]
-            break
+    cycle = cycle[:_period(cycle)]
     c, k, j = len(cycle), len(prefix), 0
     while j < k and prefix[k - 1 - j] == cycle[-1 - j % c]:
         j += 1
@@ -155,10 +167,11 @@ class SeqFunc(AlgElement):
         return OMEGA if i == shape[0] + shape[1] else i
 
     def _canonical_row(self, shape, row):
+        """Untouched when its cycle is minimal and absorbs no prefix entry."""
         p, span, om = shape
-        prefix, cycle = _canonical(row[:p], row[p:p + span])
-        if len(prefix) == p and len(cycle) == span:
+        if _period(row[p:p + span]) == span and not (p and row[p - 1] == row[p + span - 1]):
             return shape, row
+        prefix, cycle = _canonical(row[:p], row[p:p + span])
         return (len(prefix), len(cycle), om), prefix + cycle + tuple(row[p + span:])
 
     def const_like(self, value):

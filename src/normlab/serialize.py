@@ -219,9 +219,10 @@ def _seq_func(data, pointer: str) -> SeqFunc:
     return SeqFunc(prefix, cycle, fields.get("omega"))
 
 
-def _finite_func(data, pointer: str, space: FiniteSpace) -> FiniteFunc:
-    fields = _fields(data, pointer, {"space": _space, "values": _rationals},
-                     ("space", "values"))
+def _finite_func(data, pointer: str, space: FiniteSpace, written) -> FiniteFunc:
+    fields = _fields(data, pointer, {
+        "space": lambda v, p: space if json.dumps(v) == written else _space(v, p),
+        "values": _rationals}, ("space", "values"))
     if fields["space"] != space:
         raise _reject(_child(pointer, "space"), "not the scenario's space")
     if len(fields["values"]) != space.n:
@@ -230,29 +231,32 @@ def _finite_func(data, pointer: str, space: FiniteSpace) -> FiniteFunc:
     return FiniteFunc(space, fields["values"])
 
 
-def parse_element(data, pointer: str = "", space: FiniteSpace | None = None):
+def parse_element(data, pointer: str = "", space: FiniteSpace | None = None, written=None):
     """An instance element: a finite function on ``space`` if one is given,
     else a sequence.  An object with ``values`` is a finite function, so an
-    element in the other encoding is named as off the model's carrier.
+    element in the other encoding is named as off the model's carrier.  An
+    element's space whose JSON text is ``written``, the scenario's space as
+    text, is ``space`` and is not read again.
     """
     if (isinstance(data, dict) and "values" in data) != (space is not None):
         carrier = "finite functions" if space is not None else "sequences"
         raise _reject(pointer, f"the model takes {carrier}")
-    return _seq_func(data, pointer) if space is None else _finite_func(data, pointer, space)
+    return _seq_func(data, pointer) if space is None else \
+        _finite_func(data, pointer, space, written)
 
 
-def _instance(data, pointer: str, model: str, condition: str, space) -> dict:
+def _instance(data, pointer: str, model: str, condition: str, space, written) -> dict:
     def element(value, at):
-        return parse_element(value, at, space)
+        return parse_element(value, at, space, written)
 
     inst = _fields(data, pointer, {
         "f": element, "g": element, "epsilon": _rational, "delta": _rational,
         "subfamily_cap": lambda v, p: _integer(v, p, 1, MAX_SUBFAMILY_CAP, "MAX_SUBFAMILY_CAP"),
         "family": lambda v, p: _array(v, p, element, MAX_FAMILY, "MAX_FAMILY")})
-    if condition in _READS_PAIR:
-        for key in ("f", "g"):
-            if key not in inst:
-                raise _reject(_child(pointer, key), f"condition ({condition}) needs f and g")
+    for key in ("f", "g"):  # read by exactly the conditions that read the pair
+        if (key in inst) != (condition in _READS_PAIR):
+            need = "needs f and g" if condition in _READS_PAIR else "reads no f or g"
+            raise _reject(_child(pointer, key), f"condition ({condition}) {need}")
     if condition in ("C", "L", "SL"):  # a cover is read
         built_in = MODELS[model].built_in_family
         if built_in and "family" in inst:
@@ -281,17 +285,17 @@ def parse_scenario(data) -> tuple:
             raise _reject("", f"missing key {key!r}")
     name = _choice(data["model"], "/model", tuple(MODELS))
     condition = _choice(data["condition"], "/condition", CONDITIONS)
-    space = None
+    space = written = None
     if name == "finite_full":
         if "space" not in data:
             raise _reject("", "missing key 'space', which model finite_full reads")
-        space = _space(data["space"], "/space")
+        space, written = _space(data["space"], "/space"), json.dumps(data["space"])
     elif "space" in data:
         raise _reject("/space", f"model {name} takes no space")
     fields = _fields(data, "", {
         "model": lambda v, p: name, "condition": lambda v, p: condition,
         "space": lambda v, p: space,
-        "instance": lambda v, p: _instance(v, p, name, condition, space),
+        "instance": lambda v, p: _instance(v, p, name, condition, space, written),
         "depth": parse_depth, "expect": lambda v, p: _choice(v, p, (HOLDS, FAILS, UNKNOWN))})
     model = MODELS[name]() if space is None else FiniteFullModel(space)
     return model, condition, fields["instance"], fields.get("depth", 32), fields.get("expect")

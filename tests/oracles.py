@@ -294,3 +294,38 @@ def noncompact_family(epsilon, delta):
         return max(indices) + 1, -dlt
 
     return member, stream, defeat
+
+
+def level_pairs_by_scan(rank, closed_ids, open_ids):
+    """Each distinct level pair (closed_ids[j], open_ids[i]) over the grid
+    pairs with rank i < rank j -> its first (i, j), j outer and i inner, and
+    the (i, j) of its largest r, at the first j with it; every pair visited."""
+    first, top = {}, {}
+    for j, rank_s in enumerate(rank):
+        closed_id = closed_ids[j]
+        for i, rank_r in enumerate(rank):
+            if rank_r < rank_s:
+                key = (closed_id, open_ids[i])
+                seen = top.get(key)
+                if seen is None:
+                    first[key] = top[key] = (i, j)
+                elif rank_r > rank[seen[0]]:
+                    top[key] = (i, j)
+    return first, top
+
+
+def canonical_by_divisors(prefix, cycle):
+    """The canonical (prefix, cycle) of an eventually periodic sequence, its
+    minimal period found by trying every divisor of the cycle length in turn."""
+    n = len(cycle)
+    for d in range(1, n):
+        if n % d == 0 and cycle[d:] == cycle[:n - d]:
+            cycle = cycle[:d]
+            break
+    c, k, j = len(cycle), len(prefix), 0
+    while j < k and prefix[k - 1 - j] == cycle[-1 - j % c]:
+        j += 1
+    if j:
+        prefix, r = prefix[:k - j], c - j % c
+        cycle = cycle[r:] + cycle[:r]
+    return tuple(prefix), tuple(cycle)

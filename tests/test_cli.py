@@ -12,9 +12,11 @@ import pytest
 
 from normlab.cli import CATALOG, main, reproduce, survey_rows
 from normlab.errors import PreconditionViolation, UnknownExampleId
+from normlab.finite_space import FiniteSpace
 from normlab.rationals import rat
+from normlab.replay import verify_report
 from normlab.seq_model import SeqFunc
-from normlab.serialize import MAX_FAMILY, MAX_POINTS, to_jsonable
+from normlab.serialize import MAX_FAMILY, MAX_POINTS, parse_scenario, to_jsonable
 
 
 def write(tmp_path, name, payload):
@@ -397,6 +399,43 @@ def test_replay_rejects_c_failure_without_defeats(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+def _drop_first(xs):
+    del xs[0]
+
+
+def _keep_one(xs):
+    del xs[1:]
+
+
+def _swap(xs):
+    xs[3], xs[4] = xs[4], xs[3]
+
+
+LIST_EDITS = {"drop-first": _drop_first, "drop-last": list.pop, "keep-one": _keep_one,
+              "duplicate": lambda xs: xs.append(dict(xs[0])), "swap": _swap}
+
+
+@pytest.mark.parametrize("edit", sorted(LIST_EDITS))
+@pytest.mark.parametrize("cond,key", [("C", "defeats"), ("L", "picks")])
+def test_replay_derives_every_defeat_and_pick(tmp_path, capsys, cond, key, edit):
+    """Replay derives the (C) defeats (162 at depth 8 and subfamily_cap 4) and
+    the (L) picks (one per index below depth 16) and compares the lists, so a
+    dropped, duplicated or swapped entry fails replay."""
+    if cond == "C":
+        report = json.loads(json.dumps(CATALOG["noncompact-C-failure"]()["certificates"][0]))
+    else:
+        scenario = dict(_scenario("seq_x_end", "L", {"epsilon": "1", "delta": "1/2"}), depth=16)
+        report_path = tmp_path / "report.json"
+        assert main(["check", write(tmp_path, "s.json", scenario), "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+    assert verify_report(report)["ok"]
+    assert len(report["certificate"][key]) == {"C": 162, "L": 16}[cond]
+    LIST_EDITS[edit](report["certificate"][key])
+    capsys.readouterr()
+    assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
 def test_replay_rejects_l_pick_past_its_member(tmp_path, capsys):
     path = write(tmp_path, "s.json", _scenario("seq_x_end", "L", dict(X_COVER)))
     report_path = tmp_path / "report.json"
@@ -720,3 +759,40 @@ def test_unreadable_json_is_input_error(tmp_path, capsys, command, text):
     path.write_bytes(text)
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("input error")
+
+
+def test_scenario_reader_reads_one_space(monkeypatch):
+    """Each element's space written as the scenario's is the scenario's space:
+    the densest (C) scenario builds one FiniteSpace, not one per member; a
+    member's space written otherwise is read in full, and still accepted when
+    it is the same space."""
+    built = []
+    init = FiniteSpace.__init__
+
+    def counted(self, n, up):
+        built.append(n)
+        init(self, n, up)
+
+    monkeypatch.setattr(FiniteSpace, "__init__", counted)
+    scenario = _densest_cover(MAX_POINTS)
+    assert len(parse_scenario(scenario)[2]["family"]) == MAX_FAMILY
+    assert built == [MAX_POINTS]
+    member = scenario["instance"]["family"][5]
+    member["space"] = {"up": member["space"]["up"], "points": MAX_POINTS}  # another key order
+    parse_scenario(scenario)
+    assert built == [MAX_POINTS] * 3
+
+
+@pytest.mark.parametrize("model", ["seq_x_end", "seq_y_end", "finite_full"])
+@pytest.mark.parametrize("cond", ["C", "L"])
+@pytest.mark.parametrize("key", ["f", "g"])
+def test_cover_scenario_with_an_unread_pair_is_refused(tmp_path, capsys, model, cond, key):
+    """(C) and (L) read no f or g, so a scenario carrying either is refused at
+    that key's pointer rather than written into a report that replay ignores."""
+    instance = dict(X_COVER) if model == "seq_x_end" else {
+        "epsilon": "1", "family": [MODEL_ELEMS[model]]}
+    assert _check_exit(tmp_path, capsys, _scenario(model, cond, instance))[0] == 0
+    code, err = _check_exit(tmp_path, capsys,
+                            _scenario(model, cond, {**instance, key: MODEL_ELEMS[model]}))
+    assert code == 2
+    assert err.startswith(f"input error: /instance/{key}: condition ({cond}) reads no f or g")

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from normlab import conditions
 from normlab.cli import main
 from normlab.errors import (
     BoundViolation,
@@ -31,6 +32,7 @@ from normlab.insertion_engine import (
     FiniteUrysohnCarrier,
     IterationTrace,
     YUrysohnCarrier,
+    _level_pairs,
     dieudonne_iterate,
     farey_fractions,
     increasing_approx,
@@ -40,7 +42,9 @@ from normlab.insertion_engine import (
 )
 from normlab.lattice_core import AlgElement, finite_join, rescale_to_unit, unscale
 from normlab.rationals import ZERO
+from normlab import replay
 from normlab.replay import (
+    MAX_FRAME,
     MalformedPayload,
     _check,
     _continuous,
@@ -54,9 +58,9 @@ from normlab.replay import (
 )
 from normlab.seq_model import SeqFunc, threshold_indicator
 from normlab.serialize import to_jsonable
-from oracles import (continuous_by_fibers, random_finite_func, random_seq_func,
-                     random_usc_lsc_pair, threshold_by_fractions, up_sets_scan,
-                     urysohn_by_components, urysohn_y_by_cases, with_omega)
+from oracles import (continuous_by_fibers, level_pairs_by_scan, random_finite_func,
+                     random_seq_func, random_usc_lsc_pair, threshold_by_fractions,
+                     up_sets_scan, urysohn_by_components, urysohn_y_by_cases, with_omega)
 
 POINT = FiniteSpace.discrete(1)
 
@@ -642,6 +646,15 @@ def _value(d, p) -> Fraction:
     return _frac(prefix[p] if p < len(prefix) else cycle[(p - len(prefix)) % len(cycle)])
 
 
+def _points(*elems) -> list:
+    """The probe points of the replay frame over the elements: each point of
+    the space, or each index the frame lays out, then "omega" on that carrier."""
+    rd = _Reader()
+    _, rows = rd.frame(*elems)
+    pts = list(range(len(rows[0]) - rd.omega))
+    return pts + ["omega"] if rd.omega else pts
+
+
 def _le(a, b, pts) -> bool:
     return all(_value(a, p) <= _value(b, p) for p in pts)
 
@@ -655,7 +668,7 @@ def _verify_merge_per_value(trace, checks) -> None:
     a, b = trace["a_norm"], trace["b_norm"]
     u, v = trace["u_seq"], trace["v_seq"]
     res = trace["result"]
-    pts = _Reader().points(*(a + b + u + v + [res]))
+    pts = _points(*(a + b + u + v + [res]))
     n = len(a)
     ok_shape = len(b) == n and len(u) == n and len(v) == n
     _check(checks, "merge: aligned sequence lengths", ok_shape)
@@ -691,7 +704,7 @@ def _verify_iteration_pairwise(trace, checks) -> None:
     """Iteration verifier that checks the Cauchy tail pair by pair."""
     a = trace["a_seq"]
     bounds = [_frac(b) for b in trace["step_bounds"]]
-    pts = _Reader().points(*a)
+    pts = _points(*a)
     _check(checks, "iteration: bounds are 1/2^n", len(bounds) == len(a) >= 1
            and all(b == Fraction(1, 2 ** (i + 1)) for i, b in enumerate(bounds)))
     ok = True
@@ -712,7 +725,7 @@ def _verify_iteration_pairwise(trace, checks) -> None:
     ok = True
     for i in range(len(a)):
         eps = bounds[i]
-        for p in _Reader().points(f, g, a[i]):
+        for p in _points(f, g, a[i]):
             if not _value(f, p) - eps <= _value(a[i], p) <= _value(g, p):
                 ok = False
     _check(checks, "iteration: sandwich f - 1/2^n <= a_n <= g", ok)
@@ -733,7 +746,7 @@ def _verify_urysohn_per_value(cert, checks) -> None:
     level set by counting the distinct rescaled values in it."""
     f, g, res, q_max = cert["f"], cert["g"], cert["result"], cert["q_max"]
     hs = [row["h"] for row in cert["pairs"]]
-    pts = _Reader().points(f, g, res, *hs)
+    pts = _points(f, g, res, *hs)
     a = -min(_value(f, p) for p in pts)
     b = max(_value(g, p) for p in pts) + a or Fraction(1)
     _check(checks, "urysohn: transform recomputed",
@@ -1171,8 +1184,10 @@ def test_urysohn_replay_refuses_a_space_that_is_no_preorder(edit):
 
 
 def _continuous_alone(d):
-    # a reader per element: it keys what it parsed by the element's id
-    return _continuous(_Reader(), d)
+    # a reader and a frame per element: the reader keys what it parsed by id
+    rd = _Reader()
+    _, (row,) = rd.frame(d)
+    return _continuous(rd, row)
 
 
 def test_urysohn_replay_continuity():
@@ -1218,3 +1233,82 @@ def test_urysohn_replay_rejects_malformed_certificates(tamper):
     tamper(payload)
     with pytest.raises(MalformedPayload, match="/certificate: malformed urysohn payload"):
         verify_report({"certificate": payload})
+
+
+def _monotone_levels(rng, q_max):
+    """The rank of each Farey value up to q_max, and the level set ids of two
+    random monotone rescaled functions: {f1 >= s} named by how many of f's
+    distinct values are at least s, {g1 > r} by how many of g's exceed r."""
+    grid = farey_fractions(q_max)
+    common = math.lcm(*range(1, q_max + 1))
+    rank = [r.numerator * (common // r.denominator) for r in grid]
+    fvals, gvals = ({Fraction(rng.randint(0, 12), 12) for _ in range(rng.randint(1, 5))}
+                    for _ in range(2))
+    closed = [sum(v >= s for v in fvals) for s in grid]
+    opened = [100 + sum(v > r for v in gvals) for r in grid]
+    return rank, closed, opened
+
+
+def test_level_pair_sweeps_match_the_pair_scan():
+    """The producer's and replay's run sweeps give the level pairs, in order,
+    their first pairs and their largest r, that visiting every grid pair gives."""
+    rng = random.Random(25)
+    for _ in range(1000):
+        rank, closed, opened = _monotone_levels(rng, rng.randint(1, 14))
+        first, top = level_pairs_by_scan(rank, closed, opened)
+        made_first, made_top = _level_pairs(rank, closed, opened)
+        assert list(made_first.items()) == list(first.items()) and made_top == top
+        read_first, read_top = replay._level_pairs(rank, closed, opened)
+        assert list(read_first.items()) == list(first.items())
+        assert read_top == {key: i for key, (i, _) in top.items()}
+
+
+def _mixed_carrier_payloads():
+    """One payload of each kind with one element moved to another carrier."""
+    merge = to_jsonable(tong_merge([SeqFunc([1], (0, 2))], [SeqFunc((), (3,))]))
+    merge["u_seq"][0]["omega"] = "1"
+    iteration = _seq_iteration_payload()
+    iteration["f"]["omega"] = "0"  # a_seq has none: each step's frame would drop omega
+    urysohn = _urysohn_payload("finite")
+    urysohn["pairs"][0]["h"] = {"prefix": [], "cycle": ["0"], "omega": None}
+    report = json.loads(json.dumps(to_jsonable(
+        conditions.check_condition(conditions.SeqYEndModel(), "T", {
+            "f": SeqFunc((), (0,), 0), "g": SeqFunc((), (1,), 1)}))))
+    del report["certificate"]["a_seq"][0]["omega"]
+    space = FiniteSpace.discrete(3)
+    gens = [FiniteFunc(space, [0, 1, 1])]
+    indicators, traces = block_indicators(space, gens)
+    block = json.loads(json.dumps(to_jsonable(
+        {"generators": gens, "traces": traces, "indicators": indicators})))
+    block["indicators"][1] = {"prefix": [], "cycle": ["0", "1", "1"], "omega": None}
+    return {"merge": merge, "iteration": iteration, "urysohn": urysohn, "condition": report,
+            "block": {"block_replay": block}}
+
+
+@pytest.mark.parametrize("kind", ["merge", "iteration", "urysohn", "condition", "block"])
+def test_payload_on_two_carriers_is_malformed(kind):
+    """A payload's elements share one frame, so they must share one carrier:
+    each kind refuses one element moved off it."""
+    payload = _mixed_carrier_payloads()[kind]
+    with pytest.raises(MalformedPayload, match=f"malformed {kind} payload .ValueError: "
+                                               "elements on different carriers"):
+        verify_report(payload)
+
+
+def test_frame_past_max_frame_is_refused_at_once(tmp_path, capsys):
+    """A 767-byte merge payload whose nine sequences have cycles 2, 3, 5, ...,
+    17 would align over 510,510 points; replay refuses it (exit 2) before
+    laying out a row."""
+    def seq(c):
+        return {"prefix": [], "cycle": [str(i % 3) for i in range(c)], "omega": None}
+
+    payload = {"trace": "merge", "a_norm": [seq(2), seq(3)], "b_norm": [seq(5), seq(7)],
+               "u_seq": [seq(11), seq(13)], "v_seq": [seq(17), seq(2)], "result": seq(3)}
+    path = tmp_path / "merge.json"
+    path.write_text(json.dumps(payload))
+    assert main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and (f"a frame of 510510 points exceeds MAX_FRAME = {MAX_FRAME}"
+                                   in captured.err)
+    payload["v_seq"][0] = payload["v_seq"][1]  # 2 * 3 * 5 * 7 * 11 * 13 = 30,030 points
+    assert verify_report(payload)["verified"] == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab.errors import EmptyFamily
+from normlab.errors import EmptyFamily, PreconditionViolation
 from normlab.finite_space import FiniteFunc, FiniteSpace
 from normlab.lattice_core import finite_join, rescale_to_unit, unscale
 from normlab.seq_model import OMEGA, SeqFunc, threshold_indicator
@@ -247,3 +247,27 @@ def test_scalar_shifts_match_the_constant_element_path(pair, c, op):
     got = {"add": lambda: e + c, "sub": lambda: e - c, "rsub": lambda: c - e}[op]()
     assert type(got) is type(e)
     assert _kernel_view(got) == _kernel_view(shift_by_constant_element(e, c, op))
+
+
+def test_operands_on_one_shape_skip_the_alignment(monkeypatch):
+    """Every binary operation pairs its rows through ``_pair``: operands on one
+    shape (equal spaces need not be one object) never reach the carrier's
+    ``_align``; operands on different shapes do, and different spaces raise."""
+    aligned = []
+    for cls in (SeqFunc, FiniteFunc):
+        def counted(self, other, _align=cls._align):
+            aligned.append(type(self).__name__)
+            return _align(self, other)
+        monkeypatch.setattr(cls, "_align", counted)
+    a, b = SeqFunc([1], (2, 3)), SeqFunc([0], (5, 1))
+    f, g = FiniteFunc(FiniteSpace.discrete(2), [1, 2]), FiniteFunc(FiniteSpace.discrete(2), [3, 1])
+    for x, y in ((a, b), (f, g)):
+        assert x._shape == y._shape
+        x + y, x - y, x * y, x.join(y), x.meet(y), x.le(y), x.eq_pointwise(y)
+        x.zip_with(y, max)
+    assert aligned == []
+    assert (a + SeqFunc((), (1, 2, 3))).at(7) == 2 + 2
+    assert aligned == ["SeqFunc"]
+    with pytest.raises(PreconditionViolation, match="different spaces"):
+        f + FiniteFunc(FiniteSpace(2, [3, 2]), [1, 1])
+    assert aligned == ["SeqFunc", "FiniteFunc"]

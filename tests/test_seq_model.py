@@ -26,6 +26,8 @@ from normlab.seq_model import (
     InfeasibleCert,
     SeqFunc,
     Witness,
+    _canonical,
+    _period,
     brute_force_insertable,
     ideal_membership,
     insert_convergent,
@@ -38,6 +40,7 @@ from normlab.seq_model import (
     threshold_indicator,
 )
 from oracles import (
+    canonical_by_divisors,
     clamped_limit_on_naturals,
     clamped_limit_on_y,
     countable_join_family,
@@ -71,6 +74,32 @@ def test_canonical_prefix_absorption():
     b = SeqFunc([1], (2, 3))
     assert a == b
     assert SeqFunc([7], (7,)) == SeqFunc((), (7,))
+
+
+def test_canonical_matches_the_divisor_scan():
+    """The prime-factor period and the untouched-row fast path give the form
+    that trying every divisor gives: every cycle of length <= 8 over {0, 1, 2},
+    with every prefix of up to 3 entries, and on a row of each shape."""
+    checked = 0
+    for n in range(1, 9):
+        for cycle in itertools.product(range(3), repeat=n):
+            for k in range(4):
+                for prefix in itertools.product(range(3), repeat=k):
+                    want = canonical_by_divisors(list(prefix), list(cycle))
+                    assert _canonical(list(prefix), list(cycle)) == want
+                    shape, row = SeqFunc._canonical_row(None, (k, n, True), prefix + cycle + (9,))
+                    assert (shape, tuple(row)) == ((*map(len, want), True), (*want[0], *want[1], 9))
+                    checked += 1
+    assert checked == 9840 * 40
+
+
+def test_period_of_long_cycles():
+    """Lengths with repeated and large prime factors: 2^6, 3^4, 2*3*5*7 and
+    the prime 251, each with its minimal period at every divisor."""
+    for n in (64, 81, 210, 251):
+        for d in range(1, n + 1):
+            if n % d == 0:
+                assert _period(([0] * (d - 1) + [1]) * (n // d)) == d
 
 
 @given(seq_funcs(), st.integers(min_value=0, max_value=40))
