@@ -4,10 +4,11 @@ Subcommands:
 
 * ``check <scenario.json>``: read the scenario in one walk against its model
   (``serialize.parse_scenario``), run the requested condition check, write a
-  JSON report.  Exit 0 when the verdict matches the scenario's expectation (or
+  JSON report, which echoes the scenario's ``expect`` and ``depth`` (read by
+  no route).  Exit 0 when the verdict matches the scenario's expectation (or
   none is stated), 1 on a verdict mismatch, 2 on input errors, each named by
-  its JSON pointer (or by ``--depth``): the reader's own, or ``/instance/``
-  and the key of a value the model's check rejected.
+  its JSON pointer: the reader's own, or ``/instance/`` and the key of a value
+  the model's check rejected.
 * ``reproduce <id>``: run a canned example and assert its golden facts.
 * ``survey --max-size N``: exhaustive finite-topology survey as CSV, for N
   from 1 to ``MAX_ENUM_POINTS`` (any other N exits 2 before any work).
@@ -56,7 +57,7 @@ from .seq_model import (
     local_compact_minorants,
     threshold_indicator,
 )
-from .serialize import parse_depth, parse_scenario, to_jsonable
+from .serialize import parse_scenario, to_jsonable
 
 
 def _print(text: str) -> None:
@@ -94,15 +95,13 @@ def _read_json(path: str):
 def cmd_check(args) -> int:
     try:
         model, condition, instance, depth, expected = parse_scenario(_read_json(args.scenario))
-        if args.depth is not None:
-            depth = parse_depth(args.depth, "--depth")
-        report = check_condition(model, condition, instance, depth)
+        report = check_condition(model, condition, instance)
     except NormlabError as exc:  # a model's value check names the instance key it read
         where = "" if exc.key is None else f"/instance/{exc.key}: "
         print(f"input error: {where}{exc}", file=sys.stderr)
         return 2
     payload = to_jsonable(report)
-    payload["expected"] = expected
+    payload["expected"], payload["depth"] = expected, depth
     _emit(payload, args.out)
     if expected is not None and expected != report.verdict:
         print(f"verdict mismatch: expected {expected}, got {report.verdict}",
@@ -130,7 +129,7 @@ def _ex_tong_merge():
 def _ex_chi_evens():
     f = SeqFunc.periodic([1, 0])
     result = insert_convergent(f, f)
-    report = check_condition(SeqXEndModel(), "N", {"f": f, "g": f}, 64)
+    report = check_condition(SeqXEndModel(), "N", {"f": f, "g": f})
     asserts = {
         "infeasible": isinstance(result, InfeasibleCert),
         "limsup_is_1": result.limsup_f == 1,
@@ -144,7 +143,7 @@ def _ex_chi_evens():
 
 
 def _ex_noncompact():
-    report = check_condition(SeqXEndModel(), "C", {}, depth=8)
+    report = check_condition(SeqXEndModel(), "C", {})
     members = ideal_membership(SeqFunc.constant(1, with_omega=True))
     asserts = {
         "C_fails": report.verdict == "fails",
@@ -241,7 +240,7 @@ def _ex_kt_thresholds():
         "V_covers_second_closed_set": d_set.le(v_ind),
         "U_V_disjoint": (u_ind.meet(v_ind)).value_bounds()[1] == 0,
     }
-    report = check_condition(SeqYEndModel(), "N", {"f": f, "g": g}, 32)
+    report = check_condition(SeqYEndModel(), "N", {"f": f, "g": g})
     return {"example": "KT-thresholds", "assertions": asserts,
             "certificates": [to_jsonable(report)]}
 
@@ -362,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a scenario file")
     p_check.add_argument("scenario")
     p_check.add_argument("--out")
-    p_check.add_argument("--depth", type=int)
     p_check.set_defaults(func=cmd_check)
 
     p_rep = sub.add_parser("reproduce", help="run a canned example")

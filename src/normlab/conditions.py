@@ -3,8 +3,10 @@
 Each condition (T, BS, S, N, D, C, L, SL) is checked against a pluggable
 extension model; reports carry a verdict, holds or fails (no route returns
 unknown_at_depth, and replay refuses it), and a machine-checkable
-certificate.  Countable claims are certified at an explicit truncation
-depth and never silently finitized.
+certificate.  A countable claim is certified by a closed-form rule for its
+family, never by a truncation of it: on the convergent-into-periodic model,
+each (T)/(BS)/(S) side's countable meet or join is exactly its endpoint, and
+the (C)/(L) family is one rule in epsilon and delta.
 
 The scenario reader checks syntax, encoding and bounds; the values of an
 instance are checked here, once each, by the route that reads them (the
@@ -21,6 +23,7 @@ compactified naturals (everything holds).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +45,8 @@ FAILS = "fails"
 UNKNOWN = "unknown_at_depth"
 
 CONDITIONS = ("T", "BS", "S", "N", "D", "C", "L", "SL")
-# (C) on seq_x_end defeats every subfamily of up to this many members
+# (C) on seq_x_end defeats every subfamily of up to this many of its first 8
+# members
 MAX_SUBFAMILY_CAP = 6
 # the gap (D) asks for when an instance names no epsilon
 D_EPSILON = Fraction(1, 2)
@@ -55,7 +59,6 @@ class ConditionReport:
     instance: dict
     verdict: str
     certificate: dict
-    depth: int
 
 
 class ExtensionModel:
@@ -63,40 +66,45 @@ class ExtensionModel:
 
     Subclasses provide one ``cond_<x>`` method per supported condition, each
     returning (verdict, certificate); :func:`check_condition` dispatches to
-    them by name.
+    them by name.  ``reads`` names the instance keys each route reads, which
+    the scenario reader holds a scenario to.
     """
 
     name = "abstract"
-    # the instance keys (C) and (L) read on a model that decides them on a
-    # built-in family; such a model takes no family
-    built_in_family: str | None = None
+    reads = {**dict.fromkeys(("T", "BS", "S", "N"), ("f", "g")), "D": ("f", "g", "epsilon"),
+             "C": ("epsilon", "family"), "L": ("epsilon", "family")}
 
-    def cond_d(self, instance, depth):
+    @classmethod
+    def instance_keys(cls, cond: str) -> tuple:
+        """The instance keys the route of ``cond`` reads; (SL) reads those of
+        (L) and (N)."""
+        return cls.reads["L"] + cls.reads["N"] if cond == "SL" else cls.reads[cond]
+
+    def cond_d(self, instance):
         """(N) with the gap epsilon.  The pair is checked before the gap, so f > g
         is named as such; on a non-compact carrier the gap gives no convergent
         witness (f with cycle [0, 1] and g = f + epsilon)."""
-        verdict, cert = self.cond_n(instance, depth)
+        verdict, cert = self.cond_n(instance)
         eps = check_gap(instance["f"], instance["g"], instance.get("epsilon", D_EPSILON))
         return verdict, {**cert, "epsilon": eps}
 
 
-def check_condition(model: ExtensionModel, cond: str, instance: dict,
-                    depth: int = 32) -> ConditionReport:
+def check_condition(model: ExtensionModel, cond: str, instance: dict) -> ConditionReport:
     """Run one condition check and wrap the result in a report."""
     if cond not in CONDITIONS:
         raise PreconditionViolation(f"unknown condition {cond!r}")
     if cond == "SL":
-        left = check_condition(model, "L", instance, depth)
-        right = check_condition(model, "N", instance, depth)
+        left = check_condition(model, "L", instance)
+        right = check_condition(model, "N", instance)
         verdict = HOLDS if left.verdict == right.verdict == HOLDS else FAILS
         cert = {"L": left.certificate, "L_verdict": left.verdict,
                 "N": right.certificate, "N_verdict": right.verdict}
-        return ConditionReport("SL", model.name, instance, verdict, cert, depth)
+        return ConditionReport("SL", model.name, instance, verdict, cert)
     method = getattr(model, f"cond_{cond.lower()}", None)
     if method is None:
         raise ModelCapabilityMissing(f"{model.name} cannot check ({cond})")
-    verdict, cert = method(instance, depth)
-    return ConditionReport(cond, model.name, instance, verdict, cert, depth)
+    verdict, cert = method(instance)
+    return ConditionReport(cond, model.name, instance, verdict, cert)
 
 
 class FiniteFullModel(ExtensionModel):
@@ -110,30 +118,30 @@ class FiniteFullModel(ExtensionModel):
         self.space = space
         self.name = f"finite_full_{space.n}pt"
 
-    def cond_t(self, instance, depth):
+    def cond_t(self, instance):
         f, g = instance["f"], instance["g"]
         check_order(f, g)
         return HOLDS, {"a_seq": [f], "b_seq": [g]}
 
     cond_bs = cond_t
 
-    def cond_s(self, instance, depth):
+    def cond_s(self, instance):
         f = instance["f"]
         check_order(f, instance["g"])
         return HOLDS, {"a_seq": [f], "b_seq": [f], "witness": f}
 
-    def cond_n(self, instance, depth):
+    def cond_n(self, instance):
         f = instance["f"]
         check_order(f, instance["g"])
         return HOLDS, {"witness": f}
 
-    def cond_d(self, instance, depth):
+    def cond_d(self, instance):
         f, g = instance["f"], instance["g"]
         check_order(f, g)
         eps = check_gap(f, g, instance.get("epsilon", D_EPSILON))
         return HOLDS, {"witness": (f + g) * Fraction(1, 2), "epsilon": eps}
 
-    def cond_c(self, instance, depth):
+    def cond_c(self, instance):
         if "family" not in instance:
             # an instance without a family gets the canonical unit cover
             instance = {"epsilon": ONE,
@@ -164,69 +172,68 @@ class SeqXEndModel(ExtensionModel):
     """
 
     name = "seq_x_end"
-    built_in_family = "epsilon, delta and subfamily_cap"
+    reads = {**ExtensionModel.reads, "C": ("epsilon", "delta", "subfamily_cap"),
+             "L": ("epsilon", "delta")}
 
     @staticmethod
-    def _family_sides(meet_of, join_of, depth) -> dict:
-        """Both sides' certificates.  The meet side's family is the pointwise
-        majorants (n, m) -> meet_of(n) + 1/m off-bound, whose members (k, 1..depth)
-        meet at k to min(meet_of(k) + 1/depth, ||meet_of||); the join side's is
-        the minorants join_of(n) - 1/m, joining to max(join_of(k) - 1/depth,
-        -||join_of||)."""
-        bound = Fraction(1, depth)
-        spreads = {"meet": meet_of.norm() - meet_of.value_bounds()[0],
-                   "join": join_of.norm() + join_of.value_bounds()[1]}
-        return {f"{side}_side": {"depth": depth, "max_residual": min(bound, spreads[side]),
-                                 "residual_bound": bound, f"closed_form_{side}": h}
-                for side, h in (("meet", meet_of), ("join", join_of))}
+    def _family_sides(meet_of, join_of) -> dict:
+        """Both sides' certificates, each the closed form of its countable
+        family.  The meet side's family is the majorants (n, m) -> meet_of(n)
+        + 1/m at n and ||meet_of|| elsewhere, whose meet is exactly meet_of, as
+        1/m has infimum 0 and meet_of is at most its norm; dually, the join
+        side's minorants join_of(n) - 1/m join to exactly join_of."""
+        return {"meet_side": {"closed_form_meet": meet_of},
+                "join_side": {"closed_form_join": join_of}}
 
-    def cond_t(self, instance, depth):
+    def cond_t(self, instance):
         f, g = instance["f"], instance["g"]
         check_naturals_pair(f, g)
-        return HOLDS, self._family_sides(f, g, depth)
+        return HOLDS, self._family_sides(f, g)
 
-    def cond_bs(self, instance, depth):
+    def cond_bs(self, instance):
         f, g = instance["f"], instance["g"]
         check_naturals_pair(f, g)
-        return HOLDS, self._family_sides(g, f, depth)
+        return HOLDS, self._family_sides(g, f)
 
-    def cond_s(self, instance, depth):
+    def cond_s(self, instance):
         f = instance["f"]
         check_naturals_pair(f, instance["g"])
         # both families collapse to the witness in closed form
-        return HOLDS, {"witness": f, **self._family_sides(f, f, depth)}
+        return HOLDS, {"witness": f, **self._family_sides(f, f)}
 
-    def cond_n(self, instance, depth):
+    def cond_n(self, instance):
         result = insert_convergent(instance["f"], instance["g"])
         if isinstance(result, Witness):
             return HOLDS, {"witness": result.func, "limit": result.limit}
         return FAILS, {"limsup_f": result.limsup_f, "liminf_g": result.liminf_g}
 
     def _built_in_family(self, instance):
-        """(epsilon, delta) of the built-in family; both must be positive."""
+        """(epsilon, delta) of the built-in family, whose member n is
+        epsilon + delta up to index n and -delta beyond; both must be positive."""
         eps = rat(instance.get("epsilon", ONE))
         delta = rat(instance.get("delta", Fraction(1, 2)))
         return check_positive(eps, "epsilon"), check_positive(delta, "delta")
 
-    def cond_c(self, instance, depth):
+    def cond_c(self, instance):
         eps, delta = self._built_in_family(instance)
         size_cap = int(instance.get("subfamily_cap", 4))
         if not 1 <= size_cap <= MAX_SUBFAMILY_CAP:
             raise PreconditionViolation(
                 f"subfamily_cap must lie in 1..{MAX_SUBFAMILY_CAP}, got {size_cap}",
                 key="subfamily_cap")
-        # every member is -delta past its truncation, so a subfamily's join is
-        # -delta one index past its largest truncation
-        defeats = [{"subfamily": list(combo), "index": max(combo) + 1, "join_value": -delta}
-                   for combo in _subsets(range(min(depth, 8)), size_cap)]
+        # a finite subfamily's join is -delta one index past its largest
+        # member, below every positive epsilon; each subfamily of the first 8
+        # members with up to size_cap of them is listed
+        defeats = [{"subfamily": list(combo), "index": combo[-1] + 1, "join_value": -delta}
+                   for size in range(1, size_cap + 1)
+                   for combo in itertools.combinations(range(8), size)]
         return FAILS, {"epsilon": eps, "delta": delta, "defeats": defeats}
 
-    def cond_l(self, instance, depth):
+    def cond_l(self, instance):
+        # member k is eps + delta > eps/2 at index k, so the whole family is
+        # the countable subfamily
         eps, delta = self._built_in_family(instance)
-        # member n is eps + delta up to index n and -delta beyond, so member k
-        # is the first one above eps/2 at index k
-        picks = [{"index": k, "member": k, "value": eps + delta} for k in range(depth)]
-        return HOLDS, {"epsilon": eps, "delta": delta, "picks": picks}
+        return HOLDS, {"epsilon": eps, "delta": delta}
 
 
 class SeqYEndModel(ExtensionModel):
@@ -239,22 +246,22 @@ class SeqYEndModel(ExtensionModel):
 
     name = "seq_y_end"
 
-    def cond_n(self, instance, depth):
+    def cond_n(self, instance):
         w = insert_on_y(instance["f"], instance["g"])
         return HOLDS, {"witness": w.func, "limit": w.limit}
 
-    def cond_t(self, instance, depth):
+    def cond_t(self, instance):
         w = insert_on_y(instance["f"], instance["g"])
         # a single continuous witness serves both sides
         return HOLDS, {"a_seq": [w.func], "b_seq": [w.func]}
 
     cond_bs = cond_t
 
-    def cond_s(self, instance, depth):
+    def cond_s(self, instance):
         w = insert_on_y(instance["f"], instance["g"])
         return HOLDS, {"witness": w.func, "a_seq": [w.func], "b_seq": [w.func]}
 
-    def cond_c(self, instance, depth):
+    def cond_c(self, instance):
         if "family" not in instance:
             # an instance without a family gets the canonical unit cover; the carrier is
             # compact, so any verified cover admits a finite subfamily
@@ -267,10 +274,4 @@ class SeqYEndModel(ExtensionModel):
 
     # the finite subfamily doubles as the countable one
     cond_l = cond_c
-
-
-def _subsets(pool, max_size):
-    import itertools
-    for size in range(1, max_size + 1):
-        yield from itertools.combinations(pool, size)
 

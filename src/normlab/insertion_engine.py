@@ -3,8 +3,8 @@
 Each procedure consumes elements of any :class:`~normlab.lattice_core.AlgElement`
 carrier (plus an injected oracle where one is needed) and emits a trace whose
 every inequality is re-checkable from the trace alone.  Countable sequences
-become finite lists: on the finite model they stabilize, on the sequence
-model they are exercised at explicit truncation depth.
+become finite lists: on the finite model they stabilize, and on the sequence
+model a trace holds the steps or members it was given.
 
 A procedure checks its inputs and its injected oracles and carriers, and
 nothing those checks already imply; :mod:`normlab.replay` checks the

@@ -3,9 +3,9 @@
 Functions on the naturals are represented as eventually periodic rational
 sequences (a finite prefix plus a repeating cycle), optionally carrying a
 value at the added point omega.  These fragments are closed under all the
-algebra operations, so order and equality stay decidable, and the
-countable/infinitary extension conditions become checkable at explicit
-truncation depth with certificates.
+algebra operations, so order and equality stay decidable, and each
+countable extension condition is certified by a closed-form rule for its
+family rather than by a truncation of it.
 
 A function on the compactified carrier is "convergent" when its cycle is a
 single repeated value equal to its omega value; convergent functions are

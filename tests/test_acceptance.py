@@ -151,7 +151,7 @@ def test_criterion_3_infeasible_pair(emit):
         k = cert.refute(cand)
         assert not f.at(k) <= cand.at(k) <= f.at(k)
     # the (N) report carries the same limsup/liminf claim to replay
-    report = check_condition(SeqXEndModel(), "N", {"f": f, "g": f}, 64)
+    report = check_condition(SeqXEndModel(), "N", {"f": f, "g": f})
     assert report.verdict == FAILS
     emit(to_jsonable(report))
 
@@ -173,7 +173,7 @@ def test_criterion_4_compactness_machinery(emit):
         assert max(family[i].omega for i in chosen) > Fraction(1, 2)
         if trial % 10 == 0:
             report = check_condition(SeqYEndModel(), "C",
-                                     {"epsilon": Fraction(1), "family": family}, 8)
+                                     {"epsilon": Fraction(1), "family": family})
             assert report.verdict == HOLDS
             emit(to_jsonable(report))
     member, _, defeat = noncompact_family(1, Fraction(1, 2))
@@ -182,7 +182,7 @@ def test_criterion_4_compactness_machinery(emit):
             idx, val = defeat(sub)
             assert idx > max(sub) and val < 0
             assert val == max(member(n).at(idx) for n in sub)
-    report = check_condition(SeqXEndModel(), "C", {}, 8)
+    report = check_condition(SeqXEndModel(), "C", {})
     assert report.verdict == FAILS
     emit(to_jsonable(report))
     one = SeqFunc.constant(1, with_omega=True)
@@ -208,7 +208,7 @@ def test_criterion_5_oracle_agreement(emit):
             assert fast.func.is_convergent()
         if trial % 50 == 0:
             emit(to_jsonable(check_condition(SeqXEndModel(), "N",
-                                             {"f": f, "g": g}, 64)))
+                                             {"f": f, "g": g})))
     assert disagreements == 0
 
 
@@ -325,7 +325,7 @@ def test_criterion_9_compact_carrier(emit):
         assert f.le(w.func) and w.func.le(g)
         assert w.func.is_convergent()
         if trial % 20 == 0:
-            report = check_condition(SeqYEndModel(), "N", {"f": f, "g": g}, 16)
+            report = check_condition(SeqYEndModel(), "N", {"f": f, "g": g})
             assert report.verdict == HOLDS
             emit(to_jsonable(report))
     # disjoint closed sets get disjoint open threshold neighbourhoods

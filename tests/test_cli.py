@@ -225,10 +225,34 @@ def test_check_missing_pair_is_input_error(tmp_path, capsys, model, cond, presen
 
 def test_parser_reuse_keeps_no_options(tmp_path, capsys):
     path = write(tmp_path, "s.json", SCENARIO_N_FAILS)
-    assert main(["check", path, "--depth", "5"]) == 0
-    assert json.loads(capsys.readouterr().out)["depth"] == 5
+    out = tmp_path / "report.json"
+    assert main(["check", path, "--out", str(out)]) == 0
+    out.unlink()
     assert main(["check", path]) == 0
-    assert json.loads(capsys.readouterr().out)["depth"] == SCENARIO_N_FAILS["depth"]
+    assert not out.exists()
+
+
+def test_check_echoes_the_scenario_depth(tmp_path, capsys):
+    """No route reads ``depth``: the report echoes the scenario's value (null
+    when it gives none) and is otherwise the same at every depth."""
+    reports = []
+    for depth in (1, 64, 512, None):
+        scenario = dict(SCENARIO_N_FAILS, depth=depth)
+        if depth is None:
+            del scenario["depth"]
+        assert main(["check", write(tmp_path, "s.json", scenario)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("depth") == depth
+        reports.append(report)
+    assert all(report == reports[0] for report in reports)
+
+
+@pytest.mark.parametrize("flag", ["5", "0"])
+def test_check_takes_no_depth_flag(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", write(tmp_path, "s.json", SCENARIO_N_FAILS), "--depth", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --depth" in capsys.readouterr().err
 
 
 FINITE_SPACE_2 = {"points": 2, "up": [[0], [0, 1]]}
@@ -308,10 +332,15 @@ def test_check_element_off_the_model_carrier_is_input_error(
 X_COVER = {"epsilon": "1", "delta": "1/2", "subfamily_cap": 2}
 
 
+def _x_cover(cond):
+    """The built-in family's keys that (C), or (L) and (SL), read on seq_x_end."""
+    return dict(X_COVER) if cond == "C" else {"epsilon": "1", "delta": "1/2"}
+
+
 @pytest.mark.parametrize("cond", ["C", "L", "SL"])
 def test_check_family_on_seq_x_end_is_input_error(tmp_path, capsys, cond):
     own = MODEL_ELEMS["seq_x_end"]
-    instance = dict(X_COVER, f=own, g=own) if cond == "SL" else dict(X_COVER)
+    instance = dict(_x_cover(cond), f=own, g=own) if cond == "SL" else _x_cover(cond)
     path = write(tmp_path, "s.json", _scenario("seq_x_end", cond, instance))
     assert main(["check", path]) == 0
     capsys.readouterr()
@@ -319,7 +348,37 @@ def test_check_family_on_seq_x_end_is_input_error(tmp_path, capsys, cond):
     path = write(tmp_path, "s.json", _scenario("seq_x_end", cond, instance))
     assert main(["check", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: /instance/family:") and "built-in family" in err
+    assert err.startswith(f"input error: /instance/family: condition ({cond}) on seq_x_end "
+                          "reads no family")
+
+
+@pytest.mark.parametrize("model,cond,extra", [
+    ("seq_x_end", "N", {"epsilon": "1", "delta": "1/2", "subfamily_cap": 2}),
+    ("seq_x_end", "L", {"subfamily_cap": 2}),
+    ("seq_x_end", "SL", {"subfamily_cap": 2}),
+    ("seq_x_end", "D", {"delta": "1/2"}),
+    ("seq_y_end", "T", {"delta": "1/2"}),
+    ("seq_y_end", "N", {"epsilon": "1/2"}),
+    ("finite_full", "C", {"delta": "1/2"}),
+])
+def test_check_refuses_an_instance_key_its_route_does_not_read(
+        tmp_path, capsys, model, cond, extra):
+    """Each key the route does not read is refused at its own pointer, rather
+    than echoed in a report that nothing reads it from."""
+    own = MODEL_ELEMS[model]
+    instance = {}
+    if cond in ("T", "N", "D", "SL"):
+        instance.update(f=own, g={"cycle": ["5"]} if cond == "D" else own)
+    if cond in ("L", "SL") and model == "seq_x_end":
+        instance.update(epsilon="1", delta="1/2")
+    if cond == "C" and model != "seq_x_end":
+        instance.update(epsilon="1", family=[own])
+    assert _check_exit(tmp_path, capsys, _scenario(model, cond, instance))[0] == 0
+    for key, value in extra.items():
+        code, err = _check_exit(tmp_path, capsys, _scenario(model, cond, {**instance, key: value}))
+        assert code == 2
+        assert err.startswith(f"input error: /instance/{key}: condition ({cond}) on {model} "
+                              f"reads no {key}")
 
 
 def test_check_seed_key_is_input_error(tmp_path, capsys):
@@ -416,75 +475,82 @@ LIST_EDITS = {"drop-first": _drop_first, "drop-last": list.pop, "keep-one": _kee
 
 
 @pytest.mark.parametrize("edit", sorted(LIST_EDITS))
-@pytest.mark.parametrize("cond,key", [("C", "defeats"), ("L", "picks")])
-def test_replay_derives_every_defeat_and_pick(tmp_path, capsys, cond, key, edit):
-    """Replay derives the (C) defeats (162 at depth 8 and subfamily_cap 4) and
-    the (L) picks (one per index below depth 16) and compares the lists, so a
-    dropped, duplicated or swapped entry fails replay."""
-    if cond == "C":
-        report = json.loads(json.dumps(CATALOG["noncompact-C-failure"]()["certificates"][0]))
-    else:
-        scenario = dict(_scenario("seq_x_end", "L", {"epsilon": "1", "delta": "1/2"}), depth=16)
-        report_path = tmp_path / "report.json"
-        assert main(["check", write(tmp_path, "s.json", scenario), "--out", str(report_path)]) == 0
-        report = json.loads(report_path.read_text())
+def test_replay_derives_every_defeat(tmp_path, capsys, edit):
+    """Replay derives the (C) defeats (162 at subfamily_cap 4, over the first 8
+    members) and compares the lists, so a dropped, duplicated or swapped entry
+    fails replay."""
+    report = json.loads(json.dumps(CATALOG["noncompact-C-failure"]()["certificates"][0]))
     assert verify_report(report)["ok"]
-    assert len(report["certificate"][key]) == {"C": 162, "L": 16}[cond]
-    LIST_EDITS[edit](report["certificate"][key])
+    assert len(report["certificate"]["defeats"]) == 162
+    LIST_EDITS[edit](report["certificate"]["defeats"])
     capsys.readouterr()
     assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
-def test_replay_rejects_l_pick_past_its_member(tmp_path, capsys):
-    path = write(tmp_path, "s.json", _scenario("seq_x_end", "L", dict(X_COVER)))
+@pytest.mark.parametrize("epsilon", ["0", "-5"])
+def test_replay_refuses_the_catalog_c_failure_at_nonpositive_epsilon(epsilon):
+    """The catalog's (C) report names no epsilon in its instance, so its
+    certificate's copy stands alone, and replay checks it is positive."""
+    report = json.loads(json.dumps(CATALOG["noncompact-C-failure"]()["certificates"][0]))
+    report["certificate"]["epsilon"] = epsilon
+    out = verify_report(report)
+    assert not out["ok"] and out["checks"] == [
+        {"check": "C fails: every listed subfamily defeated", "ok": False}]
+
+
+def _x_report(tmp_path, capsys, cond, instance):
+    """The check report of a seq_x_end scenario, which replays ok."""
+    path = write(tmp_path, "s.json", _scenario("seq_x_end", cond, instance))
     report_path = tmp_path / "report.json"
     assert main(["check", path, "--out", str(report_path)]) == 0
     assert main(["replay", str(report_path)]) == 0
     capsys.readouterr()
-    report = json.loads(report_path.read_text())
-    report["certificate"]["picks"][1]["member"] = 0  # member 0 is -delta at index 1
-    assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
-    assert json.loads(capsys.readouterr().out)["ok"] is False
+    return json.loads(report_path.read_text())
 
 
-@pytest.mark.parametrize("key,value", [("value", "7"), ("value", "1"), ("delta", "1/4")])
-def test_replay_rejects_l_pick_off_its_closed_form(tmp_path, capsys, key, value):
-    """Member 2 is epsilon + delta = 3/2 at index 2; any other value, or a delta
-    that does not give it (in the instance and the certificate alike), fails
-    even while it stays above epsilon/2."""
-    path = write(tmp_path, "s.json", dict(_scenario("seq_x_end", "L", dict(X_COVER)), depth=4))
-    report_path = tmp_path / "report.json"
-    assert main(["check", path, "--out", str(report_path)]) == 0
-    assert main(["replay", str(report_path)]) == 0
-    capsys.readouterr()
-    report = json.loads(report_path.read_text())
-    cert = report["certificate"]
-    assert cert["delta"] == "1/2" and cert["picks"][2] == {"index": 2, "member": 2, "value": "3/2"}
-    if key == "delta":
-        cert["delta"] = report["instance"]["delta"] = value
-    else:
-        cert["picks"][2]["value"] = value
-    assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
-    assert json.loads(capsys.readouterr().out)["ok"] is False
-
-
-def test_replay_rejects_residual_off_its_closed_form(tmp_path, capsys):
-    instance = {"f": {"cycle": ["0", "1"]}, "g": {"cycle": ["2"]}}
-    path = write(tmp_path, "s.json", dict(_scenario("seq_x_end", "T", instance), depth=8))
-    report_path = tmp_path / "report.json"
-    assert main(["check", path, "--out", str(report_path)]) == 0
-    assert main(["replay", str(report_path)]) == 0
-    capsys.readouterr()
-    report = json.loads(report_path.read_text())
-    meet_side = report["certificate"]["meet_side"]
-    meet_side["closed_form_meet"] = {"prefix": [], "cycle": ["5"], "omega": None}
-    meet_side["max_residual"] = "0"  # consistent with the constant 5, not with f
+def _replay_fails(tmp_path, capsys, report) -> list:
+    """The rows that fail when a tampered report is replayed (exit 1)."""
     assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is False
-    assert [c["check"] for c in out["checks"] if not c["ok"]] == \
-        ["T holds: meet_side residual within bound"]
+    return [c["check"] for c in out["checks"] if not c["ok"]]
+
+
+@pytest.mark.parametrize("cond", ["C", "L", "SL"])
+@pytest.mark.parametrize("key,value", [("epsilon", "0"), ("epsilon", "-5"),
+                                       ("delta", "0"), ("delta", "-1/4")])
+def test_replay_refuses_a_nonpositive_built_in_family(tmp_path, capsys, cond, key, value):
+    """The built-in family needs epsilon > 0 and delta > 0, which the producer
+    enforces: a report with either set to 0 or below, in the instance and the
+    certificate alike, fails replay (at epsilon -5 the (C) claim is false, as
+    the join -delta of any subfamily covers at level -5)."""
+    instance = dict(_x_cover(cond))
+    if cond == "SL":
+        instance.update(f={"cycle": ["0"]}, g={"cycle": ["1"]})
+    report = _x_report(tmp_path, capsys, cond, instance)
+    cert = report["certificate"]["L"] if cond == "SL" else report["certificate"]
+    cert[key] = report["instance"][key] = value
+    row = ("C fails: every listed subfamily defeated" if cond == "C"
+           else "L holds: member k is eps + delta > eps/2 at index k")
+    assert _replay_fails(tmp_path, capsys, report) == [row]
+
+
+@pytest.mark.parametrize("cond", ["T", "BS", "S"])
+@pytest.mark.parametrize("side", ["meet_side", "join_side"])
+def test_replay_rejects_a_closed_form_off_its_endpoint(tmp_path, capsys, cond, side):
+    """Each side's closed form must be the endpoint whose countable meet or
+    join it stands for; the constant 5, or the other endpoint, fails."""
+    instance = {"f": {"cycle": ["0", "1"]}, "g": {"cycle": ["2"]}}
+    report = _x_report(tmp_path, capsys, cond, instance)
+    key = f"closed_form_{side[:-5]}"
+    endpoint = report["certificate"][side][key]
+    others = [{"prefix": [], "cycle": ["5"], "omega": None},
+              instance["g"] if endpoint["cycle"] == instance["f"]["cycle"] else instance["f"]]
+    for other in others:
+        report["certificate"][side][key] = other
+        assert _replay_fails(tmp_path, capsys, report) == \
+            [f"{cond} holds: {side} closed form is its endpoint"]
 
 
 Y_COVER = {"epsilon": "1", "family": [
@@ -730,25 +796,13 @@ def test_check_pair_out_of_order_is_input_error(tmp_path, capsys, model, cond):
         "seq_y_end": {"prefix": ["0"], "cycle": ["2"], "omega": "2"},
         "finite_full": {"space": FINITE_SPACE_2, "values": ["0", "2"]},
     }
-    instance = {"f": MODEL_ELEMS[model], "g": below[model], **(X_COVER if cond == "SL" else {})}
-    if cond == "SL" and model != "seq_x_end":
-        instance["family"] = [MODEL_ELEMS[model]]
+    instance = {"f": MODEL_ELEMS[model], "g": below[model]}
+    if cond == "SL":
+        instance.update(_x_cover("L") if model == "seq_x_end" else
+                        {"epsilon": "1", "family": [MODEL_ELEMS[model]]})
     code, err = _check_exit(tmp_path, capsys, _scenario(model, cond, instance))
     assert code == 2
     assert err.startswith("input error: /instance/g: f <= g fails at point 0")
-
-
-@pytest.mark.parametrize("flag", ["-3", "0", "513"])
-def test_check_depth_flag_is_bounded(tmp_path, capsys, flag):
-    code, err = _check_exit(tmp_path, capsys, SCENARIO_N_FAILS, "--depth", flag)
-    assert code == 2
-    assert err.startswith("input error: --depth: ") and "MAX_DEPTH = 512" in err
-
-
-def test_check_depth_flag_at_limits(tmp_path, capsys):
-    for depth in ("1", "512"):
-        assert main(["check", write(tmp_path, "s.json", SCENARIO_N_FAILS), "--depth", depth]) == 0
-        assert json.loads(capsys.readouterr().out)["depth"] == int(depth)
 
 
 @pytest.mark.parametrize("command", ["check", "replay"])
@@ -789,10 +843,11 @@ def test_scenario_reader_reads_one_space(monkeypatch):
 def test_cover_scenario_with_an_unread_pair_is_refused(tmp_path, capsys, model, cond, key):
     """(C) and (L) read no f or g, so a scenario carrying either is refused at
     that key's pointer rather than written into a report that replay ignores."""
-    instance = dict(X_COVER) if model == "seq_x_end" else {
+    instance = _x_cover(cond) if model == "seq_x_end" else {
         "epsilon": "1", "family": [MODEL_ELEMS[model]]}
     assert _check_exit(tmp_path, capsys, _scenario(model, cond, instance))[0] == 0
     code, err = _check_exit(tmp_path, capsys,
                             _scenario(model, cond, {**instance, key: MODEL_ELEMS[model]}))
     assert code == 2
-    assert err.startswith(f"input error: /instance/{key}: condition ({cond}) reads no f or g")
+    assert err.startswith(f"input error: /instance/{key}: condition ({cond}) on {model} "
+                          f"reads no {key}")

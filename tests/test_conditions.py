@@ -1,4 +1,4 @@
-"""Condition checkers, model dichotomies, depth monotonicity, and the
+"""Condition checkers, model dichotomies, and the
 implications between the conditions, checked by converting witnesses."""
 
 import random
@@ -13,7 +13,6 @@ from normlab.conditions import (
     FAILS,
     HOLDS,
     MAX_SUBFAMILY_CAP,
-    UNKNOWN,
     FiniteFullModel,
     SeqXEndModel,
     SeqYEndModel,
@@ -52,7 +51,7 @@ def test_unknown_condition_rejected():
 
 def test_x_end_n_fails_on_chi_evens():
     report = check_condition(SeqXEndModel(), "N",
-                             {"f": CHI_EVENS, "g": CHI_EVENS}, 64)
+                             {"f": CHI_EVENS, "g": CHI_EVENS})
     assert report.verdict == FAILS
     assert report.certificate["limsup_f"] == 1
     assert report.certificate["liminf_g"] == 0
@@ -61,22 +60,22 @@ def test_x_end_n_fails_on_chi_evens():
 def test_x_end_countable_conditions_hold():
     inst = {"f": CHI_EVENS, "g": CHI_EVENS}
     for cond in ("T", "BS", "S"):
-        assert check_condition(SeqXEndModel(), cond, inst, 16).verdict == HOLDS
+        assert check_condition(SeqXEndModel(), cond, inst).verdict == HOLDS
 
 
 def test_x_end_sl_decomposes():
     inst = {"f": CHI_EVENS, "g": CHI_EVENS}
-    report = check_condition(SeqXEndModel(), "SL", inst, 16)
+    report = check_condition(SeqXEndModel(), "SL", inst)
     assert report.verdict == FAILS
     assert report.certificate["L_verdict"] == HOLDS
     assert report.certificate["N_verdict"] == FAILS
 
 
 def test_c_dichotomy_across_ends():
-    assert check_condition(SeqXEndModel(), "C", {}, 8).verdict == FAILS
+    assert check_condition(SeqXEndModel(), "C", {}).verdict == FAILS
     fam = [SeqFunc.constant(2, with_omega=True)]
     report = check_condition(SeqYEndModel(), "C",
-                             {"epsilon": Fraction(1), "family": fam}, 8)
+                             {"epsilon": Fraction(1), "family": fam})
     assert report.verdict == HOLDS
 
 
@@ -87,7 +86,7 @@ def test_y_end_everything_holds():
         inst = random_usc_lsc_pair(rng)
         for cond in CONDITIONS:
             use = gapped(inst) if cond == "D" else inst
-            assert check_condition(model, cond, use, 8).verdict == HOLDS
+            assert check_condition(model, cond, use).verdict == HOLDS
 
 
 def test_finite_full_everything_holds():
@@ -97,20 +96,7 @@ def test_finite_full_everything_holds():
         inst = random_finite_pair(model.space, rng)
         for cond in CONDITIONS:
             use = gapped(inst) if cond == "D" else inst
-            assert check_condition(model, cond, use, 8).verdict == HOLDS
-
-
-def test_verdicts_monotone_in_depth():
-    rng = random.Random(4)
-    model = SeqXEndModel()
-    for _ in range(10):
-        inst = random_x_pair(rng)
-        for cond in CONDITIONS:
-            use = gapped(inst) if cond == "D" else inst
-            verdicts = [check_condition(model, cond, use, d).verdict
-                        for d in (8, 16, 32)]
-            settled = [v for v in verdicts if v != UNKNOWN]
-            assert len(set(settled)) <= 1
+            assert check_condition(model, cond, use).verdict == HOLDS
 
 
 convergent = st.builds(lambda prefix, limit: SeqFunc(prefix, (limit,), limit),
@@ -148,7 +134,7 @@ MODEL_FUNCS = {
 def test_pair_out_of_order_names_key_g(model, cond):
     make, elem = MODEL_FUNCS[model]
     with pytest.raises(PreconditionViolation, match="f <= g fails at point 0") as exc:
-        check_condition(make(), cond, {"f": elem(1), "g": elem(0)}, depth=8)
+        check_condition(make(), cond, {"f": elem(1), "g": elem(0)})
     assert exc.value.key == "g"
 
 
@@ -157,7 +143,7 @@ def test_pair_out_of_order_names_key_g(model, cond):
 def test_d_rejects_nonpositive_epsilon(model, epsilon):
     make, elem = MODEL_FUNCS[model]
     with pytest.raises(PreconditionViolation, match="epsilon must be positive") as exc:
-        check_condition(make(), "D", {"f": elem(0), "g": elem(1), "epsilon": epsilon}, depth=8)
+        check_condition(make(), "D", {"f": elem(0), "g": elem(1), "epsilon": epsilon})
     assert exc.value.key == "epsilon"
 
 
@@ -176,7 +162,7 @@ def test_finite_cover_rejects_empty_family():
 @pytest.mark.parametrize("cap", [0, -1, MAX_SUBFAMILY_CAP + 1])
 def test_x_end_cover_rejects_subfamily_cap_out_of_range(cap):
     with pytest.raises(PreconditionViolation, match="subfamily_cap"):
-        check_condition(SeqXEndModel(), "C", {"subfamily_cap": cap}, depth=8)
+        check_condition(SeqXEndModel(), "C", {"subfamily_cap": cap})
 
 
 def test_missing_capability():
@@ -219,7 +205,7 @@ def merge_gives_s(f, g, depth):
 def test_t_gives_s_via_merge():
     for model, instances in harness_cases():
         tested = [inst for inst in instances
-                  if check_condition(model, "T", inst, HARNESS_DEPTH).verdict == HOLDS]
+                  if check_condition(model, "T", inst).verdict == HOLDS]
         assert tested, model.name
         for inst in tested:
             assert merge_gives_s(inst["f"], inst["g"], HARNESS_DEPTH), model.name
@@ -228,20 +214,20 @@ def test_t_gives_s_via_merge():
 def test_bs_gives_t():
     for model, instances in harness_cases():
         tested = [inst for inst in instances
-                  if check_condition(model, "BS", inst, HARNESS_DEPTH).verdict == HOLDS]
+                  if check_condition(model, "BS", inst).verdict == HOLDS]
         assert tested, model.name
         for inst in tested:
-            assert check_condition(model, "T", inst, HARNESS_DEPTH).verdict == HOLDS
+            assert check_condition(model, "T", inst).verdict == HOLDS
 
 
 def test_c_matches_compactness_of_the_unit():
     """(C) on seq_x_end holds iff the unit lies in the compact-support ideal;
     the other two carriers are compact."""
     unit_compact = ideal_membership(SeqFunc.constant(1, with_omega=True))["in_I_alpha"]
-    assert check_condition(SeqXEndModel(), "C", {}, HARNESS_DEPTH).verdict == (
+    assert check_condition(SeqXEndModel(), "C", {}).verdict == (
         HOLDS if unit_compact else FAILS)
     for model in (SeqYEndModel(), FiniteFullModel(FiniteSpace.discrete(3))):
-        assert check_condition(model, "C", {}, HARNESS_DEPTH).verdict == HOLDS
+        assert check_condition(model, "C", {}).verdict == HOLDS
 
 
 def test_eps_removal_on_seq_y_end():
@@ -249,8 +235,8 @@ def test_eps_removal_on_seq_y_end():
     joins to at least 1/4."""
     eps, shift = Fraction(1, 2), Fraction(1, 4)
     family = [SeqFunc.from_support({0: 1}, 0, 0) + eps, SeqFunc.from_support({0: 0}, 1, 1)]
-    chosen = check_condition(SeqYEndModel(), "C", {"epsilon": eps, "family": family},
-                             HARNESS_DEPTH).certificate["subfamily"]
+    chosen = check_condition(SeqYEndModel(), "C", {"epsilon": eps, "family": family}
+                             ).certificate["subfamily"]
     assert finite_join([family[i] + shift for i in chosen]).value_bounds()[0] >= shift
 
 
@@ -263,6 +249,6 @@ def test_reports_replay_through_independent_verifier():
         for cond in CONDITIONS:
             inst = gen(rng)
             use = gapped(inst) if cond == "D" else inst
-            report = check_condition(model, cond, use, 16)
+            report = check_condition(model, cond, use)
             result = verify_report(to_jsonable(report))
             assert result["ok"], (model.name, cond, result["checks"])

@@ -23,6 +23,17 @@ writes each new output's spaces back as open sets and gets the old bytes.
 No replay digest moved.  The tampered-replay digest was re-pinned with them,
 since a certificate copy of an instance value that differs from it became a
 malformed payload.
+
+Countable claims on ``seq_x_end`` then went from truncated certificates to
+their closed-form rule, and no route reads ``depth`` any more: each
+(T)/(BS)/(S) side lost its ``depth``, ``residual_bound`` and
+``max_residual``, each (L) certificate its ``picks``, and each catalog
+condition report its ``depth``; ``check`` echoes the scenario's ``depth``.
+That moved both halves of the seq_x_end T, BS, S, L and SL entries (replay
+renamed the rows that read the deleted keys), three reproduce digests and the
+tampered-replay digest.  ``TRUNCATED_FORM_DIGESTS`` keeps each old digest,
+and a test writes each new output back in the truncated form and gets the old
+bytes.
 """
 
 import ast
@@ -156,11 +167,11 @@ CHECK_DIGESTS = {
         "ad55ad7106f9fd67cab837cfd4f5033c16173c1731860954494a4c181c0d5723",
         "b2ef2d9e3dff5efe16cd9748cb06e10e0b09ab60c4f14e95434df1afec1c561d"),
     ('seq_x_end', 'BS', 8): (
-        "a8f4af8ba92222fa20e9c012abfde562746b17d0022e9f7df5cf5a0a14ab99ce",
-        "e62f42e5f069ed48774c8eca26e68082a9628771f8705433ab6e23d84dc49e15"),
+        "2d0783f564c4c978d898aae86b0cc6b4339938cb8a19d2bbc14d037ec06fc397",
+        "b41f5f71eb8caf44ada15c10753973997cb7b4d509be067ef311b8291889752c"),
     ('seq_x_end', 'BS', 64): (
-        "75e5c97ce337d0496e8e5538e46f8a7cb2f212916eafa9d7a8c371ab4f82d0af",
-        "e62f42e5f069ed48774c8eca26e68082a9628771f8705433ab6e23d84dc49e15"),
+        "67692ecbebb4c541f271d62f2f15df9ae26c08a41c555ffeaee6992b55e444b3",
+        "b41f5f71eb8caf44ada15c10753973997cb7b4d509be067ef311b8291889752c"),
     ('seq_x_end', 'C', 8): (
         "52c7ebc961bdabc42a55c8973cb24454375bbb2dceaefd9e030281e75f2e0c6c",
         "9bc42f4895402c7c44ef833d7a020d1986e39fa04e95cd7e3e7d5423caade397"),
@@ -174,11 +185,11 @@ CHECK_DIGESTS = {
         "8d72264c6502a8cf8dac94da904c2bbdfdec3adb34f8025fad329e71a2ed291a",
         "9178944454c3cd1a04688da7e1297f060313785e3d966048ce65c5c33447a324"),
     ('seq_x_end', 'L', 8): (
-        "64ae6fef8cc9029bdc65e3c368b06fee08e18fb0da4028d00d9f46aa0322c43f",
-        "4cb3faeaed8ffb3c3f829ce47c44d29e5a6db520b0c055009e2764362635b373"),
+        "ca1b92d4deba08000220ecab5333b4569c93b41ed3348d208b53da715ddbda82",
+        "b85246cc2454dc120149b9230612d31a3af571b7e03d8961732bbdfcc8aaef9c"),
     ('seq_x_end', 'L', 64): (
-        "5b2d10b15fd422b559fbbe48cf5cc992ce3925308e6d48580dddb6df334cbb9d",
-        "4cb3faeaed8ffb3c3f829ce47c44d29e5a6db520b0c055009e2764362635b373"),
+        "f07b295e6ec14177d0397274fa27ad48e014130d51c33dec6ba7919fdc8f107c",
+        "b85246cc2454dc120149b9230612d31a3af571b7e03d8961732bbdfcc8aaef9c"),
     ('seq_x_end', 'N', 8): (
         "0021c3adba15ca6dd8c535aabcf33bac869b82ec762ea27e79180e1cb710b542",
         "2ac6b6e1e4340c08f391e38972be61a66429cafbe686fb3a5153780105bcc829"),
@@ -186,23 +197,23 @@ CHECK_DIGESTS = {
         "2de0dc381d1d7428c2e21276ca76c61f06b88f9f6c0f816ab73146c0e7d381dd",
         "2ac6b6e1e4340c08f391e38972be61a66429cafbe686fb3a5153780105bcc829"),
     ('seq_x_end', 'S', 8): (
-        "344707d7260d5f8bb7c10aa76522060a6c23775503c3c3b984805a273d96248d",
-        "3cd38f99d21324d37479fe46d1aee5e5a05544cd7e4a84cc62f6a3438bb40868"),
+        "3b9a6e99d53a13ef4197fc610ff7d488f10325f25a0fa55c88a032aa817890d5",
+        "ea7bda2449b8d553f57d3eba040f0f2942c42ec1ddc8a235a3ebb610e3d71b16"),
     ('seq_x_end', 'S', 64): (
-        "73df0a918afab2af476e5ca31d7903f27e211f84fd7a1a6a2e24faeca6035e10",
-        "3cd38f99d21324d37479fe46d1aee5e5a05544cd7e4a84cc62f6a3438bb40868"),
+        "eefa162c447a3251094a3dd305ca9d145a83f462bd1374a1443f80e48c362df4",
+        "ea7bda2449b8d553f57d3eba040f0f2942c42ec1ddc8a235a3ebb610e3d71b16"),
     ('seq_x_end', 'SL', 8): (
-        "187a0b6907f95287c45f951cce199621717ba55872b34cceaecd9d21b7c90aa8",
-        "7f966929accd84e46825f941468335015a986a616abb151af4e5bf2d4ace23e0"),
+        "1a7815391be0c06a0c48382992077a5f87717a6d7975396e2170bcbb4114127e",
+        "43616e57c1519c8b90ede666b3b3cd3540d30ad0f6379ba04d2e757f3049a580"),
     ('seq_x_end', 'SL', 64): (
-        "c2004bcc60ff0f555bb9ceb095f210a0620df18581d081f9efc6164d85835192",
-        "7f966929accd84e46825f941468335015a986a616abb151af4e5bf2d4ace23e0"),
+        "e99397e4e262942c60a7f85615b64e182dd483ea7fa8d1b8122a470e438353d2",
+        "43616e57c1519c8b90ede666b3b3cd3540d30ad0f6379ba04d2e757f3049a580"),
     ('seq_x_end', 'T', 8): (
-        "488d9499221877e8397be9e150414dc0939c05bc72b6616489310e609c715c43",
-        "1f86fb365eba068e93c2ee338a7d471c1813a68733b01faad8e780c55316cba8"),
+        "dcc1198a6ca5afa12017fdcb182018bb894bc89b105f63a16afe17fa04f0ea79",
+        "b0f3f53595d4dedafd59f9f0d9eb9cca0432edea467bdd9de865a55989b3a24b"),
     ('seq_x_end', 'T', 64): (
-        "f6d64304415b8fc06d1023d2cdb2f142284aa5ffb30b3262ef6c7f23985c16c9",
-        "1f86fb365eba068e93c2ee338a7d471c1813a68733b01faad8e780c55316cba8"),
+        "f521053ed18d10142541ba8d8963f64b9b5c5a128e62858109e8c77b50a61157",
+        "b0f3f53595d4dedafd59f9f0d9eb9cca0432edea467bdd9de865a55989b3a24b"),
     ('seq_y_end', 'BS', 8): (
         "e9201a1f8f34b8a2353bbaec2c66d20293e4cb0fba428564e977660a6770e2a7",
         "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
@@ -257,15 +268,15 @@ REPRODUCE_DIGESTS = {
     "I-alpha-finite-support":
         "5907ba530ce630467274c78dac8df0bd5422aee73e4fe2b813119a02954d8cad",
     "KT-thresholds":
-        "b78e068eb3f58ced28513c010385d44912259796610804bd30767dccfa685b89",
+        "f3ce05ea89a245e5654ead794543cb07d749b497dd9777d21ee4835cb3b53187",
     "chi-evens-no-insertion":
-        "f8847a6471f53880fa561747158f7320bfe34fed7f33d42f2a6fbc2d4aee2250",
+        "a48709182ad9eddb3b23c8e3835f80a7bce44c7f2e325041f0992843d59c3e5f",
     "dieudonne-rate":
         "713dd5221aa49dd129b7beef0f894d5aa44fe3a0452b5106694c0721c42d3a6b",
     "local-compact-witness":
         "7b6208f795a621f073859b820dfeb179f28ad82d736034ef38049941a12fff42",
     "noncompact-C-failure":
-        "6cd806d35921ea7f24360e88a0929a095a0b4ef4f3ae759fddcb3f0161cf3731",
+        "9f3e776d7ce878978c739d96d77fad5279e477a9866b6d030c2aead97bf816b3",
     "one-point-minimality-criteria":
         "a4344069e8998d68856317f925eb1ea91675be5b497f0e22fd8afd1000327797",
     "radical-gap":
@@ -316,11 +327,15 @@ def _rational_paths(node, path=()):
 # report with one of its rational values moved by one of STEPS (every value,
 # every step), so failing replay rows are pinned as well.  A move of one copy
 # of an instance value that a certificate repeats (family, epsilon, delta) is
-# a malformed payload, recorded as its message: 456 of the 1,744 tampered
-# reports, 368 of which replayed ok before copies were compared.  1,011 of the
-# rest fail, and each of the 1,288 gives the output it gave before.
+# a malformed payload, recorded as its message: 456 of the 1,632 tampered
+# reports, 368 of which replayed ok before copies were compared.  899 of the
+# rest fail, and each of the 1,176 gives the output it gave before.  With the
+# closed-form rule on seq_x_end, the 112 moves of a residual key or a pick
+# value (each of which failed) are gone; every other output is the one
+# pinned before (digest 24df5f2f...f487f over 1,744), with the renamed rows
+# of TRUNCATED_FORM_ROWS.
 STEPS = (Fraction(1, 7), Fraction(-1, 7), Fraction(2), Fraction(-2))
-TAMPERED_REPLAY_DIGEST = "24df5f2f3afa46a1cf57210ab631d48b0fb5f421d7fc2181d907b3d96caf487f"
+TAMPERED_REPLAY_DIGEST = "1348dc846df7371f13bb49745bf306d39b8ab28996707cca9982110b060ab8d7"
 
 
 def _tampered_outputs(tmp_path) -> list:
@@ -342,9 +357,9 @@ def test_tampered_condition_replay_digest(tmp_path, capsys):
     outputs = _tampered_outputs(tmp_path)
     capsys.readouterr()
     malformed = [out for out in outputs if "malformed" in out]
-    assert (len(outputs), len(malformed)) == (1744, 456)
+    assert (len(outputs), len(malformed)) == (1632, 456)
     assert all("differs from /instance/" in out["malformed"] for out in malformed)
-    assert sum(not out["ok"] for out in outputs if "ok" in out) == 1011
+    assert sum(not out["ok"] for out in outputs if "ok" in out) == 899
     assert _digest(json.dumps(outputs, sort_keys=True)) == TAMPERED_REPLAY_DIGEST
 
 
@@ -725,6 +740,118 @@ def test_repinned_outputs_differ_only_in_the_space_encoding(tmp_path, capsys):
         assert _digest(text) == old, key
 
 
+# The digest of each output that changed when countable claims on seq_x_end
+# went from truncated certificates to their closed-form rule: (check stdout,
+# replay stdout) per check case, (stdout,) per reproduce id.  Every other
+# digest above stayed as it was.
+TRUNCATED_FORM_DIGESTS = {
+    ('check', 'seq_x_end', 'BS', 8): (
+        "a8f4af8ba92222fa20e9c012abfde562746b17d0022e9f7df5cf5a0a14ab99ce",
+        "e62f42e5f069ed48774c8eca26e68082a9628771f8705433ab6e23d84dc49e15"),
+    ('check', 'seq_x_end', 'BS', 64): (
+        "75e5c97ce337d0496e8e5538e46f8a7cb2f212916eafa9d7a8c371ab4f82d0af",
+        "e62f42e5f069ed48774c8eca26e68082a9628771f8705433ab6e23d84dc49e15"),
+    ('check', 'seq_x_end', 'L', 8): (
+        "64ae6fef8cc9029bdc65e3c368b06fee08e18fb0da4028d00d9f46aa0322c43f",
+        "4cb3faeaed8ffb3c3f829ce47c44d29e5a6db520b0c055009e2764362635b373"),
+    ('check', 'seq_x_end', 'L', 64): (
+        "5b2d10b15fd422b559fbbe48cf5cc992ce3925308e6d48580dddb6df334cbb9d",
+        "4cb3faeaed8ffb3c3f829ce47c44d29e5a6db520b0c055009e2764362635b373"),
+    ('check', 'seq_x_end', 'S', 8): (
+        "344707d7260d5f8bb7c10aa76522060a6c23775503c3c3b984805a273d96248d",
+        "3cd38f99d21324d37479fe46d1aee5e5a05544cd7e4a84cc62f6a3438bb40868"),
+    ('check', 'seq_x_end', 'S', 64): (
+        "73df0a918afab2af476e5ca31d7903f27e211f84fd7a1a6a2e24faeca6035e10",
+        "3cd38f99d21324d37479fe46d1aee5e5a05544cd7e4a84cc62f6a3438bb40868"),
+    ('check', 'seq_x_end', 'SL', 8): (
+        "187a0b6907f95287c45f951cce199621717ba55872b34cceaecd9d21b7c90aa8",
+        "7f966929accd84e46825f941468335015a986a616abb151af4e5bf2d4ace23e0"),
+    ('check', 'seq_x_end', 'SL', 64): (
+        "c2004bcc60ff0f555bb9ceb095f210a0620df18581d081f9efc6164d85835192",
+        "7f966929accd84e46825f941468335015a986a616abb151af4e5bf2d4ace23e0"),
+    ('check', 'seq_x_end', 'T', 8): (
+        "488d9499221877e8397be9e150414dc0939c05bc72b6616489310e609c715c43",
+        "1f86fb365eba068e93c2ee338a7d471c1813a68733b01faad8e780c55316cba8"),
+    ('check', 'seq_x_end', 'T', 64): (
+        "f6d64304415b8fc06d1023d2cdb2f142284aa5ffb30b3262ef6c7f23985c16c9",
+        "1f86fb365eba068e93c2ee338a7d471c1813a68733b01faad8e780c55316cba8"),
+    ('reproduce', 'KT-thresholds'): (
+        "b78e068eb3f58ced28513c010385d44912259796610804bd30767dccfa685b89",),
+    ('reproduce', 'chi-evens-no-insertion'): (
+        "f8847a6471f53880fa561747158f7320bfe34fed7f33d42f2a6fbc2d4aee2250",),
+    ('reproduce', 'noncompact-C-failure'): (
+        "6cd806d35921ea7f24360e88a0929a095a0b4ef4f3ae759fddcb3f0161cf3731",),
+}
+
+# Each replay row the closed-form rule renamed -> its name before.
+TRUNCATED_FORM_ROWS = {
+    "closed form is its endpoint": "residual within bound",
+    "member k is eps + delta > eps/2 at index k": "each pick is its member's value, above eps/2",
+}
+# The depth each catalog condition report was checked at.
+CATALOG_DEPTHS = {"chi-evens-no-insertion": 64, "noncompact-C-failure": 8, "KT-thresholds": 32}
+
+
+def _truncated_form(report, depth):
+    """A condition report as written while countable claims on seq_x_end were
+    certified at a truncation depth: each (T)/(BS)/(S) side with that depth,
+    the residual bound 1/depth and its largest residual, min(1/depth, spread
+    of the closed form), and each (L) certificate with one pick per index
+    below depth, worth epsilon + delta.  Other reports are left alone."""
+    if report["model"] != "seq_x_end":
+        return report
+    cert = report["certificate"]
+    if report["condition"] == "SL":
+        _truncated_form({**report, "condition": "L", "certificate": cert["L"]}, depth)
+    if report["condition"] == "L":
+        top = Fraction(cert["epsilon"]) + Fraction(cert["delta"])
+        cert["picks"] = [{"index": k, "member": k, "value": str(top)} for k in range(depth)]
+    for side in ("meet_side", "join_side"):
+        if side in cert:
+            h = cert[side][f"closed_form_{side[:-5]}"]
+            values = [Fraction(v) for v in h["prefix"] + h["cycle"]]
+            norm, bound = max(map(abs, values)), Fraction(1, depth)
+            spread = norm - min(values) if side == "meet_side" else norm + max(values)
+            cert[side].update(depth=depth, residual_bound=str(bound),
+                              max_residual=str(min(bound, spread)))
+    return report
+
+
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_repinned_outputs_differ_only_by_the_truncated_certificates(tmp_path, capsys):
+    """The outputs re-pinned for the closed-form rule are exactly those the
+    truncated form changes, and each one, written back in that form, is byte
+    for byte the output pinned before: a check report with its residual keys
+    and picks, its replay output with each renamed row under its old name, a
+    catalog condition report with its ``depth``."""
+    changed = set()
+    for key in sorted(CHECK_DIGESTS):
+        path = _check_report(tmp_path, *key)
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == 0
+        replayed = json.loads(capsys.readouterr().out)
+        report = json.loads(path.read_text())
+        old = _truncated_form(json.loads(path.read_text()), key[2])
+        for check in replayed["checks"]:
+            for row, was in TRUNCATED_FORM_ROWS.items():
+                check["check"] = check["check"].replace(row, was)
+        if old != report:
+            changed.add(("check", *key))
+            assert (_digest(_compact(old)), _digest(_compact(replayed))) == \
+                TRUNCATED_FORM_DIGESTS["check", *key], key
+    assert set(CATALOG_DEPTHS) == set(CATALOG_CONDITION_REPORTS)
+    for example_id, depth in sorted(CATALOG_DEPTHS.items()):
+        assert main(["reproduce", example_id]) == 0
+        old = json.loads(capsys.readouterr().out)
+        old["certificates"][0]["depth"] = depth
+        changed.add(("reproduce", example_id))
+        assert (_digest(_compact(old)),) == TRUNCATED_FORM_DIGESTS["reproduce", example_id]
+    assert changed == set(TRUNCATED_FORM_DIGESTS)
+
+
 def _another_space(space):
     """A valid space other than ``space``: the discrete one on its points, or
     the indiscrete one when it is discrete (two points when it has one)."""
@@ -757,6 +884,23 @@ def test_every_finite_function_of_a_payload_carries_its_one_space(tmp_path, caps
     assert (len(reports), tampered) == (21, 322)
 
 
+@pytest.mark.parametrize("space", [{"points": 2.0, "up": [[0], [True]]},
+                                   {"points": 2.0, "up": [[0], [1]]},
+                                   {"points": 2, "up": [[0], [True]]},
+                                   {"points": 2, "up": [[0.0], [1]]}])
+def test_one_space_check_tells_an_int_from_a_float_or_a_bool(space):
+    """A later element's space that equals the payload's only when 2.0 or
+    true is read as an int is another space, so the payload is malformed."""
+    two = FiniteSpace.discrete(2)
+    merge = to_jsonable(tong_merge([_finite_func(two, ["0", "1"])] * 2,
+                                   [_finite_func(two, ["1", "2"])] * 2))
+    assert verify_report(merge)["ok"]
+    for elem in _finite_elements(merge)[1:]:
+        elem["space"] = json.loads(json.dumps(space))
+    with pytest.raises(replay_mod.MalformedPayload, match="finite functions on different spaces"):
+        verify_report(merge)
+
+
 def test_certificate_copy_of_an_instance_value_must_agree(tmp_path, capsys):
     """A certificate that repeats the instance's family, epsilon or delta
     must repeat it as written; a copy that differs makes the payload
@@ -785,9 +929,10 @@ def test_certificate_copy_of_an_instance_value_must_agree(tmp_path, capsys):
     assert captured.out == "" and "/certificate/epsilon differs" in captured.err
 
 
-# Keys of a report's envelope, which replay does not read; "assertions" holds
-# golden facts and "instance" the scenario input, so neither is walked.
-ENVELOPE_KEYS = {"expected", "example", "certificates", "assertions", "instance"}
+# Keys of a report's envelope, which replay does not read; "expected" and
+# "depth" echo the scenario, "assertions" holds golden facts and "instance"
+# the scenario input, so neither of the last two is walked.
+ENVELOPE_KEYS = {"expected", "depth", "example", "certificates", "assertions", "instance"}
 
 
 def _keys(node):

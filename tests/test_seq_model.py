@@ -192,7 +192,7 @@ def test_d_on_the_naturals_gap_and_infeasibility():
 
     def check_d(f, g, epsilon):
         return conditions.check_condition(conditions.SeqXEndModel(), "D",
-                                          {"f": f, "g": g, "epsilon": epsilon}, 8)
+                                          {"f": f, "g": g, "epsilon": epsilon})
 
     with pytest.raises(GapViolation) as exc:
         check_d(chi, chi, Fraction(1, 4))
@@ -403,19 +403,18 @@ def test_lindelof_extract_starts_family_once():
     assert starts == [1]
 
 
-@pytest.mark.parametrize("depth", [8, 64, 200])
 @pytest.mark.parametrize("cond,verdict", [("C", "fails"), ("L", "holds")])
-def test_built_in_family_routes_build_no_element(cond, verdict, depth, monkeypatch):
+def test_built_in_family_routes_build_no_element(cond, verdict, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError(f"({cond}) built a SeqFunc")
 
-    # (C) defeats and (L) picks come from the family's closed form
+    # (C) defeats and the (L) rule come from the family's closed form
     monkeypatch.setattr(SeqFunc, "__init__", refuse)
     monkeypatch.setattr(SeqFunc, "_new", classmethod(refuse))
-    report = conditions.check_condition(conditions.SeqXEndModel(), cond, {}, depth)
+    report = conditions.check_condition(conditions.SeqXEndModel(), cond, {})
     assert report.verdict == verdict
     if cond == "L":
-        assert len(report.certificate["picks"]) == depth
+        assert report.certificate == {"epsilon": 1, "delta": Fraction(1, 2)}
 
 
 EPS_DELTA = [(1, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 12)), (Fraction(7, 4), 2)]
@@ -426,7 +425,7 @@ def test_c_defeats_match_realized_members(eps, delta):
     member, _, _ = noncompact_family(eps, delta)
     for cap in range(1, 7):
         inst = {"epsilon": eps, "delta": delta, "subfamily_cap": cap}
-        defeats = conditions.check_condition(conditions.SeqXEndModel(), "C", inst, 8
+        defeats = conditions.check_condition(conditions.SeqXEndModel(), "C", inst
                                              ).certificate["defeats"]
         assert [d["subfamily"] for d in defeats] == [
             list(c) for size in range(1, cap + 1) for c in itertools.combinations(range(8), size)]
@@ -437,36 +436,40 @@ def test_c_defeats_match_realized_members(eps, delta):
 
 
 @pytest.mark.parametrize("eps,delta", EPS_DELTA)
-def test_l_picks_match_lindelof_extract(eps, delta):
+def test_l_rule_matches_lindelof_extract(eps, delta):
+    """The (L) certificate's rule, member k is eps + delta > eps/2 at index k,
+    is what a search over the realized members picks at each index."""
     _, stream, _ = noncompact_family(eps, delta)
     select, _ = lindelof_extract(eps, stream, budget=1000)
     inst = {"epsilon": eps, "delta": delta}
-    picks = conditions.check_condition(conditions.SeqXEndModel(), "L", inst, 200
-                                       ).certificate["picks"]
-    assert len(picks) == 200
-    for k, pick in enumerate(picks):
+    cert = conditions.check_condition(conditions.SeqXEndModel(), "L", inst).certificate
+    assert cert == {"epsilon": eps, "delta": delta} and eps + delta > Fraction(eps, 2)
+    for k in range(200):
         idx, g = select(k)
-        assert pick == {"index": k, "member": idx, "value": g.at(k)}
+        assert (idx, g.at(k)) == (k, cert["epsilon"] + cert["delta"])
 
 
-def test_residuals_match_truncated_families():
+def test_closed_forms_are_the_limits_of_truncated_families():
+    """Each (T)/(BS)/(S) side's closed form is its endpoint, and the oracle's
+    truncated meets (joins) of its family lie above (below) it, within 1/m at
+    truncation m, so the countable meet (join) is exactly the closed form."""
     rng, model = random.Random(11), conditions.SeqXEndModel()
     for trial in range(60):
-        inst, depth = random_x_pair(rng), rng.choice([1, 2, 3, 8, 64])
+        inst = random_x_pair(rng)
         f, g = inst["f"], inst["g"]
-        certs = {cond: conditions.check_condition(model, cond, inst, depth).certificate
+        certs = {cond: conditions.check_condition(model, cond, inst).certificate
                  for cond in ("T", "BS", "S")}
         sides = [(certs["T"]["meet_side"], f, "meet"), (certs["T"]["join_side"], g, "join"),
                  (certs["BS"]["join_side"], f, "join"), (certs["BS"]["meet_side"], g, "meet"),
                  (certs["S"]["meet_side"], f, "meet"), (certs["S"]["join_side"], f, "join")]
         for cert, h, side in sides:
-            if side == "meet":
-                _, trunc = countable_meet_family(h)
-                residuals = [trunc(k, depth) - h.at(k) for k in h.probe_points()]
-            else:
-                _, trunc = countable_join_family(h)
-                residuals = [h.at(k) - trunc(k, depth) for k in h.probe_points()]
-            assert cert["max_residual"] == max(residuals)
+            assert cert == {f"closed_form_{side}": h}
+            family = countable_meet_family if side == "meet" else countable_join_family
+            _, trunc = family(h)
+            sign = 1 if side == "meet" else -1
+            for m in (1, 2, 3, 8, 64):
+                gaps = [sign * (trunc(k, m) - h.at(k)) for k in h.probe_points()]
+                assert 0 <= min(gaps) and max(gaps) <= Fraction(1, m)
 
 
 def test_countable_routes_build_no_seq_func(monkeypatch):
@@ -479,10 +482,10 @@ def test_countable_routes_build_no_seq_func(monkeypatch):
 
     monkeypatch.setattr(SeqFunc, "__init__", counted)
     model = conditions.SeqXEndModel()
-    c = conditions.check_condition(model, "C", {"subfamily_cap": 6}, 8)
-    l_report = conditions.check_condition(model, "L", {}, 512)
+    c = conditions.check_condition(model, "C", {"subfamily_cap": 6})
+    l_report = conditions.check_condition(model, "L", {})
     assert (c.verdict, len(c.certificate["defeats"])) == ("fails", 246)
-    assert (l_report.verdict, len(l_report.certificate["picks"])) == ("holds", 512)
+    assert (l_report.verdict, sorted(l_report.certificate)) == ("holds", ["delta", "epsilon"])
     assert built == []
 
 

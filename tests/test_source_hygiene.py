@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, every
 function and class the library defines has a caller in the library or the
-benchmark, the scenario reader holds no copy of a model's value check, replay
-reads elements only through its reader, every name the benchmark's tracer
+benchmark, the scenario reader holds no copy of a model's value check, no
+condition route or replay reads a depth, replay reads elements only through
+its reader, every name the benchmark's tracer
 wraps still exists, and the tracer still reads what the library emits."""
 
 import ast
@@ -130,6 +131,35 @@ def test_reader_leaves_value_checks_to_the_models():
     assert [n.lineno for n in ast.walk(instance) if isinstance(n, ast.Compare)
             and any(isinstance(x, ast.Name) and x.id == "model"
                     for x in [n.left, *n.comparators])] == []
+
+
+def depth_reads(source: str) -> list[int]:
+    """Lines that name ``depth``: as a parameter, a variable, an attribute or
+    a string constant (a key read by subscript or ``.get``)."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source))
+                   if isinstance(n, ast.arg) and n.arg == "depth"
+                   or isinstance(n, ast.Name) and n.id == "depth"
+                   or isinstance(n, ast.Attribute) and n.attr == "depth"
+                   or isinstance(n, ast.Constant) and n.value == "depth"})
+
+
+def test_no_condition_route_or_replay_reads_depth():
+    """Countable claims are certified by closed-form rules, so no ``cond_*``
+    route, ``check_condition`` or anything else in ``conditions.py`` takes or
+    reads a ``depth``, and neither does replay."""
+    source = (SRC / "conditions.py").read_text()
+    routes = [n.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)
+              and (n.name.startswith("cond_") or n.name == "check_condition")]
+    assert {"check_condition", "cond_t", "cond_c", "cond_l"} <= set(routes)
+    assert depth_reads(source) == []
+    assert depth_reads((SRC / "replay.py").read_text()) == []
+
+
+def test_depth_read_is_found():
+    source = ("def cond_t(self, instance, depth):\n    pass\n\n\n"
+              "def verify(report):\n    return report['depth'], report.get('depth')\n\n\n"
+              "x = args.depth\n")
+    assert depth_reads(source) == [1, 6, 9]
 
 
 ELEMENT_KEYS = {"prefix", "cycle", "omega", "values", "space", "points", "up"}
