@@ -224,7 +224,8 @@ class SeqXEndModel(ExtensionModel):
         # a finite subfamily's join is -delta one index past its largest
         # member, below every positive epsilon; each subfamily of the first 8
         # members with up to size_cap of them is listed
-        defeats = [{"subfamily": list(combo), "index": combo[-1] + 1, "join_value": -delta}
+        join_value = -delta
+        defeats = [{"subfamily": list(combo), "index": combo[-1] + 1, "join_value": join_value}
                    for size in range(1, size_cap + 1)
                    for combo in itertools.combinations(range(8), size)]
         return FAILS, {"epsilon": eps, "delta": delta, "defeats": defeats}

@@ -13,8 +13,9 @@ comparison with the level, and a shift by a rational constant, rescaled to
 the common denominator and reduced.  Ring and lattice axioms then hold
 exactly, and order, norm, and equality are all decidable.  Every value the
 API returns is still a ``Fraction``: that view of an element is built at
-most once, when first read, and an element constructed from Fractions
-keeps them and builds its int row on its first arithmetic.
+most once, when first read.  A sequence is built as its int row from the
+start; a finite function constructed from Fractions keeps them and builds
+its int row on its first arithmetic.
 
 The archimedean axiom (na <= b for all n forces a <= 0) holds by
 construction on both carriers and is not asserted dynamically: it is
@@ -73,8 +74,9 @@ class AlgElement:
 
     The int view is ``_row`` over ``_den``, in lowest terms; ``_shape`` is
     always set.  A carrier implements ``_align``, ``_point``,
-    ``_fraction_row`` (its Fraction view as one row), ``_set_fractions``,
-    ``const_like``, ``probe_points`` and ``value_at``, and overrides
+    ``_set_fractions``, ``const_like``, ``probe_points`` and ``value_at``,
+    plus ``_fraction_row`` (its Fraction view as one row) when it can be
+    constructed from Fractions without its int row, and overrides
     ``_canonical_row`` when a row has more than one representation.
     All values are immutable after construction and all operations are pure.
     """

@@ -60,13 +60,35 @@ def _frac(v) -> Fraction:
 
 
 def _ints(values, memo) -> tuple[int, list[int]]:
-    """A list of JSON rationals as (den, int numerators over den), den least."""
+    """A list of JSON rationals as (den, int numerators over den), den the lcm
+    of their denominators."""
     try:
         pairs = [memo.get(v) or _ratio(v, memo) for v in values]
     except TypeError:  # an unhashable value, which _ratio names
         pairs = [_ratio(v, memo) for v in values]
     den = math.lcm(*{q for _, q in pairs})
     return den, [p * (den // q) for p, q in pairs]
+
+
+def _primitive(cycle) -> bool:
+    """Whether a cycle is its own minimal period: for each prime p dividing its
+    length n, rotating it by n/p changes it (a shorter period divides n, and
+    then so does some n/p)."""
+    n = m = len(cycle)
+    p = 2
+    while m > 1:
+        p = p if p * p <= m else m
+        if m % p == 0:
+            d = n // p
+            if cycle[d:] == cycle[:n - d]:
+                return False
+            while m % p == 0:
+                m //= p
+        p += 1
+    return True
+
+
+_SEQ_KEYS = {"prefix", "cycle", "omega"}
 
 
 def _mask(points) -> int:
@@ -89,14 +111,19 @@ class _Reader:
 
     Only the reader knows the element encoding: a sequence is {"prefix",
     "cycle", "omega"}, a finite function {"values", "space"} with one value
-    per point of its space (else the payload is malformed).  A space is
-    {"points": n, "up": rows}, row x listing the points y >= x of its
+    per point of its space (else the payload is malformed).  A sequence has
+    one spelling, the one the library writes: all three keys and no other,
+    arrays for its prefix and its cycle, a cycle that is its own minimal
+    period, and a prefix whose last entry is not the cycle's last (the cycle
+    rotated back by one would absorb it); any other is malformed.  A space
+    is {"points": n, "up": rows}, row x listing the points y >= x of its
     specialization preorder.  The payload's space is read once, from its
     first finite function, and every other finite function must carry the
-    same space, as JSON.  An element is parsed on first use, keyed by its id
-    (the payload outlives its reader), into int numerators over its least
-    denominator and a shape: (len(prefix), len(cycle), has omega) for a
-    sequence, None for a finite function.  ``frame`` lays the payload out.
+    same space, as JSON.  ``frame`` parses the payload's elements, keyed by
+    id (the payload outlives its reader), in one memoized pass over all of
+    their rationals: one lcm, then int numerators over it, split per element
+    with a shape, (len(prefix), len(cycle), has omega) for a sequence and
+    None for a finite function.  It then lays the payload out.
     """
 
     def __init__(self):
@@ -113,14 +140,17 @@ class _Reader:
         return isinstance(d, dict) and "values" in d and "space" in d
 
     @classmethod
-    def elements(cls, node) -> list:
-        """Every element in a JSON value, in document order."""
-        if cls.is_seq(node) or cls.is_finite(node):
-            return [node]
-        if isinstance(node, dict):
-            node = list(node.values())
-        return [d for child in node for d in cls.elements(child)] \
-            if isinstance(node, list) else []
+    def elements(cls, node, out=None) -> list:
+        """Every element among the values of a JSON object or array, at any
+        depth, in document order; only objects and arrays are descended into."""
+        out = [] if out is None else out
+        for child in node.values() if type(node) is dict else node:
+            kind = type(child)
+            if kind is dict and ("cycle" in child or "values" in child and "space" in child):
+                out.append(child)  # is_seq or is_finite, written out on this hot walk
+            elif kind is dict or kind is list:
+                cls.elements(child, out)
+        return out
 
     def up(self, d):
         """The up masks of a finite function's space; None for a sequence.
@@ -148,45 +178,65 @@ class _Reader:
             raise ValueError("finite functions on different spaces")
         return self.masks
 
-    def _parse(self, d):
-        got = self.parsed.get(id(d))
-        if got is None:
-            if self.is_seq(d):
-                prefix, cycle, om = list(d.get("prefix", [])), list(d["cycle"]), d.get("omega")
-                values = prefix + cycle + ([] if om is None else [om])
-                shape = len(prefix), len(cycle), om is not None
-            elif self.is_finite(d):
-                values, shape = d["values"], None
-                if len(values) != len(self.up(d)):
-                    raise ValueError("a finite function needs one value per point")
-            else:
-                raise ValueError("unknown element encoding")
-            got = self.parsed[id(d)] = (*_ints(values, self.memo), shape)
-        return got
+    def _values(self, d):
+        """(values, shape): an element's JSON rationals in row order, and its
+        shape; a ValueError for a sequence spelled other than as written."""
+        if self.is_seq(d):
+            if d.keys() != _SEQ_KEYS:
+                raise ValueError("a sequence has exactly the keys prefix, cycle and omega")
+            prefix, cycle, om = d["prefix"], d["cycle"], d["omega"]
+            if type(prefix) is not list or type(cycle) is not list or not cycle:
+                raise ValueError("a sequence's prefix is an array and its cycle a nonempty one")
+            return prefix + cycle + ([] if om is None else [om]), \
+                (len(prefix), len(cycle), om is not None)
+        if self.is_finite(d):
+            values = d["values"]
+            if len(values) != len(self.up(d)):
+                raise ValueError("a finite function needs one value per point")
+            return values, None
+        raise ValueError("unknown element encoding")
+
+    def _parse(self, elems) -> tuple[int, list]:
+        """(den, [(numerators, shape), ...]) of the elements, from one pass over
+        all of their rationals; a ValueError for a sequence that is not
+        canonical."""
+        spelled = [self._values(d) for d in elems]
+        den, nums = _ints([v for values, _ in spelled for v in values], self.memo)
+        parsed, at = [], 0
+        for d, (values, shape) in zip(elems, spelled):
+            own = nums[at:at + len(values)]
+            at += len(values)
+            if shape is not None:
+                k, c, _ = shape
+                if not _primitive(own[k:k + c]):
+                    raise ValueError("a sequence's cycle is not its minimal period")
+                if k and own[k - 1] == own[k + c - 1]:
+                    raise ValueError("a sequence's prefix ends with an entry its cycle absorbs")
+            self.parsed[id(d)] = den, own, shape
+            parsed.append((own, shape))
+        return den, parsed
 
     def frame(self, *elems):
-        """(den, rows): the elements' values as ints over their least common
-        denominator at each point of the space, or at each index below the
+        """(den, rows): the elements' values as ints over the lcm of their
+        denominators at each point of the space, or at each index below the
         longest prefix plus the lcm of the cycles, then omega.  A ValueError
         unless all are on one carrier and the points number <= MAX_FRAME."""
-        parsed = [self._parse(d) for d in elems]
-        carriers = {shape and shape[2] for _, _, shape in parsed}
+        den, parsed = self._parse(elems)
+        carriers = {shape and shape[2] for _, shape in parsed}
         if len(carriers) > 1:
             raise ValueError("elements on different carriers")
         if None in carriers:
             size = len(self.masks)
         else:
             self.omega = True in carriers
-            self.cycle_at = max((k for _, _, (k, _, _) in parsed), default=0)
-            span = math.lcm(*(c for _, _, (_, c, _) in parsed))
+            self.cycle_at = max((k for _, (k, _, _) in parsed), default=0)
+            span = math.lcm(*(c for _, (_, c, _) in parsed))
             size = self.cycle_at + span + self.omega
         if size > MAX_FRAME:
             raise ValueError(f"a frame of {size} points exceeds MAX_FRAME = {MAX_FRAME}")
-        den = self.den = math.lcm(*(own for own, _, _ in parsed))
+        self.den = den
         rows, end = [], size - self.omega
-        for d, (own, nums, shape) in zip(elems, parsed):
-            if own != den:
-                nums = [x * (den // own) for x in nums]
+        for d, (nums, shape) in zip(elems, parsed):
             if shape is not None and len(nums) != size:
                 k, c, _ = shape
                 laps = -(-(end - k) // c)
@@ -204,7 +254,9 @@ class _Reader:
     def seq(self, d):
         """A sequence's prefix and cycle values and its omega value (None
         without one), as Fractions."""
-        den, nums, shape = self._parse(d)
+        if id(d) not in self.parsed:
+            self._parse([d])
+        den, nums, shape = self.parsed[id(d)]
         if shape is None:
             raise ValueError("a finite function has no cycle")
         k, c, has_omega = shape
@@ -318,12 +370,15 @@ def _verify_condition(report, checks) -> None:
     it writes; a verdict that the route does not give fails one row.  One
     reader and one frame, over every element, serve the report and both
     parts of an (SL) certificate."""
-    rd = _Reader()
-    rd.frame(*rd.elements([report["instance"], report["certificate"]]))
-    _verify_route(report, checks, rd, "/certificate")
+    _verify_route(report, checks, _Reader(), "/certificate",
+                  [report["instance"], report["certificate"]])
 
 
-def _verify_route(report, checks, rd, at) -> None:
+def _verify_route(report, checks, rd, at, unread) -> None:
+    """One route's checks.  The first route to read an element lays out the
+    JSON values in ``unread`` (the whole report) and empties it: elements are
+    read once the route is known and its certificate's copies agree with the
+    instance."""
     model, cond, verdict = report["model"], report["condition"], report["verdict"]
     inst, cert = report["instance"], report["certificate"]
     label = f"{cond} {verdict}"
@@ -333,16 +388,19 @@ def _verify_route(report, checks, rd, at) -> None:
         _check(checks, f"{label}: certificate recognized", False)
         return
     _agree(inst, cert, at)
-    on = f"finite_full_{len(rd.masks)}pt" if rd.masks else "seq_y_end" if rd.omega else "seq_x_end"
-    if rd.laid and on != model:  # the frame is on one carrier: the model's
-        raise ValueError(f"an element on the carrier of {on} under model {model}")
     if cond == "SL":
         for part in ("L", "N"):
             _verify_route({**report, "condition": part, "verdict": cert[f"{part}_verdict"],
-                           "certificate": cert[part]}, checks, rd, f"{at}/{part}")
+                           "certificate": cert[part]}, checks, rd, f"{at}/{part}", unread)
         both_hold = cert["L_verdict"] == cert["N_verdict"] == "holds"
         _check(checks, f"{label}: decomposition consistent", both_hold == (verdict == "holds"))
         return
+    if unread:
+        rd.frame(*rd.elements(unread))
+        unread.clear()
+    on = f"finite_full_{len(rd.masks)}pt" if rd.masks else "seq_y_end" if rd.omega else "seq_x_end"
+    if rd.laid and on != model:  # the frame is on one carrier: the model's
+        raise ValueError(f"an element on the carrier of {on} under model {model}")
     if cond in ("C", "L") and model == "seq_x_end":
         # member n of the noncompact family is eps + delta up to index n and
         # -delta beyond, for positive eps and delta

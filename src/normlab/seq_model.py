@@ -27,7 +27,7 @@ from .errors import (
     PreconditionViolation,
     SearchBudgetExceeded,
 )
-from .lattice_core import (AlgElement, LazyView, check_cover, check_order,
+from .lattice_core import (AlgElement, LazyView, _lowest_terms, check_cover, check_order,
                            check_positive, finite_join)
 from .rationals import ZERO, rat
 
@@ -78,6 +78,37 @@ def _canonical(prefix, cycle):
     return tuple(prefix), tuple(cycle)
 
 
+def _canonical_row(shape, row):
+    """A row on its shape made canonical; untouched when its cycle is minimal
+    and absorbs no prefix entry."""
+    p, span, om = shape
+    if _period(row[p:p + span]) == span and not (p and row[p - 1] == row[p + span - 1]):
+        return shape, row
+    prefix, cycle = _canonical(row[:p], row[p:p + span])
+    return (len(prefix), len(cycle), om), prefix + cycle + tuple(row[p + span:])
+
+
+def _num_den(value) -> tuple[int, int]:
+    """An int, Fraction or "p/q" string as (numerator, positive denominator)."""
+    if type(value) is int:
+        return value, 1
+    r = rat(value)
+    return r.numerator, r.denominator
+
+
+def _int_row(prefix, cycle, omega):
+    """(shape, row, den) of the canonical element whose prefix, cycle and omega
+    value (None for none) are given as (numerator, denominator) pairs: the
+    numerators over the least common denominator, reduced, then canonical."""
+    if not cycle:
+        raise PreconditionViolation("cycle must be nonempty")
+    pairs = [*prefix, *cycle] if omega is None else [*prefix, *cycle, omega]
+    den = math.lcm(*{q for _, q in pairs})
+    row, den = _lowest_terms([p * (den // q) for p, q in pairs], den)
+    shape, row = _canonical_row((len(prefix), len(cycle), omega is not None), row)
+    return shape, tuple(row), den
+
+
 class SeqFunc(AlgElement):
     """An eventually periodic rational sequence, canonical by construction.
 
@@ -86,20 +117,22 @@ class SeqFunc(AlgElement):
     compactified carrier; operations require both operands on the same
     carrier.  The values are held as int numerators over one denominator
     (see :mod:`normlab.lattice_core`), in a row of the prefix, one cycle and
-    the omega value; ``prefix``, ``cycle``, ``omega`` and ``at`` still give
-    Fractions.  Equality is decidable via the canonical form.
+    the omega value, built as ints from the start; ``prefix``, ``cycle``,
+    ``omega`` and ``at`` build Fractions from the row when they are read.
+    Equality is decidable via the canonical form.
     """
 
     prefix, cycle, omega = LazyView(), LazyView(), LazyView()
 
     def __init__(self, prefix: Iterable = (), cycle: Iterable = (0,), omega=None):
-        prefix = [rat(v) for v in prefix]
-        cycle = [rat(v) for v in cycle]
-        if not cycle:
-            raise PreconditionViolation("cycle must be nonempty")
-        self.prefix, self.cycle = _canonical(prefix, cycle)
-        self.omega = None if omega is None else rat(omega)
-        self._shape = (len(self.prefix), len(self.cycle), omega is not None)
+        self._shape, self._row, self._den = _int_row(
+            [_num_den(v) for v in prefix], [_num_den(v) for v in cycle],
+            None if omega is None else _num_den(omega))
+
+    @classmethod
+    def from_pairs(cls, prefix, cycle, omega=None) -> "SeqFunc":
+        """The element whose values are given as (numerator, denominator) pairs."""
+        return cls._new(*_int_row(prefix, cycle, omega))
 
     @classmethod
     def constant(cls, value, with_omega: bool = False) -> "SeqFunc":
@@ -121,23 +154,20 @@ class SeqFunc(AlgElement):
     def has_omega(self) -> bool:
         return self._shape[2]
 
+    def _num_at(self, k: int) -> int:
+        """The numerator over ``_den`` of the value at the natural k."""
+        p, c, _ = self._shape
+        return self._row[k if k < p else p + (k - p) % c]
+
     def at(self, k: int) -> Fraction:
-        prefix = self.prefix
-        if k < len(prefix):
-            return prefix[k]
-        cycle = self.cycle
-        return cycle[(k - len(prefix)) % len(cycle)]
+        return Fraction(self._num_at(k), self._den)
 
     def is_convergent(self) -> bool:
         """Single-valued cycle, equal to the omega value when one is present."""
-        if len(self.cycle) != 1:
-            return False
-        return self.omega is None or self.omega == self.cycle[0]
+        p, c, om = self._shape
+        return c == 1 and (not om or self._row[p] == self._row[-1])
 
     # the carrier's part of the element kernel
-
-    def _fraction_row(self):
-        return self.prefix + self.cycle + (() if self.omega is None else (self.omega,))
 
     def _set_fractions(self, values):
         k, c, om = self._shape
@@ -167,12 +197,7 @@ class SeqFunc(AlgElement):
         return OMEGA if i == shape[0] + shape[1] else i
 
     def _canonical_row(self, shape, row):
-        """Untouched when its cycle is minimal and absorbs no prefix entry."""
-        p, span, om = shape
-        if _period(row[p:p + span]) == span and not (p and row[p - 1] == row[p + span - 1]):
-            return shape, row
-        prefix, cycle = _canonical(row[:p], row[p:p + span])
-        return (len(prefix), len(cycle), om), prefix + cycle + tuple(row[p + span:])
+        return _canonical_row(shape, row)
 
     def const_like(self, value):
         v = rat(value)
@@ -190,7 +215,7 @@ class SeqFunc(AlgElement):
         if point is OMEGA:
             if not self.has_omega:
                 raise OmegaMissing("no omega value on this carrier")
-            return self.omega
+            return _omega(self)
         return self.at(point)
 
     def __repr__(self):
@@ -198,10 +223,27 @@ class SeqFunc(AlgElement):
         return f"SeqFunc({list(map(str, self.prefix))}, cycle={list(map(str, self.cycle))}{om})"
 
 
+# The routes below decide on rows as ints: a value over f's denominator is
+# compared with one over g's by cross-multiplying.  A Fraction is made only
+# for a value a route returns or writes into a certificate.
+
+def _cycle(f: SeqFunc) -> tuple:
+    """The numerators of f's cycle over ``f._den``."""
+    p, c, _ = f._shape
+    return f._row[p:p + c]
+
+
+def _omega(f: SeqFunc) -> Fraction:
+    """f's omega value, built alone rather than with every Fraction of f."""
+    return Fraction(f._row[-1], f._den)
+
+
 def limit_data(f: SeqFunc):
     """(liminf, limsup, limit?) of the tail: the extrema of the cycle values."""
-    lo, hi = min(f.cycle), max(f.cycle)
-    return lo, hi, (lo if lo == hi else None)
+    cycle = _cycle(f)
+    lo, hi = min(cycle), max(cycle)
+    low = Fraction(lo, f._den)
+    return (low, low, low) if lo == hi else (low, Fraction(hi, f._den), None)
 
 
 def semicontinuity_on_y(f: SeqFunc) -> dict:
@@ -213,9 +255,9 @@ def semicontinuity_on_y(f: SeqFunc) -> dict:
     """
     if not f.has_omega:
         raise OmegaMissing("semicontinuity on the compactification needs an omega value")
-    lo, hi, _ = limit_data(f)
-    usc = f.omega >= hi
-    lsc = f.omega <= lo
+    cycle, om = _cycle(f), f._row[-1]
+    usc = om >= max(cycle)
+    lsc = om <= min(cycle)
     return {"usc": usc, "lsc": lsc, "continuous": usc and lsc}
 
 
@@ -274,11 +316,10 @@ def insert_convergent(f: SeqFunc, g: SeqFunc):
     validated against an independent brute-force oracle in the test suite.
     """
     check_naturals_pair(f, g)
-    hi = limit_data(f)[1]
-    lo = limit_data(g)[0]
-    if hi > lo:
+    hi, lo, d1, d2 = max(_cycle(f)), min(_cycle(g)), f._den, g._den
+    if hi * d2 > lo * d1:
         return InfeasibleCert(f, g)
-    limit = (hi + lo) / 2
+    limit = Fraction(hi * d2 + lo * d1, 2 * d1 * d2)
     return Witness(f.join(g.meet(limit)), limit)
 
 
@@ -323,7 +364,7 @@ def insert_on_y(f: SeqFunc, g: SeqFunc) -> Witness:
     lsc at omega), so it equals L there, and at omega f(omega) = L <= g(omega).
     """
     check_y_pair(f, g)
-    limit = f.omega
+    limit = _omega(f)
     return Witness(f.join(g.meet(limit)), limit)
 
 
@@ -403,14 +444,16 @@ def ideal_membership(f) -> dict:
     """
     if isinstance(f, GeoTail):
         in_i, in_j = f.has_finite_support(), True
+        prefix = f.prefix
     elif isinstance(f, SeqFunc) and f.has_omega and f.is_convergent():
-        in_i = in_j = f.omega == 0
+        in_i = in_j = f._row[-1] == 0
+        prefix = f._row[:f._shape[0]]  # numerators: zero exactly where the value is
     else:
         raise NotConvergent("ideal membership is defined for convergent functions on the compactification")
     if in_i:
-        cert = YSet("finite", tuple(k for k, v in enumerate(f.prefix) if v != 0))
+        cert = YSet("finite", tuple(k for k, v in enumerate(prefix) if v != 0))
     else:
-        cert = YSet("cofinite_with_omega", tuple(k for k, v in enumerate(f.prefix) if v == 0))
+        cert = YSet("cofinite_with_omega", tuple(k for k, v in enumerate(prefix) if v == 0))
     return {"in_I_alpha": in_i, "in_J_radical": in_j, "cert": cert}
 
 
@@ -451,16 +494,18 @@ def subcover_extract(epsilon, family: Sequence[SeqFunc]):
             raise NotConvergent("family members must be convergent on the compactification",
                                 key=f"family/{i}")
     eps = check_cover(epsilon, family)
-    star = next(i for i, t in enumerate(family) if t.omega > eps / 2)
+    # t(k) >= eps/2 iff 2 * q * num >= p * den, for eps = p/q and t(k) = num/den
+    p, q2 = eps.numerator, 2 * eps.denominator
+    star = next(i for i, t in enumerate(family) if q2 * t._row[-1] > p * t._den)
     chosen = [star]
     t_star = family[star]
-    for k in range(len(t_star.prefix)):
-        if t_star.at(k) <= 0:
-            j = next(i for i, t in enumerate(family) if t.at(k) >= eps / 2)
+    for k in range(t_star._shape[0]):
+        if t_star._row[k] <= 0:
+            j = next(i for i, t in enumerate(family) if q2 * t._num_at(k) >= p * t._den)
             if j not in chosen:
                 chosen.append(j)
     joined = finite_join([family[i] for i in chosen])
-    return chosen, {"join_min": joined.value_bounds()[0], "join_omega": joined.omega}
+    return chosen, {"join_min": joined.value_bounds()[0], "join_omega": _omega(joined)}
 
 
 def lindelof_extract(epsilon, family: Iterable[SeqFunc], budget: int = 1000):

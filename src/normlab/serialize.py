@@ -37,7 +37,7 @@ from .conditions import (
 )
 from .errors import PreconditionViolation
 from .finite_space import FiniteFunc, FiniteSpace
-from .rationals import RATIONAL, num_str, rat, rat_str
+from .rationals import RATIONAL, num_str, rat_str
 from .seq_model import GeoTail, Omega, SeqFunc, Witness
 
 
@@ -45,12 +45,16 @@ def _same(obj):
     return obj
 
 
+# JSON scalars lower to themselves, so a container passes them through as is.
+_SCALARS = frozenset((type(None), bool, int, str))
+
+
 def _lower_dict(obj: dict) -> dict:
-    return {str(k): to_jsonable(v) for k, v in obj.items()}
+    return {str(k): v if type(v) in _SCALARS else to_jsonable(v) for k, v in obj.items()}
 
 
 def _lower_items(obj) -> list:
-    return [to_jsonable(v) for v in obj]
+    return [v if type(v) in _SCALARS else to_jsonable(v) for v in obj]
 
 
 def _lower_space(space: FiniteSpace) -> dict:
@@ -138,9 +142,10 @@ def _fields(data, pointer: str, readers: dict, required=()) -> dict:
         raise _reject(pointer, f"expected an object, got {_shown(data)}")
     out = {}
     for key, value in data.items():
-        if key not in readers:
+        reader = readers.get(key)
+        if reader is None:
             raise _reject(_child(pointer, key), "unexpected key")
-        out[key] = readers[key](value, _child(pointer, key))
+        out[key] = reader(value, f"{pointer}/{key}")  # no reader's key needs escaping
     for key in required:
         if key not in out:
             raise _reject(pointer, f"missing key {key!r}")
@@ -169,16 +174,38 @@ def _choice(value, pointer: str, options) -> str:
     raise _reject(pointer, f"expected one of {', '.join(options)}, got {_shown(value)}")
 
 
-def _rational(value, pointer: str) -> Fraction:
+# A scenario's rationals are read as (numerator, denominator) pairs through a
+# memo, one per scenario, keyed by the JSON string: each distinct string is
+# checked against RATIONAL once.
+
+def _ratio(value, pointer: str, memo: dict) -> tuple[int, int]:
+    if type(value) is str:
+        pair = memo.get(value)
+        if pair is None:
+            if not RATIONAL.fullmatch(value):
+                raise _reject(pointer, f"expected an integer or a \"p/q\" string, "
+                                       f"got {_shown(value)}")
+            num, _, den = value.partition("/")
+            pair = memo[value] = int(num), int(den or 1)
+        return pair
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str) and RATIONAL.fullmatch(value):
-        return rat(value)
+        return value, 1
     raise _reject(pointer, f"expected an integer or a \"p/q\" string, got {_shown(value)}")
 
 
-def _rationals(value, pointer: str) -> list[Fraction]:
-    return _array(value, pointer, _rational)
+def _rational(value, pointer: str, memo: dict) -> Fraction:
+    return Fraction(*_ratio(value, pointer, memo))
+
+
+def _ratios(value, pointer: str, memo: dict) -> list[tuple[int, int]]:
+    """An array of rationals as pairs; a string already read is looked up alone."""
+    if not isinstance(value, list):
+        raise _reject(pointer, f"expected an array, got {_shown(value)}")
+    get = memo.get
+    try:
+        return [get(v) or _ratio(v, f"{pointer}/{i}", memo) for i, v in enumerate(value)]
+    except TypeError:  # an unhashable value, which _ratio names
+        return [_ratio(v, f"{pointer}/{i}", memo) for i, v in enumerate(value)]
 
 
 def _space(data, pointer: str) -> FiniteSpace:
@@ -200,23 +227,28 @@ def _space(data, pointer: str) -> FiniteSpace:
         raise _reject(f"{pointer}/up", str(exc)) from None
 
 
-def _seq_func(data, pointer: str) -> SeqFunc:
+def _seq_func(data, pointer: str, memo: dict) -> SeqFunc:
+    """A sequence built as its int row from its pairs, with no Fraction."""
+    def ratios(v, p):
+        return _ratios(v, p, memo)
+
     fields = _fields(data, pointer, {
-        "prefix": _rationals, "cycle": _rationals,
-        "omega": lambda v, p: None if v is None else _rational(v, p)}, ("cycle",))
+        "prefix": ratios, "cycle": ratios,
+        "omega": lambda v, p: None if v is None else _ratio(v, p, memo)}, ("cycle",))
     prefix, cycle = fields.get("prefix", []), fields["cycle"]
     if not cycle:
         raise _reject(_child(pointer, "cycle"), "the cycle is empty")
     if len(prefix) + len(cycle) > MAX_SPAN:
         raise _reject(pointer, f"prefix plus cycle has {len(prefix) + len(cycle)} entries, "
                                f"over the limit MAX_SPAN = {MAX_SPAN}")
-    return SeqFunc(prefix, cycle, fields.get("omega"))
+    return SeqFunc.from_pairs(prefix, cycle, fields.get("omega"))
 
 
-def _finite_func(data, pointer: str, space: FiniteSpace, written) -> FiniteFunc:
+def _finite_func(data, pointer: str, space: FiniteSpace, written, memo: dict) -> FiniteFunc:
     fields = _fields(data, pointer, {
         "space": lambda v, p: space if json.dumps(v) == written else _space(v, p),
-        "values": _rationals}, ("space", "values"))
+        "values": lambda v, p: [Fraction(*pair) for pair in _ratios(v, p, memo)]},
+        ("space", "values"))
     if fields["space"] != space:
         raise _reject(_child(pointer, "space"), "not the scenario's space")
     if len(fields["values"]) != space.n:
@@ -225,26 +257,34 @@ def _finite_func(data, pointer: str, space: FiniteSpace, written) -> FiniteFunc:
     return FiniteFunc(space, fields["values"])
 
 
-def parse_element(data, pointer: str = "", space: FiniteSpace | None = None, written=None):
+def parse_element(data, pointer: str = "", space: FiniteSpace | None = None, written=None,
+                  memo: dict | None = None):
     """An instance element: a finite function on ``space`` if one is given,
     else a sequence.  An object with ``values`` is a finite function, so an
     element in the other encoding is named as off the model's carrier.  An
     element's space whose JSON text is ``written``, the scenario's space as
-    text, is ``space`` and is not read again.
+    text, is ``space`` and is not read again.  ``memo`` holds the rationals
+    the scenario has already given.
     """
     if (isinstance(data, dict) and "values" in data) != (space is not None):
         carrier = "finite functions" if space is not None else "sequences"
         raise _reject(pointer, f"the model takes {carrier}")
-    return _seq_func(data, pointer) if space is None else \
-        _finite_func(data, pointer, space, written)
+    memo = {} if memo is None else memo
+    return _seq_func(data, pointer, memo) if space is None else \
+        _finite_func(data, pointer, space, written, memo)
 
 
 def _instance(data, pointer: str, model: str, condition: str, space, written) -> dict:
+    memo: dict = {}
+
     def element(value, at):
-        return parse_element(value, at, space, written)
+        return parse_element(value, at, space, written, memo)
+
+    def rational(value, at):
+        return _rational(value, at, memo)
 
     inst = _fields(data, pointer, {
-        "f": element, "g": element, "epsilon": _rational, "delta": _rational,
+        "f": element, "g": element, "epsilon": rational, "delta": rational,
         "subfamily_cap": lambda v, p: _integer(v, p, 1, MAX_SUBFAMILY_CAP, "MAX_SUBFAMILY_CAP"),
         "family": lambda v, p: _array(v, p, element, MAX_FAMILY, "MAX_FAMILY")})
     reads = MODELS[model].instance_keys(condition)

@@ -7,7 +7,7 @@ from typing import Iterator, Sequence
 
 from normlab.errors import BoundExceeded, CarrierMismatch, EmptyFamily, PreconditionViolation
 from normlab.finite_space import FiniteFunc, FiniteSpace, NotSeparable, separate
-from normlab.lattice_core import check_positive
+from normlab.lattice_core import _to_row, check_positive
 from normlab.rationals import ONE, ZERO
 from normlab.seq_model import SeqFunc
 
@@ -329,3 +329,71 @@ def canonical_by_divisors(prefix, cycle):
         prefix, r = prefix[:k - j], c - j % c
         cycle = cycle[r:] + cycle[:r]
     return tuple(prefix), tuple(cycle)
+
+
+# Sequences as the Fraction-built construction made them: each value a
+# Fraction, the canonical form found by comparing Fractions, then the int row
+# over the values' least common denominator.  The routes below decide on the
+# Fraction views alone.
+
+def fraction_built_seq(prefix, cycle, omega=None) -> dict:
+    """_shape, _row, _den and the Fraction views of the sequence with these values."""
+    prefix, cycle = canonical_by_divisors([Fraction(v) for v in prefix],
+                                          [Fraction(v) for v in cycle])
+    om = None if omega is None else Fraction(omega)
+    row, den = _to_row(prefix + cycle + (() if om is None else (om,)))
+    return {"_shape": (len(prefix), len(cycle), om is not None), "_row": row, "_den": den,
+            "prefix": prefix, "cycle": cycle, "omega": om}
+
+
+def value_by_fractions(f: SeqFunc, k: int) -> Fraction:
+    p = len(f.prefix)
+    return f.prefix[k] if k < p else f.cycle[(k - p) % len(f.cycle)]
+
+
+def limit_data_by_fractions(f: SeqFunc):
+    lo, hi = min(f.cycle), max(f.cycle)
+    return lo, hi, (lo if lo == hi else None)
+
+
+def is_convergent_by_fractions(f: SeqFunc) -> bool:
+    return len(f.cycle) == 1 and f.omega in (None, f.cycle[0])
+
+
+def semicontinuity_by_fractions(f: SeqFunc) -> dict:
+    lo, hi, _ = limit_data_by_fractions(f)
+    usc, lsc = f.omega >= hi, f.omega <= lo
+    return {"usc": usc, "lsc": lsc, "continuous": usc and lsc}
+
+
+def insert_convergent_by_fractions(f: SeqFunc, g: SeqFunc):
+    """(limit, witness) of a convergent insertion, or (None, (limsup f, liminf g))."""
+    hi, lo = max(f.cycle), min(g.cycle)
+    if hi > lo:
+        return None, (hi, lo)
+    limit = (hi + lo) / 2
+    return limit, clamped_limit_on_naturals(f, g, limit)
+
+
+def insert_on_y_by_fractions(f: SeqFunc, g: SeqFunc):
+    """(limit, witness) of the continuous insertion at f's omega value."""
+    return f.omega, clamped_limit_on_y(f, g, f.omega)
+
+
+def subcover_by_fractions(eps, family):
+    """(chosen, join_min, join_omega) of the greedy subcover of convergent
+    members: the first member above eps/2 at omega, then for each of its prefix
+    indices at or below 0 the first member at least eps/2 there."""
+    half = Fraction(eps) / 2
+    star = next(i for i, t in enumerate(family) if t.omega > half)
+    chosen = [star]
+    for k in range(len(family[star].prefix)):
+        if value_by_fractions(family[star], k) <= 0:
+            j = next(i for i, t in enumerate(family) if value_by_fractions(t, k) >= half)
+            if j not in chosen:
+                chosen.append(j)
+    members = [family[i] for i in chosen]
+    span = max(len(t.prefix) for t in members) + 1  # convergent: one cycle value each
+    joined = [max(value_by_fractions(t, k) for t in members) for k in range(span)]
+    join_omega = max(t.omega for t in members)
+    return chosen, min(joined + [join_omega]), join_omega

@@ -387,17 +387,23 @@ def test_check_seed_key_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: /seed:")
 
 
-SEQ_0, SEQ_1 = {"cycle": ["0"]}, {"cycle": ["1"]}
+def seq(*cycle):
+    """The periodic sequence on the naturals with this cycle, spelled as replay
+    reads it."""
+    return {"prefix": [], "cycle": list(cycle), "omega": None}
+
+
+SEQ_0, SEQ_1 = seq("0"), seq("1")
 
 
 @pytest.mark.parametrize("report,pointer,kind", [
-    ({"trace": "iteration", "a_seq": [SEQ_0, {"cycle": ["1/4"]}], "step_bounds": ["1/2"],
+    ({"trace": "iteration", "a_seq": [SEQ_0, seq("1/4")], "step_bounds": ["1/2"],
       "f": SEQ_0, "g": SEQ_1}, "/", "iteration"),
     ({"certificates": [{"trace": "merge", "a_norm": [], "b_norm": [], "u_seq": [],
                         "v_seq": [], "result": SEQ_0}]}, "/certificates/0", "merge"),
     ({"condition": "N", "verdict": "holds", "model": "seq_x_end",
       "instance": {"f": SEQ_0, "g": SEQ_1}, "certificate": {"limit": "0"}}, "/", "condition"),
-    ({"ideal_membership": {"element": {"cycle": ["x"]}, "in_I_alpha": True,
+    ({"ideal_membership": {"element": seq("x"), "in_I_alpha": True,
                            "in_J_radical": True, "cert": {}}}, "/", "ideal"),
 ], ids=["iteration-bounds-short", "merge-empty", "N-holds-no-witness", "ideal-unparsed-value"])
 def test_replay_malformed_report_is_input_error(tmp_path, capsys, report, pointer, kind):
@@ -408,13 +414,57 @@ def test_replay_malformed_report_is_input_error(tmp_path, capsys, report, pointe
     assert captured.err.startswith(f"input error: {pointer}: malformed {kind} payload")
 
 
+# Respellings of two sequences of `reproduce dieudonne-rate`, each naming the
+# same function as the one written or none at all, and replay's reason for
+# refusing it.  a_seq/0 is 3/4 then 1/4 forever, g is 1 forever.
+RESPELLINGS = [
+    ("a_seq/0", {"prefix": ["3/4", "1/4"], "cycle": ["1/4", "1/4"], "omega": None},
+     "cycle is not its minimal period"),
+    ("a_seq/0", {"prefix": ["3/4", "1/4"], "cycle": ["1/4", "1/4"]}, "exactly the keys"),
+    ("a_seq/0", {"prefix": ["3/4"], "cycle": ["1/4"]}, "exactly the keys"),
+    ("a_seq/0", {"prefix": ["3/4"], "cycle": ["1/4", "1/4", "1/4"], "omega": None},
+     "cycle is not its minimal period"),
+    ("a_seq/0", {"prefix": ["3/4", "1/4"], "cycle": ["1/4"], "omega": None},
+     "prefix ends with an entry its cycle absorbs"),
+    ("a_seq/0", {"prefix": ["3/4"], "cycle": ["1/4"], "omega": None, "note": "x"},
+     "exactly the keys"),
+    ("a_seq/0", {"prefix": "3/4", "cycle": ["1/4"], "omega": None}, "is an array"),
+    ("g", {"cycle": ["1"], "omega": None}, "exactly the keys"),
+    ("g", {"prefix": [], "cycle": [], "omega": None}, "a nonempty one"),
+]
+
+
+@pytest.mark.parametrize("where,spelling,reason", RESPELLINGS,
+                         ids=[f"{w}-{i}" for i, (w, _, _) in enumerate(RESPELLINGS)])
+def test_replay_refuses_a_sequence_spelled_otherwise(tmp_path, capsys, where, spelling, reason):
+    """Replay reads a sequence only as the library writes it: prefix, cycle and
+    omega, the cycle its minimal period, no prefix entry the cycle absorbs."""
+    path = tmp_path / "report.json"
+    assert main(["reproduce", "dieudonne-rate", "--out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert main(["replay", str(path)]) == 0
+    trace = report["certificates"][0]
+    if where == "g":
+        trace["g"] = spelling
+    else:
+        trace["a_seq"][0] = spelling
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: /certificates/0: malformed iteration payload "
+                                   "(ValueError: a sequence")
+    assert reason in captured.err
+
+
 INFEASIBLE_CERT = {"limsup_f": "1", "liminf_g": "0"}
 
 
 @pytest.mark.parametrize("infinity", [math.inf, -math.inf], ids=["Infinity", "-Infinity"])
 @pytest.mark.parametrize("payload", [
     lambda inf: {"condition": "N", "verdict": "fails", "model": "seq_x_end",
-                 "instance": {"f": {"cycle": [inf]}, "g": SEQ_0}, "certificate": INFEASIBLE_CERT},
+                 "instance": {"f": seq(inf), "g": SEQ_0}, "certificate": INFEASIBLE_CERT},
     lambda inf: {"condition": "D", "verdict": "fails", "model": "seq_x_end",
                  "instance": {"f": SEQ_1, "g": SEQ_0},
                  "certificate": dict(INFEASIBLE_CERT, epsilon=inf)},
@@ -541,11 +591,11 @@ def test_replay_refuses_a_nonpositive_built_in_family(tmp_path, capsys, cond, ke
 def test_replay_rejects_a_closed_form_off_its_endpoint(tmp_path, capsys, cond, side):
     """Each side's closed form must be the endpoint whose countable meet or
     join it stands for; the constant 5, or the other endpoint, fails."""
-    instance = {"f": {"cycle": ["0", "1"]}, "g": {"cycle": ["2"]}}
+    instance = {"f": seq("0", "1"), "g": seq("2")}
     report = _x_report(tmp_path, capsys, cond, instance)
     key = f"closed_form_{side[:-5]}"
     endpoint = report["certificate"][side][key]
-    others = [{"prefix": [], "cycle": ["5"], "omega": None},
+    others = [seq("5"),
               instance["g"] if endpoint["cycle"] == instance["f"]["cycle"] else instance["f"]]
     for other in others:
         report["certificate"][side][key] = other

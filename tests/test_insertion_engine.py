@@ -1050,9 +1050,11 @@ PARSED_VALUES = [
 
 @pytest.mark.parametrize("value,outcome", PARSED_VALUES, ids=repr)
 def test_replay_parses_values_by_one_grammar(value, outcome):
+    def seq(v):
+        return {"prefix": [], "cycle": [v], "omega": None}
+
     payload = {"trace": "iteration", "step_bounds": ["1/2", "1/4", "1/8"],
-               "a_seq": [{"cycle": ["0"]}, {"cycle": [value]}, {"cycle": ["0"]}],
-               "f": {"cycle": ["-1"]}, "g": {"cycle": ["2"]}}
+               "a_seq": [seq("0"), seq(value), seq("0")], "f": seq("-1"), "g": seq("2")}
     try:
         got = [c["ok"] for c in verify_report(payload)["checks"]]
     except MalformedPayload as exc:
@@ -1274,7 +1276,7 @@ def _mixed_carrier_payloads():
     report = json.loads(json.dumps(to_jsonable(
         conditions.check_condition(conditions.SeqYEndModel(), "T", {
             "f": SeqFunc((), (0,), 0), "g": SeqFunc((), (1,), 1)}))))
-    del report["certificate"]["a_seq"][0]["omega"]
+    report["certificate"]["a_seq"][0]["omega"] = None
     space = FiniteSpace.discrete(3)
     gens = [FiniteFunc(space, [0, 1, 1])]
     indicators, traces = block_indicators(space, gens)

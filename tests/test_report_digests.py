@@ -501,6 +501,19 @@ def test_reproduce_digests(example_id, capsys):
     assert _digest(capsys.readouterr().out) == REPRODUCE_DIGESTS[example_id]
 
 
+# sha256 of `normlab survey --max-size 4` on stdout: every topology up to 4
+# points, 390 lines and 8,086 bytes of CSV.  The survey reads no scenario and
+# builds no sequence.
+SURVEY_4_DIGEST = "d8d71b7eafebfbb43ccdf458ec6909bced06eb0190b785fb101f8bac04b8603d"
+
+
+def test_survey_digest(capsys):
+    assert main(["survey", "--max-size", "4"]) == 0
+    out = capsys.readouterr().out
+    assert (out.count("\n"), len(out.encode())) == (390, 8086)
+    assert _digest(out) == SURVEY_4_DIGEST
+
+
 def _y_func(prefix, cycle, omega):
     return SeqFunc([Fraction(v) for v in prefix], [Fraction(v) for v in cycle], Fraction(omega))
 

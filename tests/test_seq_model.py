@@ -39,16 +39,26 @@ from normlab.seq_model import (
     subcover_extract,
     threshold_indicator,
 )
+from normlab.lattice_core import finite_join
+from normlab.serialize import parse_element
 from oracles import (
     canonical_by_divisors,
     clamped_limit_on_naturals,
     clamped_limit_on_y,
     countable_join_family,
     countable_meet_family,
+    fraction_built_seq,
+    insert_convergent_by_fractions,
+    insert_on_y_by_fractions,
+    is_convergent_by_fractions,
+    limit_data_by_fractions,
     noncompact_family,
+    rand_rational,
     random_feasible_x_pair,
     random_usc_lsc_pair,
     random_x_pair,
+    semicontinuity_by_fractions,
+    subcover_by_fractions,
     with_omega,
 )
 
@@ -495,3 +505,83 @@ def test_restrict_and_with_omega_roundtrip():
     assert with_omega(SeqFunc(f.prefix, f.cycle), 3) == f
     with pytest.raises(OmegaMissing):
         SeqFunc.constant(1).value_at(OMEGA)
+
+
+@st.composite
+def json_rationals(draw):
+    """A rational as a scenario may write it: an int, or "p" or "p/q" with p/q
+    not necessarily in lowest terms."""
+    v, scale = draw(rationals), draw(st.integers(1, 4))
+    num, den = v.numerator * scale, v.denominator * scale
+    if den == 1 and draw(st.booleans()):
+        return num
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(json_rationals(), max_size=5), st.lists(json_rationals(), min_size=1, max_size=6),
+       st.one_of(st.none(), json_rationals()))
+def test_int_first_elements_match_the_fraction_built_ones(prefix, cycle, omega):
+    """SeqFunc(prefix, cycle, omega), from JSON values or from Fractions, and
+    the scenario reader's element all equal the Fraction-built element: int
+    row, shape, denominator and every Fraction view."""
+    want = fraction_built_seq(prefix, cycle, omega)
+    fractions = [Fraction(v) for v in prefix], [Fraction(v) for v in cycle], \
+        None if omega is None else Fraction(omega)
+    for elem in (SeqFunc(prefix, cycle, omega), SeqFunc(*fractions),
+                 parse_element({"prefix": prefix, "cycle": cycle, "omega": omega})):
+        assert (elem._shape, elem._row, elem._den) == (want["_shape"], want["_row"], want["_den"])
+        assert (elem.prefix, elem.cycle, elem.omega) == (want["prefix"], want["cycle"],
+                                                          want["omega"])
+        values = [Fraction(v) for v in prefix + cycle * 3]
+        assert [elem.at(k) for k in range(len(values))] == values
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq_funcs(), seq_funcs(with_omega=True))
+def test_tail_routes_agree_with_fraction_oracles(f, y):
+    assert limit_data(f) == limit_data_by_fractions(f)
+    assert limit_data(y) == limit_data_by_fractions(y)
+    assert f.is_convergent() == is_convergent_by_fractions(f)
+    assert y.is_convergent() == is_convergent_by_fractions(y)
+    assert semicontinuity_on_y(y) == semicontinuity_by_fractions(y)
+    if y.is_convergent():
+        got, zero = ideal_membership(y), y.omega == 0
+        assert got["in_I_alpha"] == got["in_J_radical"] == zero
+        assert list(got["cert"].members) == [k for k, v in enumerate(y.prefix)
+                                             if (v != 0) == zero]
+
+
+def test_insertions_agree_with_fraction_oracles():
+    rng = random.Random(27)
+    for i in range(300):
+        pair = random_feasible_x_pair(rng) if i % 2 else random_x_pair(rng)
+        result = insert_convergent(pair["f"], pair["g"])
+        limit, want = insert_convergent_by_fractions(pair["f"], pair["g"])
+        if limit is None:
+            assert isinstance(result, InfeasibleCert)
+            assert (result.limsup_f, result.liminf_g) == want
+        else:
+            assert (result.limit, result.func) == (limit, want)
+        pair = random_usc_lsc_pair(rng)
+        result = insert_on_y(pair["f"], pair["g"])
+        assert (result.limit, result.func) == insert_on_y_by_fractions(pair["f"], pair["g"])
+
+
+def test_subcover_extract_agrees_with_the_fraction_oracle():
+    rng = random.Random(27)
+    checked = 0
+    while checked < 200:
+        family = []
+        for _ in range(rng.randint(1, 4)):
+            limit = rand_rational(rng, -1, 2)
+            family.append(SeqFunc([rand_rational(rng, -1, 2) for _ in range(rng.randint(0, 5))],
+                                  (limit,), limit))
+        lo = finite_join(family).value_bounds()[0]
+        if lo <= 0:
+            continue
+        for eps in (lo, lo / 2):
+            chosen, cert = subcover_extract(eps, family)
+            assert (chosen, cert["join_min"], cert["join_omega"]) == \
+                subcover_by_fractions(eps, family)
+        checked += 1
