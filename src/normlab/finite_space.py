@@ -15,13 +15,14 @@ those theorems, as ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, EmptyFamily, PreconditionViolation
-from .lattice_core import AlgElement, LazyView, check_order
+from .lattice_core import AlgElement, LazyView, check_order, lay_out
 from .rationals import ONE, ZERO, rat
 
 MAX_ENUM_POINTS = 5
@@ -148,8 +149,13 @@ class FiniteFunc(AlgElement):
     def _set_fractions(self, values):
         self.values = tuple(values)
 
-    def _align(self, other):  # _pair takes rows on one space as they are
-        raise PreconditionViolation("operands live on different spaces")
+    def _widen(self, shape, other):  # a space holds no other
+        if other._shape is not shape and other._shape != shape:
+            raise PreconditionViolation("operands live on different spaces")
+        return shape
+
+    def _on(self, shape):
+        return self._row
 
     def _point(self, shape, i):
         return i
@@ -157,9 +163,6 @@ class FiniteFunc(AlgElement):
     def const_like(self, value):
         v = rat(value)
         return self._new(self._shape, (v.numerator,) * self._shape.n, v.denominator)
-
-    def probe_points(self):
-        return range(self.space.n)
 
     def value_at(self, point):
         return self.values[point]
@@ -284,10 +287,6 @@ def insert_finite(space: FiniteSpace, f: FiniteFunc, g: FiniteFunc):
     return FiniteFunc(space, values)
 
 
-def _clamp01(h: FiniteFunc) -> FiniteFunc:
-    return h.join(ZERO).meet(ONE)
-
-
 def block_indicators(space: FiniteSpace, generators: Sequence[FiniteFunc]):
     """Exact block indicators of the fiber partition of a generator set.
 
@@ -299,30 +298,31 @@ def block_indicators(space: FiniteSpace, generators: Sequence[FiniteFunc]):
     separated).  Returns (indicators, traces); a trace names each y with its
     separating generator, so it replays from the generators' values at the
     block's first point and at y.
+    The values are those of that expression, computed on the generators'
+    int rows (a ratio of two differences of one row needs no denominator).
     """
     if not generators:
         raise EmptyFamily("need at least one generator")
-    n = space.n
-    sig = [tuple(g.values[x] for g in generators) for x in range(n)]
+    _, _, rows = lay_out(generators, space)
+    sig = list(zip(*rows))
     blocks: dict[tuple, list[int]] = {}  # fiber signature -> its points, increasing
-    for x in range(n):
+    for x in range(space.n):
         blocks.setdefault(sig[x], []).append(x)
     indicators, traces = [], []
     for b in blocks.values():
         x = b[0]
-        chi = FiniteFunc(space, [ONE] * n)
-        choices = []
-        for y in range(n):
-            if sig[y] == sig[x]:
-                continue
-            gi = next(i for i, g in enumerate(generators)
-                      if g.values[x] != g.values[y])
-            g = generators[gi]
-            gx, gy = g.values[x], g.values[y]
-            h = _clamp01((g - gy) * (Fraction(1) / (gx - gy)))
-            chi = chi.meet(h)
-            choices.append({"y": y, "g_index": gi})
-        indicators.append(chi)
+        choices = [{"y": y, "g_index": next(i for i, row in enumerate(rows) if row[x] != row[y])}
+                   for y in range(space.n) if sig[y] != sig[x]]
+        chi = [(1, 1)] * space.n  # p/q: 1 ^ clamp01((g(z) - g(y)) / (g(x) - g(y))) met over y
+        for c in choices:
+            row = rows[c["g_index"]]
+            gy, dx = row[c["y"]], row[x] - row[c["y"]]
+            for z, (p, q) in enumerate(chi):
+                num, d = (row[z] - gy, dx) if dx > 0 else (gy - row[z], -dx)
+                if num * q < p * d:
+                    chi[z] = (num, d) if num > 0 else (0, 1)
+        den = math.lcm(*(q for _, q in chi))
+        indicators.append(generators[0]._from_row(space, [p * (den // q) for p, q in chi], den))
         traces.append({"block": b, "choices": choices})
     return indicators, traces
 

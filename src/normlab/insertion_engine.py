@@ -1,10 +1,12 @@
 """The three constructive insertion procedures, generic over carriers.
 
 Each procedure consumes elements of any :class:`~normlab.lattice_core.AlgElement`
-carrier (plus an injected oracle where one is needed) and emits a trace whose
-every inequality is re-checkable from the trace alone.  Countable sequences
-become finite lists: on the finite model they stabilize, and on the sequence
-model a trace holds the steps or members it was given.
+carrier (plus an injected oracle where one is needed), computes the algebra it
+states on their int rows, laid out once (:func:`~normlab.lattice_core.lay_out`),
+builds only the elements it returns or hands to an oracle, and emits a trace
+whose every inequality is re-checkable from the trace alone.  Countable
+sequences become finite lists: on the finite model they stabilize, and on the
+sequence model a trace holds the steps or members it was given.
 
 A procedure checks its inputs and its injected oracles and carriers, and
 nothing those checks already imply; :mod:`normlab.replay` checks the
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -27,9 +30,23 @@ from .errors import (
     PreconditionViolation,
 )
 from .finite_space import FiniteFunc, FiniteSpace, Infeasible, check_usc_lsc, insert_finite
-from .lattice_core import AlgElement, check_order, finite_join, rescale_to_unit, unscale
+from .lattice_core import AlgElement, check_order, lay_out, rescale_to_unit, unscale
 from .rationals import ZERO, rat
 from .seq_model import SeqFunc, check_y_pair, insert_on_y, threshold_indicator
+
+
+def _meet_row(xs, ys) -> list:
+    return [x if x <= y else y for x, y in zip(xs, ys)]
+
+
+def _join_row(xs, ys) -> list:
+    return [x if x >= y else y for x, y in zip(xs, ys)]
+
+
+def _elements(first: AlgElement, shape, den: int, rows) -> list[AlgElement]:
+    """The rows as elements, each built once per run of equal rows."""
+    return [elem for row, run in itertools.groupby(rows)
+            for elem in [first._from_row(shape, row, den)] * len(list(run))]
 
 
 @dataclass
@@ -48,7 +65,8 @@ def tong_merge(a_seq: Sequence[AlgElement], b_seq: Sequence[AlgElement]) -> Merg
 
     After normalizing (prefix meets of a_seq, prefix joins of b_seq), builds
     u_n = (a_1^b_1) v ... v (a_n^b_n) and v_n = u_n v a_n; the merged element
-    is u = u_n for the last n.
+    is u = u_n for the last n, all as running mins and maxes of rows.  The
+    shorter sequence repeats its last member.
 
     Checked here: a_n <= b_n for the last n (input).  The rest follows from
     it.  With f = a_n, the last term a_n ^ b_n is f, so f <= u.  The terms up
@@ -60,23 +78,18 @@ def tong_merge(a_seq: Sequence[AlgElement], b_seq: Sequence[AlgElement]) -> Merg
     """
     if not a_seq or not b_seq:
         raise EmptyFamily("merge needs nonempty sequences")
-    n = max(len(a_seq), len(b_seq))
-    a_seq = list(a_seq) + [a_seq[-1]] * (n - len(a_seq))
-    b_seq = list(b_seq) + [b_seq[-1]] * (n - len(b_seq))
-    a_norm, b_norm = [], []
-    for i in range(n):
-        a_norm.append(a_seq[i] if i == 0 else a_norm[-1].meet(a_seq[i]))
-        b_norm.append(b_seq[i] if i == 0 else b_norm[-1].join(b_seq[i]))
-    bad = a_norm[-1].first_violation(b_norm[-1])
+    k, n = len(a_seq), max(len(a_seq), len(b_seq))
+    shape, den, rows = lay_out([*a_seq, *b_seq])
+    a_norm = list(itertools.accumulate(rows[:k] + rows[k - 1:k] * (n - k), _meet_row))
+    b_norm = list(itertools.accumulate(rows[k:] + rows[-1:] * (n + k - len(rows)), _join_row))
+    bad = next((i for i, (x, y) in enumerate(zip(a_norm[-1], b_norm[-1])) if x > y), None)
     if bad is not None:
         raise PreconditionViolation(
-            f"meet of a_seq exceeds join of b_seq at {bad!r}")
-    u_seq, v_seq = [], []
-    for i in range(n):
-        term = a_norm[i].meet(b_norm[i])
-        u_seq.append(term if i == 0 else u_seq[-1].join(term))
-        v_seq.append(u_seq[-1].join(a_norm[i]))
-    return MergeTrace(a_norm, b_norm, u_seq, v_seq, u_seq[-1])
+            f"meet of a_seq exceeds join of b_seq at {a_seq[0]._point(shape, bad)!r}")
+    u_seq = list(itertools.accumulate(map(_meet_row, a_norm, b_norm), _join_row))
+    trace = [_elements(a_seq[0], shape, den, rows)
+             for rows in (a_norm, b_norm, u_seq, map(_join_row, u_seq, a_norm))]
+    return MergeTrace(*trace, trace[2][-1])
 
 
 @dataclass
@@ -103,6 +116,8 @@ def dieudonne_iterate(oracle: Oracle, f: AlgElement, g: AlgElement, steps: int) 
     The oracle takes (lower, upper, epsilon) with lower + epsilon <= upper
     and returns some a with lower <= a <= upper.  Step m+1 squeezes between
     (f - 1/2^{m+1}) v (a_m - 1/2^m) and g ^ (a_m + 1/2^m) at gap 1/2^{m+1}.
+    Each step's ends are scans of the rows of f, g and a_m, and the witness is
+    checked on them; one the frame does not hold widens the frame.
 
     Checked here: ``steps >= 1`` and ``f <= g`` (inputs), and each witness
     against its sandwich (the oracle is caller code).  The rest follows from
@@ -117,16 +132,26 @@ def dieudonne_iterate(oracle: Oracle, f: AlgElement, g: AlgElement, steps: int) 
     if steps < 1:
         raise PreconditionViolation("at least one step is required")
     check_order(f, g)
-    a_seq: list[AlgElement] = []
-    bounds: list[Fraction] = []
+    shape, den, (fr, gr) = lay_out([f, g])
+    a_seq, bounds, prev, dp = [], [], None, 1  # prev: a_m's frame row, over dp
     for m in range(1, steps + 1):
         eps = Fraction(1, 2 ** m)
-        lower, upper = f - eps, g
-        if a_seq:
-            lower = lower.join(a_seq[-1] - bounds[-1])
-            upper = upper.meet(a_seq[-1] + bounds[-1])
+        d = math.lcm(den, dp, 1 << m)
+        s, t = d // den, d >> m
+        lo, hi = [x * s - t for x in fr], [y * s for y in gr]
+        if prev is not None:  # lo v (a_{m-1} - 2/2^m), hi ^ (a_{m-1} + 2/2^m)
+            prev = [a * (d // dp) for a in prev]
+            lo = _join_row(lo, [a - 2 * t for a in prev])
+            hi = _meet_row(hi, [a + 2 * t for a in prev])
+        lower, upper = f._from_row(shape, lo, d), f._from_row(shape, hi, d)
         a = oracle(lower, upper, eps)
-        if not lower.le(a) or not a.le(upper):
+        if f._widen(shape, a) == shape:
+            prev, dp = a._on(shape), a._den
+        else:  # a witness whose shape the frame does not hold widens it
+            shape, den, (fr, gr, lo, hi, prev) = lay_out([f, g, lower, upper, a])
+            d = dp = den
+        if not all(map(operator.le, map(dp.__mul__, lo), map(d.__mul__, prev))) or \
+                not all(map(operator.le, map(d.__mul__, prev), map(dp.__mul__, hi))):
             raise OracleContractViolation(m, a, "witness outside its sandwich")
         a_seq.append(a)
         bounds.append(eps)
@@ -250,7 +275,8 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
 
     The certificate is self-contained: f, g, q_max, the transform, the
     result, and ``pairs``, one row {r, s, h} per distinct level pair at its
-    first pair, from which replay recomputes the join.
+    first pair, from which replay recomputes the join.  The closing join and
+    its bound check run on the int rows of f and the c.
     """
     carrier.check_pair(f, g)
     f1, g1, transform = rescale_to_unit(f, g)
@@ -281,13 +307,12 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
                 f"c_rs exceeds g on pair (r={grid[i_top]}, s={grid[j_top]})")
         parts.append(c)
         rows.append({"r": r, "s": s, "h": h})
-    joined = finite_join(parts)
-    mesh = Fraction(1, q_max)
-    for p in f1.probe_points():
-        fv = f1.value_at(p)
-        if fv.denominator <= q_max and joined.value_at(p) < fv - mesh:
-            raise BoundViolation(p, f"join below f - 1/{q_max}")
-    result = unscale(joined, transform)
+    shape, den, (fr, *part_rows) = lay_out([f1, *parts])
+    jr = [max(col) for col in zip(*part_rows)]
+    for i, (x, y) in enumerate(zip(fr, jr)):  # J < f - 1/q_max where f's denominator <= q_max
+        if (x - y) * q_max > den and den // math.gcd(x, den) <= q_max:
+            raise BoundViolation(f1._point(shape, i), f"join below f - 1/{q_max}")
+    result = unscale(f1._from_row(shape, jr, den), transform)
     cert = {
         "trace": "urysohn",
         "f": f,
@@ -310,15 +335,16 @@ def increasing_approx(reference: AlgElement, c_seq: Sequence[AlgElement],
     input check gives reference - 2 r_n <= c_n - r_n <= reference, so each
     a_n lies below the reference with ||reference - a_n|| <= 2 * min(r_1..r_n).
     The factor 2 is sharp: c_n may sit r_n below the reference, and shifting
-    by r_n doubles the defect.
+    by r_n doubles the defect.  The check and the joins run on int rows.
     """
     if len(c_seq) != len(r_seq) or not c_seq:
         raise PreconditionViolation("c_seq and r_seq must be nonempty and aligned")
     rates = [rat(r) for r in r_seq]
-    out: list[AlgElement] = []
-    for n, (c, r) in enumerate(zip(c_seq, rates), start=1):
-        if (reference - c).norm() > r:
+    shape, den, (ref, *rows) = lay_out([reference, *c_seq])
+    d, shifted = math.lcm(den, *(r.denominator for r in rates)), []
+    for n, (row, r) in enumerate(zip(rows, rates), start=1):
+        t = r.numerator * (d // r.denominator)
+        if max(abs(x - y) for x, y in zip(ref, row)) * (d // den) > t:
             raise BoundViolation(n, f"||reference - c_{n}|| > {r}")
-        shifted = c - r
-        out.append(shifted if not out else out[-1].join(shifted))
-    return out
+        shifted.append([y * (d // den) - t for y in row])
+    return _elements(reference, shape, d, itertools.accumulate(shifted, _join_row))

@@ -3,10 +3,12 @@
 An element holds its values as int numerators over one reduced positive
 denominator, in a flat row with one entry per probe position, plus the
 carrier's shape, which says which point each position stands for.  Each
-element operation is written once, here, as one aligned scan of two rows;
-a carrier (functions on a finite space, eventually periodic sequences)
-supplies only the alignment of two rows (``_pair`` skips it for rows on
-one shape), the point of each row position, and its canonical form.  Two
+element operation is written once, here, as one scan of two rows on one
+shape; a carrier (functions on a finite space, eventually periodic
+sequences) supplies only the least shape holding two (``_widen``, which
+``_pair`` skips for rows on one shape), a row on a wider shape (``_on``),
+the point of each row position, and its canonical form.  ``lay_out`` puts
+many elements on one shape and denominator, for procedures on rows.  Two
 operations need no second row and keep the shape as it is, and are
 written once here too: the 0/1 superlevel row of an element, by integer
 comparison with the level, and a shift by a rational constant, rescaled to
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CoverViolation, EmptyFamily, GapViolation, PreconditionViolation
 from .rationals import ONE, rat
@@ -73,8 +75,8 @@ class AlgElement:
     """An element of a bounded archimedean lattice-ordered function algebra.
 
     The int view is ``_row`` over ``_den``, in lowest terms; ``_shape`` is
-    always set.  A carrier implements ``_align``, ``_point``,
-    ``_set_fractions``, ``const_like``, ``probe_points`` and ``value_at``,
+    always set.  A carrier implements ``_widen``, ``_on``, ``_point``,
+    ``_set_fractions``, ``const_like`` and ``value_at``,
     plus ``_fraction_row`` (its Fraction view as one row) when it can be
     constructed from Fractions without its int row, and overrides
     ``_canonical_row`` when a row has more than one representation.
@@ -100,11 +102,12 @@ class AlgElement:
         return shape, row
 
     def _pair(self, other):
-        """(xs, ys, shape): the rows as they are on one shape, else aligned."""
+        """(xs, ys, shape): the rows as they are on one shape, else widened."""
         shape = self._shape
         if type(other) is type(self) and (other._shape is shape or other._shape == shape):
             return self._row, other._row, shape
-        return self._align(other)
+        shape = self._widen(shape, other)
+        return self._on(shape), other._on(shape), shape
 
     def _scaled(self, other):
         """(xs, ys, shape, den): aligned rows over their common denominator."""
@@ -242,14 +245,23 @@ class AlgElement:
         return hash((self._shape, self._den, self._row))
 
 
+def lay_out(elems: Sequence[AlgElement], shape=None) -> tuple[object, int, list]:
+    """(shape, den, rows): the elements as int rows over their least common
+    denominator, on the least shape holding theirs and ``shape``; raises as ``_pair`` does."""
+    shape = elems[0]._shape if shape is None else shape
+    for e in elems:
+        shape = elems[0]._widen(shape, e)
+    den = math.lcm(*{e._den for e in elems})
+    return shape, den, [e._on(shape) if e._den == den else
+                        [x * (den // e._den) for x in e._on(shape)] for e in elems]
+
+
 def finite_join(elems: Iterable[AlgElement]) -> AlgElement:
     elems = list(elems)
     if not elems:
         raise EmptyFamily("join of an empty family is not formed")
-    out = elems[0]
-    for e in elems[1:]:
-        out = out.join(e)
-    return out
+    shape, den, rows = lay_out(elems)
+    return elems[0]._from_row(shape, [max(col) for col in zip(*rows)], den)
 
 
 # Checks on the values a scenario instance holds, each raising an error keyed

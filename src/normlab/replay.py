@@ -31,27 +31,27 @@ import re
 from fractions import Fraction
 
 
-_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"0|-?[1-9][0-9]*(/([2-9]|[1-9][0-9]+))?")
 
 
 def _ratio(v, memo) -> tuple[int, int]:
     """A JSON rational as (numerator, positive denominator).
 
-    Replay reads the one grammar the serializer writes: an int that is not a
-    bool, or an ASCII string "p" or "p/q" of decimal digits with no leading
-    zero, p with an optional "-" and q positive.  Any other value is a
-    ValueError.  memo keeps each string a payload has already given.
+    Replay reads the one spelling the serializer writes: an ASCII string "p"
+    or "p/q" of decimal digits with no leading zero, in lowest terms, p with
+    an optional "-" unless it is 0, and q at least 2.  Any other value, a
+    JSON number included, is a ValueError.  memo keeps each string a payload
+    has already given.
     """
-    if type(v) is int:
-        return v, 1
-    if type(v) is not str:
-        raise ValueError(f"not a rational: {v!r}")
-    pair = memo.get(v)
+    pair = memo.get(v) if type(v) is str else None
     if pair is None:
-        if not _RATIONAL.fullmatch(v):
+        if type(v) is not str or not _RATIONAL.fullmatch(v):
             raise ValueError(f"not a rational: {v!r}")
         num, _, den = v.partition("/")
-        pair = memo[v] = int(num), int(den or 1)
+        p, q = int(num), int(den or 1)
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"not a rational in lowest terms: {v!r}")
+        pair = memo[v] = p, q
     return pair
 
 

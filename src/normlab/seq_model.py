@@ -174,9 +174,9 @@ class SeqFunc(AlgElement):
         self.prefix, self.cycle = tuple(values[:k]), tuple(values[k:k + c])
         self.omega = values[-1] if om else None
 
-    def _expand(self, p: int, span: int) -> tuple:
-        """The row at indices 0..p+span-1 (then omega), for p at least the
-        prefix length and span a multiple of the cycle length."""
+    def _on(self, shape) -> tuple:
+        """The row at indices 0..p+span-1, then omega, of a shape holding self's."""
+        p, span, _ = shape
         k, c, om = self._shape
         row = self._row
         if k == p and c == span:
@@ -184,14 +184,13 @@ class SeqFunc(AlgElement):
         out = (row[:k] + row[k:k + c] * ((p - k + span + c - 1) // c))[:p + span]
         return out + row[-1:] if om else out
 
-    def _align(self, other):
+    def _widen(self, shape, other):
         if not isinstance(other, SeqFunc):
             raise PreconditionViolation("operand is not a sequence function")
-        (k1, c1, om), (k2, c2, om2) = self._shape, other._shape
+        (k1, c1, om), (k2, c2, om2) = shape, other._shape
         if om != om2:
             raise CarrierMismatch("one operand has an omega value, the other does not")
-        p, span = max(k1, k2), math.lcm(c1, c2)
-        return self._expand(p, span), other._expand(p, span), (p, span, om)
+        return max(k1, k2), c1 if c1 % c2 == 0 else math.lcm(c1, c2), om
 
     def _point(self, shape, i):
         return OMEGA if i == shape[0] + shape[1] else i
@@ -203,13 +202,6 @@ class SeqFunc(AlgElement):
         v = rat(value)
         om = self._shape[2]
         return self._new((0, 1, om), (v.numerator,) * (1 + om), v.denominator)
-
-    def probe_points(self):
-        k, c, om = self._shape
-        pts: list = list(range(k + c))
-        if om:
-            pts.append(OMEGA)
-        return pts
 
     def value_at(self, point):
         if point is OMEGA:

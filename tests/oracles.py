@@ -5,11 +5,13 @@ import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from normlab.errors import BoundExceeded, CarrierMismatch, EmptyFamily, PreconditionViolation
+from normlab.errors import (BoundExceeded, BoundViolation, CarrierMismatch, EmptyFamily,
+                            OracleContractViolation, PreconditionViolation)
 from normlab.finite_space import FiniteFunc, FiniteSpace, NotSeparable, separate
-from normlab.lattice_core import _to_row, check_positive
-from normlab.rationals import ONE, ZERO
-from normlab.seq_model import SeqFunc
+from normlab.insertion_engine import IterationTrace, MergeTrace
+from normlab.lattice_core import _to_row, check_order, check_positive
+from normlab.rationals import ONE, ZERO, rat
+from normlab.seq_model import OMEGA, SeqFunc
 
 
 def is_topology(n: int, fam) -> bool:
@@ -49,6 +51,16 @@ def continuous_by_fibers(values, opens) -> bool:
     for x, v in enumerate(values):
         fibers[v] = fibers.get(v, 0) | 1 << x
     return all(fiber in opens for fiber in fibers.values())
+
+
+def probe_points(elem) -> list:
+    """The points an element's canonical row stands for: each point of a
+    finite space; the naturals below a sequence's prefix length plus its cycle
+    length, then omega when it has a value there."""
+    if isinstance(elem, FiniteFunc):
+        return list(range(elem.space.n))
+    k, c, om = elem._shape
+    return list(range(k + c)) + ([OMEGA] if om else [])
 
 
 def threshold_by_fractions(elem, level, strict: bool = False):
@@ -397,3 +409,107 @@ def subcover_by_fractions(eps, family):
     joined = [max(value_by_fractions(t, k) for t in members) for k in range(span)]
     join_omega = max(t.omega for t in members)
     return chosen, min(joined + [join_omega]), join_omega
+
+
+# -- the insertion procedures as chains of pairwise element operations --------
+# Each builds every intermediate element the procedure's algebra names; the
+# library computes the same values on one frame of int rows.
+
+def finite_join_pairwise(elems):
+    """The join of a nonempty family, one pairwise join at a time."""
+    elems = list(elems)
+    if not elems:
+        raise EmptyFamily("join of an empty family is not formed")
+    out = elems[0]
+    for e in elems[1:]:
+        out = out.join(e)
+    return out
+
+
+def tong_merge_pairwise(a_seq, b_seq) -> MergeTrace:
+    """Prefix meets of a_seq, prefix joins of b_seq, then u_n and v_n, each by
+    pairwise meets and joins."""
+    if not a_seq or not b_seq:
+        raise EmptyFamily("merge needs nonempty sequences")
+    n = max(len(a_seq), len(b_seq))
+    a_seq = list(a_seq) + [a_seq[-1]] * (n - len(a_seq))
+    b_seq = list(b_seq) + [b_seq[-1]] * (n - len(b_seq))
+    a_norm, b_norm = [], []
+    for i in range(n):
+        a_norm.append(a_seq[i] if i == 0 else a_norm[-1].meet(a_seq[i]))
+        b_norm.append(b_seq[i] if i == 0 else b_norm[-1].join(b_seq[i]))
+    bad = a_norm[-1].first_violation(b_norm[-1])
+    if bad is not None:
+        raise PreconditionViolation(
+            f"meet of a_seq exceeds join of b_seq at {bad!r}")
+    u_seq, v_seq = [], []
+    for i in range(n):
+        term = a_norm[i].meet(b_norm[i])
+        u_seq.append(term if i == 0 else u_seq[-1].join(term))
+        v_seq.append(u_seq[-1].join(a_norm[i]))
+    return MergeTrace(a_norm, b_norm, u_seq, v_seq, u_seq[-1])
+
+
+def dieudonne_iterate_pairwise(oracle, f, g, steps: int) -> IterationTrace:
+    """Each step's sandwich (f - 1/2^m) v (a_m - 1/2^{m-1}) and
+    g ^ (a_m + 1/2^{m-1}) built by element operations, the witness checked by
+    ``le``."""
+    if steps < 1:
+        raise PreconditionViolation("at least one step is required")
+    check_order(f, g)
+    a_seq, bounds = [], []
+    for m in range(1, steps + 1):
+        eps = Fraction(1, 2 ** m)
+        lower, upper = f - eps, g
+        if a_seq:
+            lower = lower.join(a_seq[-1] - bounds[-1])
+            upper = upper.meet(a_seq[-1] + bounds[-1])
+        a = oracle(lower, upper, eps)
+        if not lower.le(a) or not a.le(upper):
+            raise OracleContractViolation(m, a, "witness outside its sandwich")
+        a_seq.append(a)
+        bounds.append(eps)
+    return IterationTrace(a_seq, bounds, f, g)
+
+
+def increasing_approx_pairwise(reference, c_seq, r_seq) -> list:
+    """||reference - c_n|| <= r_n by the norm of a difference element, and the
+    prefix joins of c_n - r_n by pairwise joins."""
+    if len(c_seq) != len(r_seq) or not c_seq:
+        raise PreconditionViolation("c_seq and r_seq must be nonempty and aligned")
+    out = []
+    for n, (c, r) in enumerate(zip(c_seq, [rat(r) for r in r_seq]), start=1):
+        if (reference - c).norm() > r:
+            raise BoundViolation(n, f"||reference - c_{n}|| > {r}")
+        shifted = c - r
+        out.append(shifted if not out else out[-1].join(shifted))
+    return out
+
+
+def block_indicators_pairwise(space: FiniteSpace, generators):
+    """Each block's indicator as the meet, from the constant 1, of the clamped
+    affine normalizations (g - g(y)) / (g(x) - g(y)), one element at a time."""
+    if not generators:
+        raise EmptyFamily("need at least one generator")
+    n = space.n
+    sig = [tuple(g.values[x] for g in generators) for x in range(n)]
+    blocks = {}
+    for x in range(n):
+        blocks.setdefault(sig[x], []).append(x)
+    indicators, traces = [], []
+    for b in blocks.values():
+        x = b[0]
+        chi = FiniteFunc(space, [ONE] * n)
+        choices = []
+        for y in range(n):
+            if sig[y] == sig[x]:
+                continue
+            gi = next(i for i, g in enumerate(generators) if g.values[x] != g.values[y])
+            g = generators[gi]
+            gx, gy = g.values[x], g.values[y]
+            h = ((g - gy) * (Fraction(1) / (gx - gy))).join(ZERO).meet(ONE)
+            chi = chi.meet(h)
+            choices.append({"y": y, "g_index": gi})
+        indicators.append(chi)
+        traces.append({"block": b, "choices": choices})
+    return indicators, traces

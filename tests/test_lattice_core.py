@@ -11,7 +11,7 @@ from normlab.errors import EmptyFamily, PreconditionViolation
 from normlab.finite_space import FiniteFunc, FiniteSpace
 from normlab.lattice_core import finite_join, rescale_to_unit, unscale
 from normlab.seq_model import OMEGA, SeqFunc, threshold_indicator
-from oracles import shift_by_constant_element, superlevel_mask_by_values, threshold_by_fractions
+from oracles import probe_points, shift_by_constant_element, superlevel_mask_by_values, threshold_by_fractions
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -54,7 +54,7 @@ def test_ring_laws_seq(a, b, c):
 @given(elements)
 def test_abs_is_join_with_negation(a):
     absolute, norm = a.join(-a), a.norm()  # |a| = a v (-a)
-    assert norm == max(abs(a.value_at(p)) for p in a.probe_points())
+    assert norm == max(abs(a.value_at(p)) for p in probe_points(a))
     assert absolute.le(a.const_like(norm))
 
 
@@ -252,13 +252,13 @@ def test_scalar_shifts_match_the_constant_element_path(pair, c, op):
 def test_operands_on_one_shape_skip_the_alignment(monkeypatch):
     """Every binary operation pairs its rows through ``_pair``: operands on one
     shape (equal spaces need not be one object) never reach the carrier's
-    ``_align``; operands on different shapes do, and different spaces raise."""
+    ``_widen``; operands on different shapes do, and different spaces raise."""
     aligned = []
     for cls in (SeqFunc, FiniteFunc):
-        def counted(self, other, _align=cls._align):
+        def counted(self, shape, other, _widen=cls._widen):
             aligned.append(type(self).__name__)
-            return _align(self, other)
-        monkeypatch.setattr(cls, "_align", counted)
+            return _widen(self, shape, other)
+        monkeypatch.setattr(cls, "_widen", counted)
     a, b = SeqFunc([1], (2, 3)), SeqFunc([0], (5, 1))
     f, g = FiniteFunc(FiniteSpace.discrete(2), [1, 2]), FiniteFunc(FiniteSpace.discrete(2), [3, 1])
     for x, y in ((a, b), (f, g)):

@@ -53,6 +53,7 @@ from oracles import (
     is_convergent_by_fractions,
     limit_data_by_fractions,
     noncompact_family,
+    probe_points,
     rand_rational,
     random_feasible_x_pair,
     random_usc_lsc_pair,
@@ -478,7 +479,7 @@ def test_closed_forms_are_the_limits_of_truncated_families():
             _, trunc = family(h)
             sign = 1 if side == "meet" else -1
             for m in (1, 2, 3, 8, 64):
-                gaps = [sign * (trunc(k, m) - h.at(k)) for k in h.probe_points()]
+                gaps = [sign * (trunc(k, m) - h.at(k)) for k in probe_points(h)]
                 assert 0 <= min(gaps) and max(gaps) <= Fraction(1, m)
 
 
