@@ -159,8 +159,9 @@ def dieudonne_iterate(oracle: Oracle, f: AlgElement, g: AlgElement, steps: int) 
 
 
 def midpoint_oracle(lower: AlgElement, upper: AlgElement, eps) -> AlgElement:
-    """Reference strict-insertion oracle: the pointwise midpoint."""
-    return (lower + upper) * Fraction(1, 2)
+    """Reference strict-insertion oracle: the pointwise midpoint, built once."""
+    xs, ys, shape, den = lower._scaled(upper)
+    return lower._from_row(shape, [x + y for x, y in zip(xs, ys)], 2 * den)
 
 
 def farey_fractions(q_max: int) -> list[Fraction]:

@@ -3,16 +3,17 @@
 An element holds its values as int numerators over one reduced positive
 denominator, in a flat row with one entry per probe position, plus the
 carrier's shape, which says which point each position stands for.  Each
-element operation is written once, here, as one scan of two rows on one
-shape; a carrier (functions on a finite space, eventually periodic
-sequences) supplies only the least shape holding two (``_widen``, which
-``_pair`` skips for rows on one shape), a row on a wider shape (``_on``),
-the point of each row position, and its canonical form.  ``lay_out`` puts
-many elements on one shape and denominator, for procedures on rows.  Two
-operations need no second row and keep the shape as it is, and are
-written once here too: the 0/1 superlevel row of an element, by integer
-comparison with the level, and a shift by a rational constant, rescaled to
-the common denominator and reduced.  Ring and lattice axioms then hold
+element operation is written once, here, as one scan of two rows that
+``_scaled`` puts on one shape and denominator; a carrier (functions on a
+finite space, eventually periodic sequences) supplies only the least shape
+holding two (``_widen``, which ``_scaled`` skips for rows on one shape), a
+row on a wider shape (``_on``), the point of each row position, and its
+canonical form.  ``lay_out`` puts many elements on one shape and
+denominator, for procedures on rows.  Two operations need no second row
+and keep the shape as it is, and are written once here too: the 0/1
+superlevel row of an element, by integer comparison with the level, and a
+shift by a rational constant, rescaled to the common denominator and
+reduced.  Ring and lattice axioms then hold
 exactly, and order, norm, and equality are all decidable.  Every value the
 API returns is still a ``Fraction``: that view of an element is built at
 most once, when first read.  A sequence is built as its int row from the
@@ -101,17 +102,15 @@ class AlgElement:
     def _canonical_row(self, shape, row):
         return shape, row
 
-    def _pair(self, other):
-        """(xs, ys, shape): the rows as they are on one shape, else widened."""
+    def _scaled(self, other):
+        """(xs, ys, shape, den): the rows over their common denominator, on
+        one shape as they are, else on the least shape holding both."""
         shape = self._shape
         if type(other) is type(self) and (other._shape is shape or other._shape == shape):
-            return self._row, other._row, shape
-        shape = self._widen(shape, other)
-        return self._on(shape), other._on(shape), shape
-
-    def _scaled(self, other):
-        """(xs, ys, shape, den): aligned rows over their common denominator."""
-        xs, ys, shape = self._pair(other)
+            xs, ys = self._row, other._row
+        else:
+            shape = self._widen(shape, other)
+            xs, ys = self._on(shape), other._on(shape)
         d1, d2 = self._den, other._den
         den = d1 if d1 == d2 else math.lcm(d1, d2)
         xs = xs if den == d1 else [x * (den // d1) for x in xs]
@@ -120,9 +119,8 @@ class AlgElement:
 
     def zip_with(self, other, fn) -> "AlgElement":
         """Pointwise combination by a function on Fractions."""
-        xs, ys, shape = self._pair(other)
-        d1, d2 = self._den, other._den
-        return self._from_row(shape, *_to_row([rat(fn(Fraction(x, d1), Fraction(y, d2)))
+        xs, ys, shape, den = self._scaled(other)
+        return self._from_row(shape, *_to_row([rat(fn(Fraction(x, den), Fraction(y, den)))
                                               for x, y in zip(xs, ys)]))
 
     def superlevel_row(self, level, strict: bool = False) -> list[int]:
@@ -180,9 +178,8 @@ class AlgElement:
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
-            xs, ys, shape = self._pair(other)
-            return self._from_row(shape, [x * y for x, y in zip(xs, ys)],
-                                  self._den * other._den)
+            xs, ys, shape, den = self._scaled(other)
+            return self._from_row(shape, [x * y for x, y in zip(xs, ys)], den * den)
         r = rat(other)
         num = r.numerator
         return self._from_row(self._shape, [x * num for x in self._row],
@@ -223,9 +220,8 @@ class AlgElement:
         return self._coerce(other).le(self)
 
     def eq_pointwise(self, other) -> bool:
-        other = self._coerce(other)
-        xs, ys, _ = self._pair(other)
-        return self._den == other._den and xs == ys
+        xs, ys, _, _ = self._scaled(self._coerce(other))
+        return xs == ys
 
     def norm(self) -> Fraction:
         """The least rational r with |self| <= r, exact on these carriers."""
@@ -247,7 +243,8 @@ class AlgElement:
 
 def lay_out(elems: Sequence[AlgElement], shape=None) -> tuple[object, int, list]:
     """(shape, den, rows): the elements as int rows over their least common
-    denominator, on the least shape holding theirs and ``shape``; raises as ``_pair`` does."""
+    denominator, on the least shape holding theirs and ``shape``; raises as
+    ``_scaled`` does."""
     shape = elems[0]._shape if shape is None else shape
     for e in elems:
         shape = elems[0]._widen(shape, e)

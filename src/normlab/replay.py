@@ -91,6 +91,19 @@ def _primitive(cycle) -> bool:
 _SEQ_KEYS = {"prefix", "cycle", "omega"}
 
 
+def _indices(vs, n=None) -> list[int]:
+    """A JSON array of distinct indices: ints (not bools), at least 0 and below
+    n when n is given; anything else is a ValueError."""
+    if type(vs) is not list or not all(type(v) is int and 0 <= v and (n is None or v < n)
+                                       for v in vs) or len(set(vs)) != len(vs):
+        raise ValueError(f"not distinct indices in range: {vs!r}")
+    return vs
+
+
+def _index(v, n=None) -> int:
+    return _indices([v], n)[0]
+
+
 def _mask(points) -> int:
     """A list of point indices as a bitmask; a negative index is a ValueError."""
     m = 0
@@ -119,21 +132,16 @@ class _Reader:
     is {"points": n, "up": rows}, row x listing the points y >= x of its
     specialization preorder.  The payload's space is read once, from its
     first finite function, and every other finite function must carry the
-    same space, as JSON.  ``frame`` parses the payload's elements, keyed by
-    id (the payload outlives its reader), in one memoized pass over all of
-    their rationals: one lcm, then int numerators over it, split per element
-    with a shape, (len(prefix), len(cycle), has omega) for a sequence and
-    None for a finite function.  It then lays the payload out.
+    same space, as JSON.  ``frame`` parses the payload's elements in one
+    memoized pass over all of their rationals (one lcm, then int numerators
+    over it) and lays them out, keyed by id (the payload outlives its
+    reader): an element's row in the frame is the only view checks read.
     """
 
     def __init__(self):
-        self.memo, self.parsed, self.space, self.masks = {}, {}, None, None
+        self.memo, self.space, self.masks = {}, None, None
         # the frame's den, rows by element id, omega flag and cycle start
         self.den, self.laid, self.omega, self.cycle_at = 1, {}, False, 0
-
-    @staticmethod
-    def is_seq(d) -> bool:
-        return isinstance(d, dict) and "cycle" in d
 
     @staticmethod
     def is_finite(d) -> bool:
@@ -147,7 +155,7 @@ class _Reader:
         for child in node.values() if type(node) is dict else node:
             kind = type(child)
             if kind is dict and ("cycle" in child or "values" in child and "space" in child):
-                out.append(child)  # is_seq or is_finite, written out on this hot walk
+                out.append(child)  # a sequence or a finite function, written out on this hot walk
             elif kind is dict or kind is list:
                 cls.elements(child, out)
         return out
@@ -181,7 +189,7 @@ class _Reader:
     def _values(self, d):
         """(values, shape): an element's JSON rationals in row order, and its
         shape; a ValueError for a sequence spelled other than as written."""
-        if self.is_seq(d):
+        if isinstance(d, dict) and "cycle" in d:
             if d.keys() != _SEQ_KEYS:
                 raise ValueError("a sequence has exactly the keys prefix, cycle and omega")
             prefix, cycle, om = d["prefix"], d["cycle"], d["omega"]
@@ -196,14 +204,16 @@ class _Reader:
             return values, None
         raise ValueError("unknown element encoding")
 
-    def _parse(self, elems) -> tuple[int, list]:
-        """(den, [(numerators, shape), ...]) of the elements, from one pass over
-        all of their rationals; a ValueError for a sequence that is not
-        canonical."""
+    def frame(self, *elems):
+        """(den, rows): the elements' values as ints over the lcm of their
+        denominators at each point of the space, or at each index below the
+        longest prefix plus the lcm of the cycles, then omega.  A ValueError for
+        a sequence not canonical, or unless all are on one carrier and the
+        points number <= MAX_FRAME."""
         spelled = [self._values(d) for d in elems]
         den, nums = _ints([v for values, _ in spelled for v in values], self.memo)
         parsed, at = [], 0
-        for d, (values, shape) in zip(elems, spelled):
+        for values, shape in spelled:
             own = nums[at:at + len(values)]
             at += len(values)
             if shape is not None:
@@ -212,16 +222,7 @@ class _Reader:
                     raise ValueError("a sequence's cycle is not its minimal period")
                 if k and own[k - 1] == own[k + c - 1]:
                     raise ValueError("a sequence's prefix ends with an entry its cycle absorbs")
-            self.parsed[id(d)] = den, own, shape
             parsed.append((own, shape))
-        return den, parsed
-
-    def frame(self, *elems):
-        """(den, rows): the elements' values as ints over the lcm of their
-        denominators at each point of the space, or at each index below the
-        longest prefix plus the lcm of the cycles, then omega.  A ValueError
-        unless all are on one carrier and the points number <= MAX_FRAME."""
-        den, parsed = self._parse(elems)
         carriers = {shape and shape[2] for _, shape in parsed}
         if len(carriers) > 1:
             raise ValueError("elements on different carriers")
@@ -251,29 +252,16 @@ class _Reader:
             raise ValueError("unknown element encoding")
         return self.laid[id(d)]
 
-    def seq(self, d):
-        """A sequence's prefix and cycle values and its omega value (None
-        without one), as Fractions."""
-        if id(d) not in self.parsed:
-            self._parse([d])
-        den, nums, shape = self.parsed[id(d)]
-        if shape is None:
-            raise ValueError("a finite function has no cycle")
-        k, c, has_omega = shape
-        vals = [Fraction(x, den) for x in nums]
-        return vals[:k], vals[k:k + c], vals[-1] if has_omega else None
-
-    def convergent(self, d) -> bool:
-        """A finite function is; a sequence iff its cycle is one value, its
-        omega value if it has one."""
-        if not self.is_seq(d):
-            return True
-        _, cycle, om = self.seq(d)
-        return len(cycle) == 1 and om in (None, cycle[0])
-
 
 def _row_le(a, b) -> bool:
     return all(map(operator.le, a, b))
+
+
+def _settles(rd, row) -> bool:
+    """Whether a sequence's row in the frame is one value from the frame's cycle
+    start on (whole laps of its cycle there), omega included."""
+    tail = row[rd.cycle_at:]
+    return tail.count(row[-1]) == len(tail)
 
 
 # -- payload verifiers -------------------------------------------------------
@@ -416,7 +404,8 @@ def _verify_route(report, checks, rd, at, unread) -> None:
 
             _check(checks, f"{label}: every listed subfamily defeated",
                    bool(defeats) and neg < 0 < eps and len(defeats) == len(combos) and all(
-                       e["subfamily"] == list(combo) and e["index"] == combo[-1] + 1
+                       _indices(e["subfamily"]) == list(combo)
+                       and _index(e["index"]) == combo[-1] + 1
                        and same(e["join_value"], neg) for e, combo in zip(defeats, combos)))
         else:
             _check(checks, f"{label}: member k is eps + delta > eps/2 at index k",
@@ -426,7 +415,7 @@ def _verify_route(report, checks, rd, at, unread) -> None:
     if cond in ("C", "L"):
         fam = cert["family"]
         fam_rows = [row(d) for d in fam]
-        chosen = [fam_rows[i] for i in cert["subfamily"]]
+        chosen = [fam_rows[i] for i in _indices(cert["subfamily"], len(fam_rows))]
         ks = range(len(fam_rows[0]))
         join_min = min(max(x[k] for x in chosen) for k in ks)
         _check(checks, f"{label}: subfamily join nonnegative", join_min >= 0)
@@ -450,15 +439,21 @@ def _verify_route(report, checks, rd, at, unread) -> None:
     if cond in ("N", "D"):
         if verdict == "holds":
             w = cert["witness"]
-            _check(checks, f"{label}: witness convergent", rd.convergent(w))
+            wr = row(w)  # a finite function is convergent
+            _check(checks, f"{label}: witness convergent",
+                   rd.masks is not None or _settles(rd, wr))
             _check(checks, f"{label}: f <= witness <= g", between(w))
             if model in ("seq_x_end", "seq_y_end"):
+                lim = _frac(cert["limit"])
                 _check(checks, f"{label}: limit = the witness's cycle value",
-                       rd.seq(w)[1] == [_frac(cert["limit"])])
-        else:
+                       all(x * lim.denominator == lim.numerator * den
+                           for x in wr[rd.cycle_at:len(wr) - rd.omega]))
+        else:  # on seq_x_end, whose frame has no omega: laps of each cycle
             lsf, lig = _frac(cert["limsup_f"]), _frac(cert["liminf_g"])
-            _check(checks, "infeasible: limsup f recomputed", max(rd.seq(f)[1]) == lsf)
-            _check(checks, "infeasible: liminf g recomputed", min(rd.seq(g)[1]) == lig)
+            _check(checks, "infeasible: limsup f recomputed",
+                   max(fr[rd.cycle_at:]) * lsf.denominator == lsf.numerator * den)
+            _check(checks, "infeasible: liminf g recomputed",
+                   min(gr[rd.cycle_at:]) * lig.denominator == lig.numerator * den)
             _check(checks, "infeasible: limsup exceeds liminf", lsf > lig)
         if cond == "D":
             eps = _frac(cert["epsilon"])
@@ -499,19 +494,25 @@ def _verify_ideal(payload, checks) -> None:
     in_i, in_j = payload["in_I_alpha"], payload["in_J_radical"]
     cert = payload["cert"]
     if "ratio" in elem:  # geometric tail, with no cycle: limit 0, finite support iff q = 0
-        prefix = [_frac(v) for v in elem.get("prefix", [])]
-        q, _ = _frac(elem["q"]), _frac(elem["ratio"])
-        _check(checks, "ideal: tail lies in the radical", in_j is True)
+        if elem.keys() != {"prefix", "q", "ratio"} or type(elem["prefix"]) is not list:
+            raise ValueError("a geometric tail is exactly an array prefix, q and ratio")
+        _, prefix = _ints(elem["prefix"], {})
+        q, ratio = _frac(elem["q"]), _frac(elem["ratio"])
+        _check(checks, "ideal: tail lies in the radical", in_j is True and 0 < ratio < 1)
         _check(checks, "ideal: compact-support membership matches q", in_i == (q == 0))
     else:
-        prefix, cycle, om = _Reader().seq(elem)
-        ok = len(cycle) == 1 and om == cycle[0]
+        rd = _Reader()
+        _, (row,) = rd.frame(elem)
+        if rd.masks is not None:
+            raise ValueError("a finite function has no cycle")
+        ok = rd.omega and _settles(rd, row)
         _check(checks, "ideal: element convergent", ok)
         if not ok:
             return
         _check(checks, "ideal: radical membership = vanishing at omega",
-               in_j == (om == 0))
+               in_j == (row[-1] == 0))
         _check(checks, "ideal: compact support iff limit zero", in_i == in_j)
+        prefix = row[:rd.cycle_at]
     if in_i:
         support = [k for k, v in enumerate(prefix) if v != 0]
         _check(checks, "ideal: closure certificate is the finite support",
@@ -537,15 +538,15 @@ def _verify_block_replay(payload, checks) -> None:
     den, rows = rd.frame(*gens, *indicators)
     gen_rows = rows[:len(gens)]
     pts = range(len(gen_rows[0]))
-    points = sorted(x for trace in traces for x in trace["block"])
+    points = sorted(_index(x, len(pts)) for trace in traces for x in trace["block"])
     if not _check(checks, "block traces: one per indicator, blocks partition the points",
                   len(traces) == len(indicators) and points == list(pts)):
         return
     for trace, expected in zip(traces, rows[len(gens):]):
         x, ok, values = trace["block"][0], True, [(1, 1)] * len(pts)
         for ch in trace["choices"]:
-            row = gen_rows[ch["g_index"]]
-            gy = row[ch["y"]]
+            row = gen_rows[_index(ch["g_index"], len(gen_rows))]
+            gy = row[_index(ch["y"], len(pts))]
             span = row[x] - gy
             ok = ok and span != 0
             # h = (g - gy) / span clamped to [0, 1], as hn / hd with hd > 0
@@ -576,8 +577,7 @@ def _continuous(rd, row) -> bool:
     that value from the frame's cycle on (on the naturals alone, every
     sequence is)."""
     if rd.masks is None:
-        tail = row[rd.cycle_at:]
-        return not rd.omega or tail.count(row[-1]) == len(tail)
+        return not rd.omega or _settles(rd, row)
     return all(row[y] == v for v, m in zip(row, rd.masks)
                for y in range(len(row)) if m >> y & 1)
 

@@ -38,7 +38,7 @@ from .conditions import (
 from .errors import PreconditionViolation
 from .finite_space import FiniteFunc, FiniteSpace
 from .rationals import RATIONAL, num_str, rat_str
-from .seq_model import GeoTail, Omega, SeqFunc, Witness
+from .seq_model import GeoTail, SeqFunc
 
 
 def _same(obj):
@@ -82,13 +82,11 @@ _LOWER = {
     type(None): _same, bool: _same, int: _same, str: _same,
     dict: _lower_dict, list: _lower_items, tuple: _lower_items,
     Fraction: rat_str,
-    Omega: lambda _: "omega",
     FiniteSpace: _lower_space,
     FiniteFunc: _lower_finite_func,
     SeqFunc: _lower_seq_func,
     GeoTail: lambda t: {"prefix": [rat_str(v) for v in t.prefix],
                         "q": rat_str(t.q), "ratio": rat_str(t.ratio)},
-    Witness: lambda w: {"witness": to_jsonable(w.func), "limit": rat_str(w.limit)},
 }
 
 

@@ -14,8 +14,8 @@ from normlab.cli import CATALOG, main, reproduce, survey_rows
 from normlab.errors import PreconditionViolation, UnknownExampleId
 from normlab.finite_space import FiniteSpace
 from normlab.rationals import rat
-from normlab.replay import verify_report
-from normlab.seq_model import SeqFunc
+from normlab.replay import MalformedPayload, verify_report
+from normlab.seq_model import GeoTail, SeqFunc, ideal_membership
 from normlab.serialize import MAX_FAMILY, MAX_POINTS, parse_scenario, to_jsonable
 
 
@@ -549,9 +549,9 @@ def test_replay_refuses_the_catalog_c_failure_at_nonpositive_epsilon(epsilon):
         {"check": "C fails: every listed subfamily defeated", "ok": False}]
 
 
-def _x_report(tmp_path, capsys, cond, instance):
-    """The check report of a seq_x_end scenario, which replays ok."""
-    path = write(tmp_path, "s.json", _scenario("seq_x_end", cond, instance))
+def _report(tmp_path, capsys, model, cond, instance):
+    """The check report of a scenario, which replays ok."""
+    path = write(tmp_path, "s.json", _scenario(model, cond, instance))
     report_path = tmp_path / "report.json"
     assert main(["check", path, "--out", str(report_path)]) == 0
     assert main(["replay", str(report_path)]) == 0
@@ -578,7 +578,7 @@ def test_replay_refuses_a_nonpositive_built_in_family(tmp_path, capsys, cond, ke
     instance = dict(_x_cover(cond))
     if cond == "SL":
         instance.update(f={"cycle": ["0"]}, g={"cycle": ["1"]})
-    report = _x_report(tmp_path, capsys, cond, instance)
+    report = _report(tmp_path, capsys, "seq_x_end", cond, instance)
     cert = report["certificate"]["L"] if cond == "SL" else report["certificate"]
     cert[key] = report["instance"][key] = value
     row = ("C fails: every listed subfamily defeated" if cond == "C"
@@ -592,7 +592,7 @@ def test_replay_rejects_a_closed_form_off_its_endpoint(tmp_path, capsys, cond, s
     """Each side's closed form must be the endpoint whose countable meet or
     join it stands for; the constant 5, or the other endpoint, fails."""
     instance = {"f": seq("0", "1"), "g": seq("2")}
-    report = _x_report(tmp_path, capsys, cond, instance)
+    report = _report(tmp_path, capsys, "seq_x_end", cond, instance)
     key = f"closed_form_{side[:-5]}"
     endpoint = report["certificate"][side][key]
     others = [seq("5"),
@@ -603,17 +603,17 @@ def test_replay_rejects_a_closed_form_off_its_endpoint(tmp_path, capsys, cond, s
             [f"{cond} holds: {side} closed form is its endpoint"]
 
 
+Y_N_INSTANCE = {"f": {"prefix": ["0"], "cycle": ["1"], "omega": "1"},
+                "g": {"prefix": ["1"], "cycle": ["2"], "omega": "2"}}
+X_D_INSTANCE = {"f": {"cycle": ["0", "1/2"]}, "g": {"cycle": ["2"]}, "epsilon": "1"}
 Y_COVER = {"epsilon": "1", "family": [
     {"prefix": ["1", "0"], "cycle": ["2"], "omega": "2"},
     {"prefix": ["-1", "3/2"], "cycle": ["1/2"], "omega": "1/2"}]}
 
 
 @pytest.mark.parametrize("model,cond,instance,key,row", [
-    ("seq_y_end", "N", {"f": {"prefix": ["0"], "cycle": ["1"], "omega": "1"},
-                        "g": {"prefix": ["1"], "cycle": ["2"], "omega": "2"}},
-     ["limit"], "N holds: limit = the witness's cycle value"),
-    ("seq_x_end", "D", {"f": {"cycle": ["0", "1/2"]}, "g": {"cycle": ["2"]}, "epsilon": "1"},
-     ["limit"], "D holds: limit = the witness's cycle value"),
+    ("seq_y_end", "N", Y_N_INSTANCE, ["limit"], "N holds: limit = the witness's cycle value"),
+    ("seq_x_end", "D", X_D_INSTANCE, ["limit"], "D holds: limit = the witness's cycle value"),
     ("seq_y_end", "C", Y_COVER, ["join_omega"], "C holds: recorded join at omega matches"),
     ("seq_y_end", "SL", {**Y_COVER, "f": MODEL_ELEMS["seq_y_end"], "g": MODEL_ELEMS["seq_y_end"]},
      ["L", "join_omega"], "L holds: recorded join at omega matches"),
@@ -633,6 +633,106 @@ def test_replay_rejects_a_recorded_value_off_its_members(
     assert main(["replay", write(tmp_path, "tampered.json", report)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert [c["check"] for c in out["checks"] if not c["ok"]] == [row]
+
+
+@pytest.mark.parametrize("model,cond,instance,witness,rows", [
+    ("seq_y_end", "N", Y_N_INSTANCE, {"prefix": [], "cycle": ["1"], "omega": "2"},
+     ["N holds: witness convergent"]),
+    ("seq_y_end", "N", Y_N_INSTANCE, {"prefix": [], "cycle": ["1", "2"], "omega": "1"},
+     ["N holds: witness convergent", "N holds: limit = the witness's cycle value"]),
+    ("seq_x_end", "D", X_D_INSTANCE, {"prefix": [], "cycle": ["1", "3/2"], "omega": None},
+     ["D holds: witness convergent", "D holds: limit = the witness's cycle value"]),
+], ids=["y-omega-off-cycle", "y-two-values", "x-two-values"])
+def test_replay_rejects_a_witness_that_does_not_converge(
+        tmp_path, capsys, model, cond, instance, witness, rows):
+    """A witness between f and g whose cycle is not one value, or whose omega
+    value is not its cycle value, fails "witness convergent"; its limit row
+    reads the cycle alone."""
+    report = _report(tmp_path, capsys, model, cond, instance)
+    report["certificate"]["witness"] = witness
+    assert _replay_fails(tmp_path, capsys, report) == rows
+
+
+@pytest.mark.parametrize("key,value", [("limsup_f", "3"), ("limsup_f", "1/2"),
+                                       ("liminf_g", "1/2"), ("liminf_g", "-1")])
+def test_replay_recomputes_limsup_and_liminf_from_the_cycles(tmp_path, capsys, key, value):
+    """limsup f and liminf g are read from the cycles alone (f's prefix is 3,
+    g's is 5); a value off either fails its one row, while limsup f still
+    exceeds liminf g."""
+    instance = {"f": {"prefix": ["3"], "cycle": ["1", "0"]},
+                "g": {"prefix": ["5"], "cycle": ["1", "0"]}}
+    report = _report(tmp_path, capsys, "seq_x_end", "N", instance)
+    assert (report["certificate"]["limsup_f"], report["certificate"]["liminf_g"]) == ("1", "0")
+    report["certificate"][key] = value
+    side = "limsup f" if key == "limsup_f" else "liminf g"
+    assert _replay_fails(tmp_path, capsys, report) == [f"infeasible: {side} recomputed"]
+
+
+def _ideal(elem) -> dict:
+    """An ideal-membership payload of a library element, which replays ok."""
+    payload = {"ideal_membership": {"element": to_jsonable(elem),
+                                    **to_jsonable(ideal_membership(elem))}}
+    assert verify_report(payload)["ok"]
+    return payload
+
+
+@pytest.mark.parametrize("elem,path,value,row", [
+    (SeqFunc([0, 1], [0], omega=0), ["element", "omega"], "1", "ideal: element convergent"),
+    (SeqFunc([0, 1], [2], omega=2), ["element", "omega"], "0", "ideal: element convergent"),
+    (SeqFunc([0, 1], [0], omega=0), ["cert", "members"], [0],
+     "ideal: closure certificate is the finite support"),
+    (SeqFunc([0, 1], [2], omega=2), ["cert", "members"], [0, 1],
+     "ideal: closure certificate is cofinite with omega"),
+    (GeoTail([0, 1], q=1), ["cert", "members"], [],
+     "ideal: closure certificate is cofinite with omega"),
+    (GeoTail([0, 1], q=1), ["element", "ratio"], "1", "ideal: tail lies in the radical"),
+    (GeoTail([0, 1], q=1), ["element", "ratio"], "3/2", "ideal: tail lies in the radical"),
+    (GeoTail([0, 1], q=1), ["element", "ratio"], "-1/2", "ideal: tail lies in the radical"),
+], ids=["omega-off-zero-cycle", "omega-off-cycle", "finite-members", "cofinite-members",
+        "tail-members", "ratio-1", "ratio-3/2", "ratio--1/2"])
+def test_replay_rejects_a_tampered_ideal_payload(elem, path, value, row):
+    out = verify_report(_with(_ideal(elem), ["ideal_membership", *path], value))
+    assert [c["check"] for c in out["checks"] if not c["ok"]] == [row]
+
+
+@pytest.mark.parametrize("edit", [lambda t: t.pop("prefix"), lambda t: t.update(omega=None)],
+                         ids=["no-prefix", "extra-key"])
+def test_replay_refuses_a_tail_spelled_otherwise(edit):
+    payload = _ideal(GeoTail([1], q=0))
+    edit(payload["ideal_membership"]["element"])
+    with pytest.raises(MalformedPayload, match="^/certificates/0: malformed ideal payload "
+                                                "\\(ValueError: a geometric tail is exactly"):
+        verify_report({"certificates": [payload]})
+
+
+def _respelled_index(report, path, value):
+    with pytest.raises(MalformedPayload) as exc:
+        verify_report({"certificates": [_with(report, path, value)]})
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("value", [[-2], [False], [0, 0], [0, 2], 1],
+                         ids=["negative", "false", "repeated", "out-of-range", "not-array"])
+def test_replay_reads_a_subfamily_as_distinct_indices(tmp_path, capsys, value):
+    """A (C) subfamily names family members once each, by exact ints in range;
+    [-2] and [false] stand for member 0 in Python, and [0, 0] repeats it."""
+    report = _report(tmp_path, capsys, "seq_y_end", "C", Y_COVER)
+    assert report["certificate"]["subfamily"] == [0, 1]
+    assert _respelled_index(report, ["certificate", "subfamily"], value).startswith(
+        "/certificates/0: malformed condition payload (ValueError: ")
+
+
+@pytest.mark.parametrize("at,key,value", [(1, "subfamily", [True]), (0, "index", True),
+                                          (0, "subfamily", [-1]), (0, "index", -1)])
+def test_replay_reads_each_defeat_by_exact_ints(at, key, value):
+    """The first two (C) defeats are subfamily [0] at index 1 and [1] at index
+    2; true equals 1 in Python, and is refused as the spelling of an index."""
+    report = json.loads(json.dumps(CATALOG["noncompact-C-failure"]()["certificates"][0]))
+    assert [(e["subfamily"], e["index"]) for e in report["certificate"]["defeats"][:2]] == \
+        [([0], 1), ([1], 2)]
+    msg = _respelled_index(report, ["certificate", "defeats", at, key], value)
+    assert msg.startswith("/certificates/0: malformed condition payload "
+                          "(ValueError: not distinct indices in range: ")
 
 
 class _ClosedPipe:

@@ -24,7 +24,7 @@ from normlab.finite_space import (
     separate,
 )
 from normlab.insertion_engine import FiniteUrysohnCarrier, urysohn_join_stream
-from normlab.replay import _Reader, verify_report
+from normlab.replay import MalformedPayload, _Reader, verify_report
 from normlab.serialize import _space, to_jsonable
 from oracles import (enumerate_spaces_bruteforce, is_closed_by_closures, is_normal_closed_pairs,
                      is_topology, space_from_opens, up_sets_scan)
@@ -362,3 +362,27 @@ def test_each_lowering_of_a_space_gets_fresh_lists():
     first["up"].append([7])
     assert to_jsonable(FiniteFunc(space, [0, 0, 0]))["space"] == {"points": 3, "up": up}
     assert to_jsonable(space)["up"] == up
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda p: p["traces"][1].update(block=[True, 2]),
+    lambda p: p["traces"][1].update(block=[1, 3]),
+    lambda p: p["traces"][0]["choices"][0].update(y=-2),
+    lambda p: p["traces"][0]["choices"][0].update(g_index=False),
+    lambda p: p["traces"][0]["choices"][0].update(g_index=1),
+], ids=["block-true", "block-out-of-range", "y-negative", "g_index-false", "g_index-out-of-range"])
+def test_block_replay_reads_each_index_as_an_exact_int(tamper):
+    """Points and generator indices are exact ints in range: true stands for
+    point 1 and -2 for point 1 in Python, and false for generator 0."""
+    space = FiniteSpace.discrete(3)
+    gens = [FiniteFunc(space, [0, 1, 1])]
+    indicators, traces = block_indicators(space, gens)
+    payload = {"generators": to_jsonable(gens), "traces": to_jsonable(traces),
+               "indicators": to_jsonable(indicators)}
+    assert [t["block"] for t in payload["traces"]] == [[0], [1, 2]]
+    assert payload["traces"][0]["choices"][0] == {"y": 1, "g_index": 0}
+    assert verify_report({"block_replay": payload})["ok"]
+    tamper(payload)
+    with pytest.raises(MalformedPayload, match=r"^/: malformed block payload "
+                                               r"\(ValueError: not distinct indices in range: "):
+        verify_report({"block_replay": payload})
