@@ -134,7 +134,7 @@ def _ex_chi_evens():
         "infeasible": isinstance(result, InfeasibleCert),
         "limsup_is_1": result.limsup_f == 1,
         "liminf_is_0": result.liminf_g == 0,
-        "brute_force_agrees": brute_force_insertable(f, f, depth=64) is None,
+        "brute_force_agrees": brute_force_insertable(f, f) is None,
         "refutes_constant_0": result.refute(SeqFunc.constant(0)) == 0,
         "refutes_constant_1": result.refute(SeqFunc.constant(1)) == 1,
     }
@@ -300,7 +300,7 @@ def _insertion_always_feasible(space: FiniteSpace) -> bool:
         for o in space.opens:
             if c & ~o:
                 continue
-            result = insert_finite(space, indicator(space, c), indicator(space, o))
+            result = insert_finite(indicator(space, c), indicator(space, o))
             if isinstance(result, Infeasible):
                 return False
     return True

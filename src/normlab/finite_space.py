@@ -171,27 +171,27 @@ class FiniteFunc(AlgElement):
         return f"FiniteFunc({list(map(str, self.values))})"
 
 
-def envelopes(space: FiniteSpace, f: FiniteFunc) -> tuple[FiniteFunc, FiniteFunc]:
-    """Upper and lower envelopes via minimal open neighborhoods.
+def envelopes(f: FiniteFunc) -> tuple[FiniteFunc, FiniteFunc]:
+    """Upper and lower envelopes via minimal open neighborhoods of f's space.
 
     Returns (upper, lower) with upper(x) = sup f(U_x) and lower(x) = inf f(U_x);
     since U_x is the least neighborhood of x, these equal the inf-of-sup and
     sup-of-inf over all neighborhoods.  f is upper semicontinuous iff it equals
     its upper envelope, lower semicontinuous iff it equals its lower envelope.
     """
-    upper = FiniteFunc(space, (max(f.values[y] for y in _bits(space.min_nbhd[x]))
-                               for x in range(space.n)))
-    lower = FiniteFunc(space, (min(f.values[y] for y in _bits(space.min_nbhd[x]))
-                               for x in range(space.n)))
+    upper = FiniteFunc(f.space, (max(f.values[y] for y in _bits(row))
+                                 for row in f.space.min_nbhd))
+    lower = FiniteFunc(f.space, (min(f.values[y] for y in _bits(row))
+                                 for row in f.space.min_nbhd))
     return upper, lower
 
 
-def is_usc(space: FiniteSpace, f: FiniteFunc) -> bool:
-    return envelopes(space, f)[0] == f
+def is_usc(f: FiniteFunc) -> bool:
+    return envelopes(f)[0] == f
 
 
-def is_lsc(space: FiniteSpace, f: FiniteFunc) -> bool:
-    return envelopes(space, f)[1] == f
+def is_lsc(f: FiniteFunc) -> bool:
+    return envelopes(f)[1] == f
 
 
 def indicator(space: FiniteSpace, subset) -> FiniteFunc:
@@ -257,34 +257,34 @@ class Infeasible:
     min_g: Fraction
 
 
-def check_usc_lsc(space: FiniteSpace, f: FiniteFunc, g: FiniteFunc) -> None:
-    """The pair :func:`insert_finite` reads: f usc, g lsc and f <= g; each
-    error is keyed to ``f`` or ``g``."""
-    if not is_usc(space, f):
+def check_usc_lsc(f: FiniteFunc, g: FiniteFunc) -> None:
+    """The pair :func:`insert_finite` reads: f usc and g lsc on their own
+    spaces, and f <= g on one space; each error is keyed to ``f`` or ``g``."""
+    if not is_usc(f):
         raise PreconditionViolation("f is not upper semicontinuous", key="f")
-    if not is_lsc(space, g):
+    if not is_lsc(g):
         raise PreconditionViolation("g is not lower semicontinuous", key="g")
     check_order(f, g)
 
 
-def insert_finite(space: FiniteSpace, f: FiniteFunc, g: FiniteFunc):
-    """Continuous h with f <= h <= g, for usc f <= lsc g, when one exists.
+def insert_finite(f: FiniteFunc, g: FiniteFunc):
+    """Continuous h on f's space with f <= h <= g, for usc f <= lsc g, if any.
 
     Feasibility holds iff max f <= min g on every connected component; the
     canonical witness takes the value max f on each component (the least
     continuous insertion).  Returns the witness or :class:`Infeasible` with
     the violating component.
     """
-    check_usc_lsc(space, f, g)
-    values = [ZERO] * space.n
-    for comp in space.components:
+    check_usc_lsc(f, g)
+    values = list(f.values)  # each point's component sets its value
+    for comp in f.space.components:
         hi = max(f.values[x] for x in _bits(comp))
         lo = min(g.values[x] for x in _bits(comp))
         if hi > lo:
             return Infeasible(comp, hi, lo)
         for x in _bits(comp):
             values[x] = hi
-    return FiniteFunc(space, values)
+    return FiniteFunc(f.space, values)
 
 
 def block_indicators(space: FiniteSpace, generators: Sequence[FiniteFunc]):

@@ -191,11 +191,14 @@ class FiniteUrysohnCarrier:
     def __init__(self, space: FiniteSpace):
         self.space = space
 
-    def check_pair(self, f, g):
-        check_usc_lsc(self.space, f, g)
+    def check_pair(self, f: FiniteFunc, g: FiniteFunc):
+        for key, h in (("f", f), ("g", g)):
+            if h.space != self.space:
+                raise PreconditionViolation(f"{key} is off the carrier's {self.space!r}", key=key)
+        check_usc_lsc(f, g)
 
     def urysohn(self, closed_f: FiniteFunc, open_g: FiniteFunc) -> FiniteFunc:
-        result = insert_finite(self.space, closed_f, open_g)
+        result = insert_finite(closed_f, open_g)
         if isinstance(result, Infeasible):
             raise PreconditionViolation(
                 f"level sets not separable on component {result.component:#b}")

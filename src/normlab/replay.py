@@ -104,6 +104,13 @@ def _index(v, n=None) -> int:
     return _indices([v], n)[0]
 
 
+def _flag(v) -> bool:
+    """A JSON boolean; anything else (1, 0, null) is a ValueError."""
+    if type(v) is not bool:
+        raise ValueError(f"not a JSON boolean: {v!r}")
+    return v
+
+
 def _mask(points) -> int:
     """A list of point indices as a bitmask; a negative index is a ValueError."""
     m = 0
@@ -129,13 +136,14 @@ class _Reader:
     arrays for its prefix and its cycle, a cycle that is its own minimal
     period, and a prefix whose last entry is not the cycle's last (the cycle
     rotated back by one would absorb it); any other is malformed.  A space
-    is {"points": n, "up": rows}, row x listing the points y >= x of its
-    specialization preorder.  The payload's space is read once, from its
-    first finite function, and every other finite function must carry the
-    same space, as JSON.  ``frame`` parses the payload's elements in one
-    memoized pass over all of their rationals (one lcm, then int numerators
-    over it) and lays them out, keyed by id (the payload outlives its
-    reader): an element's row in the frame is the only view checks read.
+    is {"points": n, "up": rows} and no other key, row x listing the points
+    y >= x of its specialization preorder in increasing order.  The
+    payload's space is read once, from its first finite function, and every
+    other finite function must carry the same space, as JSON.  ``frame``
+    parses the payload's elements in one memoized pass over all of their
+    rationals (one lcm, then int numerators over it) and lays them out,
+    keyed by id (the payload outlives its reader): an element's row in the
+    frame is the only view checks read.
     """
 
     def __init__(self):
@@ -163,19 +171,25 @@ class _Reader:
     def up(self, d):
         """The up masks of a finite function's space; None for a sequence.
 
-        Raises ValueError unless the rows are a preorder on the points: each
-        row inside the space, holding its own point, and holding the row of
-        every point in it; or unless the space is the payload's space, with
-        ints where it has ints (neither 2.0 nor true stands for one).
+        Raises ValueError unless the payload's first space is exactly
+        ``points`` and ``up``, its rows n arrays of JSON ints, each strictly
+        increasing from 0 to n - 1, that are a preorder on the points: each
+        row holding its own point and the row of every point in it; or unless
+        a later space is the payload's space, with ints where it has ints
+        (neither 2.0 nor true stands for one).
         """
         if not self.is_finite(d):
             return None
         space = d["space"]
         if self.space is None:
+            if type(space) is not dict or space.keys() != {"points", "up"}:
+                raise ValueError("a space has exactly the keys points and up")
             n, rows = space["points"], space["up"]
-            if type(n) is not int or len(rows) != n or not all(
-                    type(y) is int and 0 <= y < n for row in rows for y in row):
-                raise ValueError(f"the space's up rows are not {n!r} rows of its points")
+            if type(n) is not int or type(rows) is not list or len(rows) != n or not all(
+                    type(row) is list and all(type(y) is int for y in row)
+                    and all(map(operator.lt, [-1, *row], [*row, n])) for row in rows):
+                raise ValueError(f"the space's up rows are not {n!r} increasing rows "
+                                 "of its points")
             masks = [_mask(row) for row in rows]
             if not all(m >> x & 1 and all(masks[y] | m == m for y in row)
                        for x, (m, row) in enumerate(zip(masks, rows))):
@@ -394,7 +408,10 @@ def _verify_route(report, checks, rd, at, unread) -> None:
         # -delta beyond, for positive eps and delta
         eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
         if cond == "C":  # each subfamily of up to subfamily_cap of the first 8 members
-            combos = [combo for size in range(1, min(inst.get("subfamily_cap", 4), 8) + 1)
+            cap = inst.get("subfamily_cap", 4)
+            if type(cap) is not int or cap < 1:
+                raise ValueError(f"subfamily_cap is not an integer at least 1: {cap!r}")
+            combos = [combo for size in range(1, min(cap, 8) + 1)
                       for combo in itertools.combinations(range(8), size)]
             defeats, neg = cert["defeats"], -delta  # an empty list defeats nothing
 
@@ -491,14 +508,17 @@ def _verify_route(report, checks, rd, at, unread) -> None:
 def _verify_ideal(payload, checks) -> None:
     """Re-derive ideal membership of an element from its serialized values."""
     elem = payload["element"]
-    in_i, in_j = payload["in_I_alpha"], payload["in_J_radical"]
+    in_i, in_j = _flag(payload["in_I_alpha"]), _flag(payload["in_J_radical"])
     cert = payload["cert"]
+    members = _indices(cert["members"])
+    if members != sorted(members):
+        raise ValueError(f"members not in increasing order: {members!r}")
     if "ratio" in elem:  # geometric tail, with no cycle: limit 0, finite support iff q = 0
         if elem.keys() != {"prefix", "q", "ratio"} or type(elem["prefix"]) is not list:
             raise ValueError("a geometric tail is exactly an array prefix, q and ratio")
         _, prefix = _ints(elem["prefix"], {})
         q, ratio = _frac(elem["q"]), _frac(elem["ratio"])
-        _check(checks, "ideal: tail lies in the radical", in_j is True and 0 < ratio < 1)
+        _check(checks, "ideal: tail lies in the radical", in_j and 0 < ratio < 1)
         _check(checks, "ideal: compact-support membership matches q", in_i == (q == 0))
     else:
         rd = _Reader()
@@ -516,12 +536,11 @@ def _verify_ideal(payload, checks) -> None:
     if in_i:
         support = [k for k, v in enumerate(prefix) if v != 0]
         _check(checks, "ideal: closure certificate is the finite support",
-               cert["kind"] == "finite" and list(cert["members"]) == support)
+               cert["kind"] == "finite" and members == support)
     else:
         zeros = [k for k, v in enumerate(prefix) if v == 0]
         _check(checks, "ideal: closure certificate is cofinite with omega",
-               cert["kind"] == "cofinite_with_omega"
-               and list(cert["members"]) == zeros)
+               cert["kind"] == "cofinite_with_omega" and members == zeros)
 
 
 def _verify_block_replay(payload, checks) -> None:

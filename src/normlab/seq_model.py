@@ -315,21 +315,20 @@ def insert_convergent(f: SeqFunc, g: SeqFunc):
     return Witness(f.join(g.meet(limit)), limit)
 
 
-def brute_force_insertable(f: SeqFunc, g: SeqFunc, depth: int = 64):
+def brute_force_insertable(f: SeqFunc, g: SeqFunc):
     """Independent oracle: search for a limit with finitely many constraint misses.
 
     A convergent insertion exists iff some rational L satisfies
     f(k) <= L <= g(k) for all but finitely many k.  Candidate limits are all
-    values of f and g seen up to the depth; for each, tail feasibility is
-    checked over one full cycle beyond both prefixes.  Shares no logic with
-    :func:`insert_convergent`.
+    values f and g take, in their prefixes and cycles; for each, tail
+    feasibility is checked over one full cycle beyond both prefixes.  Shares
+    no logic with :func:`insert_convergent`.
     """
-    candidates = sorted({f.at(k) for k in range(depth)} | {g.at(k) for k in range(depth)})
+    candidates = sorted({*f.prefix, *f.cycle, *g.prefix, *g.cycle})
     start = max(len(f.prefix), len(g.prefix))
     span = math.lcm(len(f.cycle), len(g.cycle))
     for cand in candidates:
-        ok = all(f.at(k) <= cand <= g.at(k) for k in range(start, start + span))
-        if ok:
+        if all(f.at(k) <= cand <= g.at(k) for k in range(start, start + span)):
             return cand
     return None
 

@@ -242,11 +242,9 @@ def _seq_func(data, pointer: str, memo: dict) -> SeqFunc:
     return SeqFunc.from_pairs(prefix, cycle, fields.get("omega"))
 
 
-def _finite_func(data, pointer: str, space: FiniteSpace, written, memo: dict) -> FiniteFunc:
-    fields = _fields(data, pointer, {
-        "space": lambda v, p: space if json.dumps(v) == written else _space(v, p),
-        "values": lambda v, p: [Fraction(*pair) for pair in _ratios(v, p, memo)]},
-        ("space", "values"))
+def _finite_func(data, pointer: str, space: FiniteSpace, memo: dict) -> FiniteFunc:
+    fields = _fields(data, pointer, {"space": _space, "values": lambda v, p: [
+        Fraction(*pair) for pair in _ratios(v, p, memo)]}, ("space", "values"))
     if fields["space"] != space:
         raise _reject(_child(pointer, "space"), "not the scenario's space")
     if len(fields["values"]) != space.n:
@@ -255,28 +253,27 @@ def _finite_func(data, pointer: str, space: FiniteSpace, written, memo: dict) ->
     return FiniteFunc(space, fields["values"])
 
 
-def parse_element(data, pointer: str = "", space: FiniteSpace | None = None, written=None,
+def parse_element(data, pointer: str = "", space: FiniteSpace | None = None,
                   memo: dict | None = None):
     """An instance element: a finite function on ``space`` if one is given,
     else a sequence.  An object with ``values`` is a finite function, so an
-    element in the other encoding is named as off the model's carrier.  An
-    element's space whose JSON text is ``written``, the scenario's space as
-    text, is ``space`` and is not read again.  ``memo`` holds the rationals
-    the scenario has already given.
+    element in the other encoding is named as off the model's carrier; its
+    own space is read in full and must equal ``space``.  ``memo`` holds the
+    rationals the scenario has already given.
     """
     if (isinstance(data, dict) and "values" in data) != (space is not None):
         carrier = "finite functions" if space is not None else "sequences"
         raise _reject(pointer, f"the model takes {carrier}")
     memo = {} if memo is None else memo
     return _seq_func(data, pointer, memo) if space is None else \
-        _finite_func(data, pointer, space, written, memo)
+        _finite_func(data, pointer, space, memo)
 
 
-def _instance(data, pointer: str, model: str, condition: str, space, written) -> dict:
+def _instance(data, pointer: str, model: str, condition: str, space) -> dict:
     memo: dict = {}
 
     def element(value, at):
-        return parse_element(value, at, space, written, memo)
+        return parse_element(value, at, space, memo)
 
     def rational(value, at):
         return _rational(value, at, memo)
@@ -315,17 +312,17 @@ def parse_scenario(data) -> tuple:
             raise _reject("", f"missing key {key!r}")
     name = _choice(data["model"], "/model", tuple(MODELS))
     condition = _choice(data["condition"], "/condition", CONDITIONS)
-    space = written = None
+    space = None
     if name == "finite_full":
         if "space" not in data:
             raise _reject("", "missing key 'space', which model finite_full reads")
-        space, written = _space(data["space"], "/space"), json.dumps(data["space"])
+        space = _space(data["space"], "/space")
     elif "space" in data:
         raise _reject("/space", f"model {name} takes no space")
     fields = _fields(data, "", {
         "model": lambda v, p: name, "condition": lambda v, p: condition,
         "space": lambda v, p: space,
-        "instance": lambda v, p: _instance(v, p, name, condition, space, written),
+        "instance": lambda v, p: _instance(v, p, name, condition, space),
         "depth": lambda v, p: _integer(v, p, 1, MAX_DEPTH, "MAX_DEPTH"),
         "expect": lambda v, p: _choice(v, p, (HOLDS, FAILS, UNKNOWN))})
     model = MODELS[name]() if space is None else FiniteFullModel(space)

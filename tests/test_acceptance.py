@@ -145,7 +145,7 @@ def test_criterion_3_infeasible_pair(emit):
     cert = insert_convergent(f, f)
     assert isinstance(cert, InfeasibleCert)
     assert cert.limsup_f == 1 and cert.liminf_g == 0
-    assert brute_force_insertable(f, f, 64) is None
+    assert brute_force_insertable(f, f) is None
     for value in (Fraction(0), Fraction(1, 2), Fraction(1)):
         cand = SeqFunc.constant(value)
         k = cert.refute(cand)
@@ -199,7 +199,7 @@ def test_criterion_5_oracle_agreement(emit):
         f = random_seq_func(rng)
         g = f.join(random_seq_func(rng))
         fast = insert_convergent(f, g)
-        brute = brute_force_insertable(f, g, 64)
+        brute = brute_force_insertable(f, g)
         if isinstance(fast, Witness) != (brute is not None):
             disagreements += 1
             continue

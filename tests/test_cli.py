@@ -705,6 +705,26 @@ def test_replay_refuses_a_tail_spelled_otherwise(edit):
         verify_report({"certificates": [payload]})
 
 
+@pytest.mark.parametrize("elem,path,value", [
+    (SeqFunc([0, 1], [0], omega=0), ["in_I_alpha"], 1),
+    (SeqFunc([0, 1], [0], omega=0), ["in_J_radical"], 1),
+    (SeqFunc([0, 1], [2], omega=2), ["in_I_alpha"], 0),
+    (SeqFunc([0, 1], [2], omega=2), ["in_J_radical"], 0),
+    (GeoTail([0, 1], q=0), ["in_I_alpha"], 1),
+    (GeoTail([0, 1], q=1), ["in_J_radical"], 1),
+    (SeqFunc.from_support({1: 5}, 0, 0), ["cert", "members"], [True]),
+    (SeqFunc.from_support({0: 5, 1: 5}, 0, 0), ["cert", "members"], [1, 0]),
+], ids=["seq-I-1", "seq-J-1", "seq-I-0", "seq-J-0", "tail-I-1", "tail-J-1",
+        "members-true", "members-decreasing"])
+def test_replay_reads_ideal_flags_and_members_in_one_spelling(elem, path, value):
+    """The two flags are JSON booleans and the members increasing indices;
+    1, 0 and [true] equal true, false and [1] in Python, and are refused."""
+    payload = _with(_ideal(elem), ["ideal_membership", *path], value)
+    with pytest.raises(MalformedPayload, match="^/certificates/0: malformed ideal payload "
+                                                "\\(ValueError: "):
+        verify_report({"certificates": [payload]})
+
+
 def _respelled_index(report, path, value):
     with pytest.raises(MalformedPayload) as exc:
         verify_report({"certificates": [_with(report, path, value)]})
@@ -733,6 +753,17 @@ def test_replay_reads_each_defeat_by_exact_ints(at, key, value):
     msg = _respelled_index(report, ["certificate", "defeats", at, key], value)
     assert msg.startswith("/certificates/0: malformed condition payload "
                           "(ValueError: not distinct indices in range: ")
+
+
+@pytest.mark.parametrize("value", [True, False, 0])
+def test_replay_reads_subfamily_cap_as_an_int(tmp_path, capsys, value):
+    """A cap-1 (C) report lists 8 defeats; a cap spelled true, which equals 1
+    in Python, or below 1 is malformed."""
+    report = _report(tmp_path, capsys, "seq_x_end", "C", {**X_COVER, "subfamily_cap": 1})
+    assert len(report["certificate"]["defeats"]) == 8
+    assert _respelled_index(report, ["instance", "subfamily_cap"], value).startswith(
+        "/certificates/0: malformed condition payload (ValueError: subfamily_cap is not an "
+        "integer at least 1: ")
 
 
 class _ClosedPipe:
@@ -965,11 +996,11 @@ def test_unreadable_json_is_input_error(tmp_path, capsys, command, text):
     assert capsys.readouterr().err.startswith("input error")
 
 
-def test_scenario_reader_reads_one_space(monkeypatch):
-    """Each element's space written as the scenario's is the scenario's space:
-    the densest (C) scenario builds one FiniteSpace, not one per member; a
-    member's space written otherwise is read in full, and still accepted when
-    it is the same space."""
+def test_scenario_reader_reads_every_element_space(monkeypatch):
+    """Each element's space is read in full and must be the scenario's: the
+    densest (C) scenario builds one FiniteSpace for itself and one per member;
+    a member's space written in another key order is the same space, and a
+    member on another space is refused at its ``space``."""
     built = []
     init = FiniteSpace.__init__
 
@@ -980,11 +1011,14 @@ def test_scenario_reader_reads_one_space(monkeypatch):
     monkeypatch.setattr(FiniteSpace, "__init__", counted)
     scenario = _densest_cover(MAX_POINTS)
     assert len(parse_scenario(scenario)[2]["family"]) == MAX_FAMILY
-    assert built == [MAX_POINTS]
+    assert built == [MAX_POINTS] * (1 + MAX_FAMILY)
     member = scenario["instance"]["family"][5]
     member["space"] = {"up": member["space"]["up"], "points": MAX_POINTS}  # another key order
     parse_scenario(scenario)
-    assert built == [MAX_POINTS] * 3
+    member["space"] = {"points": MAX_POINTS, "up": [[x] for x in range(MAX_POINTS)]}
+    with pytest.raises(PreconditionViolation,
+                       match="^/instance/family/5/space: not the scenario's space$"):
+        parse_scenario(scenario)
 
 
 @pytest.mark.parametrize("model", ["seq_x_end", "seq_y_end", "finite_full"])

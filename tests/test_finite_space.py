@@ -143,12 +143,12 @@ def test_preorders_are_reflexive_transitive():
 def test_envelopes_on_sierpinski():
     # point 1's only neighborhood is the whole space
     f = FiniteFunc(SIERPINSKI, [2, 0])
-    upper, lower = envelopes(SIERPINSKI, f)
+    upper, lower = envelopes(f)
     assert upper.values == (Fraction(2), Fraction(2))
     assert lower.values == (Fraction(2), Fraction(0))
-    assert is_usc(SIERPINSKI, upper)
-    assert is_lsc(SIERPINSKI, lower)
-    assert not is_usc(SIERPINSKI, f) or not is_lsc(SIERPINSKI, f)
+    assert is_usc(upper)
+    assert is_lsc(lower)
+    assert not is_usc(f) or not is_lsc(f)
 
 
 def test_envelope_idempotent_and_ordered():
@@ -156,10 +156,10 @@ def test_envelope_idempotent_and_ordered():
     for space in enumerate_spaces(3):
         f = FiniteFunc(space, [Fraction(rng.randint(-4, 4), rng.randint(1, 5))
                                for _ in range(3)])
-        upper, lower = envelopes(space, f)
+        upper, lower = envelopes(f)
         assert lower.le(f) and f.le(upper)
-        u2, _ = envelopes(space, upper)
-        _, l2 = envelopes(space, lower)
+        u2, _ = envelopes(upper)
+        _, l2 = envelopes(lower)
         assert u2.eq_pointwise(upper)
         assert l2.eq_pointwise(lower)
 
@@ -201,6 +201,22 @@ def test_urysohn_witness_and_refusal():
                                                 indicator(connected, {0, 1}))
 
 
+def test_urysohn_carrier_refuses_a_pair_off_its_space():
+    """A pair usc and lsc on its own discrete space lies off the Sierpinski
+    carrier's space, and the carrier names that, keyed to the element."""
+    two = FiniteSpace.discrete(2)
+    f, g = FiniteFunc(two, [0, 1]), FiniteFunc(two, [1, 1])
+    assert insert_finite(f, g).values == (Fraction(0), Fraction(1))
+    carrier = FiniteUrysohnCarrier(SIERPINSKI)
+    off = r" is off the carrier's FiniteSpace\(2, \[1, 3\]\)$"
+    with pytest.raises(PreconditionViolation, match="^f" + off) as exc:
+        urysohn_join_stream(carrier, f, g, 2)
+    assert exc.value.key == "f"
+    with pytest.raises(PreconditionViolation, match="^g" + off) as exc:
+        carrier.check_pair(FiniteFunc(SIERPINSKI, [0, 0]), g)
+    assert exc.value.key == "g"
+
+
 def test_urysohn_inseparable_component():
     # closed singletons {1}, {2} share the component of the non-normal space
     closed, open_ = indicator(NON_NORMAL, {2}), indicator(NON_NORMAL, {0, 2})
@@ -217,18 +233,18 @@ def test_insert_finite_feasible_and_not():
     space = FiniteSpace.discrete(2)
     f = FiniteFunc(space, [0, 2])
     g = FiniteFunc(space, [1, 3])
-    h = insert_finite(space, f, g)
+    h = insert_finite(f, g)
     assert f.le(h) and h.le(g)
     # on the indiscrete space everything is one component
     ind = FiniteSpace(2, [0b11, 0b11])  # indiscrete
     f2 = FiniteFunc(ind, [0, 0])
     g2 = FiniteFunc(ind, [1, 1])
-    h2 = insert_finite(ind, f2, g2)
+    h2 = insert_finite(f2, g2)
     assert isinstance(h2, FiniteFunc)
     sier = SIERPINSKI
     fs = FiniteFunc(sier, [1, 1])
     gs = FiniteFunc(sier, [1, 1])
-    assert isinstance(insert_finite(sier, fs, gs), FiniteFunc)
+    assert isinstance(insert_finite(fs, gs), FiniteFunc)
 
 
 def test_insert_finite_infeasible_component():
@@ -236,8 +252,8 @@ def test_insert_finite_infeasible_component():
     # single component, so no continuous function fits between
     f = FiniteFunc(NON_NORMAL, [0, 1, 0])
     g = FiniteFunc(NON_NORMAL, [1, 1, 0])
-    assert is_usc(NON_NORMAL, f) and is_lsc(NON_NORMAL, g) and f.le(g)
-    result = insert_finite(NON_NORMAL, f, g)
+    assert is_usc(f) and is_lsc(g) and f.le(g)
+    result = insert_finite(f, g)
     assert isinstance(result, Infeasible)
     assert result.max_f == 1 and result.min_g == 0
 

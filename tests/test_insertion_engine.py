@@ -341,8 +341,8 @@ def _random_finite_cases(rng, count):
     cases = []
     while len(cases) < count:
         space = rng.choice(spaces)
-        f, _ = envelopes(space, random_finite_func(space, rng, -2, 2, 4))
-        _, g = envelopes(space, random_finite_func(space, rng, -1, 3, 4))
+        f, _ = envelopes(random_finite_func(space, rng, -2, 2, 4))
+        _, g = envelopes(random_finite_func(space, rng, -1, 3, 4))
         if f.le(g):
             cases.append((FiniteUrysohnCarrier(space), f, g))
     return cases

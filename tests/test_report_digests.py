@@ -914,6 +914,26 @@ def test_one_space_check_tells_an_int_from_a_float_or_a_bool(space):
         verify_report(merge)
 
 
+@pytest.mark.parametrize("edit,named", [
+    (lambda space: space.update(opens=[]), "a space has exactly the keys points and up"),
+    (lambda space: space["up"][2].append(2), "the space's up rows are not 3 increasing rows"),
+    (lambda space: space["up"][0].reverse(), "the space's up rows are not 3 increasing rows"),
+], ids=["extra-key", "repeated-point", "reversed-row"])
+def test_replay_reads_a_space_in_one_spelling(edit, named):
+    """A space is exactly ``points`` and ``up``, each row strictly increasing,
+    as the serializer writes it; the same edit to every space of a merge
+    trace over the 3-point chain makes the payload malformed."""
+    chain = FiniteSpace(3, [0b111, 0b110, 0b100])
+    merge = to_jsonable(tong_merge([_finite_func(chain, ["0", "1", "2"])] * 2,
+                                   [_finite_func(chain, ["1", "2", "2"])] * 2))
+    assert _finite_elements(merge)[0]["space"]["up"] == [[0, 1, 2], [1, 2], [2]]
+    assert verify_report(merge)["ok"]
+    for elem in _finite_elements(merge):
+        edit(elem["space"])
+    with pytest.raises(replay_mod.MalformedPayload, match=named):
+        verify_report(merge)
+
+
 def test_certificate_copy_of_an_instance_value_must_agree(tmp_path, capsys):
     """A certificate that repeats the instance's family, epsilon or delta
     must repeat it as written; a copy that differs makes the payload

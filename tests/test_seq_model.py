@@ -191,11 +191,19 @@ def test_insert_convergent_feasible_witness():
 def test_insert_matches_brute_oracle(f, other):
     g = f.join(other)
     verdict = insert_convergent(f, g)
-    oracle = brute_force_insertable(f, g, depth=64)
+    oracle = brute_force_insertable(f, g)
     if isinstance(verdict, Witness):
         assert oracle is not None
     else:
         assert oracle is None
+
+
+def test_brute_oracle_reads_values_past_a_long_prefix():
+    """The oracle tries every value f and g take, so a limit first taken
+    after 70 prefix entries is still found, the one insert_convergent finds."""
+    f, g = SeqFunc([0] * 70, [1]), SeqFunc([5] * 70, [1])
+    assert insert_convergent(f, g).limit == 1
+    assert brute_force_insertable(f, g) == 1
 
 
 def test_d_on_the_naturals_gap_and_infeasibility():

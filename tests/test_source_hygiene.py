@@ -2,7 +2,8 @@
 function and class the library defines has a caller in the library or the
 benchmark, the scenario reader holds no copy of a model's value check, no
 condition route or replay reads a depth, replay reads elements only through
-its reader, every name the benchmark's tracer
+its reader, no finite-space route takes a space beside a function on it,
+every name the benchmark's tracer
 wraps still exists, and the tracer still reads what the library emits."""
 
 import ast
@@ -213,6 +214,33 @@ def test_element_read_outside_the_reader_is_found():
     assert element_reads(source) == [
         "_verify_x:7 values", "_verify_x:7 omega", "_verify_ideal:14 prefix",
         "_verify_y:18 up", "_verify_y:18 space"]
+
+
+def space_beside_function(source: str) -> list[str]:
+    """Functions with a parameter annotated ``FiniteSpace`` beside one
+    annotated ``FiniteFunc``: the function already holds its space.  A
+    parameter annotated otherwise (``Sequence[FiniteFunc]``) is not matched."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            kinds = {a.annotation.id for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                     if isinstance(a.annotation, ast.Name)}
+            if {"FiniteSpace", "FiniteFunc"} <= kinds:
+                out.append(f"{node.lineno} {node.name}")
+    return out
+
+
+def test_finite_routes_take_the_space_from_the_function():
+    assert space_beside_function((SRC / "finite_space.py").read_text()) == []
+
+
+def test_space_beside_function_is_found():
+    source = ("def insert(space: FiniteSpace, f: FiniteFunc, g: FiniteFunc):\n    pass\n\n\n"
+              "def blocks(space: FiniteSpace, generators: Sequence[FiniteFunc]):\n    pass\n\n\n"
+              "def usc(f: FiniteFunc) -> bool:\n    pass\n\n\n"
+              "def check(*, space: FiniteSpace, f: FiniteFunc):\n    pass\n")
+    assert space_beside_function(source) == ["1 insert", "13 check"]
 
 
 def test_benchmark_tracer_installs():
