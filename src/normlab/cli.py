@@ -143,7 +143,8 @@ def _ex_chi_evens():
 
 
 def _ex_noncompact():
-    report = check_condition(SeqXEndModel(), "C", {})
+    report = check_condition(SeqXEndModel(), "C", {"epsilon": ONE, "delta": Fraction(1, 2),
+                                                   "subfamily_cap": 4})
     members = ideal_membership(SeqFunc.constant(1, with_omega=True))
     asserts = {
         "C_fails": report.verdict == "fails",

@@ -6,7 +6,9 @@ unknown_at_depth, and replay refuses it), and a machine-checkable
 certificate.  A countable claim is certified by a closed-form rule for its
 family, never by a truncation of it: on the convergent-into-periodic model,
 each (T)/(BS)/(S) side's countable meet or join is exactly its endpoint, and
-the (C)/(L) family is one rule in epsilon and delta.
+the (C)/(L) family is one rule in epsilon and delta.  A route reads every
+value from the instance, with no default, and its certificate repeats none
+of them: the report's instance is their one copy.
 
 The scenario reader checks syntax, encoding and bounds; the values of an
 instance are checked here, once each, by the route that reads them (the
@@ -28,11 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelCapabilityMissing, PreconditionViolation
-from .finite_space import FiniteFunc, FiniteSpace
+from .finite_space import FiniteSpace
 from .lattice_core import check_cover, check_gap, check_order, check_positive, finite_join
-from .rationals import ONE, rat
+from .rationals import rat
 from .seq_model import (
-    SeqFunc,
     Witness,
     check_naturals_pair,
     insert_convergent,
@@ -48,8 +49,8 @@ CONDITIONS = ("T", "BS", "S", "N", "D", "C", "L", "SL")
 # (C) on seq_x_end defeats every subfamily of up to this many of its first 8
 # members
 MAX_SUBFAMILY_CAP = 6
-# the gap (D) asks for when an instance names no epsilon
-D_EPSILON = Fraction(1, 2)
+# the instance scalars a route reads, recorded in its report as Fractions
+SCALARS = ("epsilon", "delta")
 
 
 @dataclass
@@ -84,15 +85,18 @@ class ExtensionModel:
         """(N) with the gap epsilon.  The pair is checked before the gap, so f > g
         is named as such; on a non-compact carrier the gap gives no convergent
         witness (f with cycle [0, 1] and g = f + epsilon)."""
-        verdict, cert = self.cond_n(instance)
-        eps = check_gap(instance["f"], instance["g"], instance.get("epsilon", D_EPSILON))
-        return verdict, {**cert, "epsilon": eps}
+        result = self.cond_n(instance)
+        check_gap(instance["f"], instance["g"], instance["epsilon"])
+        return result
 
 
 def check_condition(model: ExtensionModel, cond: str, instance: dict) -> ConditionReport:
-    """Run one condition check and wrap the result in a report."""
+    """Run one condition check and wrap the result in a report.  The report's
+    instance is the one copy of every value the route read, each scalar as
+    the Fraction it read; its certificate repeats none of them."""
     if cond not in CONDITIONS:
         raise PreconditionViolation(f"unknown condition {cond!r}")
+    instance = {**instance, **{key: rat(instance[key]) for key in SCALARS if key in instance}}
     if cond == "SL":
         left = check_condition(model, "L", instance)
         right = check_condition(model, "N", instance)
@@ -138,16 +142,12 @@ class FiniteFullModel(ExtensionModel):
     def cond_d(self, instance):
         f, g = instance["f"], instance["g"]
         check_order(f, g)
-        eps = check_gap(f, g, instance.get("epsilon", D_EPSILON))
-        return HOLDS, {"witness": (f + g) * Fraction(1, 2), "epsilon": eps}
+        check_gap(f, g, instance["epsilon"])
+        return HOLDS, {"witness": (f + g) * Fraction(1, 2)}
 
     def cond_c(self, instance):
-        if "family" not in instance:
-            # an instance without a family gets the canonical unit cover
-            instance = {"epsilon": ONE,
-                        "family": [FiniteFunc(self.space, [2] * self.space.n)]}
         family = list(instance["family"])
-        eps = check_cover(instance["epsilon"], family)
+        check_cover(instance["epsilon"], family)
         choices = []
         for x in range(self.space.n):
             vals = [t.value_at(x) for t in family]
@@ -155,8 +155,7 @@ class FiniteFullModel(ExtensionModel):
             if pick not in choices:
                 choices.append(pick)
         joined = finite_join([family[i] for i in choices])
-        return HOLDS, {"subfamily": choices, "join_min": joined.value_bounds()[0],
-                       "epsilon": eps, "family": family}
+        return HOLDS, {"subfamily": choices, "join_min": joined.value_bounds()[0]}
 
     cond_l = cond_c
 
@@ -207,34 +206,33 @@ class SeqXEndModel(ExtensionModel):
             return HOLDS, {"witness": result.func, "limit": result.limit}
         return FAILS, {"limsup_f": result.limsup_f, "liminf_g": result.liminf_g}
 
-    def _built_in_family(self, instance):
-        """(epsilon, delta) of the built-in family, whose member n is
-        epsilon + delta up to index n and -delta beyond; both must be positive."""
-        eps = rat(instance.get("epsilon", ONE))
-        delta = rat(instance.get("delta", Fraction(1, 2)))
-        return check_positive(eps, "epsilon"), check_positive(delta, "delta")
+    @staticmethod
+    def _built_in_family(instance):
+        """-delta for the built-in family, whose member n is epsilon + delta up
+        to index n and -delta beyond; both must be positive."""
+        check_positive(instance["epsilon"], "epsilon")
+        return -check_positive(instance["delta"], "delta")
 
     def cond_c(self, instance):
-        eps, delta = self._built_in_family(instance)
-        size_cap = int(instance.get("subfamily_cap", 4))
-        if not 1 <= size_cap <= MAX_SUBFAMILY_CAP:
+        join_value = self._built_in_family(instance)
+        size_cap = instance["subfamily_cap"]
+        if type(size_cap) is not int or not 1 <= size_cap <= MAX_SUBFAMILY_CAP:
             raise PreconditionViolation(
-                f"subfamily_cap must lie in 1..{MAX_SUBFAMILY_CAP}, got {size_cap}",
+                f"subfamily_cap must be an int in 1..{MAX_SUBFAMILY_CAP}, got {size_cap!r}",
                 key="subfamily_cap")
         # a finite subfamily's join is -delta one index past its largest
         # member, below every positive epsilon; each subfamily of the first 8
         # members with up to size_cap of them is listed
-        join_value = -delta
         defeats = [{"subfamily": list(combo), "index": combo[-1] + 1, "join_value": join_value}
                    for size in range(1, size_cap + 1)
                    for combo in itertools.combinations(range(8), size)]
-        return FAILS, {"epsilon": eps, "delta": delta, "defeats": defeats}
+        return FAILS, {"defeats": defeats}
 
     def cond_l(self, instance):
         # member k is eps + delta > eps/2 at index k, so the whole family is
-        # the countable subfamily
-        eps, delta = self._built_in_family(instance)
-        return HOLDS, {"epsilon": eps, "delta": delta}
+        # the countable subfamily: the rule is the instance alone
+        self._built_in_family(instance)
+        return HOLDS, {}
 
 
 class SeqYEndModel(ExtensionModel):
@@ -263,15 +261,9 @@ class SeqYEndModel(ExtensionModel):
         return HOLDS, {"witness": w.func, "a_seq": [w.func], "b_seq": [w.func]}
 
     def cond_c(self, instance):
-        if "family" not in instance:
-            # an instance without a family gets the canonical unit cover; the carrier is
-            # compact, so any verified cover admits a finite subfamily
-            instance = {"epsilon": ONE,
-                        "family": [SeqFunc.constant(2, with_omega=True)]}
-        eps = rat(instance["epsilon"])
-        family = list(instance["family"])
-        chosen, cert = subcover_extract(eps, family)
-        return HOLDS, {"subfamily": chosen, "family": family, "epsilon": eps, **cert}
+        # the carrier is compact, so any verified cover admits a finite subfamily
+        chosen, cert = subcover_extract(instance["epsilon"], instance["family"])
+        return HOLDS, {"subfamily": chosen, **cert}
 
     # the finite subfamily doubles as the countable one
     cond_l = cond_c

@@ -358,29 +358,24 @@ _ROUTES = {"seq_y_end": _HOLDS, "seq_x_end": {
     **_HOLDS, "C": ("fails",), **dict.fromkeys(("N", "D", "SL"), ("holds", "fails"))}}
 
 
-def _agree(inst, cert, at) -> None:
-    """Raise ValueError, naming the certificate key's pointer, where a
-    certificate repeats the instance's family, epsilon or delta and the two
-    copies differ as JSON."""
-    for key in ("family", "epsilon", "delta"):
-        if key in inst and key in cert and inst[key] != cert[key]:
-            raise ValueError(f"{at}/{key} differs from /instance/{key}")
-
-
 def _verify_condition(report, checks) -> None:
     """Replay a condition report by its model's route, which reads every key
-    it writes; a verdict that the route does not give fails one row.  One
-    reader and one frame, over every element, serve the report and both
-    parts of an (SL) certificate."""
-    _verify_route(report, checks, _Reader(), "/certificate",
-                  [report["instance"], report["certificate"]])
+    it writes; a verdict that the route does not give fails one row.  The
+    instance is the one copy of every value the route read, so each check
+    reads epsilon, delta, the family and the cap there.  One reader and one
+    frame, laid out here over every element, serve the report and both parts
+    of an (SL) certificate."""
+    rd = _Reader()
+    rd.frame(*rd.elements([report["instance"], report["certificate"]]))
+    model = report["model"]
+    on = f"finite_full_{len(rd.masks)}pt" if rd.masks else "seq_y_end" if rd.omega else "seq_x_end"
+    if rd.laid and on != model:  # the frame is on one carrier: the model's
+        raise ValueError(f"an element on the carrier of {on} under model {model}")
+    _verify_route(report, checks, rd)
 
 
-def _verify_route(report, checks, rd, at, unread) -> None:
-    """One route's checks.  The first route to read an element lays out the
-    JSON values in ``unread`` (the whole report) and empties it: elements are
-    read once the route is known and its certificate's copies agree with the
-    instance."""
+def _verify_route(report, checks, rd) -> None:
+    """One route's checks, on the report's frame."""
     model, cond, verdict = report["model"], report["condition"], report["verdict"]
     inst, cert = report["instance"], report["certificate"]
     label = f"{cond} {verdict}"
@@ -389,26 +384,19 @@ def _verify_route(report, checks, rd, at, unread) -> None:
     if verdict not in routes.get(cond, ()):
         _check(checks, f"{label}: certificate recognized", False)
         return
-    _agree(inst, cert, at)
     if cond == "SL":
         for part in ("L", "N"):
             _verify_route({**report, "condition": part, "verdict": cert[f"{part}_verdict"],
-                           "certificate": cert[part]}, checks, rd, f"{at}/{part}", unread)
+                           "certificate": cert[part]}, checks, rd)
         both_hold = cert["L_verdict"] == cert["N_verdict"] == "holds"
         _check(checks, f"{label}: decomposition consistent", both_hold == (verdict == "holds"))
         return
-    if unread:
-        rd.frame(*rd.elements(unread))
-        unread.clear()
-    on = f"finite_full_{len(rd.masks)}pt" if rd.masks else "seq_y_end" if rd.omega else "seq_x_end"
-    if rd.laid and on != model:  # the frame is on one carrier: the model's
-        raise ValueError(f"an element on the carrier of {on} under model {model}")
     if cond in ("C", "L") and model == "seq_x_end":
         # member n of the noncompact family is eps + delta up to index n and
         # -delta beyond, for positive eps and delta
-        eps, delta = _frac(cert["epsilon"]), _frac(cert["delta"])
+        eps, delta = _frac(inst["epsilon"]), _frac(inst["delta"])
         if cond == "C":  # each subfamily of up to subfamily_cap of the first 8 members
-            cap = inst.get("subfamily_cap", 4)
+            cap = inst["subfamily_cap"]
             if type(cap) is not int or cap < 1:
                 raise ValueError(f"subfamily_cap is not an integer at least 1: {cap!r}")
             combos = [combo for size in range(1, min(cap, 8) + 1)
@@ -430,7 +418,7 @@ def _verify_route(report, checks, rd, at, unread) -> None:
         return
     den, row = rd.den, rd.row
     if cond in ("C", "L"):
-        fam = cert["family"]
+        fam = inst["family"]
         fam_rows = [row(d) for d in fam]
         chosen = [fam_rows[i] for i in _indices(cert["subfamily"], len(fam_rows))]
         ks = range(len(fam_rows[0]))
@@ -441,10 +429,9 @@ def _verify_route(report, checks, rd, at, unread) -> None:
         if model == "seq_y_end":  # the frame ends at omega
             _check(checks, f"{label}: recorded join at omega matches",
                    max(x[-1] for x in chosen) == _frac(cert["join_omega"]) * den)
-        eps = _frac(cert["epsilon"])
-        _check(checks, f"{label}: full family covers at level eps",
-               all(max(x[k] for x in fam_rows) * eps.denominator >= eps.numerator * den
-                   for k in ks))
+        eps = _frac(inst["epsilon"])
+        _check(checks, f"{label}: full family covers at level eps", eps > 0 and all(
+            max(x[k] for x in fam_rows) * eps.denominator >= eps.numerator * den for k in ks))
         return
     f, g = inst["f"], inst["g"]
     fr, gr = row(f), row(g)
@@ -473,10 +460,9 @@ def _verify_route(report, checks, rd, at, unread) -> None:
                    min(gr[rd.cycle_at:]) * lig.denominator == lig.numerator * den)
             _check(checks, "infeasible: limsup exceeds liminf", lsf > lig)
         if cond == "D":
-            eps = _frac(cert["epsilon"])
-            _check(checks, f"{label}: gap f + eps <= g",
-                   all((y - x) * eps.denominator >= eps.numerator * den
-                       for x, y in zip(fr, gr)))
+            eps = _frac(inst["epsilon"])
+            _check(checks, f"{label}: gap f + eps <= g", eps > 0 and all(
+                (y - x) * eps.denominator >= eps.numerator * den for x, y in zip(fr, gr)))
         return
     _check(checks, f"{label}: f <= g", _row_le(fr, gr))
     if cond == "S":

@@ -12,9 +12,9 @@ small tagged objects:
 
 ``to_jsonable`` lowers any report/trace/certificate produced by the library.
 ``parse_scenario`` reads a scenario file in one walk.  It checks the JSON
-syntax, the element encoding of the model's carrier, which keys the
-condition reads, and the ``MAX_*`` limits that bound the work; each
-rejection names the JSON pointer of the offending key.  The values are the
+syntax, the element encoding of the model's carrier, that the instance
+holds exactly the keys the condition reads, and the ``MAX_*`` limits that
+bound the work; each rejection names the JSON pointer of the offending key.  The values are the
 model's to check: its condition route raises an error whose ``key`` names
 the instance key it read, and ``cli`` turns that into ``/instance/<key>``.
 """
@@ -206,21 +206,33 @@ def _ratios(value, pointer: str, memo: dict) -> list[tuple[int, int]]:
         return [_ratio(v, f"{pointer}/{i}", memo) for i, v in enumerate(value)]
 
 
-def _space(data, pointer: str) -> FiniteSpace:
+def _rows(value, pointer: str) -> list:
+    """An array of arrays of JSON ints at least 0, checked in one pass; when
+    an entry is not one, the per-entry readers name the first such entry."""
+    if type(value) is list and all(type(row) is list and all(type(y) is int and y >= 0
+                                                             for y in row) for row in value):
+        return value
+    return _array(value, pointer, lambda row, at: _array(row, at, lambda x, q: _integer(x, q, 0)))
+
+
+def _space(data, pointer: str, scenario: FiniteSpace | None = None) -> FiniteSpace:
     """A finite space from its ``up`` rows, every point index checked; rows
-    that are not a preorder are refused at ``up``."""
+    that are not a preorder are refused at ``up``.  Rows equal to those the
+    ``scenario`` space is written with give that space, built once."""
     fields = _fields(data, pointer, {
         "points": lambda v, p: _integer(v, p, 1, MAX_POINTS, "MAX_POINTS"),
-        "up": lambda v, p: _array(v, p, lambda row, at: _array(
-            row, at, lambda x, q: _integer(x, q, 0)))}, ("points", "up"))
-    n = fields["points"]
-    for x, row in enumerate(fields["up"]):
+        "up": _rows}, ("points", "up"))
+    n, rows = fields["points"], fields["up"]
+    if scenario is not None and n == scenario.n and \
+            tuple(map(tuple, rows)) == scenario.up_points:
+        return scenario
+    for x, row in enumerate(rows):
         for i, y in enumerate(row):
             if y >= n:
                 raise _reject(f"{pointer}/up/{x}/{i}",
                               f"point index {y} outside the space of {n} points")
     try:
-        return FiniteSpace(n, [sum(1 << y for y in set(row)) for row in fields["up"]])
+        return FiniteSpace(n, [sum(1 << y for y in set(row)) for row in rows])
     except PreconditionViolation as exc:  # not a preorder
         raise _reject(f"{pointer}/up", str(exc)) from None
 
@@ -243,8 +255,10 @@ def _seq_func(data, pointer: str, memo: dict) -> SeqFunc:
 
 
 def _finite_func(data, pointer: str, space: FiniteSpace, memo: dict) -> FiniteFunc:
-    fields = _fields(data, pointer, {"space": _space, "values": lambda v, p: [
-        Fraction(*pair) for pair in _ratios(v, p, memo)]}, ("space", "values"))
+    fields = _fields(data, pointer, {
+        "space": lambda v, p: _space(v, p, space),
+        "values": lambda v, p: [Fraction(*pair) for pair in _ratios(v, p, memo)]},
+        ("space", "values"))
     if fields["space"] != space:
         raise _reject(_child(pointer, "space"), "not the scenario's space")
     if len(fields["values"]) != space.n:
@@ -258,7 +272,7 @@ def parse_element(data, pointer: str = "", space: FiniteSpace | None = None,
     """An instance element: a finite function on ``space`` if one is given,
     else a sequence.  An object with ``values`` is a finite function, so an
     element in the other encoding is named as off the model's carrier; its
-    own space is read in full and must equal ``space``.  ``memo`` holds the
+    own space is read and must equal ``space``.  ``memo`` holds the
     rationals the scenario has already given.
     """
     if (isinstance(data, dict) and "values" in data) != (space is not None):
@@ -287,13 +301,10 @@ def _instance(data, pointer: str, model: str, condition: str, space) -> dict:
         if key not in reads:
             raise _reject(_child(pointer, key), f"condition ({condition}) on {model} reads "
                                                 f"no {key}, only {', '.join(reads)}")
-    for key in ("f", "g"):
-        if key in reads and key not in inst:
-            raise _reject(_child(pointer, key), f"condition ({condition}) needs f and g")
-    if "family" in reads and ("family" in inst) != ("epsilon" in inst):
-        raise _reject(_child(pointer, "epsilon"),
-                      f"condition ({condition}) on {model} reads epsilon and family "
-                      "together or not at all")
+    for key in reads:
+        if key not in inst:
+            raise _reject(_child(pointer, key), f"missing key, which condition ({condition}) "
+                                                f"on {model} reads")
     return inst
 
 

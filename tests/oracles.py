@@ -234,6 +234,43 @@ def random_feasible_x_pair(rng: random.Random) -> dict:
     return {"f": f, "g": g}
 
 
+def unit_cover(model) -> dict:
+    """The instance keys of a (C), (L) or (SL) check on the unit cover at level
+    1: the constant 2 on the model's carrier, or on seq_x_end its built-in
+    family at epsilon 1 and delta 1/2, with (C) listing subfamilies of up to 4
+    members."""
+    if model.name == "seq_x_end":
+        return {"epsilon": ONE, "delta": Fraction(1, 2), "subfamily_cap": 4}
+    two = SeqFunc.constant(2, with_omega=True) if model.name == "seq_y_end" else \
+        FiniteFunc(model.space, [2] * model.space.n)
+    return {"epsilon": ONE, "family": [two]}
+
+
+def y_quotient(p: int, period: int) -> FiniteSpace:
+    """Q_{P,L}, the finite quotient of the compactified naturals on which the
+    elements of prefix at most P = ``p`` and cycle dividing L = ``period``
+    live: points 0..P-1 are the prefix, P..P+L-1 the residue points t_i,
+    which n >= P maps to by (n - P) mod L, and P + L is omega.  Each point but
+    omega is isolated, and omega's up row is omega and every residue point, so
+    the quotient map is continuous."""
+    residues = ((1 << period) - 1) << p
+    return FiniteSpace(p + period + 1,
+                       [1 << x for x in range(p + period)] + [residues | 1 << (p + period)])
+
+
+def on_y_quotient(f: SeqFunc, p: int, period: int) -> FiniteFunc:
+    """f on Q_{P,L}: its values at 0..P+L-1 (the prefix points, then the
+    residue points), then at omega."""
+    return FiniteFunc(y_quotient(p, period), [f.at(k) for k in range(p + period)] + [f.omega])
+
+
+def pulled_back_from_y_quotient(h: FiniteFunc, p: int, period: int) -> SeqFunc:
+    """The function on the compactified naturals whose value at each point is
+    h's at the point's image in Q_{P,L}."""
+    values = h.values
+    return SeqFunc(values[:p], values[p:p + period], values[-1])
+
+
 def countable_meet_family(f: SeqFunc):
     """The classical countable selection realizing f as a meet of convergent majorants.
 

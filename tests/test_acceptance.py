@@ -51,6 +51,7 @@ from oracles import (
     random_finite_func,
     random_seq_func,
     random_usc_lsc_pair,
+    unit_cover,
 )
 
 BODIES: dict = {}  # criterion number -> body taking an ``emit`` callback
@@ -182,7 +183,7 @@ def test_criterion_4_compactness_machinery(emit):
             idx, val = defeat(sub)
             assert idx > max(sub) and val < 0
             assert val == max(member(n).at(idx) for n in sub)
-    report = check_condition(SeqXEndModel(), "C", {})
+    report = check_condition(SeqXEndModel(), "C", unit_cover(SeqXEndModel()))
     assert report.verdict == FAILS
     emit(to_jsonable(report))
     one = SeqFunc.constant(1, with_omega=True)

@@ -11,12 +11,13 @@ from fractions import Fraction
 import pytest
 
 from normlab.cli import CATALOG, main, reproduce, survey_rows
+from normlab.conditions import CONDITIONS
 from normlab.errors import PreconditionViolation, UnknownExampleId
 from normlab.finite_space import FiniteSpace
 from normlab.rationals import rat
 from normlab.replay import MalformedPayload, verify_report
 from normlab.seq_model import GeoTail, SeqFunc, ideal_membership
-from normlab.serialize import MAX_FAMILY, MAX_POINTS, parse_scenario, to_jsonable
+from normlab.serialize import MAX_FAMILY, MAX_POINTS, MODELS, parse_scenario, to_jsonable
 
 
 def write(tmp_path, name, payload):
@@ -215,8 +216,11 @@ def test_check_bad_point_indices(tmp_path, capsys, up, named):
 @pytest.mark.parametrize("present,missing", [((), "f"), (("f",), "g")])
 def test_check_missing_pair_is_input_error(tmp_path, capsys, model, cond, present, missing):
     elem = {"cycle": ["1"], "omega": "1"} if model == "seq_y_end" else {"cycle": ["1"]}
-    payload = {"model": model, "condition": cond,
-               "instance": {key: elem for key in present}}
+    instance = {key: elem for key in present}
+    if cond == "SL":  # the cover (L) reads, which the reader asks for first
+        instance.update(_x_cover("L") if model == "seq_x_end" else
+                        {"epsilon": "1", "family": [elem]})
+    payload = {"model": model, "condition": cond, "instance": instance}
     path = write(tmp_path, "s.json", payload)
     assert main(["check", path]) == 2
     err = capsys.readouterr().err
@@ -290,16 +294,21 @@ def test_check_family_without_epsilon_is_input_error(tmp_path, capsys, model, co
 @pytest.mark.parametrize("model", ["seq_y_end", "finite_full"])
 @pytest.mark.parametrize("cond", ["C", "L", "SL"])
 def test_check_epsilon_without_family_is_input_error(tmp_path, capsys, model, cond):
-    """Without a family these models check the unit cover at epsilon 1, so an
-    epsilon given alone would be dropped."""
+    """A cover is stated in full: an epsilon given alone is refused at
+    ``/instance/family``, and with no cover at all at ``/instance/epsilon``."""
     elem = MODEL_ELEMS[model]
-    instance = {"epsilon": "5"}
+    instance = {"epsilon": "1"}
     if cond == "SL":
         instance.update(f=elem, g=elem)
     path = write(tmp_path, "s.json", _scenario(model, cond, instance))
     assert main(["check", path]) == 2
-    assert capsys.readouterr().err.startswith("input error: /instance/epsilon:")
+    assert capsys.readouterr().err.startswith(
+        f"input error: /instance/family: missing key, which condition ({cond}) on {model} reads")
     del instance["epsilon"]
+    path = write(tmp_path, "s.json", _scenario(model, cond, instance))
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err.startswith("input error: /instance/epsilon: missing key")
+    instance.update(epsilon="1", family=[elem])
     path = write(tmp_path, "s.json", _scenario(model, cond, instance))
     assert main(["check", path]) == 0
 
@@ -369,6 +378,8 @@ def test_check_refuses_an_instance_key_its_route_does_not_read(
     instance = {}
     if cond in ("T", "N", "D", "SL"):
         instance.update(f=own, g={"cycle": ["5"]} if cond == "D" else own)
+    if cond == "D":
+        instance.update(epsilon="1")
     if cond in ("L", "SL") and model == "seq_x_end":
         instance.update(epsilon="1", delta="1/2")
     if cond == "C" and model != "seq_x_end":
@@ -379,6 +390,31 @@ def test_check_refuses_an_instance_key_its_route_does_not_read(
         assert code == 2
         assert err.startswith(f"input error: /instance/{key}: condition ({cond}) on {model} "
                               f"reads no {key}")
+
+
+GAP_ELEMS = {  # each model's element lifted by 1 over MODEL_ELEMS, for the (D) gap
+    "seq_x_end": {"cycle": ["2"]},
+    "seq_y_end": {"cycle": ["3"], "omega": "3"},
+    "finite_full": {"space": FINITE_SPACE_2, "values": ["2", "3"]},
+}
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_ELEMS))
+@pytest.mark.parametrize("cond", CONDITIONS)
+def test_check_refuses_a_missing_instance_key(tmp_path, capsys, model, cond):
+    """An instance holds every key its route reads, with no default: each one
+    left out is refused at its own pointer."""
+    own = MODEL_ELEMS[model]
+    values = {"f": own, "g": GAP_ELEMS[model], "epsilon": "1", "delta": "1/2",
+              "subfamily_cap": 2, "family": [own]}
+    instance = {key: values[key] for key in MODELS[model].instance_keys(cond)}
+    assert _check_exit(tmp_path, capsys, _scenario(model, cond, instance))[0] == 0
+    for key in instance:
+        partial = {k: v for k, v in instance.items() if k != key}
+        code, err = _check_exit(tmp_path, capsys, _scenario(model, cond, partial))
+        assert code == 2
+        assert err.startswith(f"input error: /instance/{key}: missing key, which condition "
+                              f"({cond}) on {model} reads")
 
 
 def test_check_seed_key_is_input_error(tmp_path, capsys):
@@ -466,8 +502,8 @@ INFEASIBLE_CERT = {"limsup_f": "1", "liminf_g": "0"}
     lambda inf: {"condition": "N", "verdict": "fails", "model": "seq_x_end",
                  "instance": {"f": seq(inf), "g": SEQ_0}, "certificate": INFEASIBLE_CERT},
     lambda inf: {"condition": "D", "verdict": "fails", "model": "seq_x_end",
-                 "instance": {"f": SEQ_1, "g": SEQ_0},
-                 "certificate": dict(INFEASIBLE_CERT, epsilon=inf)},
+                 "instance": {"f": SEQ_1, "g": SEQ_0, "epsilon": inf},
+                 "certificate": INFEASIBLE_CERT},
 ], ids=["N-fails-cycle", "D-epsilon"])
 def test_replay_infinite_value_is_input_error(tmp_path, capsys, payload, infinity):
     path = write(tmp_path, "report.json", {"certificates": [payload(infinity)]})
@@ -483,8 +519,8 @@ def test_replay_refuses_an_exponent_at_once(tmp_path, capsys):
     """A (D) epsilon written with an exponent is outside replay's grammar, so
     it is refused before any number is built from it."""
     payload = {"condition": "D", "verdict": "fails", "model": "seq_x_end",
-               "instance": {"f": SEQ_1, "g": SEQ_0},
-               "certificate": dict(INFEASIBLE_CERT, epsilon="1e10000000")}
+               "instance": {"f": SEQ_1, "g": SEQ_0, "epsilon": "1e10000000"},
+               "certificate": INFEASIBLE_CERT}
     path = write(tmp_path, "report.json", {"certificates": [payload]})
     start = time.perf_counter()
     assert main(["replay", path]) == 2
@@ -540,10 +576,11 @@ def test_replay_derives_every_defeat(tmp_path, capsys, edit):
 
 @pytest.mark.parametrize("epsilon", ["0", "-5"])
 def test_replay_refuses_the_catalog_c_failure_at_nonpositive_epsilon(epsilon):
-    """The catalog's (C) report names no epsilon in its instance, so its
-    certificate's copy stands alone, and replay checks it is positive."""
+    """The catalog's (C) report states its epsilon in its instance, the one
+    copy replay reads, and replay checks it is positive."""
     report = json.loads(json.dumps(CATALOG["noncompact-C-failure"]()["certificates"][0]))
-    report["certificate"]["epsilon"] = epsilon
+    assert report["instance"] == {"delta": "1/2", "epsilon": "1", "subfamily_cap": 4}
+    report["instance"]["epsilon"] = epsilon
     out = verify_report(report)
     assert not out["ok"] and out["checks"] == [
         {"check": "C fails: every listed subfamily defeated", "ok": False}]
@@ -896,12 +933,14 @@ def _with(payload, path, value):
      "f is not upper semicontinuous"),
     (_with(Y_N, ["instance", "g"], {"cycle": ["2", "3"], "omega": "3"}), "/instance/g/omega",
      "g is not lower semicontinuous"),
-    # (D) reads the gap f + epsilon <= g, at epsilon 1/2 when none is given
+    # (D) reads the gap f + epsilon <= g
     (_scenario("finite_full", "D", {"f": FINITE_ELEM, "g": FINITE_ELEM, "epsilon": "1/2"}),
      "/instance/epsilon", "gap f + epsilon <= g fails at point 0"),
-    (_scenario("seq_y_end", "D", {"f": MODEL_ELEMS["seq_y_end"], "g": MODEL_ELEMS["seq_y_end"]}),
+    (_scenario("seq_y_end", "D", {"f": MODEL_ELEMS["seq_y_end"], "g": MODEL_ELEMS["seq_y_end"],
+                                  "epsilon": "1/2"}),
      "/instance/epsilon", "gap f + epsilon <= g fails at point 0"),
-    (_scenario("seq_x_end", "D", {"f": {"cycle": ["1"]}, "g": {"cycle": ["3/2", "1"]}}),
+    (_scenario("seq_x_end", "D", {"f": {"cycle": ["1"]}, "g": {"cycle": ["3/2", "1"]},
+                                  "epsilon": "1/2"}),
      "/instance/epsilon", "gap f + epsilon <= g fails at point 1"),
     (_scenario("finite_full", "D", {"f": FINITE_ELEM, "g": FINITE_ELEM, "epsilon": "-1"}),
      "/instance/epsilon", "epsilon must be positive"),
@@ -919,6 +958,36 @@ def test_check_rejects_at_pointer(tmp_path, capsys, payload, pointer, named):
     code, err = _check_exit(tmp_path, capsys, payload)
     assert code == 2
     assert err.startswith(f"input error: {pointer}: ") and named in err
+
+
+@pytest.mark.parametrize("points,up,error", [
+    (2, [[0], [True]], "/instance/f/space/up/1/0: expected an integer at least 0, got true"),
+    (2, [[0], [0, -1]], "/instance/f/space/up/1/1: expected an integer at least 0, got -1"),
+    (2, [[0], "x"], '/instance/f/space/up/1: expected an array, got "x"'),
+    (2, "x", '/instance/f/space/up: expected an array, got "x"'),
+    (2, [[0], [0, 5]], "/instance/f/space/up/1/1: point index 5 outside the space of 2 points"),
+    # every entry is read before any index is held to the space
+    (2, [[0], [5, True]], "/instance/f/space/up/1/1: expected an integer at least 0, got true"),
+    (2, [[0], [0, 1], [2]], "/instance/f/space/up/2/0: point index 2 outside the space of 2 "
+                            "points"),
+    (2, [[0, 1], [0]], "/instance/f/space/up: preorder [3, 1] is not 2 reflexive rows inside "
+                       "the space"),
+    (3, [[0], [0, 1]], "/instance/f/space/up: preorder [1, 3] is not 3 reflexive rows inside "
+                       "the space"),
+    (2, [[0, 1], [1]], "/instance/f/space: not the scenario's space"),
+    (2, [[0], [1, 0]], None),  # the scenario's space, its row spelled in another order
+])
+def test_element_space_is_read_at_its_pointers(points, up, error):
+    """An element's space rows are checked in one pass, and a bad, off-space
+    or non-preorder row is named at the pointer its entry-by-entry read
+    names."""
+    scenario = _with(F_N, ["instance", "f", "space"], {"points": points, "up": up})
+    if error is None:
+        assert parse_scenario(scenario)[2]["f"].space == FiniteSpace(2, [1, 3])
+        return
+    with pytest.raises(PreconditionViolation) as exc:
+        parse_scenario(scenario)
+    assert str(exc.value) == error
 
 
 def _densest_cover(n):
@@ -978,6 +1047,8 @@ def test_check_pair_out_of_order_is_input_error(tmp_path, capsys, model, cond):
         "finite_full": {"space": FINITE_SPACE_2, "values": ["0", "2"]},
     }
     instance = {"f": MODEL_ELEMS[model], "g": below[model]}
+    if cond == "D":
+        instance.update(epsilon="1")
     if cond == "SL":
         instance.update(_x_cover("L") if model == "seq_x_end" else
                         {"epsilon": "1", "family": [MODEL_ELEMS[model]]})
@@ -997,10 +1068,12 @@ def test_unreadable_json_is_input_error(tmp_path, capsys, command, text):
 
 
 def test_scenario_reader_reads_every_element_space(monkeypatch):
-    """Each element's space is read in full and must be the scenario's: the
-    densest (C) scenario builds one FiniteSpace for itself and one per member;
-    a member's space written in another key order is the same space, and a
-    member on another space is refused at its ``space``."""
+    """Each element's space is read and must be the scenario's: the densest
+    (C) scenario builds one FiniteSpace, since each member's rows are those
+    the scenario's space is written with; a member's space written in another
+    key order is the same space, one whose rows list their points in another
+    order is built and found equal, and a member on another space is refused
+    at its ``space``."""
     built = []
     init = FiniteSpace.__init__
 
@@ -1011,10 +1084,14 @@ def test_scenario_reader_reads_every_element_space(monkeypatch):
     monkeypatch.setattr(FiniteSpace, "__init__", counted)
     scenario = _densest_cover(MAX_POINTS)
     assert len(parse_scenario(scenario)[2]["family"]) == MAX_FAMILY
-    assert built == [MAX_POINTS] * (1 + MAX_FAMILY)
+    assert built == [MAX_POINTS]
     member = scenario["instance"]["family"][5]
     member["space"] = {"up": member["space"]["up"], "points": MAX_POINTS}  # another key order
     parse_scenario(scenario)
+    assert built == [MAX_POINTS] * 2
+    member["space"] = {"points": MAX_POINTS, "up": [list(range(MAX_POINTS))[::-1]] * MAX_POINTS}
+    parse_scenario(scenario)
+    assert built == [MAX_POINTS] * 4
     member["space"] = {"points": MAX_POINTS, "up": [[x] for x in range(MAX_POINTS)]}
     with pytest.raises(PreconditionViolation,
                        match="^/instance/family/5/space: not the scenario's space$"):

@@ -30,10 +30,17 @@ from oracles import (
     random_finite_pair,
     random_usc_lsc_pair,
     random_x_pair,
+    unit_cover,
 )
 
 CHI_EVENS = SeqFunc.periodic([1, 0])
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+def covered(model, cond, inst):
+    """inst with the keys (D) reads, a gap, or those (C), (L) and (SL) read,
+    the unit cover."""
+    return gapped(inst) if cond == "D" else {**inst, **unit_cover(model)}
 
 
 def gapped(inst):
@@ -64,7 +71,7 @@ def test_x_end_countable_conditions_hold():
 
 
 def test_x_end_sl_decomposes():
-    inst = {"f": CHI_EVENS, "g": CHI_EVENS}
+    inst = {"f": CHI_EVENS, "g": CHI_EVENS, **unit_cover(SeqXEndModel())}
     report = check_condition(SeqXEndModel(), "SL", inst)
     assert report.verdict == FAILS
     assert report.certificate["L_verdict"] == HOLDS
@@ -72,7 +79,7 @@ def test_x_end_sl_decomposes():
 
 
 def test_c_dichotomy_across_ends():
-    assert check_condition(SeqXEndModel(), "C", {}).verdict == FAILS
+    assert check_condition(SeqXEndModel(), "C", unit_cover(SeqXEndModel())).verdict == FAILS
     fam = [SeqFunc.constant(2, with_omega=True)]
     report = check_condition(SeqYEndModel(), "C",
                              {"epsilon": Fraction(1), "family": fam})
@@ -85,8 +92,7 @@ def test_y_end_everything_holds():
     for _ in range(10):
         inst = random_usc_lsc_pair(rng)
         for cond in CONDITIONS:
-            use = gapped(inst) if cond == "D" else inst
-            assert check_condition(model, cond, use).verdict == HOLDS
+            assert check_condition(model, cond, covered(model, cond, inst)).verdict == HOLDS
 
 
 def test_finite_full_everything_holds():
@@ -95,8 +101,7 @@ def test_finite_full_everything_holds():
     for _ in range(10):
         inst = random_finite_pair(model.space, rng)
         for cond in CONDITIONS:
-            use = gapped(inst) if cond == "D" else inst
-            assert check_condition(model, cond, use).verdict == HOLDS
+            assert check_condition(model, cond, covered(model, cond, inst)).verdict == HOLDS
 
 
 convergent = st.builds(lambda prefix, limit: SeqFunc(prefix, (limit,), limit),
@@ -134,7 +139,7 @@ MODEL_FUNCS = {
 def test_pair_out_of_order_names_key_g(model, cond):
     make, elem = MODEL_FUNCS[model]
     with pytest.raises(PreconditionViolation, match="f <= g fails at point 0") as exc:
-        check_condition(make(), cond, {"f": elem(1), "g": elem(0)})
+        check_condition(make(), cond, {"f": elem(1), "g": elem(0), **unit_cover(make())})
     assert exc.value.key == "g"
 
 
@@ -162,7 +167,7 @@ def test_finite_cover_rejects_empty_family():
 @pytest.mark.parametrize("cap", [0, -1, MAX_SUBFAMILY_CAP + 1])
 def test_x_end_cover_rejects_subfamily_cap_out_of_range(cap):
     with pytest.raises(PreconditionViolation, match="subfamily_cap"):
-        check_condition(SeqXEndModel(), "C", {"subfamily_cap": cap})
+        check_condition(SeqXEndModel(), "C", {**unit_cover(SeqXEndModel()), "subfamily_cap": cap})
 
 
 def test_missing_capability():
@@ -224,10 +229,10 @@ def test_c_matches_compactness_of_the_unit():
     """(C) on seq_x_end holds iff the unit lies in the compact-support ideal;
     the other two carriers are compact."""
     unit_compact = ideal_membership(SeqFunc.constant(1, with_omega=True))["in_I_alpha"]
-    assert check_condition(SeqXEndModel(), "C", {}).verdict == (
+    assert check_condition(SeqXEndModel(), "C", unit_cover(SeqXEndModel())).verdict == (
         HOLDS if unit_compact else FAILS)
     for model in (SeqYEndModel(), FiniteFullModel(FiniteSpace.discrete(3))):
-        assert check_condition(model, "C", {}).verdict == HOLDS
+        assert check_condition(model, "C", unit_cover(model)).verdict == HOLDS
 
 
 def test_eps_removal_on_seq_y_end():
@@ -247,8 +252,27 @@ def test_reports_replay_through_independent_verifier():
               (FiniteFullModel(space), lambda rng: random_finite_pair(space, rng))]
     for model, gen in models:
         for cond in CONDITIONS:
-            inst = gen(rng)
-            use = gapped(inst) if cond == "D" else inst
-            report = check_condition(model, cond, use)
+            report = check_condition(model, cond, covered(model, cond, gen(rng)))
             result = verify_report(to_jsonable(report))
             assert result["ok"], (model.name, cond, result["checks"])
+
+
+@pytest.mark.parametrize("inst", [
+    {"epsilon": 1, "delta": Fraction(1, 2)},  # (L): an int epsilon
+    {"epsilon": 1, "delta": "1/2", "subfamily_cap": 4},  # (C): a string delta
+    {"epsilon": 1, "delta": Fraction(1, 2), "subfamily_cap": Fraction(4)},
+    {"epsilon": 1, "delta": Fraction(1, 2), "subfamily_cap": True},
+], ids=["L-int-epsilon", "C-str-delta", "C-fraction-cap", "C-bool-cap"])
+def test_api_reports_replay_or_are_refused(inst):
+    """A report check_condition writes replays: it records each epsilon and
+    delta as the Fraction its route read, and (C) refuses a cap that is not
+    an int, a bool included, keyed subfamily_cap."""
+    cond = "C" if "subfamily_cap" in inst else "L"
+    if type(inst.get("subfamily_cap", 4)) is not int:
+        with pytest.raises(PreconditionViolation, match="subfamily_cap must be an int") as exc:
+            check_condition(SeqXEndModel(), cond, inst)
+        assert exc.value.key == "subfamily_cap"
+        return
+    report = check_condition(SeqXEndModel(), cond, inst)
+    assert [type(report.instance[key]) for key in ("epsilon", "delta")] == [Fraction] * 2
+    assert verify_report(to_jsonable(report))["ok"]

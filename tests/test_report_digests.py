@@ -34,6 +34,16 @@ renamed the rows that read the deleted keys), three reproduce digests and the
 tampered-replay digest.  ``TRUNCATED_FORM_DIGESTS`` keeps each old digest,
 and a test writes each new output back in the truncated form and gets the old
 bytes.
+
+The instance then became the one copy of every value a route reads: each
+(D), (C) and (L) certificate, and the (L) part of each (SL) one, lost its
+copies of epsilon, delta and the family, and the ``noncompact-C-failure``
+report states the epsilon 1, delta 1/2 and cap 4 that its route used to fill
+in.  That moved the check half of every D, C, L and SL entry on all three
+models, that reproduce digest and the tampered-replay digest; no replay
+digest moved.  ``COPY_FORM_DIGESTS`` and ``COPY_FORM_TAMPERED_DIGEST`` keep
+each old digest, and tests write each new output back in the copy form and
+get the old bytes.
 """
 
 import ast
@@ -125,22 +135,22 @@ CHECK_DIGESTS = {
         "39cdc8625f6d1068a8a02a1e9cd9556d252eff1bce81322ea78f678864bd8425",
         "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
     ('finite_full', 'C', 8): (
-        "d46da1b2ee06381cac12cadd5579181be349439490f1a489eca2387d8668cad5",
+        "06c3643e0dca7bfb63d8053f63461a4c1157fbc72e0dab72ff61a410d435f9d9",
         "9e791ff33e3c23c3f8d4db6ab6db485571ae68f8624786c37082c4a23f480807"),
     ('finite_full', 'C', 64): (
-        "1541a9090f1efed4b339aa1f4695dc870532f7642af2e65898f9423ebd6a6d88",
+        "59375cc1668839315a8a78fccf5c3fccab1ff4c20f9225368b07481b01a0b12c",
         "9e791ff33e3c23c3f8d4db6ab6db485571ae68f8624786c37082c4a23f480807"),
     ('finite_full', 'D', 8): (
-        "b2bc3ee93ede07b5626ad9673294a178f55fb5d2ffcc3be5c35c065cb8c1fd24",
+        "d491ca4dccb617d4d137ef49ad886e6edc6cf25ec4767a136e86ae805a0bec3f",
         "9cc0aa5d9117159cceca193d410d1b41dd996091d038f9b0c3ec981777ca69aa"),
     ('finite_full', 'D', 64): (
-        "4ca3092f660475f63ba865ba44e2ae8ab6ef3d37c8a3454b36744ed78e5b3af8",
+        "c68aa6abb6a2c0efb58d9c9e39cebfee5e6a96528f3ea57fb9a5688dde0272cb",
         "9cc0aa5d9117159cceca193d410d1b41dd996091d038f9b0c3ec981777ca69aa"),
     ('finite_full', 'L', 8): (
-        "7bd4a22c118b9afce40c3017326e4eb36d9f9e094484332a04d8665460d50350",
+        "8745641288e1bc226b162ea0fa149805011ae82685acb8f80ef5a32761026478",
         "d97ec53ea02be085851810d901515a17f64151f7077eb5e851fe028fc914ffb7"),
     ('finite_full', 'L', 64): (
-        "58b4489c9a4d2765038a85433091b753f46a14a0b07717b8eee09634ada02627",
+        "41ecd27f946171b1917b22c93fcb354af527b1a964e3542c9025cef9a7cb00e0",
         "d97ec53ea02be085851810d901515a17f64151f7077eb5e851fe028fc914ffb7"),
     ('finite_full', 'N', 8): (
         "336c2f085e08e7d69c037796c836bdd8eb256df3837a3ee529879d3d21e11dff",
@@ -155,10 +165,10 @@ CHECK_DIGESTS = {
         "b421673a474442b3583f1fe3cb824ee56a061adea22d3f8a304d37301ed9e14c",
         "98b74dfabea5ea4a404c1d8a88d2c9044c49067032ece7c37f61a877d6d688cc"),
     ('finite_full', 'SL', 8): (
-        "71474c2bb415be25c7b7cf80f06d794dcece062cf92efe0c9b508358faf860c0",
+        "5a79ba040aab04276e73f49b4b1d38863b89d07ef04c7b43beb25f9d1d9dbf25",
         "96afccecca6dce8515c51f5ebce30c78c423682d1a354e7be3bd8921396ab5f9"),
     ('finite_full', 'SL', 64): (
-        "e8c1f696e0a693263704a932b14d54e1b859cb8fba3ebcbfc642aa96d0997f60",
+        "9d318078bfa9d6e085af2d4e5c8010f8aa57d577ca83948247d4d8b1c1081c75",
         "96afccecca6dce8515c51f5ebce30c78c423682d1a354e7be3bd8921396ab5f9"),
     ('finite_full', 'T', 8): (
         "4ad117ab0d3885da76e965af8428ce10b2048dc74e48c175ae1cc2ccc350f20f",
@@ -173,22 +183,22 @@ CHECK_DIGESTS = {
         "67692ecbebb4c541f271d62f2f15df9ae26c08a41c555ffeaee6992b55e444b3",
         "b41f5f71eb8caf44ada15c10753973997cb7b4d509be067ef311b8291889752c"),
     ('seq_x_end', 'C', 8): (
-        "52c7ebc961bdabc42a55c8973cb24454375bbb2dceaefd9e030281e75f2e0c6c",
+        "cfdf50a1aef101b63605e022f649d8b4644152a3c87e16f700af0b71eb933266",
         "9bc42f4895402c7c44ef833d7a020d1986e39fa04e95cd7e3e7d5423caade397"),
     ('seq_x_end', 'C', 64): (
-        "5994a861a9391de36fd8c6c91ef027242a8f97be766a8aa224f1aaea35a348f3",
+        "2896b2083cb5683ce7d5b75ac95b3675bcd44b5c57b8138d57172753424b82c5",
         "9bc42f4895402c7c44ef833d7a020d1986e39fa04e95cd7e3e7d5423caade397"),
     ('seq_x_end', 'D', 8): (
-        "dbba093d30e321c36b6dc9b4820e52296b804955961a23fc81bed5543a8d037a",
+        "1ae5e0db001fffbfa20f6718492454706b2f3c6aeaf7026a62fa54c4a504bcb1",
         "9178944454c3cd1a04688da7e1297f060313785e3d966048ce65c5c33447a324"),
     ('seq_x_end', 'D', 64): (
-        "8d72264c6502a8cf8dac94da904c2bbdfdec3adb34f8025fad329e71a2ed291a",
+        "4b78b5e1b9114179d6d6caa9c43249e9c139e5c728270594cb83c1c9d22dc126",
         "9178944454c3cd1a04688da7e1297f060313785e3d966048ce65c5c33447a324"),
     ('seq_x_end', 'L', 8): (
-        "ca1b92d4deba08000220ecab5333b4569c93b41ed3348d208b53da715ddbda82",
+        "c6ed688c95d12784bb5b21faea072d278b74b39344bd73a69f90c3dbbe267f42",
         "b85246cc2454dc120149b9230612d31a3af571b7e03d8961732bbdfcc8aaef9c"),
     ('seq_x_end', 'L', 64): (
-        "f07b295e6ec14177d0397274fa27ad48e014130d51c33dec6ba7919fdc8f107c",
+        "dc3e2252916c613f6ae4cc50257e5a7e248f02ce2d4bd7aac8e60327f267c2c3",
         "b85246cc2454dc120149b9230612d31a3af571b7e03d8961732bbdfcc8aaef9c"),
     ('seq_x_end', 'N', 8): (
         "0021c3adba15ca6dd8c535aabcf33bac869b82ec762ea27e79180e1cb710b542",
@@ -203,10 +213,10 @@ CHECK_DIGESTS = {
         "eefa162c447a3251094a3dd305ca9d145a83f462bd1374a1443f80e48c362df4",
         "ea7bda2449b8d553f57d3eba040f0f2942c42ec1ddc8a235a3ebb610e3d71b16"),
     ('seq_x_end', 'SL', 8): (
-        "1a7815391be0c06a0c48382992077a5f87717a6d7975396e2170bcbb4114127e",
+        "af1bb941be43bb3c24803fbb4ce0310e526d2df2901d654328e16acad9eea7bc",
         "43616e57c1519c8b90ede666b3b3cd3540d30ad0f6379ba04d2e757f3049a580"),
     ('seq_x_end', 'SL', 64): (
-        "e99397e4e262942c60a7f85615b64e182dd483ea7fa8d1b8122a470e438353d2",
+        "894e6f3dae776726b9528e74be30ff9ab4b2deee74c1bc28776ed4ebccf224fe",
         "43616e57c1519c8b90ede666b3b3cd3540d30ad0f6379ba04d2e757f3049a580"),
     ('seq_x_end', 'T', 8): (
         "dcc1198a6ca5afa12017fdcb182018bb894bc89b105f63a16afe17fa04f0ea79",
@@ -221,22 +231,22 @@ CHECK_DIGESTS = {
         "21e2c8e87b39c6d4fa966f2e79da8afd6f5e4c2e19115302671387d0802a316f",
         "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
     ('seq_y_end', 'C', 8): (
-        "2f802ce3594aed509adb3a0f34ea5b82cc85ad21379f01c50728444e5139afa2",
+        "24b118bc1794479061906bf0118f933cd6b3548a2dba80c8254d7d92eb3077ae",
         "03a9538dd977b8e9d69b5aabd499c5332e52b8f56ec24214ec292f0d62bca02c"),
     ('seq_y_end', 'C', 64): (
-        "6ee145de0f1e285a852f0e2570747e47045a51111e10ecdcd683a2bd76350a43",
+        "61d3d5bd1514ea8f857500bbe1403fc8f7a83987f9f47789f748f4aafa620586",
         "03a9538dd977b8e9d69b5aabd499c5332e52b8f56ec24214ec292f0d62bca02c"),
     ('seq_y_end', 'D', 8): (
-        "a757a34eb32a3d6a5441d00c7525744d14eab3749e059992065eb618e1bc0f27",
+        "e02b8a5c3cde0f6329036ee083960c7fdd63e71a528d68f562167347e33ec871",
         "eefbdf872b8f7d03bcadd9806653762b06fa070ec25054aea001654d2699d3c7"),
     ('seq_y_end', 'D', 64): (
-        "ded43d145bba5c1327b76315c7f8d9af5f781107e92a975bfc2eed1d13132de1",
+        "36d39cdf7391df7f2b9a3b43686dbcb809812d6dd990f1d2c037e1bf850c051e",
         "eefbdf872b8f7d03bcadd9806653762b06fa070ec25054aea001654d2699d3c7"),
     ('seq_y_end', 'L', 8): (
-        "9bcf37bcc390771d39eefb61032d0c5a46f39959c1c9cde670d43970f1c33f95",
+        "94374ff962a77ced6e080cd94582029fb649b652921c1ac5bfefbd5a351d2f7d",
         "887c21ebce6ed7df9b9700e0ec2ae06c411c561bc0b41038245a0c18b87f4ebc"),
     ('seq_y_end', 'L', 64): (
-        "f24263714e52e80811ae4a5c00a19f3dbc1599937c594c07db49397b34d57589",
+        "72b5ee7f9a966a96587aced79091cb8055491a5c62069b8d776dcce547ec3633",
         "887c21ebce6ed7df9b9700e0ec2ae06c411c561bc0b41038245a0c18b87f4ebc"),
     ('seq_y_end', 'N', 8): (
         "b66e815cff4eb16a0d4824f36789b4560cc91b5c0668004dd2959b878f49b8c1",
@@ -251,10 +261,10 @@ CHECK_DIGESTS = {
         "dbd3c3fd8c4a6d166ecfac1fb75761f37fc32e982d0522a4c27e909eab2f0662",
         "98b74dfabea5ea4a404c1d8a88d2c9044c49067032ece7c37f61a877d6d688cc"),
     ('seq_y_end', 'SL', 8): (
-        "822add9aac1b1eece5d3b3c237b7fea27afd718d943964ee38805d6cfc499c58",
+        "485f1486689e9ee3429e921d96cfe7132eba77eb16d538674bc6d1808ff6980b",
         "6dda27e57d7aaa23b1fcb0dde995da01ed857da86480c66b83ddcecb8867baa9"),
     ('seq_y_end', 'SL', 64): (
-        "e1decbc13268f8a8d0c4be64b30e3acf6fac8e005e3d1b71ca59169a398d1681",
+        "a4b0aae23896d89419959e64af1363589d7523eba9299d94f4412b217d70a442",
         "6dda27e57d7aaa23b1fcb0dde995da01ed857da86480c66b83ddcecb8867baa9"),
     ('seq_y_end', 'T', 8): (
         "6a6056eb31097eb13441d96b4b5db7ce1bd9e62524e689df0df68f5478cb7d64",
@@ -276,7 +286,7 @@ REPRODUCE_DIGESTS = {
     "local-compact-witness":
         "7b6208f795a621f073859b820dfeb179f28ad82d736034ef38049941a12fff42",
     "noncompact-C-failure":
-        "9f3e776d7ce878978c739d96d77fad5279e477a9866b6d030c2aead97bf816b3",
+        "14fdd792f1d517804f84caf2f27a054211c90c964e9d705ae7aeaa80da958bc7",
     "one-point-minimality-criteria":
         "a4344069e8998d68856317f925eb1ea91675be5b497f0e22fd8afd1000327797",
     "radical-gap":
@@ -325,24 +335,44 @@ def _rational_paths(node, path=()):
 
 # sha256 of the verify_report outputs, in order, of every depth-8 INSTANCES
 # report with one of its rational values moved by one of STEPS (every value,
-# every step), so failing replay rows are pinned as well.  A move of one copy
-# of an instance value that a certificate repeats (family, epsilon, delta) is
-# a malformed payload, recorded as its message: 456 of the 1,632 tampered
-# reports, 368 of which replayed ok before copies were compared.  899 of the
-# rest fail, and each of the 1,176 gives the output it gave before.  With the
-# closed-form rule on seq_x_end, the 112 moves of a residual key or a pick
-# value (each of which failed) are gone; every other output is the one
-# pinned before (digest 24df5f2f...f487f over 1,744), with the renamed rows
-# of TRUNCATED_FORM_ROWS.
+# every step), so failing replay rows are pinned as well.  Each malformed
+# payload is recorded as its message.  The instance is the one copy of every
+# value a route reads, so a move of epsilon, delta or a family value is read
+# once, by the row that checks it: of the 1,404 tampered reports 982 fail,
+# and the 6 malformed ones move a seq_y_end cover member's prefix entry onto
+# its cycle value, a spelling replay refuses.  While certificates repeated
+# those values, a move of either copy was malformed instead (456 of 1,632,
+# digest COPY_FORM_TAMPERED_DIGEST); 139 of those moves now replay ok, each
+# a claim that still holds for the moved instance, and 83 fail.  Before
+# that, the closed-form rule on seq_x_end had dropped the 112 moves of a
+# residual key or a pick value (each of which failed), with every other
+# output the one pinned before (digest 24df5f2f...f487f over 1,744) and the
+# renamed rows of TRUNCATED_FORM_ROWS.
 STEPS = (Fraction(1, 7), Fraction(-1, 7), Fraction(2), Fraction(-2))
-TAMPERED_REPLAY_DIGEST = "1348dc846df7371f13bb49745bf306d39b8ab28996707cca9982110b060ab8d7"
+TAMPERED_REPLAY_DIGEST = "af19fa58caefb2d21efd99820ea33a3dcc711e0b602b4ba9782e4e6b81b7fbc2"
+COPY_FORM_TAMPERED_DIGEST = "1348dc846df7371f13bb49745bf306d39b8ab28996707cca9982110b060ab8d7"
 
 
-def _tampered_outputs(tmp_path) -> list:
+def _tampered_outputs(tmp_path, copy_form=False) -> list:
+    """The replay output of every tampered report.  With ``copy_form`` each
+    report is first written in the copy form, and a move of either copy of
+    a repeated value gives the malformed payload that form's replay gave: a
+    certificate copy that differs from the instance's, named by its pointer.
+    Every other move is replayed on the report as written now."""
     outputs = []
     for model, cond in sorted(INSTANCES):
         report = json.loads(_check_report(tmp_path, model, cond, 8).read_text())
-        for (*head, last), step in itertools.product(_rational_paths(report), STEPS):
+        walked = json.loads(_compact(_copy_form(json.loads(json.dumps(report))))) \
+            if copy_form else report
+        at = "/certificate/L" if cond == "SL" else "/certificate"
+        for path, step in itertools.product(_rational_paths(walked), STEPS):
+            copied = [key for key in path if key in COPIED_KEYS]
+            if copy_form and copied:
+                differs = f"{at}/{copied[0]} differs from /instance/{copied[0]}"
+                outputs.append({"malformed": "/: malformed condition payload "
+                                             f"(ValueError: {differs})"})
+                continue
+            *head, last = path
             tampered = json.loads(json.dumps(report))
             node = functools.reduce(operator.getitem, head, tampered)
             node[last] = str(Fraction(node[last]) + step)
@@ -357,10 +387,22 @@ def test_tampered_condition_replay_digest(tmp_path, capsys):
     outputs = _tampered_outputs(tmp_path)
     capsys.readouterr()
     malformed = [out for out in outputs if "malformed" in out]
-    assert (len(outputs), len(malformed)) == (1632, 456)
-    assert all("differs from /instance/" in out["malformed"] for out in malformed)
-    assert sum(not out["ok"] for out in outputs if "ok" in out) == 899
+    assert (len(outputs), len(malformed)) == (1404, 6)
+    assert all("a sequence's prefix ends with an entry its cycle absorbs" in out["malformed"]
+               for out in malformed)
+    assert sum(not out["ok"] for out in outputs if "ok" in out) == 982
     assert _digest(json.dumps(outputs, sort_keys=True)) == TAMPERED_REPLAY_DIGEST
+
+
+def test_tampered_replay_of_the_copy_form_gives_the_digest_pinned_before(tmp_path, capsys):
+    """Tampering the copy form, with each move of a copy malformed as the
+    copy check made it, gives byte for byte the outputs pinned before the
+    instance became the one copy: every move of any other value replays as
+    it did."""
+    outputs = _tampered_outputs(tmp_path, copy_form=True)
+    capsys.readouterr()
+    assert (len(outputs), sum("malformed" in out for out in outputs)) == (1632, 456)
+    assert _digest(json.dumps(outputs, sort_keys=True)) == COPY_FORM_TAMPERED_DIGEST
 
 
 CHAIN_KEYS = ("a_seq", "b_seq", "meet_side", "join_side")
@@ -423,18 +465,19 @@ def test_replay_refuses_a_finite_function_without_one_value_per_point(
 
 
 def test_d_replay_reads_its_epsilon(tmp_path, capsys):
-    """The (D) gap is always checked: with g lowered below f + epsilon replay
-    fails, and with epsilon deleted as well the certificate is malformed
-    instead of passing on its other rows."""
+    """The (D) gap is always checked, at the instance's epsilon, its one copy:
+    with g lowered below f + epsilon replay fails, and with epsilon deleted
+    as well the payload is malformed instead of passing on its other rows."""
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({
         "model": "seq_y_end", "condition": "D", "depth": 8,
-        "instance": {"f": {"cycle": ["0"], "omega": "0"}, "g": {"cycle": ["1"], "omega": "1"}}}))
+        "instance": {"f": {"cycle": ["0"], "omega": "0"}, "g": {"cycle": ["1"], "omega": "1"},
+                     "epsilon": "1/2"}}))
     path = tmp_path / "report.json"
     assert main(["check", str(scenario), "--out", str(path)]) == 0
     report = json.loads(path.read_text())
     gap = {"check": "D holds: gap f + eps <= g", "ok": True}
-    assert report["certificate"]["epsilon"] == "1/2"
+    assert report["instance"]["epsilon"] == "1/2" and "epsilon" not in report["certificate"]
     out = verify_report(report)
     assert out["ok"] and gap in out["checks"]
     report["instance"]["g"] = {"cycle": ["1/4"], "omega": "1/4", "prefix": []}
@@ -444,7 +487,7 @@ def test_d_replay_reads_its_epsilon(tmp_path, capsys):
         {"check": "D holds: f <= witness <= g", "ok": True},
         {"check": "D holds: limit = the witness's cycle value", "ok": True},
         {**gap, "ok": False}]
-    del report["certificate"]["epsilon"]
+    del report["instance"]["epsilon"]
     with pytest.raises(replay_mod.MalformedPayload,
                        match="/: malformed condition payload .KeyError: 'epsilon'"):
         verify_report(report)
@@ -740,12 +783,13 @@ def _opens_form(node):
 def test_repinned_outputs_differ_only_in_the_space_encoding(tmp_path, capsys):
     """The outputs that hold a finite space are exactly those re-pinned when
     spaces went from open-set lists to ``up`` rows, and each one, with every
-    space written back as its open sets, is byte for byte the output pinned
-    before: the CLI's compact line, or ``json.dumps(..., sort_keys=True)``."""
+    space written back as its open sets (and a check report's certificate in
+    the copy form), is byte for byte the output pinned before: the CLI's
+    compact line, or ``json.dumps(..., sort_keys=True)``."""
     outputs = _pinned_outputs(tmp_path, capsys)
     assert {key for key, out in outputs.items() if _spaces(out)} == set(OPENS_FORM_DIGESTS)
     for key, old in OPENS_FORM_DIGESTS.items():
-        opens_form = _opens_form(outputs[key])
+        opens_form = _opens_form(_copy_form(outputs[key]) if key[0] == "check" else outputs[key])
         if key[0] in ("check", "reproduce"):
             text = json.dumps(opens_form, sort_keys=True, separators=(",", ":")) + "\n"
         else:
@@ -836,18 +880,18 @@ def _compact(value) -> str:
 
 def test_repinned_outputs_differ_only_by_the_truncated_certificates(tmp_path, capsys):
     """The outputs re-pinned for the closed-form rule are exactly those the
-    truncated form changes, and each one, written back in that form, is byte
-    for byte the output pinned before: a check report with its residual keys
-    and picks, its replay output with each renamed row under its old name, a
-    catalog condition report with its ``depth``."""
+    truncated form changes, and each one, written back in that form (after
+    the copy form), is byte for byte the output pinned before: a check report
+    with its residual keys and picks, its replay output with each renamed row
+    under its old name, a catalog condition report with its ``depth``."""
     changed = set()
     for key in sorted(CHECK_DIGESTS):
         path = _check_report(tmp_path, *key)
         capsys.readouterr()
         assert main(["replay", str(path)]) == 0
         replayed = json.loads(capsys.readouterr().out)
-        report = json.loads(path.read_text())
-        old = _truncated_form(json.loads(path.read_text()), key[2])
+        report = _copy_form(json.loads(path.read_text()))
+        old = _truncated_form(json.loads(json.dumps(report)), key[2])
         for check in replayed["checks"]:
             for row, was in TRUNCATED_FORM_ROWS.items():
                 check["check"] = check["check"].replace(row, was)
@@ -858,11 +902,122 @@ def test_repinned_outputs_differ_only_by_the_truncated_certificates(tmp_path, ca
     assert set(CATALOG_DEPTHS) == set(CATALOG_CONDITION_REPORTS)
     for example_id, depth in sorted(CATALOG_DEPTHS.items()):
         assert main(["reproduce", example_id]) == 0
-        old = json.loads(capsys.readouterr().out)
+        old = _catalog_copy_form(json.loads(capsys.readouterr().out))
         old["certificates"][0]["depth"] = depth
         changed.add(("reproduce", example_id))
         assert (_digest(_compact(old)),) == TRUNCATED_FORM_DIGESTS["reproduce", example_id]
     assert changed == set(TRUNCATED_FORM_DIGESTS)
+
+
+# The check stdout each output had while certificates repeated the instance
+# values their routes read, and the reproduce stdout of noncompact-C-failure
+# while its route filled in epsilon 1, delta 1/2 and cap 4 and its instance
+# was empty.  Every replay digest stayed as it was.
+COPY_FORM_DIGESTS = {
+    ('check', 'finite_full', 'C', 8):
+        "d46da1b2ee06381cac12cadd5579181be349439490f1a489eca2387d8668cad5",
+    ('check', 'finite_full', 'C', 64):
+        "1541a9090f1efed4b339aa1f4695dc870532f7642af2e65898f9423ebd6a6d88",
+    ('check', 'finite_full', 'D', 8):
+        "b2bc3ee93ede07b5626ad9673294a178f55fb5d2ffcc3be5c35c065cb8c1fd24",
+    ('check', 'finite_full', 'D', 64):
+        "4ca3092f660475f63ba865ba44e2ae8ab6ef3d37c8a3454b36744ed78e5b3af8",
+    ('check', 'finite_full', 'L', 8):
+        "7bd4a22c118b9afce40c3017326e4eb36d9f9e094484332a04d8665460d50350",
+    ('check', 'finite_full', 'L', 64):
+        "58b4489c9a4d2765038a85433091b753f46a14a0b07717b8eee09634ada02627",
+    ('check', 'finite_full', 'SL', 8):
+        "71474c2bb415be25c7b7cf80f06d794dcece062cf92efe0c9b508358faf860c0",
+    ('check', 'finite_full', 'SL', 64):
+        "e8c1f696e0a693263704a932b14d54e1b859cb8fba3ebcbfc642aa96d0997f60",
+    ('check', 'seq_x_end', 'C', 8):
+        "52c7ebc961bdabc42a55c8973cb24454375bbb2dceaefd9e030281e75f2e0c6c",
+    ('check', 'seq_x_end', 'C', 64):
+        "5994a861a9391de36fd8c6c91ef027242a8f97be766a8aa224f1aaea35a348f3",
+    ('check', 'seq_x_end', 'D', 8):
+        "dbba093d30e321c36b6dc9b4820e52296b804955961a23fc81bed5543a8d037a",
+    ('check', 'seq_x_end', 'D', 64):
+        "8d72264c6502a8cf8dac94da904c2bbdfdec3adb34f8025fad329e71a2ed291a",
+    ('check', 'seq_x_end', 'L', 8):
+        "ca1b92d4deba08000220ecab5333b4569c93b41ed3348d208b53da715ddbda82",
+    ('check', 'seq_x_end', 'L', 64):
+        "f07b295e6ec14177d0397274fa27ad48e014130d51c33dec6ba7919fdc8f107c",
+    ('check', 'seq_x_end', 'SL', 8):
+        "1a7815391be0c06a0c48382992077a5f87717a6d7975396e2170bcbb4114127e",
+    ('check', 'seq_x_end', 'SL', 64):
+        "e99397e4e262942c60a7f85615b64e182dd483ea7fa8d1b8122a470e438353d2",
+    ('check', 'seq_y_end', 'C', 8):
+        "2f802ce3594aed509adb3a0f34ea5b82cc85ad21379f01c50728444e5139afa2",
+    ('check', 'seq_y_end', 'C', 64):
+        "6ee145de0f1e285a852f0e2570747e47045a51111e10ecdcd683a2bd76350a43",
+    ('check', 'seq_y_end', 'D', 8):
+        "a757a34eb32a3d6a5441d00c7525744d14eab3749e059992065eb618e1bc0f27",
+    ('check', 'seq_y_end', 'D', 64):
+        "ded43d145bba5c1327b76315c7f8d9af5f781107e92a975bfc2eed1d13132de1",
+    ('check', 'seq_y_end', 'L', 8):
+        "9bcf37bcc390771d39eefb61032d0c5a46f39959c1c9cde670d43970f1c33f95",
+    ('check', 'seq_y_end', 'L', 64):
+        "f24263714e52e80811ae4a5c00a19f3dbc1599937c594c07db49397b34d57589",
+    ('check', 'seq_y_end', 'SL', 8):
+        "822add9aac1b1eece5d3b3c237b7fea27afd718d943964ee38805d6cfc499c58",
+    ('check', 'seq_y_end', 'SL', 64):
+        "e1decbc13268f8a8d0c4be64b30e3acf6fac8e005e3d1b71ca59169a398d1681",
+    ('reproduce', 'noncompact-C-failure'):
+        "9f3e776d7ce878978c739d96d77fad5279e477a9866b6d030c2aead97bf816b3",
+}
+
+# The instance values a (D), (C) or (L) certificate repeated.
+COPIED_KEYS = ("epsilon", "delta", "family")
+
+
+def _copy_form(report):
+    """A condition report as written while certificates repeated the
+    instance: each (D), (C) and (L) certificate, and the (L) part of an (SL)
+    one, with a copy of the instance's epsilon, delta and family.  Other
+    reports are left alone."""
+    cond, cert = report.get("condition"), report.get("certificate")
+    if cond == "SL":
+        _copy_form({**report, "condition": "L", "certificate": cert["L"]})
+    elif cond in ("D", "C", "L"):
+        cert.update({key: report["instance"][key] for key in COPIED_KEYS
+                     if key in report["instance"]})
+    return report
+
+
+def _catalog_copy_form(out):
+    """A reproduce output as written while the noncompact (C) route filled in
+    its values: each condition report in the copy form, and that report's
+    instance empty."""
+    for cert in out["certificates"]:
+        _copy_form(cert)
+    if out["example"] == "noncompact-C-failure":
+        out["certificates"][0]["instance"] = {}
+    return out
+
+
+def test_repinned_outputs_differ_only_by_the_instance_copies(tmp_path, capsys):
+    """The outputs re-pinned when the instance became the one copy of every
+    value a route reads are exactly those the copy form changes, and each
+    one, written back in that form, is byte for byte the output pinned
+    before; no replay output moved."""
+    changed = set()
+    for key in sorted(CHECK_DIGESTS):
+        report = json.loads(_check_report(tmp_path, *key).read_text())
+        old = _copy_form(json.loads(json.dumps(report)))
+        if old != report:
+            changed.add(("check", *key))
+            assert _digest(_compact(old)) == COPY_FORM_DIGESTS["check", *key], key
+    capsys.readouterr()
+    for example_id in sorted(CATALOG):
+        assert main(["reproduce", example_id]) == 0
+        out = json.loads(capsys.readouterr().out)
+        old = _catalog_copy_form(json.loads(json.dumps(out)))
+        if old != out:
+            changed.add(("reproduce", example_id))
+            assert _digest(_compact(old)) == COPY_FORM_DIGESTS["reproduce", example_id]
+    assert changed == set(COPY_FORM_DIGESTS)
+    assert {key[1:3] for key in changed if key[0] == "check"} == {
+        (m, c) for m, c in INSTANCES if c in ("D", "C", "L", "SL")}
 
 
 def _another_space(space):
@@ -894,7 +1049,7 @@ def test_every_finite_function_of_a_payload_carries_its_one_space(tmp_path, caps
                 with pytest.raises(replay_mod.MalformedPayload):
                     verify_report(copy)
                 tampered += 1
-    assert (len(reports), tampered) == (21, 322)
+    assert (len(reports), tampered) == (21, 298)
 
 
 @pytest.mark.parametrize("space", [{"points": 2.0, "up": [[0], [True]]},
@@ -934,32 +1089,33 @@ def test_replay_reads_a_space_in_one_spelling(edit, named):
         verify_report(merge)
 
 
-def test_certificate_copy_of_an_instance_value_must_agree(tmp_path, capsys):
-    """A certificate that repeats the instance's family, epsilon or delta
-    must repeat it as written; a copy that differs makes the payload
-    malformed, named by the certificate key's pointer."""
+def test_replay_reads_each_instance_value_from_the_instance(tmp_path, capsys):
+    """Replay reads epsilon, delta, the family and the cap from the instance,
+    their one copy: a moved value fails the row that reads it (a nonpositive
+    epsilon included), and a deleted one makes the payload malformed, named
+    by the CLI."""
     report = json.loads(_check_report(tmp_path, "finite_full", "C", 8).read_text())
-    report["certificate"]["family"][0]["values"] = ["-5", "-5", "-5"]
-    report["certificate"]["epsilon"] = "99"
-    with pytest.raises(replay_mod.MalformedPayload,
-                       match="/certificate/family differs from /instance/family"):
-        verify_report(report)
-    del report["instance"]["family"]  # the built-in cover's copy stands alone
-    with pytest.raises(replay_mod.MalformedPayload,
-                       match="/certificate/epsilon differs from /instance/epsilon"):
-        verify_report(report)
+    cover = {"check": "C holds: full family covers at level eps", "ok": False}
+    for epsilon in ("99", "0", "-1"):
+        out = verify_report({**report, "instance": {**report["instance"], "epsilon": epsilon}})
+        assert not out["ok"] and cover in out["checks"]
+    report["instance"]["family"][0]["values"] = ["-5", "-5", "-5"]
+    out = verify_report(report)
+    assert not out["ok"] and {"check": "C holds: recorded join minimum matches", "ok": False} \
+        in out["checks"]
     path = _check_report(tmp_path, "seq_x_end", "C", 8)
     report = json.loads(path.read_text())
-    assert report["instance"]["epsilon"] == "1"
-    report["instance"]["epsilon"] = "7"
-    with pytest.raises(replay_mod.MalformedPayload,
-                       match="/certificate/epsilon differs from /instance/epsilon"):
-        verify_report(report)
+    assert report["instance"] == {"delta": "1/2", "epsilon": "1", "subfamily_cap": 3}
+    assert report["certificate"].keys() == {"defeats"}
+    out = verify_report({**report, "instance": {**report["instance"], "delta": "1/3"}})
+    assert out["checks"] == [{"check": "C fails: every listed subfamily defeated", "ok": False}]
+    del report["instance"]["subfamily_cap"]
     path.write_text(json.dumps(report))
     capsys.readouterr()
     assert main(["replay", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "/certificate/epsilon differs" in captured.err
+    assert captured.out == "" and captured.err.startswith(
+        "input error: /: malformed condition payload (KeyError: 'subfamily_cap')")
 
 
 # Keys of a report's envelope, which replay does not read; "expected" and

@@ -1,6 +1,7 @@
 """Eventually periodic sequences: canonical form, insertion, ideals, covers."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from normlab.errors import (
     PreconditionViolation,
     SearchBudgetExceeded,
 )
+from normlab.finite_space import Infeasible, insert_finite, is_lsc, is_usc
 from normlab.insertion_engine import YUrysohnCarrier
 from normlab.seq_model import (
     OMEGA,
@@ -53,13 +55,16 @@ from oracles import (
     is_convergent_by_fractions,
     limit_data_by_fractions,
     noncompact_family,
+    on_y_quotient,
     probe_points,
+    pulled_back_from_y_quotient,
     rand_rational,
     random_feasible_x_pair,
     random_usc_lsc_pair,
     random_x_pair,
     semicontinuity_by_fractions,
     subcover_by_fractions,
+    unit_cover,
     with_omega,
 )
 
@@ -219,12 +224,61 @@ def test_d_on_the_naturals_gap_and_infeasibility():
     # the gap holds but no convergent witness exists
     failed = check_d(chi, chi + Fraction(1, 2), Fraction(1, 2))
     assert failed.verdict == conditions.FAILS
-    assert failed.certificate == {"epsilon": Fraction(1, 2), "limsup_f": 1,
-                                  "liminf_g": Fraction(1, 2)}
+    assert failed.certificate == {"limsup_f": 1, "liminf_g": Fraction(1, 2)}
     held = check_d(SeqFunc.constant(0), SeqFunc.constant(1), Fraction(1, 2))
     assert held.verdict == conditions.HOLDS
     assert held.certificate["witness"].is_convergent()
     assert held.certificate["limit"] == Fraction(1, 2)
+
+
+@st.composite
+def y_shapes(draw, *elems):
+    """A (P, L) that the elements' shapes fit: P at least every prefix, L a
+    multiple of every cycle length."""
+    p = max(len(f.prefix) for f in elems) + draw(st.integers(0, 2))
+    period = math.lcm(*(len(f.cycle) for f in elems)) * draw(st.integers(1, 2))
+    return p, period
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq_funcs(with_omega=True), st.data())
+def test_semicontinuity_on_y_is_that_on_its_finite_quotient(f, data):
+    """f is usc (lsc) on the compactified naturals iff it is on Q_{P,L}, the
+    finite quotient its shape fits."""
+    p, period = data.draw(y_shapes(f))
+    fq = on_y_quotient(f, p, period)
+    assert pulled_back_from_y_quotient(fq, p, period) == f
+    side = semicontinuity_on_y(f)
+    assert (side["usc"], side["lsc"]) == (is_usc(fq), is_lsc(fq))
+
+
+@st.composite
+def y_usc_lsc_pairs(draw):
+    """usc f <= lsc g on the compactified naturals: g is f plus a nonnegative
+    prefix, and on the tail every value of g's cycle is at least g(omega),
+    which is at least f(omega), which is at least every value of f's cycle."""
+    nonneg = st.fractions(min_value=0, max_value=2, max_denominator=8)
+    prefix = draw(st.lists(rationals, max_size=4))
+    f_cycle = draw(st.lists(rationals, min_size=1, max_size=4))
+    f_om = max(f_cycle) + draw(nonneg)
+    g_om = f_om + draw(nonneg)
+    g_cycle = [g_om + v for v in draw(st.lists(nonneg, min_size=1, max_size=4))]
+    g_prefix = [v + draw(nonneg) for v in prefix]
+    return SeqFunc(prefix, f_cycle, f_om), SeqFunc(g_prefix, g_cycle, g_om)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y_usc_lsc_pairs(), st.data())
+def test_finite_insertion_on_the_quotient_pulls_back_to_y(pair, data):
+    """For usc f <= lsc g on the compactified naturals, the finite insertion
+    on Q_{P,L} is feasible, and its witness pulled back is a convergent h
+    with f <= h <= g."""
+    f, g = pair
+    p, period = data.draw(y_shapes(f, g))
+    h = insert_finite(on_y_quotient(f, p, period), on_y_quotient(g, p, period))
+    assert not isinstance(h, Infeasible)
+    pulled = pulled_back_from_y_quotient(h, p, period)
+    assert pulled.is_convergent() and f.le(pulled) and pulled.le(g)
 
 
 def test_insert_on_y_always_succeeds():
@@ -430,10 +484,11 @@ def test_built_in_family_routes_build_no_element(cond, verdict, monkeypatch):
     # (C) defeats and the (L) rule come from the family's closed form
     monkeypatch.setattr(SeqFunc, "__init__", refuse)
     monkeypatch.setattr(SeqFunc, "_new", classmethod(refuse))
-    report = conditions.check_condition(conditions.SeqXEndModel(), cond, {})
+    model = conditions.SeqXEndModel()
+    report = conditions.check_condition(model, cond, unit_cover(model))
     assert report.verdict == verdict
     if cond == "L":
-        assert report.certificate == {"epsilon": 1, "delta": Fraction(1, 2)}
+        assert report.certificate == {}
 
 
 EPS_DELTA = [(1, Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 12)), (Fraction(7, 4), 2)]
@@ -456,16 +511,17 @@ def test_c_defeats_match_realized_members(eps, delta):
 
 @pytest.mark.parametrize("eps,delta", EPS_DELTA)
 def test_l_rule_matches_lindelof_extract(eps, delta):
-    """The (L) certificate's rule, member k is eps + delta > eps/2 at index k,
-    is what a search over the realized members picks at each index."""
+    """The (L) rule, member k is eps + delta > eps/2 at index k, read from the
+    instance alone, is what a search over the realized members picks at each
+    index."""
     _, stream, _ = noncompact_family(eps, delta)
     select, _ = lindelof_extract(eps, stream, budget=1000)
-    inst = {"epsilon": eps, "delta": delta}
-    cert = conditions.check_condition(conditions.SeqXEndModel(), "L", inst).certificate
-    assert cert == {"epsilon": eps, "delta": delta} and eps + delta > Fraction(eps, 2)
+    report = conditions.check_condition(conditions.SeqXEndModel(), "L",
+                                        {"epsilon": eps, "delta": delta})
+    assert report.certificate == {} and eps + delta > Fraction(eps, 2)
     for k in range(200):
         idx, g = select(k)
-        assert (idx, g.at(k)) == (k, cert["epsilon"] + cert["delta"])
+        assert (idx, g.at(k)) == (k, report.instance["epsilon"] + report.instance["delta"])
 
 
 def test_closed_forms_are_the_limits_of_truncated_families():
@@ -501,10 +557,10 @@ def test_countable_routes_build_no_seq_func(monkeypatch):
 
     monkeypatch.setattr(SeqFunc, "__init__", counted)
     model = conditions.SeqXEndModel()
-    c = conditions.check_condition(model, "C", {"subfamily_cap": 6})
-    l_report = conditions.check_condition(model, "L", {})
+    c = conditions.check_condition(model, "C", {**unit_cover(model), "subfamily_cap": 6})
+    l_report = conditions.check_condition(model, "L", unit_cover(model))
     assert (c.verdict, len(c.certificate["defeats"])) == ("fails", 246)
-    assert (l_report.verdict, sorted(l_report.certificate)) == ("holds", ["delta", "epsilon"])
+    assert (l_report.verdict, l_report.certificate) == ("holds", {})
     assert built == []
 
 

@@ -3,7 +3,8 @@ function and class the library defines has a caller in the library or the
 benchmark, the scenario reader holds no copy of a model's value check, no
 condition route or replay reads a depth, replay reads elements only through
 its reader, no finite-space route takes a space beside a function on it,
-every name the benchmark's tracer
+no route or replay reads an instance key through ``.get`` and no certificate
+repeats a key of its instance, every name the benchmark's tracer
 wraps still exists, and the tracer still reads what the library emits."""
 
 import ast
@@ -12,8 +13,16 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from normlab.conditions import (CONDITIONS, FiniteFullModel, SeqXEndModel, SeqYEndModel,
+                                check_condition)
+from normlab.finite_space import FiniteFunc, FiniteSpace
+from normlab.replay import verify_report
+from normlab.seq_model import SeqFunc
+from normlab.serialize import to_jsonable
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "normlab"
@@ -241,6 +250,75 @@ def test_space_beside_function_is_found():
               "def usc(f: FiniteFunc) -> bool:\n    pass\n\n\n"
               "def check(*, space: FiniteSpace, f: FiniteFunc):\n    pass\n")
     assert space_beside_function(source) == ["1 insert", "13 check"]
+
+
+INSTANCE_KEYS = {"f", "g", "epsilon", "delta", "family", "subfamily_cap"}
+
+
+def instance_get_reads(source: str) -> list[int]:
+    """Lines that read an instance key through ``.get``, which would give a
+    default: a ``.get`` call whose key is a string naming an instance key, or
+    whose receiver is named ``instance`` or ``inst``."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source))
+                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "get" and n.args
+                   and (isinstance(n.args[0], ast.Constant) and n.args[0].value in INSTANCE_KEYS
+                        or isinstance(n.func.value, ast.Name)
+                        and n.func.value.id in ("instance", "inst"))})
+
+
+def certificate_copies(report: dict) -> list[str]:
+    """Keys of a JSON condition report's instance that its certificate, or
+    the (L) or (N) part of an (SL) certificate, holds too."""
+    cert, inst = report["certificate"], report["instance"]
+    parts = {"": cert}
+    if report["condition"] == "SL":
+        parts.update({"L/": cert["L"], "N/": cert["N"]})
+    return sorted(f"{at}{key}" for at, part in parts.items() for key in part if key in inst)
+
+
+def _condition_reports() -> list[dict]:
+    """The JSON report of every condition on every model, each instance
+    holding exactly the keys its route reads."""
+    one = FiniteSpace.discrete(1)
+    carriers = [(FiniteFullModel(one), lambda v: FiniteFunc(one, [v])),
+                (SeqXEndModel(), SeqFunc.constant),
+                (SeqYEndModel(), lambda v: SeqFunc.constant(v, with_omega=True))]
+    reports = []
+    for model, elem in carriers:
+        values = {"f": elem(0), "g": elem(1), "epsilon": Fraction(1), "delta": Fraction(1, 2),
+                  "subfamily_cap": 2, "family": [elem(2)]}
+        for cond in CONDITIONS:
+            inst = {key: values[key] for key in model.instance_keys(cond)}
+            reports.append(to_jsonable(check_condition(model, cond, inst)))
+    return reports
+
+
+def test_the_instance_is_the_one_copy_of_every_value_a_route_reads():
+    """No route and no replay check reads an instance key through ``.get``,
+    so none falls back on a default, and no certificate (nor either part of
+    an (SL) one) holds a key of its instance."""
+    for name in ("conditions.py", "replay.py"):
+        assert instance_get_reads((SRC / name).read_text()) == [], name
+    reports = _condition_reports()
+    assert len(reports) == 24 and all(verify_report(r)["ok"] for r in reports)
+    assert [(r["model"], r["condition"], certificate_copies(r)) for r in reports
+            if certificate_copies(r)] == []
+
+
+def test_instance_get_read_and_certificate_copy_are_found():
+    source = ("def cond_d(self, instance):\n    return instance.get('epsilon', 1)\n\n\n"
+              "def verify(report):\n    inst = report['instance']\n"
+              "    return inst.get('cap'), report.get('family'), report.get('trace')\n\n\n"
+              "def walk(node):\n    return node.get('trace'), memo.get(v)\n")
+    assert instance_get_reads(source) == [2, 7]
+    sl = {"condition": "SL", "instance": {"epsilon": "1", "delta": "1/2", "f": {}, "g": {}},
+          "certificate": {"L": {"epsilon": "1"}, "L_verdict": "holds",
+                          "N": {"witness": {}}, "N_verdict": "holds"}}
+    assert certificate_copies(sl) == ["L/epsilon"]
+    d = {"condition": "D", "instance": {"epsilon": "1", "f": {}, "g": {}},
+         "certificate": {"witness": {}, "epsilon": "1"}}
+    assert certificate_copies(d) == ["epsilon"]
 
 
 def test_benchmark_tracer_installs():
