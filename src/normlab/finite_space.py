@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BoundExceeded, EmptyFamily, PreconditionViolation
-from .lattice_core import AlgElement, LazyView, check_order, lay_out
+from .lattice_core import AlgElement, _to_row, check_order, lay_out
 from .rationals import ONE, ZERO, rat
 
 MAX_ENUM_POINTS = 5
@@ -126,11 +126,9 @@ class FiniteSpace:
 class FiniteFunc(AlgElement):
     """A rational-valued function on a finite space; all operations pointwise.
 
-    Held as int numerators over one denominator (see :mod:`normlab.lattice_core`);
-    ``values`` and ``value_at`` still give Fractions.
+    Held as int numerators over one denominator from construction on (see
+    :mod:`normlab.lattice_core`); ``values`` and ``value_at`` give Fractions.
     """
-
-    values = LazyView()
 
     def __init__(self, space: FiniteSpace, values: Iterable):
         self._shape = space
@@ -138,16 +136,16 @@ class FiniteFunc(AlgElement):
         if len(self.values) != space.n:
             raise PreconditionViolation(
                 f"expected {space.n} values, got {len(self.values)}")
+        self._row, self._den = _to_row(self.values)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The row's Fractions, for a function built by arithmetic."""
+        return tuple(Fraction(x, self._den) for x in self._row)
 
     @property
     def space(self) -> FiniteSpace:
         return self._shape
-
-    def _fraction_row(self):
-        return self.values
-
-    def _set_fractions(self, values):
-        self.values = tuple(values)
 
     def _widen(self, shape, other):  # a space holds no other
         if other._shape is not shape and other._shape != shape:
@@ -179,19 +177,21 @@ def envelopes(f: FiniteFunc) -> tuple[FiniteFunc, FiniteFunc]:
     sup-of-inf over all neighborhoods.  f is upper semicontinuous iff it equals
     its upper envelope, lower semicontinuous iff it equals its lower envelope.
     """
-    upper = FiniteFunc(f.space, (max(f.values[y] for y in _bits(row))
-                                 for row in f.space.min_nbhd))
-    lower = FiniteFunc(f.space, (min(f.values[y] for y in _bits(row))
-                                 for row in f.space.min_nbhd))
-    return upper, lower
+    return _envelope(f, max), _envelope(f, min)
+
+
+def _envelope(f: FiniteFunc, extremum) -> FiniteFunc:
+    """The envelope whose value at x is ``extremum`` of f over U_x."""
+    return FiniteFunc(f.space, (extremum(f.values[y] for y in _bits(row))
+                                for row in f.space.min_nbhd))
 
 
 def is_usc(f: FiniteFunc) -> bool:
-    return envelopes(f)[0] == f
+    return _envelope(f, max) == f
 
 
 def is_lsc(f: FiniteFunc) -> bool:
-    return envelopes(f)[1] == f
+    return _envelope(f, min) == f
 
 
 def indicator(space: FiniteSpace, subset) -> FiniteFunc:

@@ -13,12 +13,10 @@ denominator, for procedures on rows.  Two operations need no second row
 and keep the shape as it is, and are written once here too: the 0/1
 superlevel row of an element, by integer comparison with the level, and a
 shift by a rational constant, rescaled to the common denominator and
-reduced.  Ring and lattice axioms then hold
-exactly, and order, norm, and equality are all decidable.  Every value the
-API returns is still a ``Fraction``: that view of an element is built at
-most once, when first read.  A sequence is built as its int row from the
-start; a finite function constructed from Fractions keeps them and builds
-its int row on its first arithmetic.
+reduced.  Ring and lattice axioms then hold exactly, and order, norm, and
+equality are all decidable.  Every constructor builds the int row; every
+value the API returns is still a ``Fraction``, read off the row when first
+read (a finite function built from Fractions keeps them).
 
 The archimedean axiom (na <= b for all n forces a <= 0) holds by
 construction on both carriers and is not asserted dynamically: it is
@@ -51,40 +49,15 @@ def _lowest_terms(row, den: int):
     return row, den
 
 
-class LazyView:
-    """An attribute of one of an element's two views, built on first read.
-
-    Building a view stores all of its attributes in the instance dict, which
-    shadows this (non-data) descriptor from then on.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        if self.name in ("_den", "_row"):
-            obj._row, obj._den = _to_row(obj._fraction_row())
-        else:
-            den = obj._den
-            obj._set_fractions([Fraction(x, den) for x in obj._row])
-        return obj.__dict__[self.name]
-
-
 class AlgElement:
     """An element of a bounded archimedean lattice-ordered function algebra.
 
-    The int view is ``_row`` over ``_den``, in lowest terms; ``_shape`` is
-    always set.  A carrier implements ``_widen``, ``_on``, ``_point``,
-    ``_set_fractions``, ``const_like`` and ``value_at``,
-    plus ``_fraction_row`` (its Fraction view as one row) when it can be
-    constructed from Fractions without its int row, and overrides
+    Every constructor sets ``_shape`` and the int view, ``_row`` over
+    ``_den``, in lowest terms.  A carrier implements ``_widen``, ``_on``,
+    ``_point``, ``const_like`` and ``value_at``, and overrides
     ``_canonical_row`` when a row has more than one representation.
     All values are immutable after construction and all operations are pure.
     """
-
-    _den, _row = LazyView(), LazyView()
 
     @classmethod
     def _new(cls, shape, row: tuple, den: int):
@@ -229,13 +202,10 @@ class AlgElement:
         return Fraction(max(max(row), -min(row)), self._den)
 
     def __eq__(self, other):
-        """Same carrier and values, compared in a view both sides already hold."""
-        if type(other) is not type(self) or not (
-                self._shape is other._shape or self._shape == other._shape):
-            return False
-        if "_row" in vars(self) and "_row" in vars(other):
-            return self._den == other._den and self._row == other._row
-        return self._fraction_row() == other._fraction_row()
+        """Same carrier and values: the same shape, denominator and row."""
+        return (type(other) is type(self)
+                and (self._shape is other._shape or self._shape == other._shape)
+                and self._den == other._den and self._row == other._row)
 
     def __hash__(self):
         return hash((self._shape, self._den, self._row))

@@ -29,12 +29,12 @@ def rat(value) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational.
 
     Floats are rejected: silently accepting them would smuggle rounding
-    into a library whose contract is exactness.  A string outside the
-    :data:`RATIONAL` grammar is a ValueError.
+    into a library whose contract is exactness; so are bools, which JSON
+    keeps apart from numbers.  A string outside :data:`RATIONAL` is a ValueError.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if not RATIONAL.fullmatch(value):

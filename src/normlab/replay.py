@@ -374,8 +374,19 @@ def _verify_condition(report, checks) -> None:
     _verify_route(report, checks, rd)
 
 
-def _verify_route(report, checks, rd) -> None:
-    """One route's checks, on the report's frame."""
+def _keys(node: dict, keys: tuple, at: tuple) -> None:
+    """Refuse a certificate, or a part of one, at its pointer ``at`` unless it
+    holds exactly ``keys``, the ones its checks read, so that no value in it
+    goes unread: a missing key is a KeyError, any other key a ValueError."""
+    missing, extra = [key for key in keys if key not in node], node.keys() - set(keys)
+    if missing or extra:
+        raise MalformedPayload("condition", KeyError(missing[0]) if missing else
+                               ValueError(f"a key no check reads: {min(extra)!r}"), at)
+
+
+def _verify_route(report, checks, rd, at=("certificate",)) -> None:
+    """One route's checks, on the report's frame; ``at`` is the pointer of the
+    route's certificate."""
     model, cond, verdict = report["model"], report["condition"], report["verdict"]
     inst, cert = report["instance"], report["certificate"]
     label = f"{cond} {verdict}"
@@ -384,10 +395,12 @@ def _verify_route(report, checks, rd) -> None:
     if verdict not in routes.get(cond, ()):
         _check(checks, f"{label}: certificate recognized", False)
         return
+    seq = model in ("seq_x_end", "seq_y_end")
     if cond == "SL":
+        _keys(cert, ("L", "L_verdict", "N", "N_verdict"), at)
         for part in ("L", "N"):
             _verify_route({**report, "condition": part, "verdict": cert[f"{part}_verdict"],
-                           "certificate": cert[part]}, checks, rd)
+                           "certificate": cert[part]}, checks, rd, (*at, part))
         both_hold = cert["L_verdict"] == cert["N_verdict"] == "holds"
         _check(checks, f"{label}: decomposition consistent", both_hold == (verdict == "holds"))
         return
@@ -395,6 +408,7 @@ def _verify_route(report, checks, rd) -> None:
         # member n of the noncompact family is eps + delta up to index n and
         # -delta beyond, for positive eps and delta
         eps, delta = _frac(inst["epsilon"]), _frac(inst["delta"])
+        _keys(cert, ("defeats",) if cond == "C" else (), at)
         if cond == "C":  # each subfamily of up to subfamily_cap of the first 8 members
             cap = inst["subfamily_cap"]
             if type(cap) is not int or cap < 1:
@@ -402,6 +416,8 @@ def _verify_route(report, checks, rd) -> None:
             combos = [combo for size in range(1, min(cap, 8) + 1)
                       for combo in itertools.combinations(range(8), size)]
             defeats, neg = cert["defeats"], -delta  # an empty list defeats nothing
+            for i, e in enumerate(defeats):
+                _keys(e, ("subfamily", "index", "join_value"), (*at, "defeats", i))
 
             def same(v, q):  # a JSON rational is q, compared as ints
                 p, d = _ratio(v, rd.memo)
@@ -418,6 +434,7 @@ def _verify_route(report, checks, rd) -> None:
         return
     den, row = rd.den, rd.row
     if cond in ("C", "L"):
+        _keys(cert, ("subfamily", "join_min") + (("join_omega",) if seq else ()), at)
         fam = inst["family"]
         fam_rows = [row(d) for d in fam]
         chosen = [fam_rows[i] for i in _indices(cert["subfamily"], len(fam_rows))]
@@ -441,13 +458,15 @@ def _verify_route(report, checks, rd) -> None:
         return _row_le(fr, wr) and _row_le(wr, gr)
 
     if cond in ("N", "D"):
+        held = ("witness", "limit") if seq else ("witness",)
+        _keys(cert, held if verdict == "holds" else ("limsup_f", "liminf_g"), at)
         if verdict == "holds":
             w = cert["witness"]
             wr = row(w)  # a finite function is convergent
             _check(checks, f"{label}: witness convergent",
                    rd.masks is not None or _settles(rd, wr))
             _check(checks, f"{label}: f <= witness <= g", between(w))
-            if model in ("seq_x_end", "seq_y_end"):
+            if seq:
                 lim = _frac(cert["limit"])
                 _check(checks, f"{label}: limit = the witness's cycle value",
                        all(x * lim.denominator == lim.numerator * den
@@ -464,6 +483,8 @@ def _verify_route(report, checks, rd) -> None:
             _check(checks, f"{label}: gap f + eps <= g", eps > 0 and all(
                 (y - x) * eps.denominator >= eps.numerator * den for x, y in zip(fr, gr)))
         return
+    sides = ("meet_side", "join_side") if model == "seq_x_end" else ("a_seq", "b_seq")
+    _keys(cert, sides + (("witness",) if cond == "S" else ()), at)
     _check(checks, f"{label}: f <= g", _row_le(fr, gr))
     if cond == "S":
         _check(checks, f"{label}: witness between endpoints", between(cert["witness"]))
@@ -472,6 +493,7 @@ def _verify_route(report, checks, rd) -> None:
         meet_of_side, join_of_side = {"T": (fr, gr), "BS": (gr, fr), "S": (fr, fr)}[cond]
         for side, key, er in (("meet_side", "closed_form_meet", meet_of_side),
                               ("join_side", "closed_form_join", join_of_side)):
+            _keys(cert[side], (key,), (*at, side))
             _check(checks, f"{label}: {side} closed form is its endpoint",
                    er == row(cert[side][key]))
         return
@@ -675,8 +697,8 @@ def _verify_urysohn(cert, checks) -> None:
 class MalformedPayload(Exception):
     """A payload the verifiers cannot read, named by its JSON pointer and kind."""
 
-    def __init__(self, kind: str, cause: Exception):
-        self.kind, self.cause, self.path = kind, cause, []
+    def __init__(self, kind: str, cause: Exception, at: tuple = ()):
+        self.kind, self.cause, self.path = kind, cause, list(reversed(at))
 
     def __str__(self):
         tokens = (str(t).replace("~", "~0").replace("/", "~1") for t in reversed(self.path))

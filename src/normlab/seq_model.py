@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -27,8 +28,8 @@ from .errors import (
     PreconditionViolation,
     SearchBudgetExceeded,
 )
-from .lattice_core import (AlgElement, LazyView, _lowest_terms, check_cover, check_order,
-                           check_positive, finite_join)
+from .lattice_core import (AlgElement, _lowest_terms, check_cover, check_order, check_positive,
+                           finite_join)
 from .rationals import ZERO, rat
 
 
@@ -118,11 +119,9 @@ class SeqFunc(AlgElement):
     carrier.  The values are held as int numerators over one denominator
     (see :mod:`normlab.lattice_core`), in a row of the prefix, one cycle and
     the omega value, built as ints from the start; ``prefix``, ``cycle``,
-    ``omega`` and ``at`` build Fractions from the row when they are read.
-    Equality is decidable via the canonical form.
+    ``omega`` and ``at`` read Fractions off the row, each view built when it
+    is first read.  Equality is decidable via the canonical form.
     """
-
-    prefix, cycle, omega = LazyView(), LazyView(), LazyView()
 
     def __init__(self, prefix: Iterable = (), cycle: Iterable = (0,), omega=None):
         self._shape, self._row, self._den = _int_row(
@@ -150,6 +149,18 @@ class SeqFunc(AlgElement):
     def periodic(cls, cycle: Iterable, omega=None) -> "SeqFunc":
         return cls((), cycle, omega)
 
+    @cached_property
+    def prefix(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self._den) for x in self._row[:self._shape[0]])
+
+    @cached_property
+    def cycle(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self._den) for x in _cycle(self))
+
+    @cached_property
+    def omega(self) -> Fraction | None:
+        return _omega(self) if self.has_omega else None
+
     @property
     def has_omega(self) -> bool:
         return self._shape[2]
@@ -168,11 +179,6 @@ class SeqFunc(AlgElement):
         return c == 1 and (not om or self._row[p] == self._row[-1])
 
     # the carrier's part of the element kernel
-
-    def _set_fractions(self, values):
-        k, c, om = self._shape
-        self.prefix, self.cycle = tuple(values[:k]), tuple(values[k:k + c])
-        self.omega = values[-1] if om else None
 
     def _on(self, shape) -> tuple:
         """The row at indices 0..p+span-1, then omega, of a shape holding self's."""

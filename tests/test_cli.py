@@ -438,7 +438,8 @@ SEQ_0, SEQ_1 = seq("0"), seq("1")
     ({"certificates": [{"trace": "merge", "a_norm": [], "b_norm": [], "u_seq": [],
                         "v_seq": [], "result": SEQ_0}]}, "/certificates/0", "merge"),
     ({"condition": "N", "verdict": "holds", "model": "seq_x_end",
-      "instance": {"f": SEQ_0, "g": SEQ_1}, "certificate": {"limit": "0"}}, "/", "condition"),
+      "instance": {"f": SEQ_0, "g": SEQ_1}, "certificate": {"limit": "0"}}, "/certificate",
+     "condition"),
     ({"ideal_membership": {"element": seq("x"), "in_I_alpha": True,
                            "in_J_radical": True, "cert": {}}}, "/", "ideal"),
 ], ids=["iteration-bounds-short", "merge-empty", "N-holds-no-witness", "ideal-unparsed-value"])
@@ -609,15 +610,14 @@ def _replay_fails(tmp_path, capsys, report) -> list:
                                        ("delta", "0"), ("delta", "-1/4")])
 def test_replay_refuses_a_nonpositive_built_in_family(tmp_path, capsys, cond, key, value):
     """The built-in family needs epsilon > 0 and delta > 0, which the producer
-    enforces: a report with either set to 0 or below, in the instance and the
-    certificate alike, fails replay (at epsilon -5 the (C) claim is false, as
+    enforces: a report with either set to 0 or below in its instance, the one
+    copy replay reads, fails replay (at epsilon -5 the (C) claim is false, as
     the join -delta of any subfamily covers at level -5)."""
     instance = dict(_x_cover(cond))
     if cond == "SL":
         instance.update(f={"cycle": ["0"]}, g={"cycle": ["1"]})
     report = _report(tmp_path, capsys, "seq_x_end", cond, instance)
-    cert = report["certificate"]["L"] if cond == "SL" else report["certificate"]
-    cert[key] = report["instance"][key] = value
+    report["instance"][key] = value
     row = ("C fails: every listed subfamily defeated" if cond == "C"
            else "L holds: member k is eps + delta > eps/2 at index k")
     assert _replay_fails(tmp_path, capsys, report) == [row]

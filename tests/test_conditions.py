@@ -56,6 +56,19 @@ def test_unknown_condition_rejected():
         check_condition(SeqXEndModel(), "Q", {"f": CHI_EVENS, "g": CHI_EVENS})
 
 
+def test_a_bool_is_no_rational():
+    """JSON's true and false are no rationals to the scenario reader, and no
+    more to the library: an epsilon or an element value given as a bool is a
+    TypeError, not 1 or 0."""
+    y = SeqFunc.constant(0, with_omega=True)
+    with pytest.raises(TypeError, match="from bool"):
+        check_condition(SeqYEndModel(), "D", {"f": y, "g": y + 1, "epsilon": True})
+    with pytest.raises(TypeError, match="from bool"):
+        SeqFunc([True])
+    with pytest.raises(TypeError, match="from bool"):
+        FiniteFunc(FiniteSpace.discrete(1), [False])
+
+
 def test_x_end_n_fails_on_chi_evens():
     report = check_condition(SeqXEndModel(), "N",
                              {"f": CHI_EVENS, "g": CHI_EVENS})

@@ -229,6 +229,36 @@ def test_urysohn_inseparable_component():
         urysohn_join_stream(FiniteUrysohnCarrier(NON_NORMAL), closed, open_, 2)
 
 
+def test_semicontinuity_checks_agree_with_the_envelopes():
+    """is_usc and is_lsc compare f with one envelope each, so they agree with
+    the pair ``envelopes`` builds on every space of at most 3 points, values
+    in {0, 1, 2}."""
+    for n in range(1, 4):
+        for space in enumerate_spaces(n):
+            for values in itertools.product(range(3), repeat=n):
+                f = FiniteFunc(space, values)
+                upper, lower = envelopes(f)
+                assert is_usc(f) == (upper == f) and is_lsc(f) == (lower == f)
+
+
+def test_each_check_builds_only_the_envelope_it_compares(monkeypatch):
+    """is_usc and is_lsc build one FiniteFunc each, and insert_finite on a
+    feasible pair builds 3: an envelope per endpoint and the witness."""
+    built = []
+    init = FiniteFunc.__init__
+
+    def counted(self, space, values):
+        built.append(space)
+        init(self, space, values)
+
+    f, g = FiniteFunc(SIERPINSKI, [0, 1]), FiniteFunc(SIERPINSKI, [2, 1])
+    monkeypatch.setattr(FiniteFunc, "__init__", counted)
+    assert is_usc(f) and len(built) == 1
+    assert is_lsc(g) and len(built) == 2
+    built.clear()
+    assert isinstance(insert_finite(f, g), FiniteFunc) and len(built) == 3
+
+
 def test_insert_finite_feasible_and_not():
     space = FiniteSpace.discrete(2)
     f = FiniteFunc(space, [0, 2])

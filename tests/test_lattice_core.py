@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab.errors import EmptyFamily, PreconditionViolation
-from normlab.finite_space import FiniteFunc, FiniteSpace
+from normlab.finite_space import (FiniteFunc, FiniteSpace, block_indicators, envelopes,
+                                  indicator, insert_finite)
 from normlab.lattice_core import finite_join, rescale_to_unit, unscale
 from normlab.seq_model import OMEGA, SeqFunc, threshold_indicator
 from oracles import probe_points, shift_by_constant_element, superlevel_mask_by_values, threshold_by_fractions
@@ -120,7 +121,7 @@ kernel_values = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 def kernel_pairs(draw):
     """Two elements of one carrier: a finite space, or sequences with or
     without omega (cycle lengths 1 to 5, so coprime pairs occur); each one
-    holds only its Fraction view or, built by arithmetic, only its int row."""
+    is built from Fractions or by arithmetic."""
     kind = draw(st.sampled_from(["finite", "seq", "seq_omega"]))
 
     def one():
@@ -137,7 +138,7 @@ def kernel_pairs(draw):
 
 
 def _fraction_copy(e):
-    """The same element, holding only its Fraction view."""
+    """The same element, built again from its Fraction view."""
     if isinstance(e, FiniteFunc):
         return FiniteFunc(e.space, e.values)
     return SeqFunc(e.prefix, e.cycle, e.omega)
@@ -197,13 +198,57 @@ def test_equal_elements_hash_equal_whichever_view_came_first(pair):
     assert hash(read_first) == hash(a) and read_first == _fraction_copy(a)
 
 
+# -- every element holds its int row -----------------------------------------
+
+# the open point 0 lies below 1 and 2
+FORK = FiniteSpace(3, [0b001, 0b011, 0b101])
+
+
+def _f():
+    return FiniteFunc(FORK, [Fraction(1, 2), Fraction(-1, 3), 2])
+
+
+def _s():
+    return SeqFunc([Fraction(1, 2)], [1, Fraction(2, 3)], Fraction(1, 4))
+
+
+BUILT = {  # one element from each way an element is built
+    "FiniteFunc": _f,
+    "SeqFunc": _s,
+    "from_pairs": lambda: SeqFunc.from_pairs([(1, 2)], [(3, 4), (1, 6)], (3, 4)),
+    "const_like finite": lambda: _f().const_like(Fraction(5, 6)),
+    "const_like seq": lambda: _s().const_like(Fraction(5, 6)),
+    "kernel finite": lambda: (_f() * _f() - Fraction(1, 3)).join(_f()),
+    "kernel seq": lambda: (_s() * _s() + _s()).meet(_s() - 1),
+    "threshold_indicator": lambda: threshold_indicator(_s(), Fraction(1, 2)),
+    "indicator": lambda: indicator(FORK, [0, 2]),
+    "upper envelope": lambda: envelopes(_f())[0],
+    "lower envelope": lambda: envelopes(_f())[1],
+    # usc f (f(1), f(2) >= f(0)) below lsc g (g(1), g(2) <= g(0))
+    "insert_finite": lambda: insert_finite(FiniteFunc(FORK, [0, 1, Fraction(1, 2)]),
+                                           FiniteFunc(FORK, [2, 1, Fraction(3, 2)])),
+    "block_indicators": lambda: block_indicators(FORK, [_f()])[0][1],
+}
+
+
+@pytest.mark.parametrize("path", sorted(BUILT))
+def test_every_element_holds_its_int_row_from_construction(path):
+    """Each way of building an element stores its int row and denominator,
+    and the Fraction view read later is that row over that denominator."""
+    e = BUILT[path]()
+    assert "_row" in vars(e) and "_den" in vars(e)
+    view = e.values if isinstance(e, FiniteFunc) else \
+        e.prefix + e.cycle + (() if e.omega is None else (e.omega,))
+    assert view == tuple(Fraction(x, e._den) for x in e._row)
+
+
 # -- superlevel rows and scalar shifts against their Fraction paths -------------
 
 @st.composite
 def leveled_elements(draw):
-    """An element of either carrier, with or without omega, holding only its
-    Fraction view or only its int row, and a level: any rational or a value
-    the element attains."""
+    """An element of either carrier, with or without omega, built from
+    Fractions or by arithmetic, and a level: any rational or a value the
+    element attains."""
     kind = draw(st.sampled_from(["finite", "seq", "seq_omega"]))
     if kind == "finite":
         values = draw(st.lists(kernel_values, min_size=3, max_size=3))

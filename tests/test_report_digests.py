@@ -428,6 +428,76 @@ def test_interpolation_certificate_without_chain_or_sides_fails(tmp_path, model,
         in out["checks"]
 
 
+def _certificate_parts(node, at=("certificate",)):
+    """(pointer, object) of a certificate and of every JSON object in it that
+    is not an element: the parts replay reads key by key."""
+    if isinstance(node, dict):
+        if "cycle" in node or "space" in node:
+            return []
+        here, items = [(at, node)], node.items()
+    elif isinstance(node, list):
+        here, items = [], enumerate(node)
+    else:
+        return []
+    return here + [part for key, child in items
+                   for part in _certificate_parts(child, (*at, key))]
+
+
+def _malformed(report) -> str:
+    with pytest.raises(replay_mod.MalformedPayload) as exc:
+        verify_report(report)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("key", sorted(INSTANCES), ids="-".join)
+def test_certificate_holds_exactly_the_keys_its_checks_read(tmp_path, key):
+    """A key added to any part of a certificate, which no check would read, and
+    a key deleted from it are each a malformed payload at that part's pointer."""
+    report = json.loads(_check_report(tmp_path, *key, 8).read_text())
+    assert verify_report(report)["ok"]
+    parts = _certificate_parts(report["certificate"])
+    for at, _ in parts:
+        pointer = "/" + "/".join(map(str, at))
+        for edit in ("add", "delete"):
+            tampered = json.loads(json.dumps(report))
+            node = functools.reduce(operator.getitem, at, tampered)
+            if edit == "add":
+                node["stale"] = "1"
+                cause = "ValueError: a key no check reads: 'stale'"
+            elif node:
+                cause = f"KeyError: {sorted(node)[0]!r}"
+                del node[sorted(node)[0]]
+            else:  # an empty certificate has no key to delete
+                continue
+            assert _malformed(tampered) == f"{pointer}: malformed condition payload ({cause})"
+
+
+@pytest.mark.parametrize("key,extra", [
+    (("seq_y_end", "D"), {"epsilon": "99"}),
+    (("finite_full", "T"), {"family": []}),
+    (("seq_x_end", "T"), {"family": []}),
+    (("seq_y_end", "SL"), {"epsilon": "1"}),
+], ids=["y-D-epsilon", "finite-T-family", "x-T-family", "y-SL-epsilon"])
+def test_instance_value_planted_in_a_certificate_is_refused(tmp_path, key, extra):
+    """A stale copy of an instance value in a certificate is refused, though
+    every check would pass without reading it."""
+    report = json.loads(_check_report(tmp_path, *key, 8).read_text())
+    report["certificate"].update(extra)
+    name = next(iter(extra))
+    assert _malformed(report) == (f"/certificate: malformed condition payload "
+                                  f"(ValueError: a key no check reads: {name!r})")
+
+
+def test_catalog_defeat_with_a_stale_key_is_refused():
+    """Each (C) defeat holds exactly the subfamily, index and join value that
+    replay derives: a stale key in one is refused at that defeat."""
+    report = json.loads(json.dumps(CATALOG["noncompact-C-failure"]()["certificates"][0]))
+    assert verify_report(report)["ok"]
+    report["certificate"]["defeats"][5]["epsilon"] = "1"
+    assert _malformed(report) == ("/certificate/defeats/5: malformed condition payload "
+                                  "(ValueError: a key no check reads: 'epsilon')")
+
+
 def _finite_elements(node):
     """Every finite function in a JSON value."""
     if isinstance(node, dict):

@@ -5,7 +5,8 @@ condition route or replay reads a depth, replay reads elements only through
 its reader, no finite-space route takes a space beside a function on it,
 no route or replay reads an instance key through ``.get`` and no certificate
 repeats a key of its instance, every name the benchmark's tracer
-wraps still exists, and the tracer still reads what the library emits."""
+wraps still exists, the tracer still reads what the library emits, and every
+library function but a committed few runs on a CLI path."""
 
 import ast
 import json
@@ -406,3 +407,172 @@ def test_benchmark_tracer_reads_the_urysohn_certificate(carrier):
     counts = json.loads(result.stdout)
     assert counts["pairs"] == counts["rows"] > 0
     assert counts["distinct"] == 1.0  # one row per separated level pair
+
+
+# -- the reach ratchet: every library function runs on a CLI path --------------
+
+REACH = """
+import contextlib, importlib, io, json, sys
+root, module, corpus = sys.argv[1:]
+ran, codes = set(), []
+
+def record(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(root):
+        ran.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    sys.setprofile(record)
+    main = importlib.import_module(module).main
+    for argv in json.load(open(corpus)):
+        codes.append(main(argv))
+    sys.setprofile(None)
+print(json.dumps({"codes": codes, "ran": sorted(ran)}))
+"""
+
+
+def run_corpus(root: pathlib.Path, module: str, corpus: list, tmp_path) -> tuple[list, set]:
+    """(exit codes, code objects run) of ``module.main`` on each argv of the
+    corpus, in a child process under ``sys.setprofile``; a code object is
+    (file, first line, name), and only those under ``root`` are kept."""
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    result = subprocess.run(
+        [sys.executable, "-c", REACH, str(root), module, str(path)],
+        env={**os.environ, "PYTHONPATH": str(root.parent)}, capture_output=True, text=True,
+        timeout=300)
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    return out["codes"], {tuple(key) for key in out["ran"]}
+
+
+def never_run(root: pathlib.Path, ran: set) -> list[str]:
+    """Every ``def`` in the modules under ``root`` whose code object is not in
+    ``ran``, as module.qualname.  A code object's first line is its first
+    decorator's.  Class bodies, lambdas and comprehensions are no ``def``."""
+    out = []
+    for path in sorted(root.glob("*.py")):
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    if (str(path), first, child.name) not in ran:
+                        out.append(f"{path.stem}.{prefix}{child.name}")
+                    visit(child, f"{prefix}{child.name}.<locals>.")
+                else:
+                    visit(child, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef)
+                          else prefix)
+
+        visit(ast.parse(path.read_text()), "")
+    return sorted(out)
+
+
+def cli_corpus(tmp_path) -> list:
+    """Every argv of the reach corpus: check then replay of each model and
+    condition, reproduce then replay of each catalog id, a small survey, and
+    one malformed scenario and one malformed report, last."""
+    from test_report_digests import INSTANCES, SPACE3
+    from normlab.cli import CATALOG
+    corpus = []
+    for i, (model, cond) in enumerate(sorted(INSTANCES)):
+        scenario, report = tmp_path / f"scenario-{i}.json", tmp_path / f"report-{i}.json"
+        body = {"model": model, "condition": cond, "instance": INSTANCES[model, cond],
+                "depth": 8, **({"space": SPACE3} if model == "finite_full" else {})}
+        scenario.write_text(json.dumps(body))
+        corpus += [["check", str(scenario), "--out", str(report)], ["replay", str(report)]]
+    for example_id in sorted(CATALOG):
+        report = tmp_path / f"{example_id}.json"
+        corpus += [["reproduce", example_id, "--out", str(report)], ["replay", str(report)]]
+    corpus.append(["survey", "--max-size", "3"])
+    bad_scenario, bad_report = tmp_path / "bad-scenario.json", tmp_path / "bad-report.json"
+    bad_scenario.write_text(json.dumps({"model": "seq_x_end", "condition": "N"}))
+    bad_report.write_text(json.dumps({
+        "condition": "N", "verdict": "holds", "model": "seq_x_end", "certificate": {},
+        "instance": {"f": {"prefix": [], "cycle": ["0"], "omega": None},
+                     "g": {"prefix": [], "cycle": ["1"], "omega": None}}}))
+    return corpus + [["check", str(bad_scenario)], ["replay", str(bad_report)]]
+
+
+# The library functions the corpus never runs: error paths, dunders and reprs,
+# replay verifiers no CLI output feeds, procedures only the benchmark and the
+# tests call, and dead surface.  A function leaves the list when a command
+# reaches it or it is deleted; none joins it.
+NEVER_RUN = [
+    "errors.BoundViolation.__init__", "errors.CoverViolation.__init__",
+    "errors.GapViolation.__init__", "errors.OracleContractViolation.__init__",
+    "errors.SearchBudgetExceeded.__init__", "errors.UnknownExampleId.__init__",
+    "finite_space.FiniteFunc.__repr__", "finite_space.FiniteFunc._point",
+    "finite_space.FiniteSpace.__hash__", "finite_space.FiniteSpace.__repr__",
+    "finite_space.FiniteSpace.from_preorder", "finite_space._mask",
+    "finite_space.block_indicators", "finite_space.envelopes", "finite_space.separate",
+    "insertion_engine.FiniteUrysohnCarrier.__init__",
+    "insertion_engine.FiniteUrysohnCarrier.check_pair",
+    "insertion_engine.FiniteUrysohnCarrier.urysohn",
+    "insertion_engine.IterationTrace.result", "insertion_engine.YUrysohnCarrier.check_pair",
+    "insertion_engine.YUrysohnCarrier.urysohn", "insertion_engine._level_pairs",
+    "insertion_engine.farey_fractions", "insertion_engine.increasing_approx",
+    "insertion_engine.urysohn_join_stream",
+    "lattice_core.AlgElement.__ge__", "lattice_core.AlgElement.__hash__",
+    "lattice_core.AlgElement.__le__", "lattice_core.AlgElement.__neg__",
+    "lattice_core.AlgElement.__radd__", "lattice_core.AlgElement.__rmul__",
+    "lattice_core.AlgElement.eq_pointwise", "lattice_core.AlgElement.zip_with",
+    "lattice_core.rescale_to_unit", "lattice_core.unscale",
+    "replay._continuous", "replay._flag", "replay._level_pairs",
+    "replay._verify_block_replay", "replay._verify_ideal", "replay._verify_urysohn",
+    "seq_model.GeoTail.__repr__", "seq_model.GeoTail.at",
+    "seq_model.InfeasibleCert.__repr__", "seq_model.Omega.__repr__",
+    "seq_model.SeqFunc.__repr__", "seq_model.SeqFunc._point", "seq_model.SeqFunc.value_at",
+    "seq_model.lindelof_extract", "seq_model.lindelof_extract.<locals>.select",
+    "seq_model.lindelof_extract.<locals>.stream",
+    "serialize._child", "serialize._shown",
+]
+
+
+def test_every_library_function_runs_on_a_cli_path(tmp_path):
+    """The library functions no CLI command of the corpus runs are exactly
+    NEVER_RUN: a new function no command reaches fails here, and so does a
+    listed one that a command now reaches, which leaves the list."""
+    corpus = cli_corpus(tmp_path)
+    codes, ran = run_corpus(SRC, "normlab.cli", corpus, tmp_path)
+    assert all(code == 0 for argv, code in zip(corpus[:-2], codes) if argv[0] != "replay")
+    assert codes[-2:] == [2, 2]  # the malformed scenario and report are input errors
+    assert never_run(SRC, ran) == sorted(NEVER_RUN)
+
+
+PLANTED = '''import functools
+
+
+def main(argv):
+    return Used().value + helper()
+
+
+def helper():
+    return (lambda: 0)() + sum(i for i in [1])
+
+
+class Used:
+    items = [k for k in range(2)]
+
+    @functools.cached_property
+    def value(self):
+        def inner():
+            return 1
+        return inner()
+
+    def unused(self):
+        pass
+
+
+def planted():
+    return 2
+'''
+
+
+def test_unreached_function_is_found(tmp_path):
+    root = tmp_path / "planted"
+    root.mkdir()
+    (root / "lib.py").write_text(PLANTED)
+    codes, ran = run_corpus(root, "planted.lib", [[]], tmp_path)
+    assert codes == [2]
+    assert never_run(root, ran) == ["lib.Used.unused", "lib.planted"]
+
