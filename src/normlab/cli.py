@@ -15,6 +15,9 @@ Subcommands:
 * ``replay <report.json>``: re-verify every certificate in a report through
   the independent verifier.
 
+An unreadable input, an unknown id or an ``--out`` that cannot be written
+exits 2 with ``input error: ...`` on stderr, and never with a traceback.
+
 All mathematics is exact, so there are no tolerance flags, and reports are
 deterministic given the scenario.  The argument parser is built once per
 process, on the first call to :func:`main`, and reused by later calls.
@@ -73,14 +76,22 @@ def _print(text: str) -> None:
         os.close(null)
 
 
+def _write(text: str, out_path: str | None) -> None:
+    """Write to ``--out``, when given, then to stdout; an ``--out`` that
+    cannot be written is an input error."""
+    if out_path:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise NormlabError(str(exc)) from None
+    _print(text)
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     """Write a report as one line of sorted-key JSON.  Without an indent,
     ``json.dumps`` runs CPython's C encoder."""
-    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    _print(text)
+    _write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", out_path)
 
 
 def _read_json(path: str):
@@ -279,11 +290,7 @@ def reproduce(example_id: str) -> dict:
 
 
 def cmd_reproduce(args) -> int:
-    try:
-        report = reproduce(args.example_id)
-    except UnknownExampleId as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    report = reproduce(args.example_id)
     _emit(report, args.out)
     if not all(report["assertions"].values()):
         failed = [k for k, v in report["assertions"].items() if not v]
@@ -331,11 +338,7 @@ def cmd_survey(args) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    _print(text)
+    _write(buf.getvalue(), args.out)
     if any(not r["agreement"] for r in rows):
         print("counterexample found: insertion feasible on a non-normal space",
               file=sys.stderr)
@@ -346,7 +349,7 @@ def cmd_survey(args) -> int:
 def cmd_replay(args) -> int:
     try:
         result = replay_mod.verify_report(_read_json(args.report))
-    except (NormlabError, replay_mod.MalformedPayload) as exc:
+    except replay_mod.MalformedPayload as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     _emit(result, args.out)
@@ -388,7 +391,11 @@ _parser = functools.cache(build_parser)  # built on the first call to main, not 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NormlabError as exc:  # an unknown id, an unreadable file or an unwritable --out
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,12 +3,15 @@
 Each condition (T, BS, S, N, D, C, L, SL) is checked against a pluggable
 extension model; reports carry a verdict, holds or fails (no route returns
 unknown_at_depth, and replay refuses it), and a machine-checkable
-certificate.  A countable claim is certified by a closed-form rule for its
-family, never by a truncation of it: on the convergent-into-periodic model,
-each (T)/(BS)/(S) side's countable meet or join is exactly its endpoint, and
-the (C)/(L) family is one rule in epsilon and delta.  A route reads every
-value from the instance, with no default, and its certificate repeats none
-of them: the report's instance is their one copy.
+certificate.  Each route is written once, in :class:`ExtensionModel`: a
+model is its insertion, whose (N) witness serves (T), (BS), (S) and (D), and
+its cover, whose finite subfamily serves (C) and (L).  The non-compact
+convergent-into-periodic model overrides the routes a compact carrier
+gives, certifying each countable claim by a closed-form rule for its family,
+never by a truncation of it: each (T)/(BS)/(S) side's countable meet or join
+is exactly its endpoint, and the (C)/(L) family is one rule in epsilon and
+delta.  A route reads every value from the instance, with no default, and its
+certificate repeats none of them: the report's instance is their one copy.
 
 The scenario reader checks syntax, encoding and bounds; the values of an
 instance are checked here, once each, by the route that reads them (the
@@ -27,11 +30,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ModelCapabilityMissing, PreconditionViolation
 from .finite_space import FiniteSpace
-from .lattice_core import check_cover, check_gap, check_order, check_positive, finite_join
+from .lattice_core import check_gap, check_order, check_positive, subcover
 from .rationals import rat
 from .seq_model import (
     Witness,
@@ -63,12 +65,16 @@ class ConditionReport:
 
 
 class ExtensionModel:
-    """A basic extension, given by its condition routes.
+    """A basic extension, given by its insertion and its cover.
 
-    Subclasses provide one ``cond_<x>`` method per supported condition, each
-    returning (verdict, certificate); :func:`check_condition` dispatches to
-    them by name.  ``reads`` names the instance keys each route reads, which
-    the scenario reader holds a scenario to.
+    A model supplies ``insert(f, g)``, (N) as (verdict, certificate) with the
+    ``witness`` when it holds, and ``cover(epsilon, family)``, the certificate
+    of a verified cover's finite subfamily.  Each route is a ``cond_<x>``
+    method here, returning (verdict, certificate), which
+    :func:`check_condition` finds by name; (T), (BS), (S), (C) and (L) hold on
+    a compact carrier, and a non-compact model overrides them.  ``reads`` names
+    the instance keys each route reads, which the scenario reader holds a
+    scenario to.
     """
 
     name = "abstract"
@@ -81,6 +87,9 @@ class ExtensionModel:
         (L) and (N)."""
         return cls.reads["L"] + cls.reads["N"] if cond == "SL" else cls.reads[cond]
 
+    def cond_n(self, instance):
+        return self.insert(instance["f"], instance["g"])
+
     def cond_d(self, instance):
         """(N) with the gap epsilon.  The pair is checked before the gap, so f > g
         is named as such; on a non-compact carrier the gap gives no convergent
@@ -88,6 +97,23 @@ class ExtensionModel:
         result = self.cond_n(instance)
         check_gap(instance["f"], instance["g"], instance["epsilon"])
         return result
+
+    def cond_t(self, instance):
+        # the (N) witness w alone is each side's family: f <= w <= g
+        w = self.cond_n(instance)[1]["witness"]
+        return HOLDS, {"a_seq": [w], "b_seq": [w]}
+
+    cond_bs = cond_t
+
+    def cond_s(self, instance):
+        w = self.cond_n(instance)[1]["witness"]
+        return HOLDS, {"witness": w, "a_seq": [w], "b_seq": [w]}
+
+    def cond_c(self, instance):
+        return HOLDS, self.cover(instance["epsilon"], instance["family"])
+
+    # the finite subfamily doubles as the countable one
+    cond_l = cond_c
 
 
 def check_condition(model: ExtensionModel, cond: str, instance: dict) -> ConditionReport:
@@ -114,50 +140,19 @@ def check_condition(model: ExtensionModel, cond: str, instance: dict) -> Conditi
 class FiniteFullModel(ExtensionModel):
     """Identity extension over a finite space: A = B = all functions.
 
-    Every element is a (trivial) meet and join from the image, so each
-    condition holds with the instance's own endpoints as witnesses.
+    Every function is continuous, so f itself is the insertion's witness, and
+    the carrier is finite, so every cover has the subfamily of the rule.
     """
 
     def __init__(self, space: FiniteSpace):
         self.space = space
         self.name = f"finite_full_{space.n}pt"
 
-    def cond_t(self, instance):
-        f, g = instance["f"], instance["g"]
+    def insert(self, f, g):
         check_order(f, g)
-        return HOLDS, {"a_seq": [f], "b_seq": [g]}
-
-    cond_bs = cond_t
-
-    def cond_s(self, instance):
-        f = instance["f"]
-        check_order(f, instance["g"])
-        return HOLDS, {"a_seq": [f], "b_seq": [f], "witness": f}
-
-    def cond_n(self, instance):
-        f = instance["f"]
-        check_order(f, instance["g"])
         return HOLDS, {"witness": f}
 
-    def cond_d(self, instance):
-        f, g = instance["f"], instance["g"]
-        check_order(f, g)
-        check_gap(f, g, instance["epsilon"])
-        return HOLDS, {"witness": (f + g) * Fraction(1, 2)}
-
-    def cond_c(self, instance):
-        family = list(instance["family"])
-        check_cover(instance["epsilon"], family)
-        choices = []
-        for x in range(self.space.n):
-            vals = [t.value_at(x) for t in family]
-            pick = max(range(len(family)), key=lambda i: vals[i])
-            if pick not in choices:
-                choices.append(pick)
-        joined = finite_join([family[i] for i in choices])
-        return HOLDS, {"subfamily": choices, "join_min": joined.value_bounds()[0]}
-
-    cond_l = cond_c
+    cover = staticmethod(subcover)
 
 
 class SeqXEndModel(ExtensionModel):
@@ -174,37 +169,33 @@ class SeqXEndModel(ExtensionModel):
     reads = {**ExtensionModel.reads, "C": ("epsilon", "delta", "subfamily_cap"),
              "L": ("epsilon", "delta")}
 
-    @staticmethod
-    def _family_sides(meet_of, join_of) -> dict:
-        """Both sides' certificates, each the closed form of its countable
-        family.  The meet side's family is the majorants (n, m) -> meet_of(n)
-        + 1/m at n and ||meet_of|| elsewhere, whose meet is exactly meet_of, as
-        1/m has infimum 0 and meet_of is at most its norm; dually, the join
-        side's minorants join_of(n) - 1/m join to exactly join_of."""
-        return {"meet_side": {"closed_form_meet": meet_of},
-                "join_side": {"closed_form_join": join_of}}
-
-    def cond_t(self, instance):
-        f, g = instance["f"], instance["g"]
-        check_naturals_pair(f, g)
-        return HOLDS, self._family_sides(f, g)
-
-    def cond_bs(self, instance):
-        f, g = instance["f"], instance["g"]
-        check_naturals_pair(f, g)
-        return HOLDS, self._family_sides(g, f)
-
-    def cond_s(self, instance):
-        f = instance["f"]
-        check_naturals_pair(f, instance["g"])
-        # both families collapse to the witness in closed form
-        return HOLDS, {"witness": f, **self._family_sides(f, f)}
-
-    def cond_n(self, instance):
-        result = insert_convergent(instance["f"], instance["g"])
+    def insert(self, f, g):
+        result = insert_convergent(f, g)
         if isinstance(result, Witness):
             return HOLDS, {"witness": result.func, "limit": result.limit}
         return FAILS, {"limsup_f": result.limsup_f, "liminf_g": result.liminf_g}
+
+    @staticmethod
+    def _sides(instance, meet_of: str, join_of: str) -> dict:
+        """Both sides' certificates for the pair f <= g, checked, each the
+        closed form of its countable family.  The meet side's family is the
+        majorants (n, m) -> meet_of(n) + 1/m at n and ||meet_of|| elsewhere,
+        whose meet is exactly meet_of, as 1/m has infimum 0 and meet_of is at
+        most its norm; dually, the join side's minorants join_of(n) - 1/m join
+        to exactly join_of."""
+        check_naturals_pair(instance["f"], instance["g"])
+        return {"meet_side": {"closed_form_meet": instance[meet_of]},
+                "join_side": {"closed_form_join": instance[join_of]}}
+
+    def cond_t(self, instance):
+        return HOLDS, self._sides(instance, "f", "g")
+
+    def cond_bs(self, instance):
+        return HOLDS, self._sides(instance, "g", "f")
+
+    def cond_s(self, instance):
+        # both families collapse to the witness f in closed form
+        return HOLDS, {"witness": instance["f"], **self._sides(instance, "f", "f")}
 
     @staticmethod
     def _built_in_family(instance):
@@ -245,26 +236,9 @@ class SeqYEndModel(ExtensionModel):
 
     name = "seq_y_end"
 
-    def cond_n(self, instance):
-        w = insert_on_y(instance["f"], instance["g"])
+    def insert(self, f, g):
+        w = insert_on_y(f, g)
         return HOLDS, {"witness": w.func, "limit": w.limit}
 
-    def cond_t(self, instance):
-        w = insert_on_y(instance["f"], instance["g"])
-        # a single continuous witness serves both sides
-        return HOLDS, {"a_seq": [w.func], "b_seq": [w.func]}
-
-    cond_bs = cond_t
-
-    def cond_s(self, instance):
-        w = insert_on_y(instance["f"], instance["g"])
-        return HOLDS, {"witness": w.func, "a_seq": [w.func], "b_seq": [w.func]}
-
-    def cond_c(self, instance):
-        # the carrier is compact, so any verified cover admits a finite subfamily
-        chosen, cert = subcover_extract(instance["epsilon"], instance["family"])
-        return HOLDS, {"subfamily": chosen, **cert}
-
-    # the finite subfamily doubles as the countable one
-    cond_l = cond_c
-
+    def cover(self, epsilon, family):
+        return subcover_extract(epsilon, family)

@@ -273,6 +273,28 @@ def check_cover(epsilon, family) -> Fraction:
     return eps
 
 
+def subcover(epsilon, family) -> dict:
+    """{"subfamily", "join_min"} of a cover, checked by :func:`check_cover`:
+    the indices one rule picks on the family's rows, the first member above
+    epsilon/2 at the last position (omega, on the compactified naturals), then
+    at each position where it is at most 0 the first member at least epsilon/2
+    there (each exists, as the cover is at least epsilon), and the least value
+    of their join, which is positive."""
+    eps = check_cover(epsilon, family)
+    _, den, rows = lay_out(family)
+    # x / den >= eps/2 iff 2q * x >= p * den, for eps = p/q
+    q2, half = 2 * eps.denominator, eps.numerator * den
+    star = next(i for i, row in enumerate(rows) if q2 * row[-1] > half)
+    chosen = [star]
+    for k, x in enumerate(rows[star]):
+        if x <= 0:
+            j = next(i for i, row in enumerate(rows) if q2 * row[k] >= half)
+            if j not in chosen:
+                chosen.append(j)
+    join_min = min(max(col) for col in zip(*(rows[i] for i in chosen)))
+    return {"subfamily": chosen, "join_min": Fraction(join_min, den)}
+
+
 def rescale_to_unit(f: AlgElement, g: AlgElement):
     """Translate and scale a pair f <= g into the unit interval.
 

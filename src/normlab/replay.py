@@ -286,6 +286,7 @@ def _check(checks, name, ok):
 
 
 def _verify_merge(trace, checks) -> None:
+    _keys(trace, ("trace", "a_norm", "b_norm", "u_seq", "v_seq", "result"), (), "merge")
     rd = _Reader()
     a, b = trace["a_norm"], trace["b_norm"]
     u, v = trace["u_seq"], trace["v_seq"]
@@ -324,6 +325,7 @@ def _verify_merge(trace, checks) -> None:
 
 
 def _verify_iteration(trace, checks) -> None:
+    _keys(trace, ("trace", "a_seq", "step_bounds", "f", "g"), (), "iteration")
     rd = _Reader()
     a = trace["a_seq"]
     bounds = [_frac(b) for b in trace["step_bounds"]]
@@ -374,13 +376,13 @@ def _verify_condition(report, checks) -> None:
     _verify_route(report, checks, rd)
 
 
-def _keys(node: dict, keys: tuple, at: tuple) -> None:
-    """Refuse a certificate, or a part of one, at its pointer ``at`` unless it
-    holds exactly ``keys``, the ones its checks read, so that no value in it
-    goes unread: a missing key is a KeyError, any other key a ValueError."""
+def _keys(node: dict, keys: tuple, at: tuple, kind: str = "condition") -> None:
+    """Refuse a payload of ``kind``, or a part of one, at its pointer ``at``
+    unless it holds exactly ``keys``, the ones its checks read, so that no value
+    in it goes unread: a missing key is a KeyError, any other a ValueError."""
     missing, extra = [key for key in keys if key not in node], node.keys() - set(keys)
     if missing or extra:
-        raise MalformedPayload("condition", KeyError(missing[0]) if missing else
+        raise MalformedPayload(kind, KeyError(missing[0]) if missing else
                                ValueError(f"a key no check reads: {min(extra)!r}"), at)
 
 
@@ -514,41 +516,42 @@ def _verify_route(report, checks, rd, at=("certificate",)) -> None:
 
 
 def _verify_ideal(payload, checks) -> None:
-    """Re-derive ideal membership of an element from its serialized values."""
+    """Re-derive ideal membership of an element from its serialized values:
+    the element is read first, then the closure certificate."""
+    at = ("ideal_membership",)
+    _keys(payload, ("element", "in_I_alpha", "in_J_radical", "cert"), at, "ideal")
     elem = payload["element"]
     in_i, in_j = _flag(payload["in_I_alpha"]), _flag(payload["in_J_radical"])
-    cert = payload["cert"]
-    members = _indices(cert["members"])
-    if members != sorted(members):
-        raise ValueError(f"members not in increasing order: {members!r}")
     if "ratio" in elem:  # geometric tail, with no cycle: limit 0, finite support iff q = 0
         if elem.keys() != {"prefix", "q", "ratio"} or type(elem["prefix"]) is not list:
             raise ValueError("a geometric tail is exactly an array prefix, q and ratio")
         _, prefix = _ints(elem["prefix"], {})
         q, ratio = _frac(elem["q"]), _frac(elem["ratio"])
-        _check(checks, "ideal: tail lies in the radical", in_j and 0 < ratio < 1)
-        _check(checks, "ideal: compact-support membership matches q", in_i == (q == 0))
+        facts = [("ideal: tail lies in the radical", in_j and 0 < ratio < 1),
+                 ("ideal: compact-support membership matches q", in_i == (q == 0))]
     else:
         rd = _Reader()
         _, (row,) = rd.frame(elem)
         if rd.masks is not None:
             raise ValueError("a finite function has no cycle")
         ok = rd.omega and _settles(rd, row)
-        _check(checks, "ideal: element convergent", ok)
-        if not ok:
-            return
-        _check(checks, "ideal: radical membership = vanishing at omega",
-               in_j == (row[-1] == 0))
-        _check(checks, "ideal: compact support iff limit zero", in_i == in_j)
-        prefix = row[:rd.cycle_at]
-    if in_i:
-        support = [k for k, v in enumerate(prefix) if v != 0]
-        _check(checks, "ideal: closure certificate is the finite support",
-               cert["kind"] == "finite" and members == support)
-    else:
-        zeros = [k for k, v in enumerate(prefix) if v == 0]
-        _check(checks, "ideal: closure certificate is cofinite with omega",
-               cert["kind"] == "cofinite_with_omega" and members == zeros)
+        facts, prefix = [("ideal: element convergent", ok)], None
+        if ok:
+            facts += [("ideal: radical membership = vanishing at omega", in_j == (row[-1] == 0)),
+                      ("ideal: compact support iff limit zero", in_i == in_j)]
+            prefix = row[:rd.cycle_at]
+    cert = payload["cert"]
+    _keys(cert, ("kind", "members"), (*at, "cert"), "ideal")
+    members = _indices(cert["members"])
+    if members != sorted(members):
+        raise ValueError(f"members not in increasing order: {members!r}")
+    for name, ok in facts:
+        _check(checks, name, ok)
+    if prefix is not None:  # the certificate lists the support when in I, else the zeros
+        kind, name = ("finite", "the finite support") if in_i else \
+            ("cofinite_with_omega", "cofinite with omega")
+        _check(checks, f"ideal: closure certificate is {name}", cert["kind"] == kind
+               and members == [k for k, v in enumerate(prefix) if (v != 0) == in_i])
 
 
 def _verify_block_replay(payload, checks) -> None:
@@ -560,8 +563,14 @@ def _verify_block_replay(payload, checks) -> None:
     Each replayed value is a pair (num, den), den > 0, and must be exactly 1
     on the block and exactly 0 off it.
     """
+    at = ("block_replay",)
+    _keys(payload, ("generators", "traces", "indicators"), at, "block")
     rd = _Reader()
     gens, traces, indicators = payload["generators"], payload["traces"], payload["indicators"]
+    for i, trace in enumerate(traces):
+        _keys(trace, ("block", "choices"), (*at, "traces", i), "block")
+        for j, ch in enumerate(trace["choices"]):
+            _keys(ch, ("y", "g_index"), (*at, "traces", i, "choices", j), "block")
     den, rows = rd.frame(*gens, *indicators)
     gen_rows = rows[:len(gens)]
     pts = range(len(gen_rows[0]))
@@ -644,9 +653,12 @@ def _verify_urysohn(cert, checks) -> None:
     numerators: f, g, the result and each h over one denominator, f1 and g1
     over another, and grid values are compared with them by cross-multiplying.
     """
+    _keys(cert, ("trace", "f", "g", "q_max", "transform", "result", "pairs"), (), "urysohn")
     f, g, res, q_max = cert["f"], cert["g"], cert["result"], cert["q_max"]
     if type(q_max) is not int or not 1 <= q_max <= MAX_Q:
         raise ValueError(f"q_max must be an integer from 1 to MAX_Q = {MAX_Q}")
+    for i, row in enumerate(cert["pairs"]):
+        _keys(row, ("r", "s", "h"), ("pairs", i), "urysohn")
     hs = [row["h"] for row in cert["pairs"]]
     rd = _Reader()
     den, (fr, gr, rr, *hr) = rd.frame(f, g, res, *hs)

@@ -28,8 +28,7 @@ from .errors import (
     PreconditionViolation,
     SearchBudgetExceeded,
 )
-from .lattice_core import (AlgElement, _lowest_terms, check_cover, check_order, check_positive,
-                           finite_join)
+from .lattice_core import AlgElement, _lowest_terms, check_order, check_positive, subcover
 from .rationals import ZERO, rat
 
 
@@ -470,39 +469,18 @@ def local_compact_minorants(b: SeqFunc, depth: int) -> SeqFunc:
     return SeqFunc.from_support(values, 0, ZERO if b.has_omega else None)
 
 
-def subcover_extract(epsilon, family: Sequence[SeqFunc]):
-    """Finite subfamily of a verified cover whose join stays nonnegative.
-
-    The family members are convergent functions on the compactification whose
-    pointwise supremum is at least epsilon everywhere.  Greedy selection:
-    one member large at omega covers the whole tail; each prefix index where
-    it drops to 0 or below is patched by a member that is at least
-    epsilon/2 there.  Returns (subfamily indices, certificate).
-
-    Checked here: each member is convergent (a member that is not is keyed
-    ``family/<i>``) and the family covers at level epsilon.  The join needs
-    no check: the star member is positive on its cycle and at omega, and
-    every prefix index where it is not gets a patch of at least epsilon/2.
-    Replay re-checks the join from the family.
+def subcover_extract(epsilon, family: Sequence[SeqFunc]) -> dict:
+    """(C) and (L) on the compactified naturals: the certificate of
+    :func:`normlab.lattice_core.subcover` for a cover by convergent functions
+    (a member that is not is keyed ``family/<i>``), with the join's value at
+    omega.  Replay re-checks the join from the family.
     """
-    family = list(family)
     for i, t in enumerate(family):
         if not (t.has_omega and t.is_convergent()):
             raise NotConvergent("family members must be convergent on the compactification",
                                 key=f"family/{i}")
-    eps = check_cover(epsilon, family)
-    # t(k) >= eps/2 iff 2 * q * num >= p * den, for eps = p/q and t(k) = num/den
-    p, q2 = eps.numerator, 2 * eps.denominator
-    star = next(i for i, t in enumerate(family) if q2 * t._row[-1] > p * t._den)
-    chosen = [star]
-    t_star = family[star]
-    for k in range(t_star._shape[0]):
-        if t_star._row[k] <= 0:
-            j = next(i for i, t in enumerate(family) if q2 * t._num_at(k) >= p * t._den)
-            if j not in chosen:
-                chosen.append(j)
-    joined = finite_join([family[i] for i in chosen])
-    return chosen, {"join_min": joined.value_bounds()[0], "join_omega": _omega(joined)}
+    cert = subcover(epsilon, family)
+    return {**cert, "join_omega": max(_omega(family[i]) for i in cert["subfamily"])}
 
 
 def lindelof_extract(epsilon, family: Iterable[SeqFunc], budget: int = 1000):

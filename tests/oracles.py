@@ -429,23 +429,33 @@ def insert_on_y_by_fractions(f: SeqFunc, g: SeqFunc):
     return f.omega, clamped_limit_on_y(f, g, f.omega)
 
 
+def _fraction_at(t, point) -> Fraction:
+    """A member's value at a point of its carrier, read off its Fraction views."""
+    if isinstance(t, FiniteFunc):
+        return t.values[point]
+    return t.omega if point is OMEGA else value_by_fractions(t, point)
+
+
 def subcover_by_fractions(eps, family):
-    """(chosen, join_min, join_omega) of the greedy subcover of convergent
-    members: the first member above eps/2 at omega, then for each of its prefix
-    indices at or below 0 the first member at least eps/2 there."""
+    """(chosen, join_min) of the cover rule, on Fractions, over the points the
+    family's frame stands for in order, the last of them omega on the
+    compactified naturals: the first member above eps/2 at the last point,
+    then for each point where it is at or below 0 the first member at least
+    eps/2 there."""
     half = Fraction(eps) / 2
-    star = next(i for i, t in enumerate(family) if t.omega > half)
+    if isinstance(family[0], FiniteFunc):
+        points = list(range(family[0].space.n))
+    else:
+        span = max(len(t.prefix) for t in family) + math.lcm(*(len(t.cycle) for t in family))
+        points = list(range(span)) + ([OMEGA] if family[0].omega is not None else [])
+    star = next(i for i, t in enumerate(family) if _fraction_at(t, points[-1]) > half)
     chosen = [star]
-    for k in range(len(family[star].prefix)):
-        if value_by_fractions(family[star], k) <= 0:
-            j = next(i for i, t in enumerate(family) if value_by_fractions(t, k) >= half)
+    for p in points:
+        if _fraction_at(family[star], p) <= 0:
+            j = next(i for i, t in enumerate(family) if _fraction_at(t, p) >= half)
             if j not in chosen:
                 chosen.append(j)
-    members = [family[i] for i in chosen]
-    span = max(len(t.prefix) for t in members) + 1  # convergent: one cycle value each
-    joined = [max(value_by_fractions(t, k) for t in members) for k in range(span)]
-    join_omega = max(t.omega for t in members)
-    return chosen, min(joined + [join_omega]), join_omega
+    return chosen, min(max(_fraction_at(family[i], p) for i in chosen) for p in points)
 
 
 # -- the insertion procedures as chains of pairwise element operations --------

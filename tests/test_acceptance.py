@@ -168,7 +168,7 @@ def test_criterion_4_compactness_machinery(emit):
                 for _ in range(rng.randint(0, 2))]
         family = [star] + patches + junk
         rng.shuffle(family)
-        chosen, cert = subcover_extract(1, family)
+        chosen = subcover_extract(1, family)["subfamily"]
         for k in range(10):
             assert max(family[i].at(k) for i in chosen) > 0
         assert max(family[i].omega for i in chosen) > Fraction(1, 2)

@@ -51,6 +51,23 @@ def test_check_verdict_mismatch(tmp_path, capsys):
     assert "verdict mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "reproduce", "survey", "replay"])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
+    """An --out in a missing directory, or naming a directory, exits 2 with
+    ``input error`` naming the path and no traceback, and prints no output:
+    exit 1 means only a verdict mismatch."""
+    scenario, report = write(tmp_path, "s.json", SCENARIO_N_FAILS), tmp_path / "report.json"
+    assert main(["check", scenario, "--out", str(report)]) == 0
+    argv = {"check": ["check", scenario], "reproduce": ["reproduce", "tong-merge"],
+            "survey": ["survey", "--max-size", "1"], "replay": ["replay", str(report)]}[command]
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+        assert str(out) in captured.err and "Traceback" not in captured.err
+
+
 def test_check_malformed_rational_pointer(tmp_path, capsys):
     payload = {
         "model": "seq_x_end",

@@ -18,7 +18,8 @@ from normlab.conditions import (
     SeqYEndModel,
     check_condition,
 )
-from normlab.errors import EmptyFamily, ModelCapabilityMissing, PreconditionViolation
+from normlab.errors import (CoverViolation, EmptyFamily, GapViolation, ModelCapabilityMissing,
+                            PreconditionViolation)
 from normlab.finite_space import FiniteFunc, FiniteSpace
 from normlab.insertion_engine import tong_merge
 from normlab.lattice_core import finite_join
@@ -30,6 +31,8 @@ from oracles import (
     random_finite_pair,
     random_usc_lsc_pair,
     random_x_pair,
+    rand_rational,
+    subcover_by_fractions,
     unit_cover,
 )
 
@@ -165,6 +168,35 @@ def test_d_rejects_nonpositive_epsilon(model, epsilon):
     assert exc.value.key == "epsilon"
 
 
+@pytest.mark.parametrize("model", sorted(MODEL_FUNCS))
+def test_route_errors_keep_their_order(model):
+    """The shared routes name the first of several faults as each model's own
+    routes did: the order of f and g before the (D) gap, then the gap; on a
+    compact carrier a nonpositive epsilon before an empty family, an empty
+    family, and a cover's shortfall at its first point; on seq_x_end epsilon
+    before delta."""
+    make, elem = MODEL_FUNCS[model]
+    with pytest.raises(PreconditionViolation, match="f <= g fails at point 0") as exc:
+        check_condition(make(), "D", {"f": elem(1), "g": elem(0), "epsilon": 5})
+    assert exc.value.key == "g"
+    with pytest.raises(GapViolation) as exc:
+        check_condition(make(), "D", {"f": elem(0), "g": elem(1), "epsilon": 2})
+    assert (exc.value.index, exc.value.key) == (0, "epsilon")
+    for cond in ("C", "L"):
+        if model == "seq_x_end":
+            with pytest.raises(PreconditionViolation, match="epsilon must be positive"):
+                check_condition(make(), cond, {"epsilon": 0, "delta": 0, "subfamily_cap": 1})
+            continue
+        with pytest.raises(PreconditionViolation, match="epsilon must be positive"):
+            check_condition(make(), cond, {"epsilon": 0, "family": []})
+        with pytest.raises(EmptyFamily) as exc:
+            check_condition(make(), cond, {"epsilon": 1, "family": []})
+        assert exc.value.key == "family"
+        with pytest.raises(CoverViolation) as exc:
+            check_condition(make(), cond, {"epsilon": 2, "family": [elem(1), elem(-1)]})
+        assert (exc.value.point, exc.value.key) == (0, "epsilon")
+
+
 def test_x_end_rejects_omega_instances():
     f = SeqFunc.constant(1, with_omega=True)
     with pytest.raises(PreconditionViolation):
@@ -256,6 +288,27 @@ def test_eps_removal_on_seq_y_end():
     chosen = check_condition(SeqYEndModel(), "C", {"epsilon": eps, "family": family}
                              ).certificate["subfamily"]
     assert finite_join([family[i] + shift for i in chosen]).value_bounds()[0] >= shift
+
+
+def test_finite_cover_rule_agrees_with_the_fraction_oracle():
+    """(C) on finite_full runs the rule on the family's rows; on random covers
+    of a discrete and a chain space it picks the subfamily, and the join
+    minimum, that the rule gives on Fractions, point by point.  The same
+    oracle checks the rule on seq_y_end, omega last, in test_seq_model."""
+    rng = random.Random(33)
+    for space in (FiniteSpace.discrete(3), FiniteSpace(3, [0b111, 0b110, 0b100])):
+        checked = 0
+        while checked < 100:
+            family = [FiniteFunc(space, [rand_rational(rng, -1, 2) for _ in range(space.n)])
+                      for _ in range(rng.randint(1, 4))]
+            lo = finite_join(family).value_bounds()[0]
+            if lo <= 0:
+                continue
+            for eps in (lo, lo / 2):
+                cert = check_condition(FiniteFullModel(space), "C",
+                                       {"epsilon": eps, "family": family}).certificate
+                assert (cert["subfamily"], cert["join_min"]) == subcover_by_fractions(eps, family)
+            checked += 1
 
 
 def test_reports_replay_through_independent_verifier():

@@ -44,6 +44,15 @@ models, that reproduce digest and the tampered-replay digest; no replay
 digest moved.  ``COPY_FORM_DIGESTS`` and ``COPY_FORM_TAMPERED_DIGEST`` keep
 each old digest, and tests write each new output back in the copy form and
 get the old bytes.
+
+Every condition route was then written once, over each model's insertion
+and cover.  On finite_full the (T) and (BS) certificates' ``b_seq`` went
+from [g] to [f], the (N) witness, and the (D) witness from (f + g)/2 to f.
+That moved the check half of the finite_full T, BS and D entries and the
+tampered-replay digest; no replay digest moved.  ``OWN_ROUTE_DIGESTS`` and
+``OWN_ROUTE_TAMPERED_DIGEST`` keep each old digest, and tests write each new
+output back in the own-route form and get the old bytes; the older proofs
+start from that form.
 """
 
 import ast
@@ -60,7 +69,7 @@ import pytest
 
 from normlab import replay as replay_mod
 from normlab.cli import CATALOG, main
-from normlab.finite_space import FiniteFunc, FiniteSpace
+from normlab.finite_space import FiniteFunc, FiniteSpace, block_indicators
 from normlab.insertion_engine import (
     FiniteUrysohnCarrier,
     YUrysohnCarrier,
@@ -70,7 +79,7 @@ from normlab.insertion_engine import (
     urysohn_join_stream,
 )
 from normlab.replay import verify_report
-from normlab.seq_model import SeqFunc
+from normlab.seq_model import SeqFunc, ideal_membership
 from normlab.serialize import to_jsonable
 from oracles import up_sets_scan
 
@@ -126,13 +135,15 @@ INSTANCES = {
 # (model, condition, depth) -> (check stdout sha256, replay stdout sha256),
 # taken on the commit before the condition routes were collapsed; the check
 # digests of T, BS, S, C, L and SL reports were re-pinned when certificates
-# dropped the keys replay does not read, with every replay digest unchanged
+# dropped the keys replay does not read, with every replay digest unchanged,
+# and those of the finite_full T, BS and D reports when each route was written
+# once (OWN_ROUTE_DIGESTS)
 CHECK_DIGESTS = {
     ('finite_full', 'BS', 8): (
-        "651567641efb00d2ca0f728bcaf5f96273b5812196d6303e6b78a633b40a4ecc",
+        "7e184c8b8f1b30ae03080a773d46a7f1360c09df4f22903c002e055a545a3dd3",
         "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
     ('finite_full', 'BS', 64): (
-        "39cdc8625f6d1068a8a02a1e9cd9556d252eff1bce81322ea78f678864bd8425",
+        "1abdc72b6e2c40cbb0fccda131d1c50825606633a9c57bad79d4ef6f18aaad84",
         "581e191f1fab036b70097c4add827af606105dec457452ad8a0b6344192a7bc1"),
     ('finite_full', 'C', 8): (
         "06c3643e0dca7bfb63d8053f63461a4c1157fbc72e0dab72ff61a410d435f9d9",
@@ -141,10 +152,10 @@ CHECK_DIGESTS = {
         "59375cc1668839315a8a78fccf5c3fccab1ff4c20f9225368b07481b01a0b12c",
         "9e791ff33e3c23c3f8d4db6ab6db485571ae68f8624786c37082c4a23f480807"),
     ('finite_full', 'D', 8): (
-        "d491ca4dccb617d4d137ef49ad886e6edc6cf25ec4767a136e86ae805a0bec3f",
+        "b2fd6abe09286763e2cb1e9a9036b4f181b69acf02ec8dbd9c288d52da8abaf4",
         "9cc0aa5d9117159cceca193d410d1b41dd996091d038f9b0c3ec981777ca69aa"),
     ('finite_full', 'D', 64): (
-        "c68aa6abb6a2c0efb58d9c9e39cebfee5e6a96528f3ea57fb9a5688dde0272cb",
+        "1f9c2515c35e9d90fbfee36aee89375a8cedbad0b2d19b090916400aebdb30b9",
         "9cc0aa5d9117159cceca193d410d1b41dd996091d038f9b0c3ec981777ca69aa"),
     ('finite_full', 'L', 8): (
         "8745641288e1bc226b162ea0fa149805011ae82685acb8f80ef5a32761026478",
@@ -171,10 +182,10 @@ CHECK_DIGESTS = {
         "9d318078bfa9d6e085af2d4e5c8010f8aa57d577ca83948247d4d8b1c1081c75",
         "96afccecca6dce8515c51f5ebce30c78c423682d1a354e7be3bd8921396ab5f9"),
     ('finite_full', 'T', 8): (
-        "4ad117ab0d3885da76e965af8428ce10b2048dc74e48c175ae1cc2ccc350f20f",
+        "1e76b017cc3afefa1729c88dd01512b5b26c566b0946978472273454420b190e",
         "b2ef2d9e3dff5efe16cd9748cb06e10e0b09ab60c4f14e95434df1afec1c561d"),
     ('finite_full', 'T', 64): (
-        "ad55ad7106f9fd67cab837cfd4f5033c16173c1731860954494a4c181c0d5723",
+        "ea6ad63548ca54f95f850640ddd17b6dbc56418a5249226c7f68337054f9eb37",
         "b2ef2d9e3dff5efe16cd9748cb06e10e0b09ab60c4f14e95434df1afec1c561d"),
     ('seq_x_end', 'BS', 8): (
         "2d0783f564c4c978d898aae86b0cc6b4339938cb8a19d2bbc14d037ec06fc397",
@@ -338,8 +349,9 @@ def _rational_paths(node, path=()):
 # every step), so failing replay rows are pinned as well.  Each malformed
 # payload is recorded as its message.  The instance is the one copy of every
 # value a route reads, so a move of epsilon, delta or a family value is read
-# once, by the row that checks it: of the 1,404 tampered reports 982 fail,
-# and the 6 malformed ones move a seq_y_end cover member's prefix entry onto
+# once, by the row that checks it: of the 1,404 tampered reports 987 fail
+# (982 while finite_full wrote its own routes, digest
+# OWN_ROUTE_TAMPERED_DIGEST), and the 6 malformed ones move a seq_y_end cover member's prefix entry onto
 # its cycle value, a spelling replay refuses.  While certificates repeated
 # those values, a move of either copy was malformed instead (456 of 1,632,
 # digest COPY_FORM_TAMPERED_DIGEST); 139 of those moves now replay ok, each
@@ -349,19 +361,23 @@ def _rational_paths(node, path=()):
 # output the one pinned before (digest 24df5f2f...f487f over 1,744) and the
 # renamed rows of TRUNCATED_FORM_ROWS.
 STEPS = (Fraction(1, 7), Fraction(-1, 7), Fraction(2), Fraction(-2))
-TAMPERED_REPLAY_DIGEST = "af19fa58caefb2d21efd99820ea33a3dcc711e0b602b4ba9782e4e6b81b7fbc2"
+TAMPERED_REPLAY_DIGEST = "4639d2cdeb6ee099d31643316e02d140a88905f57f39ad919807bbea7b41dd49"
 COPY_FORM_TAMPERED_DIGEST = "1348dc846df7371f13bb49745bf306d39b8ab28996707cca9982110b060ab8d7"
 
 
-def _tampered_outputs(tmp_path, copy_form=False) -> list:
-    """The replay output of every tampered report.  With ``copy_form`` each
-    report is first written in the copy form, and a move of either copy of
-    a repeated value gives the malformed payload that form's replay gave: a
-    certificate copy that differs from the instance's, named by its pointer.
-    Every other move is replayed on the report as written now."""
+def _tampered_outputs(tmp_path, form=None) -> list:
+    """The replay output of every tampered report.  With ``form`` "own" or
+    "copy" each report is first written in the own-route form; with "copy" a
+    move of either copy of a value the copy form repeats gives the malformed
+    payload that form's replay gave: a certificate copy that differs from
+    the instance's, named by its pointer.  Every other move is replayed on
+    the report as written now, or in the own-route form."""
     outputs = []
+    copy_form = form == "copy"
     for model, cond in sorted(INSTANCES):
         report = json.loads(_check_report(tmp_path, model, cond, 8).read_text())
+        if form:
+            report = _own_route_form(report)
         walked = json.loads(_compact(_copy_form(json.loads(json.dumps(report))))) \
             if copy_form else report
         at = "/certificate/L" if cond == "SL" else "/certificate"
@@ -390,7 +406,7 @@ def test_tampered_condition_replay_digest(tmp_path, capsys):
     assert (len(outputs), len(malformed)) == (1404, 6)
     assert all("a sequence's prefix ends with an entry its cycle absorbs" in out["malformed"]
                for out in malformed)
-    assert sum(not out["ok"] for out in outputs if "ok" in out) == 982
+    assert sum(not out["ok"] for out in outputs if "ok" in out) == 987
     assert _digest(json.dumps(outputs, sort_keys=True)) == TAMPERED_REPLAY_DIGEST
 
 
@@ -399,7 +415,7 @@ def test_tampered_replay_of_the_copy_form_gives_the_digest_pinned_before(tmp_pat
     copy check made it, gives byte for byte the outputs pinned before the
     instance became the one copy: every move of any other value replays as
     it did."""
-    outputs = _tampered_outputs(tmp_path, copy_form=True)
+    outputs = _tampered_outputs(tmp_path, "copy")
     capsys.readouterr()
     assert (len(outputs), sum("malformed" in out for out in outputs)) == (1632, 456)
     assert _digest(json.dumps(outputs, sort_keys=True)) == COPY_FORM_TAMPERED_DIGEST
@@ -496,6 +512,60 @@ def test_catalog_defeat_with_a_stale_key_is_refused():
     report["certificate"]["defeats"][5]["epsilon"] = "1"
     assert _malformed(report) == ("/certificate/defeats/5: malformed condition payload "
                                   "(ValueError: a key no check reads: 'epsilon')")
+
+
+def _kind_payloads() -> dict:
+    """kind -> (one payload of that kind, the pointer of its body): merge and
+    iteration traces and a Urysohn certificate are their own body; a block
+    replay and an ideal membership sit under their key."""
+    gens = [_finite_func(_SPACE5, ["0", "1", "1", "2", "0"]),
+            _finite_func(_SPACE5, ["3", "1", "1", "1/2", "3"])]
+    indicators, traces = block_indicators(_SPACE5, gens)
+    elem = SeqFunc([0, 1], [0], omega=0)
+    return {
+        "merge": (TRACE_CASES["merge-finite-5pt"](), ()),
+        "iteration": (TRACE_CASES["iteration-y"](), ()),
+        "urysohn": (to_jsonable(urysohn_join_stream(*URYSOHN_CASES["finite-on-grid"], 12))[1],
+                    ()),
+        "block": ({"block_replay": to_jsonable({"generators": gens, "traces": traces,
+                                                "indicators": indicators})}, ("block_replay",)),
+        "ideal": ({"ideal_membership": {"element": to_jsonable(elem),
+                                        **to_jsonable(ideal_membership(elem))}},
+                  ("ideal_membership",)),
+    }
+
+
+# kind -> the key set of each part of its payload that replay reads key by key
+KIND_KEYS = {
+    "merge": {("a_norm", "b_norm", "result", "trace", "u_seq", "v_seq")},
+    "iteration": {("a_seq", "f", "g", "step_bounds", "trace")},
+    "urysohn": {("f", "g", "pairs", "q_max", "result", "trace", "transform"), ("h", "r", "s")},
+    "block": {("generators", "indicators", "traces"), ("block", "choices"), ("g_index", "y")},
+    "ideal": {("cert", "element", "in_I_alpha", "in_J_radical"), ("kind", "members")},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_KEYS))
+def test_every_payload_part_holds_exactly_the_keys_its_checks_read(kind):
+    """A key added to any part of a merge, iteration, Urysohn, block or ideal
+    payload, which no check would read, and a key deleted from it are each a
+    malformed payload at that part's pointer."""
+    payload, body = _kind_payloads()[kind]
+    assert verify_report(payload)["ok"]
+    parts = _certificate_parts(functools.reduce(operator.getitem, body, payload), body)
+    assert {tuple(sorted(node)) for _, node in parts} == KIND_KEYS[kind]
+    for at, node in parts:
+        pointer = "/" + "/".join(map(str, at))
+        for edit in ("add", "delete"):
+            tampered = json.loads(json.dumps(payload))
+            node = functools.reduce(operator.getitem, at, tampered)
+            if edit == "add":
+                node["stale"] = "1"
+                cause = "ValueError: a key no check reads: 'stale'"
+            else:
+                cause = f"KeyError: {sorted(node)[0]!r}"
+                del node[sorted(node)[0]]
+            assert _malformed(tampered) == f"{pointer}: malformed {kind} payload ({cause})"
 
 
 def _finite_elements(node):
@@ -854,12 +924,13 @@ def test_repinned_outputs_differ_only_in_the_space_encoding(tmp_path, capsys):
     """The outputs that hold a finite space are exactly those re-pinned when
     spaces went from open-set lists to ``up`` rows, and each one, with every
     space written back as its open sets (and a check report's certificate in
-    the copy form), is byte for byte the output pinned before: the CLI's
+    the own-route form, then the copy form), is byte for byte the output pinned before: the CLI's
     compact line, or ``json.dumps(..., sort_keys=True)``."""
     outputs = _pinned_outputs(tmp_path, capsys)
     assert {key for key, out in outputs.items() if _spaces(out)} == set(OPENS_FORM_DIGESTS)
     for key, old in OPENS_FORM_DIGESTS.items():
-        opens_form = _opens_form(_copy_form(outputs[key]) if key[0] == "check" else outputs[key])
+        opens_form = _opens_form(_copy_form(_own_route_form(outputs[key]))
+                                 if key[0] == "check" else outputs[key])
         if key[0] in ("check", "reproduce"):
             text = json.dumps(opens_form, sort_keys=True, separators=(",", ":")) + "\n"
         else:
@@ -1068,11 +1139,11 @@ def _catalog_copy_form(out):
 def test_repinned_outputs_differ_only_by_the_instance_copies(tmp_path, capsys):
     """The outputs re-pinned when the instance became the one copy of every
     value a route reads are exactly those the copy form changes, and each
-    one, written back in that form, is byte for byte the output pinned
-    before; no replay output moved."""
+    one, written back in that form (after the own-route form), is byte for
+    byte the output pinned before; no replay output moved."""
     changed = set()
     for key in sorted(CHECK_DIGESTS):
-        report = json.loads(_check_report(tmp_path, *key).read_text())
+        report = _own_route_form(json.loads(_check_report(tmp_path, *key).read_text()))
         old = _copy_form(json.loads(json.dumps(report)))
         if old != report:
             changed.add(("check", *key))
@@ -1088,6 +1159,68 @@ def test_repinned_outputs_differ_only_by_the_instance_copies(tmp_path, capsys):
     assert changed == set(COPY_FORM_DIGESTS)
     assert {key[1:3] for key in changed if key[0] == "check"} == {
         (m, c) for m, c in INSTANCES if c in ("D", "C", "L", "SL")}
+
+
+# The check stdout of each finite_full entry that moved when every condition
+# route was written once, over each model's insertion and cover: while
+# finite_full wrote its own routes, its (T) and (BS) certificates had b_seq
+# [g] and its (D) witness was (f + g)/2.  Every replay digest stayed as it
+# was, and so did every other check digest: the (C) and (L) subfamilies of
+# the pinned covers are the same under the shared rule.
+OWN_ROUTE_DIGESTS = {
+    ('finite_full', 'BS', 8):
+        "651567641efb00d2ca0f728bcaf5f96273b5812196d6303e6b78a633b40a4ecc",
+    ('finite_full', 'BS', 64):
+        "39cdc8625f6d1068a8a02a1e9cd9556d252eff1bce81322ea78f678864bd8425",
+    ('finite_full', 'D', 8):
+        "d491ca4dccb617d4d137ef49ad886e6edc6cf25ec4767a136e86ae805a0bec3f",
+    ('finite_full', 'D', 64):
+        "c68aa6abb6a2c0efb58d9c9e39cebfee5e6a96528f3ea57fb9a5688dde0272cb",
+    ('finite_full', 'T', 8):
+        "4ad117ab0d3885da76e965af8428ce10b2048dc74e48c175ae1cc2ccc350f20f",
+    ('finite_full', 'T', 64):
+        "ad55ad7106f9fd67cab837cfd4f5033c16173c1731860954494a4c181c0d5723",
+}
+OWN_ROUTE_TAMPERED_DIGEST = "af19fa58caefb2d21efd99820ea33a3dcc711e0b602b4ba9782e4e6b81b7fbc2"
+
+
+def _own_route_form(report):
+    """A check report as written while finite_full wrote its own routes: each
+    finite_full (T) and (BS) certificate with b_seq [g], and each (D) one
+    with the witness (f + g)/2.  Other reports are left alone."""
+    if str(report.get("model")).startswith("finite_full"):
+        cert, inst = report["certificate"], report["instance"]
+        if report["condition"] in ("T", "BS"):
+            cert["b_seq"] = [json.loads(json.dumps(inst["g"]))]
+        elif report["condition"] == "D":
+            f, g = inst["f"], inst["g"]
+            cert["witness"] = {"space": json.loads(json.dumps(f["space"])), "values": [
+                str((Fraction(x) + Fraction(y)) / 2) for x, y in zip(f["values"], g["values"])]}
+    return report
+
+
+def test_repinned_outputs_differ_only_by_the_shared_routes(tmp_path, capsys):
+    """The check outputs re-pinned when each route was written once are
+    exactly those the own-route form changes, and each one, written back in
+    that form, is byte for byte the output pinned before."""
+    changed = set()
+    for key in sorted(CHECK_DIGESTS):
+        report = json.loads(_check_report(tmp_path, *key).read_text())
+        old = _own_route_form(json.loads(json.dumps(report)))
+        if old != report:
+            changed.add(key)
+            assert _digest(_compact(old)) == OWN_ROUTE_DIGESTS[key], key
+    capsys.readouterr()
+    assert changed == set(OWN_ROUTE_DIGESTS)
+
+
+def test_tampered_replay_of_the_own_route_form_gives_the_digest_pinned_before(
+        tmp_path, capsys):
+    """Tampering the own-route form gives byte for byte the outputs pinned
+    before each route was written once."""
+    outputs = _tampered_outputs(tmp_path, "own")
+    capsys.readouterr()
+    assert _digest(json.dumps(outputs, sort_keys=True)) == OWN_ROUTE_TAMPERED_DIGEST
 
 
 def _another_space(space):
@@ -1308,10 +1441,14 @@ def test_every_certificate_key_is_read_by_replay(tmp_path, monkeypatch):
 
 def test_key_guard_names_a_key_that_only_another_kind_reads(monkeypatch):
     """``family`` is read by the (C)/(L) branch of the condition verifier, and
-    by nothing a merge trace goes through."""
+    by nothing a merge trace goes through: replay refuses it in a merge trace,
+    and with that refusal switched off the guard still names it there."""
     merge = TRACE_CASES["merge-seq-9"]()
     assert _unread_keys([merge], monkeypatch) == []
     merge["family"] = []
-    assert verify_report(merge)["ok"]
+    assert _malformed(merge) == ("/: malformed merge payload "
+                                 "(ValueError: a key no check reads: 'family')")
     assert "family" in _strings(ast.parse(open(replay_mod.__file__).read()))
+    monkeypatch.setattr(replay_mod, "_keys", lambda *args: None)
+    assert verify_report(merge)["ok"]
     assert _unread_keys([merge], monkeypatch) == [("merge", "family")]

@@ -1,12 +1,13 @@
 """Source hygiene: every name a module imports is used in that module, every
 function and class the library defines has a caller in the library or the
-benchmark, the scenario reader holds no copy of a model's value check, no
-condition route or replay reads a depth, replay reads elements only through
-its reader, no finite-space route takes a space beside a function on it,
-no route or replay reads an instance key through ``.get`` and no certificate
-repeats a key of its instance, every name the benchmark's tracer
-wraps still exists, the tracer still reads what the library emits, and every
-library function but a committed few runs on a CLI path."""
+benchmark, each condition route is written once, the scenario reader holds
+no copy of a model's value check, no condition route or replay reads a
+depth, replay reads elements only through its reader, no finite-space route
+takes a space beside a function on it, no route or replay reads an instance
+key through ``.get`` and no certificate repeats a key of its instance, every
+name the benchmark's tracer wraps still exists, the tracer still reads what
+the library emits, and every library function but a committed few runs on a
+CLI path."""
 
 import ast
 import json
@@ -171,6 +172,49 @@ def test_depth_read_is_found():
               "def verify(report):\n    return report['depth'], report.get('depth')\n\n\n"
               "x = args.depth\n")
     assert depth_reads(source) == [1, 6, 9]
+
+
+# The routes a model may write itself: those seq_x_end overrides, since its
+# carrier is not compact.  Every other route is written once, in
+# ExtensionModel, over the model's insertion and cover.
+NONCOMPACT_ROUTES = {"cond_t", "cond_bs", "cond_s", "cond_c", "cond_l"}
+
+
+def duplicate_routes(source: str) -> list[str]:
+    """``cond_*`` routes, defined or bound by assignment, outside
+    ``ExtensionModel`` and the NONCOMPACT_ROUTES of ``SeqXEndModel``."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, ast.ClassDef) else None
+        if owner == "ExtensionModel":
+            continue
+        allowed = NONCOMPACT_ROUTES if owner == "SeqXEndModel" else set()
+        for node in top.body if owner else [top]:
+            names = [node.name] if isinstance(node, ast.FunctionDef) else [
+                t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+            out += [f"{owner or '<module>'}.{name}" for name in names
+                    if name.startswith("cond_") and name not in allowed]
+    return out
+
+
+def test_each_condition_route_is_written_once():
+    """A model supplies its insertion and its cover; the routes over them are
+    ExtensionModel's, and only seq_x_end overrides the ones that need a
+    compact carrier."""
+    assert duplicate_routes((SRC / "conditions.py").read_text()) == []
+
+
+def test_duplicate_route_is_found():
+    source = ("class ExtensionModel:\n    def cond_t(self, instance):\n        pass\n\n"
+              "    cond_bs = cond_t\n\n\n"
+              "class FiniteFullModel(ExtensionModel):\n    def cond_t(self, instance):\n"
+              "        pass\n\n\n"
+              "class SeqXEndModel(ExtensionModel):\n    def cond_t(self, instance):\n"
+              "        pass\n\n    def cond_n(self, instance):\n        pass\n\n\n"
+              "class SeqYEndModel(ExtensionModel):\n    cond_l = ExtensionModel.cond_t\n\n\n"
+              "def cond_d(model, instance):\n    pass\n")
+    assert duplicate_routes(source) == ["FiniteFullModel.cond_t", "SeqXEndModel.cond_n",
+                                        "SeqYEndModel.cond_l", "<module>.cond_d"]
 
 
 ELEMENT_KEYS = {"prefix", "cycle", "omega", "values", "space", "points", "up"}
@@ -470,7 +514,8 @@ def never_run(root: pathlib.Path, ran: set) -> list[str]:
 def cli_corpus(tmp_path) -> list:
     """Every argv of the reach corpus: check then replay of each model and
     condition, reproduce then replay of each catalog id, a small survey, and
-    one malformed scenario and one malformed report, last."""
+    last a finite (D) scenario whose gap fails, one malformed scenario and one
+    malformed report."""
     from test_report_digests import INSTANCES, SPACE3
     from normlab.cli import CATALOG
     corpus = []
@@ -484,13 +529,17 @@ def cli_corpus(tmp_path) -> list:
         report = tmp_path / f"{example_id}.json"
         corpus += [["reproduce", example_id, "--out", str(report)], ["replay", str(report)]]
     corpus.append(["survey", "--max-size", "3"])
+    no_gap = tmp_path / "no-gap.json"
+    no_gap.write_text(json.dumps({"model": "finite_full", "condition": "D", "space": SPACE3,
+                                  "instance": {**INSTANCES["finite_full", "D"], "epsilon": "2"}}))
     bad_scenario, bad_report = tmp_path / "bad-scenario.json", tmp_path / "bad-report.json"
     bad_scenario.write_text(json.dumps({"model": "seq_x_end", "condition": "N"}))
     bad_report.write_text(json.dumps({
         "condition": "N", "verdict": "holds", "model": "seq_x_end", "certificate": {},
         "instance": {"f": {"prefix": [], "cycle": ["0"], "omega": None},
                      "g": {"prefix": [], "cycle": ["1"], "omega": None}}}))
-    return corpus + [["check", str(bad_scenario)], ["replay", str(bad_report)]]
+    return corpus + [["check", str(no_gap)], ["check", str(bad_scenario)],
+                     ["replay", str(bad_report)]]
 
 
 # The library functions the corpus never runs: error paths, dunders and reprs,
@@ -499,9 +548,9 @@ def cli_corpus(tmp_path) -> list:
 # reaches it or it is deleted; none joins it.
 NEVER_RUN = [
     "errors.BoundViolation.__init__", "errors.CoverViolation.__init__",
-    "errors.GapViolation.__init__", "errors.OracleContractViolation.__init__",
+    "errors.OracleContractViolation.__init__",
     "errors.SearchBudgetExceeded.__init__", "errors.UnknownExampleId.__init__",
-    "finite_space.FiniteFunc.__repr__", "finite_space.FiniteFunc._point",
+    "finite_space.FiniteFunc.__repr__",
     "finite_space.FiniteSpace.__hash__", "finite_space.FiniteSpace.__repr__",
     "finite_space.FiniteSpace.from_preorder", "finite_space._mask",
     "finite_space.block_indicators", "finite_space.envelopes", "finite_space.separate",
@@ -534,8 +583,8 @@ def test_every_library_function_runs_on_a_cli_path(tmp_path):
     listed one that a command now reaches, which leaves the list."""
     corpus = cli_corpus(tmp_path)
     codes, ran = run_corpus(SRC, "normlab.cli", corpus, tmp_path)
-    assert all(code == 0 for argv, code in zip(corpus[:-2], codes) if argv[0] != "replay")
-    assert codes[-2:] == [2, 2]  # the malformed scenario and report are input errors
+    assert all(code == 0 for argv, code in zip(corpus[:-3], codes) if argv[0] != "replay")
+    assert codes[-3:] == [2, 2, 2]  # the failed gap and both malformed inputs are input errors
     assert never_run(SRC, ran) == sorted(NEVER_RUN)
 
 
