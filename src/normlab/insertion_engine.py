@@ -3,10 +3,11 @@
 Each procedure consumes elements of any :class:`~normlab.lattice_core.AlgElement`
 carrier (plus an injected oracle where one is needed), computes the algebra it
 states on their int rows, laid out once (:func:`~normlab.lattice_core.lay_out`),
-builds only the elements it returns or hands to an oracle, and emits a trace
-whose every inequality is re-checkable from the trace alone.  Countable
-sequences become finite lists: on the finite model they stabilize, and on the
-sequence model a trace holds the steps or members it was given.
+builds only the elements it returns or hands to an oracle (and the Urysohn
+join's unit pair), and emits a trace whose every inequality is re-checkable
+from the trace alone.  Countable sequences become finite lists: on the finite
+model they stabilize, and on the sequence model a trace holds the steps or
+members it was given.
 
 A procedure checks its inputs and its injected oracles and carriers, and
 nothing those checks already imply; :mod:`normlab.replay` checks the
@@ -15,6 +16,7 @@ certificates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -30,9 +32,10 @@ from .errors import (
     PreconditionViolation,
 )
 from .finite_space import FiniteFunc, FiniteSpace, Infeasible, check_usc_lsc, insert_finite
-from .lattice_core import AlgElement, check_order, lay_out, rescale_to_unit, unscale
-from .rationals import ZERO, rat
-from .seq_model import SeqFunc, check_y_pair, insert_on_y, threshold_indicator
+from .lattice_core import AlgElement, check_order, lay_out
+from .rationals import ONE, rat
+from .replay import MAX_Q
+from .seq_model import SeqFunc, check_y_pair, insert_on_y
 
 
 def _meet_row(xs, ys) -> list:
@@ -171,10 +174,10 @@ def farey_fractions(q_max: int) -> list[Fraction]:
     its reduced denominator (the order of first occurrence in the unreduced
     enumeration); that is 1 + sum of phi(k) for k <= q_max values, built in
     O(q_max^2) steps.  Consecutive values in sorted order differ by at most
-    1/q_max.
+    1/q_max.  q_max is an int from 1 to replay's ``MAX_Q``.
     """
-    if q_max < 1:
-        raise PreconditionViolation("denominator bound must be at least 1")
+    if type(q_max) is not int or not 1 <= q_max <= MAX_Q:
+        raise PreconditionViolation(f"q_max must be an integer from 1 to MAX_Q = {MAX_Q}")
     return [Fraction(num, den) for den in range(1, q_max + 1)
             for num in range(den + 1) if math.gcd(num, den) == 1]
 
@@ -258,16 +261,19 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     mesh only pins f down to its nearest grid values).  Results and
     certificate are reported in original coordinates.
 
-    Only distinct level pairs do work, in two phases.  Phase 1 names each
-    level set by its 0/1 superlevel row, once per grid value, and hashes
-    the row to a small int id: the rows of one element share its shape, so
-    two are equal exactly when their sets are.  :func:`_level_pairs` gives
-    each distinct (closed, open) level pair's first pair and its pair of
-    largest r, r_top, comparing r < s on the ints n*(L/d) for L the lcm of
-    1..q_max.  Phase 2 walks the level pairs in order of first occurrence:
-    the two 0/1 indicators of the first pair are built and the carrier
-    separates them, once per level pair, and c = r_top*h is formed and
-    checked against g.
+    The rescaling is the unit pair f1 = (f + a) * (1/b), g1 = (g + a) * (1/b)
+    for a = -min f and b = max g + a (1 when that is 0); the result is
+    b*J - a.  Only distinct level pairs do work, in two phases.  Phase 1
+    names each level set by its 0/1 superlevel row on f1's or g1's shape,
+    once per grid value, and hashes the row to a small int id: the rows of
+    one element share its shape, so two are equal exactly when their sets
+    are.  :func:`_level_pairs` gives each distinct (closed, open) level
+    pair's first pair and its pair of largest r, r_top, comparing r < s on
+    the ints n*(L/d) for L the lcm of 1..q_max.  Phase 2 walks the level
+    pairs in order of first occurrence: the carrier separates the two 0/1
+    indicators built from phase 1's rows, once per level pair, and
+    r_top*h <= g1 is checked on their rows.  So the elements built are the
+    unit pair (two steps each), the indicators and the result.
     A carrier supplies only ``check_pair`` and ``urysohn``; both carriers
     here separate by their insertion route on the two 0/1 indicators, the
     closed set's usc one below the open set's lsc one.  As every r >= 0 and
@@ -280,10 +286,12 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     The certificate is self-contained: f, g, q_max, the transform, the
     result, and ``pairs``, one row {r, s, h} per distinct level pair at its
     first pair, from which replay recomputes the join.  The closing join and
-    its bound check run on the int rows of f and the c.
+    its bound check run on the int rows of f1 and the h, laid out once.
     """
     carrier.check_pair(f, g)
-    f1, g1, transform = rescale_to_unit(f, g)
+    a = -f.value_bounds()[0]
+    b = g.value_bounds()[1] + a or ONE
+    f1, g1 = (f + a) * (1 / b), (g + a) * (1 / b)
     grid = farey_fractions(q_max)
     common = math.lcm(*range(1, q_max + 1))
     rank = [r.numerator * (common // r.denominator) for r in grid]  # r < s iff rank r < rank s
@@ -293,36 +301,44 @@ def urysohn_join_stream(carrier, f: AlgElement, g: AlgElement, q_max: int):
     open_ids = [level_ids.setdefault(tuple(g1.superlevel_row(r, strict=True)), len(level_ids))
                 for r in grid]
     first, top = _level_pairs(rank, closed_ids, open_ids)
-    parts = [f1.const_like(ZERO)]
-    rows = []
+    level_rows = list(level_ids)  # id -> its 0/1 row
+    hs, rows = [], []
     for key, (i, j) in first.items():
         r, s = grid[i], grid[j]
-        closed_f = threshold_indicator(f1, s)
-        open_g = threshold_indicator(g1, r, strict=True)
+        closed_f = f1._from_row(f1._shape, level_rows[key[0]], 1)
+        open_g = g1._from_row(g1._shape, level_rows[key[1]], 1)
         try:
             h = carrier.urysohn(closed_f, open_g)
         except NormlabError as exc:
             raise PreconditionViolation(
                 f"urysohn oracle failed on pair (r={r}, s={s}): {exc}") from exc
         i_top, j_top = top[key]
-        c = h * grid[i_top]
-        if not c.le(g1):
+        r_top = grid[i_top]
+        xs, ys, _, _ = h._scaled(g1)  # r_top * h <= g1, cross-multiplied
+        p, q = r_top.numerator, r_top.denominator
+        if any(p * x > q * y for x, y in zip(xs, ys)):
             raise PreconditionViolation(
-                f"c_rs exceeds g on pair (r={grid[i_top]}, s={grid[j_top]})")
-        parts.append(c)
+                f"c_rs exceeds g on pair (r={r_top}, s={grid[j_top]})")
+        hs.append(h)
         rows.append({"r": r, "s": s, "h": h})
-    shape, den, (fr, *part_rows) = lay_out([f1, *parts])
-    jr = [max(col) for col in zip(*part_rows)]
+    tops = [grid[i] for i, _ in top.values()]  # top lists the level pairs as first does
+    shape, den, (fr, *h_rows) = lay_out([f1, *hs])
+    lcd = math.lcm(*(t.denominator for t in tops))
+    d = den * lcd  # the join of 0 and every r_top * h, as numerators over d
+    jr = functools.reduce(_join_row, ([t.numerator * (lcd // t.denominator) * x for x in row]
+                                      for t, row in zip(tops, h_rows)), [0] * len(fr))
     for i, (x, y) in enumerate(zip(fr, jr)):  # J < f - 1/q_max where f's denominator <= q_max
-        if (x - y) * q_max > den and den // math.gcd(x, den) <= q_max:
+        if (x * lcd - y) * q_max > d and den // math.gcd(x, den) <= q_max:
             raise BoundViolation(f1._point(shape, i), f"join below f - 1/{q_max}")
-    result = unscale(f1._from_row(shape, jr, den), transform)
+    scale, shift = b.numerator * a.denominator, a.numerator * b.denominator * d  # b*J - a
+    result = f1._from_row(shape, [scale * y - shift for y in jr],
+                          d * a.denominator * b.denominator)
     cert = {
         "trace": "urysohn",
         "f": f,
         "g": g,
         "q_max": q_max,
-        "transform": transform,
+        "transform": (a, b),
         "result": result,
         "pairs": rows,
     }

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CoverViolation, EmptyFamily, GapViolation, PreconditionViolation
-from .rationals import ONE, rat
+from .rationals import rat
 
 
 def _to_row(values) -> tuple[tuple[int, ...], int]:
@@ -293,26 +293,3 @@ def subcover(epsilon, family) -> dict:
                 chosen.append(j)
     join_min = min(max(col) for col in zip(*(rows[i] for i in chosen)))
     return {"subfamily": chosen, "join_min": Fraction(join_min, den)}
-
-
-def rescale_to_unit(f: AlgElement, g: AlgElement):
-    """Translate and scale a pair f <= g into the unit interval.
-
-    Returns (f', g', (a, b)) with f' = (f+a)/b, g' = (g+a)/b and
-    0 <= f' <= g' <= 1, where a is the negated infimum of f's values and b
-    the supremum of (g+a)'s values (1 when that supremum is 0).  The
-    transform is recorded so callers can invert the scaling exactly.  The
-    caller checks f <= g.
-    """
-    a = -f.value_bounds()[0]
-    b = (g + a).value_bounds()[1]
-    if b == 0:
-        b = ONE
-    inv = Fraction(1, 1) / b
-    return (f + a) * inv, (g + a) * inv, (a, b)
-
-
-def unscale(h: AlgElement, transform: tuple[Fraction, Fraction]) -> AlgElement:
-    """Invert :func:`rescale_to_unit`: h * b - a."""
-    a, b = transform
-    return h * b - a

@@ -752,8 +752,10 @@ def verify_report(data) -> dict:
             if "condition" in node and "verdict" in node:
                 return verify("condition", _verify_condition, node)
             if "ideal_membership" in node:
+                _keys(node, ("ideal_membership",), (), "ideal")
                 return verify("ideal", _verify_ideal, node["ideal_membership"])
             if "block_replay" in node:
+                _keys(node, ("block_replay",), (), "block")
                 return verify("block", _verify_block_replay, node["block_replay"])
             children = node.items()
         elif isinstance(node, list):

@@ -363,6 +363,28 @@ def level_pairs_by_scan(rank, closed_ids, open_ids):
     return first, top
 
 
+def rescale_to_unit(f, g):
+    """Translate and scale a pair f <= g into the unit interval.
+
+    Returns (f', g', (a, b)) with f' = (f+a)/b, g' = (g+a)/b and
+    0 <= f' <= g' <= 1, where a is the negated infimum of f's values and b
+    the supremum of (g+a)'s values (1 when that supremum is 0), each built as
+    an element.  The caller checks f <= g.
+    """
+    a = -f.value_bounds()[0]
+    b = (g + a).value_bounds()[1]
+    if b == 0:
+        b = ONE
+    inv = Fraction(1, 1) / b
+    return (f + a) * inv, (g + a) * inv, (a, b)
+
+
+def unscale(h, transform):
+    """Invert :func:`rescale_to_unit`: h * b - a."""
+    a, b = transform
+    return h * b - a
+
+
 def canonical_by_divisors(prefix, cycle):
     """The canonical (prefix, cycle) of an eventually periodic sequence, its
     minimal period found by trying every divisor of the cycle length in turn."""

@@ -459,7 +459,13 @@ SEQ_0, SEQ_1 = seq("0"), seq("1")
      "condition"),
     ({"ideal_membership": {"element": seq("x"), "in_I_alpha": True,
                            "in_J_radical": True, "cert": {}}}, "/", "ideal"),
-], ids=["iteration-bounds-short", "merge-empty", "N-holds-no-witness", "ideal-unparsed-value"])
+    # a valid ideal payload, whose wrapper holds a key beside its one key
+    ({"certificates": [{"ideal_membership": {
+        "element": {"prefix": ["0", "1"], "cycle": ["0"], "omega": "0"}, "in_I_alpha": True,
+        "in_J_radical": True, "cert": {"kind": "finite", "members": [1]}}, "stale": "1"}]},
+     "/certificates/0", "ideal"),
+], ids=["iteration-bounds-short", "merge-empty", "N-holds-no-witness", "ideal-unparsed-value",
+        "ideal-wrapper-sibling"])
 def test_replay_malformed_report_is_input_error(tmp_path, capsys, report, pointer, kind):
     path = write(tmp_path, "report.json", report)
     assert main(["replay", path]) == 2

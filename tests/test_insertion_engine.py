@@ -40,7 +40,7 @@ from normlab.insertion_engine import (
     tong_merge,
     urysohn_join_stream,
 )
-from normlab.lattice_core import AlgElement, finite_join, rescale_to_unit, unscale
+from normlab.lattice_core import AlgElement, finite_join
 from normlab.rationals import ZERO
 from normlab import replay
 from normlab.replay import (
@@ -60,7 +60,7 @@ from normlab.seq_model import SeqFunc, threshold_indicator
 from normlab.serialize import to_jsonable
 from oracles import (continuous_by_fibers, level_pairs_by_scan, probe_points,
                      random_finite_func, random_seq_func, random_usc_lsc_pair,
-                     threshold_by_fractions,
+                     rescale_to_unit, threshold_by_fractions, unscale,
                      up_sets_scan, urysohn_by_components, urysohn_y_by_cases, with_omega)
 
 POINT = FiniteSpace.discrete(1)
@@ -202,6 +202,20 @@ def test_farey_order_and_count():
         assert len(grid) == 1 + sum(phi)
     with pytest.raises(PreconditionViolation):
         farey_fractions(0)
+
+
+def test_join_stream_refuses_a_mesh_replay_refuses():
+    """The producer takes the meshes replay takes, q_max an int from 1 to
+    MAX_Q: a bool or 65 is refused before any work, and 64 replays ok."""
+    space = FiniteSpace.discrete(2)
+    carrier = FiniteUrysohnCarrier(space)
+    f, g = FiniteFunc(space, [0, Fraction(1, 2)]), FiniteFunc(space, [1, 1])
+    for q_max in (True, replay.MAX_Q + 1):
+        with pytest.raises(PreconditionViolation, match="q_max must be an integer from 1 to "
+                                                        "MAX_Q = 64"):
+            urysohn_join_stream(carrier, f, g, q_max)
+    _, cert = urysohn_join_stream(carrier, f, g, replay.MAX_Q)
+    assert verify_report(to_jsonable(cert))["ok"]
 
 
 def test_join_stream_continuous_pair_on_y():
@@ -485,6 +499,40 @@ def test_join_stream_separates_each_level_pair_once():
         assert list(carrier.separated) == order
         assert set(carrier.separated.values()) == {1}
         assert len(cert["pairs"]) == len(order)
+
+
+def test_join_stream_builds_the_unit_pair_indicators_and_result(monkeypatch):
+    """Outside its carrier's separations, the join builds f + a, g + a and the
+    unit pair, two 0/1 indicators per level pair and the result: at most
+    2L + 5 elements for L certificate rows."""
+    counter = {"on": True, "built": 0}
+    new = AlgElement._new.__func__
+
+    def counted(cls, *args):
+        counter["built"] += counter["on"]
+        return new(cls, *args)
+
+    def uncounted(base):
+        class Uncounted(base):
+            def urysohn(self, closed_f, open_g):
+                counter["on"] = False
+                try:
+                    return super().urysohn(closed_f, open_g)
+                finally:
+                    counter["on"] = True
+        return Uncounted
+
+    space = FiniteSpace.discrete(3)
+    cases = [(uncounted(YUrysohnCarrier)(), f, g) for f, g in HEAVY_Y_PAIRS]
+    cases.append((uncounted(FiniteUrysohnCarrier)(space),
+                  FiniteFunc(space, [Fraction(-1, 2), 0, Fraction(3, 4)]),
+                  FiniteFunc(space, [Fraction(1, 3), 1, 2])))
+    monkeypatch.setattr(AlgElement, "_new", classmethod(counted))
+    for carrier, f, g in cases:
+        counter["built"] = 0
+        _, cert = urysohn_join_stream(carrier, f, g, 12)
+        rows = len(cert["pairs"])
+        assert rows > 0 and counter["built"] <= 2 * rows + 5
 
 
 def _level_pairs_in_scan_order(f, g, q):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from normlab.errors import EmptyFamily, PreconditionViolation
 from normlab.finite_space import (FiniteFunc, FiniteSpace, block_indicators, envelopes,
                                   indicator, insert_finite)
-from normlab.lattice_core import finite_join, rescale_to_unit, unscale
+from normlab.lattice_core import finite_join
 from normlab.seq_model import OMEGA, SeqFunc, threshold_indicator
-from oracles import probe_points, shift_by_constant_element, superlevel_mask_by_values, threshold_by_fractions
+from oracles import (probe_points, rescale_to_unit, shift_by_constant_element,
+                     superlevel_mask_by_values, threshold_by_fractions, unscale)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 

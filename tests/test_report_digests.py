@@ -549,7 +549,8 @@ KIND_KEYS = {
 def test_every_payload_part_holds_exactly_the_keys_its_checks_read(kind):
     """A key added to any part of a merge, iteration, Urysohn, block or ideal
     payload, which no check would read, and a key deleted from it are each a
-    malformed payload at that part's pointer."""
+    malformed payload at that part's pointer; a key beside the one key of a
+    block or ideal wrapper is one at the wrapper's."""
     payload, body = _kind_payloads()[kind]
     assert verify_report(payload)["ok"]
     parts = _certificate_parts(functools.reduce(operator.getitem, body, payload), body)
@@ -566,6 +567,9 @@ def test_every_payload_part_holds_exactly_the_keys_its_checks_read(kind):
                 cause = f"KeyError: {sorted(node)[0]!r}"
                 del node[sorted(node)[0]]
             assert _malformed(tampered) == f"{pointer}: malformed {kind} payload ({cause})"
+    if body:
+        assert _malformed({**payload, "stale": "1"}) == (
+            f"/: malformed {kind} payload (ValueError: a key no check reads: 'stale')")
 
 
 def _finite_elements(node):

@@ -565,7 +565,6 @@ NEVER_RUN = [
     "lattice_core.AlgElement.__le__", "lattice_core.AlgElement.__neg__",
     "lattice_core.AlgElement.__radd__", "lattice_core.AlgElement.__rmul__",
     "lattice_core.AlgElement.eq_pointwise", "lattice_core.AlgElement.zip_with",
-    "lattice_core.rescale_to_unit", "lattice_core.unscale",
     "replay._continuous", "replay._flag", "replay._level_pairs",
     "replay._verify_block_replay", "replay._verify_ideal", "replay._verify_urysohn",
     "seq_model.GeoTail.__repr__", "seq_model.GeoTail.at",
