@@ -35,13 +35,7 @@ from .errors import ModelCapabilityMissing, PreconditionViolation
 from .finite_space import FiniteSpace
 from .lattice_core import check_gap, check_order, check_positive, subcover
 from .rationals import rat
-from .seq_model import (
-    Witness,
-    check_naturals_pair,
-    insert_convergent,
-    insert_on_y,
-    subcover_extract,
-)
+from .seq_model import check_naturals_pair, insert_convergent, insert_on_y, subcover_extract
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -170,10 +164,8 @@ class SeqXEndModel(ExtensionModel):
              "L": ("epsilon", "delta")}
 
     def insert(self, f, g):
-        result = insert_convergent(f, g)
-        if isinstance(result, Witness):
-            return HOLDS, {"witness": result.func, "limit": result.limit}
-        return FAILS, {"limsup_f": result.limsup_f, "liminf_g": result.liminf_g}
+        cert = insert_convergent(f, g)
+        return HOLDS if "witness" in cert else FAILS, cert
 
     @staticmethod
     def _sides(instance, meet_of: str, join_of: str) -> dict:
@@ -237,8 +229,7 @@ class SeqYEndModel(ExtensionModel):
     name = "seq_y_end"
 
     def insert(self, f, g):
-        w = insert_on_y(f, g)
-        return HOLDS, {"witness": w.func, "limit": w.limit}
+        return HOLDS, insert_on_y(f, g)
 
     def cover(self, epsilon, family):
         return subcover_extract(epsilon, family)

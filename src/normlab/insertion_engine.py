@@ -1,4 +1,4 @@
-"""The three constructive insertion procedures, generic over carriers.
+"""The four constructive insertion procedures, generic over carriers.
 
 Each procedure consumes elements of any :class:`~normlab.lattice_core.AlgElement`
 carrier (plus an injected oracle where one is needed), computes the algebra it
@@ -220,7 +220,7 @@ class YUrysohnCarrier:
         check_y_pair(f, g)
 
     def urysohn(self, closed_f: SeqFunc, open_g: SeqFunc) -> SeqFunc:
-        return insert_on_y(closed_f, open_g).func
+        return insert_on_y(closed_f, open_g)["witness"]
 
 
 def _level_pairs(rank, closed_ids, open_ids):

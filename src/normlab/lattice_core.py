@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CoverViolation, EmptyFamily, GapViolation, PreconditionViolation
 from .rationals import rat
@@ -223,16 +223,9 @@ def lay_out(elems: Sequence[AlgElement], shape=None) -> tuple[object, int, list]
                         [x * (den // e._den) for x in e._on(shape)] for e in elems]
 
 
-def finite_join(elems: Iterable[AlgElement]) -> AlgElement:
-    elems = list(elems)
-    if not elems:
-        raise EmptyFamily("join of an empty family is not formed")
-    shape, den, rows = lay_out(elems)
-    return elems[0]._from_row(shape, [max(col) for col in zip(*rows)], den)
-
-
 # Checks on the values a scenario instance holds, each raising an error keyed
-# to the instance key it read; the insertion routes of every carrier call them.
+# to the instance key it read; the insertion and cover routes of every carrier
+# call them, and the cover rule checks its cover on the rows it picks from.
 
 def check_positive(value, key: str) -> Fraction:
     """The value as a Fraction, if it is positive."""
@@ -260,35 +253,31 @@ def check_gap(f: AlgElement, g: AlgElement, epsilon) -> Fraction:
     return eps
 
 
-def check_cover(epsilon, family) -> Fraction:
-    """A nonempty family whose pointwise supremum is at least epsilon > 0
-    everywhere; returns epsilon.  A shortfall is keyed ``epsilon``."""
+def subcover(epsilon, family) -> dict:
+    """{"subfamily", "join_min"} of a cover: epsilon > 0, a nonempty family,
+    and on the family's rows a column maximum at least epsilon at every
+    position, else a shortfall keyed ``epsilon`` at the first position short.
+    The subfamily is the indices one rule picks on those rows: the first
+    member above epsilon/2 at the last position (omega, on the compactified
+    naturals), then at each position where it is at most 0 the first member
+    at least epsilon/2 there (each exists, as the cover is at least epsilon);
+    join_min is the least value of their join, which is positive."""
     eps = check_positive(epsilon, "epsilon")
     if not family:
         raise EmptyFamily("the cover family is empty", key="family")
-    sup = finite_join(family)
-    bad = sup.const_like(eps).first_violation(sup)
-    if bad is not None:
-        raise CoverViolation(bad, sup.value_at(bad), eps)
-    return eps
-
-
-def subcover(epsilon, family) -> dict:
-    """{"subfamily", "join_min"} of a cover, checked by :func:`check_cover`:
-    the indices one rule picks on the family's rows, the first member above
-    epsilon/2 at the last position (omega, on the compactified naturals), then
-    at each position where it is at most 0 the first member at least epsilon/2
-    there (each exists, as the cover is at least epsilon), and the least value
-    of their join, which is positive."""
-    eps = check_cover(epsilon, family)
-    _, den, rows = lay_out(family)
-    # x / den >= eps/2 iff 2q * x >= p * den, for eps = p/q
-    q2, half = 2 * eps.denominator, eps.numerator * den
-    star = next(i for i, row in enumerate(rows) if q2 * row[-1] > half)
+    shape, den, rows = lay_out(family)
+    # x / den >= eps iff q * x >= p * den, for eps = p/q; likewise eps/2 with 2q
+    q, p = eps.denominator, eps.numerator * den
+    for k, col in enumerate(zip(*rows)):
+        top = max(col)
+        if q * top < p:
+            raise CoverViolation(family[0]._point(shape, k), Fraction(top, den), eps)
+    q2 = 2 * q
+    star = next(i for i, row in enumerate(rows) if q2 * row[-1] > p)
     chosen = [star]
     for k, x in enumerate(rows[star]):
         if x <= 0:
-            j = next(i for i, row in enumerate(rows) if q2 * row[k] >= half)
+            j = next(i for i, row in enumerate(rows) if q2 * row[k] >= p)
             if j not in chosen:
                 chosen.append(j)
     join_min = min(max(col) for col in zip(*(rows[i] for i in chosen)))

@@ -15,7 +15,6 @@ exactly the representable continuous functions on the compactification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -33,14 +32,7 @@ from .rationals import ZERO, rat
 
 
 class Omega:
-    """The added point of the compactification; a singleton sentinel."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The added point of the compactification; ``OMEGA`` is its one instance."""
 
     def __repr__(self):
         return "omega"
@@ -235,14 +227,6 @@ def _omega(f: SeqFunc) -> Fraction:
     return Fraction(f._row[-1], f._den)
 
 
-def limit_data(f: SeqFunc):
-    """(liminf, limsup, limit?) of the tail: the extrema of the cycle values."""
-    cycle = _cycle(f)
-    lo, hi = min(cycle), max(cycle)
-    low = Fraction(lo, f._den)
-    return (low, low, low) if lo == hi else (low, Fraction(hi, f._den), None)
-
-
 def semicontinuity_on_y(f: SeqFunc) -> dict:
     """Semicontinuity on the compactified carrier, decided at omega.
 
@@ -258,41 +242,6 @@ def semicontinuity_on_y(f: SeqFunc) -> dict:
     return {"usc": usc, "lsc": lsc, "continuous": usc and lsc}
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A successful insertion: the witness element plus its limit."""
-    func: SeqFunc
-    limit: Fraction
-
-
-class InfeasibleCert:
-    """Certificate that no convergent function fits between f and g.
-
-    Carries (limsup f, liminf g) with limsup f > liminf g; ``refute``
-    produces, for any candidate convergent function, an explicit index where
-    f <= candidate <= g fails.
-    """
-
-    def __init__(self, f: SeqFunc, g: SeqFunc):
-        self.f = f
-        self.g = g
-        self.limsup_f = limit_data(f)[1]
-        self.liminf_g = limit_data(g)[0]
-
-    def refute(self, candidate: SeqFunc) -> int:
-        if not candidate.is_convergent():
-            raise NotConvergent("candidate must be convergent")
-        bound = max(len(self.f.prefix), len(self.g.prefix), len(candidate.prefix))
-        span = bound + math.lcm(len(self.f.cycle), len(self.g.cycle))
-        for k in range(span):
-            if not self.f.at(k) <= candidate.at(k) <= self.g.at(k):
-                return k
-        raise PreconditionViolation("candidate is a valid insertion; certificate is wrong")
-
-    def __repr__(self):
-        return f"InfeasibleCert(limsup_f={self.limsup_f}, liminf_g={self.liminf_g})"
-
-
 def check_naturals_pair(f: SeqFunc, g: SeqFunc) -> None:
     """The pair :func:`insert_convergent` reads: f <= g on the naturals, with
     no omega value; each error is keyed to ``f`` or ``g``."""
@@ -303,21 +252,25 @@ def check_naturals_pair(f: SeqFunc, g: SeqFunc) -> None:
     check_order(f, g)
 
 
-def insert_convergent(f: SeqFunc, g: SeqFunc):
-    """Convergent a with f <= a <= g on the naturals, or an infeasibility certificate.
+def insert_convergent(f: SeqFunc, g: SeqFunc) -> dict:
+    """The (N) certificate on the naturals: ``{"witness", "limit"}`` for a
+    convergent a with f <= a <= g, else ``{"limsup_f", "liminf_g"}``.
 
-    Feasible iff limsup f <= liminf g; the witness is f v (g ^ L) for L the
-    midpoint of that interval, the limit L clamped into [f(k), g(k)] at each
-    index.  It converges to L: on the tail f <= limsup f <= L <= liminf g <= g,
-    so it equals L there.  The feasibility criterion is a model-level fact
-    validated against an independent brute-force oracle in the test suite.
+    Feasible iff limsup f <= liminf g, the extrema of the two cycles; the
+    witness is f v (g ^ L) for L the midpoint of that interval, the limit L
+    clamped into [f(k), g(k)] at each index.  It converges to L: on the tail
+    f <= limsup f <= L <= liminf g <= g, so it equals L there.  Otherwise a
+    convergent candidate with limit L misses f <= a <= g infinitely often:
+    where f takes its limsup when L < limsup f, else where g takes its
+    liminf.  The feasibility criterion is validated against an independent
+    brute-force oracle in the test suite.
     """
     check_naturals_pair(f, g)
     hi, lo, d1, d2 = max(_cycle(f)), min(_cycle(g)), f._den, g._den
     if hi * d2 > lo * d1:
-        return InfeasibleCert(f, g)
+        return {"limsup_f": Fraction(hi, d1), "liminf_g": Fraction(lo, d2)}
     limit = Fraction(hi * d2 + lo * d1, 2 * d1 * d2)
-    return Witness(f.join(g.meet(limit)), limit)
+    return {"witness": f.join(g.meet(limit)), "limit": limit}
 
 
 def brute_force_insertable(f: SeqFunc, g: SeqFunc):
@@ -350,8 +303,9 @@ def check_y_pair(f: SeqFunc, g: SeqFunc) -> None:
     check_order(f, g)
 
 
-def insert_on_y(f: SeqFunc, g: SeqFunc) -> Witness:
-    """Continuous insertion on the compact carrier; always succeeds.
+def insert_on_y(f: SeqFunc, g: SeqFunc) -> dict:
+    """The (N) certificate on the compact carrier, ``{"witness", "limit"}``;
+    the insertion always succeeds.
 
     For usc f <= lsc g on the compactification, the feasible limits form the
     interval [f(omega), g(omega)]; the witness is f v (g ^ L) for the limit
@@ -361,27 +315,7 @@ def insert_on_y(f: SeqFunc, g: SeqFunc) -> Witness:
     """
     check_y_pair(f, g)
     limit = _omega(f)
-    return Witness(f.join(g.meet(limit)), limit)
-
-
-@dataclass(frozen=True)
-class YSet:
-    """A finite or cofinite subset of the compactified naturals.
-
-    The two kinds of coz-closure :func:`ideal_membership` certifies: kind
-    ``finite``, a finite subset of the naturals, and kind
-    ``cofinite_with_omega``, a cofinite set with omega, given by its
-    excluded naturals; ``members`` lists those naturals in increasing order.
-    """
-    kind: str
-    members: tuple[int, ...]
-
-    @property
-    def contains_omega(self) -> bool:
-        return self.kind == "cofinite_with_omega"
-
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
+    return {"witness": f.join(g.meet(limit)), "limit": limit}
 
 
 class GeoTail:
@@ -436,7 +370,10 @@ def ideal_membership(f) -> dict:
     its cozero set misses omega, i.e. the cozero set is a finite subset of
     the naturals; it belongs to the radical (the maximal ideal at omega) iff
     it vanishes at omega.  Accepts convergent :class:`SeqFunc` values and
-    :class:`GeoTail` witnesses; the certificate is the computed coz-closure.
+    :class:`GeoTail` witnesses.  The certificate is the computed coz-closure,
+    ``{"kind", "members"}``: kind ``finite``, a finite subset of the naturals,
+    or kind ``cofinite_with_omega``, a cofinite set with omega, given by its
+    excluded naturals; ``members`` lists those naturals in increasing order.
     """
     if isinstance(f, GeoTail):
         in_i, in_j = f.has_finite_support(), True
@@ -447,9 +384,10 @@ def ideal_membership(f) -> dict:
     else:
         raise NotConvergent("ideal membership is defined for convergent functions on the compactification")
     if in_i:
-        cert = YSet("finite", tuple(k for k, v in enumerate(prefix) if v != 0))
+        cert = {"kind": "finite", "members": tuple(k for k, v in enumerate(prefix) if v != 0)}
     else:
-        cert = YSet("cofinite_with_omega", tuple(k for k, v in enumerate(prefix) if v == 0))
+        cert = {"kind": "cofinite_with_omega",
+                "members": tuple(k for k, v in enumerate(prefix) if v == 0)}
     return {"in_I_alpha": in_i, "in_J_radical": in_j, "cert": cert}
 
 

@@ -116,6 +116,12 @@ MAX_DEPTH = 512
 MAX_FAMILY = 64
 MAX_POINTS = 32
 MAX_SPAN = 256
+# Digits of a scenario numerator or denominator.  A route writes instance
+# values, or the midpoint of two, of at most 2 * MAX_DIGITS + 1 digits, under
+# CPython's 4,300-digit limit on int-to-str conversion.
+MAX_DIGITS = 2000
+_INT_LIMIT = 10 ** MAX_DIGITS
+_TOO_LONG = f"a numerator or denominator has over MAX_DIGITS = {MAX_DIGITS} digits"
 
 MODELS = {"finite_full": FiniteFullModel, "seq_x_end": SeqXEndModel,
           "seq_y_end": SeqYEndModel}
@@ -174,7 +180,7 @@ def _choice(value, pointer: str, options) -> str:
 
 # A scenario's rationals are read as (numerator, denominator) pairs through a
 # memo, one per scenario, keyed by the JSON string: each distinct string is
-# checked against RATIONAL once.
+# checked against RATIONAL and MAX_DIGITS once.
 
 def _ratio(value, pointer: str, memo: dict) -> tuple[int, int]:
     if type(value) is str:
@@ -184,9 +190,13 @@ def _ratio(value, pointer: str, memo: dict) -> tuple[int, int]:
                 raise _reject(pointer, f"expected an integer or a \"p/q\" string, "
                                        f"got {_shown(value)}")
             num, _, den = value.partition("/")
+            if len(num) - (num[0] == "-") > MAX_DIGITS or len(den) > MAX_DIGITS:
+                raise _reject(pointer, _TOO_LONG)
             pair = memo[value] = int(num), int(den or 1)
         return pair
     if isinstance(value, int) and not isinstance(value, bool):
+        if not -_INT_LIMIT < value < _INT_LIMIT:
+            raise _reject(pointer, _TOO_LONG)
         return value, 1
     raise _reject(pointer, f"expected an integer or a \"p/q\" string, got {_shown(value)}")
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from normlab.errors import (BoundExceeded, BoundViolation, CarrierMismatch, EmptyFamily,
-                            OracleContractViolation, PreconditionViolation)
+                            NotConvergent, OracleContractViolation, PreconditionViolation)
 from normlab.finite_space import FiniteFunc, FiniteSpace, NotSeparable, separate
 from normlab.insertion_engine import IterationTrace, MergeTrace
 from normlab.lattice_core import _to_row, check_order, check_positive
@@ -444,6 +444,20 @@ def insert_convergent_by_fractions(f: SeqFunc, g: SeqFunc):
         return None, (hi, lo)
     limit = (hi + lo) / 2
     return limit, clamped_limit_on_naturals(f, g, limit)
+
+
+def refute(f: SeqFunc, g: SeqFunc, candidate: SeqFunc) -> int:
+    """The first index where f <= candidate <= g fails, for a convergent
+    candidate and a pair whose (N) certificate is a (limsup f, liminf g)
+    refutation; a candidate that fits shows the refutation wrong."""
+    if not candidate.is_convergent():
+        raise NotConvergent("candidate must be convergent")
+    bound = max(len(f.prefix), len(g.prefix), len(candidate.prefix))
+    span = bound + math.lcm(len(f.cycle), len(g.cycle))
+    for k in range(span):
+        if not f.at(k) <= candidate.at(k) <= g.at(k):
+            return k
+    raise PreconditionViolation("candidate is a valid insertion; certificate is wrong")
 
 
 def insert_on_y_by_fractions(f: SeqFunc, g: SeqFunc):

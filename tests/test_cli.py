@@ -17,7 +17,8 @@ from normlab.finite_space import FiniteSpace
 from normlab.rationals import rat
 from normlab.replay import MalformedPayload, verify_report
 from normlab.seq_model import GeoTail, SeqFunc, ideal_membership
-from normlab.serialize import MAX_FAMILY, MAX_POINTS, MODELS, parse_scenario, to_jsonable
+from normlab.serialize import (MAX_DIGITS, MAX_FAMILY, MAX_POINTS, MODELS, parse_scenario,
+                               to_jsonable)
 
 
 def write(tmp_path, name, payload):
@@ -78,6 +79,23 @@ def test_check_malformed_rational_pointer(tmp_path, capsys):
     assert main(["check", path]) == 2
     err = capsys.readouterr().err
     assert "/instance/f/cycle/0" in err
+
+
+def test_check_reads_values_at_max_digits_and_replays_them(tmp_path, capsys):
+    """Values of MAX_DIGITS digits check, and the (N) midpoint of two of
+    them, of about twice as many digits, is written and replays ok."""
+    top = 10 ** MAX_DIGITS - 1
+    payload = _scenario("seq_x_end", "N", {
+        "f": {"prefix": [f"-{top}"], "cycle": ["1/1" + "0" * (MAX_DIGITS - 2) + "1"]},
+        "g": {"prefix": [top], "cycle": ["1/1" + "0" * (MAX_DIGITS - 1)]}})
+    report = tmp_path / "report.json"
+    assert main(["check", write(tmp_path, "s.json", payload), "--out", str(report)]) == 0
+    limit = json.loads(report.read_text())["certificate"]["limit"]
+    assert len(limit) > 2 * MAX_DIGITS
+    capsys.readouterr()
+    assert main(["replay", str(report)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] and out["verified"] == 1
 
 
 def test_check_missing_file(capsys):
@@ -976,6 +994,22 @@ def _with(payload, path, value):
      "cover bound violated at 0: sup 1 < 3"),
     (_with(Y_C, ["instance", "epsilon"], "3"), "/instance/epsilon",
      "cover bound violated at 0: sup 2 < 3"),
+    # a numerator or denominator over MAX_DIGITS digits, as a string or a JSON
+    # int; the first two gave a traceback and exit 1 before the bound
+    (_scenario("seq_x_end", "D", {"f": {"cycle": ["0"]}, "g": {"cycle": ["1"]},
+                                  "epsilon": "1/1" + "0" * 5000}),
+     "/instance/epsilon", f"MAX_DIGITS = {MAX_DIGITS} digits"),
+    (_scenario("seq_x_end", "N", {"f": {"cycle": ["1/1" + "0" * 3999 + "1"]},
+                                  "g": {"cycle": ["1/1" + "0" * 4000]}}),
+     "/instance/f/cycle/0", f"MAX_DIGITS = {MAX_DIGITS} digits"),
+    (_with(SCENARIO_N_FAILS, ["instance", "g", "cycle", 0], "-" + "9" * (MAX_DIGITS + 1)),
+     "/instance/g/cycle/0", f"MAX_DIGITS = {MAX_DIGITS} digits"),
+    (_with(SCENARIO_N_FAILS, ["instance", "f", "cycle", 1], "1/1" + "0" * MAX_DIGITS),
+     "/instance/f/cycle/1", f"MAX_DIGITS = {MAX_DIGITS} digits"),
+    (_with(SCENARIO_N_FAILS, ["instance", "f", "cycle", 0], 10 ** MAX_DIGITS),
+     "/instance/f/cycle/0", f"MAX_DIGITS = {MAX_DIGITS} digits"),
+    (_with(SCENARIO_N_FAILS, ["instance", "g", "cycle", 1], -10 ** MAX_DIGITS),
+     "/instance/g/cycle/1", f"MAX_DIGITS = {MAX_DIGITS} digits"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_check_rejects_at_pointer(tmp_path, capsys, payload, pointer, named):
     code, err = _check_exit(tmp_path, capsys, payload)

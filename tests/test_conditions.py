@@ -22,11 +22,11 @@ from normlab.errors import (CoverViolation, EmptyFamily, GapViolation, ModelCapa
                             PreconditionViolation)
 from normlab.finite_space import FiniteFunc, FiniteSpace
 from normlab.insertion_engine import tong_merge
-from normlab.lattice_core import finite_join
 from normlab.replay import verify_report
 from normlab.seq_model import SeqFunc, ideal_membership
 from normlab.serialize import to_jsonable
 from oracles import (
+    finite_join_pairwise,
     random_feasible_x_pair,
     random_finite_pair,
     random_usc_lsc_pair,
@@ -287,7 +287,7 @@ def test_eps_removal_on_seq_y_end():
     family = [SeqFunc.from_support({0: 1}, 0, 0) + eps, SeqFunc.from_support({0: 0}, 1, 1)]
     chosen = check_condition(SeqYEndModel(), "C", {"epsilon": eps, "family": family}
                              ).certificate["subfamily"]
-    assert finite_join([family[i] + shift for i in chosen]).value_bounds()[0] >= shift
+    assert finite_join_pairwise([family[i] + shift for i in chosen]).value_bounds()[0] >= shift
 
 
 def test_finite_cover_rule_agrees_with_the_fraction_oracle():
@@ -301,7 +301,7 @@ def test_finite_cover_rule_agrees_with_the_fraction_oracle():
         while checked < 100:
             family = [FiniteFunc(space, [rand_rational(rng, -1, 2) for _ in range(space.n)])
                       for _ in range(rng.randint(1, 4))]
-            lo = finite_join(family).value_bounds()[0]
+            lo = finite_join_pairwise(family).value_bounds()[0]
             if lo <= 0:
                 continue
             for eps in (lo, lo / 2):

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlab.cli import reproduce
-from normlab.errors import CarrierMismatch, NormlabError, PreconditionViolation
+from normlab.errors import CarrierMismatch, CoverViolation, NormlabError, PreconditionViolation
 from normlab.finite_space import FiniteFunc, FiniteSpace, block_indicators
 from normlab.insertion_engine import (dieudonne_iterate, increasing_approx, midpoint_oracle,
                                       tong_merge)
-from normlab.lattice_core import finite_join, lay_out
+from normlab.lattice_core import lay_out, subcover
 from normlab.replay import MalformedPayload, verify_report
 from normlab.seq_model import SeqFunc
 from normlab.serialize import to_jsonable
@@ -50,11 +50,19 @@ def nonnegative(elem):
 
 
 @given(st.sampled_from(CARRIERS).flatmap(lambda c: st.lists(elements(c), min_size=1,
-                                                            max_size=5)))
-def test_finite_join_matches_pairwise(family):
-    got, want = finite_join(family), finite_join_pairwise(family)
-    assert got == want
-    assert outcome(finite_join, family) == outcome(finite_join_pairwise, family)
+                                                            max_size=5)),
+       st.fractions(min_value=0, max_value=3, max_denominator=6).filter(bool))
+def test_cover_check_matches_pairwise_join(family, eps):
+    """``subcover`` refuses a family exactly when its pairwise join falls below
+    epsilon somewhere, naming the first such point and the join's value there."""
+    join = finite_join_pairwise(family)
+    bad = join.const_like(eps).first_violation(join)
+    if bad is None:
+        assert subcover(eps, family)["join_min"] > 0
+    else:
+        with pytest.raises(CoverViolation) as caught:
+            subcover(eps, family)
+        assert (caught.value.point, caught.value.value) == (bad, join.value_at(bad))
 
 
 @st.composite

@@ -40,7 +40,7 @@ from normlab.insertion_engine import (
     tong_merge,
     urysohn_join_stream,
 )
-from normlab.lattice_core import AlgElement, finite_join
+from normlab.lattice_core import AlgElement
 from normlab.rationals import ZERO
 from normlab import replay
 from normlab.replay import (
@@ -58,8 +58,8 @@ from normlab.replay import (
 )
 from normlab.seq_model import SeqFunc, threshold_indicator
 from normlab.serialize import to_jsonable
-from oracles import (continuous_by_fibers, level_pairs_by_scan, probe_points,
-                     random_finite_func, random_seq_func, random_usc_lsc_pair,
+from oracles import (continuous_by_fibers, finite_join_pairwise, level_pairs_by_scan,
+                     probe_points, random_finite_func, random_seq_func, random_usc_lsc_pair,
                      rescale_to_unit, threshold_by_fractions, unscale,
                      up_sets_scan, urysohn_by_components, urysohn_y_by_cases, with_omega)
 
@@ -328,7 +328,7 @@ def _per_pair_stream(carrier, f, g, q_max):
             if not c_rs.le(g1):
                 raise PreconditionViolation(f"c_rs exceeds g on pair (r={r}, s={s})")
             parts.append(c_rs)
-    joined = finite_join(parts)
+    joined = finite_join_pairwise(parts)
     grid_set = set(grid)
     for p in probe_points(f1):
         fv = f1.value_at(p)

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normlab.errors import EmptyFamily, PreconditionViolation
+from normlab.errors import PreconditionViolation
 from normlab.finite_space import (FiniteFunc, FiniteSpace, block_indicators, envelopes,
                                   indicator, insert_finite)
-from normlab.lattice_core import finite_join
 from normlab.seq_model import OMEGA, SeqFunc, threshold_indicator
 from oracles import (probe_points, rescale_to_unit, shift_by_constant_element,
                      superlevel_mask_by_values, threshold_by_fractions, unscale)
@@ -94,11 +93,6 @@ def test_idempotent_detection():
     assert (chi * chi).eq_pointwise(chi)
     other = FiniteFunc(SPACE, [1, 2, 0])
     assert not (other * other).eq_pointwise(other)
-
-
-def test_finite_join_empty_family():
-    with pytest.raises(EmptyFamily):
-        finite_join([])
 
 
 @given(finite_funcs(), finite_funcs())

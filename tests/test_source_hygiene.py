@@ -568,8 +568,8 @@ NEVER_RUN = [
     "replay._continuous", "replay._flag", "replay._level_pairs",
     "replay._verify_block_replay", "replay._verify_ideal", "replay._verify_urysohn",
     "seq_model.GeoTail.__repr__", "seq_model.GeoTail.at",
-    "seq_model.InfeasibleCert.__repr__", "seq_model.Omega.__repr__",
-    "seq_model.SeqFunc.__repr__", "seq_model.SeqFunc._point", "seq_model.SeqFunc.value_at",
+    "seq_model.Omega.__repr__",
+    "seq_model.SeqFunc.__repr__", "seq_model.SeqFunc.value_at",
     "seq_model.lindelof_extract", "seq_model.lindelof_extract.<locals>.select",
     "seq_model.lindelof_extract.<locals>.stream",
     "serialize._child", "serialize._shown",
